@@ -1,19 +1,20 @@
 """LRU state-space sequence models with online RTRL fine-tuning."""
 
 from .lru import (LruLayerParams, LruNetwork, derive_gamma, derive_lambda,
-                  init_layer, init_network, layer_step, network_forward,
-                  network_scan, network_step, scan_forward)
-from .rtrl import (EligibilityTrace, online_gradient, reset_trace,
-                   step_traces, trace_step, window_gradient)
-from .bptt import TrainConfig, WindowBatch, bptt_gradient, sample_windows, train
-from .optim import (AdamState, AnchorConfig, adam_step, anchor_gradient,
-                    clip_global_norm, huber, huber_grad)
+                  init_layer, init_network, layer_step, network_scan,
+                  network_step, scan_forward)
+from .rtrl import (EligibilityTrace, online_gradient, online_step,
+                   reset_trace, step_traces, trace_step, window_gradient)
+from .bptt import (TrainConfig, WindowBatch, bptt_gradient, sample_windows,
+                   train)
+from .optim import (AdamState, AnchorConfig, adam_step, anchor_distance,
+                    anchor_gradient, apply_update, clip_global_norm, huber,
+                    huber_grad)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, split_sessions)
-from .synth import (GeneratorConfig, ShiftSpec, generate_dataset,
-                    generate_synthetic, write_dataset)
+from .synth import GeneratorConfig, ShiftSpec, generate_dataset, write_dataset
 from .harness import (FinetuneConfig, PretrainConfig, RunMetrics, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
                       cmd_sweep, impute_benchmark, prepare_tables)

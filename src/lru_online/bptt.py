@@ -1,17 +1,18 @@
-"""Offline training: windowed batching and exact reverse-mode gradients
-through the unrolled linear recurrence."""
+"""Offline training: windowed batching, exact reverse-mode gradients
+through the unrolled linear recurrence, and the training loop shared by
+every trainer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .datapipe import SequenceData
 from .errors import ConfigurationError, TrainingError
 from .lru import LruNetwork, derive_gamma, derive_lambda, network_scan
-from .optim import (AdamState, adam_step, clip_global_norm, huber, huber_grad,
-                    Tree)
+from .optim import AdamState, apply_update, huber, huber_grad
 
 
 @dataclass
@@ -74,10 +75,11 @@ def sample_windows(data: SequenceData, T: int, batch: int,
 
 
 def bptt_gradient(net: LruNetwork, batch: WindowBatch,
-                  delta: float = 1.0) -> tuple[float, Tree]:
+                  delta: float = 1.0) -> tuple[float, np.ndarray]:
     """Mean per-step Huber loss over the batch and its exact full-unroll
-    gradient, computed by hand-rolled reverse mode (the stack is linear, so
-    the complex adjoint recursion s_t = a_t + lambda * s_{t+1} suffices)."""
+    gradient (flat, laid out like net.theta), computed by hand-rolled
+    reverse mode (the stack is linear, so the complex adjoint recursion
+    s_t = a_t + lambda * s_{t+1} suffices)."""
     inputs = np.asarray(batch.inputs, dtype=np.float64)
     targets = np.asarray(batch.targets, dtype=np.float64)
     B, T, _ = inputs.shape
@@ -88,7 +90,8 @@ def bptt_gradient(net: LruNetwork, batch: WindowBatch,
         bad = np.nonzero(~np.isfinite(resid).all(axis=(1, 2)))[0]
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
     down = huber_grad(resid, delta)                  # (B, T, p)
-    grads: Tree = [None] * net.depth
+    grads = np.empty_like(net.theta)
+    blocks = net.unflatten(grads)
     for k in range(net.depth - 1, -1, -1):
         layer = net.layers[k]
         u = layer_inputs[k]
@@ -98,9 +101,10 @@ def bptt_gradient(net: LruNetwork, batch: WindowBatch,
         Bc = layer.b_re + 1j * layer.b_im
         Cc = layer.c_re + 1j * layer.c_im
 
-        grad_c_re = np.einsum("btp,btn->pn", down, h.real)
-        grad_c_im = -np.einsum("btp,btn->pn", down, h.imag)
-        grad_d = np.einsum("btp,btm->pm", down, u)
+        out = blocks[k]
+        out["c_re"][...] = np.einsum("btp,btn->pn", down, h.real)
+        out["c_im"][...] = -np.einsum("btp,btn->pn", down, h.imag)
+        out["d"][...] = np.einsum("btp,btm->pm", down, u)
 
         a = down @ Cc                                # (B, T, n) adjoint of h
         s = np.empty_like(a)
@@ -113,16 +117,12 @@ def bptt_gradient(net: LruNetwork, batch: WindowBatch,
         sh = np.sum(s * h_prev, axis=(0, 1))
         bu = u @ Bc.T
         M = s * gamma
-        grads[k] = {
-            "nu": np.real(-np.exp(layer.nu) * lam * sh),
-            "theta_phase": np.real(1j * np.exp(layer.theta_phase) * lam * sh),
-            "gamma_log": np.real(gamma * np.sum(s * bu, axis=(0, 1))),
-            "b_re": np.real(np.einsum("btn,btm->nm", M, u)),
-            "b_im": -np.imag(np.einsum("btn,btm->nm", M, u)),
-            "c_re": grad_c_re,
-            "c_im": grad_c_im,
-            "d": grad_d,
-        }
+        out["nu"][...] = np.real(-np.exp(layer.nu) * lam * sh)
+        out["theta_phase"][...] = np.real(
+            1j * np.exp(layer.theta_phase) * lam * sh)
+        out["gamma_log"][...] = np.real(gamma * np.sum(s * bu, axis=(0, 1)))
+        out["b_re"][...] = np.real(np.einsum("btn,btm->nm", M, u))
+        out["b_im"][...] = -np.imag(np.einsum("btn,btm->nm", M, u))
         if k > 0:
             down = np.real(M @ Bc) + down @ layer.d
     return loss, grads
@@ -139,42 +139,50 @@ def evaluate(net: LruNetwork, data: SequenceData, delta: float = 1.0) -> float:
     return total / count
 
 
+def bptt_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
+              cfg: TrainConfig) -> float:
+    """One Adam update on the batch's exact BPTT gradient."""
+    loss, grads = bptt_gradient(net, batch, cfg.huber_delta)
+    apply_update(net.theta, grads, adam, cfg.clip)
+    return loss
+
+
 def train(net: LruNetwork, train_data: SequenceData,
-          val_data: SequenceData | None, cfg: TrainConfig) -> TrainResult:
-    """Adam loop with global-norm clipping. Tracks train loss every step and
-    validation loss at the eval cadence; returns the best-validation
-    parameters. On divergence the last finite best checkpoint is kept."""
+          val_data: SequenceData | None, cfg: TrainConfig,
+          step: Callable[[LruNetwork, WindowBatch, AdamState, TrainConfig],
+                         float] = bptt_step) -> TrainResult:
+    """The training loop of every trainer. Each of cfg.steps iterations
+    samples cfg.batch windows and calls step(net, batch, adam, cfg), which
+    updates net.theta in place and returns the train loss. The loop tracks
+    the train loss every step and the validation loss at the eval cadence, and
+    returns the best-validation parameters (the last ones without
+    validation data). A non-finite loss or gradient (TrainingError) stops
+    training with `diverged` set; the last finite best parameters are kept.
+    The input network is not modified."""
+    net = net.copy()
     rng = np.random.default_rng(cfg.seed)
-    theta = net.parameters()
-    theta = [{k: v.copy() for k, v in layer.items()} for layer in theta]
-    state = AdamState.init(theta, lr=cfg.lr)
-    best = [{k: v.copy() for k, v in layer.items()} for layer in theta]
+    adam = AdamState.init(net.theta, lr=cfg.lr)
+    best = None
     best_val = float("inf")
     curve = []
     diverged = False
-    for step in range(1, cfg.steps + 1):
+    for i in range(1, cfg.steps + 1):
         batch = sample_windows(train_data, cfg.window, cfg.batch, rng)
-        cur = LruNetwork.from_parameters(theta)
         try:
-            loss, grads = bptt_gradient(cur, batch, cfg.huber_delta)
+            loss = step(net, batch, adam, cfg)
         except TrainingError:
             diverged = True
             break
-        grads = clip_global_norm(grads, cfg.clip)
-        theta, state = adam_step(theta, grads, state)
         val_loss = float("nan")
-        if (val_data is not None
-                and (step % cfg.eval_every == 0 or step == cfg.steps)):
-            val_loss = evaluate(LruNetwork.from_parameters(theta), val_data,
-                                cfg.huber_delta)
+        if val_data is not None and (i % cfg.eval_every == 0 or i == cfg.steps):
+            val_loss = evaluate(net, val_data, cfg.huber_delta)
             if val_loss < best_val:
                 best_val = val_loss
-                best = [{k: v.copy() for k, v in layer.items()}
-                        for layer in theta]
-        curve.append((step, loss, val_loss))
-    if val_data is None or not np.isfinite(best_val):
-        best = theta
-        best_val = float("nan") if val_data is None else best_val
-    return TrainResult(net=LruNetwork.from_parameters(best),
-                       loss_curve=curve, best_val_loss=best_val,
+                best = net.theta.copy()
+        curve.append((i, loss, val_loss))
+    if val_data is None:
+        best_val = float("nan")
+    if np.isfinite(best_val):
+        net.theta[...] = best
+    return TrainResult(net=net, loss_curve=curve, best_val_loss=best_val,
                        diverged=diverged)

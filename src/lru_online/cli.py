@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .datapipe import apply_pipeline, split_sessions
 from .errors import LruOnlineError
 from .harness import (FinetuneConfig, PretrainConfig, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
-                      cmd_sweep, impute_benchmark, prepare_tables)
+                      cmd_sweep, impute_benchmark, load_grid, prepare_tables)
 from .synth import GeneratorConfig, ShiftSpec, generate_dataset, write_dataset
 
 EXIT_CODES = {"configuration": 2, "schema": 3, "contract": 4, "imputation": 5,
@@ -78,15 +78,10 @@ def _prepared(args, window: int = 5):
 
 
 def _finetune_stream(args, ckpt: Checkpoint):
-    """Validation stream preprocessed with the checkpoint's own pipeline."""
-    from .datapipe import (apply_pipeline, impute_rolling_median,
-                           join_weather, load_emission_csv, load_weather_csv,
-                           resample_to_grid, split_sessions)
+    """The --split of the data, preprocessed with the checkpoint's pipeline."""
     data_dir = Path(args.data)
-    table = load_emission_csv(data_dir / "emission.csv")
-    weather = load_weather_csv(data_dir / "weather.csv")
-    table = resample_to_grid(join_weather(table, weather))
-    table = impute_rolling_median(table, ckpt.pipeline.window)
+    table = load_grid(data_dir / "emission.csv", data_dir / "weather.csv",
+                      ckpt.pipeline.window)
     if args.split == "val":
         _, table = split_sessions(table, args.train_fraction)
     elif args.split == "train":
@@ -203,7 +198,7 @@ def _finetune_cfg(args) -> FinetuneConfig:
         lambda_reg=args.lambda_reg,
         freeze_after=args.freeze_after,
         lr=args.lr, clip=None if args.no_clip else args.clip,
-        seed=args.seed, squared_anchor=args.squared_anchor,
+        squared_anchor=args.squared_anchor,
         carry_optimizer=args.carry_optimizer)
 
 

@@ -33,6 +33,12 @@ WEATHER_HEADER = ["timestamp_hour", "temp_c", "precip_mm", "conditions"]
 
 # -------------------------------------------------------------------- tables
 
+def _sessions_in_order(session_ids: np.ndarray) -> list[int]:
+    """Distinct session ids in order of first appearance."""
+    _, first = np.unique(session_ids, return_index=True)
+    return [int(session_ids[i]) for i in np.sort(first)]
+
+
 @dataclass
 class SeriesTable:
     """Timestamped multivariate frame with explicit missingness.
@@ -51,12 +57,7 @@ class SeriesTable:
         return self.timestamps.shape[0]
 
     def sessions(self) -> list[int]:
-        out, seen = [], set()
-        for sid in self.session_ids:
-            if sid not in seen:
-                seen.add(sid)
-                out.append(int(sid))
-        return out
+        return _sessions_in_order(self.session_ids)
 
     def session_indices(self, sid: int) -> np.ndarray:
         return np.nonzero(self.session_ids == sid)[0]
@@ -108,12 +109,7 @@ class SequenceData:
         return self.features.shape[0]
 
     def sessions(self) -> list[int]:
-        out, seen = [], set()
-        for sid in self.session_ids:
-            if sid not in seen:
-                seen.add(sid)
-                out.append(int(sid))
-        return out
+        return _sessions_in_order(self.session_ids)
 
     def session_slice(self, sid: int) -> np.ndarray:
         return np.nonzero(self.session_ids == sid)[0]

@@ -10,35 +10,36 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import bptt as bptt_mod
-from .bptt import TrainConfig, TrainResult, sample_windows
+from .bptt import TrainConfig, TrainResult, bptt_step, train
 from .checkpoint import Checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import CompatibilityError, ConfigurationError
-from .lru import LruNetwork, init_network, network_forward, network_step
-from .optim import (AdamState, AnchorConfig, adam_step, anchor_gradient,
-                    clip_global_norm, huber, huber_grad, tree_add, tree_copy,
-                    tree_norm, tree_sub)
-from .rtrl import online_gradient, reset_trace, step_traces, window_gradient
+from .lru import init_network, network_scan, network_step
+from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
+                    huber)
+from .rtrl import online_step, reset_trace, rtrl_stream_step, rtrl_window_step
 from .synth import GeneratorConfig, generate_dataset
 
 
 # ------------------------------------------------------------ data plumbing
 
+def load_grid(emission_path, weather_path, window: int = 5) -> SeriesTable:
+    """Load the CSVs, join the hourly weather, resample every session to the
+    1 s grid and impute it with the rolling median."""
+    table = load_emission_csv(emission_path)
+    table = join_weather(table, load_weather_csv(weather_path))
+    return impute_rolling_median(resample_to_grid(table), window)
+
+
 def prepare_tables(emission_path, weather_path, window: int = 5,
                    strict_vocab: bool = False, train_fraction: float = 0.8
                    ) -> tuple[FittedPipeline, SequenceData, SequenceData]:
-    """Full preprocessing: load, weather join, 1 s grid, rolling-median
-    imputation, session split, pipeline fit (vocabularies over train+val
-    unless strict_vocab) and apply."""
-    table = load_emission_csv(emission_path)
-    weather = load_weather_csv(weather_path)
-    table = join_weather(table, weather)
-    table = resample_to_grid(table)
-    table = impute_rolling_median(table, window)
+    """Full preprocessing: load_grid, session split, pipeline fit
+    (vocabularies over train+val unless strict_vocab) and apply."""
+    table = load_grid(emission_path, weather_path, window)
     train_t, val_t = split_sessions(table, train_fraction)
     pipe = fit_pipeline(train_t, None if strict_vocab else table, window)
     return pipe, apply_pipeline(pipe, train_t), apply_pipeline(pipe, val_t)
@@ -47,96 +48,38 @@ def prepare_tables(emission_path, weather_path, window: int = 5,
 # -------------------------------------------------------------- pretraining
 
 @dataclass
-class PretrainConfig:
+class PretrainConfig(TrainConfig):
+    """TrainConfig plus the model shape and the trainer. RTRL trainers
+    stream one window per training step, so `batch` applies to BPTT only."""
     trainer: str = "bptt"                 # "bptt" | "rtrl"
     layers: tuple[int, ...] = (16,)
-    steps: int = 5000
-    batch: int = 256
-    lr: float = 1e-3
-    clip: float | None = 0.5
-    window: int = 256
-    seed: int = 0
-    eval_every: int = 250
-    huber_delta: float = 1.0
     r_min: float = 0.9
     r_max: float = 0.999
     rtrl_update: str = "window"           # "window" | "step"
-
-
-def train_rtrl(net: LruNetwork, train_data: SequenceData,
-               val_data: SequenceData | None, cfg: TrainConfig,
-               update: str = "window") -> TrainResult:
-    """RTRL pretraining: windows are consumed sequentially with online
-    gradients, applying the Adam update per window or per step."""
-    if update not in ("window", "step"):
-        raise ConfigurationError(f"unknown rtrl update cadence {update!r}")
-    rng = np.random.default_rng(cfg.seed)
-    theta = tree_copy(net.parameters())
-    state = AdamState.init(theta, lr=cfg.lr)
-    best = tree_copy(theta)
-    best_val = float("inf")
-    curve = []
-    for step in range(1, cfg.steps + 1):
-        batch = sample_windows(train_data, cfg.window, 1, rng)
-        inputs, targets = batch.inputs[0], batch.targets[0]
-        cur = LruNetwork.from_parameters(theta)
-        if update == "window":
-            loss, grads = window_gradient(cur, inputs, targets, cfg.huber_delta)
-            grads = clip_global_norm(grads, cfg.clip)
-            theta, state = adam_step(theta, grads, state)
-        else:
-            states = cur.zero_states()
-            traces = reset_trace(cur)
-            total = 0.0
-            for t in range(inputs.shape[0]):
-                cur = LruNetwork.from_parameters(theta)
-                new_states, y_hat, layer_in = network_step(cur, states, inputs[t])
-                traces = step_traces(cur, states, layer_in, traces)
-                resid = y_hat - targets[t]
-                total += huber(resid, cfg.huber_delta)
-                grads = online_gradient(cur, traces, new_states, layer_in,
-                                        huber_grad(resid, cfg.huber_delta))
-                grads = clip_global_norm(grads, cfg.clip)
-                theta, state = adam_step(theta, grads, state)
-                states = new_states
-            loss = total / inputs.shape[0]
-        val_loss = float("nan")
-        if (val_data is not None
-                and (step % cfg.eval_every == 0 or step == cfg.steps)):
-            val_loss = bptt_mod.evaluate(LruNetwork.from_parameters(theta),
-                                         val_data, cfg.huber_delta)
-            if val_loss < best_val:
-                best_val = val_loss
-                best = tree_copy(theta)
-        curve.append((step, loss, val_loss))
-    if val_data is None or not np.isfinite(best_val):
-        best = theta
-    return TrainResult(net=LruNetwork.from_parameters(best), loss_curve=curve,
-                       best_val_loss=best_val)
 
 
 def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
                  pipeline: FittedPipeline | None, cfg: PretrainConfig,
                  provenance: dict | None = None
                  ) -> tuple[Checkpoint, TrainResult]:
-    if cfg.trainer not in ("bptt", "rtrl"):
+    if cfg.trainer == "bptt":
+        step, tcfg = bptt_step, cfg
+    elif cfg.trainer == "rtrl":
+        steps = {"window": rtrl_window_step, "step": rtrl_stream_step}
+        if cfg.rtrl_update not in steps:
+            raise ConfigurationError(
+                f"unknown rtrl update cadence {cfg.rtrl_update!r}")
+        step, tcfg = steps[cfg.rtrl_update], replace(cfg, batch=1)
+    else:
         raise ConfigurationError(f"unknown trainer {cfg.trainer!r}")
     net = init_network(train_data.features.shape[1], tuple(cfg.layers),
                        train_data.targets.shape[1],
                        r_min=cfg.r_min, r_max=cfg.r_max, seed=cfg.seed)
-    tcfg = TrainConfig(steps=cfg.steps, batch=cfg.batch, lr=cfg.lr,
-                       clip=cfg.clip, window=cfg.window, seed=cfg.seed,
-                       eval_every=cfg.eval_every, huber_delta=cfg.huber_delta)
-    if cfg.trainer == "bptt":
-        result = bptt_mod.train(net, train_data, val_data, tcfg)
-    else:
-        result = train_rtrl(net, train_data, val_data, tcfg,
-                            update=cfg.rtrl_update)
+    result = train(net, train_data, val_data, tcfg, step)
     cfg_dict = asdict(cfg)
     cfg_dict["layers"] = list(cfg.layers)
-    ckpt = Checkpoint(params=result.net.parameters(), pipeline=pipeline,
-                      config=cfg_dict, seed=cfg.seed,
-                      provenance=provenance or {})
+    ckpt = Checkpoint(net=result.net, pipeline=pipeline, config=cfg_dict,
+                      seed=cfg.seed, provenance=provenance or {})
     return ckpt, result
 
 
@@ -199,7 +142,6 @@ class FinetuneConfig:
     freeze_after: int | None = None   # 0 = never update, None = no freeze
     lr: float = 1e-3
     clip: float | None = 0.5
-    seed: int = 0
     huber_delta: float = 1.0
     squared_anchor: bool = False
     carry_optimizer: bool = False
@@ -244,24 +186,23 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     adaptive prediction at every step; the adaptive model predicts, observes
     the label, and Adam-updates on the clipped Huber + anchor gradient,
     until freeze_after steps have elapsed. Predictions are logged before the
-    update (no label leakage into the logged step).
+    update (no label leakage into the logged step). Each session starts
+    from zero hidden states and traces; the parameters and the Adam state
+    carry over from one session to the next.
     """
-    net_pre = LruNetwork.from_parameters(ckpt.params)
-    if net_pre.input_dim != stream.features.shape[1]:
+    frozen = ckpt.net
+    if frozen.input_dim != stream.features.shape[1]:
         raise CompatibilityError(
-            f"checkpoint expects {net_pre.input_dim} features but the stream "
+            f"checkpoint expects {frozen.input_dim} features but the stream "
             f"has {stream.features.shape[1]}")
-    theta_pre = tree_copy(ckpt.params)
-    theta = tree_copy(ckpt.params)
-    anchor = AnchorConfig(theta_pre=theta_pre, lambda_reg=cfg.lambda_reg,
+    net = frozen.copy()
+    anchor = AnchorConfig(theta_pre=frozen.theta, lambda_reg=cfg.lambda_reg,
                           squared=cfg.squared_anchor)
     if cfg.carry_optimizer and ckpt.optimizer is not None:
-        adam = replace(ckpt.optimizer, lr=cfg.lr)
+        adam = replace(ckpt.optimizer, m=ckpt.optimizer.m.copy(),
+                       v=ckpt.optimizer.v.copy(), lr=cfg.lr)
     else:
-        adam = AdamState.init(theta, lr=cfg.lr)
-    states = net_pre.zero_states()
-    frozen_states = net_pre.zero_states()
-    traces = reset_trace(net_pre)
+        adam = AdamState.init(net.theta, lr=cfg.lr)
     N = stream.n_rows
     p = stream.targets.shape[1]
     preds = np.empty((N, p))
@@ -269,27 +210,29 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     loss = np.empty(N)
     loss_frozen = np.empty(N)
     dist = np.empty(N)
-    for t in range(N):
-        x = stream.features[t]
-        y = stream.targets[t]
-        frozen_states, y_fr = network_forward(net_pre, frozen_states, x)
-        cur = LruNetwork.from_parameters(theta)
-        new_states, y_hat, layer_in = network_step(cur, states, x)
-        preds[t] = y_hat
-        preds_frozen[t] = y_fr
-        loss[t] = huber(y_hat - y, cfg.huber_delta)
-        loss_frozen[t] = huber(y_fr - y, cfg.huber_delta)
-        updating = cfg.lr > 0 and (cfg.freeze_after is None
-                                   or t < cfg.freeze_after)
-        if updating:
-            traces = step_traces(cur, states, layer_in, traces)
-            grads = online_gradient(cur, traces, new_states, layer_in,
-                                    huber_grad(y_hat - y, cfg.huber_delta))
-            grads = tree_add(grads, anchor_gradient(theta, anchor))
-            grads = clip_global_norm(grads, cfg.clip)
-            theta, adam = adam_step(theta, grads, adam)
-        states = new_states
-        dist[t] = tree_norm(tree_sub(theta, theta_pre))
+    distance = 0.0
+    elapsed = 0
+    for sid in stream.sessions():
+        states = net.zero_states()
+        frozen_states = frozen.zero_states()
+        traces = reset_trace(net)
+        for t in stream.session_slice(sid):
+            x = stream.features[t]
+            y = stream.targets[t]
+            frozen_states, preds_frozen[t], _ = network_step(
+                frozen, frozen_states, x)
+            loss_frozen[t] = huber(preds_frozen[t] - y, cfg.huber_delta)
+            if cfg.lr > 0 and (cfg.freeze_after is None
+                               or elapsed < cfg.freeze_after):
+                states, traces, preds[t], loss[t], grads = online_step(
+                    net, states, traces, x, y, cfg.huber_delta)
+                apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                distance = anchor_distance(net.theta, anchor)
+            else:
+                states, preds[t], _ = network_step(net, states, x)
+                loss[t] = huber(preds[t] - y, cfg.huber_delta)
+            dist[t] = distance
+            elapsed += 1
     return RunMetrics(timestamps=stream.timestamps.copy(),
                       targets=stream.targets.copy(),
                       predictions=preds, predictions_frozen=preds_frozen,
@@ -346,7 +289,7 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData,
                  huber_delta: float = 1.0) -> dict:
     """Frozen full-sequence prediction with per-target MSE and Huber totals;
     also returns the per-step prediction/target arrays for plotting."""
-    net = LruNetwork.from_parameters(ckpt.params)
+    net = ckpt.net
     if net.input_dim != data.features.shape[1]:
         raise CompatibilityError(
             f"checkpoint expects {net.input_dim} features but the data "
@@ -354,7 +297,6 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData,
     preds = np.empty_like(data.targets)
     for sid in data.sessions():
         idx = data.session_slice(sid)
-        from .lru import network_scan
         _, _, preds[idx] = network_scan(net, data.features[idx])
     resid = preds - data.targets
     per_target_mse = np.mean(resid * resid, axis=0)

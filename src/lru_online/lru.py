@@ -10,13 +10,16 @@ eigenvalue magnitude is inside the unit circle by construction, and
 gamma_j = exp(gamma_log_j) a trainable per-node input normalization.
 
 Hidden states are numpy complex128 arrays; the trainable parameters are
-kept as split real arrays (nu, theta_phase, gamma_log, b_re, b_im, c_re,
-c_im, d) because the optimizer operates on a real parameter vector.
+split real blocks (nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d).
+An LruNetwork stores all of them in one flat float64 vector theta, and each
+layer's blocks are reshaped views into it, so the optimizer updates theta in
+place and every layer sees the update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +58,13 @@ class LruLayerParams:
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_BLOCKS}
 
-    @classmethod
-    def from_blocks(cls, blocks: dict[str, np.ndarray]) -> "LruLayerParams":
-        return cls(**{name: np.asarray(blocks[name], dtype=np.float64)
-                      for name in PARAM_BLOCKS})
-
-    def copy(self) -> "LruLayerParams":
-        return LruLayerParams(**{k: v.copy() for k, v in self.blocks().items()})
-
     def validate(self) -> None:
-        n, m, p = self.n, self.m, self.p
+        """Block shapes must follow from n = len(nu) and (p, m) = d.shape."""
+        if self.nu.ndim != 1 or self.d.ndim != 2:
+            raise ContractViolationError(
+                f"layer blocks 'nu' and 'd' must be 1-D and 2-D, got shapes "
+                f"{self.nu.shape} and {self.d.shape}")
+        n, (p, m) = self.nu.shape[0], self.d.shape
         expect = {"nu": (n,), "theta_phase": (n,), "gamma_log": (n,),
                   "b_re": (n, m), "b_im": (n, m),
                   "c_re": (p, n), "c_im": (p, n), "d": (p, m)}
@@ -75,11 +75,37 @@ class LruLayerParams:
                     f"layer block {name!r} has shape {got}, expected {shape}")
 
 
-@dataclass
 class LruNetwork:
-    """Stack of LRU layers; layer k's output feeds layer k+1's input."""
+    """Stack of LRU layers; layer k's output feeds layer k+1's input.
 
-    layers: list[LruLayerParams] = field(default_factory=list)
+    All parameters live in one contiguous float64 vector `theta`, laid out
+    layer by layer in PARAM_BLOCKS order. The blocks of `layers` are views
+    into it, so writing into theta (an optimizer step) changes the layers.
+    """
+
+    def __init__(self, layers: list[LruLayerParams]):
+        self._layout = []               # per layer: (name, start, stop, shape)
+        offset = 0
+        for layer in layers:
+            blocks = []
+            for name in PARAM_BLOCKS:
+                shape = np.shape(getattr(layer, name))
+                size = math.prod(shape)
+                blocks.append((name, offset, offset + size, shape))
+                offset += size
+            self._layout.append(blocks)
+        self.theta = np.concatenate(
+            [np.asarray(getattr(layer, name), dtype=np.float64).ravel()
+             for layer in layers for name in PARAM_BLOCKS])
+        self.layers = [LruLayerParams(**blocks)
+                       for blocks in self.unflatten(self.theta)]
+
+    def unflatten(self, vec: np.ndarray) -> list[dict[str, np.ndarray]]:
+        """Per-layer PARAM_BLOCKS views into a flat vector laid out like theta
+        (a gradient or an optimizer moment as well as theta itself)."""
+        return [{name: vec[start:stop].reshape(shape)
+                 for name, start, stop, shape in blocks}
+                for blocks in self._layout]
 
     @property
     def depth(self) -> int:
@@ -103,14 +129,8 @@ class LruNetwork:
                     f"layer {k + 1} input width {self.layers[k + 1].m}")
 
     def copy(self) -> "LruNetwork":
-        return LruNetwork([layer.copy() for layer in self.layers])
-
-    def parameters(self) -> list[dict[str, np.ndarray]]:
-        return [layer.blocks() for layer in self.layers]
-
-    @classmethod
-    def from_parameters(cls, params: list[dict[str, np.ndarray]]) -> "LruNetwork":
-        return cls([LruLayerParams.from_blocks(b) for b in params])
+        """An independent network with its own copy of theta."""
+        return LruNetwork(self.layers)
 
     def zero_states(self, batch: int | None = None) -> list[np.ndarray]:
         if batch is None:
@@ -222,18 +242,11 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     return h_seq, y_seq
 
 
-def network_forward(net: LruNetwork, states: list[np.ndarray],
-                    u_t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """One timestep through the stack; layer k's output feeds layer k+1
-    within the same step. Returns (new states, prediction)."""
-    new_states, y, _ = network_step(net, states, u_t)
-    return new_states, y
-
-
 def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
                  ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """Like network_forward but also returns each layer's input at this step
-    (needed for eligibility-trace updates)."""
+    """One timestep through the stack; layer k's output feeds layer k+1
+    within the same step. Returns (new states, prediction, each layer's
+    input at this step); the inputs feed the eligibility-trace updates."""
     if len(states) != net.depth:
         raise ContractViolationError(
             f"got {len(states)} states for a depth-{net.depth} network")

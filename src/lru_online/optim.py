@@ -1,7 +1,7 @@
 """Losses, Adam, global-norm clipping and the L2 anchor regularizer.
 
-Gradients and parameters are "trees": lists (one entry per layer) of dicts
-mapping block name -> real ndarray, mirroring LruNetwork.parameters().
+Parameters, gradients and optimizer moments are flat float64 vectors laid
+out like LruNetwork.theta; updates write into the parameter vector in place.
 """
 
 from __future__ import annotations
@@ -11,47 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError
-
-Tree = list  # list[dict[str, np.ndarray]]
-
-
-# ---------------------------------------------------------------- tree utils
-
-def tree_map(fn, *trees: Tree) -> Tree:
-    return [{k: fn(*(t[i][k] for t in trees)) for k in trees[0][i]}
-            for i in range(len(trees[0]))]
-
-
-def tree_zeros_like(tree: Tree) -> Tree:
-    return tree_map(np.zeros_like, tree)
-
-
-def tree_copy(tree: Tree) -> Tree:
-    return tree_map(np.copy, tree)
-
-
-def tree_add(a: Tree, b: Tree) -> Tree:
-    return tree_map(np.add, a, b)
-
-
-def tree_sub(a: Tree, b: Tree) -> Tree:
-    return tree_map(np.subtract, a, b)
-
-
-def tree_scale(tree: Tree, s: float) -> Tree:
-    return tree_map(lambda x: x * s, tree)
-
-
-def tree_sq_norm(tree: Tree) -> float:
-    return float(sum(np.sum(blk * blk) for layer in tree for blk in layer.values()))
-
-
-def tree_norm(tree: Tree) -> float:
-    return float(np.sqrt(tree_sq_norm(tree)))
-
-
-def tree_all_finite(tree: Tree) -> bool:
-    return all(np.all(np.isfinite(blk)) for layer in tree for blk in layer.values())
 
 
 # --------------------------------------------------------------------- loss
@@ -81,25 +40,25 @@ def huber_grad(residual: np.ndarray, delta: float = 1.0) -> np.ndarray:
 
 # ----------------------------------------------------------------- clipping
 
-def clip_global_norm(grads: Tree, max_norm: float | None) -> Tree:
-    """Scale all blocks by max_norm/g when the global L2 norm g exceeds
-    max_norm; None disables clipping."""
+def clip_global_norm(grads: np.ndarray, max_norm: float | None) -> np.ndarray:
+    """Scale the gradient by max_norm/g when its L2 norm g exceeds max_norm;
+    None disables clipping. An unclipped gradient is returned as is."""
     if max_norm is None:
         return grads
     if max_norm <= 0:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
-    g = tree_norm(grads)
+    g = float(np.linalg.norm(grads))
     if g <= max_norm:
         return grads
-    return tree_scale(grads, max_norm / g)
+    return grads * (max_norm / g)
 
 
 # --------------------------------------------------------------------- adam
 
 @dataclass
 class AdamState:
-    m: Tree
-    v: Tree
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -107,29 +66,25 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, theta: Tree, lr: float = 1e-3, beta1: float = 0.9,
+    def init(cls, theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=tree_zeros_like(theta), v=tree_zeros_like(theta),
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
                    t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(theta: Tree, grads: Tree, state: AdamState) -> tuple[Tree, AdamState]:
-    """Bias-corrected Adam update; returns new parameters and state."""
-    if not tree_all_finite(grads):
+def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """Bias-corrected Adam update of theta and the state, both in place."""
+    if not np.isfinite(grads).all():
         raise TrainingError("non-finite gradient passed to adam_step")
-    t = state.t + 1
+    state.t += 1
     b1, b2 = state.beta1, state.beta2
-    m = tree_map(lambda mm, g: b1 * mm + (1 - b1) * g, state.m, grads)
-    v = tree_map(lambda vv, g: b2 * vv + (1 - b2) * g * g, state.v, grads)
-    c1 = 1 - b1 ** t
-    c2 = 1 - b2 ** t
-    lr, eps = state.lr, state.eps
-
-    def upd(th, mm, vv):
-        return th - lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
-
-    theta_new = tree_map(upd, theta, m, v)
-    return theta_new, AdamState(m=m, v=v, t=t, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state.m *= b1
+    state.m += (1 - b1) * grads
+    state.v *= b2
+    state.v += (1 - b2) * grads * grads
+    c1 = 1 - b1 ** state.t
+    c2 = 1 - b2 ** state.t
+    theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
 # ------------------------------------------------------------------- anchor
@@ -142,7 +97,7 @@ class AnchorConfig:
     zero at theta == theta_pre. squared=True switches to the conventional
     squared penalty lambda_reg * ||theta_pre - theta||_2^2.
     """
-    theta_pre: Tree = field(default_factory=list)
+    theta_pre: np.ndarray = field(default_factory=lambda: np.zeros(0))
     lambda_reg: float = 0.0
     squared: bool = False
 
@@ -152,14 +107,30 @@ class AnchorConfig:
                 f"lambda_reg must be >= 0, got {self.lambda_reg}")
 
 
-def anchor_gradient(theta: Tree, anchor: AnchorConfig) -> Tree:
+def anchor_distance(theta: np.ndarray, anchor: AnchorConfig) -> float:
+    """||theta - theta_pre||_2."""
+    return float(np.linalg.norm(theta - anchor.theta_pre))
+
+
+def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig) -> np.ndarray:
     """Gradient of the anchor penalty w.r.t. theta."""
-    diff = tree_sub(theta, anchor.theta_pre)
     if anchor.lambda_reg == 0.0:
-        return tree_zeros_like(theta)
+        return np.zeros_like(theta)
+    diff = theta - anchor.theta_pre
     if anchor.squared:
-        return tree_scale(diff, 2.0 * anchor.lambda_reg)
-    nrm = tree_norm(diff)
+        return diff * (2.0 * anchor.lambda_reg)
+    nrm = float(np.linalg.norm(diff))
     if nrm == 0.0:
-        return tree_zeros_like(theta)
-    return tree_scale(diff, anchor.lambda_reg / nrm)
+        return np.zeros_like(theta)
+    return diff * (anchor.lambda_reg / nrm)
+
+
+# ------------------------------------------------------------------- update
+
+def apply_update(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
+                 clip: float | None, anchor: AnchorConfig | None = None) -> None:
+    """The one parameter update of every trainer and of online fine-tuning:
+    add the anchor pull, clip the global norm, then an in-place Adam step."""
+    if anchor is not None and anchor.lambda_reg != 0.0:
+        grads = grads + anchor_gradient(theta, anchor)
+    adam_step(theta, clip_global_norm(grads, clip), adam)

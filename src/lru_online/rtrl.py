@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bptt import TrainConfig, WindowBatch
 from .errors import ContractViolationError
-from .lru import LruLayerParams, LruNetwork, derive_gamma, derive_lambda
-
-Tree = list  # list[dict[str, np.ndarray]] of real gradient blocks
+from .lru import (LruLayerParams, LruNetwork, derive_gamma, derive_lambda,
+                  network_step)
+from .optim import AdamState, apply_update, huber, huber_grad
 
 
 @dataclass
@@ -81,8 +82,9 @@ def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
 
 def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
                     h_states: list[np.ndarray], layer_inputs: list[np.ndarray],
-                    dL_dy: np.ndarray) -> Tree:
-    """Convert a per-step output gradient into a full parameter gradient.
+                    dL_dy: np.ndarray) -> np.ndarray:
+    """Convert a per-step output gradient into a flat parameter gradient
+    laid out like net.theta.
 
     h_states are the post-step hidden states, layer_inputs the per-layer
     inputs at this step (from lru.network_step). Credit flows spatially
@@ -96,7 +98,8 @@ def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
             f"got {len(traces)} traces for a depth-{net.depth} network")
     if len(h_states) != net.depth or len(layer_inputs) != net.depth:
         raise ContractViolationError("states/inputs count does not match depth")
-    grads: Tree = [None] * net.depth
+    grads = np.empty_like(net.theta)
+    blocks = net.unflatten(grads)
     g = np.asarray(dL_dy, dtype=np.float64)
     for k in range(net.depth - 1, -1, -1):
         layer = net.layers[k]
@@ -107,48 +110,19 @@ def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
         Cc = layer.c_re + 1j * layer.c_im
         Bc = layer.b_re + 1j * layer.b_im
         a = Cc.T @ g                       # complex adjoint coefficient of h
-        grads[k] = {
-            "nu": np.real(a * tr.trace_nu),
-            "theta_phase": np.real(a * tr.trace_phase),
-            "gamma_log": np.real(a * tr.trace_gamma),
-            "b_re": np.real(a[:, None] * tr.trace_b_re),
-            "b_im": np.real(a[:, None] * tr.trace_b_im),
-            "c_re": np.outer(g, h.real),
-            "c_im": np.outer(g, -h.imag),
-            "d": np.outer(g, u),
-        }
+        out = blocks[k]
+        out["nu"][...] = np.real(a * tr.trace_nu)
+        out["theta_phase"][...] = np.real(a * tr.trace_phase)
+        out["gamma_log"][...] = np.real(a * tr.trace_gamma)
+        out["b_re"][...] = np.real(a[:, None] * tr.trace_b_re)
+        out["b_im"][...] = np.real(a[:, None] * tr.trace_b_im)
+        np.multiply(g[:, None], h.real, out=out["c_re"])
+        np.multiply(g[:, None], -h.imag, out=out["c_im"])
+        np.multiply(g[:, None], u, out=out["d"])
         if k > 0:
             # instantaneous dL/du of this layer = input gradient for layer below
             g = np.real(Bc.T @ (gamma * a)) + layer.d.T @ g
     return grads
-
-
-def window_gradient(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray,
-                    delta: float = 1.0) -> tuple[float, Tree]:
-    """Run RTRL over one window from zero state/traces, accumulating the
-    per-step gradients. Returns the mean per-step Huber loss and its
-    gradient, normalized like bptt_gradient so the two can be compared
-    directly (they agree exactly for depth-1 networks)."""
-    from .lru import network_step
-    from .optim import huber, huber_grad, tree_add, tree_scale, tree_zeros_like
-
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    T = inputs.shape[0]
-    states = net.zero_states()
-    traces = reset_trace(net)
-    total_loss = 0.0
-    grads = tree_zeros_like(net.parameters())
-    for t in range(T):
-        new_states, y_hat, layer_inputs = network_step(net, states, inputs[t])
-        traces = step_traces(net, states, layer_inputs, traces)
-        resid = y_hat - targets[t]
-        total_loss += huber(resid, delta)
-        g = online_gradient(net, traces, new_states, layer_inputs,
-                            huber_grad(resid, delta))
-        grads = tree_add(grads, g)
-        states = new_states
-    return total_loss / T, tree_scale(grads, 1.0 / T)
 
 
 def step_traces(net: LruNetwork, states: list[np.ndarray],
@@ -159,3 +133,69 @@ def step_traces(net: LruNetwork, states: list[np.ndarray],
     return [trace_step(layer, h_prev, u, tr)
             for layer, h_prev, u, tr
             in zip(net.layers, states, layer_inputs, traces)]
+
+
+def online_step(net: LruNetwork, states: list[np.ndarray],
+                traces: list[EligibilityTrace], u_t: np.ndarray,
+                y_t: np.ndarray, delta: float = 1.0
+                ) -> tuple[list[np.ndarray], list[EligibilityTrace],
+                           np.ndarray, float, np.ndarray]:
+    """One RTRL step: forward, trace update, and the gradient of this step's
+    mean Huber loss. Everything uses the current parameters; the caller
+    decides whether to update them.
+
+    Returns (new states, new traces, prediction, loss, flat gradient).
+    """
+    new_states, y_hat, layer_inputs = network_step(net, states, u_t)
+    traces = step_traces(net, states, layer_inputs, traces)
+    resid = y_hat - y_t
+    grads = online_gradient(net, traces, new_states, layer_inputs,
+                            huber_grad(resid, delta))
+    return new_states, traces, y_hat, huber(resid, delta), grads
+
+
+def window_gradient(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray,
+                    delta: float = 1.0) -> tuple[float, np.ndarray]:
+    """Run RTRL over one window from zero state/traces, accumulating the
+    per-step gradients. Returns the mean per-step Huber loss and its
+    gradient, normalized like bptt_gradient so the two can be compared
+    directly (they agree exactly for depth-1 networks)."""
+    states = net.zero_states()
+    traces = reset_trace(net)
+    total_loss = 0.0
+    grads = np.zeros_like(net.theta)
+    for u_t, y_t in zip(np.asarray(inputs, dtype=np.float64),
+                        np.asarray(targets, dtype=np.float64)):
+        states, traces, _, loss, g = online_step(net, states, traces,
+                                                 u_t, y_t, delta)
+        total_loss += loss
+        grads += g
+    T = len(inputs)
+    return total_loss / T, grads * (1.0 / T)
+
+
+# ------------------------------------------------------- pretraining steps
+
+def rtrl_window_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
+                     cfg: TrainConfig) -> float:
+    """Training step for bptt.train: one Adam update per window, on the
+    window's accumulated RTRL gradient. Uses the batch's first window."""
+    loss, grads = window_gradient(net, batch.inputs[0], batch.targets[0],
+                                  cfg.huber_delta)
+    apply_update(net.theta, grads, adam, cfg.clip)
+    return loss
+
+
+def rtrl_stream_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
+                     cfg: TrainConfig) -> float:
+    """Training step for bptt.train: streams the batch's first window from
+    zero state, updating the parameters after every timestep."""
+    states = net.zero_states()
+    traces = reset_trace(net)
+    total = 0.0
+    for u_t, y_t in zip(batch.inputs[0], batch.targets[0]):
+        states, traces, _, loss, grads = online_step(net, states, traces,
+                                                     u_t, y_t, cfg.huber_delta)
+        apply_update(net.theta, grads, adam, cfg.clip)
+        total += loss
+    return total / batch.window

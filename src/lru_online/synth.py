@@ -206,11 +206,6 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     return SyntheticDataset(emission=emission, weather=weather, manifest=manifest)
 
 
-def generate_synthetic(cfg: GeneratorConfig) -> SeriesTable:
-    """Emission table only (rows already dropped per the missing-rate)."""
-    return generate_dataset(cfg).emission
-
-
 def write_dataset(ds: SyntheticDataset, outdir) -> None:
     """Write emission.csv, weather.csv and sessions.json."""
     outdir = Path(outdir)

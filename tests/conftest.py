@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lru_online.bptt import WindowBatch, bptt_gradient
-from lru_online.lru import LruNetwork, init_network
+from lru_online.lru import init_network
 
 
 @pytest.fixture
@@ -18,36 +18,23 @@ def random_batch(rng, net, T, batch=1):
 
 
 def finite_difference_grads(net, batch, eps=1e-5, delta=1.0):
-    """Central differences of the batch loss w.r.t. every parameter entry."""
-    params = net.parameters()
-    out = []
-    for layer in params:
-        g_layer = {}
-        for name, arr in layer.items():
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                i = it.multi_index
-                arr[i] += eps
-                lp, _ = bptt_gradient(LruNetwork.from_parameters(params),
-                                      batch, delta)
-                arr[i] -= 2 * eps
-                lm, _ = bptt_gradient(LruNetwork.from_parameters(params),
-                                      batch, delta)
-                arr[i] += eps
-                g[i] = (lp - lm) / (2 * eps)
-            g_layer[name] = g
-        out.append(g_layer)
+    """Central differences of the batch loss w.r.t. every entry of the flat
+    parameter vector (the layers are views into it)."""
+    theta = net.theta
+    out = np.zeros_like(theta)
+    for i in range(theta.size):
+        theta[i] += eps
+        lp, _ = bptt_gradient(net, batch, delta)
+        theta[i] -= 2 * eps
+        lm, _ = bptt_gradient(net, batch, delta)
+        theta[i] += eps
+        out[i] = (lp - lm) / (2 * eps)
     return out
 
 
 def max_rel_error(analytic, numeric, floor=1e-8):
-    worst = 0.0
-    for la, ln in zip(analytic, numeric):
-        for name in la:
-            denom = np.maximum(np.abs(ln[name]), floor)
-            worst = max(worst, float(np.max(np.abs(la[name] - ln[name]) / denom)))
-    return worst
+    denom = np.maximum(np.abs(numeric), floor)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def small_random_net(rng, m=None, n=None, p=None, depth=1):

@@ -16,14 +16,12 @@ from lru_online.checkpoint import save_checkpoint, load_checkpoint
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_finetune,
                                 cmd_pretrain, impute_benchmark,
                                 prepare_tables)
-from lru_online.lru import (LruLayerParams, LruNetwork, derive_lambda,
-                            init_layer, init_network, layer_step,
-                            network_scan, network_step, scan_forward)
+from lru_online.lru import (LruLayerParams, derive_lambda, init_layer,
+                            init_network, layer_step, network_scan,
+                            scan_forward)
 from lru_online.optim import (AdamState, AnchorConfig, adam_step,
-                              anchor_gradient, clip_global_norm, huber_grad,
-                              tree_copy)
-from lru_online.rtrl import (online_gradient, reset_trace, step_traces,
-                             window_gradient)
+                              anchor_gradient, apply_update)
+from lru_online.rtrl import online_step, reset_trace, window_gradient
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 GEN = GeneratorConfig(seed=0)  # 5 sessions x 3600 s, shift on the last
@@ -68,7 +66,7 @@ def checkpoint(scenario):
 def lambda_runs(checkpoint, scenario):
     stream = scenario[2]
     return {lam: cmd_finetune(checkpoint, stream,
-                              FinetuneConfig(lambda_reg=lam, lr=1e-3, seed=0))
+                              FinetuneConfig(lambda_reg=lam, lr=1e-3))
             for lam in LAMBDA_GRID}
 
 
@@ -136,13 +134,10 @@ def test_criterion_04_stability_invariant(capfd):
     # 1e3 Adam-perturbed configurations
     for i in range(1000):
         net = init_network(2, (8,), 2, seed=i)
-        theta = net.parameters()
-        state = AdamState.init(theta, lr=0.1)
+        state = AdamState.init(net.theta, lr=0.1)
         for _ in range(5):
-            grads = [{k: rng.standard_normal(v.shape)
-                      for k, v in layer.items()} for layer in theta]
-            theta, state = adam_step(theta, grads, state)
-        for layer in LruNetwork.from_parameters(theta).layers:
+            adam_step(net.theta, rng.standard_normal(net.theta.shape), state)
+        for layer in net.layers:
             worst = max(worst, float(np.abs(derive_lambda(layer)).max()))
     report(capfd, 4, "eigenvalues stay strictly inside the unit circle",
            worst < 1.0, f"max |lambda| {worst:.15f} over 1e5 + 1e3 configs")
@@ -160,7 +155,7 @@ def test_criterion_06_longer_adaptation_wins(checkpoint, scenario, capfd):
     totals = {}
     for freeze in (1000, 2000):
         m = cmd_finetune(checkpoint, stream,
-                         FinetuneConfig(lambda_reg=0.01, lr=1e-3, seed=0,
+                         FinetuneConfig(lambda_reg=0.01, lr=1e-3,
                                         freeze_after=freeze))
         totals[freeze] = m.total_loss
     report(capfd, 6, "freeze-after-2000 beats freeze-after-1000",
@@ -183,11 +178,10 @@ def test_criterion_08_anchor_distance_monotone(lambda_runs, capfd):
                    for i in range(len(dist) - 1))
     # at lambda = 0 the anchor contributes exactly nothing
     rng = np.random.default_rng(808)
-    theta = init_network(3, (6,), 2, seed=0).parameters()
-    moved = [{k: v + rng.standard_normal(v.shape) for k, v in layer.items()}
-             for layer in theta]
+    theta = init_network(3, (6,), 2, seed=0).theta
+    moved = theta + rng.standard_normal(theta.shape)
     g = anchor_gradient(moved, AnchorConfig(theta_pre=theta, lambda_reg=0.0))
-    zero = all(np.all(blk == 0.0) for layer in g for blk in layer.values())
+    zero = bool(np.all(g == 0.0))
     report(capfd, 8, "anchor pull strengthens with lambda", monotone and zero,
            "distances " + ", ".join(f"{d:.3f}" for d in dist)
            + "; zero gradient at lambda=0: " + str(zero))
@@ -205,50 +199,53 @@ def test_criterion_09_determinism_and_persistence(scenario, tmp_path, capfd):
     save_checkpoint(ckpt_b, pb)
     bytes_equal = pa.read_bytes() == pb.read_bytes()
     reloaded = load_checkpoint(pa)
-    _, _, pred_orig = network_scan(LruNetwork.from_parameters(ckpt_a.params),
-                                   val.features)
-    _, _, pred_load = network_scan(LruNetwork.from_parameters(reloaded.params),
-                                   val.features)
+    _, _, pred_orig = network_scan(ckpt_a.net, val.features)
+    _, _, pred_load = network_scan(reloaded.net, val.features)
     preds_equal = np.array_equal(pred_orig, pred_load)
     ok = curves_equal and bytes_equal and preds_equal
     report(capfd, 9, "determinism and checkpoint persistence", ok,
            f"curves {curves_equal}, bytes {bytes_equal}, preds {preds_equal}")
 
 
+def current_rss_bytes() -> int:
+    """Resident set size now (not the peak, which an earlier test in the
+    same process may have pushed above anything this test allocates)."""
+    try:
+        import psutil
+    except ImportError:
+        try:
+            with open("/proc/self/status", encoding="ascii") as fh:
+                for line in fh:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) * 1024
+        except OSError:
+            pass
+        pytest.skip("needs psutil or /proc/self/status to read the RSS")
+    return psutil.Process().memory_info().rss
+
+
 def test_criterion_10_flat_memory_over_long_stream(capfd):
-    psutil = pytest.importorskip("psutil")
     import gc
-    proc = psutil.Process()
     net = init_network(4, (8,), 2, seed=0)
-    theta = tree_copy(net.parameters())
-    anchor = AnchorConfig(theta_pre=tree_copy(theta), lambda_reg=0.01)
-    adam = AdamState.init(theta, lr=1e-4)
+    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=0.01)
+    adam = AdamState.init(net.theta, lr=1e-4)
     rng = np.random.default_rng(0)
     buf_x = rng.standard_normal((256, 4))
     buf_y = rng.standard_normal((256, 2))
-    cur = LruNetwork.from_parameters(theta)
-    states = cur.zero_states()
-    traces = reset_trace(cur)
+    states = net.zero_states()
+    traces = reset_trace(net)
     total_steps = 1_000_000
     warmup = 50_000
     rss_warm = None
     for t in range(total_steps):
-        x, y = buf_x[t % 256], buf_y[t % 256]
-        new_states, y_hat, layer_in = network_step(cur, states, x)
-        traces = step_traces(cur, states, layer_in, traces)
-        grads = online_gradient(cur, traces, new_states, layer_in,
-                                huber_grad(y_hat - y))
-        from lru_online.optim import tree_add
-        grads = tree_add(grads, anchor_gradient(theta, anchor))
-        grads = clip_global_norm(grads, 0.5)
-        theta, adam = adam_step(theta, grads, adam)
-        cur = LruNetwork.from_parameters(theta)
-        states = new_states
+        states, traces, _, _, grads = online_step(
+            net, states, traces, buf_x[t % 256], buf_y[t % 256])
+        apply_update(net.theta, grads, adam, 0.5, anchor)
         if t == warmup:
             gc.collect()
-            rss_warm = proc.memory_info().rss
+            rss_warm = current_rss_bytes()
     gc.collect()
-    rss_end = proc.memory_info().rss
+    rss_end = current_rss_bytes()
     growth_mb = (rss_end - rss_warm) / 2 ** 20
     # O(T) history for this model would cost hundreds of MB; the trace
     # footprint is fixed, so allow only allocator-level jitter

@@ -67,7 +67,7 @@ class TestBpttGradient:
         loss, grads = bptt_gradient(net, WindowBatch(inputs, targets, 10,
                                                      np.zeros(1, np.int64)))
         assert loss == 0.0
-        assert all(np.all(b == 0) for layer in grads for b in layer.values())
+        assert grads.shape == net.theta.shape and np.all(grads == 0)
 
     def test_finite_differences_depth1(self, rng):
         net = small_random_net(rng, m=3, n=6, p=2)
@@ -92,10 +92,8 @@ class TestBpttGradient:
                                                   batch.session_ids[b:b + 1]))
                    for b in range(4)]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
-        for k, layer in enumerate(grads):
-            for name in layer:
-                mean = np.mean([s[1][k][name] for s in singles], axis=0)
-                assert np.allclose(layer[name], mean, atol=1e-12)
+        mean = np.mean([s[1] for s in singles], axis=0)
+        assert np.allclose(grads, mean, atol=1e-12)
 
 
 class TestTrain:
@@ -104,18 +102,14 @@ class TestTrain:
         data = make_data([50])
         result = train(net, data, None, TrainConfig(steps=0, batch=2,
                                                     window=10))
-        for a, b in zip(result.net.parameters(), net.parameters()):
-            for name in a:
-                assert np.array_equal(a[name], b[name])
+        assert np.array_equal(result.net.theta, net.theta)
 
     def test_lr_zero_leaves_params_bitwise(self):
         net = init_network(3, (4,), 2, seed=0)
         data = make_data([80])
         result = train(net, data, None, TrainConfig(steps=5, batch=2,
                                                     window=10, lr=0.0))
-        for a, b in zip(result.net.parameters(), net.parameters()):
-            for name in a:
-                assert np.array_equal(a[name], b[name])
+        assert np.array_equal(result.net.theta, net.theta)
 
     def test_learnable_task_improves(self):
         # constant-target task: loss must drop
@@ -141,9 +135,7 @@ class TestTrain:
         b = train(net.copy(), data, data, cfg)
         assert np.allclose(a.loss_curve, b.loss_curve, rtol=0, atol=0,
                            equal_nan=True)
-        for la, lb in zip(a.net.parameters(), b.net.parameters()):
-            for name in la:
-                assert np.array_equal(la[name], lb[name])
+        assert np.array_equal(a.net.theta, b.net.theta)
 
 
 class TestEvaluate:

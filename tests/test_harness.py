@@ -1,21 +1,24 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lru_online.bptt import evaluate as offline_evaluate
-from lru_online.checkpoint import (Checkpoint, load_checkpoint,
-                                   save_checkpoint)
+from lru_online.checkpoint import load_checkpoint, save_checkpoint
+from lru_online.datapipe import SequenceData
 from lru_online.cli import EXIT_CODES, main
 from lru_online.errors import CheckpointError, CompatibilityError
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
                                 cmd_evaluate, cmd_finetune, cmd_pretrain,
                                 impute_benchmark, prepare_tables)
-from lru_online.lru import LruNetwork, network_scan
+from lru_online.lru import network_scan
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 SMALL_GEN = GeneratorConfig(sessions=3, session_seconds=150,
                             missing_rate=0.1, shift_sessions=1, seed=0)
+DATA = Path(__file__).parent / "data"
 SMALL_PRETRAIN = PretrainConfig(trainer="bptt", layers=(6,), steps=30,
                                 batch=4, lr=1e-2, window=32, eval_every=10,
                                 seed=0)
@@ -59,10 +62,8 @@ class TestCheckpoint:
         path = tmp_path / "c.json"
         save_checkpoint(ckpt, path)
         again = load_checkpoint(path)
-        net_a = LruNetwork.from_parameters(ckpt.params)
-        net_b = LruNetwork.from_parameters(again.params)
-        _, _, pa = network_scan(net_a, stream.features)
-        _, _, pb = network_scan(net_b, stream.features)
+        _, _, pa = network_scan(ckpt.net, stream.features)
+        _, _, pb = network_scan(again.net, stream.features)
         assert np.array_equal(pa, pb)
 
     def test_version_mismatch(self, pretrained, tmp_path):
@@ -96,6 +97,40 @@ class TestCheckpoint:
         path = tmp_path / "p.json"
         save_checkpoint(ckpt, path)
         assert load_checkpoint(path).pipeline == ckpt.pipeline
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p[0].update(b_re=[row[:-1] for row in p[0]["b_re"]]),
+         "'b_re' has shape"),
+        (lambda p: p[0].pop("d"), r"missing blocks \['d'\]"),
+        (lambda p: p.append(dict(p[0])), "layer 0 output width"),
+    ], ids=["wrong_shape", "missing_block", "layer_chaining"])
+    def test_malformed_params_rejected(self, pretrained, tmp_path, edit,
+                                       match):
+        ckpt, _ = pretrained
+        path = tmp_path / "m.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        edit(doc["params"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_reads_checkpoint_of_first_format_version(self, tmp_path):
+        """A depth-1 checkpoint with optimizer state, written before the
+        parameters became one flat vector, re-saves byte-identically and
+        still predicts bitwise what it predicted then."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        assert ckpt.optimizer.m.shape == ckpt.net.theta.shape
+        save_checkpoint(ckpt, tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (DATA / "checkpoint_depth1.json").read_bytes())
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=ref["features"], targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        assert len(data.sessions()) == 2
+        preds = cmd_evaluate(ckpt, data)["predictions"]
+        assert np.array_equal(preds, ref["predictions"])
 
 
 class TestFinetune:
@@ -158,6 +193,22 @@ class TestFinetune:
         with pytest.raises(CompatibilityError):
             cmd_finetune(ckpt, bad, FinetuneConfig())
 
+    def test_sessions_start_from_zero_state(self, pretrained, prepared):
+        ckpt, _ = pretrained
+        two = prepared[1]
+        first, second = two.sessions()
+        idx = two.session_slice(second)
+        alone = replace(two, features=two.features[idx],
+                        targets=two.targets[idx],
+                        session_ids=two.session_ids[idx],
+                        timestamps=two.timestamps[idx])
+        cfg = FinetuneConfig(lr=1e-2, freeze_after=0)
+        both = cmd_finetune(ckpt, two, cfg)
+        only = cmd_finetune(ckpt, alone, cfg)
+        assert np.array_equal(both.predictions[idx], only.predictions)
+        assert np.array_equal(both.predictions_frozen[idx],
+                              only.predictions_frozen)
+
     def test_deterministic(self, pretrained, stream):
         ckpt, _ = pretrained
         cfg = FinetuneConfig(lr=1e-2, lambda_reg=0.01)
@@ -165,6 +216,30 @@ class TestFinetune:
         b = cmd_finetune(ckpt, stream, cfg)
         assert np.array_equal(a.predictions, b.predictions)
         assert np.array_equal(a.anchor_distance, b.anchor_distance)
+
+
+class TestPretrain:
+    @pytest.mark.parametrize("trainer, update", [
+        ("bptt", "window"), ("rtrl", "window"), ("rtrl", "step")])
+    def test_nan_features_set_diverged(self, trainer, update):
+        rng = np.random.default_rng(0)
+        n = 60
+        clean = SequenceData(features=rng.standard_normal((n, 3)),
+                             targets=rng.standard_normal((n, 2)),
+                             session_ids=np.zeros(n, dtype=np.int64),
+                             timestamps=np.arange(n, dtype=np.float64))
+        bad = replace(clean, features=clean.features.copy())
+        bad.features[-1] = np.nan          # in 1 of the 45 windows
+        cfg = PretrainConfig(trainer=trainer, rtrl_update=update, layers=(4,),
+                             steps=200, batch=4, window=16, eval_every=1,
+                             lr=1e-2, seed=1)
+        ckpt, result = cmd_pretrain(bad, clean, None, cfg)
+        assert result.diverged
+        assert 0 < len(result.loss_curve) < cfg.steps
+        assert np.isfinite(ckpt.net.theta).all()
+        # the kept parameters are the best ones validated before divergence
+        assert result.best_val_loss == min(v for _, _, v in result.loss_curve)
+        assert offline_evaluate(ckpt.net, clean) == result.best_val_loss
 
 
 class TestAblate:
@@ -193,9 +268,8 @@ class TestEvaluate:
     def test_consistent_with_offline_loss(self, pretrained, stream):
         ckpt, _ = pretrained
         result = cmd_evaluate(ckpt, stream)
-        net = LruNetwork.from_parameters(ckpt.params)
         assert result["huber_mean"] == pytest.approx(
-            offline_evaluate(net, stream), rel=1e-12)
+            offline_evaluate(ckpt.net, stream), rel=1e-12)
         assert set(result["per_target_mse"]) == set(stream.target_names)
         assert result["predictions"].shape == stream.targets.shape
 

@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, derive_gamma,
                             derive_lambda, init_layer, init_network,
-                            layer_step, network_forward, network_scan,
-                            network_step, scan_forward)
+                            layer_step, network_scan, network_step,
+                            scan_forward)
 
 
 def make_layer(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d):
@@ -171,7 +171,7 @@ class TestNetworkForward:
     def test_single_layer_equals_layer_step(self, rng):
         net = init_network(3, (5,), 2, seed=4)
         u = rng.standard_normal(3)
-        states, y = network_forward(net, net.zero_states(), u)
+        states, y, _ = network_step(net, net.zero_states(), u)
         h, y2 = layer_step(net.layers[0], np.zeros(5, complex), u)
         assert np.allclose(states[0], h) and np.allclose(y, y2)
 
@@ -180,7 +180,7 @@ class TestNetworkForward:
         second = diagonal_layer(4, lam=0.0)
         net = LruNetwork([first, second])
         u = rng.standard_normal(3)
-        _, y = network_forward(net, net.zero_states(), u)
+        _, y, _ = network_step(net, net.zero_states(), u)
         _, y_first = layer_step(first, np.zeros(4, complex), u)
         assert np.allclose(y, y_first)
 
@@ -190,7 +190,7 @@ class TestNetworkForward:
         states = net.zero_states()
         stepped = []
         for t in range(16):
-            states, y = network_forward(net, states, u[t])
+            states, y, _ = network_step(net, states, u[t])
             stepped.append(y)
         _, _, preds = network_scan(net, u)
         assert np.allclose(preds, np.asarray(stepped), atol=1e-12)
@@ -199,3 +199,27 @@ class TestNetworkForward:
         net = init_network(3, (5, 4), 2, seed=6)
         with pytest.raises(ContractViolationError):
             network_step(net, net.zero_states()[:1], np.zeros(3))
+
+
+class TestFlatParameters:
+    def test_layers_are_views_of_theta(self):
+        net = init_network(3, (5, 4), 2, seed=6)
+        sizes = [sum(b.size for b in layer.blocks().values())
+                 for layer in net.layers]
+        assert net.theta.shape == (sum(sizes),)
+        net.theta[:] = np.arange(net.theta.size)
+        assert net.layers[0].nu[0] == 0.0
+        assert net.layers[1].nu[0] == sizes[0]
+        assert net.layers[1].d[-1, -1] == net.theta.size - 1
+        blocks = net.unflatten(net.theta)
+        for layer, views in zip(net.layers, blocks):
+            for name, arr in layer.blocks().items():
+                assert np.array_equal(arr, views[name])
+
+    def test_copy_is_independent(self):
+        net = init_network(3, (5,), 2, seed=6)
+        other = net.copy()
+        assert np.array_equal(other.theta, net.theta)
+        other.theta += 1.0
+        assert not np.array_equal(other.theta, net.theta)
+        assert np.array_equal(other.layers[0].nu, net.layers[0].nu + 1.0)
