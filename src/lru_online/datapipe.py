@@ -12,6 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, ImputationError, SchemaError,
                      UsageError)
@@ -175,19 +176,28 @@ def load_emission_csv(path, session_gap: float = 60.0) -> SeriesTable:
 
 
 def load_weather_csv(path) -> WeatherTable:
+    """Read the 4-column hourly weather CSV, sorted by hour."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file")
         if header != WEATHER_HEADER:
             raise SchemaError(f"{path}: weather header mismatch, got {header}")
         ts, temp, precip, cond = [], [], [], []
         for i, rec in enumerate(reader, start=1):
             if not rec:
                 continue
+            if len(rec) != len(WEATHER_HEADER):
+                raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
+                                  f"expected {len(WEATHER_HEADER)}")
             ts.append(_parse_cell(rec[0], i, "timestamp_hour"))
             temp.append(_parse_cell(rec[1], i, "temp_c"))
             precip.append(_parse_cell(rec[2], i, "precip_mm"))
             cond.append(rec[3].strip() or None)
+    if not ts:
+        raise SchemaError(f"{path}: no data rows")
     order = np.argsort(np.asarray(ts), kind="stable")
     return WeatherTable(
         timestamps=np.asarray(ts)[order],
@@ -248,44 +258,47 @@ def resample_to_grid(table: SeriesTable, step: float = 1.0) -> SeriesTable:
 
 # ---------------------------------------------------------------- imputation
 
-def _bfill(x: np.ndarray) -> np.ndarray:
-    """Fill each NaN with the next observed value (trailing NaNs remain)."""
-    x = x.copy()
-    nxt = np.nan
-    for i in range(x.size - 1, -1, -1):
-        if np.isnan(x[i]):
-            x[i] = nxt
-        else:
-            nxt = x[i]
-    return x
+def _ffill(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Copy of values with each missing entry replaced by the last
+    non-missing entry before it; a leading missing run stays missing.
+    Applied to reversed arrays it is the backward fill."""
+    # the index of the last non-missing entry at or before each position;
+    # a leading missing run maps to index 0, which is itself missing
+    src = np.maximum.accumulate(np.where(missing, 0, np.arange(values.size)))
+    return values[src]
 
 
-def _ffill(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    prev = np.nan
-    for i in range(x.size):
-        if np.isnan(x[i]):
-            x[i] = prev
-        else:
-            prev = x[i]
-    return x
+def _bfill(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    return _ffill(values[::-1], missing[::-1])[::-1]
 
 
 def _fill_categorical(vals: np.ndarray) -> np.ndarray:
-    vals = vals.copy()
-    prev = None
-    for i in range(vals.size):
-        if vals[i] is None:
-            vals[i] = prev
-        else:
-            prev = vals[i]
-    nxt = None
-    for i in range(vals.size - 1, -1, -1):
-        if vals[i] is None:
-            vals[i] = nxt
-        else:
-            nxt = vals[i]
-    return vals
+    """Forward fill, then backward fill, of the None entries."""
+    vals = _ffill(vals, np.equal(vals, None))
+    return _bfill(vals, np.equal(vals, None))
+
+
+def _window_medians(x: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
+    """np.median over the observed values of the centered width-w window
+    around each position in `at`; NaN where the window has none.
+
+    Windows with the same count c of observed values are stacked into one
+    (windows, c) array of those values, in window order, and reduced by one
+    np.median call along its rows: the same partition and mean as a
+    separate np.median per window, so the results are bitwise equal to it
+    (signed zeros included).
+    """
+    hw = w // 2
+    padded = np.concatenate([np.full(hw, np.nan), x, np.full(hw, np.nan)])
+    windows = sliding_window_view(padded, w)[at]
+    observed = ~np.isnan(windows)
+    count = np.count_nonzero(observed, axis=1)
+    medians = np.full(at.size, np.nan)
+    for c in np.unique(count[count > 0]):
+        rows = count == c
+        vals = windows[rows][observed[rows]].reshape(-1, c)
+        medians[rows] = np.median(vals, axis=1)
+    return medians
 
 
 def impute_rolling_median(table: SeriesTable, w: int = 5) -> SeriesTable:
@@ -295,27 +308,19 @@ def impute_rolling_median(table: SeriesTable, w: int = 5) -> SeriesTable:
     Categorical columns are forward/backward filled."""
     if w < 3 or w % 2 == 0:
         raise ConfigurationError(f"rolling window must be odd and >= 3, got {w}")
-    hw = w // 2
     out = table.copy()
     for sid in table.sessions():
         idx = table.session_indices(sid)
         for name in table.numeric_columns():
             x = out.columns[name][idx]
-            obs = ~np.isnan(x)
-            if not obs.any():
+            missing = np.isnan(x)
+            if missing.all():
                 raise ImputationError(
                     f"column {name!r} entirely missing in session {sid}")
-            missing = np.nonzero(~obs)[0]
-            filled = x.copy()
-            for i in missing:
-                lo = max(0, i - hw)
-                window = x[lo:i + hw + 1]
-                vals = window[~np.isnan(window)]
-                if vals.size:
-                    filled[i] = np.median(vals)
-            filled = _bfill(filled)
-            filled = _ffill(filled)
-            out.columns[name][idx] = filled
+            at = np.nonzero(missing)[0]
+            x[at] = _window_medians(x, at, w)
+            x = _bfill(x, np.isnan(x))
+            out.columns[name][idx] = _ffill(x, np.isnan(x))
         for name in table.categorical_columns():
             out.columns[name][idx] = _fill_categorical(out.columns[name][idx])
     return out
@@ -471,15 +476,12 @@ def apply_pipeline(pipe: FittedPipeline, table: SeriesTable) -> SequenceData:
         blocks.append((vals - pipe.numeric_mean[name]) / pipe.numeric_scale[name])
     for name in pipe.categorical_columns:
         vocab = pipe.vocabularies[name]
-        index = {v: i for i, v in enumerate(vocab)}
+        vals = table.columns[name]
         onehot = np.zeros((n, len(vocab)))
-        unknown = set()
-        for i, v in enumerate(table.columns[name]):
-            j = index.get(v)
-            if j is not None:
-                onehot[i, j] = 1.0
-            elif v is not None:
-                unknown.add(v)
+        for j, v in enumerate(vocab):
+            onehot[:, j] = vals == v
+        unmatched = vals[~onehot.any(axis=1)]
+        unknown = set(unmatched[~np.equal(unmatched, None)])
         if unknown:
             log.warning("column %r: categories %s not in vocabulary; "
                         "encoded as all-zeros", name, sorted(unknown))

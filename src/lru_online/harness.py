@@ -16,7 +16,7 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
-from .errors import CompatibilityError, ConfigurationError
+from .errors import CompatibilityError, ConfigurationError, TrainingError
 from .lru import init_network, network_scan, network_step
 from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
                     huber)
@@ -157,6 +157,7 @@ class RunMetrics:
     loss: np.ndarray               # (N,) per-step mean Huber
     loss_frozen: np.ndarray
     anchor_distance: np.ndarray    # ||theta_t - theta_pre||_2 after step t
+    skipped_updates: int = 0       # steps whose gradient was not finite
 
     @property
     def total_loss(self) -> float:
@@ -175,6 +176,7 @@ class RunMetrics:
             "mean_loss_finetuned": self.total_loss / n,
             "mean_loss_frozen": self.total_loss_frozen / n,
             "final_anchor_distance": float(self.anchor_distance[-1]),
+            "skipped_updates": self.skipped_updates,
         }
 
 
@@ -188,7 +190,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     until freeze_after steps have elapsed. Predictions are logged before the
     update (no label leakage into the logged step). Each session starts
     from zero hidden states and traces; the parameters and the Adam state
-    carry over from one session to the next.
+    carry over from one session to the next. A step whose gradient is not
+    finite (e.g. a NaN feature row) logs its prediction and loss as they
+    came out, skips the update, keeps the pre-step states and traces, and
+    counts in RunMetrics.skipped_updates.
     """
     frozen = ckpt.net
     if frozen.input_dim != stream.features.shape[1]:
@@ -212,6 +217,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     dist = np.empty(N)
     distance = 0.0
     elapsed = 0
+    skipped = 0
     for sid in stream.sessions():
         states = net.zero_states()
         frozen_states = frozen.zero_states()
@@ -224,10 +230,17 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
             loss_frozen[t] = huber(preds_frozen[t] - y, cfg.huber_delta)
             if cfg.lr > 0 and (cfg.freeze_after is None
                                or elapsed < cfg.freeze_after):
-                states, traces, preds[t], loss[t], grads = online_step(
-                    net, states, traces, x, y, cfg.huber_delta)
-                apply_update(net.theta, grads, adam, cfg.clip, anchor)
-                distance = anchor_distance(net.theta, anchor)
+                new_states, new_traces, preds[t], loss[t], grads = \
+                    online_step(net, states, traces, x, y, cfg.huber_delta)
+                try:
+                    apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                except TrainingError:
+                    # non-finite gradient: nothing was updated; keep the
+                    # pre-step states and traces and go on streaming
+                    skipped += 1
+                else:
+                    states, traces = new_states, new_traces
+                    distance = anchor_distance(net.theta, anchor)
             else:
                 states, preds[t], _ = network_step(net, states, x)
                 loss[t] = huber(preds[t] - y, cfg.huber_delta)
@@ -237,7 +250,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                       targets=stream.targets.copy(),
                       predictions=preds, predictions_frozen=preds_frozen,
                       loss=loss, loss_frozen=loss_frozen,
-                      anchor_distance=dist)
+                      anchor_distance=dist, skipped_updates=skipped)
 
 
 # ----------------------------------------------------------------- ablation

@@ -73,7 +73,8 @@ class AdamState:
 
 
 def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """Bias-corrected Adam update of theta and the state, both in place."""
+    """Bias-corrected Adam update of theta and the state, both in place.
+    A non-finite gradient raises TrainingError before anything is written."""
     if not np.isfinite(grads).all():
         raise TrainingError("non-finite gradient passed to adam_step")
     state.t += 1

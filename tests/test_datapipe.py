@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from lru_online.datapipe import (EMISSION_HEADER, ROLE_CATEGORICAL,
                                  resample_to_grid, split_sessions)
 from lru_online.errors import (ConfigurationError, ImputationError,
                                SchemaError, UsageError)
+from lru_online.harness import load_grid
+from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 
 def numeric_table(columns, session_ids=None, timestamps=None, roles=None):
@@ -98,6 +102,18 @@ class TestWeatherJoin:
         assert np.array_equal(joined.columns["temp_c"], [20.0, 20.0, 22.0])
         assert list(joined.columns["conditions"]) == ["clear", "clear", "rain"]
         assert joined.roles["conditions"] == ROLE_CATEGORICAL
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty file"),
+        ("timestamp_hour,temp_c,precip_mm,conditions\n0.0,20.0,0.0\n",
+         "row 1 has 3 cells, expected 4"),
+        ("timestamp_hour,temp_c,precip_mm,conditions\n", "no data rows"),
+    ], ids=["empty", "short_row", "header_only"])
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=match):
+            load_weather_csv(path)
 
     def test_before_first_hour(self, tmp_path):
         self.write_weather(tmp_path / "w.csv")
@@ -209,6 +225,90 @@ class TestRollingMedian:
         table = numeric_table({"x": x}, session_ids=[0, 0, 0, 1, 1, 1])
         out = impute_rolling_median(table, w=3)
         assert out.columns["x"][3] == 10.0
+
+    @pytest.mark.parametrize("w", [3, 5, 7, 9])
+    def test_matches_reference_per_session(self, w):
+        # sessions of 1 to 40 rows, with leading and trailing gaps and gaps
+        # longer than w, so some windows hold no observed value at all
+        rng = np.random.default_rng(w)
+        lengths = list(range(1, 41))
+        rng.shuffle(lengths)
+        sids = np.repeat(np.arange(len(lengths)), lengths)
+        cols = {}
+        for name in ("a", "b"):
+            x = np.round(rng.standard_normal(sids.size), 1)  # ties, +-0.0
+            x[rng.random(sids.size) < 0.3] = np.nan
+            cols[name] = x
+        for sid, n in enumerate(lengths):
+            idx = np.nonzero(sids == sid)[0]
+            for x in cols.values():
+                x[idx[:n // 4]] = np.nan                  # leading gap
+                x[idx[n - n // 4:]] = np.nan              # trailing gap
+                if n > 3 * w:
+                    x[idx[n // 3:n // 3 + w + 2]] = np.nan  # gap longer than w
+                x[idx[n // 4 + rng.integers(n - 2 * (n // 4))]] = 1.5
+        out = impute_rolling_median(numeric_table(cols, session_ids=sids), w)
+        for name, x in cols.items():
+            expect = np.concatenate([
+                reference_rolling_median(x[sids == sid], w)
+                for sid in range(len(lengths))])
+            assert out.columns[name].tobytes() == expect.tobytes()
+
+
+def reference_fill_categorical(vals):
+    """Forward fill, then backward fill, of None entries, one by one."""
+    vals = list(vals)
+    for i in range(1, len(vals)):
+        if vals[i] is None:
+            vals[i] = vals[i - 1]
+    for i in range(len(vals) - 2, -1, -1):
+        if vals[i] is None:
+            vals[i] = vals[i + 1]
+    return vals
+
+
+class TestCategoricalFill:
+    def test_matches_reference_per_session(self):
+        sessions = [
+            [None, None, "a", None, "b", None, None],   # leading/trailing runs
+            [None, None, None],                         # stays all None
+            ["c", None, None, "a"],
+            [None],
+            ["b"],
+        ]
+        vals = np.asarray([v for s in sessions for v in s], dtype=object)
+        sids = np.repeat(np.arange(len(sessions)), [len(s) for s in sessions])
+        table = numeric_table({"x": np.ones(vals.size)}, session_ids=sids)
+        table.columns["cond"] = vals.copy()
+        table.roles["cond"] = ROLE_CATEGORICAL
+        out = impute_rolling_median(table, w=3)
+        expect = [v for s in sessions for v in reference_fill_categorical(s)]
+        assert list(out.columns["cond"]) == expect
+        assert list(table.columns["cond"]) == list(vals)  # input untouched
+
+
+def test_load_grid_matches_reference(tmp_path):
+    """The imputed grid of a small synthetic dataset equals the per-session,
+    per-column reference imputer bit for bit."""
+    cfg = GeneratorConfig(sessions=3, session_seconds=150, missing_rate=0.1,
+                          shift_sessions=1, seed=0)
+    write_dataset(generate_dataset(cfg), tmp_path)
+    raw = resample_to_grid(join_weather(
+        load_emission_csv(tmp_path / "emission.csv"),
+        load_weather_csv(tmp_path / "weather.csv")))
+    got = load_grid(tmp_path / "emission.csv", tmp_path / "weather.csv")
+    assert sum(np.isnan(raw.columns[c]).sum()
+               for c in raw.numeric_columns()) > 0
+    sessions = [raw.session_indices(s) for s in raw.sessions()]
+    for name in raw.numeric_columns():
+        expect = np.concatenate([
+            reference_rolling_median(raw.columns[name][idx], 5)
+            for idx in sessions])
+        assert got.columns[name].tobytes() == expect.tobytes()
+    for name in raw.categorical_columns():
+        expect = [v for idx in sessions
+                  for v in reference_fill_categorical(raw.columns[name][idx])]
+        assert list(got.columns[name]) == expect
 
 
 def reference_knn(X, k):
@@ -336,6 +436,48 @@ class TestPipeline:
         k = len(pipe.numeric_columns)
         assert np.all(seq.features[:, k:] == 0.0)
         assert "sandstorm" in caplog.text
+
+    def test_onehot_matches_reference(self, caplog):
+        table = full_table()
+        pipe = fit_pipeline(table)
+        other = table.copy()
+        cond = other.columns["conditions"]
+        cond[[1, 4]] = None
+        cond[[2, 7, 9, 11, 12]] = ["sandstorm", "fog", "sandstorm", "hail",
+                                   "dust"]
+        with caplog.at_level(logging.WARNING):
+            seq = apply_pipeline(pipe, other)
+        vocab = pipe.vocabularies["conditions"]
+        expect = np.zeros((other.n_rows, len(vocab)))
+        for i, v in enumerate(cond):
+            if v in vocab:
+                expect[i, vocab.index(v)] = 1.0
+        k = len(pipe.numeric_columns)
+        assert np.array_equal(seq.features[:, k:], expect)
+        assert np.all(seq.features[[1, 4, 2, 7, 9, 11, 12], k:] == 0.0)
+        assert ("column 'conditions': categories ['dust', 'fog', 'hail', "
+                "'sandstorm'] not in vocabulary; encoded as all-zeros"
+                in caplog.text)
+
+    def test_none_rows_encode_as_zeros_without_warning(self, caplog):
+        table = full_table()
+        pipe = fit_pipeline(table)
+        other = table.copy()
+        other.columns["conditions"][::3] = None
+        with caplog.at_level(logging.WARNING):
+            seq = apply_pipeline(pipe, other)
+        k = len(pipe.numeric_columns)
+        assert np.all(seq.features[::3, k:] == 0.0)
+        assert np.all(seq.features[1::3, k:].sum(axis=1) == 1.0)
+        assert caplog.text == ""
+
+    def test_empty_vocabulary_gives_empty_block(self):
+        table = full_table()
+        table.columns["conditions"][:] = None
+        pipe = fit_pipeline(table)
+        assert pipe.vocabularies["conditions"] == []
+        seq = apply_pipeline(pipe, table)
+        assert seq.features.shape == (table.n_rows, len(pipe.numeric_columns))
 
     def test_constant_column_rejected(self):
         table = full_table()

@@ -217,6 +217,25 @@ class TestFinetune:
         assert np.array_equal(a.predictions, b.predictions)
         assert np.array_equal(a.anchor_distance, b.anchor_distance)
 
+    def test_nonfinite_step_skipped(self):
+        """One NaN feature row skips that step's update; the stream goes on
+        from the pre-step parameters, states and traces."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        features = ref["features"].copy()
+        features[10, 0] = np.nan
+        data = SequenceData(features=features, targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        metrics = cmd_finetune(ckpt, data, FinetuneConfig(lambda_reg=0.01))
+        assert metrics.skipped_updates == 1
+        assert metrics.summary()["skipped_updates"] == 1
+        assert np.isnan(metrics.loss[10])         # logged as produced
+        assert np.isfinite(metrics.loss[11:]).all()
+        # theta stays finite and is not moved by the skipped step
+        assert np.isfinite(metrics.anchor_distance).all()
+        assert metrics.anchor_distance[10] == metrics.anchor_distance[9]
+
 
 class TestPretrain:
     @pytest.mark.parametrize("trainer, update", [
