@@ -11,7 +11,8 @@ import numpy as np
 
 from .datapipe import SequenceData
 from .errors import ConfigurationError, TrainingError
-from .lru import LruNetwork, derive_gamma, derive_lambda, network_scan
+from .lru import (LruNetwork, _interleave, _linear_recurrence, derive_gamma,
+                  derive_lambda, network_scan)
 from .optim import AdamState, apply_update, huber, huber_grad
 
 
@@ -51,27 +52,22 @@ def sample_windows(data: SequenceData, T: int, batch: int,
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     sessions = data.sessions()
-    spans = []
+    first, counts = [], []
     for sid in sessions:
         idx = data.session_slice(sid)
         if idx.size < T:
             raise ConfigurationError(
                 f"window length {T} exceeds session {sid} length {idx.size}")
-        spans.append((idx[0], idx.size - T + 1))
-    counts = np.array([c for _, c in spans])
+        first.append(idx[0])
+        counts.append(idx.size - T + 1)
     cum = np.cumsum(counts)
     draws = rng.integers(0, cum[-1], size=batch)
     which = np.searchsorted(cum, draws, side="right")
-    inputs = np.empty((batch, T, data.features.shape[1]))
-    targets = np.empty((batch, T, data.targets.shape[1]))
-    sids = np.empty(batch, dtype=np.int64)
-    for b in range(batch):
-        s = which[b]
-        start = spans[s][0] + (draws[b] - (cum[s - 1] if s else 0))
-        inputs[b] = data.features[start:start + T]
-        targets[b] = data.targets[start:start + T]
-        sids[b] = sessions[s]
-    return WindowBatch(inputs=inputs, targets=targets, window=T, session_ids=sids)
+    starts = np.asarray(first)[which] + draws - (cum - counts)[which]
+    rows = starts[:, None] + np.arange(T)                # (batch, T)
+    return WindowBatch(inputs=data.features[rows], targets=data.targets[rows],
+                       window=T,
+                       session_ids=np.asarray(sessions, dtype=np.int64)[which])
 
 
 def bptt_gradient(net: LruNetwork, batch: WindowBatch,
@@ -79,10 +75,11 @@ def bptt_gradient(net: LruNetwork, batch: WindowBatch,
     """Mean per-step Huber loss over the batch and its exact full-unroll
     gradient (flat, laid out like net.theta), computed by hand-rolled
     reverse mode (the stack is linear, so the complex adjoint recursion
-    s_t = a_t + lambda * s_{t+1} suffices)."""
+    s_t = a_t + lambda * s_{t+1} suffices; it runs through the same chunked
+    recurrence as the forward scan). The contractions over (batch, time)
+    are real matmuls on float64 views of the complex arrays."""
     inputs = np.asarray(batch.inputs, dtype=np.float64)
     targets = np.asarray(batch.targets, dtype=np.float64)
-    B, T, _ = inputs.shape
     layer_inputs, layer_states, preds = network_scan(net, inputs)
     resid = preds - targets
     loss = huber(resid, delta)
@@ -94,37 +91,41 @@ def bptt_gradient(net: LruNetwork, batch: WindowBatch,
     blocks = net.unflatten(grads)
     for k in range(net.depth - 1, -1, -1):
         layer = net.layers[k]
-        u = layer_inputs[k]
+        n, m, p = layer.n, layer.m, layer.p
+        u2 = layer_inputs[k].reshape(-1, m)
         h = layer_states[k]
+        down2 = down.reshape(-1, p)
         lam = derive_lambda(layer)
         gamma = derive_gamma(layer)
-        Bc = layer.b_re + 1j * layer.b_im
-        Cc = layer.c_re + 1j * layer.c_im
 
         out = blocks[k]
-        out["c_re"][...] = np.einsum("btp,btn->pn", down, h.real)
-        out["c_im"][...] = -np.einsum("btp,btn->pn", down, h.imag)
-        out["d"][...] = np.einsum("btp,btm->pm", down, u)
+        gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)
+        out["c_re"][...] = gc[:, 0::2]
+        out["c_im"][...] = -gc[:, 1::2]
+        out["d"][...] = down2.T @ u2
 
-        a = down @ Cc                                # (B, T, n) adjoint of h
-        s = np.empty_like(a)
-        s[:, -1] = a[:, -1]
-        for t in range(T - 2, -1, -1):
-            s[:, t] = a[:, t] + lam * s[:, t + 1]
+        # adjoint of h: a = down @ (c_re + i c_im); s_t = a_t + lam * s_{t+1}
+        # is the forward recurrence on the time-reversed a, run in place
+        s = (down @ _interleave(layer.c_re, layer.c_im, 1)).view(np.complex128)
+        _linear_recurrence(lam, s[:, ::-1])
+        s2 = s.view(np.float64).reshape(-1, 2 * n)
 
-        h_prev = np.concatenate(
-            [np.zeros((B, 1, layer.n), dtype=np.complex128), h[:, :-1]], axis=1)
-        sh = np.sum(s * h_prev, axis=(0, 1))
-        bu = u @ Bc.T
-        M = s * gamma
+        sh = np.sum(s[:, 1:] * h[:, :-1], axis=(0, 1))    # sum_t s_t h_{t-1}
+        su = s2.T @ u2                                    # sum_t s_t u_t^T
+        su_re, su_im = su[0::2], su[1::2]
         out["nu"][...] = np.real(-np.exp(layer.nu) * lam * sh)
         out["theta_phase"][...] = np.real(
             1j * np.exp(layer.theta_phase) * lam * sh)
-        out["gamma_log"][...] = np.real(gamma * np.sum(s * bu, axis=(0, 1)))
-        out["b_re"][...] = np.real(np.einsum("btn,btm->nm", M, u))
-        out["b_im"][...] = -np.imag(np.einsum("btn,btm->nm", M, u))
+        # sum_t s_t (B u_t) = rowsum(B * su)
+        out["gamma_log"][...] = gamma * np.sum(
+            layer.b_re * su_re - layer.b_im * su_im, axis=1)
+        out["b_re"][...] = gamma[:, None] * su_re
+        out["b_im"][...] = -gamma[:, None] * su_im
         if k > 0:
-            down = np.real(M @ Bc) + down @ layer.d
+            # dL/du = Re[(gamma * s) @ (b_re + i b_im)] + down @ d
+            down = (s2 @ _interleave(gamma[:, None] * layer.b_re,
+                                    -gamma[:, None] * layer.b_im, 0)
+                    + down2 @ layer.d).reshape(layer_inputs[k].shape)
     return loss, grads
 
 

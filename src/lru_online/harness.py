@@ -160,12 +160,26 @@ class RunMetrics:
     skipped_updates: int = 0       # steps whose gradient was not finite
 
     @property
+    def finite_steps(self) -> np.ndarray:
+        """Steps whose fine-tuned and frozen losses are both finite; the
+        totals and means are taken over these, so they stay paired."""
+        return np.isfinite(self.loss) & np.isfinite(self.loss_frozen)
+
+    @property
     def total_loss(self) -> float:
-        return float(np.sum(self.loss))
+        return float(np.sum(self.loss[self.finite_steps]))
 
     @property
     def total_loss_frozen(self) -> float:
-        return float(np.sum(self.loss_frozen))
+        return float(np.sum(self.loss_frozen[self.finite_steps]))
+
+    @property
+    def mean_loss(self) -> float:
+        return float(np.mean(self.loss[self.finite_steps]))
+
+    @property
+    def mean_loss_frozen(self) -> float:
+        return float(np.mean(self.loss_frozen[self.finite_steps]))
 
     def summary(self) -> dict:
         n = self.loss.size
@@ -173,10 +187,11 @@ class RunMetrics:
             "steps": n,
             "total_loss_finetuned": self.total_loss,
             "total_loss_frozen": self.total_loss_frozen,
-            "mean_loss_finetuned": self.total_loss / n,
-            "mean_loss_frozen": self.total_loss_frozen / n,
+            "mean_loss_finetuned": self.mean_loss,
+            "mean_loss_frozen": self.mean_loss_frozen,
             "final_anchor_distance": float(self.anchor_distance[-1]),
             "skipped_updates": self.skipped_updates,
+            "nonfinite_steps": n - int(np.sum(self.finite_steps)),
         }
 
 
@@ -193,7 +208,9 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     carry over from one session to the next. A step whose gradient is not
     finite (e.g. a NaN feature row) logs its prediction and loss as they
     came out, skips the update, keeps the pre-step states and traces, and
-    counts in RunMetrics.skipped_updates.
+    counts in RunMetrics.skipped_updates. A non-finite feature row also
+    leaves the frozen and the predict-only states at their pre-step values,
+    so one bad row does not poison the rest of the session.
     """
     frozen = ckpt.net
     if frozen.input_dim != stream.features.shape[1]:
@@ -218,6 +235,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     distance = 0.0
     elapsed = 0
     skipped = 0
+    finite_rows = np.isfinite(stream.features).all(axis=1).tolist()
     for sid in stream.sessions():
         states = net.zero_states()
         frozen_states = frozen.zero_states()
@@ -225,8 +243,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
         for t in stream.session_slice(sid):
             x = stream.features[t]
             y = stream.targets[t]
-            frozen_states, preds_frozen[t], _ = network_step(
+            new_frozen, preds_frozen[t], _ = network_step(
                 frozen, frozen_states, x)
+            if finite_rows[t]:
+                frozen_states = new_frozen
             loss_frozen[t] = huber(preds_frozen[t] - y, cfg.huber_delta)
             if cfg.lr > 0 and (cfg.freeze_after is None
                                or elapsed < cfg.freeze_after):
@@ -242,7 +262,9 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                     states, traces = new_states, new_traces
                     distance = anchor_distance(net.theta, anchor)
             else:
-                states, preds[t], _ = network_step(net, states, x)
+                new_states, preds[t], _ = network_step(net, states, x)
+                if finite_rows[t]:
+                    states = new_states
                 loss[t] = huber(preds[t] - y, cfg.huber_delta)
             dist[t] = distance
             elapsed += 1
@@ -273,11 +295,12 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
         total = metrics.total_loss
         rows.append({"kind": "lambda", "lambda_reg": lam, "freeze_after": "",
                      "total_loss": total,
-                     "mean_loss": total / metrics.loss.size,
+                     "mean_loss": metrics.mean_loss,
                      "final_anchor_distance": float(metrics.anchor_distance[-1])})
         if total < best_total:
             best_total, best_lambda = total, lam
         baseline_total = metrics.total_loss_frozen
+        baseline_mean = metrics.mean_loss_frozen
     for lam in (best_lambda, 0.0) if best_lambda != 0.0 else (0.0, 0.0):
         for freeze in FREEZE_GRID:
             metrics = cmd_finetune(ckpt, stream,
@@ -286,12 +309,12 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
             rows.append({"kind": "freeze", "lambda_reg": lam,
                          "freeze_after": freeze,
                          "total_loss": metrics.total_loss,
-                         "mean_loss": metrics.total_loss / metrics.loss.size,
+                         "mean_loss": metrics.mean_loss,
                          "final_anchor_distance":
                              float(metrics.anchor_distance[-1])})
     rows.append({"kind": "baseline", "lambda_reg": "", "freeze_after": "",
                  "total_loss": baseline_total,
-                 "mean_loss": baseline_total / stream.n_rows,
+                 "mean_loss": baseline_mean,
                  "final_anchor_distance": 0.0})
     return rows
 

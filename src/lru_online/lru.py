@@ -191,9 +191,19 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
     return net
 
 
-def layer_step(params: LruLayerParams, h_prev: np.ndarray,
-               u_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step. h_prev complex (..., n), u_t real (..., m).
+def layer_terms(params: LruLayerParams, u_t: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, gamma, B u_t) of one step for a float64 u_t of the layer's
+    input width; layer_step and the trace update of the same step share
+    them."""
+    bu = u_t @ (params.b_re.T + 1j * params.b_im.T)
+    return derive_lambda(params), derive_gamma(params), bu
+
+
+def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
+               terms: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One recurrence step. h_prev complex (..., n), u_t real (..., m);
+    `terms` is this step's layer_terms if they are already computed.
     Returns (h_t, y_t); y_t reflects u_t (the state has already absorbed it)."""
     u_t = np.asarray(u_t, dtype=np.float64)
     if u_t.shape[-1] != params.m:
@@ -202,51 +212,87 @@ def layer_step(params: LruLayerParams, h_prev: np.ndarray,
     if h_prev.shape[-1] != params.n:
         raise ContractViolationError(
             f"state width {h_prev.shape[-1]} != layer width {params.n}")
-    lam = derive_lambda(params)
-    gamma = derive_gamma(params)
-    bu = u_t @ (params.b_re.T + 1j * params.b_im.T)
+    lam, gamma, bu = layer_terms(params, u_t) if terms is None else terms
     h_t = lam * h_prev + gamma * bu
     y_t = h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T + u_t @ params.d.T
     return h_t, y_t
 
 
+def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
+                       h_0: np.ndarray | None = None) -> np.ndarray:
+    """h_t = lam * h_{t-1} + x_t along axis -2 of x (..., T, n), in place:
+    x holds h_0..h_{T-1} on return. lam (n,); h_0 (..., n), None for zero.
+
+    Two-level chunked form (the blocked algorithm of state space duality,
+    Dao & Gu 2024, for a diagonal transition): T is cut into C chunks of
+    L = isqrt(T) steps plus a tail of T - C*L < L steps. An L-step loop runs
+    the recurrence inside every chunk at once from a zero start, a C-step
+    loop carries the true state from chunk to chunk (carry_j =
+    lam^L * carry_{j-1} + last local state of chunk j-1), and an L-step loop
+    adds lam^(i+1) * carry_j to local step i of chunk j. The tail continues
+    step by step: about 3*sqrt(T) vectorized steps instead of T. x may be
+    a view; on a time-reversed view the recurrence runs backwards in time.
+    """
+    T, n = x.shape[-2:]
+    if h_0 is not None:
+        x[..., 0, :] += lam * h_0
+    L = max(1, math.isqrt(T))
+    C = T // L
+    # splitting one axis never copies, so writes to chunks land in x
+    chunks = x[..., :C * L, :].reshape(x.shape[:-2] + (C, L, n))
+    for i in range(1, L):
+        chunks[..., i, :] += lam * chunks[..., i - 1, :]
+    pows = np.cumprod(np.broadcast_to(lam, (L, n)), axis=0)   # lam^(i+1)
+    carry = np.zeros_like(chunks[..., 0, :])    # state entering chunk j
+    for j in range(1, C):
+        carry[..., j, :] = pows[-1] * carry[..., j - 1, :] + chunks[..., j - 1, -1, :]
+    for i in range(L):
+        chunks[..., 1:, i, :] += pows[i] * carry[..., 1:, :]
+    for t in range(C * L, T):
+        x[..., t, :] += lam * x[..., t - 1, :]
+    return x
+
+
+def _interleave(re: np.ndarray, im: np.ndarray, axis: int) -> np.ndarray:
+    """Real matrix whose `axis` alternates re and im entries (axis 1: columns
+    re[:, 0], im[:, 0], re[:, 1], ...; axis 0: rows). For a real x,
+    (x @ _interleave(R, I, 1)).view(complex128) is x @ (R + 1j*I); for a
+    complex z, z.view(float64) @ _interleave(R, I, 0) is Re(z) @ R + Im(z) @ I.
+    Both are one real matmul on contiguous memory."""
+    return np.stack([re, im], axis=axis + 1).reshape(
+        (-1, re.shape[1]) if axis == 0 else (re.shape[0], -1))
+
+
 def scan_forward(params: LruLayerParams, h_0: np.ndarray,
                  u_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-sequence forward via an associative parallel scan.
+    """Full-sequence forward via the chunked linear recurrence.
 
     u_seq real (..., T, m), h_0 complex (..., n). Returns (h_seq, y_seq) with
-    shapes (..., T, n) and (..., T, p), identical to T repeated layer_step
-    calls. The scan composes elements (a, b) -> h = a * h_prefix + b under
-    (a2, b2) o (a1, b1) = (a1*a2, a2*b1 + b2), giving log-depth evaluation.
+    shapes (..., T, n) and (..., T, p), equal to T repeated layer_step
+    calls up to rounding.
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
-    T = u_seq.shape[-2]
     lam = derive_lambda(params)
     gamma = derive_gamma(params)
-    bu = u_seq @ (params.b_re.T + 1j * params.b_im.T)      # (..., T, n)
-    b = gamma * bu
-    a = np.broadcast_to(lam, b.shape).astype(np.complex128).copy()
-    stride = 1
-    while stride < T:
-        # vectorized Hillis-Steele; RHS temporaries make the in-place safe
-        hi = (Ellipsis, slice(stride, None), slice(None))
-        lo = (Ellipsis, slice(None, -stride), slice(None))
-        b[hi] = a[hi] * b[lo] + b[hi]
-        a[hi] = a[hi] * a[lo]
-        stride *= 2
-    h_seq = b + a * np.asarray(h_0, dtype=np.complex128)[..., None, :]
-    y_seq = (h_seq.real @ params.c_re.T - h_seq.imag @ params.c_im.T
+    h_seq = (u_seq @ _interleave((gamma[:, None] * params.b_re).T,
+                                (gamma[:, None] * params.b_im).T, 1)
+             ).view(np.complex128)
+    _linear_recurrence(lam, h_seq, np.asarray(h_0, dtype=np.complex128))
+    y_seq = (h_seq.view(np.float64) @ _interleave(params.c_re.T, -params.c_im.T, 0)
              + u_seq @ params.d.T)
     return h_seq, y_seq
 
 
-def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
+def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
+                 terms: list | None = None
                  ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """One timestep through the stack; layer k's output feeds layer k+1
     within the same step. Returns (new states, prediction, each layer's
-    input at this step); the inputs feed the eligibility-trace updates."""
+    input at this step); the inputs feed the eligibility-trace updates.
+    If `terms` is a list, each layer's layer_terms are appended to it, so
+    the trace update of this step can reuse them."""
     if len(states) != net.depth:
         raise ContractViolationError(
             f"got {len(states)} states for a depth-{net.depth} network")
@@ -255,7 +301,11 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
     x = np.asarray(u_t, dtype=np.float64)
     for layer, h_prev in zip(net.layers, states):
         layer_inputs.append(x)
-        h, x = layer_step(layer, h_prev, x)
+        if terms is None:
+            h, x = layer_step(layer, h_prev, x)
+        else:
+            terms.append(layer_terms(layer, x))
+            h, x = layer_step(layer, h_prev, x, terms[-1])
         new_states.append(h)
     return new_states, x, layer_inputs
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bptt import TrainConfig, WindowBatch
 from .errors import ContractViolationError
-from .lru import (LruLayerParams, LruNetwork, derive_gamma, derive_lambda,
+from .lru import (LruLayerParams, LruNetwork, derive_gamma, layer_terms,
                   network_step)
 from .optim import AdamState, apply_update, huber, huber_grad
 
@@ -55,8 +55,10 @@ def reset_trace(net: LruNetwork) -> list[EligibilityTrace]:
 
 
 def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
-               trace_prev: EligibilityTrace) -> EligibilityTrace:
-    """Advance one layer's traces: J_t = lambda * J_{t-1} + immediate Jacobian."""
+               trace_prev: EligibilityTrace,
+               terms: tuple | None = None) -> EligibilityTrace:
+    """Advance one layer's traces: J_t = lambda * J_{t-1} + immediate Jacobian.
+    `terms` is this step's lru.layer_terms if the forward step computed them."""
     u_t = np.asarray(u_t, dtype=np.float64)
     if trace_prev.trace_b_re.shape != (params.n, params.m):
         raise ContractViolationError(
@@ -65,9 +67,7 @@ def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if u_t.shape[-1] != params.m:
         raise ContractViolationError(
             f"input width {u_t.shape[-1]} != layer input width {params.m}")
-    lam = derive_lambda(params)
-    gamma = derive_gamma(params)
-    bu = u_t @ (params.b_re.T + 1j * params.b_im.T)
+    lam, gamma, bu = layer_terms(params, u_t) if terms is None else terms
     dlam_dnu = -np.exp(params.nu) * lam
     dlam_dphase = 1j * np.exp(params.theta_phase) * lam
     return EligibilityTrace(
@@ -127,12 +127,16 @@ def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
 
 def step_traces(net: LruNetwork, states: list[np.ndarray],
                 layer_inputs: list[np.ndarray],
-                traces: list[EligibilityTrace]) -> list[EligibilityTrace]:
+                traces: list[EligibilityTrace],
+                terms: list | None = None) -> list[EligibilityTrace]:
     """Advance all layers' traces for one step. `states` are the pre-step
-    hidden states, `layer_inputs` the inputs each layer saw this step."""
-    return [trace_step(layer, h_prev, u, tr)
-            for layer, h_prev, u, tr
-            in zip(net.layers, states, layer_inputs, traces)]
+    hidden states, `layer_inputs` the inputs each layer saw this step, and
+    `terms` the per-layer lru.layer_terms that network_step collected
+    (recomputed when None)."""
+    terms = terms or [None] * net.depth
+    return [trace_step(layer, h_prev, u, tr, t)
+            for layer, h_prev, u, tr, t
+            in zip(net.layers, states, layer_inputs, traces, terms)]
 
 
 def online_step(net: LruNetwork, states: list[np.ndarray],
@@ -146,8 +150,9 @@ def online_step(net: LruNetwork, states: list[np.ndarray],
 
     Returns (new states, new traces, prediction, loss, flat gradient).
     """
-    new_states, y_hat, layer_inputs = network_step(net, states, u_t)
-    traces = step_traces(net, states, layer_inputs, traces)
+    terms = []
+    new_states, y_hat, layer_inputs = network_step(net, states, u_t, terms)
+    traces = step_traces(net, states, layer_inputs, traces, terms)
     resid = y_hat - y_t
     grads = online_gradient(net, traces, new_states, layer_inputs,
                             huber_grad(resid, delta))

@@ -8,6 +8,7 @@ from lru_online.bptt import (TrainConfig, WindowBatch, bptt_gradient,
 from lru_online.datapipe import SequenceData
 from lru_online.errors import ConfigurationError
 from lru_online.lru import init_network
+from lru_online.rtrl import window_gradient
 
 
 def make_data(session_lengths, m=3, p=2, seed=0):
@@ -21,7 +22,40 @@ def make_data(session_lengths, m=3, p=2, seed=0):
                         timestamps=np.arange(n, dtype=np.float64))
 
 
+def sample_windows_reference(data, T, batch, rng):
+    """The per-window copy loop sample_windows replaced (same draws)."""
+    sessions = data.sessions()
+    spans = [(data.session_slice(s)[0], data.session_slice(s).size - T + 1)
+             for s in sessions]
+    cum = np.cumsum([c for _, c in spans])
+    draws = rng.integers(0, cum[-1], size=batch)
+    which = np.searchsorted(cum, draws, side="right")
+    inputs = np.empty((batch, T, data.features.shape[1]))
+    targets = np.empty((batch, T, data.targets.shape[1]))
+    sids = np.empty(batch, dtype=np.int64)
+    for b in range(batch):
+        s = which[b]
+        start = spans[s][0] + (draws[b] - (cum[s - 1] if s else 0))
+        inputs[b] = data.features[start:start + T]
+        targets[b] = data.targets[start:start + T]
+        sids[b] = sessions[s]
+    return inputs, targets, sids
+
+
 class TestSampleWindows:
+    @pytest.mark.parametrize("lengths, T", [([10], 10), ([100, 50], 20),
+                                            ([30, 7, 64, 12], 7)])
+    def test_matches_per_window_loop(self, lengths, T):
+        data = make_data(lengths, seed=len(lengths))
+        got = sample_windows(data, T, 64, np.random.default_rng(5))
+        inputs, targets, sids = sample_windows_reference(
+            data, T, 64, np.random.default_rng(5))
+        assert np.array_equal(got.inputs, inputs)
+        assert np.array_equal(got.targets, targets)
+        assert np.array_equal(got.session_ids, sids)
+        assert got.session_ids.dtype == np.int64
+
+
     def test_single_possible_window(self):
         data = make_data([10])
         batch = sample_windows(data, T=10, batch=4, rng=0)
@@ -83,6 +117,15 @@ class TestBpttGradient:
         fd = finite_difference_grads(net, batch)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
 
+    def test_finite_differences_depth2_ragged_chunks(self, rng):
+        """T = 23 is 5 chunks of isqrt(23) = 4 steps plus a 3-step tail, in
+        the forward scan and in the reversed adjoint."""
+        net = small_random_net(rng, m=2, n=4, p=2, depth=2)
+        batch = random_batch(rng, net, T=23, batch=2)
+        _, grads = bptt_gradient(net, batch)
+        fd = finite_difference_grads(net, batch)
+        assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
+
     def test_batch_reduction_matches_mean_of_singles(self, rng):
         net = small_random_net(rng, m=3, n=5, p=2)
         batch = random_batch(rng, net, T=16, batch=4)
@@ -94,6 +137,27 @@ class TestBpttGradient:
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
         mean = np.mean([s[1] for s in singles], axis=0)
         assert np.allclose(grads, mean, atol=1e-12)
+
+
+    def test_depth2_rtrl_gap_pinned(self):
+        """Depth-2 RTRL drops the cross-layer temporal terms, so on the
+        lower layer it only approximates BPTT. Pin the per-block cosine
+        just below its current value on a fixed 200-step window so that
+        the gap cannot silently widen; the top layer is exact."""
+        net = init_network(4, (8, 8), 3, r_min=0.4, r_max=0.95, seed=0)
+        batch = random_batch(np.random.default_rng(0), net, T=200)
+        _, g_bptt = bptt_gradient(net, batch)
+        _, g_rtrl = window_gradient(net, batch.inputs[0], batch.targets[0])
+        lower_b, top_b = net.unflatten(g_bptt)
+        lower_r, top_r = net.unflatten(g_rtrl)
+        floor = {"nu": 0.90, "theta_phase": 0.98, "gamma_log": 0.82,
+                 "b_re": 0.90, "b_im": 0.64, "c_re": 0.82, "c_im": 0.83,
+                 "d": 0.70}
+        for name, bound in floor.items():
+            a, b = lower_b[name].ravel(), lower_r[name].ravel()
+            cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert cos > bound, (name, cos)
+            assert max_rel_error(top_r[name], top_b[name], floor=1e-6) < 1e-8
 
 
 class TestTrain:

@@ -118,7 +118,8 @@ class TestCheckpoint:
     def test_reads_checkpoint_of_first_format_version(self, tmp_path):
         """A depth-1 checkpoint with optimizer state, written before the
         parameters became one flat vector, re-saves byte-identically and
-        still predicts bitwise what it predicted then."""
+        still predicts what it predicted then, up to the rounding of the
+        full-sequence recurrence (acceptance 03's bound)."""
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
         assert ckpt.optimizer.m.shape == ckpt.net.theta.shape
         save_checkpoint(ckpt, tmp_path / "again.json")
@@ -130,7 +131,8 @@ class TestCheckpoint:
                             timestamps=ref["timestamps"])
         assert len(data.sessions()) == 2
         preds = cmd_evaluate(ckpt, data)["predictions"]
-        assert np.array_equal(preds, ref["predictions"])
+        scale = max(1.0, np.abs(ref["predictions"]).max())
+        assert np.abs(preds - ref["predictions"]).max() <= 1e-10 * scale
 
 
 class TestFinetune:
@@ -235,6 +237,55 @@ class TestFinetune:
         # theta stays finite and is not moved by the skipped step
         assert np.isfinite(metrics.anchor_distance).all()
         assert metrics.anchor_distance[10] == metrics.anchor_distance[9]
+
+    @staticmethod
+    def _depth1_stream_with_nan(row):
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        features = ref["features"].copy()
+        features[row, 0] = np.nan
+        data = SequenceData(features=features, targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        return ckpt, data
+
+    def test_nonfinite_row_keeps_frozen_states(self):
+        """A NaN feature row leaves the frozen states at their pre-step
+        values: later frozen losses and the summary totals stay finite, and
+        the step itself is counted, not summed."""
+        ckpt, data = self._depth1_stream_with_nan(10)
+        metrics = cmd_finetune(ckpt, data, FinetuneConfig(lambda_reg=0.01))
+        assert np.isnan(metrics.loss_frozen[10])
+        assert np.isfinite(metrics.loss_frozen[11:]).all()
+        s = metrics.summary()
+        assert s["nonfinite_steps"] == 1
+        for key in ("total_loss_finetuned", "total_loss_frozen",
+                    "mean_loss_finetuned", "mean_loss_frozen"):
+            assert np.isfinite(s[key]), key
+        keep = np.arange(metrics.loss.size) != 10
+        assert s["total_loss_frozen"] == pytest.approx(
+            metrics.loss_frozen[keep].sum())
+        assert s["mean_loss_finetuned"] == pytest.approx(
+            metrics.loss[keep].mean())
+        # the frozen run continues as if the row had not been there
+        idx = np.arange(11, 20)
+        clean = cmd_finetune(ckpt, SequenceData(
+            features=np.delete(data.features, 10, axis=0),
+            targets=np.delete(data.targets, 10, axis=0),
+            session_ids=np.delete(data.session_ids, 10),
+            timestamps=np.delete(data.timestamps, 10)), FinetuneConfig(lr=0))
+        assert np.array_equal(metrics.predictions_frozen[idx],
+                              clean.predictions_frozen[idx - 1])
+
+    def test_nonfinite_row_after_freeze_keeps_states(self):
+        ckpt, data = self._depth1_stream_with_nan(30)
+        metrics = cmd_finetune(ckpt, data,
+                               FinetuneConfig(lambda_reg=0.01, freeze_after=20))
+        assert metrics.skipped_updates == 0
+        assert np.isnan(metrics.loss[30])
+        assert np.isfinite(metrics.loss[31:]).all()
+        assert np.isfinite(metrics.loss_frozen[31:]).all()
+        assert metrics.summary()["nonfinite_steps"] == 1
 
 
 class TestPretrain:

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lru_online.errors import ConfigurationError, ContractViolationError
-from lru_online.lru import (LruLayerParams, LruNetwork, derive_gamma,
-                            derive_lambda, init_layer, init_network,
-                            layer_step, network_scan, network_step,
-                            scan_forward)
+from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
+                            derive_gamma, derive_lambda, init_layer,
+                            init_network, layer_step, network_scan,
+                            network_step, scan_forward)
 
 
 def make_layer(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d):
@@ -165,6 +165,62 @@ class TestScanForward:
         for b in range(3):
             hb, yb = scan_forward(layer, h0[b], u[b])
             assert np.allclose(h_seq[b], hb) and np.allclose(y_seq[b], yb)
+
+
+def sequential_recurrence(lam, x, h_0):
+    """Reference: h_t = lam * h_{t-1} + x_t, one step at a time."""
+    h = np.empty_like(x)
+    prev = h_0
+    for t in range(x.shape[-2]):
+        prev = lam * prev + x[..., t, :]
+        h[..., t, :] = prev
+    return h
+
+
+class TestLinearRecurrence:
+    """The chunked primitive against a plain loop. T covers one and two
+    steps, T just below, at and just above a square (the chunk length
+    isqrt(T) steps up there and the tail after the last chunk is empty or
+    one step) and a full 3601-step session."""
+
+    @staticmethod
+    def _case(rng, lead, T, mag, n=6):
+        lam = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        x = (rng.standard_normal(lead + (T, n))
+             + 1j * rng.standard_normal(lead + (T, n)))
+        h_0 = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        return lam, x, h_0
+
+    @staticmethod
+    def _rel_err(got, ref):
+        return np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("T", [1, 2, 15, 16, 17, 63, 64, 65, 3601])
+    @pytest.mark.parametrize("lead", [(), (1,), (3, 2)])
+    @pytest.mark.parametrize("mag", [0.9999, 1e-3])
+    def test_forward_matches_loop(self, T, lead, mag, rng):
+        lam, x, h_0 = self._case(rng, lead, T, mag)
+        ref = sequential_recurrence(lam, x, h_0)
+        got = x.copy()
+        assert _linear_recurrence(lam, got, h_0) is got
+        assert self._rel_err(got, ref) < 1e-12
+
+    @pytest.mark.parametrize("T", [1, 2, 15, 16, 17, 63, 64, 65, 3601])
+    @pytest.mark.parametrize("lead", [(), (1,), (3, 2)])
+    @pytest.mark.parametrize("mag", [0.9999, 1e-3])
+    def test_reverse_matches_loop(self, T, lead, mag, rng):
+        """On a time-reversed view it runs s_t = x_t + lam * s_{t+1}
+        backwards, in place in the original array."""
+        lam, x, h_0 = self._case(rng, lead, T, mag)
+        ref = sequential_recurrence(lam, x[..., ::-1, :], h_0)[..., ::-1, :]
+        got = x.copy()
+        _linear_recurrence(lam, got[..., ::-1, :], h_0)
+        assert self._rel_err(got, ref) < 1e-12
+
+    def test_zero_start_by_default(self, rng):
+        lam, x, _ = self._case(rng, (2,), 40, 0.9)
+        ref = sequential_recurrence(lam, x, np.zeros((2, 6), complex))
+        assert self._rel_err(_linear_recurrence(lam, x.copy()), ref) < 1e-12
 
 
 class TestNetworkForward:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.lru import (LruNetwork, derive_gamma, derive_lambda,
                             init_network, network_step)
-from lru_online.optim import huber_grad
-from lru_online.rtrl import (EligibilityTrace, online_gradient, reset_trace,
-                             step_traces, trace_step, window_gradient)
+from lru_online.optim import AdamState, apply_update, huber_grad
+from lru_online.rtrl import (EligibilityTrace, online_gradient, online_step,
+                             reset_trace, step_traces, trace_step,
+                             window_gradient)
 
 
 class TestResetTrace:
@@ -174,3 +177,44 @@ class TestOnlineGradient:
             traces = step_traces(net, states, li, traces)
             states = new_states
             assert [tr.trace_b_re.shape for tr in traces] == shapes
+
+
+ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
+
+
+def run_reference_stream(steps=40):
+    """A fixed depth-2 stream through online_step + apply_update; returns
+    every step's prediction, loss and gradient, the final states and
+    traces, and the final parameters."""
+    net = init_network(3, (5, 4), 2, seed=6)
+    rng = np.random.default_rng(2024)
+    inputs = rng.standard_normal((steps, 3))
+    targets = rng.standard_normal((steps, 2))
+    adam = AdamState.init(net.theta, lr=1e-2)
+    states, traces = net.zero_states(), reset_trace(net)
+    out = {"preds": [], "losses": [], "grads": []}
+    for u_t, y_t in zip(inputs, targets):
+        states, traces, y_hat, loss, grads = online_step(net, states, traces,
+                                                         u_t, y_t)
+        apply_update(net.theta, grads, adam, 0.5)
+        out["preds"].append(y_hat)
+        out["losses"].append(loss)
+        out["grads"].append(grads)
+    out = {k: np.asarray(v) for k, v in out.items()}
+    for k, (h, tr) in enumerate(zip(states, traces)):
+        out[f"state_{k}"] = h
+        for name, arr in vars(tr).items():
+            out[f"{name}_{k}"] = arr
+    out["theta"] = net.theta
+    return out
+
+
+def test_online_step_matches_reference_stream():
+    """online_step is bitwise what it was before the forward pass handed
+    lambda, gamma and B u to the trace update (reference written by
+    run_reference_stream with the earlier code)."""
+    ref = np.load(ONLINE_REF)
+    got = run_reference_stream()
+    assert sorted(got) == sorted(ref.files)
+    for key in ref.files:
+        assert np.array_equal(got[key], ref[key]), key
