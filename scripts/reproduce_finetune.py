@@ -41,9 +41,9 @@ def main():
     ckpt = str(out / "pretrain" / "checkpoint.json")
     run(["finetune", "--data", str(data), "--checkpoint", ckpt,
          "--run-dir", str(out / "finetune"),
-         "--lambda-reg", str(args.lambda_reg), "--seed", str(args.seed)])
+         "--lambda-reg", str(args.lambda_reg)])
     run(["ablate", "--data", str(data), "--checkpoint", ckpt,
-         "--run-dir", str(out / "ablate"), "--seed", str(args.seed)])
+         "--run-dir", str(out / "ablate")])
     print(f"done; see {out}/finetune/summary.json and {out}/ablate/ablation.csv")
 
 

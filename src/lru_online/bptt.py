@@ -34,7 +34,6 @@ class TrainConfig:
     window: int = 256
     seed: int = 0
     eval_every: int = 250
-    huber_delta: float = 1.0
 
 
 @dataclass
@@ -51,42 +50,43 @@ def sample_windows(data: SequenceData, T: int, batch: int,
     contribute proportionally to their available window count."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    sessions = data.sessions()
-    first, counts = [], []
-    for sid in sessions:
-        idx = data.session_slice(sid)
-        if idx.size < T:
-            raise ConfigurationError(
-                f"window length {T} exceeds session {sid} length {idx.size}")
-        first.append(idx[0])
-        counts.append(idx.size - T + 1)
+    # rows of a session are contiguous: a session starts where the id changes
+    ids = data.session_ids
+    first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    sizes = np.diff(np.r_[first, ids.size])
+    short = np.flatnonzero(sizes < T)
+    if short.size:
+        s = short[0]
+        raise ConfigurationError(
+            f"window length {T} exceeds session {ids[first[s]]} length {sizes[s]}")
+    counts = sizes - T + 1
     cum = np.cumsum(counts)
     draws = rng.integers(0, cum[-1], size=batch)
     which = np.searchsorted(cum, draws, side="right")
-    starts = np.asarray(first)[which] + draws - (cum - counts)[which]
+    starts = first[which] + draws - (cum - counts)[which]
     rows = starts[:, None] + np.arange(T)                # (batch, T)
     return WindowBatch(inputs=data.features[rows], targets=data.targets[rows],
                        window=T,
-                       session_ids=np.asarray(sessions, dtype=np.int64)[which])
+                       session_ids=ids[starts].astype(np.int64))
 
 
-def bptt_gradient(net: LruNetwork, batch: WindowBatch,
-                  delta: float = 1.0) -> tuple[float, np.ndarray]:
-    """Mean per-step Huber loss over the batch and its exact full-unroll
-    gradient (flat, laid out like net.theta), computed by hand-rolled
-    reverse mode (the stack is linear, so the complex adjoint recursion
-    s_t = a_t + lambda * s_{t+1} suffices; it runs through the same chunked
-    recurrence as the forward scan). The contractions over (batch, time)
-    are real matmuls on float64 views of the complex arrays."""
+def bptt_gradient(net: LruNetwork,
+                  batch: WindowBatch) -> tuple[float, np.ndarray]:
+    """Mean per-step Huber loss (delta 1) over the batch and its exact
+    full-unroll gradient (flat, laid out like net.theta), computed by
+    hand-rolled reverse mode (the stack is linear, so the complex adjoint
+    recursion s_t = a_t + lambda * s_{t+1} suffices; it runs through the
+    same chunked recurrence as the forward scan). The contractions over
+    (batch, time) are real matmuls on float64 views of the complex arrays."""
     inputs = np.asarray(batch.inputs, dtype=np.float64)
     targets = np.asarray(batch.targets, dtype=np.float64)
     layer_inputs, layer_states, preds = network_scan(net, inputs)
     resid = preds - targets
-    loss = huber(resid, delta)
+    loss = huber(resid)
     if not np.isfinite(loss):
         bad = np.nonzero(~np.isfinite(resid).all(axis=(1, 2)))[0]
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
-    down = huber_grad(resid, delta)                  # (B, T, p)
+    down = huber_grad(resid)                         # (B, T, p)
     grads = np.empty_like(net.theta)
     blocks = net.unflatten(grads)
     for k in range(net.depth - 1, -1, -1):
@@ -129,13 +129,13 @@ def bptt_gradient(net: LruNetwork, batch: WindowBatch,
     return loss, grads
 
 
-def evaluate(net: LruNetwork, data: SequenceData, delta: float = 1.0) -> float:
+def evaluate(net: LruNetwork, data: SequenceData) -> float:
     """Mean per-step Huber loss over full sessions from zero initial state."""
     total, count = 0.0, 0
     for sid in data.sessions():
         idx = data.session_slice(sid)
         _, _, preds = network_scan(net, data.features[idx])
-        total += huber(preds - data.targets[idx], delta) * idx.size
+        total += huber(preds - data.targets[idx]) * idx.size
         count += idx.size
     return total / count
 
@@ -143,7 +143,7 @@ def evaluate(net: LruNetwork, data: SequenceData, delta: float = 1.0) -> float:
 def bptt_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
               cfg: TrainConfig) -> float:
     """One Adam update on the batch's exact BPTT gradient."""
-    loss, grads = bptt_gradient(net, batch, cfg.huber_delta)
+    loss, grads = bptt_gradient(net, batch)
     apply_update(net.theta, grads, adam, cfg.clip)
     return loss
 
@@ -176,7 +176,7 @@ def train(net: LruNetwork, train_data: SequenceData,
             break
         val_loss = float("nan")
         if val_data is not None and (i % cfg.eval_every == 0 or i == cfg.steps):
-            val_loss = evaluate(net, val_data, cfg.huber_delta)
+            val_loss = evaluate(net, val_data)
             if val_loss < best_val:
                 best_val = val_loss
                 best = net.theta.copy()

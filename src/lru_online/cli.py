@@ -271,7 +271,6 @@ def _do_impute_bench(args) -> int:
 def _add_common(p):
     p.add_argument("--out", default="runs", help="parent directory for runs")
     p.add_argument("--run-dir", default=None, help="exact run directory")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_gen_flags(p):
@@ -320,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="offline training (BPTT or RTRL)")
     _add_common(p)
     _add_data_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trainer", choices=["bptt", "rtrl"], default="bptt")
     p.add_argument("--layers", default="16", help="comma list, e.g. 16 or 16,16")
     p.add_argument("--steps", type=int, default=5000)
@@ -340,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="hyperparameter grid")
     _add_common(p)
     _add_data_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", default="8;16;8,8;16,16;8,8,8",
                    help="semicolon-separated layer tuples")
     p.add_argument("--lrs", default="1e-2,1e-3,1e-4")
@@ -375,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impute-bench", help="rolling-median vs KNN imputation")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     _add_gen_flags(p)
     p.add_argument("--mask-rate", type=float, default=0.2)
     p.add_argument("--window", type=int, default=5)

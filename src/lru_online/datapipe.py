@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +30,7 @@ TARGET_COLUMNS = ["no_ppm", "no2_ppm", "nox_ppm", "co2_pct", "co_ppm"]
 EMISSION_FEATURES = ["engine_rpm", "fuel_lph", "coolant_c", "speed_kmh",
                      "fuel_econ_kmpl"]
 WEATHER_HEADER = ["timestamp_hour", "temp_c", "precip_mm", "conditions"]
+SESSION_GAP_S = 60.0   # a longer gap between consecutive rows starts a session
 
 
 # -------------------------------------------------------------------- tables
@@ -128,8 +129,8 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
         raise SchemaError(f"unparseable value {raw!r} at row {row}, column {col!r}")
 
 
-def load_emission_csv(path, session_gap: float = 60.0) -> SeriesTable:
-    """Read the 11-column emission CSV. Gaps > session_gap seconds between
+def load_emission_csv(path) -> SeriesTable:
+    """Read the 11-column emission CSV. Gaps > SESSION_GAP_S seconds between
     consecutive rows start a new session. Missing rows stay missing (no grid
     materialization here; see resample_to_grid)."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -162,7 +163,7 @@ def load_emission_csv(path, session_gap: float = 60.0) -> SeriesTable:
     data = data[order]
     ts = data[:, 0]
     gaps = np.diff(ts)
-    session_ids = np.concatenate([[0], np.cumsum(gaps > session_gap)]).astype(np.int64)
+    session_ids = np.concatenate([[0], np.cumsum(gaps > SESSION_GAP_S)]).astype(np.int64)
     dup = np.nonzero((gaps == 0) & (np.diff(session_ids) == 0))[0]
     if dup.size:
         i = int(dup[0])
@@ -227,8 +228,8 @@ def join_weather(table: SeriesTable, weather: WeatherTable) -> SeriesTable:
 
 # ---------------------------------------------------------------- resampling
 
-def resample_to_grid(table: SeriesTable, step: float = 1.0) -> SeriesTable:
-    """Expand every session to a regular grid between its first and last
+def resample_to_grid(table: SeriesTable) -> SeriesTable:
+    """Expand every session to the 1 s grid between its first and last
     timestamp. Grid points without a source row become all-missing rows."""
     ts_parts, sid_parts = [], []
     col_parts: dict[str, list[np.ndarray]] = {c: [] for c in table.columns}
@@ -236,9 +237,9 @@ def resample_to_grid(table: SeriesTable, step: float = 1.0) -> SeriesTable:
         idx = table.session_indices(sid)
         ts = table.timestamps[idx]
         t0 = ts[0]
-        n_grid = int(round((ts[-1] - t0) / step)) + 1
-        grid = t0 + np.arange(n_grid) * step
-        pos = np.rint((ts - t0) / step).astype(np.int64)
+        n_grid = int(round(ts[-1] - t0)) + 1
+        grid = t0 + np.arange(n_grid, dtype=np.float64)
+        pos = np.rint(ts - t0).astype(np.int64)
         ts_parts.append(grid)
         sid_parts.append(np.full(n_grid, sid, dtype=np.int64))
         for name, vals in table.columns.items():
@@ -326,16 +327,13 @@ def impute_rolling_median(table: SeriesTable, w: int = 5) -> SeriesTable:
     return out
 
 
-def impute_knn(table: SeriesTable, k: int = 20,
-               weighting: str = "uniform") -> SeriesTable:
+def impute_knn(table: SeriesTable, k: int = 20) -> SeriesTable:
     """Comparison baseline: each missing cell is filled with the uniform mean
     of the column over the k nearest rows. Distance is Euclidean over numeric
     columns observed in both rows (excluding the column being filled), scaled
     by n_cols/n_observed so partial distances compare fairly."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    if weighting != "uniform":
-        raise ConfigurationError(f"unsupported weighting {weighting!r}")
     out = table.copy()
     names = table.numeric_columns()
     X = np.column_stack([out.columns[c] for c in names])
@@ -398,18 +396,7 @@ class FittedPipeline:
     feature_names: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "numeric_columns": self.numeric_columns,
-            "numeric_mean": self.numeric_mean,
-            "numeric_scale": self.numeric_scale,
-            "categorical_columns": self.categorical_columns,
-            "vocabularies": self.vocabularies,
-            "target_columns": self.target_columns,
-            "target_mean": self.target_mean,
-            "target_scale": self.target_scale,
-            "window": self.window,
-            "feature_names": self.feature_names,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPipeline":

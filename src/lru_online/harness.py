@@ -142,7 +142,6 @@ class FinetuneConfig:
     freeze_after: int | None = None   # 0 = never update, None = no freeze
     lr: float = 1e-3
     clip: float | None = 0.5
-    huber_delta: float = 1.0
     squared_anchor: bool = False
     carry_optimizer: bool = False
 
@@ -247,11 +246,11 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                 frozen, frozen_states, x)
             if finite_rows[t]:
                 frozen_states = new_frozen
-            loss_frozen[t] = huber(preds_frozen[t] - y, cfg.huber_delta)
+            loss_frozen[t] = huber(preds_frozen[t] - y)
             if cfg.lr > 0 and (cfg.freeze_after is None
                                or elapsed < cfg.freeze_after):
                 new_states, new_traces, preds[t], loss[t], grads = \
-                    online_step(net, states, traces, x, y, cfg.huber_delta)
+                    online_step(net, states, traces, x, y)
                 try:
                     apply_update(net.theta, grads, adam, cfg.clip, anchor)
                 except TrainingError:
@@ -265,7 +264,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                 new_states, preds[t], _ = network_step(net, states, x)
                 if finite_rows[t]:
                     states = new_states
-                loss[t] = huber(preds[t] - y, cfg.huber_delta)
+                loss[t] = huber(preds[t] - y)
             dist[t] = distance
             elapsed += 1
     return RunMetrics(timestamps=stream.timestamps.copy(),
@@ -321,8 +320,7 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
 
 # --------------------------------------------------------------- evaluation
 
-def cmd_evaluate(ckpt: Checkpoint, data: SequenceData,
-                 huber_delta: float = 1.0) -> dict:
+def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
     """Frozen full-sequence prediction with per-target MSE and Huber totals;
     also returns the per-step prediction/target arrays for plotting."""
     net = ckpt.net
@@ -339,8 +337,8 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData,
     names = data.target_names or [f"target_{i}" for i in range(resid.shape[1])]
     return {
         "per_target_mse": {n: float(v) for n, v in zip(names, per_target_mse)},
-        "huber_mean": huber(resid, huber_delta),
-        "huber_total": huber(resid, huber_delta) * resid.shape[0],
+        "huber_mean": huber(resid),
+        "huber_total": huber(resid) * resid.shape[0],
         "predictions": preds,
         "targets": data.targets,
         "timestamps": data.timestamps,

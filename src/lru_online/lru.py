@@ -132,10 +132,8 @@ class LruNetwork:
         """An independent network with its own copy of theta."""
         return LruNetwork(self.layers)
 
-    def zero_states(self, batch: int | None = None) -> list[np.ndarray]:
-        if batch is None:
-            return [np.zeros(layer.n, dtype=np.complex128) for layer in self.layers]
-        return [np.zeros((batch, layer.n), dtype=np.complex128) for layer in self.layers]
+    def zero_states(self) -> list[np.ndarray]:
+        return [np.zeros(layer.n, dtype=np.complex128) for layer in self.layers]
 
 
 def derive_lambda(params: LruLayerParams) -> np.ndarray:
@@ -150,9 +148,9 @@ def derive_gamma(params: LruLayerParams) -> np.ndarray:
 
 
 def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
-               max_phase: float = np.pi / 10, seed: int = 0) -> LruLayerParams:
+               seed: int = 0) -> LruLayerParams:
     """Random init: |lambda| uniform on the ring [r_min, r_max] (by area),
-    phase uniform in [0, max_phase], gamma = sqrt(1 - |lambda|^2),
+    phase uniform in [0, pi/10], gamma = sqrt(1 - |lambda|^2),
     B, C gaussian with 1/sqrt(fan_in) scaling, D zero.
     """
     if not (0.0 < r_min <= r_max < 1.0):
@@ -163,7 +161,7 @@ def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
     r2 = u * (r_max ** 2 - r_min ** 2) + r_min ** 2
     # invert |lambda| = exp(-exp(nu)):  nu = log(-log|lambda|) = log(-0.5*log r2)
     nu = np.log(-0.5 * np.log(r2))
-    phase = rng.random(n) * max_phase
+    phase = rng.random(n) * (np.pi / 10)
     # phases of exactly zero cannot be log-parameterized; nudge away from 0
     phase = np.maximum(phase, 1e-8)
     theta_phase = np.log(phase)
@@ -310,23 +308,21 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
     return new_states, x, layer_inputs
 
 
-def network_scan(net: LruNetwork, u_seq: np.ndarray,
-                 states: list[np.ndarray] | None = None
+def network_scan(net: LruNetwork, u_seq: np.ndarray
                  ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Full-sequence forward through the stack via per-layer scans.
+    """Full-sequence forward through the stack via per-layer scans, from
+    zero initial states.
 
     Returns (per-layer input sequences, per-layer state sequences, predictions).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
-    if states is None:
-        lead = u_seq.shape[:-2]
-        states = [np.zeros(lead + (layer.n,), dtype=np.complex128)
-                  for layer in net.layers]
+    lead = u_seq.shape[:-2]
     layer_inputs = []
     layer_states = []
     x = u_seq
-    for layer, h0 in zip(net.layers, states):
+    for layer in net.layers:
         layer_inputs.append(x)
+        h0 = np.zeros(lead + (layer.n,), dtype=np.complex128)
         h_seq, x = scan_forward(layer, h0, x)
         layer_states.append(h_seq)
     return layer_inputs, layer_states, x

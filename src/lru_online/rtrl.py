@@ -3,8 +3,8 @@
 Each layer keeps eligibility traces: the total derivative of its hidden
 state w.r.t. its own recurrent-path parameters. Because the recurrence is
 diagonal, dh_t/dh_{t-1} = diag(lambda) and every trace update is an
-elementwise multiply-add; total trace memory is Theta(n*m + n) per layer,
-independent of stream length.
+elementwise multiply-add; total trace memory is 3n + n*m complex entries
+per layer, independent of stream length.
 
 Gradient extraction convention: for a real parameter with complex trace
 z = dh/dtheta, the loss gradient is Re[a * z] where a = C^T dL/dy is the
@@ -29,13 +29,14 @@ from .optim import AdamState, apply_update, huber, huber_grad
 class EligibilityTrace:
     """Per-layer complex traces dh_j/dtheta for the recurrent-path blocks.
 
-    C and D never need traces: they act on the state instantaneously.
+    C and D never need traces: they act on the state instantaneously. The
+    trace of b_im is 1j * trace_b_re: both start at zero, share lambda,
+    and their immediate terms are gamma*u and 1j*gamma*u.
     """
     trace_nu: np.ndarray       # (n,)
     trace_phase: np.ndarray    # (n,)
     trace_gamma: np.ndarray    # (n,)
     trace_b_re: np.ndarray     # (n, m)
-    trace_b_im: np.ndarray     # (n, m)
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "EligibilityTrace":
@@ -44,7 +45,6 @@ class EligibilityTrace:
             trace_phase=np.zeros(n, dtype=np.complex128),
             trace_gamma=np.zeros(n, dtype=np.complex128),
             trace_b_re=np.zeros((n, m), dtype=np.complex128),
-            trace_b_im=np.zeros((n, m), dtype=np.complex128),
         )
 
 
@@ -75,8 +75,6 @@ def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
         trace_phase=lam * trace_prev.trace_phase + dlam_dphase * h_prev,
         trace_gamma=lam * trace_prev.trace_gamma + gamma * bu,
         trace_b_re=lam[:, None] * trace_prev.trace_b_re + gamma[:, None] * u_t[None, :],
-        trace_b_im=(lam[:, None] * trace_prev.trace_b_im
-                    + 1j * gamma[:, None] * u_t[None, :]),
     )
 
 
@@ -114,8 +112,10 @@ def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
         out["nu"][...] = np.real(a * tr.trace_nu)
         out["theta_phase"][...] = np.real(a * tr.trace_phase)
         out["gamma_log"][...] = np.real(a * tr.trace_gamma)
-        out["b_re"][...] = np.real(a[:, None] * tr.trace_b_re)
-        out["b_im"][...] = np.real(a[:, None] * tr.trace_b_im)
+        # Re[a * 1j * trace_b_re] = -Im[a * trace_b_re]
+        ab = a[:, None] * tr.trace_b_re
+        out["b_re"][...] = ab.real
+        out["b_im"][...] = -ab.imag
         np.multiply(g[:, None], h.real, out=out["c_re"])
         np.multiply(g[:, None], -h.imag, out=out["c_im"])
         np.multiply(g[:, None], u, out=out["d"])
@@ -141,7 +141,7 @@ def step_traces(net: LruNetwork, states: list[np.ndarray],
 
 def online_step(net: LruNetwork, states: list[np.ndarray],
                 traces: list[EligibilityTrace], u_t: np.ndarray,
-                y_t: np.ndarray, delta: float = 1.0
+                y_t: np.ndarray
                 ) -> tuple[list[np.ndarray], list[EligibilityTrace],
                            np.ndarray, float, np.ndarray]:
     """One RTRL step: forward, trace update, and the gradient of this step's
@@ -155,12 +155,12 @@ def online_step(net: LruNetwork, states: list[np.ndarray],
     traces = step_traces(net, states, layer_inputs, traces, terms)
     resid = y_hat - y_t
     grads = online_gradient(net, traces, new_states, layer_inputs,
-                            huber_grad(resid, delta))
-    return new_states, traces, y_hat, huber(resid, delta), grads
+                            huber_grad(resid))
+    return new_states, traces, y_hat, huber(resid), grads
 
 
-def window_gradient(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray,
-                    delta: float = 1.0) -> tuple[float, np.ndarray]:
+def window_gradient(net: LruNetwork, inputs: np.ndarray,
+                    targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Run RTRL over one window from zero state/traces, accumulating the
     per-step gradients. Returns the mean per-step Huber loss and its
     gradient, normalized like bptt_gradient so the two can be compared
@@ -172,7 +172,7 @@ def window_gradient(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray,
     for u_t, y_t in zip(np.asarray(inputs, dtype=np.float64),
                         np.asarray(targets, dtype=np.float64)):
         states, traces, _, loss, g = online_step(net, states, traces,
-                                                 u_t, y_t, delta)
+                                                 u_t, y_t)
         total_loss += loss
         grads += g
     T = len(inputs)
@@ -185,8 +185,7 @@ def rtrl_window_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
                      cfg: TrainConfig) -> float:
     """Training step for bptt.train: one Adam update per window, on the
     window's accumulated RTRL gradient. Uses the batch's first window."""
-    loss, grads = window_gradient(net, batch.inputs[0], batch.targets[0],
-                                  cfg.huber_delta)
+    loss, grads = window_gradient(net, batch.inputs[0], batch.targets[0])
     apply_update(net.theta, grads, adam, cfg.clip)
     return loss
 
@@ -200,7 +199,7 @@ def rtrl_stream_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
     total = 0.0
     for u_t, y_t in zip(batch.inputs[0], batch.targets[0]):
         states, traces, _, loss, grads = online_step(net, states, traces,
-                                                     u_t, y_t, cfg.huber_delta)
+                                                     u_t, y_t)
         apply_update(net.theta, grads, adam, cfg.clip)
         total += loss
     return total / batch.window

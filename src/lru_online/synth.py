@@ -59,22 +59,19 @@ class SyntheticDataset:
     manifest: dict
 
 
-def _ou_noise(rng, n: int, tau: float, sigma: float) -> np.ndarray:
-    x = np.zeros(n)
-    decay = np.exp(-1.0 / tau)
-    kick = sigma * np.sqrt(1.0 - decay * decay)
-    xi = rng.standard_normal(n)
-    for i in range(1, n):
-        x[i] = x[i - 1] * decay + kick * xi[i]
-    return x
-
-
 def _ar1(rng, n: int, rho: float, sigma: float) -> np.ndarray:
     e = np.zeros(n)
     xi = rng.standard_normal(n)
     for i in range(1, n):
         e[i] = rho * e[i - 1] + sigma * xi[i]
     return e
+
+
+def _ou_noise(rng, n: int, tau: float, sigma: float) -> np.ndarray:
+    """Unit-step Ornstein-Uhlenbeck noise with time constant tau and
+    stationary standard deviation sigma: AR(1) with rho = exp(-1/tau)."""
+    rho = np.exp(-1.0 / tau)
+    return _ar1(rng, n, rho, sigma * np.sqrt(1.0 - rho * rho))
 
 
 def _sigmoid(x):

@@ -17,16 +17,16 @@ def random_batch(rng, net, T, batch=1):
                        session_ids=np.zeros(batch, dtype=np.int64))
 
 
-def finite_difference_grads(net, batch, eps=1e-5, delta=1.0):
+def finite_difference_grads(net, batch, eps=1e-5):
     """Central differences of the batch loss w.r.t. every entry of the flat
     parameter vector (the layers are views into it)."""
     theta = net.theta
     out = np.zeros_like(theta)
     for i in range(theta.size):
         theta[i] += eps
-        lp, _ = bptt_gradient(net, batch, delta)
+        lp, _ = bptt_gradient(net, batch)
         theta[i] -= 2 * eps
-        lm, _ = bptt_gradient(net, batch, delta)
+        lm, _ = bptt_gradient(net, batch)
         theta[i] += eps
         out[i] = (lp - lm) / (2 * eps)
     return out

@@ -75,7 +75,7 @@ class TestLoadEmissionCsv:
     def test_gap_starts_new_session(self, tmp_path):
         path = tmp_path / "e.csv"
         write_emission(path, [emission_row(t) for t in (0.0, 1.0, 100.0, 101.0)])
-        table = load_emission_csv(path, session_gap=60.0)
+        table = load_emission_csv(path)
         assert np.array_equal(table.session_ids, [0, 0, 1, 1])
 
     def test_no_data_rows(self, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,12 +9,14 @@ import pytest
 from lru_online.bptt import evaluate as offline_evaluate
 from lru_online.checkpoint import load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData
-from lru_online.cli import EXIT_CODES, main
+from lru_online.cli import EXIT_CODES, build_parser, main
 from lru_online.errors import CheckpointError, CompatibilityError
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
                                 cmd_evaluate, cmd_finetune, cmd_pretrain,
                                 impute_benchmark, prepare_tables)
 from lru_online.lru import network_scan
+from lru_online.optim import AnchorConfig, anchor_distance, apply_update
+from lru_online.rtrl import online_step, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 SMALL_GEN = GeneratorConfig(sessions=3, session_seconds=150,
@@ -238,6 +241,44 @@ class TestFinetune:
         assert np.isfinite(metrics.anchor_distance).all()
         assert metrics.anchor_distance[10] == metrics.anchor_distance[9]
 
+    def test_carry_optimizer_continues_checkpoint_adam(self):
+        """carry_optimizer starts Adam from the checkpoint's moments and step
+        count at the configured lr, and leaves the checkpoint's state as it
+        was: the stream equals online_step + apply_update from that state."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=ref["features"], targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        saved = ckpt.optimizer
+        before = replace(saved, m=saved.m.copy(), v=saved.v.copy())
+        assert before.t > 0
+        cfg = FinetuneConfig(lambda_reg=0.01, lr=2e-3, carry_optimizer=True)
+        metrics = cmd_finetune(ckpt, data, cfg)
+
+        net = ckpt.net.copy()
+        adam = replace(before, m=before.m.copy(), v=before.v.copy(),
+                       lr=cfg.lr)
+        anchor = AnchorConfig(theta_pre=ckpt.net.theta,
+                              lambda_reg=cfg.lambda_reg)
+        preds, dist = [], []
+        for sid in data.sessions():
+            states, traces = net.zero_states(), reset_trace(net)
+            for t in data.session_slice(sid):
+                states, traces, y_hat, _, grads = online_step(
+                    net, states, traces, data.features[t], data.targets[t])
+                apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                preds.append(y_hat)
+                dist.append(anchor_distance(net.theta, anchor))
+        assert np.array_equal(metrics.predictions, np.asarray(preds))
+        assert np.array_equal(metrics.anchor_distance, np.asarray(dist))
+        assert ckpt.optimizer is saved
+        assert (saved.t, saved.lr) == (before.t, before.lr)
+        assert np.array_equal(saved.m, before.m)
+        assert np.array_equal(saved.v, before.v)
+        fresh = cmd_finetune(ckpt, data, replace(cfg, carry_optimizer=False))
+        assert not np.array_equal(fresh.predictions, metrics.predictions)
+
     @staticmethod
     def _depth1_stream_with_nan(row):
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
@@ -387,6 +428,69 @@ class TestCli:
         assert main(["evaluate", "--data", str(data), "--checkpoint",
                      str(ckpt), "--run-dir", str(ev)]) == 0
         assert (ev / "predictions.csv").exists()
+
+    def test_preprocess_command(self, data_dir, prepared, tmp_path, capsys):
+        run = tmp_path / "pp"
+        assert main(["preprocess", "--data", str(data_dir),
+                     "--run-dir", str(run)]) == 0
+        pipe, train, val = prepared
+        assert (json.loads((run / "pipeline.json").read_text())
+                == pipe.to_dict())
+        for name, seq in (("train", train), ("val", val)):
+            saved = np.load(run / f"{name}.npz")
+            for key in ("features", "targets", "session_ids", "timestamps"):
+                assert np.array_equal(saved[key], getattr(seq, key)), key
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["results"]["feature_names"] == pipe.feature_names
+
+    def test_ablate_command(self, data_dir, pretrained, stream, tmp_path,
+                            capsys):
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        run = tmp_path / "ab"
+        assert main(["ablate", "--data", str(data_dir), "--checkpoint",
+                     str(path), "--run-dir", str(run)]) == 0
+        with open(run / "ablation.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expect = cmd_ablate(load_checkpoint(path), stream, FinetuneConfig())
+        assert [r["kind"] for r in rows] == [e["kind"] for e in expect]
+        assert ([float(r["total_loss"]) for r in rows]
+                == [e["total_loss"] for e in expect])
+
+    def test_sweep_command(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "sw"
+        assert main(["sweep", "--data", str(data_dir), "--run-dir", str(run),
+                     "--layers", "4;3,3", "--lrs", "1e-2",
+                     "--clips", "0.5,none", "--trainers", "bptt,rtrl",
+                     "--repeats", "1", "--steps", "2", "--batch", "2",
+                     "--window", "16", "--eval-every", "2",
+                     "--seed", "3"]) == 0
+        with open(run / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 2       # trainers x layers x clips
+        assert all(r["error"] == "" for r in rows)
+        assert all(np.isfinite(float(r["best_val_loss"])) for r in rows)
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["config"]["seed"] == 3
+        assert summary["results"]["runs"] == len(rows)
+
+    @pytest.mark.parametrize("argv, reads_seed", [
+        (["preprocess", "--data", "d"], False),
+        (["finetune", "--data", "d", "--checkpoint", "c"], False),
+        (["ablate", "--data", "d", "--checkpoint", "c"], False),
+        (["evaluate", "--data", "d", "--checkpoint", "c"], False),
+        (["pretrain", "--data", "d"], True),
+        (["sweep", "--data", "d"], True),
+        (["impute-bench"], True),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_seed_flag_only_where_read(self, argv, reads_seed, capsys):
+        build_parser().parse_args(argv)
+        if reads_seed:
+            assert build_parser().parse_args(argv + ["--seed", "7"]).seed == 7
+        else:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--seed", "7"])
 
     def test_impute_bench_command(self, tmp_path, capsys):
         assert main(["impute-bench", "--run-dir", str(tmp_path / "ib"),

@@ -4,8 +4,8 @@ import pytest
 from lru_online.datapipe import (TARGET_COLUMNS, load_emission_csv,
                                  load_weather_csv)
 from lru_online.errors import ConfigurationError
-from lru_online.synth import (GeneratorConfig, ShiftSpec, generate_dataset,
-                              write_dataset)
+from lru_online.synth import (GeneratorConfig, ShiftSpec, _ou_noise,
+                              generate_dataset, write_dataset)
 
 
 def session_dts(table):
@@ -52,6 +52,25 @@ class TestDeterminism:
         b = generate_dataset(GeneratorConfig(seed=1, **base))
         assert not np.array_equal(a.emission.columns["speed_kmh"],
                                   b.emission.columns["speed_kmh"])
+
+
+def ou_noise_reference(rng, n, tau, sigma):
+    """The separate OU loop _ou_noise replaced (same draws)."""
+    x = np.zeros(n)
+    decay = np.exp(-1.0 / tau)
+    kick = sigma * np.sqrt(1.0 - decay * decay)
+    xi = rng.standard_normal(n)
+    for i in range(1, n):
+        x[i] = x[i - 1] * decay + kick * xi[i]
+    return x
+
+
+@pytest.mark.parametrize("tau, sigma", [(30.0, 2.0), (10.0, 25.0),
+                                        (20.0, 0.08), (60.0, 0.3)])
+def test_ou_noise_matches_reference_loop(tau, sigma):
+    got = _ou_noise(np.random.default_rng(3), 500, tau, sigma)
+    ref = ou_noise_reference(np.random.default_rng(3), 500, tau, sigma)
+    assert np.array_equal(got, ref)
 
 
 class TestShift:
