@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from lru_online.bptt import evaluate as offline_evaluate
-from lru_online.checkpoint import load_checkpoint, save_checkpoint
+from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData
 from lru_online.cli import EXIT_CODES, build_parser, main
 from lru_online.errors import CheckpointError, CompatibilityError
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
                                 cmd_evaluate, cmd_finetune, cmd_pretrain,
                                 impute_benchmark, prepare_tables)
-from lru_online.lru import network_scan
+from lru_online.lru import init_network, network_scan
 from lru_online.optim import AnchorConfig, anchor_distance, apply_update
 from lru_online.rtrl import online_step, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
@@ -327,6 +327,58 @@ class TestFinetune:
         assert np.isfinite(metrics.loss[31:]).all()
         assert np.isfinite(metrics.loss_frozen[31:]).all()
         assert metrics.summary()["nonfinite_steps"] == 1
+
+
+FINETUNE_REF = DATA / "finetune_reference.npz"
+
+
+def run_finetune_reference():
+    """cmd_finetune on the committed depth-1 checkpoint with its eval
+    stream and on a seeded depth-(4, 3) net with a two-session stream,
+    each under four configs: adaptive, freeze_after=0, freeze_after=25 and
+    lr=0. Feature rows 10, 35 and 50 are NaN, so non-finite rows fall both
+    before and after the freeze. Returns every RunMetrics field keyed
+    '<net>.<config>.<field>'."""
+    ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+    rng = np.random.default_rng(7)
+    runs = {
+        "depth1": (load_checkpoint(DATA / "checkpoint_depth1.json"),
+                   SequenceData(features=ref["features"].copy(),
+                                targets=ref["targets"],
+                                session_ids=ref["session_ids"],
+                                timestamps=ref["timestamps"])),
+        "depth4x3": (Checkpoint(net=init_network(6, (4, 3), 2, seed=11)),
+                     SequenceData(features=rng.standard_normal((70, 6)),
+                                  targets=rng.standard_normal((70, 2)),
+                                  session_ids=np.repeat([0, 1], [40, 30]),
+                                  timestamps=np.arange(70.0))),
+    }
+    configs = {
+        "adaptive": FinetuneConfig(lambda_reg=0.01, lr=1e-2),
+        "freeze0": FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=0),
+        "freeze25": FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=25),
+        "lr0": FinetuneConfig(lr=0.0),
+    }
+    out = {}
+    for name, (ckpt, data) in runs.items():
+        data.features[[10, 35, 50], 0] = np.nan
+        for cname, cfg in configs.items():
+            metrics = cmd_finetune(ckpt, data, cfg)
+            for field, value in vars(metrics).items():
+                out[f"{name}.{cname}.{field}"] = np.asarray(value)
+    return out
+
+
+def test_finetune_matches_reference():
+    """Every RunMetrics array of cmd_finetune is bitwise what it was
+    before the frozen and predict-only steps took precomputed layer
+    constants (reference written by run_finetune_reference with the
+    earlier code), NaNs in place."""
+    ref = np.load(FINETUNE_REF)
+    got = run_finetune_reference()
+    assert sorted(got) == sorted(ref.files)
+    for key in ref.files:
+        assert np.array_equal(got[key], ref[key], equal_nan=True), key
 
 
 class TestPretrain:
