@@ -32,6 +32,7 @@ EXIT_CODES = {"configuration": 2, "schema": 3, "contract": 4, "imputation": 5,
 
 
 def _run_dir(args, command: str, config: dict) -> Path:
+    """Create the run directory; commands call it once their work is done."""
     if args.run_dir:
         d = Path(args.run_dir)
     else:
@@ -122,9 +123,10 @@ def _do_gen_data(args) -> int:
 
 
 def _do_preprocess(args) -> int:
-    config = vars(args).copy()
-    run_dir = _run_dir(args, "preprocess", config)
+    config = {"data": args.data, "train_fraction": args.train_fraction,
+              "window": args.window, "strict_vocab": args.strict_vocab}
     pipe, train, val = _prepared(args, window=args.window)
+    run_dir = _run_dir(args, "preprocess", config)
     np.savez(run_dir / "train.npz", features=train.features,
              targets=train.targets, session_ids=train.session_ids,
              timestamps=train.timestamps)
@@ -155,12 +157,12 @@ def _do_pretrain(args) -> int:
                           rtrl_update=args.rtrl_update)
     config = asdict(pcfg)
     config["layers"] = list(pcfg.layers)
-    run_dir = _run_dir(args, "pretrain", config)
     pipe, train, val = _prepared(args, window=args.pipeline_window)
     ckpt, result = cmd_pretrain(train, val, pipe, pcfg,
                                 provenance={"argv": sys.argv,
                                             "written": time.strftime(
                                                 "%Y-%m-%dT%H:%M:%S")})
+    run_dir = _run_dir(args, "pretrain", config)
     save_checkpoint(ckpt, run_dir / "checkpoint.json")
     _write_csv(run_dir / "loss_curve.csv", ["step", "train_loss", "val_loss"],
                result.loss_curve)
@@ -181,9 +183,9 @@ def _do_sweep(args) -> int:
         repeats=args.repeats, steps=args.steps, batch=args.batch,
         window=args.window, eval_every=args.eval_every, seed=args.seed)
     config = asdict(scfg)
-    run_dir = _run_dir(args, "sweep", config)
     _, train, val = _prepared(args)
     rows = cmd_sweep(train, val, scfg)
+    run_dir = _run_dir(args, "sweep", config)
     header = ["trainer", "layers", "lr", "clip", "repeat", "best_val_loss",
               "wall_seconds", "error"]
     _write_csv(run_dir / "sweep.csv", header,
@@ -206,9 +208,9 @@ def _do_finetune(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     fcfg = _finetune_cfg(args)
     config = asdict(fcfg)
-    run_dir = _run_dir(args, "finetune", config)
     stream = _finetune_stream(args, ckpt)
     metrics = cmd_finetune(ckpt, stream, fcfg)
+    run_dir = _run_dir(args, "finetune", config)
     _metrics_csv(run_dir, metrics, stream.target_names)
     _write_summary(run_dir, "finetune", config, metrics.summary())
     print(str(run_dir))
@@ -219,9 +221,9 @@ def _do_ablate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     fcfg = _finetune_cfg(args)
     config = asdict(fcfg)
-    run_dir = _run_dir(args, "ablate", config)
     stream = _finetune_stream(args, ckpt)
     rows = cmd_ablate(ckpt, stream, fcfg)
+    run_dir = _run_dir(args, "ablate", config)
     header = ["kind", "lambda_reg", "freeze_after", "total_loss", "mean_loss",
               "final_anchor_distance"]
     _write_csv(run_dir / "ablation.csv", header,
@@ -234,9 +236,9 @@ def _do_ablate(args) -> int:
 def _do_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     config = {"checkpoint": str(args.checkpoint), "split": args.split}
-    run_dir = _run_dir(args, "evaluate", config)
     data = _finetune_stream(args, ckpt)
     result = cmd_evaluate(ckpt, data)
+    run_dir = _run_dir(args, "evaluate", config)
     names = result["target_names"]
     header = (["step", "timestamp"] + [f"pred_{n}" for n in names]
               + [f"true_{n}" for n in names])
@@ -258,9 +260,9 @@ def _do_impute_bench(args) -> int:
     cfg = _gen_cfg(args)
     config = {**asdict(cfg), "mask_rate": args.mask_rate, "k": args.k,
               "window": args.window}
-    run_dir = _run_dir(args, "impute-bench", config)
     results = impute_benchmark(cfg, mask_rate=args.mask_rate,
                                window=args.window, k=args.k, seed=args.seed)
+    run_dir = _run_dir(args, "impute-bench", config)
     _write_summary(run_dir, "impute-bench", config, results)
     print(json.dumps(results))
     return 0

@@ -17,9 +17,9 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import CompatibilityError, ConfigurationError, TrainingError
-from .lru import init_network, network_scan, network_step
+from .lru import init_network, layer_constants, network_scan, network_step
 from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
-                    huber)
+                    huber, huber_values)
 from .rtrl import online_step, reset_trace, rtrl_stream_step, rtrl_window_step
 from .synth import GeneratorConfig, generate_dataset
 
@@ -209,7 +209,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     came out, skips the update, keeps the pre-step states and traces, and
     counts in RunMetrics.skipped_updates. A non-finite feature row also
     leaves the frozen and the predict-only states at their pre-step values,
-    so one bad row does not poison the rest of the session.
+    so one bad row does not poison the rest of the session. The frozen net
+    steps with layer_constants derived once per run, the predict-only net
+    with its own, derived at the freeze step; the losses are computed after
+    the pass from the logged predictions.
     """
     frozen = ckpt.net
     if frozen.input_dim != stream.features.shape[1]:
@@ -224,33 +227,29 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                        v=ckpt.optimizer.v.copy(), lr=cfg.lr)
     else:
         adam = AdamState.init(net.theta, lr=cfg.lr)
-    N = stream.n_rows
-    p = stream.targets.shape[1]
-    preds = np.empty((N, p))
-    preds_frozen = np.empty((N, p))
-    loss = np.empty(N)
-    loss_frozen = np.empty(N)
-    dist = np.empty(N)
+    preds = np.empty_like(stream.targets)
+    preds_frozen = np.empty_like(stream.targets)
+    dist = np.empty(stream.n_rows)
     distance = 0.0
     elapsed = 0
     skipped = 0
     finite_rows = np.isfinite(stream.features).all(axis=1).tolist()
+    frozen_consts = [layer_constants(layer) for layer in frozen.layers]
+    consts = None                 # the adaptive net's, once it stops updating
     for sid in stream.sessions():
         states = net.zero_states()
         frozen_states = frozen.zero_states()
         traces = reset_trace(net)
         for t in stream.session_slice(sid):
             x = stream.features[t]
-            y = stream.targets[t]
             new_frozen, preds_frozen[t], _ = network_step(
-                frozen, frozen_states, x)
+                frozen, frozen_states, x, frozen_consts)
             if finite_rows[t]:
                 frozen_states = new_frozen
-            loss_frozen[t] = huber(preds_frozen[t] - y)
             if cfg.lr > 0 and (cfg.freeze_after is None
                                or elapsed < cfg.freeze_after):
-                new_states, new_traces, preds[t], loss[t], grads = \
-                    online_step(net, states, traces, x, y)
+                new_states, new_traces, preds[t], _, grads = \
+                    online_step(net, states, traces, x, stream.targets[t])
                 try:
                     apply_update(net.theta, grads, adam, cfg.clip, anchor)
                 except TrainingError:
@@ -261,12 +260,15 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                     states, traces = new_states, new_traces
                     distance = anchor_distance(net.theta, anchor)
             else:
-                new_states, preds[t], _ = network_step(net, states, x)
+                if consts is None:
+                    consts = [layer_constants(layer) for layer in net.layers]
+                new_states, preds[t], _ = network_step(net, states, x, consts)
                 if finite_rows[t]:
                     states = new_states
-                loss[t] = huber(preds[t] - y)
             dist[t] = distance
             elapsed += 1
+    loss = huber_values(preds - stream.targets).mean(axis=1)
+    loss_frozen = huber_values(preds_frozen - stream.targets).mean(axis=1)
     return RunMetrics(timestamps=stream.timestamps.copy(),
                       targets=stream.targets.copy(),
                       predictions=preds, predictions_frozen=preds_frozen,

@@ -189,13 +189,19 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
     return net
 
 
-def layer_terms(params: LruLayerParams, u_t: np.ndarray
+def layer_constants(params: LruLayerParams
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, gamma, complex B^T): the input-independent part of a step."""
+    return (derive_lambda(params), derive_gamma(params),
+            params.b_re.T + 1j * params.b_im.T)
+
+
+def layer_terms(consts: tuple, u_t: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, gamma, B u_t) of one step for a float64 u_t of the layer's
-    input width; layer_step and the trace update of the same step share
-    them."""
-    bu = u_t @ (params.b_re.T + 1j * params.b_im.T)
-    return derive_lambda(params), derive_gamma(params), bu
+    """(lambda, gamma, B u_t) of one step from the layer's layer_constants;
+    layer_step and the trace update of the same step share them."""
+    lam, gamma, b_t = consts
+    return lam, gamma, u_t @ b_t
 
 
 def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
@@ -210,7 +216,7 @@ def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if h_prev.shape[-1] != params.n:
         raise ContractViolationError(
             f"state width {h_prev.shape[-1]} != layer width {params.n}")
-    lam, gamma, bu = layer_terms(params, u_t) if terms is None else terms
+    lam, gamma, bu = terms or layer_terms(layer_constants(params), u_t)
     h_t = lam * h_prev + gamma * bu
     y_t = h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T + u_t @ params.d.T
     return h_t, y_t
@@ -284,26 +290,29 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
 
 
 def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
-                 terms: list | None = None
+                 consts: list | None = None, terms: list | None = None
                  ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """One timestep through the stack; layer k's output feeds layer k+1
     within the same step. Returns (new states, prediction, each layer's
     input at this step); the inputs feed the eligibility-trace updates.
-    If `terms` is a list, each layer's layer_terms are appended to it, so
-    the trace update of this step can reuse them."""
+    `consts` is each layer's layer_constants (derived when None); a list
+    `terms` gets each layer's layer_terms, for this step's trace update."""
     if len(states) != net.depth:
         raise ContractViolationError(
             f"got {len(states)} states for a depth-{net.depth} network")
+    x = np.asarray(u_t, dtype=np.float64)
+    if x.shape[-1] != net.input_dim:
+        raise ContractViolationError(
+            f"input width {x.shape[-1]} != network input width {net.input_dim}")
+    consts = consts or [layer_constants(layer) for layer in net.layers]
     new_states = []
     layer_inputs = []
-    x = np.asarray(u_t, dtype=np.float64)
-    for layer, h_prev in zip(net.layers, states):
+    for layer, h_prev, c in zip(net.layers, states, consts):
         layer_inputs.append(x)
-        if terms is None:
-            h, x = layer_step(layer, h_prev, x)
-        else:
-            terms.append(layer_terms(layer, x))
-            h, x = layer_step(layer, h_prev, x, terms[-1])
+        t = layer_terms(c, x)
+        if terms is not None:
+            terms.append(t)
+        h, x = layer_step(layer, h_prev, x, t)
         new_states.append(h)
     return new_states, x, layer_inputs
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .bptt import TrainConfig, WindowBatch
 from .errors import ContractViolationError
-from .lru import (LruLayerParams, LruNetwork, derive_gamma, layer_terms,
-                  network_step)
+from .lru import (LruLayerParams, LruNetwork, derive_gamma, layer_constants,
+                  layer_terms, network_step)
 from .optim import AdamState, apply_update, huber, huber_grad
 
 
@@ -67,7 +67,7 @@ def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if u_t.shape[-1] != params.m:
         raise ContractViolationError(
             f"input width {u_t.shape[-1]} != layer input width {params.m}")
-    lam, gamma, bu = layer_terms(params, u_t) if terms is None else terms
+    lam, gamma, bu = terms or layer_terms(layer_constants(params), u_t)
     dlam_dnu = -np.exp(params.nu) * lam
     dlam_dphase = 1j * np.exp(params.theta_phase) * lam
     return EligibilityTrace(
@@ -151,7 +151,7 @@ def online_step(net: LruNetwork, states: list[np.ndarray],
     Returns (new states, new traces, prediction, loss, flat gradient).
     """
     terms = []
-    new_states, y_hat, layer_inputs = network_step(net, states, u_t, terms)
+    new_states, y_hat, layer_inputs = network_step(net, states, u_t, terms=terms)
     traces = step_traces(net, states, layer_inputs, traces, terms)
     resid = y_hat - y_t
     grads = online_gradient(net, traces, new_states, layer_inputs,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from lru_online.bptt import evaluate as offline_evaluate
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData
+from lru_online import cli
 from lru_online.cli import EXIT_CODES, build_parser, main
 from lru_online.errors import CheckpointError, CompatibilityError
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
@@ -494,6 +498,45 @@ class TestCli:
                 assert np.array_equal(saved[key], getattr(seq, key)), key
         summary = json.loads((run / "summary.json").read_text())
         assert summary["results"]["feature_names"] == pipe.feature_names
+
+    def test_preprocess_run_dir_hash_repeats_across_processes(
+            self, data_dir, tmp_path):
+        """The run-directory hash depends on the options alone: two
+        identical preprocess runs in separate processes get the same one,
+        and the summary echoes no function object."""
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        dirs = []
+        for out in ("a", "b"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lru_online.cli", "preprocess",
+                 "--data", str(data_dir), "--out", str(tmp_path / out)],
+                capture_output=True, text=True, env=env, check=True)
+            dirs.append(Path(proc.stdout.strip().splitlines()[-1]))
+        hashes = [d.name.rsplit("-", 1)[1] for d in dirs]
+        assert hashes[0] == hashes[1]
+        for d in dirs:
+            assert "<function" not in (d / "summary.json").read_text()
+
+    def test_failed_command_leaves_no_run_dir(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--out", str(data), "--sessions", "2",
+              "--session-seconds", "100", "--seed", "1"])
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["preprocess", "--data", str(data), "--out", str(out)])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "temp_c" in err["message"]
+        assert list(out.iterdir()) == []
+        # an existing --run-dir is left as it was
+        given = tmp_path / "given"
+        given.mkdir()
+        (given / "keep.txt").write_text("x")
+        code = main(["preprocess", "--data", str(data),
+                     "--run-dir", str(given)])
+        assert code == EXIT_CODES["configuration"]
+        assert [p.name for p in given.iterdir()] == ["keep.txt"]
 
     def test_ablate_command(self, data_dir, pretrained, stream, tmp_path,
                             capsys):

@@ -256,6 +256,11 @@ class TestNetworkForward:
         with pytest.raises(ContractViolationError):
             network_step(net, net.zero_states()[:1], np.zeros(3))
 
+    def test_input_width_mismatch(self):
+        net = init_network(3, (5, 4), 2, seed=6)
+        with pytest.raises(ContractViolationError):
+            network_step(net, net.zero_states(), np.zeros(4))
+
 
 class TestFlatParameters:
     def test_layers_are_views_of_theta(self):
