@@ -3,8 +3,8 @@
 from .lru import (LruLayerParams, LruNetwork, derive_gamma, derive_lambda,
                   init_layer, init_network, layer_step, network_scan,
                   network_step, scan_forward)
-from .rtrl import (EligibilityTrace, online_gradient, online_step,
-                   reset_trace, step_traces, trace_step, window_gradient)
+from .rtrl import (online_gradient, online_step, reset_trace, trace_step,
+                   window_gradient)
 from .bptt import (TrainConfig, WindowBatch, bptt_gradient, sample_windows,
                    train)
 from .optim import (AdamState, AnchorConfig, adam_step, anchor_distance,

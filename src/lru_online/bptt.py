@@ -35,6 +35,12 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 250
 
+    def __post_init__(self):
+        for name in ("batch", "window", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:

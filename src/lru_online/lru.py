@@ -196,18 +196,10 @@ def layer_constants(params: LruLayerParams
             params.b_re.T + 1j * params.b_im.T)
 
 
-def layer_terms(consts: tuple, u_t: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, gamma, B u_t) of one step from the layer's layer_constants;
-    layer_step and the trace update of the same step share them."""
-    lam, gamma, b_t = consts
-    return lam, gamma, u_t @ b_t
-
-
 def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
-               terms: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+               consts: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One recurrence step. h_prev complex (..., n), u_t real (..., m);
-    `terms` is this step's layer_terms if they are already computed.
+    `consts` is the layer's layer_constants (derived when None).
     Returns (h_t, y_t); y_t reflects u_t (the state has already absorbed it)."""
     u_t = np.asarray(u_t, dtype=np.float64)
     if u_t.shape[-1] != params.m:
@@ -216,8 +208,8 @@ def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if h_prev.shape[-1] != params.n:
         raise ContractViolationError(
             f"state width {h_prev.shape[-1]} != layer width {params.n}")
-    lam, gamma, bu = terms or layer_terms(layer_constants(params), u_t)
-    h_t = lam * h_prev + gamma * bu
+    lam, gamma, b_t = consts or layer_constants(params)
+    h_t = lam * h_prev + gamma * (u_t @ b_t)
     y_t = h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T + u_t @ params.d.T
     return h_t, y_t
 
@@ -290,29 +282,22 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
 
 
 def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
-                 consts: list | None = None, terms: list | None = None
+                 consts: list | None = None
                  ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """One timestep through the stack; layer k's output feeds layer k+1
     within the same step. Returns (new states, prediction, each layer's
     input at this step); the inputs feed the eligibility-trace updates.
-    `consts` is each layer's layer_constants (derived when None); a list
-    `terms` gets each layer's layer_terms, for this step's trace update."""
+    `consts` is each layer's layer_constants (derived when None)."""
     if len(states) != net.depth:
         raise ContractViolationError(
             f"got {len(states)} states for a depth-{net.depth} network")
-    x = np.asarray(u_t, dtype=np.float64)
-    if x.shape[-1] != net.input_dim:
-        raise ContractViolationError(
-            f"input width {x.shape[-1]} != network input width {net.input_dim}")
     consts = consts or [layer_constants(layer) for layer in net.layers]
+    x = np.asarray(u_t, dtype=np.float64)
     new_states = []
     layer_inputs = []
     for layer, h_prev, c in zip(net.layers, states, consts):
         layer_inputs.append(x)
-        t = layer_terms(c, x)
-        if terms is not None:
-            terms.append(t)
-        h, x = layer_step(layer, h_prev, x, t)
+        h, x = layer_step(layer, h_prev, x, c)
         new_states.append(h)
     return new_states, x, layer_inputs
 

@@ -1,10 +1,19 @@
 """Real-time recurrent learning for LRU stacks.
 
-Each layer keeps eligibility traces: the total derivative of its hidden
-state w.r.t. its own recurrent-path parameters. Because the recurrence is
-diagonal, dh_t/dh_{t-1} = diag(lambda) and every trace update is an
-elementwise multiply-add; total trace memory is 3n + n*m complex entries
-per layer, independent of stream length.
+Each layer keeps one complex trace matrix Z of shape (n, 2 + m): the total
+derivative of its hidden state w.r.t. its own recurrent-path parameters,
+with column NU for nu, PHASE for theta_phase and the B_RE columns for the
+rows of b_re. Because the recurrence is diagonal, dh_t/dh_{t-1} =
+diag(lambda) and the trace update is one elementwise multiply-add; trace
+memory is 2n + n*m complex entries per layer, independent of stream length.
+C and D need no trace: they act on the state instantaneously.
+
+Two more traces are never stored. The b_im trace is 1j * the b_re trace:
+both start at zero, share lambda, and their immediate terms are gamma*u and
+1j*gamma*u. The gamma_log trace is the hidden state h itself: h is linear
+in gamma = exp(gamma_log), so dh/dgamma_log follows h's own recurrence
+(lambda, immediate term gamma * B u) and equals h whenever both start at
+zero together.
 
 Gradient extraction convention: for a real parameter with complex trace
 z = dh/dtheta, the loss gradient is Re[a * z] where a = C^T dL/dy is the
@@ -14,82 +23,59 @@ through y = Re[C h] + D u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bptt import TrainConfig, WindowBatch
 from .errors import ContractViolationError
-from .lru import (LruLayerParams, LruNetwork, derive_gamma, layer_constants,
-                  layer_terms, network_step)
+from .lru import LruLayerParams, LruNetwork, layer_constants, network_step
 from .optim import AdamState, apply_update, huber, huber_grad
 
-
-@dataclass
-class EligibilityTrace:
-    """Per-layer complex traces dh_j/dtheta for the recurrent-path blocks.
-
-    C and D never need traces: they act on the state instantaneously. The
-    trace of b_im is 1j * trace_b_re: both start at zero, share lambda,
-    and their immediate terms are gamma*u and 1j*gamma*u.
-    """
-    trace_nu: np.ndarray       # (n,)
-    trace_phase: np.ndarray    # (n,)
-    trace_gamma: np.ndarray    # (n,)
-    trace_b_re: np.ndarray     # (n, m)
-
-    @classmethod
-    def zeros(cls, n: int, m: int) -> "EligibilityTrace":
-        return cls(
-            trace_nu=np.zeros(n, dtype=np.complex128),
-            trace_phase=np.zeros(n, dtype=np.complex128),
-            trace_gamma=np.zeros(n, dtype=np.complex128),
-            trace_b_re=np.zeros((n, m), dtype=np.complex128),
-        )
+# Columns of a layer's trace matrix Z.
+NU, PHASE, B_RE = 0, 1, slice(2, None)
 
 
-def reset_trace(net: LruNetwork) -> list[EligibilityTrace]:
-    """All-zero traces shaped for the network (nothing has influenced the
-    zero initial state)."""
-    return [EligibilityTrace.zeros(layer.n, layer.m) for layer in net.layers]
+def reset_trace(net: LruNetwork) -> list[np.ndarray]:
+    """All-zero (n, 2 + m) traces shaped for the network (nothing has
+    influenced the zero initial state)."""
+    return [np.zeros((layer.n, 2 + layer.m), dtype=np.complex128)
+            for layer in net.layers]
 
 
 def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
-               trace_prev: EligibilityTrace,
-               terms: tuple | None = None) -> EligibilityTrace:
-    """Advance one layer's traces: J_t = lambda * J_{t-1} + immediate Jacobian.
-    `terms` is this step's lru.layer_terms if the forward step computed them."""
+               z_prev: np.ndarray, consts: tuple | None = None) -> np.ndarray:
+    """Advance one layer's traces: Z_t = lambda * Z_{t-1} + immediate
+    Jacobian. `consts` is the layer's lru.layer_constants (derived when
+    None)."""
     u_t = np.asarray(u_t, dtype=np.float64)
-    if trace_prev.trace_b_re.shape != (params.n, params.m):
+    if z_prev.shape != (params.n, 2 + params.m):
         raise ContractViolationError(
-            f"trace shape {trace_prev.trace_b_re.shape} does not match "
-            f"layer ({params.n}, {params.m})")
+            f"trace shape {z_prev.shape} does not match layer "
+            f"({params.n}, 2 + {params.m})")
     if u_t.shape[-1] != params.m:
         raise ContractViolationError(
             f"input width {u_t.shape[-1]} != layer input width {params.m}")
-    lam, gamma, bu = terms or layer_terms(layer_constants(params), u_t)
-    dlam_dnu = -np.exp(params.nu) * lam
-    dlam_dphase = 1j * np.exp(params.theta_phase) * lam
-    return EligibilityTrace(
-        trace_nu=lam * trace_prev.trace_nu + dlam_dnu * h_prev,
-        trace_phase=lam * trace_prev.trace_phase + dlam_dphase * h_prev,
-        trace_gamma=lam * trace_prev.trace_gamma + gamma * bu,
-        trace_b_re=lam[:, None] * trace_prev.trace_b_re + gamma[:, None] * u_t[None, :],
-    )
+    lam, gamma, _ = consts or layer_constants(params)
+    imm = np.empty_like(z_prev)
+    imm[:, NU] = -np.exp(params.nu) * lam * h_prev
+    imm[:, PHASE] = 1j * np.exp(params.theta_phase) * lam * h_prev
+    imm[:, B_RE] = gamma[:, None] * u_t[None, :]
+    # out of place: numpy's in-place complex multiply rounds differently
+    return lam[:, None] * z_prev + imm
 
 
-def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
+def online_gradient(net: LruNetwork, traces: list[np.ndarray],
                     h_states: list[np.ndarray], layer_inputs: list[np.ndarray],
-                    dL_dy: np.ndarray) -> np.ndarray:
+                    dL_dy: np.ndarray, consts: list[tuple]) -> np.ndarray:
     """Convert a per-step output gradient into a flat parameter gradient
     laid out like net.theta.
 
-    h_states are the post-step hidden states, layer_inputs the per-layer
-    inputs at this step (from lru.network_step). Credit flows spatially
-    through upper layers' instantaneous maps; temporal credit within each
-    layer comes from its own traces. Exact for depth 1; the cross-layer
-    temporal terms of deeper stacks are deliberately dropped (the standard
-    efficient diagonal-RTRL approximation).
+    h_states are the post-step hidden states (also the gamma_log traces),
+    layer_inputs the per-layer inputs at this step (from lru.network_step)
+    and consts each layer's lru.layer_constants of this step. Credit flows
+    spatially through upper layers' instantaneous maps; temporal credit
+    within each layer comes from its own traces. Exact for depth 1; the
+    cross-layer temporal terms of deeper stacks are deliberately dropped
+    (the standard efficient diagonal-RTRL approximation).
     """
     if len(traces) != net.depth:
         raise ContractViolationError(
@@ -101,61 +87,50 @@ def online_gradient(net: LruNetwork, traces: list[EligibilityTrace],
     g = np.asarray(dL_dy, dtype=np.float64)
     for k in range(net.depth - 1, -1, -1):
         layer = net.layers[k]
-        tr = traces[k]
         h = h_states[k]
         u = np.asarray(layer_inputs[k], dtype=np.float64)
-        gamma = derive_gamma(layer)
-        Cc = layer.c_re + 1j * layer.c_im
-        Bc = layer.b_re + 1j * layer.b_im
-        a = Cc.T @ g                       # complex adjoint coefficient of h
+        _, gamma, b_t = consts[k]
+        a = (layer.c_re + 1j * layer.c_im).T @ g  # complex adjoint of h
+        at = a[:, None] * traces[k]
         out = blocks[k]
-        out["nu"][...] = np.real(a * tr.trace_nu)
-        out["theta_phase"][...] = np.real(a * tr.trace_phase)
-        out["gamma_log"][...] = np.real(a * tr.trace_gamma)
-        # Re[a * 1j * trace_b_re] = -Im[a * trace_b_re]
-        ab = a[:, None] * tr.trace_b_re
-        out["b_re"][...] = ab.real
-        out["b_im"][...] = -ab.imag
+        out["nu"][...] = at[:, NU].real
+        out["theta_phase"][...] = at[:, PHASE].real
+        out["gamma_log"][...] = np.real(a * h)
+        # Re[a * 1j * z_b_re] = -Im[a * z_b_re]
+        out["b_re"][...] = at[:, B_RE].real
+        out["b_im"][...] = -at[:, B_RE].imag
         np.multiply(g[:, None], h.real, out=out["c_re"])
         np.multiply(g[:, None], -h.imag, out=out["c_im"])
         np.multiply(g[:, None], u, out=out["d"])
         if k > 0:
             # instantaneous dL/du of this layer = input gradient for layer below
-            g = np.real(Bc.T @ (gamma * a)) + layer.d.T @ g
+            g = np.real(b_t @ (gamma * a)) + layer.d.T @ g
     return grads
 
 
-def step_traces(net: LruNetwork, states: list[np.ndarray],
-                layer_inputs: list[np.ndarray],
-                traces: list[EligibilityTrace],
-                terms: list | None = None) -> list[EligibilityTrace]:
-    """Advance all layers' traces for one step. `states` are the pre-step
-    hidden states, `layer_inputs` the inputs each layer saw this step, and
-    `terms` the per-layer lru.layer_terms that network_step collected
-    (recomputed when None)."""
-    terms = terms or [None] * net.depth
-    return [trace_step(layer, h_prev, u, tr, t)
-            for layer, h_prev, u, tr, t
-            in zip(net.layers, states, layer_inputs, traces, terms)]
-
-
 def online_step(net: LruNetwork, states: list[np.ndarray],
-                traces: list[EligibilityTrace], u_t: np.ndarray,
-                y_t: np.ndarray
-                ) -> tuple[list[np.ndarray], list[EligibilityTrace],
+                traces: list[np.ndarray], u_t: np.ndarray, y_t: np.ndarray
+                ) -> tuple[list[np.ndarray], list[np.ndarray],
                            np.ndarray, float, np.ndarray]:
     """One RTRL step: forward, trace update, and the gradient of this step's
     mean Huber loss. Everything uses the current parameters; the caller
     decides whether to update them.
 
+    States and traces must start at zero together (net.zero_states() and
+    reset_trace(net)), at the start of a stream or session: the gamma_log
+    trace is read from the state, which equals it only from a shared zero
+    start.
+
     Returns (new states, new traces, prediction, loss, flat gradient).
     """
-    terms = []
-    new_states, y_hat, layer_inputs = network_step(net, states, u_t, terms=terms)
-    traces = step_traces(net, states, layer_inputs, traces, terms)
+    consts = [layer_constants(layer) for layer in net.layers]
+    new_states, y_hat, layer_inputs = network_step(net, states, u_t, consts)
+    traces = [trace_step(layer, h_prev, u, z, c)
+              for layer, h_prev, u, z, c
+              in zip(net.layers, states, layer_inputs, traces, consts)]
     resid = y_hat - y_t
     grads = online_gradient(net, traces, new_states, layer_inputs,
-                            huber_grad(resid))
+                            huber_grad(resid), consts)
     return new_states, traces, y_hat, huber(resid), grads
 
 

@@ -7,6 +7,7 @@ from lru_online.bptt import (TrainConfig, WindowBatch, bptt_gradient,
                              evaluate, sample_windows, train)
 from lru_online.datapipe import SequenceData
 from lru_online.errors import ConfigurationError
+from lru_online.harness import PretrainConfig
 from lru_online.lru import init_network
 from lru_online.rtrl import window_gradient
 
@@ -167,6 +168,13 @@ class TestTrain:
         result = train(net, data, None, TrainConfig(steps=0, batch=2,
                                                     window=10))
         assert np.array_equal(result.net.theta, net.theta)
+
+    @pytest.mark.parametrize("field", ["batch", "window", "eval_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_sizes_rejected(self, field, value):
+        for cls in (TrainConfig, PretrainConfig):
+            with pytest.raises(ConfigurationError, match=field):
+                cls(**{field: value})
 
     def test_lr_zero_leaves_params_bitwise(self):
         net = init_network(3, (4,), 2, seed=0)

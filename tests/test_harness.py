@@ -605,6 +605,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "configuration"
 
+    @pytest.mark.parametrize("trainer", ["bptt", "rtrl"])
+    @pytest.mark.parametrize("flag", ["--batch", "--window", "--eval-every"])
+    def test_non_positive_train_size_exits_2(self, data_dir, tmp_path, capsys,
+                                             trainer, flag):
+        """batch, window and eval_every below 1 are configuration errors
+        for both trainers, and no run directory is left behind."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["pretrain", "--data", str(data_dir), "--out", str(out),
+                     "--trainer", trainer, "--layers", "4", "--steps", "2",
+                     "--batch", "2", "--window", "8", "--eval-every", "1",
+                     flag, "0"])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert list(out.iterdir()) == []
+
     def test_checkpoint_error_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["gen-data", "--out", str(data), "--sessions", "2",

@@ -8,29 +8,34 @@ from conftest import (finite_difference_grads, max_rel_error, random_batch,
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.lru import (LruNetwork, derive_gamma, derive_lambda,
-                            init_network, network_step)
-from lru_online.optim import AdamState, apply_update, huber_grad
-from lru_online.rtrl import (EligibilityTrace, online_gradient, online_step,
-                             reset_trace, step_traces, trace_step,
-                             window_gradient)
+                            init_network, layer_constants, layer_step,
+                            network_step)
+from lru_online.optim import AdamState, apply_update
+from lru_online.rtrl import (B_RE, NU, PHASE, online_gradient, online_step,
+                             reset_trace, trace_step, window_gradient)
+
+
+def step_all_traces(net, states, layer_inputs, traces):
+    """Advance every layer's traces by one step, from the pre-step states."""
+    return [trace_step(layer, h, u, z)
+            for layer, h, u, z in zip(net.layers, states, layer_inputs, traces)]
 
 
 class TestResetTrace:
     def test_zero_and_shapes(self):
         net = init_network(20, (16, 16), 5, seed=0)
         traces = reset_trace(net)
-        assert traces[0].trace_b_re.shape == (16, 20)
-        assert traces[1].trace_b_re.shape == (16, 16)
-        for tr in traces:
-            for arr in (tr.trace_nu, tr.trace_phase, tr.trace_gamma,
-                        tr.trace_b_re):
-                assert np.all(arr == 0)
+        assert traces[0].shape == (16, 2 + 20)
+        assert traces[1].shape == (16, 2 + 16)
+        for z in traces:
+            assert z.dtype == np.complex128
+            assert np.all(z == 0)
 
     def test_trace_memory_is_linear_in_nodes(self):
         net = init_network(20, (16,), 5, seed=0)
-        tr = reset_trace(net)[0]
-        total = sum(a.size for a in vars(tr).values())
-        assert total == 3 * 16 + 16 * 20  # 3n + n*m, not n^2*m
+        traces = reset_trace(net)
+        assert len(traces) == 1
+        assert traces[0].size == 2 * 16 + 16 * 20  # 2n + n*m, not n^2*m
 
 
 class TestTraceStep:
@@ -38,24 +43,24 @@ class TestTraceStep:
         net = init_network(3, (5,), 2, seed=1)
         layer = net.layers[0]
         u = rng.standard_normal(3)
-        tr = trace_step(layer, np.zeros(5, complex), u, reset_trace(net)[0])
+        z = trace_step(layer, np.zeros(5, complex), u, reset_trace(net)[0])
         gamma = derive_gamma(layer)
-        assert np.allclose(tr.trace_b_re, gamma[:, None] * u[None, :])
-        assert np.all(tr.trace_nu == 0)  # zero previous state
-        assert np.all(tr.trace_phase == 0)
+        assert np.allclose(z[:, B_RE], gamma[:, None] * u[None, :])
+        assert np.all(z[:, NU] == 0)  # zero previous state
+        assert np.all(z[:, PHASE] == 0)
 
     def test_no_recurrence_when_lambda_zero(self, rng):
         from test_lru import diagonal_layer
         layer = diagonal_layer(4, lam=0.0, gamma=2.0)
         net = LruNetwork([layer])
-        tr = reset_trace(net)[0]
+        z = reset_trace(net)[0]
         h = np.zeros(4, complex)
         for t in range(5):
             u = rng.standard_normal(4)
-            tr = trace_step(layer, h, u, tr)
+            z = trace_step(layer, h, u, z)
             h = 2.0 * u.astype(complex)
             # with lam = 0 the trace is exactly this step's immediate Jacobian
-            assert np.allclose(tr.trace_b_re, 2.0 * np.ones((4, 1)) * u[None, :])
+            assert np.allclose(z[:, B_RE], 2.0 * np.ones((4, 1)) * u[None, :])
 
     def test_matches_finite_differences(self, rng):
         net = small_random_net(rng)
@@ -65,23 +70,22 @@ class TestTraceStep:
 
         def final_state(params_layer):
             h = np.zeros(params_layer.n, complex)
-            from lru_online.lru import layer_step
             for t in range(T):
                 h, _ = layer_step(params_layer, h, u[t])
             return h
 
-        tr = reset_trace(net)[0]
+        z = reset_trace(net)[0]
         h = np.zeros(layer.n, complex)
-        from lru_online.lru import layer_step
         for t in range(T):
-            tr = trace_step(layer, h, u[t], tr)
+            z = trace_step(layer, h, u[t], z)
             h, _ = layer_step(layer, h, u[t])
 
         eps = 1e-5
-        # the b_im trace is 1j times the b_re trace
-        blocks = {"nu": tr.trace_nu, "theta_phase": tr.trace_phase,
-                  "gamma_log": tr.trace_gamma, "b_re": tr.trace_b_re,
-                  "b_im": 1j * tr.trace_b_re}
+        # the gamma_log trace is the final state itself, and the b_im trace
+        # is 1j times the b_re trace
+        blocks = {"nu": z[:, NU], "theta_phase": z[:, PHASE],
+                  "gamma_log": h, "b_re": z[:, B_RE],
+                  "b_im": 1j * z[:, B_RE]}
         for name, trace in blocks.items():
             arr = getattr(layer, name)
             it = np.nditer(arr, flags=["multi_index"])
@@ -104,25 +108,50 @@ class TestTraceStep:
         net = small_random_net(rng)
         layer = net.layers[0]
         lam = derive_lambda(layer)
-        tr = reset_trace(net)[0]
+        z = reset_trace(net)[0]
         h = np.zeros(layer.n, complex)
-        from lru_online.lru import layer_step
         u = rng.standard_normal(layer.m)
-        tr = trace_step(layer, h, u, tr)
+        z = trace_step(layer, h, u, z)
         h, _ = layer_step(layer, h, u)
-        base = tr.trace_b_re.copy()
+        base = z[:, B_RE].copy()
         zero = np.zeros(layer.m)
         for t in range(100):
-            tr = trace_step(layer, h, zero, tr)
+            z = trace_step(layer, h, zero, z)
             h, _ = layer_step(layer, h, zero)
             expect = lam[:, None] ** (t + 1) * base
-            assert np.allclose(tr.trace_b_re, expect, atol=1e-12)
+            assert np.allclose(z[:, B_RE], expect, atol=1e-12)
 
     def test_shape_mismatch(self):
         net = init_network(3, (5,), 2, seed=0)
-        bad = EligibilityTrace.zeros(5, 4)
+        bad = np.zeros((5, 2 + 4), complex)
         with pytest.raises(ContractViolationError):
             trace_step(net.layers[0], np.zeros(5, complex), np.zeros(3), bad)
+
+    def test_consts_give_bitwise_equal_steps(self, rng):
+        """layer_step, trace_step and network_step give bitwise the same
+        results with the layer_constants passed in as without them."""
+        net = init_network(3, (5, 4), 2, seed=7)
+        consts = [layer_constants(layer) for layer in net.layers]
+        states, traces = net.zero_states(), reset_trace(net)
+        for _ in range(20):
+            u = rng.standard_normal(3)
+            got = network_step(net, states, u, consts)
+            ref = network_step(net, states, u)
+            assert np.array_equal(got[1], ref[1])
+            for a, b in zip(got[0] + got[2], ref[0] + ref[2]):
+                assert np.array_equal(a, b)
+            x = u
+            for k, layer in enumerate(net.layers):
+                h_c, y_c = layer_step(layer, states[k], x, consts[k])
+                h, y = layer_step(layer, states[k], x)
+                assert np.array_equal(h_c, h) and np.array_equal(y_c, y)
+                assert np.array_equal(h, got[0][k])
+                z_c = trace_step(layer, states[k], x, traces[k], consts[k])
+                z = trace_step(layer, states[k], x, traces[k])
+                assert np.array_equal(z_c, z)
+                traces[k] = z
+                x = y
+            states = got[0]
 
 
 class TestOnlineGradient:
@@ -130,8 +159,9 @@ class TestOnlineGradient:
         net = init_network(3, (5,), 2, seed=2)
         states, y, li = network_step(net, net.zero_states(),
                                      rng.standard_normal(3))
-        traces = step_traces(net, net.zero_states(), li, reset_trace(net))
-        g = online_gradient(net, traces, states, li, np.zeros(2))
+        traces = step_all_traces(net, net.zero_states(), li, reset_trace(net))
+        consts = [layer_constants(layer) for layer in net.layers]
+        g = online_gradient(net, traces, states, li, np.zeros(2), consts)
         assert g.shape == net.theta.shape and np.all(g == 0)
 
     def test_sum_equals_bptt_depth1(self, rng):
@@ -162,19 +192,20 @@ class TestOnlineGradient:
         states, y, li = network_step(net, net.zero_states(),
                                      rng.standard_normal(3))
         with pytest.raises(ContractViolationError):
-            online_gradient(net, reset_trace(net)[:1], states, li, np.zeros(2))
+            online_gradient(net, reset_trace(net)[:1], states, li, np.zeros(2),
+                            [layer_constants(layer) for layer in net.layers])
 
     def test_constant_memory_over_stream(self, rng):
         net = init_network(4, (8,), 2, seed=0)
         traces = reset_trace(net)
         states = net.zero_states()
-        shapes = [tr.trace_b_re.shape for tr in traces]
+        shapes = [z.shape for z in traces]
         for t in range(200):
             u = rng.standard_normal(4)
             new_states, y, li = network_step(net, states, u)
-            traces = step_traces(net, states, li, traces)
+            traces = step_all_traces(net, states, li, traces)
             states = new_states
-            assert [tr.trace_b_re.shape for tr in traces] == shapes
+            assert [z.shape for z in traces] == shapes
 
 
 ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
@@ -183,7 +214,9 @@ ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
 def run_reference_stream(steps=40):
     """A fixed depth-2 stream through online_step + apply_update; returns
     every step's prediction, loss and gradient, the final states and
-    traces, and the final parameters."""
+    traces, and the final parameters. The traces are returned under the
+    names of the reference file's per-parameter fields: the gamma_log trace
+    is the state, and the b_im trace is 1j times the b_re trace."""
     net = init_network(3, (5, 4), 2, seed=6)
     rng = np.random.default_rng(2024)
     inputs = rng.standard_normal((steps, 3))
@@ -199,11 +232,13 @@ def run_reference_stream(steps=40):
         out["losses"].append(loss)
         out["grads"].append(grads)
     out = {k: np.asarray(v) for k, v in out.items()}
-    for k, (h, tr) in enumerate(zip(states, traces)):
+    for k, (h, z) in enumerate(zip(states, traces)):
         out[f"state_{k}"] = h
-        for name, arr in vars(tr).items():
-            out[f"{name}_{k}"] = arr
-        out[f"trace_b_im_{k}"] = 1j * tr.trace_b_re
+        out[f"trace_nu_{k}"] = z[:, NU]
+        out[f"trace_phase_{k}"] = z[:, PHASE]
+        out[f"trace_gamma_{k}"] = h
+        out[f"trace_b_re_{k}"] = z[:, B_RE]
+        out[f"trace_b_im_{k}"] = 1j * z[:, B_RE]
     out["theta"] = net.theta
     return out
 
