@@ -16,7 +16,8 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
-from .errors import CompatibilityError, ConfigurationError, TrainingError
+from .errors import (CompatibilityError, ConfigurationError,
+                     ContractViolationError, TrainingError)
 from .lru import init_network, layer_constants, network_scan, network_step
 from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
                     huber, huber_values)
@@ -140,10 +141,22 @@ def cmd_sweep(train_data: SequenceData, val_data: SequenceData,
 class FinetuneConfig:
     lambda_reg: float = 0.0
     freeze_after: int | None = None   # 0 = never update, None = no freeze
-    lr: float = 1e-3
-    clip: float | None = 0.5
+    lr: float = 1e-3                  # 0 = never update
+    clip: float | None = 0.5          # None = no clipping
     squared_anchor: bool = False
     carry_optimizer: bool = False
+
+    def __post_init__(self):
+        for name in ("lambda_reg", "lr"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.freeze_after is not None and self.freeze_after < 0:
+            raise ConfigurationError(
+                f"freeze_after must be >= 0 or None, got {self.freeze_after}")
+        if self.clip is not None and not self.clip > 0:
+            raise ConfigurationError(
+                f"clip must be > 0 or None, got {self.clip}")
 
 
 @dataclass
@@ -206,19 +219,24 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     from zero hidden states and traces; the parameters and the Adam state
     carry over from one session to the next. A step whose gradient is not
     finite (e.g. a NaN feature row) logs its prediction and loss as they
-    came out, skips the update, keeps the pre-step states and traces, and
-    counts in RunMetrics.skipped_updates. A non-finite feature row also
-    leaves the frozen and the predict-only states at their pre-step values,
-    so one bad row does not poison the rest of the session. The frozen net
-    steps with layer_constants derived once per run, the predict-only net
-    with its own, derived at the freeze step; the losses are computed after
-    the pass from the logged predictions.
+    came out, skips the update and counts in RunMetrics.skipped_updates. A
+    non-finite feature row leaves the states (and the adaptive traces) of
+    all three nets, adaptive, frozen and predict-only, at their pre-step
+    values, so one bad row does not poison the rest of the session. A row
+    with finite features advances them, even when its target is not finite
+    (its update is skipped), so the adaptive and the frozen net always see
+    the same input history. The frozen net steps with layer_constants
+    derived once per run, the predict-only net with its own, derived at the
+    freeze step; the losses are computed after the pass from the logged
+    predictions. An empty stream is a ContractViolationError.
     """
     frozen = ckpt.net
     if frozen.input_dim != stream.features.shape[1]:
         raise CompatibilityError(
             f"checkpoint expects {frozen.input_dim} features but the stream "
             f"has {stream.features.shape[1]}")
+    if stream.n_rows == 0:
+        raise ContractViolationError("cannot fine-tune on a stream with no rows")
     net = frozen.copy()
     anchor = AnchorConfig(theta_pre=frozen.theta, lambda_reg=cfg.lambda_reg,
                           squared=cfg.squared_anchor)
@@ -248,17 +266,19 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                 frozen_states = new_frozen
             if cfg.lr > 0 and (cfg.freeze_after is None
                                or elapsed < cfg.freeze_after):
-                new_states, new_traces, preds[t], _, grads = \
+                new_states, new_traces, preds[t], grads = \
                     online_step(net, states, traces, x, stream.targets[t])
                 try:
-                    apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                    # theta has not moved since `distance` was taken
+                    apply_update(net.theta, grads, adam, cfg.clip, anchor,
+                                 distance)
                 except TrainingError:
-                    # non-finite gradient: nothing was updated; keep the
-                    # pre-step states and traces and go on streaming
+                    # non-finite gradient: nothing was updated
                     skipped += 1
                 else:
-                    states, traces = new_states, new_traces
                     distance = anchor_distance(net.theta, anchor)
+                if finite_rows[t]:
+                    states, traces = new_states, new_traces
             else:
                 if consts is None:
                     consts = [layer_constants(layer) for layer in net.layers]
@@ -286,7 +306,8 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
                base: FinetuneConfig) -> list[dict]:
     """Regularization-strength grid over the full horizon plus the
     freeze-after grid (with the best lambda and with lambda 0), plus the
-    frozen-baseline row: 4 + 2*3 + 1 rows."""
+    frozen-baseline row: 4 + 2*3 + 1 rows. When the best lambda is 0 the
+    two freeze grids are one, run once and reported twice."""
     rows = []
     best_lambda, best_total = None, float("inf")
     baseline_total = None
@@ -302,7 +323,7 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
             best_total, best_lambda = total, lam
         baseline_total = metrics.total_loss_frozen
         baseline_mean = metrics.mean_loss_frozen
-    for lam in (best_lambda, 0.0) if best_lambda != 0.0 else (0.0, 0.0):
+    for lam in (best_lambda, 0.0) if best_lambda != 0.0 else (0.0,):
         for freeze in FREEZE_GRID:
             metrics = cmd_finetune(ckpt, stream,
                                    replace(base, lambda_reg=lam,
@@ -313,6 +334,9 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
                          "mean_loss": metrics.mean_loss,
                          "final_anchor_distance":
                              float(metrics.anchor_distance[-1])})
+    if best_lambda == 0.0:
+        # the best-lambda grid is the lambda-0 grid: report its rows twice
+        rows += [dict(row) for row in rows[-len(FREEZE_GRID):]]
     rows.append({"kind": "baseline", "lambda_reg": "", "freeze_after": "",
                  "total_loss": baseline_total,
                  "mean_loss": baseline_mean,

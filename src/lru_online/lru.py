@@ -85,8 +85,10 @@ class LruNetwork:
 
     def __init__(self, layers: list[LruLayerParams]):
         self._layout = []               # per layer: (name, start, stop, shape)
+        self.offsets = []               # per layer: start of its blocks
         offset = 0
         for layer in layers:
+            self.offsets.append(offset)
             blocks = []
             for name in PARAM_BLOCKS:
                 shape = np.shape(getattr(layer, name))
@@ -136,11 +138,18 @@ class LruNetwork:
         return [np.zeros(layer.n, dtype=np.complex128) for layer in self.layers]
 
 
+def _lambda_parts(params: LruLayerParams
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-exp(nu), exp(theta_phase), lambda)."""
+    neg_e_nu = -np.exp(params.nu)
+    phase = np.exp(params.theta_phase)
+    return (neg_e_nu, phase,
+            np.exp(neg_e_nu) * (np.cos(phase) + 1j * np.sin(phase)))
+
+
 def derive_lambda(params: LruLayerParams) -> np.ndarray:
     """Complex eigenvalues lambda_j; |lambda_j| < 1 for all finite nu_j."""
-    mag = np.exp(-np.exp(params.nu))
-    phase = np.exp(params.theta_phase)
-    return mag * (np.cos(phase) + 1j * np.sin(phase))
+    return _lambda_parts(params)[2]
 
 
 def derive_gamma(params: LruLayerParams) -> np.ndarray:
@@ -189,11 +198,15 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
     return net
 
 
-def layer_constants(params: LruLayerParams
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, gamma, complex B^T): the input-independent part of a step."""
-    return (derive_lambda(params), derive_gamma(params),
-            params.b_re.T + 1j * params.b_im.T)
+def layer_constants(params: LruLayerParams) -> tuple[np.ndarray, ...]:
+    """The input-independent part of a step and of its trace update:
+    (lambda, gamma, complex B^T, complex C^T, dlambda/dnu,
+    dlambda/dtheta_phase), with dlambda/dnu = -exp(nu) * lambda and
+    dlambda/dtheta_phase = 1j * exp(theta_phase) * lambda."""
+    neg_e_nu, phase, lam = _lambda_parts(params)
+    return (lam, derive_gamma(params), params.b_re.T + 1j * params.b_im.T,
+            (params.c_re + 1j * params.c_im).T, neg_e_nu * lam,
+            1j * phase * lam)
 
 
 def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
@@ -208,7 +221,7 @@ def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if h_prev.shape[-1] != params.n:
         raise ContractViolationError(
             f"state width {h_prev.shape[-1]} != layer width {params.n}")
-    lam, gamma, b_t = consts or layer_constants(params)
+    lam, gamma, b_t, _, _, _ = consts or layer_constants(params)
     h_t = lam * h_prev + gamma * (u_t @ b_t)
     y_t = h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T + u_t @ params.d.T
     return h_t, y_t

@@ -6,6 +6,7 @@ out like LruNetwork.theta; updates write into the parameter vector in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,9 @@ def huber_grad(residual: np.ndarray, delta: float = 1.0) -> np.ndarray:
     if delta <= 0:
         raise ConfigurationError(f"huber delta must be > 0, got {delta}")
     r = np.asarray(residual, dtype=np.float64)
-    psi = np.clip(r, -delta, delta)
+    # minimum/maximum, not np.clip: the same values (NaN included) without
+    # np.clip's Python-level wrapper
+    psi = np.minimum(np.maximum(r, -delta), delta)
     return psi / r.size
 
 
@@ -47,7 +50,7 @@ def clip_global_norm(grads: np.ndarray, max_norm: float | None) -> np.ndarray:
         return grads
     if max_norm <= 0:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
-    g = float(np.linalg.norm(grads))
+    g = math.sqrt(grads @ grads)
     if g <= max_norm:
         return grads
     return grads * (max_norm / g)
@@ -64,6 +67,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # adam_step's two work vectors, allocated on first use (not copied by
+    # dataclasses.replace)
+    _work: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @classmethod
     def init(cls, theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
@@ -74,18 +81,33 @@ class AdamState:
 
 def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """Bias-corrected Adam update of theta and the state, both in place.
-    A non-finite gradient raises TrainingError before anything is written."""
+    A non-finite gradient raises TrainingError before anything is written.
+
+    theta -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
+    in two work vectors kept on the state, so a step allocates nothing."""
     if not np.isfinite(grads).all():
         raise TrainingError("non-finite gradient passed to adam_step")
+    if state._work is None or state._work.shape != (2,) + state.m.shape:
+        state._work = np.empty((2,) + state.m.shape)
+    step, denom = state._work
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     state.m *= b1
-    state.m += (1 - b1) * grads
+    np.multiply(grads, 1 - b1, out=step)
+    state.m += step
     state.v *= b2
-    state.v += (1 - b2) * grads * grads
+    np.multiply(grads, 1 - b2, out=step)
+    step *= grads
+    state.v += step
     c1 = 1 - b1 ** state.t
     c2 = 1 - b2 ** state.t
-    theta -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    np.divide(state.m, c1, out=step)
+    step *= state.lr
+    np.divide(state.v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    theta -= step
 
 
 # ------------------------------------------------------------------- anchor
@@ -110,28 +132,39 @@ class AnchorConfig:
 
 def anchor_distance(theta: np.ndarray, anchor: AnchorConfig) -> float:
     """||theta - theta_pre||_2."""
-    return float(np.linalg.norm(theta - anchor.theta_pre))
+    diff = theta - anchor.theta_pre
+    return math.sqrt(diff @ diff)
 
 
-def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig) -> np.ndarray:
-    """Gradient of the anchor penalty w.r.t. theta."""
+def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig,
+                    distance: float | None = None) -> np.ndarray:
+    """Gradient of the anchor penalty w.r.t. theta. `distance` is
+    anchor_distance(theta, anchor) when the caller already has it."""
     if anchor.lambda_reg == 0.0:
         return np.zeros_like(theta)
     diff = theta - anchor.theta_pre
     if anchor.squared:
-        return diff * (2.0 * anchor.lambda_reg)
-    nrm = float(np.linalg.norm(diff))
+        diff *= 2.0 * anchor.lambda_reg
+        return diff
+    nrm = math.sqrt(diff @ diff) if distance is None else distance
     if nrm == 0.0:
         return np.zeros_like(theta)
-    return diff * (anchor.lambda_reg / nrm)
+    diff *= anchor.lambda_reg / nrm
+    return diff
 
 
 # ------------------------------------------------------------------- update
 
 def apply_update(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
-                 clip: float | None, anchor: AnchorConfig | None = None) -> None:
+                 clip: float | None, anchor: AnchorConfig | None = None,
+                 distance: float | None = None) -> None:
     """The one parameter update of every trainer and of online fine-tuning:
-    add the anchor pull, clip the global norm, then an in-place Adam step."""
+    add the anchor pull, clip the global norm, then an in-place Adam step.
+    `distance` is the anchor distance of theta before the update, when the
+    caller already has it (the distance after the previous update). The
+    caller's gradient is never written to."""
     if anchor is not None and anchor.lambda_reg != 0.0:
-        grads = grads + anchor_gradient(theta, anchor)
+        pull = anchor_gradient(theta, anchor, distance)
+        pull += grads
+        grads = pull
     adam_step(theta, clip_global_norm(grads, clip), adam)

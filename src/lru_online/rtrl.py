@@ -45,7 +45,7 @@ def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
                z_prev: np.ndarray, consts: tuple | None = None) -> np.ndarray:
     """Advance one layer's traces: Z_t = lambda * Z_{t-1} + immediate
     Jacobian. `consts` is the layer's lru.layer_constants (derived when
-    None)."""
+    None), which carry dlambda/dnu and dlambda/dtheta_phase."""
     u_t = np.asarray(u_t, dtype=np.float64)
     if z_prev.shape != (params.n, 2 + params.m):
         raise ContractViolationError(
@@ -54,13 +54,16 @@ def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if u_t.shape[-1] != params.m:
         raise ContractViolationError(
             f"input width {u_t.shape[-1]} != layer input width {params.m}")
-    lam, gamma, _ = consts or layer_constants(params)
-    imm = np.empty_like(z_prev)
-    imm[:, NU] = -np.exp(params.nu) * lam * h_prev
-    imm[:, PHASE] = 1j * np.exp(params.theta_phase) * lam * h_prev
-    imm[:, B_RE] = gamma[:, None] * u_t[None, :]
+    lam, gamma, _, _, dlam_dnu, dlam_dphase = consts or layer_constants(params)
     # out of place: numpy's in-place complex multiply rounds differently
-    return lam[:, None] * z_prev + imm
+    z = lam[:, None] * z_prev
+    # add the immediate Jacobian column by column (additions round alike
+    # in place and out of place)
+    z_nu, z_phase, z_b = z[:, NU], z[:, PHASE], z[:, B_RE]
+    z_nu += dlam_dnu * h_prev
+    z_phase += dlam_dphase * h_prev
+    z_b += gamma[:, None] * u_t[None, :]
+    return z
 
 
 def online_gradient(net: LruNetwork, traces: list[np.ndarray],
@@ -83,25 +86,33 @@ def online_gradient(net: LruNetwork, traces: list[np.ndarray],
     if len(h_states) != net.depth or len(layer_inputs) != net.depth:
         raise ContractViolationError("states/inputs count does not match depth")
     grads = np.empty_like(net.theta)
-    blocks = net.unflatten(grads)
     g = np.asarray(dL_dy, dtype=np.float64)
     for k in range(net.depth - 1, -1, -1):
         layer = net.layers[k]
+        n, m, p = layer.n, layer.m, layer.p
         h = h_states[k]
         u = np.asarray(layer_inputs[k], dtype=np.float64)
-        _, gamma, b_t = consts[k]
-        a = (layer.c_re + 1j * layer.c_im).T @ g  # complex adjoint of h
-        at = a[:, None] * traces[k]
-        out = blocks[k]
-        out["nu"][...] = at[:, NU].real
-        out["theta_phase"][...] = at[:, PHASE].real
-        out["gamma_log"][...] = np.real(a * h)
-        # Re[a * 1j * z_b_re] = -Im[a * z_b_re]
-        out["b_re"][...] = at[:, B_RE].real
-        out["b_im"][...] = -at[:, B_RE].imag
-        np.multiply(g[:, None], h.real, out=out["c_re"])
-        np.multiply(g[:, None], -h.imag, out=out["c_im"])
-        np.multiply(g[:, None], u, out=out["d"])
+        _, gamma, b_t, c_t, _, _ = consts[k]
+        a = c_t @ g  # complex adjoint of h
+        # the layer's blocks sit in PARAM_BLOCKS order from its offset:
+        # nu and theta_phase, gamma_log, b_re and b_im, c_re and c_im, d
+        nu = net.offsets[k]
+        gl = nu + 2 * n
+        b = gl + n
+        c = b + 2 * n * m
+        d = c + 2 * p * n
+        # conj(a * Z) holds Re[a * Z] and -Im[a * Z] = Re[a * 1j * Z] side by
+        # side: the nu, theta_phase and b_re gradients, and the b_im one
+        at = np.conjugate(a[:, None] * traces[k]).view(np.float64)
+        grads[nu:gl].reshape(2, n)[...] = at[:, 0:4:2].T
+        grads[gl:b] = np.real(a * h)
+        grads[b:c].reshape(2, n, m)[...] = \
+            at[:, 4:].reshape(n, m, 2).transpose(2, 0, 1)
+        # conj(h) holds [Re h, -Im h], the factors of the c_re and c_im rows
+        np.multiply(g[None, :, None],
+                    np.conjugate(h).view(np.float64).reshape(n, 2).T[:, None],
+                    out=grads[c:d].reshape(2, p, n))
+        np.multiply(g[:, None], u, out=grads[d:d + p * m].reshape(p, m))
         if k > 0:
             # instantaneous dL/du of this layer = input gradient for layer below
             g = np.real(b_t @ (gamma * a)) + layer.d.T @ g
@@ -111,27 +122,27 @@ def online_gradient(net: LruNetwork, traces: list[np.ndarray],
 def online_step(net: LruNetwork, states: list[np.ndarray],
                 traces: list[np.ndarray], u_t: np.ndarray, y_t: np.ndarray
                 ) -> tuple[list[np.ndarray], list[np.ndarray],
-                           np.ndarray, float, np.ndarray]:
+                           np.ndarray, np.ndarray]:
     """One RTRL step: forward, trace update, and the gradient of this step's
     mean Huber loss. Everything uses the current parameters; the caller
-    decides whether to update them.
+    decides whether to update them, and takes the loss, when it needs one,
+    as huber(prediction - y_t).
 
     States and traces must start at zero together (net.zero_states() and
     reset_trace(net)), at the start of a stream or session: the gamma_log
     trace is read from the state, which equals it only from a shared zero
     start.
 
-    Returns (new states, new traces, prediction, loss, flat gradient).
+    Returns (new states, new traces, prediction, flat gradient).
     """
     consts = [layer_constants(layer) for layer in net.layers]
     new_states, y_hat, layer_inputs = network_step(net, states, u_t, consts)
     traces = [trace_step(layer, h_prev, u, z, c)
               for layer, h_prev, u, z, c
               in zip(net.layers, states, layer_inputs, traces, consts)]
-    resid = y_hat - y_t
     grads = online_gradient(net, traces, new_states, layer_inputs,
-                            huber_grad(resid), consts)
-    return new_states, traces, y_hat, huber(resid), grads
+                            huber_grad(y_hat - y_t), consts)
+    return new_states, traces, y_hat, grads
 
 
 def window_gradient(net: LruNetwork, inputs: np.ndarray,
@@ -146,9 +157,8 @@ def window_gradient(net: LruNetwork, inputs: np.ndarray,
     grads = np.zeros_like(net.theta)
     for u_t, y_t in zip(np.asarray(inputs, dtype=np.float64),
                         np.asarray(targets, dtype=np.float64)):
-        states, traces, _, loss, g = online_step(net, states, traces,
-                                                 u_t, y_t)
-        total_loss += loss
+        states, traces, y_hat, g = online_step(net, states, traces, u_t, y_t)
+        total_loss += huber(y_hat - y_t)
         grads += g
     T = len(inputs)
     return total_loss / T, grads * (1.0 / T)
@@ -173,8 +183,8 @@ def rtrl_stream_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
     traces = reset_trace(net)
     total = 0.0
     for u_t, y_t in zip(batch.inputs[0], batch.targets[0]):
-        states, traces, _, loss, grads = online_step(net, states, traces,
-                                                     u_t, y_t)
+        states, traces, y_hat, grads = online_step(net, states, traces,
+                                                   u_t, y_t)
         apply_update(net.theta, grads, adam, cfg.clip)
-        total += loss
+        total += huber(y_hat - y_t)
     return total / batch.window

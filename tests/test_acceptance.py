@@ -238,7 +238,7 @@ def test_criterion_10_flat_memory_over_long_stream(capfd):
     warmup = 50_000
     rss_warm = None
     for t in range(total_steps):
-        states, traces, _, _, grads = online_step(
+        states, traces, _, grads = online_step(
             net, states, traces, buf_x[t % 256], buf_y[t % 256])
         apply_update(net.theta, grads, adam, 0.5, anchor)
         if t == warmup:

@@ -12,14 +12,16 @@ import pytest
 from lru_online.bptt import evaluate as offline_evaluate
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData
-from lru_online import cli
+from lru_online import cli, harness
 from lru_online.cli import EXIT_CODES, build_parser, main
-from lru_online.errors import CheckpointError, CompatibilityError
+from lru_online.errors import (CheckpointError, CompatibilityError,
+                               ConfigurationError, ContractViolationError)
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
                                 cmd_evaluate, cmd_finetune, cmd_pretrain,
                                 impute_benchmark, prepare_tables)
 from lru_online.lru import init_network, network_scan
-from lru_online.optim import AnchorConfig, anchor_distance, apply_update
+from lru_online.optim import (AdamState, AnchorConfig, anchor_distance,
+                              apply_update)
 from lru_online.rtrl import online_step, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -269,7 +271,7 @@ class TestFinetune:
         for sid in data.sessions():
             states, traces = net.zero_states(), reset_trace(net)
             for t in data.session_slice(sid):
-                states, traces, y_hat, _, grads = online_step(
+                states, traces, y_hat, grads = online_step(
                     net, states, traces, data.features[t], data.targets[t])
                 apply_update(net.theta, grads, adam, cfg.clip, anchor)
                 preds.append(y_hat)
@@ -331,6 +333,63 @@ class TestFinetune:
         assert np.isfinite(metrics.loss[31:]).all()
         assert np.isfinite(metrics.loss_frozen[31:]).all()
         assert metrics.summary()["nonfinite_steps"] == 1
+
+    def test_nonfinite_target_advances_states(self):
+        """A NaN target with finite features skips only the update: the
+        adaptive states and traces advance past the row, as the frozen
+        net's do, so the stream equals online_step + apply_update with
+        that one update left out."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        targets = ref["targets"].copy()
+        bad = 12
+        targets[bad, 1] = np.nan
+        data = SequenceData(features=ref["features"], targets=targets,
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        cfg = FinetuneConfig(lambda_reg=0.01, lr=1e-2)
+        metrics = cmd_finetune(ckpt, data, cfg)
+        assert metrics.skipped_updates == 1
+        assert np.isnan(metrics.loss[bad])
+        assert np.isfinite(np.delete(metrics.loss, bad)).all()
+
+        net = ckpt.net.copy()
+        adam = AdamState.init(net.theta, lr=cfg.lr)
+        anchor = AnchorConfig(theta_pre=ckpt.net.theta,
+                              lambda_reg=cfg.lambda_reg)
+        preds = []
+        for sid in data.sessions():
+            states, traces = net.zero_states(), reset_trace(net)
+            for t in data.session_slice(sid):
+                states, traces, y_hat, grads = online_step(
+                    net, states, traces, data.features[t], data.targets[t])
+                if t != bad:
+                    apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                preds.append(y_hat)
+        assert np.array_equal(metrics.predictions, np.asarray(preds))
+
+    def test_empty_stream_rejected(self, pretrained, stream):
+        ckpt, _ = pretrained
+        empty = replace(stream, features=stream.features[:0],
+                        targets=stream.targets[:0],
+                        session_ids=stream.session_ids[:0],
+                        timestamps=stream.timestamps[:0])
+        with pytest.raises(ContractViolationError, match="no rows"):
+            cmd_finetune(ckpt, empty, FinetuneConfig())
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1e-3), ("lr", float("nan")), ("freeze_after", -1),
+        ("clip", 0.0), ("clip", -0.5), ("lambda_reg", -0.1)])
+    def test_invalid_config_rejected(self, field, value):
+        """Rejected up front, also where the run would never update."""
+        for base in ({}, {"lr": 0.0}, {"freeze_after": 0}):
+            with pytest.raises(ConfigurationError, match=field):
+                FinetuneConfig(**{**base, field: value})
+
+    def test_boundary_configs_accepted(self):
+        for cfg in (FinetuneConfig(lr=0.0), FinetuneConfig(freeze_after=0),
+                    FinetuneConfig(clip=None), FinetuneConfig(lambda_reg=0.0)):
+            assert isinstance(cfg, FinetuneConfig)
 
 
 FINETUNE_REF = DATA / "finetune_reference.npz"
@@ -429,6 +488,43 @@ class TestAblate:
         baseline = next(r for r in rows if r["kind"] == "baseline")
         assert baseline["total_loss"] == pytest.approx(
             direct.total_loss_frozen)
+
+
+    @pytest.mark.parametrize("best", [0.0, 0.01])
+    def test_freeze_grid_runs_once_per_distinct_lambda(self, monkeypatch,
+                                                        best):
+        """With the best lambda 0 the two freeze grids are the same runs:
+        they run once and their rows appear twice."""
+        calls = []
+
+        class Fake:
+            def __init__(self, cfg):
+                self.total_loss = abs(cfg.lambda_reg - best) + (
+                    0.0 if cfg.freeze_after is None else cfg.freeze_after)
+                self.mean_loss = self.total_loss / 10
+                self.total_loss_frozen, self.mean_loss_frozen = 5.0, 0.5
+                self.anchor_distance = np.array([cfg.lambda_reg])
+
+        def fake_finetune(ckpt, stream, cfg):
+            calls.append((cfg.lambda_reg, cfg.freeze_after))
+            return Fake(cfg)
+
+        monkeypatch.setattr(harness, "cmd_finetune", fake_finetune)
+        rows = cmd_ablate(None, None, FinetuneConfig(lr=1e-2))
+        grid = harness.FREEZE_GRID
+        lambdas = [(lam, None) for lam in harness.LAMBDA_GRID]
+        if best == 0.0:
+            assert calls == lambdas + [(0.0, f) for f in grid]
+        else:
+            assert calls == (lambdas + [(best, f) for f in grid]
+                             + [(0.0, f) for f in grid])
+        freeze = [r for r in rows if r["kind"] == "freeze"]
+        assert [(r["lambda_reg"], r["freeze_after"]) for r in freeze] == \
+            [(best, f) for f in grid] + [(0.0, f) for f in grid]
+        assert [r["total_loss"] for r in freeze] == \
+            [abs(lam - best) + f for lam in (best, 0.0) for f in grid]
+        assert freeze[0] is not freeze[3]
+        assert len(rows) == 4 + 2 * 3 + 1
 
 
 class TestEvaluate:
@@ -620,6 +716,27 @@ class TestCli:
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert flag[2:].replace("-", "_") in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["finetune", "ablate"])
+    @pytest.mark.parametrize("flags, field", [
+        (["--lr", "-0.001"], "lr"),
+        (["--freeze-after", "-1"], "freeze_after"),
+        (["--clip", "0"], "clip"),
+        (["--clip", "0", "--freeze-after", "0"], "clip")])
+    def test_invalid_finetune_config_exits_2(self, data_dir, pretrained,
+                                             tmp_path, capsys, command,
+                                             flags, field):
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main([command, "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out)] + flags)
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert field in err["message"]
         assert list(out.iterdir()) == []
 
     def test_checkpoint_error_exit_code(self, tmp_path, capsys):

@@ -48,6 +48,23 @@ class TestHuber:
             fd = (huber(rp) - huber(rm)) / (2 * eps)
             assert abs(g[i] - fd) < 1e-8
 
+    def test_grad_propagates_nan(self):
+        r = np.array([np.nan, 0.5, -3.0, np.inf, -np.inf])
+        g = huber_grad(r, delta=1.0)
+        assert np.isnan(g[0])
+        assert np.array_equal(g[1:], np.array([0.5, -1.0, 1.0, -1.0]) / 5)
+
+    def test_grad_bitwise_equals_clip(self):
+        """psi is np.clip(r, -delta, delta), bitwise, signed zeros and
+        NaNs included."""
+        rng = np.random.default_rng(5)
+        r = np.concatenate([rng.standard_normal(200) * 3,
+                            [0.0, -0.0, np.nan, np.inf, -np.inf]])
+        for delta in (0.3, 1.0, 2.5):
+            ref = np.clip(r, -delta, delta) / r.size
+            assert np.array_equal(huber_grad(r, delta).view(np.int64),
+                                  ref.view(np.int64))
+
 
 class TestClip:
     def test_under_threshold_unchanged(self):
@@ -82,6 +99,40 @@ class TestClip:
         assert clip_global_norm(g, None) is g
 
 
+def _random_vectors():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 64, 578, 1041, 5000):
+        for scale in (1e-6, 0.3, 1.0, 40.0):
+            yield rng.standard_normal(size) * scale
+
+
+class TestNormsBitwise:
+    """The L2 norms are math.sqrt(x @ x), bitwise what np.linalg.norm
+    gives for a flat float vector."""
+
+    def test_clip_global_norm(self):
+        for g in _random_vectors():
+            norm = float(np.linalg.norm(g))
+            for max_norm in (0.5 * norm, 2.0 * norm):
+                ref = g if norm <= max_norm else g * (max_norm / norm)
+                assert np.array_equal(clip_global_norm(g, max_norm), ref)
+
+    def test_anchor_distance_and_gradient(self):
+        rng = np.random.default_rng(12)
+        for theta in _random_vectors():
+            pre = theta + rng.standard_normal(theta.size) * 0.1
+            anchor = AnchorConfig(theta_pre=pre, lambda_reg=0.03)
+            norm = float(np.linalg.norm(theta - pre))
+            assert anchor_distance(theta, anchor) == norm
+            ref = (theta - pre) * (anchor.lambda_reg / norm)
+            assert np.array_equal(anchor_gradient(theta, anchor), ref)
+            assert np.array_equal(anchor_gradient(theta, anchor, norm), ref)
+            squared = AnchorConfig(theta_pre=pre, lambda_reg=0.03,
+                                   squared=True)
+            assert np.array_equal(anchor_gradient(theta, squared),
+                                  (theta - pre) * (2.0 * 0.03))
+
+
 class TestAdam:
     def test_zero_grad_no_move(self):
         theta = np.array([1.5])
@@ -110,6 +161,44 @@ class TestAdam:
         with pytest.raises(TrainingError):
             adam_step(theta, np.array([np.nan]), state)
         assert theta[0] == 0.0 and state.t == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_grad_leaves_everything_unchanged(self, bad):
+        """A rejected gradient leaves theta, m, v and t as they were, also
+        after earlier steps have filled the moments."""
+        rng = np.random.default_rng(8)
+        theta = rng.standard_normal(9)
+        state = AdamState.init(theta, lr=0.05)
+        for _ in range(3):
+            adam_step(theta, rng.standard_normal(9), state)
+        before = (theta.copy(), state.m.copy(), state.v.copy(), state.t)
+        grads = rng.standard_normal(9)
+        grads[4] = bad
+        with pytest.raises(TrainingError):
+            adam_step(theta, grads, state)
+        assert np.array_equal(theta, before[0])
+        assert np.array_equal(state.m, before[1])
+        assert np.array_equal(state.v, before[2])
+        assert state.t == before[3]
+
+    def test_bitwise_equals_textbook_expression(self):
+        """The buffered update is bitwise the one-line Adam expression."""
+        rng = np.random.default_rng(9)
+        theta = rng.standard_normal(50)
+        ref = theta.copy()
+        state = AdamState.init(theta, lr=0.01)
+        m, v = np.zeros(50), np.zeros(50)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        for t in range(1, 30):
+            g = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 3)
+            adam_step(theta, g, state)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t))
+                                               + eps)
+            assert np.array_equal(state.m, m)
+            assert np.array_equal(state.v, v)
+            assert np.array_equal(theta, ref)
 
     def test_deterministic(self):
         a, b = np.arange(4.0), np.arange(4.0)
@@ -189,3 +278,33 @@ class TestApplyUpdate:
         assert np.array_equal(theta, ref)
         assert np.array_equal(state.m, ref_state.m)
         assert np.array_equal(grads, before)
+
+    @pytest.mark.parametrize("lambda_reg, clip", [
+        (0.0, None), (0.0, 1e-3), (0.3, None), (0.3, 1e-3)])
+    def test_never_writes_callers_gradient(self, lambda_reg, clip):
+        rng = np.random.default_rng(6)
+        pre = rng.standard_normal(6)
+        theta = pre + rng.standard_normal(6)
+        anchor = AnchorConfig(theta_pre=pre, lambda_reg=lambda_reg)
+        state = AdamState.init(theta)
+        for _ in range(3):
+            grads = rng.standard_normal(6)
+            before = grads.copy()
+            apply_update(theta, grads, state, clip, anchor)
+            assert np.array_equal(grads, before)
+
+    def test_given_distance_is_bitwise_the_computed_one(self):
+        """Passing the anchor distance taken after the previous update
+        gives bitwise the update that computes it afresh."""
+        rng = np.random.default_rng(10)
+        pre = rng.standard_normal(20)
+        a, b = pre.copy(), pre.copy()
+        anchor = AnchorConfig(theta_pre=pre, lambda_reg=0.05)
+        sa, sb = AdamState.init(a, lr=0.02), AdamState.init(b, lr=0.02)
+        distance = 0.0
+        for _ in range(25):
+            grads = rng.standard_normal(20)
+            apply_update(a, grads, sa, 0.5, anchor)
+            apply_update(b, grads, sb, 0.5, anchor, distance)
+            distance = anchor_distance(b, anchor)
+            assert np.array_equal(a, b)

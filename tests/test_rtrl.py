@@ -10,7 +10,7 @@ from lru_online.errors import ContractViolationError
 from lru_online.lru import (LruNetwork, derive_gamma, derive_lambda,
                             init_network, layer_constants, layer_step,
                             network_step)
-from lru_online.optim import AdamState, apply_update
+from lru_online.optim import AdamState, apply_update, huber
 from lru_online.rtrl import (B_RE, NU, PHASE, online_gradient, online_step,
                              reset_trace, trace_step, window_gradient)
 
@@ -127,6 +127,38 @@ class TestTraceStep:
         with pytest.raises(ContractViolationError):
             trace_step(net.layers[0], np.zeros(5, complex), np.zeros(3), bad)
 
+    def test_bitwise_equals_out_of_place_formula(self, rng):
+        """trace_step is bitwise lambda * Z + imm with the immediate
+        Jacobian imm built from exp(nu) and exp(theta_phase) afresh."""
+        net = init_network(6, (9,), 2, seed=4)
+        layer = net.layers[0]
+        lam = derive_lambda(layer)
+        z, h = reset_trace(net)[0], np.zeros(9, complex)
+        for _ in range(30):
+            u = rng.standard_normal(6)
+            imm = np.empty_like(z)
+            imm[:, NU] = -np.exp(layer.nu) * lam * h
+            imm[:, PHASE] = 1j * np.exp(layer.theta_phase) * lam * h
+            imm[:, B_RE] = derive_gamma(layer)[:, None] * u[None, :]
+            ref = lam[:, None] * z + imm
+            z = trace_step(layer, h, u, z)
+            assert np.array_equal(z, ref)
+            h, _ = layer_step(layer, h, u)
+
+    def test_constants_carry_the_lambda_derivatives(self):
+        """dlambda/dnu and dlambda/dtheta_phase in layer_constants are
+        bitwise -exp(nu) * lambda and 1j * exp(theta_phase) * lambda."""
+        net = init_network(3, (7, 4), 2, seed=5)
+        for layer in net.layers:
+            lam, gamma, b_t, c_t, dnu, dphase = layer_constants(layer)
+            assert np.array_equal(lam, derive_lambda(layer))
+            assert np.array_equal(gamma, derive_gamma(layer))
+            assert np.array_equal(b_t, layer.b_re.T + 1j * layer.b_im.T)
+            assert np.array_equal(c_t, (layer.c_re + 1j * layer.c_im).T)
+            assert np.array_equal(dnu, -np.exp(layer.nu) * lam)
+            assert np.array_equal(dphase,
+                                  1j * np.exp(layer.theta_phase) * lam)
+
     def test_consts_give_bitwise_equal_steps(self, rng):
         """layer_step, trace_step and network_step give bitwise the same
         results with the layer_constants passed in as without them."""
@@ -155,6 +187,40 @@ class TestTraceStep:
 
 
 class TestOnlineGradient:
+    def test_blocks_land_at_their_offsets(self, rng):
+        """online_gradient's writes at fixed offsets are bitwise the
+        per-block formulas written through net.unflatten."""
+        net = init_network(4, (6, 5, 3), 2, seed=9)
+        states, traces = net.zero_states(), reset_trace(net)
+        for _ in range(6):
+            u = rng.standard_normal(4)
+            consts = [layer_constants(layer) for layer in net.layers]
+            new_states, y, li = network_step(net, states, u, consts)
+            traces = [trace_step(layer, h, x, z, c) for layer, h, x, z, c
+                      in zip(net.layers, states, li, traces, consts)]
+            states = new_states
+            dL_dy = rng.standard_normal(2)
+            got = online_gradient(net, traces, states, li, dL_dy, consts)
+            ref = np.full_like(net.theta, np.nan)
+            blocks = net.unflatten(ref)
+            g = dL_dy
+            for k in range(net.depth - 1, -1, -1):
+                layer, h, z = net.layers[k], states[k], traces[k]
+                a = (layer.c_re + 1j * layer.c_im).T @ g
+                at = a[:, None] * z
+                out = blocks[k]
+                out["nu"][...] = at[:, NU].real
+                out["theta_phase"][...] = at[:, PHASE].real
+                out["gamma_log"][...] = np.real(a * h)
+                out["b_re"][...] = at[:, B_RE].real
+                out["b_im"][...] = -at[:, B_RE].imag
+                out["c_re"][...] = g[:, None] * h.real
+                out["c_im"][...] = g[:, None] * -h.imag
+                out["d"][...] = g[:, None] * li[k]
+                g = (np.real(consts[k][2] @ (derive_gamma(layer) * a))
+                     + layer.d.T @ g)
+            assert np.array_equal(got, ref)
+
     def test_zero_output_gradient(self, rng):
         net = init_network(3, (5,), 2, seed=2)
         states, y, li = network_step(net, net.zero_states(),
@@ -213,8 +279,8 @@ ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
 
 def run_reference_stream(steps=40):
     """A fixed depth-2 stream through online_step + apply_update; returns
-    every step's prediction, loss and gradient, the final states and
-    traces, and the final parameters. The traces are returned under the
+    every step's prediction, loss (huber(y_hat - y_t)) and gradient, the
+    final states and traces, and the final parameters. The traces are returned under the
     names of the reference file's per-parameter fields: the gamma_log trace
     is the state, and the b_im trace is 1j times the b_re trace."""
     net = init_network(3, (5, 4), 2, seed=6)
@@ -225,11 +291,11 @@ def run_reference_stream(steps=40):
     states, traces = net.zero_states(), reset_trace(net)
     out = {"preds": [], "losses": [], "grads": []}
     for u_t, y_t in zip(inputs, targets):
-        states, traces, y_hat, loss, grads = online_step(net, states, traces,
-                                                         u_t, y_t)
+        states, traces, y_hat, grads = online_step(net, states, traces,
+                                                   u_t, y_t)
         apply_update(net.theta, grads, adam, 0.5)
         out["preds"].append(y_hat)
-        out["losses"].append(loss)
+        out["losses"].append(huber(y_hat - y_t))
         out["grads"].append(grads)
     out = {k: np.asarray(v) for k, v in out.items()}
     for k, (h, z) in enumerate(zip(states, traces)):
