@@ -11,8 +11,8 @@ import numpy as np
 
 from .datapipe import SequenceData
 from .errors import ConfigurationError, TrainingError
-from .lru import (LruNetwork, _interleave, _linear_recurrence, derive_gamma,
-                  derive_lambda, network_scan)
+from .lru import (LruNetwork, _interleave, _linear_recurrence, layer_constants,
+                  network_scan)
 from .optim import AdamState, apply_update, huber, huber_grad
 
 
@@ -56,10 +56,9 @@ def sample_windows(data: SequenceData, T: int, batch: int,
     contribute proportionally to their available window count."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    # rows of a session are contiguous: a session starts where the id changes
     ids = data.session_ids
-    first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    sizes = np.diff(np.r_[first, ids.size])
+    first, stop = data.session_bounds()
+    sizes = stop - first
     short = np.flatnonzero(sizes < T)
     if short.size:
         s = short[0]
@@ -101,8 +100,7 @@ def bptt_gradient(net: LruNetwork,
         u2 = layer_inputs[k].reshape(-1, m)
         h = layer_states[k]
         down2 = down.reshape(-1, p)
-        lam = derive_lambda(layer)
-        gamma = derive_gamma(layer)
+        lam, gamma, _, _, dlam_dnu, dlam_dphase = layer_constants(layer)
 
         out = blocks[k]
         gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)
@@ -119,9 +117,8 @@ def bptt_gradient(net: LruNetwork,
         sh = np.sum(s[:, 1:] * h[:, :-1], axis=(0, 1))    # sum_t s_t h_{t-1}
         su = s2.T @ u2                                    # sum_t s_t u_t^T
         su_re, su_im = su[0::2], su[1::2]
-        out["nu"][...] = np.real(-np.exp(layer.nu) * lam * sh)
-        out["theta_phase"][...] = np.real(
-            1j * np.exp(layer.theta_phase) * lam * sh)
+        out["nu"][...] = np.real(dlam_dnu * sh)
+        out["theta_phase"][...] = np.real(dlam_dphase * sh)
         # sum_t s_t (B u_t) = rowsum(B * su)
         out["gamma_log"][...] = gamma * np.sum(
             layer.b_re * su_re - layer.b_im * su_im, axis=1)
@@ -138,11 +135,11 @@ def bptt_gradient(net: LruNetwork,
 def evaluate(net: LruNetwork, data: SequenceData) -> float:
     """Mean per-step Huber loss over full sessions from zero initial state."""
     total, count = 0.0, 0
-    for sid in data.sessions():
-        idx = data.session_slice(sid)
-        _, _, preds = network_scan(net, data.features[idx])
-        total += huber(preds - data.targets[idx]) * idx.size
-        count += idx.size
+    for first, stop in zip(*data.session_bounds()):
+        _, _, preds = network_scan(net, data.features[first:stop])
+        rows = int(stop - first)
+        total += huber(preds - data.targets[first:stop]) * rows
+        count += rows
     return total / count
 
 

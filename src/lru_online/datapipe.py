@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigurationError, ImputationError, SchemaError,
-                     UsageError)
+from .errors import (ConfigurationError, ContractViolationError,
+                     ImputationError, SchemaError, UsageError)
 
 log = logging.getLogger(__name__)
 
@@ -98,7 +98,9 @@ class WeatherTable:
 
 @dataclass
 class SequenceData:
-    """Model-ready arrays produced by apply_pipeline."""
+    """Model-ready arrays produced by apply_pipeline. The rows are in stream
+    order and a session's rows are contiguous: a session is a run of equal
+    session ids (session_bounds)."""
     features: np.ndarray       # (N, F) float64, no missing values
     targets: np.ndarray        # (N, P) float64, standardized
     session_ids: np.ndarray
@@ -110,11 +112,20 @@ class SequenceData:
     def n_rows(self) -> int:
         return self.features.shape[0]
 
-    def sessions(self) -> list[int]:
-        return _sessions_in_order(self.session_ids)
-
-    def session_slice(self, sid: int) -> np.ndarray:
-        return np.nonzero(self.session_ids == sid)[0]
+    def session_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, stops): session k is rows starts[k]:stops[k], in stream
+        order; no rows, no sessions. An id that comes back after another id
+        is a ContractViolationError: its rows would not be contiguous."""
+        ids = self.session_ids
+        change = ids[1:] != ids[:-1]
+        starts = np.flatnonzero(np.r_[ids.size > 0, change])
+        _, first = np.unique(ids[starts], return_index=True)
+        if first.size < starts.size:
+            k = np.setdiff1d(np.arange(starts.size), first)[0]
+            raise ContractViolationError(
+                f"session {ids[starts[k]]} comes back at row {starts[k]} "
+                "after another session; a session's rows must be contiguous")
+        return starts, np.flatnonzero(np.r_[change, ids.size > 0]) + 1
 
 
 # ------------------------------------------------------------------- loading

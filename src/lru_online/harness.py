@@ -18,7 +18,8 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
-from .lru import init_network, layer_constants, network_scan, network_step
+from .lru import (LruNetwork, init_network, layer_constants, network_scan,
+                  network_step)
 from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
                     huber, huber_values)
 from .rtrl import online_step, reset_trace, rtrl_stream_step, rtrl_window_step
@@ -207,28 +208,47 @@ class RunMetrics:
         }
 
 
+def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
+                start: int, states: list[np.ndarray] | None) -> None:
+    """Predict rows [start, N) of the stream into `out` with fixed theta:
+    from `states` inside the session at `start`, from zero states at each
+    session start, the states held on a non-finite feature row."""
+    consts = [layer_constants(layer) for layer in net.layers]
+    finite_rows = np.isfinite(stream.features).all(axis=1).tolist()
+    for first, stop in zip(*stream.session_bounds()):
+        if stop <= start:
+            continue
+        if first >= start:
+            states = net.zero_states()
+        for t in range(max(first, start), stop):
+            new_states, out[t], _ = network_step(net, states,
+                                                 stream.features[t], consts)
+            if finite_rows[t]:
+                states = new_states
+
+
 def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                  cfg: FinetuneConfig) -> RunMetrics:
-    """Online fine-tuning against a ground-truth stream.
+    """Online fine-tuning against a ground-truth stream, in two passes.
 
-    One interleaved pass records the frozen-baseline prediction and the
-    adaptive prediction at every step; the adaptive model predicts, observes
-    the label, and Adam-updates on the clipped Huber + anchor gradient,
-    until freeze_after steps have elapsed. Predictions are logged before the
+    The adaptive pass runs rows [0, freeze): none when lr is 0, else the
+    first freeze_after rows (all of them when None). At each row the
+    adaptive model predicts, observes the label and Adam-updates on the
+    clipped Huber + anchor gradient; the prediction is logged before the
     update (no label leakage into the logged step). Each session starts
     from zero hidden states and traces; the parameters and the Adam state
     carry over from one session to the next. A step whose gradient is not
-    finite (e.g. a NaN feature row) logs its prediction and loss as they
-    came out, skips the update and counts in RunMetrics.skipped_updates. A
-    non-finite feature row leaves the states (and the adaptive traces) of
-    all three nets, adaptive, frozen and predict-only, at their pre-step
-    values, so one bad row does not poison the rest of the session. A row
-    with finite features advances them, even when its target is not finite
-    (its update is skipped), so the adaptive and the frozen net always see
-    the same input history. The frozen net steps with layer_constants
-    derived once per run, the predict-only net with its own, derived at the
-    freeze step; the losses are computed after the pass from the logged
-    predictions. An empty stream is a ContractViolationError.
+    finite (a NaN feature or target) logs its prediction as it came out,
+    skips the update and counts in RunMetrics.skipped_updates. A non-finite
+    feature row leaves the states and traces at their pre-step values, so
+    one bad row does not poison the rest of the session; a row with finite
+    features advances them, even when its target is not finite.
+
+    The stepped predictor _step_fixed then runs twice: the frozen
+    checkpoint from row 0, and the adapted net from the freeze row on,
+    continuing the adaptive states. The losses come from the logged
+    predictions. Sessions come from stream.session_bounds(), so a session
+    id that comes back is a ContractViolationError, as is an empty stream.
     """
     frozen = ckpt.net
     if frozen.input_dim != stream.features.shape[1]:
@@ -245,48 +265,38 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                        v=ckpt.optimizer.v.copy(), lr=cfg.lr)
     else:
         adam = AdamState.init(net.theta, lr=cfg.lr)
+    freeze = 0 if cfg.lr == 0 else stream.n_rows
+    if cfg.freeze_after is not None:
+        freeze = min(freeze, cfg.freeze_after)
     preds = np.empty_like(stream.targets)
-    preds_frozen = np.empty_like(stream.targets)
     dist = np.empty(stream.n_rows)
     distance = 0.0
-    elapsed = 0
     skipped = 0
-    finite_rows = np.isfinite(stream.features).all(axis=1).tolist()
-    frozen_consts = [layer_constants(layer) for layer in frozen.layers]
-    consts = None                 # the adaptive net's, once it stops updating
-    for sid in stream.sessions():
-        states = net.zero_states()
-        frozen_states = frozen.zero_states()
-        traces = reset_trace(net)
-        for t in stream.session_slice(sid):
-            x = stream.features[t]
-            new_frozen, preds_frozen[t], _ = network_step(
-                frozen, frozen_states, x, frozen_consts)
-            if finite_rows[t]:
-                frozen_states = new_frozen
-            if cfg.lr > 0 and (cfg.freeze_after is None
-                               or elapsed < cfg.freeze_after):
-                new_states, new_traces, preds[t], grads = \
-                    online_step(net, states, traces, x, stream.targets[t])
-                try:
-                    # theta has not moved since `distance` was taken
-                    apply_update(net.theta, grads, adam, cfg.clip, anchor,
-                                 distance)
-                except TrainingError:
-                    # non-finite gradient: nothing was updated
-                    skipped += 1
-                else:
-                    distance = anchor_distance(net.theta, anchor)
-                if finite_rows[t]:
-                    states, traces = new_states, new_traces
+    states = None
+    finite_rows = np.isfinite(stream.features[:freeze]).all(axis=1).tolist()
+    for first, stop in zip(*stream.session_bounds()):
+        if first >= freeze:
+            break
+        states, traces = net.zero_states(), reset_trace(net)
+        for t in range(first, min(stop, freeze)):
+            new_states, new_traces, preds[t], grads = online_step(
+                net, states, traces, stream.features[t], stream.targets[t])
+            try:
+                # theta has not moved since `distance` was taken
+                apply_update(net.theta, grads, adam, cfg.clip, anchor,
+                             distance)
+            except TrainingError:
+                # non-finite gradient: nothing was updated
+                skipped += 1
             else:
-                if consts is None:
-                    consts = [layer_constants(layer) for layer in net.layers]
-                new_states, preds[t], _ = network_step(net, states, x, consts)
-                if finite_rows[t]:
-                    states = new_states
+                distance = anchor_distance(net.theta, anchor)
+            if finite_rows[t]:
+                states, traces = new_states, new_traces
             dist[t] = distance
-            elapsed += 1
+    dist[freeze:] = distance
+    _step_fixed(net, stream, preds, freeze, states)
+    preds_frozen = np.empty_like(stream.targets)
+    _step_fixed(frozen, stream, preds_frozen, 0, None)
     loss = huber_values(preds - stream.targets).mean(axis=1)
     loss_frozen = huber_values(preds_frozen - stream.targets).mean(axis=1)
     return RunMetrics(timestamps=stream.timestamps.copy(),
@@ -347,17 +357,20 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
 # --------------------------------------------------------------- evaluation
 
 def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
-    """Frozen full-sequence prediction with per-target MSE and Huber totals;
-    also returns the per-step prediction/target arrays for plotting."""
+    """Frozen full-sequence prediction, each session scanned from zero
+    states, with per-target MSE and Huber totals; also returns the per-step
+    prediction/target arrays for plotting. Empty data, or a session id
+    that comes back, is a ContractViolationError."""
     net = ckpt.net
     if net.input_dim != data.features.shape[1]:
         raise CompatibilityError(
             f"checkpoint expects {net.input_dim} features but the data "
             f"has {data.features.shape[1]}")
+    if data.n_rows == 0:
+        raise ContractViolationError("cannot evaluate on data with no rows")
     preds = np.empty_like(data.targets)
-    for sid in data.sessions():
-        idx = data.session_slice(sid)
-        _, _, preds[idx] = network_scan(net, data.features[idx])
+    for first, stop in zip(*data.session_bounds()):
+        _, _, preds[first:stop] = network_scan(net, data.features[first:stop])
     resid = preds - data.targets
     per_target_mse = np.mean(resid * resid, axis=0)
     names = data.target_names or [f"target_{i}" for i in range(resid.shape[1])]

@@ -25,9 +25,9 @@ def make_data(session_lengths, m=3, p=2, seed=0):
 
 def sample_windows_reference(data, T, batch, rng):
     """The per-window copy loop sample_windows replaced (same draws)."""
-    sessions = data.sessions()
-    spans = [(data.session_slice(s)[0], data.session_slice(s).size - T + 1)
-             for s in sessions]
+    sessions = list(dict.fromkeys(data.session_ids.tolist()))
+    rows = [np.flatnonzero(data.session_ids == s) for s in sessions]
+    spans = [(r[0], r.size - T + 1) for r in rows]
     cum = np.cumsum([c for _, c in spans])
     draws = rng.integers(0, cum[-1], size=batch)
     which = np.searchsorted(cum, draws, side="right")

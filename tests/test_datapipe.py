@@ -5,13 +5,14 @@ import pytest
 
 from lru_online.datapipe import (EMISSION_HEADER, ROLE_CATEGORICAL,
                                  ROLE_NUMERIC, ROLE_TARGET, TARGET_COLUMNS,
-                                 FittedPipeline, SeriesTable, apply_pipeline,
+                                 FittedPipeline, SequenceData, SeriesTable,
+                                 apply_pipeline,
                                  fit_pipeline, impute_knn,
                                  impute_rolling_median, join_weather,
                                  load_emission_csv, load_weather_csv,
                                  resample_to_grid, split_sessions)
-from lru_online.errors import (ConfigurationError, ImputationError,
-                               SchemaError, UsageError)
+from lru_online.errors import (ConfigurationError, ContractViolationError,
+                               ImputationError, SchemaError, UsageError)
 from lru_online.harness import load_grid
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -535,3 +536,23 @@ class TestSplitSessions:
     def test_single_session_rejected(self):
         with pytest.raises(ConfigurationError):
             split_sessions(full_table(), 0.8)
+
+
+class TestSessionBounds:
+    @staticmethod
+    def data(ids):
+        n = len(ids)
+        return SequenceData(features=np.zeros((n, 1)), targets=np.zeros((n, 1)),
+                            session_ids=np.asarray(ids, dtype=np.int64),
+                            timestamps=np.arange(n, dtype=np.float64))
+
+    @pytest.mark.parametrize("ids, starts, stops", [
+        ([], [], []), ([4], [0], [1]),
+        ([5, 5, 2, 2, 2, 7], [0, 2, 5], [2, 5, 6])])
+    def test_runs_of_equal_ids(self, ids, starts, stops):
+        got = self.data(ids).session_bounds()
+        assert [b.tolist() for b in got] == [starts, stops]
+
+    def test_returning_id_names_session_and_row(self):
+        with pytest.raises(ContractViolationError, match="session 5 .* row 4"):
+            self.data([5, 5, 2, 2, 5, 7]).session_bounds()

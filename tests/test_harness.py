@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lru_online.bptt import evaluate as offline_evaluate
+from lru_online.bptt import evaluate as offline_evaluate, sample_windows
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData
 from lru_online import cli, harness
@@ -19,7 +20,7 @@ from lru_online.errors import (CheckpointError, CompatibilityError,
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
                                 cmd_evaluate, cmd_finetune, cmd_pretrain,
                                 impute_benchmark, prepare_tables)
-from lru_online.lru import init_network, network_scan
+from lru_online.lru import init_network, network_scan, network_step
 from lru_online.optim import (AdamState, AnchorConfig, anchor_distance,
                               apply_update)
 from lru_online.rtrl import online_step, reset_trace
@@ -138,7 +139,7 @@ class TestCheckpoint:
         data = SequenceData(features=ref["features"], targets=ref["targets"],
                             session_ids=ref["session_ids"],
                             timestamps=ref["timestamps"])
-        assert len(data.sessions()) == 2
+        assert np.unique(data.session_ids).size == 2
         preds = cmd_evaluate(ckpt, data)["predictions"]
         scale = max(1.0, np.abs(ref["predictions"]).max())
         assert np.abs(preds - ref["predictions"]).max() <= 1e-10 * scale
@@ -207,8 +208,8 @@ class TestFinetune:
     def test_sessions_start_from_zero_state(self, pretrained, prepared):
         ckpt, _ = pretrained
         two = prepared[1]
-        first, second = two.sessions()
-        idx = two.session_slice(second)
+        _, second = dict.fromkeys(two.session_ids.tolist())
+        idx = np.flatnonzero(two.session_ids == second)
         alone = replace(two, features=two.features[idx],
                         targets=two.targets[idx],
                         session_ids=two.session_ids[idx],
@@ -268,9 +269,9 @@ class TestFinetune:
         anchor = AnchorConfig(theta_pre=ckpt.net.theta,
                               lambda_reg=cfg.lambda_reg)
         preds, dist = [], []
-        for sid in data.sessions():
+        for sid in dict.fromkeys(data.session_ids.tolist()):
             states, traces = net.zero_states(), reset_trace(net)
-            for t in data.session_slice(sid):
+            for t in np.flatnonzero(data.session_ids == sid):
                 states, traces, y_hat, grads = online_step(
                     net, states, traces, data.features[t], data.targets[t])
                 apply_update(net.theta, grads, adam, cfg.clip, anchor)
@@ -358,15 +359,71 @@ class TestFinetune:
         anchor = AnchorConfig(theta_pre=ckpt.net.theta,
                               lambda_reg=cfg.lambda_reg)
         preds = []
-        for sid in data.sessions():
+        for sid in dict.fromkeys(data.session_ids.tolist()):
             states, traces = net.zero_states(), reset_trace(net)
-            for t in data.session_slice(sid):
+            for t in np.flatnonzero(data.session_ids == sid):
                 states, traces, y_hat, grads = online_step(
                     net, states, traces, data.features[t], data.targets[t])
                 if t != bad:
                     apply_update(net.theta, grads, adam, cfg.clip, anchor)
                 preds.append(y_hat)
         assert np.array_equal(metrics.predictions, np.asarray(preds))
+
+    # the stream's first session boundary is b = 61, its length N = 122
+    @pytest.mark.parametrize("freeze_after", [60, 61, 62, 127])
+    def test_freeze_at_session_boundary_matches_plain_loop(self,
+                                                           freeze_after):
+        """freeze_after at, just before and just after the first session
+        boundary b, and past the end of the stream: cmd_finetune is bitwise
+        a plain row loop that adapts with online_step + apply_update before
+        the freeze and steps with network_step after it. The stream has a
+        NaN feature row after b and a NaN target row before it."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        nan_x, nan_y = 64, 30
+        features, targets = ref["features"].copy(), ref["targets"].copy()
+        features[nan_x, 0] = np.nan
+        targets[nan_y, 2] = np.nan
+        ids = ref["session_ids"]
+        assert (np.flatnonzero(ids != ids[0])[0], ids.size) == (61, 122)
+        data = SequenceData(features=features, targets=targets,
+                            session_ids=ids, timestamps=ref["timestamps"])
+        cfg = FinetuneConfig(lambda_reg=0.01, lr=1e-2,
+                             freeze_after=freeze_after)
+        metrics = cmd_finetune(ckpt, data, cfg)
+
+        net, frozen = ckpt.net.copy(), ckpt.net
+        adam = AdamState.init(net.theta, lr=cfg.lr)
+        anchor = AnchorConfig(theta_pre=frozen.theta,
+                              lambda_reg=cfg.lambda_reg)
+        preds, preds_frozen, dist = [], [], []
+        for t in range(data.n_rows):
+            if t == 0 or ids[t] != ids[t - 1]:
+                states, traces = net.zero_states(), reset_trace(net)
+                frozen_states = frozen.zero_states()
+            x = features[t]
+            new_frozen, y_frozen, _ = network_step(frozen, frozen_states, x)
+            if t < cfg.freeze_after:
+                new_states, new_traces, y_hat, grads = online_step(
+                    net, states, traces, x, targets[t])
+                if t not in (nan_x, nan_y):
+                    apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                if t != nan_x:
+                    traces = new_traces
+            else:
+                new_states, y_hat, _ = network_step(net, states, x)
+            if t != nan_x:
+                states, frozen_states = new_states, new_frozen
+            preds.append(y_hat)
+            preds_frozen.append(y_frozen)
+            dist.append(anchor_distance(net.theta, anchor))
+        assert np.array_equal(metrics.predictions, np.asarray(preds),
+                              equal_nan=True)
+        assert np.array_equal(metrics.predictions_frozen,
+                              np.asarray(preds_frozen), equal_nan=True)
+        assert np.array_equal(metrics.anchor_distance, np.asarray(dist))
+        assert metrics.skipped_updates == (
+            (nan_x < cfg.freeze_after) + (nan_y < cfg.freeze_after))
 
     def test_empty_stream_rejected(self, pretrained, stream):
         ckpt, _ = pretrained
@@ -541,6 +598,39 @@ class TestEvaluate:
         a = cmd_evaluate(ckpt, stream)
         b = cmd_evaluate(ckpt, stream)
         assert np.array_equal(a["predictions"], b["predictions"])
+
+    def test_empty_data_rejected(self, pretrained, stream):
+        """Named up front, not NaN metrics after "Mean of empty slice"."""
+        ckpt, _ = pretrained
+        empty = replace(stream, features=stream.features[:0],
+                        targets=stream.targets[:0],
+                        session_ids=stream.session_ids[:0],
+                        timestamps=stream.timestamps[:0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="no rows"):
+                cmd_evaluate(ckpt, empty)
+
+
+@pytest.mark.parametrize("consume", [
+    lambda ckpt, data: cmd_finetune(ckpt, data, FinetuneConfig(lr=1e-2)),
+    lambda ckpt, data: cmd_evaluate(ckpt, data),
+    lambda ckpt, data: offline_evaluate(ckpt.net, data),
+    lambda ckpt, data: sample_windows(data, 5, 4, rng=0),
+], ids=["cmd_finetune", "cmd_evaluate", "bptt.evaluate", "sample_windows"])
+def test_returning_session_id_rejected(consume):
+    """A session id that comes back after another id would join two runs of
+    rows into one session, and cmd_finetune would adapt on the later run
+    before it predicts the rows in between: every consumer of sessions
+    rejects it."""
+    rng = np.random.default_rng(3)
+    data = SequenceData(features=rng.standard_normal((60, 3)),
+                        targets=rng.standard_normal((60, 2)),
+                        session_ids=np.repeat([0, 1, 0], 20),
+                        timestamps=np.arange(60.0))
+    ckpt = Checkpoint(net=init_network(3, (4,), 2, seed=0))
+    with pytest.raises(ContractViolationError, match="session 0"):
+        consume(ckpt, data)
 
 
 class TestImputeBenchmark:
