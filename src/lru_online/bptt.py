@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .datapipe import SequenceData
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import (LruNetwork, _interleave, _linear_recurrence, layer_constants,
                   network_scan)
 from .optim import AdamState, apply_update, huber, huber_grad
@@ -53,7 +53,10 @@ class TrainResult:
 def sample_windows(data: SequenceData, T: int, batch: int,
                    rng: np.random.Generator | int = 0) -> WindowBatch:
     """Uniform over all admissible (session, offset) windows, so sessions
-    contribute proportionally to their available window count."""
+    contribute proportionally to their available window count. Empty data
+    is a ContractViolationError."""
+    if data.n_rows == 0:
+        raise ContractViolationError("cannot sample windows from data with no rows")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     ids = data.session_ids
@@ -133,7 +136,10 @@ def bptt_gradient(net: LruNetwork,
 
 
 def evaluate(net: LruNetwork, data: SequenceData) -> float:
-    """Mean per-step Huber loss over full sessions from zero initial state."""
+    """Mean per-step Huber loss over full sessions from zero initial state.
+    Empty data is a ContractViolationError."""
+    if data.n_rows == 0:
+        raise ContractViolationError("cannot evaluate on data with no rows")
     total, count = 0.0, 0
     for first, stop in zip(*data.session_bounds()):
         _, _, preds = network_scan(net, data.features[first:stop])

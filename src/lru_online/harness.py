@@ -18,8 +18,8 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
-from .lru import (LruNetwork, init_network, layer_constants, network_scan,
-                  network_step)
+from .lru import (LruNetwork, init_network, layer_constants, network_replay,
+                  network_scan)
 from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
                     huber, huber_values)
 from .rtrl import online_step, reset_trace, rtrl_stream_step, rtrl_window_step
@@ -212,19 +212,19 @@ def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
                 start: int, states: list[np.ndarray] | None) -> None:
     """Predict rows [start, N) of the stream into `out` with fixed theta:
     from `states` inside the session at `start`, from zero states at each
-    session start, the states held on a non-finite feature row."""
+    session start, the states held on a non-finite feature row. Each
+    session's rows are one lru.network_replay, bitwise a network_step per
+    row."""
     consts = [layer_constants(layer) for layer in net.layers]
-    finite_rows = np.isfinite(stream.features).all(axis=1).tolist()
+    finite_rows = np.isfinite(stream.features).all(axis=1)
     for first, stop in zip(*stream.session_bounds()):
         if stop <= start:
             continue
         if first >= start:
             states = net.zero_states()
-        for t in range(max(first, start), stop):
-            new_states, out[t], _ = network_step(net, states,
-                                                 stream.features[t], consts)
-            if finite_rows[t]:
-                states = new_states
+        rows = slice(max(first, start), stop)
+        out[rows] = network_replay(net, states, stream.features[rows],
+                                   finite_rows[rows], consts)[0]
 
 
 def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
@@ -244,10 +244,11 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     one bad row does not poison the rest of the session; a row with finite
     features advances them, even when its target is not finite.
 
-    The stepped predictor _step_fixed then runs twice: the frozen
+    The fixed-theta predictor _step_fixed then runs twice: the frozen
     checkpoint from row 0, and the adapted net from the freeze row on,
-    continuing the adaptive states. The losses come from the logged
-    predictions. Sessions come from stream.session_bounds(), so a session
+    continuing the adaptive states. It replays each session with
+    lru.network_replay, bitwise what a network_step per row gives. The
+    losses come from the logged predictions. Sessions come from stream.session_bounds(), so a session
     id that comes back is a ContractViolationError, as is an empty stream.
     """
     frozen = ckpt.net

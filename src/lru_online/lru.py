@@ -204,9 +204,22 @@ def layer_constants(params: LruLayerParams) -> tuple[np.ndarray, ...]:
     dlambda/dtheta_phase), with dlambda/dnu = -exp(nu) * lambda and
     dlambda/dtheta_phase = 1j * exp(theta_phase) * lambda."""
     neg_e_nu, phase, lam = _lambda_parts(params)
-    return (lam, derive_gamma(params), params.b_re.T + 1j * params.b_im.T,
-            (params.c_re + 1j * params.c_im).T, neg_e_nu * lam,
+    return (lam, derive_gamma(params), _complex_t(params.b_re, params.b_im),
+            _complex_t(params.c_re, params.c_im), neg_e_nu * lam,
             1j * phase * lam)
+
+
+def _complex_t(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(re + 1j * im).T in the same (F) memory order, written part by part
+    instead of through a complex multiply and add. The two are bitwise
+    equal for finite blocks without a -0.0 entry (the expression turns a
+    -0.0 into +0.0), and no parameter is ever -0.0: init_layer's blocks are
+    nonzero draws or +0.0 zeros, and an Adam step x - y gives -0.0 only
+    when x is -0.0."""
+    out = np.empty(re.shape, np.complex128)
+    out.real = re
+    out.imag = im
+    return out.T
 
 
 def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
@@ -222,9 +235,19 @@ def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
         raise ContractViolationError(
             f"state width {h_prev.shape[-1]} != layer width {params.n}")
     lam, gamma, b_t, _, _, _ = consts or layer_constants(params)
-    h_t = lam * h_prev + gamma * (u_t @ b_t)
-    y_t = h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T + u_t @ params.d.T
-    return h_t, y_t
+    h_t = lam * h_prev + _input_term(gamma, b_t, u_t)
+    return h_t, _output(params, h_t, u_t)
+
+
+def _input_term(gamma: np.ndarray, b_t: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """gamma * (B u), the input's share of the new state."""
+    return gamma * (u @ b_t)
+
+
+def _output(params: LruLayerParams, h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Re[C h] + D u."""
+    return h.real @ params.c_re.T - h.imag @ params.c_im.T + u @ params.d.T
 
 
 def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
@@ -313,6 +336,45 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
         h, x = layer_step(layer, h_prev, x, c)
         new_states.append(h)
     return new_states, x, layer_inputs
+
+
+def network_replay(net: LruNetwork, states: list[np.ndarray],
+                   u_seq: np.ndarray, advance: np.ndarray, consts: list
+                   ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """T network_step calls from `states` over u_seq (T, m), bitwise, where
+    a row with advance[t] False keeps every layer's pre-row state (its
+    prediction is still made). `consts` is each layer's layer_constants.
+    Returns (predictions (T, p), final states).
+
+    Layer by layer: the input term and the output of all T rows are one
+    stacked product each, with every row a (1, m) block, for which numpy
+    runs the same vector-matrix kernel as for one step's u_t @ W (a plain
+    (T, m) @ (m, n) product would round differently). Only the recurrence
+    h_t = lambda * h_{t-1} + x_t runs row by row."""
+    if len(states) != net.depth:
+        raise ContractViolationError(
+            f"got {len(states)} states for a depth-{net.depth} network")
+    x = np.asarray(u_seq, dtype=np.float64)[:, None, :]
+    if x.shape[-1] != net.input_dim:
+        raise ContractViolationError(
+            f"input width {x.shape[-1]} != network input width {net.input_dim}")
+    advance = np.asarray(advance, dtype=bool).tolist()
+    if len(advance) != x.shape[0]:
+        raise ContractViolationError(
+            f"{len(advance)} advance flags for {x.shape[0]} rows")
+    final = []
+    for layer, h, (lam, gamma, b_t, *_) in zip(net.layers, states, consts):
+        if h.shape != (layer.n,):
+            raise ContractViolationError(
+                f"state shape {h.shape} != layer width ({layer.n},)")
+        h_seq = _input_term(gamma, b_t, x)
+        for keep, h_t in zip(advance, h_seq[:, 0]):
+            np.add(lam * h, h_t, out=h_t)
+            if keep:
+                h = h_t
+        final.append(h.copy())
+        x = _output(layer, h_seq, x)
+    return x[:, 0], final
 
 
 def network_scan(net: LruNetwork, u_seq: np.ndarray

@@ -6,7 +6,7 @@ from conftest import finite_difference_grads, max_rel_error, random_batch, \
 from lru_online.bptt import (TrainConfig, WindowBatch, bptt_gradient,
                              evaluate, sample_windows, train)
 from lru_online.datapipe import SequenceData
-from lru_online.errors import ConfigurationError
+from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.harness import PretrainConfig
 from lru_online.lru import init_network
 from lru_online.rtrl import window_gradient
@@ -21,6 +21,12 @@ def make_data(session_lengths, m=3, p=2, seed=0):
                         targets=rng.standard_normal((n, p)),
                         session_ids=sids,
                         timestamps=np.arange(n, dtype=np.float64))
+
+
+def empty_data(m=3, p=2):
+    return SequenceData(features=np.empty((0, m)), targets=np.empty((0, p)),
+                        session_ids=np.empty(0, dtype=np.int64),
+                        timestamps=np.empty(0))
 
 
 def sample_windows_reference(data, T, batch, rng):
@@ -74,6 +80,10 @@ class TestSampleWindows:
         data = make_data([100, 30])
         with pytest.raises(ConfigurationError, match="session 1"):
             sample_windows(data, 50, 4, rng=0)
+
+    def test_empty_data_rejected(self):
+        with pytest.raises(ContractViolationError, match="no rows"):
+            sample_windows(empty_data(), 1, 4, rng=0)
 
     def test_session_frequency_proportional_to_windows(self):
         data = make_data([1000, 3000])
@@ -218,3 +228,8 @@ class TestEvaluate:
         _, _, preds = network_scan(net, data.features)
         data.targets = preds
         assert evaluate(net, data) == 0.0
+
+    def test_empty_data_rejected(self):
+        net = init_network(2, (4,), 1, seed=0)
+        with pytest.raises(ContractViolationError, match="no rows"):
+            evaluate(net, empty_data(m=2, p=1))

@@ -7,8 +7,10 @@ from hypothesis.extra.numpy import arrays
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
                             derive_gamma, derive_lambda, init_layer,
-                            init_network, layer_step, network_scan,
-                            network_step, scan_forward)
+                            init_network, layer_constants, layer_step,
+                            network_replay, network_scan, network_step,
+                            scan_forward)
+from lru_online.optim import AdamState, adam_step
 
 
 def make_layer(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d):
@@ -106,6 +108,15 @@ class TestLayerStep:
             h, _ = layer_step(layer, h, u[t])
         expect = sum(lam ** (7 - k) * gamma * (Bc @ u[k]) for k in range(8))
         assert np.allclose(h, expect, atol=1e-12)
+
+    def test_output_is_re_ch_plus_du(self, rng):
+        layer = init_layer(3, 6, 2, seed=9)
+        layer.d[:] = rng.standard_normal((2, 3))
+        u = rng.standard_normal(3)
+        h_prev = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        h, y = layer_step(layer, h_prev, u)
+        C = layer.c_re + 1j * layer.c_im
+        assert np.allclose(y, (C @ h).real + layer.d @ u, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         layer = init_layer(3, 4, 2, seed=0)
@@ -284,3 +295,123 @@ class TestFlatParameters:
         other.theta += 1.0
         assert not np.array_equal(other.theta, net.theta)
         assert np.array_equal(other.layers[0].nu, net.layers[0].nu + 1.0)
+
+
+class TestLayerConstants:
+    @staticmethod
+    def _check(net):
+        for layer in net.layers:
+            _, _, b_t, c_t, _, _ = layer_constants(layer)
+            for got, ref in ((b_t, layer.b_re.T + 1j * layer.b_im.T),
+                             (c_t, (layer.c_re + 1j * layer.c_im).T)):
+                assert got.tobytes(order="A") == ref.tobytes(order="A")
+                assert got.flags.f_contiguous and ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("shape", [(9, (16,), 5), (10, (16,), 5),
+                                       (3, (5, 4), 2), (1, (1, 2, 3), 1)])
+    def test_complex_blocks_bitwise_the_sum(self, rng, shape):
+        """Complex B^T and C^T equal re + 1j * im byte for byte, memory
+        order included, on initialised and on Adam-stepped parameters."""
+        m, widths, p = shape
+        net = init_network(m, widths, p, seed=int(rng.integers(1000)))
+        self._check(net)
+        adam = AdamState.init(net.theta, lr=0.05)
+        for _ in range(20):
+            grads = rng.standard_normal(net.theta.size)
+            grads[rng.random(grads.size) < 0.2] = 0.0
+            adam_step(net.theta, grads, adam)
+            self._check(net)
+
+
+def stepped(net, states, u, advance, consts):
+    """The network_step row loop network_replay stands for."""
+    preds = np.empty((u.shape[0], net.output_dim))
+    for t in range(u.shape[0]):
+        new_states, preds[t], _ = network_step(net, states, u[t], consts)
+        if advance[t]:
+            states = new_states
+    return preds, states
+
+
+def advance_pattern(T, rng):
+    """Held rows at the first, a middle and the last position, plus a run."""
+    advance = rng.random(T) < 0.8
+    advance[[0, T // 2, T - 1]] = False
+    run = int(rng.integers(0, T))
+    advance[run:run + 4] = False
+    return advance
+
+
+class TestNetworkReplay:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 2, 17, 300])
+    def test_bitwise_equals_stepping(self, rng, depth, T):
+        m, p = (int(v) for v in rng.integers(1, 12, 2))
+        widths = tuple(int(v) for v in rng.integers(1, 20, depth))
+        net = init_network(m, widths, p, seed=int(rng.integers(1000)))
+        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
+        consts = [layer_constants(layer) for layer in net.layers]
+        states = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                  for n in widths]
+        kept = [h.copy() for h in states]
+        u = rng.standard_normal((T, m))
+        advance = advance_pattern(T, rng)
+        # a held row is a non-finite feature row, or a finite one
+        u[~advance & (rng.random(T) < 0.5), 0] = np.nan
+        preds, final = network_replay(net, states, u, advance, consts)
+        ref_preds, ref_final = stepped(net, states, u, advance, consts)
+        assert preds.tobytes() == ref_preds.tobytes()
+        assert len(final) == depth
+        for h, ref in zip(final, ref_final):
+            assert h.tobytes() == ref.tobytes()
+        for h, before in zip(states, kept):
+            assert h.tobytes() == before.tobytes()
+
+    def test_every_row_held_keeps_start_states(self, rng):
+        net = init_network(3, (5, 4), 2, seed=6)
+        consts = [layer_constants(layer) for layer in net.layers]
+        states = [rng.standard_normal(n) + 0j for n in (5, 4)]
+        u = rng.standard_normal((6, 3))
+        preds, final = network_replay(net, states, u, np.zeros(6, bool),
+                                      consts)
+        for t in range(6):
+            _, y, _ = network_step(net, states, u[t], consts)
+            assert preds[t].tobytes() == y.tobytes()
+        for h, start in zip(final, states):
+            assert h.tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize("case", ["states", "advance", "width", "state"])
+    def test_shape_mismatch(self, case):
+        net = init_network(3, (5, 4), 2, seed=6)
+        consts = [layer_constants(layer) for layer in net.layers]
+        states, u, advance = net.zero_states(), np.zeros((4, 3)), np.ones(4, bool)
+        if case == "states":
+            states = states[:1]
+        elif case == "advance":
+            advance = advance[:3]
+        elif case == "width":
+            u = np.zeros((4, 2))
+        else:
+            states[1] = np.zeros(5, complex)
+        with pytest.raises(ContractViolationError):
+            network_replay(net, states, u, advance, consts)
+
+
+@pytest.mark.parametrize("kind", ["real", "real_f", "complex", "strided"])
+def test_stacked_product_is_the_per_row_product(rng, kind):
+    """(U[:, None, :] @ W)[:, 0] is U[t] @ W for every row t, bitwise:
+    network_replay and layer_step rely on it (a plain U @ W is not)."""
+    for _ in range(40):
+        T, m, n = (int(v) for v in rng.integers(1, 40, 3))
+        u = rng.standard_normal((T, m))
+        w = rng.standard_normal((m, n))
+        if kind == "real_f":
+            w = rng.standard_normal((n, m)).T
+        elif kind == "complex":
+            w = (rng.standard_normal((n, m))
+                 + 1j * rng.standard_normal((n, m))).T
+        elif kind == "strided":
+            u = (u + 1j * rng.standard_normal((T, m))).imag
+        got = (u[:, None, :] @ w)[:, 0]
+        ref = np.stack([u[t] @ w for t in range(T)])
+        assert got.tobytes() == ref.tobytes()
