@@ -1,8 +1,8 @@
 """LRU state-space sequence models with online RTRL fine-tuning."""
 
-from .lru import (LruLayerParams, LruNetwork, derive_gamma, derive_lambda,
-                  init_layer, init_network, layer_step, network_replay,
-                  network_scan, network_step, scan_forward)
+from .lru import (LruLayerParams, LruNetwork, init_layer, init_network,
+                  layer_step, network_replay, network_scan, network_step,
+                  scan_forward)
 from .rtrl import (online_gradient, online_step, reset_trace, trace_step,
                    window_gradient)
 from .bptt import (TrainConfig, WindowBatch, bptt_gradient, sample_windows,

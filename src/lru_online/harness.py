@@ -20,9 +20,8 @@ from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
 from .lru import (LruNetwork, init_network, layer_constants, network_replay,
                   network_scan)
-from .optim import (AdamState, AnchorConfig, anchor_distance, apply_update,
-                    huber, huber_values)
-from .rtrl import online_step, reset_trace, rtrl_stream_step, rtrl_window_step
+from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
+from .rtrl import _StreamPlan, reset_trace, rtrl_stream_step, rtrl_window_step
 from .synth import GeneratorConfig, generate_dataset
 
 
@@ -227,6 +226,55 @@ def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
                                    finite_rows[rows], consts)[0]
 
 
+def _check_widths(net: LruNetwork, data: SequenceData, what: str) -> None:
+    """The data's feature and target widths must be the network's input
+    and output widths (CompatibilityError)."""
+    for name, want, got in (("features", net.input_dim,
+                             data.features.shape[1]),
+                            ("targets", net.output_dim,
+                             data.targets.shape[1])):
+        if want != got:
+            raise CompatibilityError(
+                f"checkpoint expects {want} {name} but the {what} has {got}")
+
+
+def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,
+           adam: AdamState, clip: float | None, anchor: AnchorConfig,
+           preds: np.ndarray, dist: np.ndarray
+           ) -> tuple[list[np.ndarray] | None, int, float]:
+    """The adaptive pass of cmd_finetune over rows [0, freeze): the
+    network is checked once, then every row runs the unchecked RTRL step
+    (rtrl._StreamPlan) and the update (optim._Descent), which together are
+    bitwise online_step + apply_update + anchor_distance. Writes each
+    row's prediction into preds and the anchor distance after it into
+    dist. Returns (the states after row freeze - 1, the skipped updates,
+    the final anchor distance)."""
+    plan = _StreamPlan(net)
+    descend = _Descent(net.theta, adam, clip, anchor)
+    step = plan.step
+    features = np.asarray(stream.features[:freeze], dtype=np.float64)
+    targets = np.asarray(stream.targets[:freeze], dtype=np.float64)
+    finite_rows = np.isfinite(features).all(axis=1).tolist()
+    skipped = 0
+    states = None
+    for first, stop in zip(*stream.session_bounds()):
+        if first >= freeze:
+            break
+        states, traces = net.zero_states(), reset_trace(net)
+        for t in range(first, min(stop, freeze)):
+            new_states, new_traces, preds[t], grads = step(
+                states, traces, features[t], targets[t])
+            try:
+                descend(grads)
+            except TrainingError:
+                # non-finite gradient: nothing was updated
+                skipped += 1
+            if finite_rows[t]:
+                states, traces = new_states, new_traces
+            dist[t] = descend.distance
+    return states, skipped, descend.distance
+
+
 def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                  cfg: FinetuneConfig) -> RunMetrics:
     """Online fine-tuning against a ground-truth stream, in two passes.
@@ -248,14 +296,14 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     checkpoint from row 0, and the adapted net from the freeze row on,
     continuing the adaptive states. It replays each session with
     lru.network_replay, bitwise what a network_step per row gives. The
-    losses come from the logged predictions. Sessions come from stream.session_bounds(), so a session
-    id that comes back is a ContractViolationError, as is an empty stream.
+    losses come from the logged predictions. Sessions come from
+    stream.session_bounds(), so a session id that comes back is a
+    ContractViolationError, as is an empty stream. A feature or target
+    width that is not the checkpoint's is a CompatibilityError, raised
+    before any pass runs.
     """
     frozen = ckpt.net
-    if frozen.input_dim != stream.features.shape[1]:
-        raise CompatibilityError(
-            f"checkpoint expects {frozen.input_dim} features but the stream "
-            f"has {stream.features.shape[1]}")
+    _check_widths(frozen, stream, "stream")
     if stream.n_rows == 0:
         raise ContractViolationError("cannot fine-tune on a stream with no rows")
     net = frozen.copy()
@@ -271,29 +319,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
         freeze = min(freeze, cfg.freeze_after)
     preds = np.empty_like(stream.targets)
     dist = np.empty(stream.n_rows)
-    distance = 0.0
-    skipped = 0
-    states = None
-    finite_rows = np.isfinite(stream.features[:freeze]).all(axis=1).tolist()
-    for first, stop in zip(*stream.session_bounds()):
-        if first >= freeze:
-            break
-        states, traces = net.zero_states(), reset_trace(net)
-        for t in range(first, min(stop, freeze)):
-            new_states, new_traces, preds[t], grads = online_step(
-                net, states, traces, stream.features[t], stream.targets[t])
-            try:
-                # theta has not moved since `distance` was taken
-                apply_update(net.theta, grads, adam, cfg.clip, anchor,
-                             distance)
-            except TrainingError:
-                # non-finite gradient: nothing was updated
-                skipped += 1
-            else:
-                distance = anchor_distance(net.theta, anchor)
-            if finite_rows[t]:
-                states, traces = new_states, new_traces
-            dist[t] = distance
+    states, skipped, distance = None, 0, 0.0
+    if freeze:
+        states, skipped, distance = _adapt(net, stream, freeze, adam,
+                                           cfg.clip, anchor, preds, dist)
     dist[freeze:] = distance
     _step_fixed(net, stream, preds, freeze, states)
     preds_frozen = np.empty_like(stream.targets)
@@ -361,12 +390,10 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
     """Frozen full-sequence prediction, each session scanned from zero
     states, with per-target MSE and Huber totals; also returns the per-step
     prediction/target arrays for plotting. Empty data, or a session id
-    that comes back, is a ContractViolationError."""
+    that comes back, is a ContractViolationError; a feature or target
+    width that is not the checkpoint's is a CompatibilityError."""
     net = ckpt.net
-    if net.input_dim != data.features.shape[1]:
-        raise CompatibilityError(
-            f"checkpoint expects {net.input_dim} features but the data "
-            f"has {data.features.shape[1]}")
+    _check_widths(net, data, "data")
     if data.n_rows == 0:
         raise ContractViolationError("cannot evaluate on data with no rows")
     preds = np.empty_like(data.targets)

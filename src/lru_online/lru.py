@@ -147,15 +147,6 @@ def _lambda_parts(params: LruLayerParams
             np.exp(neg_e_nu) * (np.cos(phase) + 1j * np.sin(phase)))
 
 
-def derive_lambda(params: LruLayerParams) -> np.ndarray:
-    """Complex eigenvalues lambda_j; |lambda_j| < 1 for all finite nu_j."""
-    return _lambda_parts(params)[2]
-
-
-def derive_gamma(params: LruLayerParams) -> np.ndarray:
-    return np.exp(params.gamma_log)
-
-
 def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
                seed: int = 0) -> LruLayerParams:
     """Random init: |lambda| uniform on the ring [r_min, r_max] (by area),
@@ -198,25 +189,35 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
     return net
 
 
-def layer_constants(params: LruLayerParams) -> tuple[np.ndarray, ...]:
+def layer_constants(params: LruLayerParams, out: tuple | None = None
+                    ) -> tuple[np.ndarray, ...]:
     """The input-independent part of a step and of its trace update:
     (lambda, gamma, complex B^T, complex C^T, dlambda/dnu,
-    dlambda/dtheta_phase), with dlambda/dnu = -exp(nu) * lambda and
-    dlambda/dtheta_phase = 1j * exp(theta_phase) * lambda."""
+    dlambda/dtheta_phase), with lambda from the nu and theta_phase blocks
+    (|lambda_j| < 1 for every finite nu_j), gamma = exp(gamma_log),
+    dlambda/dnu = -exp(nu) * lambda and dlambda/dtheta_phase =
+    1j * exp(theta_phase) * lambda. `out` is a pair of complex (n, m) and
+    (p, n) arrays to write B and C into (fresh arrays when None); a
+    stream that derives the constants every step reuses one pair."""
     neg_e_nu, phase, lam = _lambda_parts(params)
-    return (lam, derive_gamma(params), _complex_t(params.b_re, params.b_im),
-            _complex_t(params.c_re, params.c_im), neg_e_nu * lam,
+    b_out, c_out = out or (None, None)
+    return (lam, np.exp(params.gamma_log),
+            _complex_t(params.b_re, params.b_im, b_out),
+            _complex_t(params.c_re, params.c_im, c_out), neg_e_nu * lam,
             1j * phase * lam)
 
 
-def _complex_t(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _complex_t(re: np.ndarray, im: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """(re + 1j * im).T in the same (F) memory order, written part by part
-    instead of through a complex multiply and add. The two are bitwise
-    equal for finite blocks without a -0.0 entry (the expression turns a
-    -0.0 into +0.0), and no parameter is ever -0.0: init_layer's blocks are
-    nonzero draws or +0.0 zeros, and an Adam step x - y gives -0.0 only
-    when x is -0.0."""
-    out = np.empty(re.shape, np.complex128)
+    into `out` (a complex array shaped like re, fresh when None) instead of
+    through a complex multiply and add. The two are bitwise equal for
+    finite blocks without a -0.0 entry (the expression turns a -0.0 into
+    +0.0), and no parameter is ever -0.0: init_layer's blocks are nonzero
+    draws or +0.0 zeros, and an Adam step x - y gives -0.0 only when x is
+    -0.0."""
+    if out is None:
+        out = np.empty(re.shape, np.complex128)
     out.real = re
     out.imag = im
     return out.T
@@ -234,9 +235,16 @@ def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
     if h_prev.shape[-1] != params.n:
         raise ContractViolationError(
             f"state width {h_prev.shape[-1]} != layer width {params.n}")
-    lam, gamma, b_t, _, _, _ = consts or layer_constants(params)
-    h_t = lam * h_prev + _input_term(gamma, b_t, u_t)
-    return h_t, _output(params, h_t, u_t)
+    return _layer_step(params, h_prev, u_t, consts or layer_constants(params))
+
+
+def _layer_step(params: LruLayerParams, h_prev: np.ndarray, u: np.ndarray,
+                consts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """layer_step without its checks: u float64 of the layer's input width,
+    h_prev of its state width, consts its layer_constants."""
+    lam, gamma, b_t, _, _, _ = consts
+    h_t = lam * h_prev + _input_term(gamma, b_t, u)
+    return h_t, _output(params, h_t, u)
 
 
 def _input_term(gamma: np.ndarray, b_t: np.ndarray,
@@ -306,8 +314,8 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
-    lam = derive_lambda(params)
-    gamma = derive_gamma(params)
+    lam = _lambda_parts(params)[2]
+    gamma = np.exp(params.gamma_log)
     h_seq = (u_seq @ _interleave((gamma[:, None] * params.b_re).T,
                                 (gamma[:, None] * params.b_im).T, 1)
              ).view(np.complex128)
@@ -327,13 +335,31 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
     if len(states) != net.depth:
         raise ContractViolationError(
             f"got {len(states)} states for a depth-{net.depth} network")
-    consts = consts or [layer_constants(layer) for layer in net.layers]
     x = np.asarray(u_t, dtype=np.float64)
+    if x.shape[-1] != net.input_dim:
+        raise ContractViolationError(
+            f"input width {x.shape[-1]} != network input width {net.input_dim}")
+    for k, (layer, h) in enumerate(zip(net.layers, states)):
+        if h.shape[-1] != layer.n:
+            raise ContractViolationError(
+                f"state width {h.shape[-1]} != layer width {layer.n}")
+        if k and layer.m != net.layers[k - 1].p:
+            raise ContractViolationError(
+                f"layer {k - 1} output width {net.layers[k - 1].p} != "
+                f"layer {k} input width {layer.m}")
+    consts = consts or [layer_constants(layer) for layer in net.layers]
+    return _forward(net.layers, states, x, consts)
+
+
+def _forward(layers: list[LruLayerParams], states: list[np.ndarray],
+             x: np.ndarray, consts: list
+             ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """network_step without its checks."""
     new_states = []
     layer_inputs = []
-    for layer, h_prev, c in zip(net.layers, states, consts):
+    for layer, h_prev, c in zip(layers, states, consts):
         layer_inputs.append(x)
-        h, x = layer_step(layer, h_prev, x, c)
+        h, x = _layer_step(layer, h_prev, x, c)
         new_states.append(h)
     return new_states, x, layer_inputs
 

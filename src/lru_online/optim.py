@@ -48,9 +48,18 @@ def clip_global_norm(grads: np.ndarray, max_norm: float | None) -> np.ndarray:
     None disables clipping. An unclipped gradient is returned as is."""
     if max_norm is None:
         return grads
-    if max_norm <= 0:
+    _check_clip(max_norm)
+    return _clip(grads, grads @ grads, max_norm)
+
+
+def _check_clip(max_norm: float | None) -> None:
+    if max_norm is not None and max_norm <= 0:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
-    g = math.sqrt(grads @ grads)
+
+
+def _clip(grads: np.ndarray, sq: float, max_norm: float) -> np.ndarray:
+    """clip_global_norm without its checks, from sq = grads @ grads."""
+    g = math.sqrt(sq)
     if g <= max_norm:
         return grads
     return grads * (max_norm / g)
@@ -69,8 +78,8 @@ class AdamState:
     eps: float = 1e-8
     # adam_step's two work vectors, allocated on first use (not copied by
     # dataclasses.replace)
-    _work: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    _work: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def init(cls, theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
@@ -87,23 +96,27 @@ def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     in two work vectors kept on the state, so a step allocates nothing."""
     if not np.isfinite(grads).all():
         raise TrainingError("non-finite gradient passed to adam_step")
-    if state._work is None or state._work.shape != (2,) + state.m.shape:
-        state._work = np.empty((2,) + state.m.shape)
+    _adam(theta, grads, state)
+
+
+def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """adam_step without its finiteness check."""
+    m, v = state.m, state.v
+    if state._work is None or state._work[0].shape != m.shape:
+        state._work = (np.empty_like(m), np.empty_like(m))
     step, denom = state._work
-    state.t += 1
+    t = state.t = state.t + 1
     b1, b2 = state.beta1, state.beta2
-    state.m *= b1
+    m *= b1
     np.multiply(grads, 1 - b1, out=step)
-    state.m += step
-    state.v *= b2
+    m += step
+    v *= b2
     np.multiply(grads, 1 - b2, out=step)
     step *= grads
-    state.v += step
-    c1 = 1 - b1 ** state.t
-    c2 = 1 - b2 ** state.t
-    np.divide(state.m, c1, out=step)
+    v += step
+    np.divide(m, 1 - b1 ** t, out=step)
     step *= state.lr
-    np.divide(state.v, c2, out=denom)
+    np.divide(v, 1 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     step /= denom
@@ -132,7 +145,13 @@ class AnchorConfig:
 
 def anchor_distance(theta: np.ndarray, anchor: AnchorConfig) -> float:
     """||theta - theta_pre||_2."""
-    diff = theta - anchor.theta_pre
+    return _distance(theta, anchor, np.empty_like(theta))
+
+
+def _distance(theta: np.ndarray, anchor: AnchorConfig,
+              diff: np.ndarray) -> float:
+    """anchor_distance, leaving theta - theta_pre in `diff`."""
+    np.subtract(theta, anchor.theta_pre, out=diff)
     return math.sqrt(diff @ diff)
 
 
@@ -143,14 +162,22 @@ def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig,
     if anchor.lambda_reg == 0.0:
         return np.zeros_like(theta)
     diff = theta - anchor.theta_pre
+    if distance is None and not anchor.squared:
+        distance = math.sqrt(diff @ diff)
+    return _pull(diff, anchor, distance, diff)
+
+
+def _pull(diff: np.ndarray, anchor: AnchorConfig, distance: float,
+          out: np.ndarray) -> np.ndarray:
+    """anchor_gradient from diff = theta - theta_pre and its norm
+    `distance` (read by the unsquared penalty only), written into out
+    (which may be diff)."""
     if anchor.squared:
-        diff *= 2.0 * anchor.lambda_reg
-        return diff
-    nrm = math.sqrt(diff @ diff) if distance is None else distance
-    if nrm == 0.0:
-        return np.zeros_like(theta)
-    diff *= anchor.lambda_reg / nrm
-    return diff
+        return np.multiply(diff, 2.0 * anchor.lambda_reg, out=out)
+    if distance == 0.0:
+        out.fill(0.0)   # the subgradient at theta_pre
+        return out
+    return np.multiply(diff, anchor.lambda_reg / distance, out=out)
 
 
 # ------------------------------------------------------------------- update
@@ -162,9 +189,61 @@ def apply_update(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
     add the anchor pull, clip the global norm, then an in-place Adam step.
     `distance` is the anchor distance of theta before the update, when the
     caller already has it (the distance after the previous update). The
-    caller's gradient is never written to."""
+    caller's gradient is never written to. A non-finite gradient raises
+    TrainingError before anything is written."""
+    _check_clip(clip)
     if anchor is not None and anchor.lambda_reg != 0.0:
         pull = anchor_gradient(theta, anchor, distance)
         pull += grads
         grads = pull
-    adam_step(theta, clip_global_norm(grads, clip), adam)
+    _descend(theta, grads, adam, clip)
+
+
+def _descend(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
+             clip: float | None) -> None:
+    """Clip and Adam-step, with no check but finiteness. The squared norm
+    that the clip takes doubles as that check: a finite sum of squares
+    means every entry is finite, so only a non-finite one (a NaN or inf
+    entry, or a finite gradient whose squares overflow) pays for a full
+    scan, and only a NaN or inf entry raises. Then a clipped gradient is
+    finite too, as adam_step requires."""
+    sq = grads @ grads
+    if not math.isfinite(sq) and not np.isfinite(grads).all():
+        raise TrainingError("non-finite gradient passed to adam_step")
+    if clip is not None:
+        grads = _clip(grads, sq, clip)
+    _adam(theta, grads, adam)
+
+
+class _Descent:
+    """apply_update and anchor_distance for one stream of updates, checked
+    once: construct it on the parameters, the optimizer state, the clip
+    and (optionally) the anchor, then call it with each gradient.
+
+    It keeps theta - theta_pre from one update to the next, so that
+    difference is taken once per update: for the distance after it
+    (`distance`) and for the next update's pull, theta not having moved in
+    between. Each update is bitwise apply_update(theta, grads, adam, clip,
+    anchor, distance) followed by anchor_distance(theta, anchor)."""
+
+    def __init__(self, theta: np.ndarray, adam: AdamState,
+                 clip: float | None, anchor: AnchorConfig | None = None):
+        _check_clip(clip)
+        self.theta, self.adam = theta, adam
+        self.clip, self.anchor = clip, anchor
+        self.pulls = anchor is not None and anchor.lambda_reg != 0.0
+        if anchor is not None:
+            self.diff = np.empty_like(theta)
+            self.pull = np.empty_like(theta)
+            self.distance = _distance(theta, anchor, self.diff)
+
+    def __call__(self, grads: np.ndarray) -> None:
+        """One update; a non-finite gradient raises TrainingError and
+        changes nothing."""
+        if self.pulls:
+            pull = _pull(self.diff, self.anchor, self.distance, self.pull)
+            pull += grads
+            grads = pull
+        _descend(self.theta, grads, self.adam, self.clip)
+        if self.anchor is not None:
+            self.distance = _distance(self.theta, self.anchor, self.diff)

@@ -16,12 +16,12 @@ from lru_online.checkpoint import save_checkpoint, load_checkpoint
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_finetune,
                                 cmd_pretrain, impute_benchmark,
                                 prepare_tables)
-from lru_online.lru import (LruLayerParams, derive_lambda, init_layer,
-                            init_network, layer_step, network_scan,
+from lru_online.lru import (LruLayerParams, init_layer, init_network,
+                            layer_constants, layer_step, network_scan,
                             scan_forward)
-from lru_online.optim import (AdamState, AnchorConfig, adam_step,
-                              anchor_gradient, apply_update)
-from lru_online.rtrl import online_step, reset_trace, window_gradient
+from lru_online.optim import (AdamState, AnchorConfig, _Descent, adam_step,
+                              anchor_gradient)
+from lru_online.rtrl import _StreamPlan, reset_trace, window_gradient
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 GEN = GeneratorConfig(seed=0)  # 5 sessions x 3600 s, shift on the last
@@ -130,7 +130,8 @@ def test_criterion_04_stability_invariant(capfd):
             gamma_log=np.zeros(n), b_re=np.zeros((n, 1)),
             b_im=np.zeros((n, 1)), c_re=np.zeros((1, n)),
             c_im=np.zeros((1, n)), d=np.zeros((1, 1)))
-        worst = max(worst, float(np.abs(derive_lambda(layer)).max()))
+        lam = layer_constants(layer)[0]
+        worst = max(worst, float(np.abs(lam).max()))
     # 1e3 Adam-perturbed configurations
     for i in range(1000):
         net = init_network(2, (8,), 2, seed=i)
@@ -138,7 +139,8 @@ def test_criterion_04_stability_invariant(capfd):
         for _ in range(5):
             adam_step(net.theta, rng.standard_normal(net.theta.shape), state)
         for layer in net.layers:
-            worst = max(worst, float(np.abs(derive_lambda(layer)).max()))
+            lam = layer_constants(layer)[0]
+            worst = max(worst, float(np.abs(lam).max()))
     report(capfd, 4, "eigenvalues stay strictly inside the unit circle",
            worst < 1.0, f"max |lambda| {worst:.15f} over 1e5 + 1e3 configs")
 
@@ -225,6 +227,8 @@ def current_rss_bytes() -> int:
 
 
 def test_criterion_10_flat_memory_over_long_stream(capfd):
+    """The row loop of cmd_finetune's adaptive pass (harness._adapt): the
+    per-stream RTRL step and the per-stream update, each set up once."""
     import gc
     net = init_network(4, (8,), 2, seed=0)
     anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=0.01)
@@ -232,15 +236,17 @@ def test_criterion_10_flat_memory_over_long_stream(capfd):
     rng = np.random.default_rng(0)
     buf_x = rng.standard_normal((256, 4))
     buf_y = rng.standard_normal((256, 2))
+    step = _StreamPlan(net).step
+    descend = _Descent(net.theta, adam, 0.5, anchor)
     states = net.zero_states()
     traces = reset_trace(net)
     total_steps = 1_000_000
     warmup = 50_000
     rss_warm = None
     for t in range(total_steps):
-        states, traces, _, grads = online_step(
-            net, states, traces, buf_x[t % 256], buf_y[t % 256])
-        apply_update(net.theta, grads, adam, 0.5, anchor)
+        states, traces, _, grads = step(states, traces, buf_x[t % 256],
+                                        buf_y[t % 256])
+        descend(grads)
         if t == warmup:
             gc.collect()
             rss_warm = current_rss_bytes()

@@ -21,6 +21,7 @@ from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
                                 cmd_evaluate, cmd_finetune, cmd_pretrain,
                                 impute_benchmark, prepare_tables)
 from lru_online.lru import init_network, network_scan, network_step
+from lru_online.errors import TrainingError
 from lru_online.optim import (AdamState, AnchorConfig, anchor_distance,
                               apply_update)
 from lru_online.rtrl import online_step, reset_trace
@@ -204,6 +205,23 @@ class TestFinetune:
         bad = replace(stream, features=stream.features[:, :2])
         with pytest.raises(CompatibilityError):
             cmd_finetune(ckpt, bad, FinetuneConfig())
+
+    @pytest.mark.parametrize("cfg", [
+        FinetuneConfig(), FinetuneConfig(lr=0.0),
+        FinetuneConfig(freeze_after=0)])
+    @pytest.mark.parametrize("outputs, columns", [(1, 3), (3, 1)])
+    def test_target_width_mismatch(self, cfg, outputs, columns):
+        """A checkpoint whose output width is not the stream's target
+        width is named up front, also where the run never adapts (a 1-wide
+        prediction would otherwise broadcast into 3 target columns)."""
+        rng = np.random.default_rng(3)
+        ckpt = Checkpoint(net=init_network(4, (5,), outputs, seed=2))
+        data = SequenceData(features=rng.standard_normal((20, 4)),
+                            targets=rng.standard_normal((20, columns)),
+                            session_ids=np.zeros(20, dtype=np.int64),
+                            timestamps=np.arange(20.0))
+        with pytest.raises(CompatibilityError, match="targets"):
+            cmd_finetune(ckpt, data, cfg)
 
     def test_sessions_start_from_zero_state(self, pretrained, prepared):
         ckpt, _ = pretrained
@@ -501,6 +519,142 @@ def test_finetune_matches_reference():
         assert np.array_equal(got[key], ref[key], equal_nan=True), key
 
 
+def public_adapt(net, stream, freeze, adam, clip, anchor):
+    """cmd_finetune's adaptive pass as a row loop of the checked public
+    calls: online_step, apply_update (which takes the anchor distance
+    afresh) and anchor_distance. Returns (predictions, distances, skipped
+    updates, final states)."""
+    preds = np.full_like(stream.targets, -1.0)
+    dist = np.full(stream.n_rows, -1.0)
+    distance = anchor_distance(net.theta, anchor)
+    skipped = 0
+    states = None
+    for first, stop in zip(*stream.session_bounds()):
+        if first >= freeze:
+            break
+        states, traces = net.zero_states(), reset_trace(net)
+        for t in range(first, min(stop, freeze)):
+            new_states, new_traces, preds[t], grads = online_step(
+                net, states, traces, stream.features[t], stream.targets[t])
+            try:
+                apply_update(net.theta, grads, adam, clip, anchor)
+            except TrainingError:
+                skipped += 1
+            else:
+                distance = anchor_distance(net.theta, anchor)
+            if np.isfinite(stream.features[t]).all():
+                states, traces = new_states, new_traces
+            dist[t] = distance
+    return preds, dist, skipped, states
+
+
+# (depth, lambda_reg, squared anchor, clip, carried Adam state)
+ADAPT_CASES = [(1, 0.01, False, 0.5, False), (2, 0.01, True, 0.5, False),
+               (3, 0.0, False, None, False), (1, 0.1, True, None, True),
+               (2, 0.0, False, 0.5, True), (3, 0.01, False, 1e-3, True),
+               (2, 0.05, False, None, False), (1, 0.0, True, 1e-3, False)]
+
+
+@pytest.mark.parametrize("case", range(len(ADAPT_CASES)))
+def test_kernel_loop_equals_checked_public_path(case):
+    """The adaptive pass that cmd_finetune runs (harness._adapt: the
+    network checked once, then the unchecked RTRL step and update per row)
+    is bitwise the row loop of online_step + apply_update +
+    anchor_distance: predictions, theta, Adam's m, v and t, distances,
+    skipped updates and final states. Random (m, n, p); a two-session
+    stream with NaN feature rows and NaN targets, and a freeze inside the
+    second session."""
+    depth, lambda_reg, squared, clip, carry = ADAPT_CASES[case]
+    rng = np.random.default_rng(100 + case)
+    m, n, p = (int(k) for k in rng.integers(1, 9, size=3))
+    net = init_network(m, (n,) * depth, p, r_min=0.5, r_max=0.99,
+                       seed=case)
+    rows = 45
+    features = rng.standard_normal((rows, m))
+    targets = rng.standard_normal((rows, p))
+    features[[7, 30], 0] = np.nan
+    targets[[12, 26], p - 1] = np.nan
+    stream = SequenceData(features=features, targets=targets,
+                          session_ids=np.repeat([4, 9], [20, 25]),
+                          timestamps=np.arange(float(rows)))
+    adam = AdamState.init(net.theta, lr=2e-2)
+    if carry:   # moments and a step count from earlier training
+        for _ in range(3):
+            apply_update(net.theta.copy(), rng.standard_normal(net.theta.size),
+                         adam, None)
+    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=lambda_reg,
+                          squared=squared)
+    freeze = 38
+    sides = []
+    for run in (harness._adapt, None):
+        side_net = net.copy()
+        side_adam = replace(adam, m=adam.m.copy(), v=adam.v.copy())
+        if run is None:
+            preds, dist, skipped, states = public_adapt(
+                side_net, stream, freeze, side_adam, clip, anchor)
+        else:
+            preds = np.full_like(stream.targets, -1.0)
+            dist = np.full(stream.n_rows, -1.0)
+            states, skipped, distance = run(side_net, stream, freeze,
+                                            side_adam, clip, anchor, preds,
+                                            dist)
+            assert distance == dist[freeze - 1]
+        sides.append((preds, dist, skipped, states, side_net.theta,
+                      side_adam))
+    (pa, da, sa, ha, ta, aa), (pb, db, sb, hb, tb, ab) = sides
+    assert sa == sb == 4
+    assert pa.tobytes() == pb.tobytes()
+    assert da.tobytes() == db.tobytes()
+    assert ta.tobytes() == tb.tobytes()
+    assert aa.m.tobytes() == ab.m.tobytes()
+    assert aa.v.tobytes() == ab.v.tobytes()
+    assert aa.t == ab.t == adam.t + freeze - 4
+    assert [h.tobytes() for h in ha] == [h.tobytes() for h in hb]
+    assert not np.array_equal(ta, net.theta)
+
+
+PRETRAIN_RTRL_REF = DATA / "pretrain_rtrl_reference.npz"
+
+
+def run_pretrain_rtrl_reference():
+    """cmd_pretrain with trainer="rtrl" under both update cadences, on a
+    depth-1 and a depth-(4, 3) net, trained on a seeded two-session
+    stream without validation data, so the returned parameters are the
+    last ones. lr is high enough that the 0.5 clip acts on some updates.
+    Returns the parameters, the loss curve and the divergence flag of each
+    run keyed '<layers>.<update>.<field>'."""
+    rng = np.random.default_rng(21)
+    rows = 70
+    data = SequenceData(features=rng.standard_normal((rows, 3)),
+                        targets=rng.standard_normal((rows, 2)),
+                        session_ids=np.repeat([0, 1], [40, 30]),
+                        timestamps=np.arange(float(rows)))
+    out = {}
+    for layers in ((5,), (4, 3)):
+        for update in ("window", "step"):
+            cfg = PretrainConfig(trainer="rtrl", rtrl_update=update,
+                                 layers=layers, steps=12, batch=4, window=16,
+                                 eval_every=4, lr=5e-2, seed=3)
+            ckpt, result = cmd_pretrain(data, None, None, cfg)
+            key = "x".join(map(str, layers)) + "." + update
+            out[key + ".theta"] = ckpt.net.theta
+            out[key + ".loss_curve"] = np.asarray(result.loss_curve)
+            out[key + ".diverged"] = np.asarray(result.diverged)
+    return out
+
+
+def test_pretrain_rtrl_matches_reference():
+    """RTRL pretraining (both cadences, depths 1 and 2) is bitwise what it
+    was when every row went through the checked online_step and
+    apply_update (reference written by run_pretrain_rtrl_reference with
+    that code), NaN validation losses in place."""
+    ref = np.load(PRETRAIN_RTRL_REF)
+    got = run_pretrain_rtrl_reference()
+    assert sorted(got) == sorted(ref.files)
+    for key in ref.files:
+        assert np.array_equal(got[key], ref[key], equal_nan=True), key
+
+
 class TestPretrain:
     @pytest.mark.parametrize("trainer, update", [
         ("bptt", "window"), ("rtrl", "window"), ("rtrl", "step")])
@@ -598,6 +752,17 @@ class TestEvaluate:
         a = cmd_evaluate(ckpt, stream)
         b = cmd_evaluate(ckpt, stream)
         assert np.array_equal(a["predictions"], b["predictions"])
+
+    @pytest.mark.parametrize("outputs, columns", [(1, 3), (3, 1)])
+    def test_target_width_mismatch(self, outputs, columns):
+        rng = np.random.default_rng(4)
+        ckpt = Checkpoint(net=init_network(4, (5,), outputs, seed=2))
+        data = SequenceData(features=rng.standard_normal((20, 4)),
+                            targets=rng.standard_normal((20, columns)),
+                            session_ids=np.zeros(20, dtype=np.int64),
+                            timestamps=np.arange(20.0))
+        with pytest.raises(CompatibilityError, match="targets"):
+            cmd_evaluate(ckpt, data)
 
     def test_empty_data_rejected(self, pretrained, stream):
         """Named up front, not NaN metrics after "Mean of empty slice"."""

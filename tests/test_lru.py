@@ -6,10 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
-                            derive_gamma, derive_lambda, init_layer,
-                            init_network, layer_constants, layer_step,
-                            network_replay, network_scan, network_step,
-                            scan_forward)
+                            init_layer, init_network, layer_constants,
+                            layer_step, network_replay, network_scan,
+                            network_step, scan_forward)
 from lru_online.optim import AdamState, adam_step
 
 
@@ -35,14 +34,14 @@ class TestDeriveLambda:
     def test_known_value(self):
         layer = make_layer([0.0], [np.log(np.pi)], [0.0],
                            [[1.0]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
-        lam = derive_lambda(layer)[0]
+        lam = layer_constants(layer)[0][0]
         assert lam.real == pytest.approx(-np.exp(-1.0), abs=1e-15)
         assert lam.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_large_nu_shrinks_magnitude(self):
         layer = make_layer([40.0], [0.0], [0.0],
                            [[1.0]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
-        assert abs(derive_lambda(layer)[0]) == 0.0
+        assert abs(layer_constants(layer)[0][0]) == 0.0
 
     @given(nu=arrays(np.float64, 8, elements=st.floats(-20, 20)),
            theta=arrays(np.float64, 8, elements=st.floats(-20, 5)))
@@ -52,13 +51,14 @@ class TestDeriveLambda:
                            np.zeros((8, 1)), np.zeros((8, 1)),
                            np.zeros((1, 8)), np.zeros((1, 8)),
                            np.zeros((1, 1)))
-        assert np.all(np.abs(derive_lambda(layer)) < 1.0)
+        assert np.all(np.abs(layer_constants(layer)[0]) < 1.0)
 
 
 class TestInitLayer:
     def test_degenerate_ring(self):
         layer = init_layer(2, 6, 3, r_min=0.5, r_max=0.5, seed=0)
-        assert np.allclose(np.abs(derive_lambda(layer)), 0.5, atol=1e-12)
+        assert np.allclose(np.abs(layer_constants(layer)[0]), 0.5,
+                           atol=1e-12)
 
     def test_deterministic(self):
         a = init_layer(3, 8, 2, seed=42)
@@ -70,7 +70,7 @@ class TestInitLayer:
         # gamma = sqrt(1 - |lam|^2); ring [0.9, 0.999] gives
         # gamma in (sqrt(1-0.999^2), sqrt(1-0.9^2)) = (0.0447..., 0.4358...)
         layer = init_layer(4, 64, 2, seed=5)
-        gamma = derive_gamma(layer)
+        gamma = layer_constants(layer)[1]
         assert np.all(gamma > np.sqrt(1 - 0.999 ** 2) - 1e-12)
         assert np.all(gamma < np.sqrt(1 - 0.9 ** 2) + 1e-12)
 
@@ -99,8 +99,8 @@ class TestLayerStep:
 
     def test_convolution_oracle(self, rng):
         layer = init_layer(3, 6, 2, r_min=0.3, r_max=0.9, seed=9)
-        lam = derive_lambda(layer)
-        gamma = derive_gamma(layer)
+        lam = layer_constants(layer)[0]
+        gamma = layer_constants(layer)[1]
         Bc = layer.b_re + 1j * layer.b_im
         u = rng.standard_normal((8, 3))
         h = np.zeros(6, complex)
@@ -162,8 +162,8 @@ class TestScanForward:
         layer = init_layer(3, 8, 2, seed=21)
         u = rng.uniform(-1.0, 1.0, size=(2000, 3))
         h_seq, _ = scan_forward(layer, np.zeros(8, complex), u)
-        lam_max = np.abs(derive_lambda(layer)).max()
-        gamma = derive_gamma(layer)
+        lam_max = np.abs(layer_constants(layer)[0]).max()
+        gamma = layer_constants(layer)[1]
         row_sum = np.abs(layer.b_re + 1j * layer.b_im).sum(axis=1)
         bound = (gamma * row_sum).max() / (1.0 - lam_max)
         assert np.abs(h_seq).max() <= bound + 1e-9

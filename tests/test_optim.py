@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,3 +310,51 @@ class TestApplyUpdate:
             apply_update(b, grads, sb, 0.5, anchor, distance)
             distance = anchor_distance(b, anchor)
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_finite_gradient_with_overflowing_norm_steps(self, clip):
+        """A finite gradient whose squared norm overflows is not rejected:
+        the step counts (t += 1) and equals adam_step on the clipped
+        gradient, as when every entry was checked before each step."""
+        rng = np.random.default_rng(13)
+        theta = rng.standard_normal(7)
+        ref = theta.copy()
+        state, ref_state = AdamState.init(theta), AdamState.init(theta)
+        grads = rng.standard_normal(7)
+        grads[[1, 4]] = [1e200, -3e190]
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(grads @ grads)
+            apply_update(theta, grads, state, clip)
+            adam_step(ref, clip_global_norm(grads, clip), ref_state)
+        assert state.t == 1
+        assert theta.tobytes() == ref.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    @pytest.mark.parametrize("lambda_reg", [0.0, 0.2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_raises_and_writes_nothing(self, clip,
+                                                          lambda_reg, bad):
+        rng = np.random.default_rng(14)
+        pre = rng.standard_normal(9)
+        theta = pre + rng.standard_normal(9)
+        anchor = AnchorConfig(theta_pre=pre, lambda_reg=lambda_reg)
+        state = AdamState.init(theta, lr=0.05)
+        for _ in range(3):
+            apply_update(theta, rng.standard_normal(9), state, clip, anchor)
+        before = (theta.copy(), state.m.copy(), state.v.copy(), state.t)
+        grads = rng.standard_normal(9)
+        grads[5] = bad
+        with pytest.raises(TrainingError):
+            apply_update(theta, grads, state, clip, anchor)
+        assert theta.tobytes() == before[0].tobytes()
+        assert state.m.tobytes() == before[1].tobytes()
+        assert state.v.tobytes() == before[2].tobytes()
+        assert state.t == before[3] == 3
+
+    def test_invalid_clip_rejected(self):
+        theta = np.zeros(3)
+        for clip in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="max_norm"):
+                apply_update(theta, np.ones(3), AdamState.init(theta), clip)

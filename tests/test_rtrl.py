@@ -7,9 +7,8 @@ from conftest import (finite_difference_grads, max_rel_error, random_batch,
                       small_random_net)
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
-from lru_online.lru import (LruNetwork, derive_gamma, derive_lambda,
-                            init_network, layer_constants, layer_step,
-                            network_step)
+from lru_online.lru import (LruNetwork, init_network, layer_constants,
+                            layer_step, network_step)
 from lru_online.optim import AdamState, apply_update, huber
 from lru_online.rtrl import (B_RE, NU, PHASE, online_gradient, online_step,
                              reset_trace, trace_step, window_gradient)
@@ -44,7 +43,7 @@ class TestTraceStep:
         layer = net.layers[0]
         u = rng.standard_normal(3)
         z = trace_step(layer, np.zeros(5, complex), u, reset_trace(net)[0])
-        gamma = derive_gamma(layer)
+        gamma = layer_constants(layer)[1]
         assert np.allclose(z[:, B_RE], gamma[:, None] * u[None, :])
         assert np.all(z[:, NU] == 0)  # zero previous state
         assert np.all(z[:, PHASE] == 0)
@@ -107,7 +106,7 @@ class TestTraceStep:
     def test_zero_input_geometric_decay(self, rng):
         net = small_random_net(rng)
         layer = net.layers[0]
-        lam = derive_lambda(layer)
+        lam = layer_constants(layer)[0]
         z = reset_trace(net)[0]
         h = np.zeros(layer.n, complex)
         u = rng.standard_normal(layer.m)
@@ -132,14 +131,14 @@ class TestTraceStep:
         Jacobian imm built from exp(nu) and exp(theta_phase) afresh."""
         net = init_network(6, (9,), 2, seed=4)
         layer = net.layers[0]
-        lam = derive_lambda(layer)
+        lam = layer_constants(layer)[0]
         z, h = reset_trace(net)[0], np.zeros(9, complex)
         for _ in range(30):
             u = rng.standard_normal(6)
             imm = np.empty_like(z)
             imm[:, NU] = -np.exp(layer.nu) * lam * h
             imm[:, PHASE] = 1j * np.exp(layer.theta_phase) * lam * h
-            imm[:, B_RE] = derive_gamma(layer)[:, None] * u[None, :]
+            imm[:, B_RE] = layer_constants(layer)[1][:, None] * u[None, :]
             ref = lam[:, None] * z + imm
             z = trace_step(layer, h, u, z)
             assert np.array_equal(z, ref)
@@ -151,8 +150,10 @@ class TestTraceStep:
         net = init_network(3, (7, 4), 2, seed=5)
         for layer in net.layers:
             lam, gamma, b_t, c_t, dnu, dphase = layer_constants(layer)
-            assert np.array_equal(lam, derive_lambda(layer))
-            assert np.array_equal(gamma, derive_gamma(layer))
+            phase = np.exp(layer.theta_phase)
+            assert np.array_equal(lam, np.exp(-np.exp(layer.nu))
+                                  * (np.cos(phase) + 1j * np.sin(phase)))
+            assert np.array_equal(gamma, np.exp(layer.gamma_log))
             assert np.array_equal(b_t, layer.b_re.T + 1j * layer.b_im.T)
             assert np.array_equal(c_t, (layer.c_re + 1j * layer.c_im).T)
             assert np.array_equal(dnu, -np.exp(layer.nu) * lam)
@@ -217,7 +218,7 @@ class TestOnlineGradient:
                 out["c_re"][...] = g[:, None] * h.real
                 out["c_im"][...] = g[:, None] * -h.imag
                 out["d"][...] = g[:, None] * li[k]
-                g = (np.real(consts[k][2] @ (derive_gamma(layer) * a))
+                g = (np.real(consts[k][2] @ (layer_constants(layer)[1] * a))
                      + layer.d.T @ g)
             assert np.array_equal(got, ref)
 
@@ -272,6 +273,46 @@ class TestOnlineGradient:
             traces = step_all_traces(net, states, li, traces)
             states = new_states
             assert [z.shape for z in traces] == shapes
+
+
+class TestOnlineStep:
+    @pytest.mark.parametrize("what", [
+        "target1", "target3", "input", "state", "trace", "states", "traces"])
+    def test_shape_mismatch_rejected(self, what):
+        """online_step checks the target width as well as the shapes of
+        the input, the states and the traces, before it runs anything."""
+        net = init_network(3, (5, 4), 2, seed=8)
+        states, traces = net.zero_states(), reset_trace(net)
+        u, y = np.zeros(3), np.zeros(2)
+        if what == "target1":
+            y = np.zeros(1)          # would broadcast into the prediction
+        elif what == "target3":
+            y = np.zeros(3)
+        elif what == "input":
+            u = np.zeros(4)
+        elif what == "state":
+            states[1] = np.zeros(5, complex)
+        elif what == "trace":
+            traces[0] = np.zeros((5, 2 + 4), complex)
+        elif what == "states":
+            states = states[:1]
+        else:
+            traces = traces + traces[:1]
+        with pytest.raises(ContractViolationError):
+            online_step(net, states, traces, u, y)
+
+    def test_gradient_is_fresh_per_call(self, rng):
+        """Each online_step returns its own gradient array, although the
+        per-stream kernels reuse one buffer."""
+        net = init_network(3, (5,), 2, seed=8)
+        states, traces = net.zero_states(), reset_trace(net)
+        states, traces, _, g1 = online_step(net, states, traces,
+                                            rng.standard_normal(3),
+                                            rng.standard_normal(2))
+        kept = g1.copy()
+        online_step(net, states, traces, rng.standard_normal(3),
+                    rng.standard_normal(2))
+        assert np.array_equal(g1, kept)
 
 
 ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
