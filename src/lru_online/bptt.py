@@ -10,7 +10,8 @@ from typing import Callable
 import numpy as np
 
 from .datapipe import SequenceData
-from .errors import ConfigurationError, ContractViolationError, TrainingError
+from .errors import (CompatibilityError, ConfigurationError,
+                     ContractViolationError, TrainingError)
 from .lru import (LruNetwork, _interleave, _linear_recurrence, layer_constants,
                   network_scan)
 from .optim import AdamState, apply_update, huber, huber_grad
@@ -48,6 +49,18 @@ class TrainResult:
     loss_curve: list = field(default_factory=list)  # (step, train, val|nan)
     best_val_loss: float = float("nan")
     diverged: bool = False
+
+
+def _check_widths(net: LruNetwork, data: SequenceData, what: str) -> None:
+    """The data's feature and target widths must be the network's input
+    and output widths (CompatibilityError)."""
+    for name, want, got in (("features", net.input_dim,
+                             data.features.shape[1]),
+                            ("targets", net.output_dim,
+                             data.targets.shape[1])):
+        if want != got:
+            raise CompatibilityError(
+                f"the network expects {want} {name} but the {what} has {got}")
 
 
 def sample_windows(data: SequenceData, T: int, batch: int,
@@ -137,7 +150,9 @@ def bptt_gradient(net: LruNetwork,
 
 def evaluate(net: LruNetwork, data: SequenceData) -> float:
     """Mean per-step Huber loss over full sessions from zero initial state.
-    Empty data is a ContractViolationError."""
+    Empty data is a ContractViolationError; a feature or target width that
+    is not the network's is a CompatibilityError."""
+    _check_widths(net, data, "data")
     if data.n_rows == 0:
         raise ContractViolationError("cannot evaluate on data with no rows")
     total, count = 0.0, 0
@@ -168,7 +183,11 @@ def train(net: LruNetwork, train_data: SequenceData,
     returns the best-validation parameters (the last ones without
     validation data). A non-finite loss or gradient (TrainingError) stops
     training with `diverged` set; the last finite best parameters are kept.
-    The input network is not modified."""
+    A data set whose widths are not the network's is a CompatibilityError,
+    raised before any step. The input network is not modified."""
+    _check_widths(net, train_data, "training data")
+    if val_data is not None:
+        _check_widths(net, val_data, "validation data")
     net = net.copy()
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState.init(net.theta, lr=cfg.lr)

@@ -35,10 +35,22 @@ SESSION_GAP_S = 60.0   # a longer gap between consecutive rows starts a session
 
 # -------------------------------------------------------------------- tables
 
-def _sessions_in_order(session_ids: np.ndarray) -> list[int]:
-    """Distinct session ids in order of first appearance."""
-    _, first = np.unique(session_ids, return_index=True)
-    return [int(session_ids[i]) for i in np.sort(first)]
+def session_bounds(session_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops): session k is rows starts[k]:stops[k], in stream
+    order; no rows, no sessions. A session is a run of equal ids, and this
+    is the only code that finds sessions. An id that comes back after
+    another id is a ContractViolationError: its rows would not be
+    contiguous."""
+    ids = session_ids
+    change = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(np.r_[ids.size > 0, change])
+    _, first = np.unique(ids[starts], return_index=True)
+    if first.size < starts.size:
+        k = np.setdiff1d(np.arange(starts.size), first)[0]
+        raise ContractViolationError(
+            f"session {ids[starts[k]]} comes back at row {starts[k]} "
+            "after another session; a session's rows must be contiguous")
+    return starts, np.flatnonzero(np.r_[change, ids.size > 0]) + 1
 
 
 @dataclass
@@ -47,7 +59,8 @@ class SeriesTable:
 
     Numeric columns are float64 with NaN as the missing marker; categorical
     columns are object arrays with None. Rows of one session are contiguous
-    and strictly increasing in time.
+    and strictly increasing in time; every stage takes its sessions from
+    session_bounds, which rejects an id that comes back after another.
     """
     timestamps: np.ndarray                 # (N,) float64 seconds
     session_ids: np.ndarray                # (N,) int64
@@ -58,11 +71,19 @@ class SeriesTable:
     def n_rows(self) -> int:
         return self.timestamps.shape[0]
 
+    def session_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return session_bounds(self.session_ids)
+
     def sessions(self) -> list[int]:
-        return _sessions_in_order(self.session_ids)
+        """Session ids in stream order."""
+        return self.session_ids[self.session_bounds()[0]].tolist()
 
     def session_indices(self, sid: int) -> np.ndarray:
-        return np.nonzero(self.session_ids == sid)[0]
+        """Rows of session sid; empty for an id that is not in the table."""
+        for start, stop in zip(*self.session_bounds()):
+            if self.session_ids[start] == sid:
+                return np.arange(start, stop)
+        return np.arange(0)
 
     def numeric_columns(self) -> list[str]:
         return [c for c, r in self.roles.items() if r in (ROLE_NUMERIC, ROLE_TARGET)]
@@ -113,19 +134,7 @@ class SequenceData:
         return self.features.shape[0]
 
     def session_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, stops): session k is rows starts[k]:stops[k], in stream
-        order; no rows, no sessions. An id that comes back after another id
-        is a ContractViolationError: its rows would not be contiguous."""
-        ids = self.session_ids
-        change = ids[1:] != ids[:-1]
-        starts = np.flatnonzero(np.r_[ids.size > 0, change])
-        _, first = np.unique(ids[starts], return_index=True)
-        if first.size < starts.size:
-            k = np.setdiff1d(np.arange(starts.size), first)[0]
-            raise ContractViolationError(
-                f"session {ids[starts[k]]} comes back at row {starts[k]} "
-                "after another session; a session's rows must be contiguous")
-        return starts, np.flatnonzero(np.r_[change, ids.size > 0]) + 1
+        return session_bounds(self.session_ids)
 
 
 # ------------------------------------------------------------------- loading
@@ -241,16 +250,24 @@ def join_weather(table: SeriesTable, weather: WeatherTable) -> SeriesTable:
 
 def resample_to_grid(table: SeriesTable) -> SeriesTable:
     """Expand every session to the 1 s grid between its first and last
-    timestamp. Grid points without a source row become all-missing rows."""
+    timestamp. Grid points without a source row become all-missing rows.
+    Two rows of a session that round to the same grid point are a
+    SchemaError: one would overwrite the other."""
     ts_parts, sid_parts = [], []
     col_parts: dict[str, list[np.ndarray]] = {c: [] for c in table.columns}
-    for sid in table.sessions():
-        idx = table.session_indices(sid)
-        ts = table.timestamps[idx]
+    for start, stop in zip(*table.session_bounds()):
+        sid = table.session_ids[start]
+        ts = table.timestamps[start:stop]
         t0 = ts[0]
         n_grid = int(round(ts[-1] - t0)) + 1
         grid = t0 + np.arange(n_grid, dtype=np.float64)
         pos = np.rint(ts - t0).astype(np.int64)
+        clash = np.flatnonzero(pos[1:] <= pos[:-1])
+        if clash.size:
+            i = clash[0]
+            raise SchemaError(
+                f"session {sid}: timestamps {ts[i]} and {ts[i + 1]} do not "
+                "fall on distinct, increasing 1 s grid points")
         ts_parts.append(grid)
         sid_parts.append(np.full(n_grid, sid, dtype=np.int64))
         for name, vals in table.columns.items():
@@ -258,7 +275,7 @@ def resample_to_grid(table: SeriesTable) -> SeriesTable:
                 new = np.full(n_grid, None, dtype=object)
             else:
                 new = np.full(n_grid, np.nan)
-            new[pos] = vals[idx]
+            new[pos] = vals[start:stop]
             col_parts[name].append(new)
     return SeriesTable(
         timestamps=np.concatenate(ts_parts),
@@ -306,7 +323,7 @@ def _window_medians(x: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
     observed = ~np.isnan(windows)
     count = np.count_nonzero(observed, axis=1)
     medians = np.full(at.size, np.nan)
-    for c in np.unique(count[count > 0]):
+    for c in np.flatnonzero(np.bincount(count)[1:]) + 1:   # distinct counts > 0
         rows = count == c
         vals = windows[rows][observed[rows]].reshape(-1, c)
         medians[rows] = np.median(vals, axis=1)
@@ -321,20 +338,21 @@ def impute_rolling_median(table: SeriesTable, w: int = 5) -> SeriesTable:
     if w < 3 or w % 2 == 0:
         raise ConfigurationError(f"rolling window must be odd and >= 3, got {w}")
     out = table.copy()
-    for sid in table.sessions():
-        idx = table.session_indices(sid)
+    for start, stop in zip(*table.session_bounds()):
+        rows = slice(start, stop)
         for name in table.numeric_columns():
-            x = out.columns[name][idx]
+            x = out.columns[name][rows]
             missing = np.isnan(x)
             if missing.all():
                 raise ImputationError(
-                    f"column {name!r} entirely missing in session {sid}")
+                    f"column {name!r} entirely missing in session "
+                    f"{table.session_ids[start]}")
             at = np.nonzero(missing)[0]
             x[at] = _window_medians(x, at, w)
             x = _bfill(x, np.isnan(x))
-            out.columns[name][idx] = _ffill(x, np.isnan(x))
+            out.columns[name][rows] = _ffill(x, np.isnan(x))
         for name in table.categorical_columns():
-            out.columns[name][idx] = _fill_categorical(out.columns[name][idx])
+            out.columns[name][rows] = _fill_categorical(out.columns[name][rows])
     return out
 
 
@@ -345,6 +363,7 @@ def impute_knn(table: SeriesTable, k: int = 20) -> SeriesTable:
     by n_cols/n_observed so partial distances compare fairly."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
+    bounds = table.session_bounds()
     out = table.copy()
     names = table.numeric_columns()
     X = np.column_stack([out.columns[c] for c in names])
@@ -383,9 +402,9 @@ def impute_knn(table: SeriesTable, k: int = 20) -> SeriesTable:
     for ci, name in enumerate(names):
         out.columns[name] = filled[:, ci]
     for name in table.categorical_columns():
-        for sid in table.sessions():
-            idx = table.session_indices(sid)
-            out.columns[name][idx] = _fill_categorical(out.columns[name][idx])
+        for start, stop in zip(*bounds):
+            out.columns[name][start:stop] = _fill_categorical(
+                out.columns[name][start:stop])
     return out
 
 
@@ -502,23 +521,18 @@ def apply_pipeline(pipe: FittedPipeline, table: SeriesTable) -> SequenceData:
 
 def split_sessions(table: SeriesTable,
                    train_fraction: float = 0.8) -> tuple[SeriesTable, SeriesTable]:
-    """Whole-session split: earliest sessions go to train until the
-    cumulative row count first reaches train_fraction of the total; the
-    remainder is validation (never empty)."""
-    sids = table.sessions()
-    if len(sids) < 2:
+    """Whole-session split in stream order: train is the sessions up to the
+    first one whose end reaches train_fraction of the rows, the rest is
+    validation (never empty). Sessions come from session_bounds, so an id
+    that comes back after another is a ContractViolationError. Both parts
+    are copies."""
+    starts, stops = table.session_bounds()
+    if starts.size < 2:
         raise ConfigurationError(
-            f"need at least 2 sessions to split, got {len(sids)}")
-    total = table.n_rows
-    counts = {sid: table.session_indices(sid).size for sid in sids}
-    train_sids, cum = [], 0
-    for i, sid in enumerate(sids):
-        if i == len(sids) - 1:
-            break  # keep at least one validation session
-        train_sids.append(sid)
-        cum += counts[sid]
-        if cum >= train_fraction * total:
-            break
-    train_mask = np.isin(table.session_ids, train_sids)
-    return table.select(np.nonzero(train_mask)[0]), \
-        table.select(np.nonzero(~train_mask)[0])
+            f"need at least 2 sessions to split, got {starts.size}")
+    # the first k with stops[k] >= train_fraction * n_rows, keeping the
+    # last session for validation
+    k = min(np.searchsorted(stops, train_fraction * table.n_rows),
+            starts.size - 2)
+    rows = np.arange(table.n_rows)
+    return table.select(rows[:stops[k]]), table.select(rows[stops[k]:])

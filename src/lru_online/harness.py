@@ -10,14 +10,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .bptt import TrainConfig, TrainResult, bptt_step, train
+from .bptt import TrainConfig, TrainResult, _check_widths, bptt_step, train
 from .checkpoint import Checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
-from .errors import (CompatibilityError, ConfigurationError,
-                     ContractViolationError, TrainingError)
+from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import (LruNetwork, init_network, layer_constants, network_replay,
                   network_scan)
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
@@ -224,18 +223,6 @@ def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
         rows = slice(max(first, start), stop)
         out[rows] = network_replay(net, states, stream.features[rows],
                                    finite_rows[rows], consts)[0]
-
-
-def _check_widths(net: LruNetwork, data: SequenceData, what: str) -> None:
-    """The data's feature and target widths must be the network's input
-    and output widths (CompatibilityError)."""
-    for name, want, got in (("features", net.input_dim,
-                             data.features.shape[1]),
-                            ("targets", net.output_dim,
-                             data.targets.shape[1])):
-        if want != got:
-            raise CompatibilityError(
-                f"checkpoint expects {want} {name} but the {what} has {got}")
 
 
 def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,

@@ -6,7 +6,8 @@ from conftest import finite_difference_grads, max_rel_error, random_batch, \
 from lru_online.bptt import (TrainConfig, WindowBatch, bptt_gradient,
                              evaluate, sample_windows, train)
 from lru_online.datapipe import SequenceData
-from lru_online.errors import ConfigurationError, ContractViolationError
+from lru_online.errors import (CompatibilityError, ConfigurationError,
+                               ContractViolationError)
 from lru_online.harness import PretrainConfig
 from lru_online.lru import init_network
 from lru_online.rtrl import window_gradient
@@ -233,3 +234,31 @@ class TestEvaluate:
         net = init_network(2, (4,), 1, seed=0)
         with pytest.raises(ContractViolationError, match="no rows"):
             evaluate(net, empty_data(m=2, p=1))
+
+
+class TestWidths:
+    """A data set whose feature or target width is not the network's is a
+    CompatibilityError, not a broadcast loss or an unnamed matmul error."""
+
+    @pytest.mark.parametrize("m, p, name", [(3, 3, "targets"),
+                                            (2, 1, "features")])
+    def test_evaluate_rejects(self, m, p, name):
+        net = init_network(3, (4,), 1, seed=0)
+        with pytest.raises(CompatibilityError, match=name):
+            evaluate(net, make_data([20], m=m, p=p))
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_train_rejects_before_any_step(self, which):
+        net = init_network(3, (4,), 1, seed=0)
+        good, bad = make_data([40], p=1), make_data([40], p=3)
+        data = (bad, good) if which == "training" else (good, bad)
+        steps = []
+
+        def step(*args):
+            steps.append(args)
+            return 0.0
+
+        cfg = TrainConfig(steps=3, batch=2, window=10, eval_every=1)
+        with pytest.raises(CompatibilityError, match=f"{which} data"):
+            train(net, *data, cfg, step=step)
+        assert steps == []

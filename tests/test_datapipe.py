@@ -154,6 +154,14 @@ class TestResample:
         assert out.n_rows == 3 + 2
         assert np.array_equal(out.session_ids, [0, 0, 0, 1, 1])
 
+    def test_rows_on_one_grid_point_rejected(self):
+        # 1.6 and 2.4 both round to grid point 2: the row at 1.6 would be
+        # overwritten and grid point 1 imputed instead
+        table = numeric_table({"x": [1.0, 2.0, 3.0, 4.0]},
+                              timestamps=[0.0, 1.6, 2.4, 3.0])
+        with pytest.raises(SchemaError, match="session 0.* 1.6 and 2.4"):
+            resample_to_grid(table)
+
 
 def reference_rolling_median(x, w):
     """Independent re-statement of the imputer: window medians over observed
@@ -537,6 +545,52 @@ class TestSplitSessions:
         with pytest.raises(ConfigurationError):
             split_sessions(full_table(), 0.8)
 
+    def test_fraction_reached_at_a_session_end(self):
+        # 0.5 * 40 rows is exactly the end of session 1
+        table = full_table(n=40, sessions=4)
+        table.session_ids = np.repeat([0, 1, 2, 3], [10, 10, 12, 8])
+        train, val = split_sessions(table, 0.5)
+        assert train.sessions() == [0, 1] and val.sessions() == [2, 3]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_cumulative_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 30, size=rng.integers(2, 9))
+        n = int(lengths.sum())
+        table = full_table(n=n)
+        table.session_ids = np.repeat(
+            rng.permutation(100)[:lengths.size], lengths).astype(np.int64)
+        ends = np.cumsum(lengths)
+        fractions = [0.0, 1.0, float(rng.random()), *(ends / n)]
+        for fraction in fractions:
+            got = split_sessions(table, fraction)
+            expect = split_reference(table, fraction)
+            for g, e in zip(got, expect):
+                assert g.timestamps.tobytes() == e.timestamps.tobytes()
+                assert g.session_ids.tobytes() == e.session_ids.tobytes()
+                for c in e.columns:
+                    assert list(g.columns[c]) == list(e.columns[c])
+                    assert not np.shares_memory(g.columns[c],
+                                                table.columns[c])
+            assert expect[1].n_rows > 0
+
+
+def split_reference(table, train_fraction):
+    """The cumulative loop split_sessions replaced: earliest sessions go to
+    train until their row count first reaches train_fraction of the total,
+    keeping at least one validation session."""
+    sids = list(dict.fromkeys(table.session_ids.tolist()))
+    train_sids, cum = [], 0
+    for i, sid in enumerate(sids):
+        if i == len(sids) - 1:
+            break
+        train_sids.append(sid)
+        cum += np.count_nonzero(table.session_ids == sid)
+        if cum >= train_fraction * table.n_rows:
+            break
+    mask = np.isin(table.session_ids, train_sids)
+    return table.select(np.nonzero(mask)[0]), table.select(np.nonzero(~mask)[0])
+
 
 class TestSessionBounds:
     @staticmethod
@@ -556,3 +610,45 @@ class TestSessionBounds:
     def test_returning_id_names_session_and_row(self):
         with pytest.raises(ContractViolationError, match="session 5 .* row 4"):
             self.data([5, 5, 2, 2, 5, 7]).session_bounds()
+
+
+class TestSeriesTableSessionBounds(TestSessionBounds):
+    """The same cases on a table: SequenceData and SeriesTable both take
+    their sessions from datapipe.session_bounds."""
+    @staticmethod
+    def data(ids):
+        return numeric_table({"x": np.zeros(len(ids))}, session_ids=ids)
+
+
+def test_kept_accessors_are_views_of_the_bounds():
+    """sessions() and session_indices() are read off session_bounds: each
+    session's rows are arange(start, stop), and an unknown id has none."""
+    ids = [7, 7, 3, 3, 3, 9, 1, 1, 1, 1, 5, 5]
+    table = numeric_table({"x": np.zeros(len(ids))}, session_ids=ids)
+    starts, stops = table.session_bounds()
+    assert table.sessions() == [7, 3, 9, 1, 5]
+    for sid, start, stop in zip(table.sessions(), starts, stops):
+        assert np.array_equal(table.session_indices(sid),
+                              np.arange(start, stop))
+    for unknown in (0, 4, 8):
+        got = table.session_indices(unknown)
+        assert got.size == 0 and got.dtype == np.arange(0).dtype
+
+
+@pytest.mark.parametrize("stage", [
+    resample_to_grid, impute_rolling_median, impute_knn,
+    lambda table: split_sessions(table, 0.5),
+], ids=["resample_to_grid", "impute_rolling_median", "impute_knn",
+        "split_sessions"])
+def test_table_returning_session_id_rejected(stage):
+    """Session 0 comes back after session 1: every ingest stage rejects the
+    table instead of joining both runs into one session."""
+    table = numeric_table(
+        {"x": [1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0, np.nan]},
+        session_ids=[0, 0, 0, 1, 1, 1, 0, 0],
+        timestamps=[0.0, 1.0, 2.0, 100.0, 101.0, 102.0, 200.0, 201.0])
+    table.columns["cond"] = np.asarray(["a", None, "b", "a", None, "b",
+                                        None, "a"], dtype=object)
+    table.roles["cond"] = ROLE_CATEGORICAL
+    with pytest.raises(ContractViolationError, match="session 0 .* row 6"):
+        stage(table)
