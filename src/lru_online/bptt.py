@@ -14,7 +14,7 @@ from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
 from .lru import (LruNetwork, _interleave, _linear_recurrence, layer_constants,
                   network_scan)
-from .optim import AdamState, apply_update, huber, huber_grad
+from .optim import AdamState, _Descent, huber, huber_grad
 
 
 @dataclass
@@ -37,10 +37,15 @@ class TrainConfig:
     eval_every: int = 250
 
     def __post_init__(self):
-        for name in ("batch", "window", "eval_every"):
+        for name in ("steps", "batch", "window", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.lr >= 0:
+            raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
+        if self.clip is not None and not self.clip > 0:
+            raise ConfigurationError(
+                f"clip must be > 0 or None, got {self.clip}")
 
 
 @dataclass
@@ -164,33 +169,35 @@ def evaluate(net: LruNetwork, data: SequenceData) -> float:
     return total / count
 
 
-def bptt_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
-              cfg: TrainConfig) -> float:
-    """One Adam update on the batch's exact BPTT gradient."""
+def bptt_step(net: LruNetwork, batch: WindowBatch, descend: _Descent) -> float:
+    """One update on the batch's exact BPTT gradient."""
     loss, grads = bptt_gradient(net, batch)
-    apply_update(net.theta, grads, adam, cfg.clip)
+    descend(grads)
     return loss
 
 
 def train(net: LruNetwork, train_data: SequenceData,
           val_data: SequenceData | None, cfg: TrainConfig,
-          step: Callable[[LruNetwork, WindowBatch, AdamState, TrainConfig],
+          step: Callable[[LruNetwork, WindowBatch, _Descent],
                          float] = bptt_step) -> TrainResult:
-    """The training loop of every trainer. Each of cfg.steps iterations
-    samples cfg.batch windows and calls step(net, batch, adam, cfg), which
-    updates net.theta in place and returns the train loss. The loop tracks
-    the train loss every step and the validation loss at the eval cadence, and
-    returns the best-validation parameters (the last ones without
-    validation data). A non-finite loss or gradient (TrainingError) stops
-    training with `diverged` set; the last finite best parameters are kept.
-    A data set whose widths are not the network's is a CompatibilityError,
-    raised before any step. The input network is not modified."""
+    """The training loop of every trainer. It builds the run's one update,
+    descend = optim._Descent (fresh Adam at cfg.lr, cfg.clip). Each of
+    cfg.steps iterations samples cfg.batch windows and calls step(net,
+    batch, descend), which updates net.theta through descend and returns
+    the train loss. The loop tracks the train loss every step and the
+    validation loss at the eval cadence, and returns the best-validation
+    parameters (the last ones without validation data). A non-finite loss
+    or gradient (TrainingError) stops training with `diverged` set; the
+    last finite best parameters are kept. A data set whose widths are not
+    the network's is a CompatibilityError, raised before any step. The
+    input network is not modified."""
     _check_widths(net, train_data, "training data")
     if val_data is not None:
         _check_widths(net, val_data, "validation data")
     net = net.copy()
     rng = np.random.default_rng(cfg.seed)
-    adam = AdamState.init(net.theta, lr=cfg.lr)
+    descend = _Descent(net.theta, AdamState.init(net.theta, lr=cfg.lr),
+                       cfg.clip)
     best = None
     best_val = float("inf")
     curve = []
@@ -198,7 +205,7 @@ def train(net: LruNetwork, train_data: SequenceData,
     for i in range(1, cfg.steps + 1):
         batch = sample_windows(train_data, cfg.window, cfg.batch, rng)
         try:
-            loss = step(net, batch, adam, cfg)
+            loss = step(net, batch, descend)
         except TrainingError:
             diverged = True
             break

@@ -197,7 +197,8 @@ def load_emission_csv(path) -> SeriesTable:
 
 
 def load_weather_csv(path) -> WeatherTable:
-    """Read the 4-column hourly weather CSV, sorted by hour."""
+    """Read the 4-column hourly weather CSV, sorted by hour. An empty or
+    repeated hour is a SchemaError naming its row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -206,22 +207,32 @@ def load_weather_csv(path) -> WeatherTable:
             raise SchemaError(f"{path}: empty file")
         if header != WEATHER_HEADER:
             raise SchemaError(f"{path}: weather header mismatch, got {header}")
-        ts, temp, precip, cond = [], [], [], []
+        lines, ts, temp, precip, cond = [], [], [], [], []
         for i, rec in enumerate(reader, start=1):
             if not rec:
                 continue
             if len(rec) != len(WEATHER_HEADER):
                 raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
                                   f"expected {len(WEATHER_HEADER)}")
-            ts.append(_parse_cell(rec[0], i, "timestamp_hour"))
+            hour = _parse_cell(rec[0], i, "timestamp_hour")
+            if np.isnan(hour):
+                raise SchemaError(f"{path}: row {i} has no timestamp_hour")
+            lines.append(i)
+            ts.append(hour)
             temp.append(_parse_cell(rec[1], i, "temp_c"))
             precip.append(_parse_cell(rec[2], i, "precip_mm"))
             cond.append(rec[3].strip() or None)
     if not ts:
         raise SchemaError(f"{path}: no data rows")
     order = np.argsort(np.asarray(ts), kind="stable")
+    hours = np.asarray(ts)[order]
+    dup = np.flatnonzero(np.diff(hours) == 0)
+    if dup.size:
+        k = dup[0]
+        raise SchemaError(f"{path}: duplicate timestamp_hour {hours[k]} at "
+                          f"rows {lines[order[k]]} and {lines[order[k + 1]]}")
     return WeatherTable(
-        timestamps=np.asarray(ts)[order],
+        timestamps=hours,
         temp_c=np.asarray(temp)[order],
         precip_mm=np.asarray(precip)[order],
         conditions=np.asarray(cond, dtype=object)[order],

@@ -16,7 +16,8 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
-from .errors import ConfigurationError, ContractViolationError, TrainingError
+from .errors import (CompatibilityError, ConfigurationError,
+                     ContractViolationError, TrainingError)
 from .lru import (LruNetwork, init_network, layer_constants, network_replay,
                   network_scan)
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
@@ -115,13 +116,13 @@ def cmd_sweep(train_data: SequenceData, val_data: SequenceData,
                                "lr": lr,
                                "clip": "" if clip is None else clip,
                                "repeat": rep}
-                        pcfg = PretrainConfig(
-                            trainer=trainer, layers=tuple(layers), lr=lr,
-                            clip=clip, steps=cfg.steps, batch=cfg.batch,
-                            window=cfg.window, eval_every=cfg.eval_every,
-                            seed=cfg.seed + rep)
                         t0 = time.perf_counter()
                         try:
+                            pcfg = PretrainConfig(
+                                trainer=trainer, layers=tuple(layers), lr=lr,
+                                clip=clip, steps=cfg.steps, batch=cfg.batch,
+                                window=cfg.window, eval_every=cfg.eval_every,
+                                seed=cfg.seed + rep)
                             _, result = cmd_pretrain(train_data, val_data,
                                                      None, pcfg)
                             row["best_val_loss"] = result.best_val_loss
@@ -287,16 +288,20 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     stream.session_bounds(), so a session id that comes back is a
     ContractViolationError, as is an empty stream. A feature or target
     width that is not the checkpoint's is a CompatibilityError, raised
-    before any pass runs.
+    before any pass runs, and so is carry_optimizer on a checkpoint that
+    holds no optimizer state (cmd_pretrain stores none).
     """
     frozen = ckpt.net
     _check_widths(frozen, stream, "stream")
+    if cfg.carry_optimizer and ckpt.optimizer is None:
+        raise CompatibilityError("carry_optimizer is set but the checkpoint "
+                                 "holds no optimizer state")
     if stream.n_rows == 0:
         raise ContractViolationError("cannot fine-tune on a stream with no rows")
     net = frozen.copy()
     anchor = AnchorConfig(theta_pre=frozen.theta, lambda_reg=cfg.lambda_reg,
                           squared=cfg.squared_anchor)
-    if cfg.carry_optimizer and ckpt.optimizer is not None:
+    if cfg.carry_optimizer:
         adam = replace(ckpt.optimizer, m=ckpt.optimizer.m.copy(),
                        v=ckpt.optimizer.v.copy(), lr=cfg.lr)
     else:

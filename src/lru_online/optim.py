@@ -76,10 +76,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    # adam_step's two work vectors, allocated on first use (not copied by
-    # dataclasses.replace)
-    _work: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
 
     @classmethod
     def init(cls, theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
@@ -89,22 +85,19 @@ class AdamState:
 
 
 def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """Bias-corrected Adam update of theta and the state, both in place.
-    A non-finite gradient raises TrainingError before anything is written.
-
-    theta -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
-    in two work vectors kept on the state, so a step allocates nothing."""
-    if not np.isfinite(grads).all():
-        raise TrainingError("non-finite gradient passed to adam_step")
-    _adam(theta, grads, state)
+    """Bias-corrected Adam update of theta and the state, both in place:
+    one _Descent update with neither pull nor clip, on work vectors
+    allocated for this call. A non-finite gradient raises TrainingError
+    before anything is written."""
+    _Descent(theta, state, None)(grads)
 
 
-def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """adam_step without its finiteness check."""
+def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
+          step: np.ndarray, denom: np.ndarray) -> None:
+    """adam_step without its finiteness check, in the work vectors step
+    and denom (their contents are overwritten): theta -= lr * (m / c1) /
+    (sqrt(v / c2) + eps), evaluated in that order."""
     m, v = state.m, state.v
-    if state._work is None or state._work[0].shape != m.shape:
-        state._work = (np.empty_like(m), np.empty_like(m))
-    step, denom = state._work
     t = state.t = state.t + 1
     b1, b2 = state.beta1, state.beta2
     m *= b1
@@ -155,16 +148,12 @@ def _distance(theta: np.ndarray, anchor: AnchorConfig,
     return math.sqrt(diff @ diff)
 
 
-def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig,
-                    distance: float | None = None) -> np.ndarray:
-    """Gradient of the anchor penalty w.r.t. theta. `distance` is
-    anchor_distance(theta, anchor) when the caller already has it."""
+def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig) -> np.ndarray:
+    """Gradient of the anchor penalty w.r.t. theta."""
     if anchor.lambda_reg == 0.0:
         return np.zeros_like(theta)
     diff = theta - anchor.theta_pre
-    if distance is None and not anchor.squared:
-        distance = math.sqrt(diff @ diff)
-    return _pull(diff, anchor, distance, diff)
+    return _pull(diff, anchor, math.sqrt(diff @ diff), diff)
 
 
 def _pull(diff: np.ndarray, anchor: AnchorConfig, distance: float,
@@ -183,48 +172,27 @@ def _pull(diff: np.ndarray, anchor: AnchorConfig, distance: float,
 # ------------------------------------------------------------------- update
 
 def apply_update(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
-                 clip: float | None, anchor: AnchorConfig | None = None,
-                 distance: float | None = None) -> None:
-    """The one parameter update of every trainer and of online fine-tuning:
-    add the anchor pull, clip the global norm, then an in-place Adam step.
-    `distance` is the anchor distance of theta before the update, when the
-    caller already has it (the distance after the previous update). The
+                 clip: float | None,
+                 anchor: AnchorConfig | None = None) -> None:
+    """One _Descent update on work vectors allocated for this call: the
+    anchor pull, the global-norm clip, then an in-place Adam step. The
     caller's gradient is never written to. A non-finite gradient raises
     TrainingError before anything is written."""
-    _check_clip(clip)
-    if anchor is not None and anchor.lambda_reg != 0.0:
-        pull = anchor_gradient(theta, anchor, distance)
-        pull += grads
-        grads = pull
-    _descend(theta, grads, adam, clip)
-
-
-def _descend(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
-             clip: float | None) -> None:
-    """Clip and Adam-step, with no check but finiteness. The squared norm
-    that the clip takes doubles as that check: a finite sum of squares
-    means every entry is finite, so only a non-finite one (a NaN or inf
-    entry, or a finite gradient whose squares overflow) pays for a full
-    scan, and only a NaN or inf entry raises. Then a clipped gradient is
-    finite too, as adam_step requires."""
-    sq = grads @ grads
-    if not math.isfinite(sq) and not np.isfinite(grads).all():
-        raise TrainingError("non-finite gradient passed to adam_step")
-    if clip is not None:
-        grads = _clip(grads, sq, clip)
-    _adam(theta, grads, adam)
+    if anchor is not None and anchor.lambda_reg == 0.0:
+        anchor = None
+    _Descent(theta, adam, clip, anchor)(grads)
 
 
 class _Descent:
-    """apply_update and anchor_distance for one stream of updates, checked
-    once: construct it on the parameters, the optimizer state, the clip
-    and (optionally) the anchor, then call it with each gradient.
+    """The parameter update of every trainer and of online fine-tuning,
+    and the only code that composes it: construct it once per stream of
+    updates on the parameters, the Adam state, the clip (checked here) and
+    optionally the anchor, then call it with each gradient.
 
-    It keeps theta - theta_pre from one update to the next, so that
-    difference is taken once per update: for the distance after it
-    (`distance`) and for the next update's pull, theta not having moved in
-    between. Each update is bitwise apply_update(theta, grads, adam, clip,
-    anchor, distance) followed by anchor_distance(theta, anchor)."""
+    It owns Adam's two work vectors and keeps theta - theta_pre from one
+    update to the next, so that difference is taken once per update: for
+    the distance after it (`distance`) and for the next update's pull,
+    theta not having moved in between."""
 
     def __init__(self, theta: np.ndarray, adam: AdamState,
                  clip: float | None, anchor: AnchorConfig | None = None):
@@ -232,18 +200,26 @@ class _Descent:
         self.theta, self.adam = theta, adam
         self.clip, self.anchor = clip, anchor
         self.pulls = anchor is not None and anchor.lambda_reg != 0.0
+        self.work = (np.empty_like(adam.m), np.empty_like(adam.m))
         if anchor is not None:
             self.diff = np.empty_like(theta)
             self.pull = np.empty_like(theta)
             self.distance = _distance(theta, anchor, self.diff)
 
     def __call__(self, grads: np.ndarray) -> None:
-        """One update; a non-finite gradient raises TrainingError and
-        changes nothing."""
+        """Add the anchor pull, clip, Adam-step. The clip's squared norm is
+        the finiteness check: only a non-finite sum (a NaN or inf entry, or
+        finite squares that overflow) pays for a full scan, and only a NaN
+        or inf entry raises TrainingError, which changes nothing."""
         if self.pulls:
             pull = _pull(self.diff, self.anchor, self.distance, self.pull)
             pull += grads
             grads = pull
-        _descend(self.theta, grads, self.adam, self.clip)
+        sq = grads @ grads
+        if not math.isfinite(sq) and not np.isfinite(grads).all():
+            raise TrainingError("non-finite gradient passed to adam_step")
+        if self.clip is not None:
+            grads = _clip(grads, sq, self.clip)
+        _adam(self.theta, grads, self.adam, *self.work)
         if self.anchor is not None:
             self.distance = _distance(self.theta, self.anchor, self.diff)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bptt import TrainConfig, WindowBatch
+from .bptt import WindowBatch
 from .errors import ContractViolationError
 from .lru import LruLayerParams, LruNetwork, _forward, layer_constants
-from .optim import AdamState, _Descent, apply_update, huber, huber_grad
+from .optim import _Descent, huber, huber_grad
 
 # Columns of a layer's trace matrix Z.
 NU, PHASE, B_RE = 0, 1, slice(2, None)
@@ -253,24 +253,23 @@ def window_gradient(net: LruNetwork, inputs: np.ndarray,
 
 # ------------------------------------------------------- pretraining steps
 
-def rtrl_window_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
-                     cfg: TrainConfig) -> float:
-    """Training step for bptt.train: one Adam update per window, on the
+def rtrl_window_step(net: LruNetwork, batch: WindowBatch,
+                     descend: _Descent) -> float:
+    """Training step for bptt.train: one update per window, on the
     window's accumulated RTRL gradient. Uses the batch's first window."""
     loss, grads = window_gradient(net, batch.inputs[0], batch.targets[0])
-    apply_update(net.theta, grads, adam, cfg.clip)
+    descend(grads)
     return loss
 
 
-def rtrl_stream_step(net: LruNetwork, batch: WindowBatch, adam: AdamState,
-                     cfg: TrainConfig) -> float:
+def rtrl_stream_step(net: LruNetwork, batch: WindowBatch,
+                     descend: _Descent) -> float:
     """Training step for bptt.train: streams the batch's first window from
     zero state, updating the parameters after every timestep."""
     plan = _StreamPlan(net)
     inputs = np.asarray(batch.inputs[0], dtype=np.float64)
     targets = np.asarray(batch.targets[0], dtype=np.float64)
     _check_rows(net, inputs, targets)
-    descend = _Descent(net.theta, adam, cfg.clip)
     states = net.zero_states()
     traces = reset_trace(net)
     total = 0.0

@@ -173,16 +173,20 @@ class TestBpttGradient:
 
 
 class TestTrain:
-    def test_zero_steps_returns_initial(self):
-        net = init_network(3, (4,), 2, seed=0)
-        data = make_data([50])
-        result = train(net, data, None, TrainConfig(steps=0, batch=2,
-                                                    window=10))
-        assert np.array_equal(result.net.theta, net.theta)
-
-    @pytest.mark.parametrize("field", ["batch", "window", "eval_every"])
+    @pytest.mark.parametrize("field", ["steps", "batch", "window",
+                                       "eval_every"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_sizes_rejected(self, field, value):
+        for cls in (TrainConfig, PretrainConfig):
+            with pytest.raises(ConfigurationError, match=field):
+                cls(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -0.01), ("lr", float("nan")), ("clip", 0.0), ("clip", -1.0),
+        ("clip", float("nan"))])
+    def test_invalid_lr_and_clip_rejected(self, field, value):
+        """A negative or NaN lr and a clip that is not > 0 are rejected,
+        as FinetuneConfig rejects them, before any step can run."""
         for cls in (TrainConfig, PretrainConfig):
             with pytest.raises(ConfigurationError, match=field):
                 cls(**{field: value})

@@ -109,7 +109,13 @@ class TestWeatherJoin:
         ("timestamp_hour,temp_c,precip_mm,conditions\n0.0,20.0,0.0\n",
          "row 1 has 3 cells, expected 4"),
         ("timestamp_hour,temp_c,precip_mm,conditions\n", "no data rows"),
-    ], ids=["empty", "short_row", "header_only"])
+        ("timestamp_hour,temp_c,precip_mm,conditions\n0.0,20.0,0.0,clear\n"
+         ",21.0,0.0,clear\n", "row 2 has no timestamp_hour"),
+        ("timestamp_hour,temp_c,precip_mm,conditions\n7200.0,20.0,0.0,clear\n"
+         "0.0,21.0,0.0,rain\n\n7200.0,22.0,0.0,fog\n",
+         "duplicate timestamp_hour 7200.0 at rows 1 and 4"),
+    ], ids=["empty", "short_row", "header_only", "empty_hour",
+            "duplicate_hour"])
     def test_malformed_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "w.csv"
         path.write_text(text)

@@ -304,6 +304,22 @@ class TestFinetune:
         fresh = cmd_finetune(ckpt, data, replace(cfg, carry_optimizer=False))
         assert not np.array_equal(fresh.predictions, metrics.predictions)
 
+    def test_carry_optimizer_without_state_rejected(self, pretrained, stream,
+                                                    monkeypatch):
+        """carry_optimizer on a checkpoint without optimizer state (every
+        one cmd_pretrain writes) is a CompatibilityError raised before any
+        pass runs, where it used to start a fresh Adam silently."""
+        ckpt, _ = pretrained
+        assert ckpt.optimizer is None
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(harness, "_adapt", no_pass)
+        monkeypatch.setattr(harness, "_step_fixed", no_pass)
+        with pytest.raises(CompatibilityError, match="optimizer state"):
+            cmd_finetune(ckpt, stream, FinetuneConfig(carry_optimizer=True))
+
     @staticmethod
     def _depth1_stream_with_nan(row):
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
@@ -655,6 +671,54 @@ def test_pretrain_rtrl_matches_reference():
         assert np.array_equal(got[key], ref[key], equal_nan=True), key
 
 
+PRETRAIN_BPTT_REF = DATA / "pretrain_bptt_reference.npz"
+
+
+def run_pretrain_bptt_reference():
+    """cmd_pretrain with trainer="bptt" on a depth-1 and a depth-(4, 3)
+    net, with the 0.5 clip and without clipping, trained on a seeded
+    two-session stream and validated on a second one, so the returned
+    parameters are the best-validation ones. lr is high enough that the
+    0.5 clip acts on some updates. Returns the parameters, the loss curve,
+    the best validation loss and the divergence flag of each run keyed
+    '<layers>.clip<clip>.<field>'."""
+    rng = np.random.default_rng(22)
+
+    def stream(rows, split):
+        return SequenceData(features=rng.standard_normal((rows, 3)),
+                            targets=rng.standard_normal((rows, 2)),
+                            session_ids=np.repeat([0, 1], split),
+                            timestamps=np.arange(float(rows)))
+
+    train_data, val_data = stream(70, [40, 30]), stream(50, [20, 30])
+    out = {}
+    for layers in ((5,), (4, 3)):
+        for clip in (0.5, None):
+            cfg = PretrainConfig(trainer="bptt", layers=layers, clip=clip,
+                                 steps=12, batch=4, window=16, eval_every=3,
+                                 lr=5e-2, seed=3)
+            ckpt, result = cmd_pretrain(train_data, val_data, None, cfg)
+            key = "x".join(map(str, layers)) + f".clip{clip}"
+            out[key + ".theta"] = ckpt.net.theta
+            out[key + ".loss_curve"] = np.asarray(result.loss_curve)
+            out[key + ".best_val_loss"] = np.asarray(result.best_val_loss)
+            out[key + ".diverged"] = np.asarray(result.diverged)
+    return out
+
+
+def test_pretrain_bptt_matches_reference():
+    """BPTT pretraining (depths 1 and 2, clipped and unclipped, with
+    validation data) is bitwise what it was when bptt_step called
+    apply_update, which composed the update afresh each step (reference
+    written by run_pretrain_bptt_reference with that code), NaN
+    validation losses in place."""
+    ref = np.load(PRETRAIN_BPTT_REF)
+    got = run_pretrain_bptt_reference()
+    assert sorted(got) == sorted(ref.files)
+    for key in ref.files:
+        assert np.array_equal(got[key], ref[key], equal_nan=True), key
+
+
 class TestPretrain:
     @pytest.mark.parametrize("trainer, update", [
         ("bptt", "window"), ("rtrl", "window"), ("rtrl", "step")])
@@ -921,6 +985,25 @@ class TestCli:
         assert summary["config"]["seed"] == 3
         assert summary["results"]["runs"] == len(rows)
 
+    def test_sweep_records_rejected_grid_values(self, data_dir, tmp_path,
+                                                capsys):
+        """A grid value that PretrainConfig rejects (a negative lr, a clip
+        of 0) is recorded as a ConfigurationError in its own row, and the
+        sweep goes on to the valid ones."""
+        run = tmp_path / "sw"
+        assert main(["sweep", "--data", str(data_dir), "--run-dir", str(run),
+                     "--layers", "4", "--lrs=-1e-2,1e-2",
+                     "--clips", "0,0.5", "--trainers", "bptt",
+                     "--repeats", "1", "--steps", "2", "--batch", "2",
+                     "--window", "16", "--eval-every", "2"]) == 0
+        with open(run / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        errors = {(r["lr"], r["clip"]): r["error"] for r in rows}
+        assert errors[("0.01", "0.5")] == ""
+        for key, field in ((("-0.01", "0.5"), "lr"), (("-0.01", "0.0"), "lr"),
+                           (("0.01", "0.0"), "clip")):
+            assert errors[key].startswith(f"ConfigurationError: {field}"), key
+
     @pytest.mark.parametrize("argv, reads_seed", [
         (["preprocess", "--data", "d"], False),
         (["finetune", "--data", "d", "--checkpoint", "c"], False),
@@ -957,17 +1040,20 @@ class TestCli:
         assert err["error"] == "configuration"
 
     @pytest.mark.parametrize("trainer", ["bptt", "rtrl"])
-    @pytest.mark.parametrize("flag", ["--batch", "--window", "--eval-every"])
+    @pytest.mark.parametrize("flag", ["--batch", "--window", "--eval-every",
+                                      "--steps", "--lr", "--clip"])
     def test_non_positive_train_size_exits_2(self, data_dir, tmp_path, capsys,
                                              trainer, flag):
-        """batch, window and eval_every below 1 are configuration errors
-        for both trainers, and no run directory is left behind."""
+        """steps, batch, window and eval_every below 1, a negative lr and a
+        clip of 0 are configuration errors for both trainers, and no run
+        directory is left behind."""
         out = tmp_path / "runs"
         out.mkdir()
+        value = {"--lr": "-0.001"}.get(flag, "0")
         code = main(["pretrain", "--data", str(data_dir), "--out", str(out),
                      "--trainer", trainer, "--layers", "4", "--steps", "2",
                      "--batch", "2", "--window", "8", "--eval-every", "1",
-                     flag, "0"])
+                     flag, value])
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert flag[2:].replace("-", "_") in err["message"]
@@ -992,6 +1078,25 @@ class TestCli:
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert field in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["finetune", "ablate"])
+    def test_carry_optimizer_without_state_exits_8(self, data_dir, pretrained,
+                                                   tmp_path, capsys, command):
+        """--carry-optimizer on a checkpoint that pretrain wrote (it holds
+        no Adam state) is a compatibility error, and no run directory is
+        left behind."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).optimizer is None
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main([command, "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out), "--carry-optimizer"])
+        assert code == EXIT_CODES["compatibility"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "optimizer" in err["message"]
         assert list(out.iterdir()) == []
 
     def test_checkpoint_error_exit_code(self, tmp_path, capsys):

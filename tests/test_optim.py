@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lru_online.errors import ConfigurationError, TrainingError
-from lru_online.optim import (AdamState, AnchorConfig, adam_step,
+from lru_online.optim import (AdamState, AnchorConfig, _Descent, adam_step,
                               anchor_distance, anchor_gradient,
                               apply_update, clip_global_norm, huber,
                               huber_grad, huber_values)
@@ -128,7 +128,6 @@ class TestNormsBitwise:
             assert anchor_distance(theta, anchor) == norm
             ref = (theta - pre) * (anchor.lambda_reg / norm)
             assert np.array_equal(anchor_gradient(theta, anchor), ref)
-            assert np.array_equal(anchor_gradient(theta, anchor, norm), ref)
             squared = AnchorConfig(theta_pre=pre, lambda_reg=0.03,
                                    squared=True)
             assert np.array_equal(anchor_gradient(theta, squared),
@@ -296,20 +295,32 @@ class TestApplyUpdate:
             assert np.array_equal(grads, before)
 
     def test_given_distance_is_bitwise_the_computed_one(self):
-        """Passing the anchor distance taken after the previous update
-        gives bitwise the update that computes it afresh."""
-        rng = np.random.default_rng(10)
-        pre = rng.standard_normal(20)
-        a, b = pre.copy(), pre.copy()
-        anchor = AnchorConfig(theta_pre=pre, lambda_reg=0.05)
-        sa, sb = AdamState.init(a, lr=0.02), AdamState.init(b, lr=0.02)
-        distance = 0.0
-        for _ in range(25):
-            grads = rng.standard_normal(20)
-            apply_update(a, grads, sa, 0.5, anchor)
-            apply_update(b, grads, sb, 0.5, anchor, distance)
-            distance = anchor_distance(b, anchor)
-            assert np.array_equal(a, b)
+        """A sequence of calls on one _Descent, which carries the anchor
+        distance taken after the previous update into the next pull, is
+        bitwise the same sequence of one-shot apply_update calls, which
+        take it afresh: theta, Adam's m, v and t, and the distance. Unsquared
+        and squared anchors, a zero-lambda anchor and none; with and
+        without the clip."""
+        cases = [(0.05, False, 0.5), (0.05, True, None), (0.0, False, 0.5),
+                 (None, False, None)]
+        for lambda_reg, squared, clip in cases:
+            rng = np.random.default_rng(10)
+            pre = rng.standard_normal(20)
+            a, b = pre.copy(), pre.copy()
+            anchor = None if lambda_reg is None else AnchorConfig(
+                theta_pre=pre, lambda_reg=lambda_reg, squared=squared)
+            sa, sb = AdamState.init(a, lr=0.02), AdamState.init(b, lr=0.02)
+            descend = _Descent(b, sb, clip, anchor)
+            for _ in range(25):
+                grads = rng.standard_normal(20)
+                apply_update(a, grads, sa, clip, anchor)
+                descend(grads)
+                assert a.tobytes() == b.tobytes()
+                assert sa.m.tobytes() == sb.m.tobytes()
+                assert sa.v.tobytes() == sb.v.tobytes()
+                assert sa.t == sb.t
+                if anchor is not None:
+                    assert descend.distance == anchor_distance(a, anchor)
 
     @pytest.mark.parametrize("clip", [None, 0.5])
     def test_finite_gradient_with_overflowing_norm_steps(self, clip):
