@@ -41,8 +41,11 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.lr >= 0:
-            raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < float("inf"):
+            raise ConfigurationError(
+                f"lr must be finite and >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.clip is not None and not self.clip > 0:
             raise ConfigurationError(
                 f"clip must be > 0 or None, got {self.clip}")

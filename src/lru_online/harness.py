@@ -148,9 +148,9 @@ class FinetuneConfig:
 
     def __post_init__(self):
         for name in ("lambda_reg", "lr"):
-            if not getattr(self, name) >= 0:
-                raise ConfigurationError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < float("inf"):
+                raise ConfigurationError(f"{name} must be finite and >= 0, "
+                                         f"got {getattr(self, name)}")
         if self.freeze_after is not None and self.freeze_after < 0:
             raise ConfigurationError(
                 f"freeze_after must be >= 0 or None, got {self.freeze_after}")
@@ -265,26 +265,25 @@ def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,
 
 def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                  cfg: FinetuneConfig) -> RunMetrics:
-    """Online fine-tuning against a ground-truth stream, in two passes.
+    """Online fine-tuning against a ground-truth stream.
 
-    The adaptive pass runs rows [0, freeze): none when lr is 0, else the
-    first freeze_after rows (all of them when None). At each row the
-    adaptive model predicts, observes the label and Adam-updates on the
-    clipped Huber + anchor gradient; the prediction is logged before the
-    update (no label leakage into the logged step). Each session starts
-    from zero hidden states and traces; the parameters and the Adam state
-    carry over from one session to the next. A step whose gradient is not
-    finite (a NaN feature or target) logs its prediction as it came out,
-    skips the update and counts in RunMetrics.skipped_updates. A non-finite
-    feature row leaves the states and traces at their pre-step values, so
-    one bad row does not poison the rest of the session; a row with finite
-    features advances them, even when its target is not finite.
+    The fixed-theta predictor _step_fixed runs the frozen checkpoint over
+    the stream, replaying each session with lru.network_replay, bitwise a
+    network_step per row. With freeze 0 (lr 0 or freeze_after 0) that is
+    the only pass: the fine-tuned predictions and losses are copies of the
+    frozen ones and the anchor distance is 0. Otherwise the adaptive pass
+    runs rows [0, freeze), the first freeze_after rows (all when None): the
+    model predicts, observes the label and Adam-updates on the clipped
+    Huber + anchor gradient, the prediction logged before the update (no
+    label leakage). Each session starts from zero states and traces; θ and
+    the Adam state carry over. A step whose gradient is not finite (a NaN
+    feature or target) logs its prediction, skips the update and counts in
+    RunMetrics.skipped_updates. A non-finite feature row leaves states and
+    traces at their pre-step values; a row with finite features advances
+    them, even when its target is not finite. _step_fixed then runs the
+    adapted net from the freeze row on, continuing the adaptive states.
 
-    The fixed-theta predictor _step_fixed then runs twice: the frozen
-    checkpoint from row 0, and the adapted net from the freeze row on,
-    continuing the adaptive states. It replays each session with
-    lru.network_replay, bitwise what a network_step per row gives. The
-    losses come from the logged predictions. Sessions come from
+    The losses come from the logged predictions. Sessions come from
     stream.session_bounds(), so a session id that comes back is a
     ContractViolationError, as is an empty stream. A feature or target
     width that is not the checkpoint's is a CompatibilityError, raised
@@ -298,29 +297,28 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                                  "holds no optimizer state")
     if stream.n_rows == 0:
         raise ContractViolationError("cannot fine-tune on a stream with no rows")
-    net = frozen.copy()
-    anchor = AnchorConfig(theta_pre=frozen.theta, lambda_reg=cfg.lambda_reg,
-                          squared=cfg.squared_anchor)
-    if cfg.carry_optimizer:
-        adam = replace(ckpt.optimizer, m=ckpt.optimizer.m.copy(),
-                       v=ckpt.optimizer.v.copy(), lr=cfg.lr)
-    else:
-        adam = AdamState.init(net.theta, lr=cfg.lr)
     freeze = 0 if cfg.lr == 0 else stream.n_rows
     if cfg.freeze_after is not None:
         freeze = min(freeze, cfg.freeze_after)
-    preds = np.empty_like(stream.targets)
-    dist = np.empty(stream.n_rows)
-    states, skipped, distance = None, 0, 0.0
-    if freeze:
-        states, skipped, distance = _adapt(net, stream, freeze, adam,
-                                           cfg.clip, anchor, preds, dist)
-    dist[freeze:] = distance
-    _step_fixed(net, stream, preds, freeze, states)
     preds_frozen = np.empty_like(stream.targets)
     _step_fixed(frozen, stream, preds_frozen, 0, None)
-    loss = huber_values(preds - stream.targets).mean(axis=1)
     loss_frozen = huber_values(preds_frozen - stream.targets).mean(axis=1)
+    preds, loss = preds_frozen.copy(), loss_frozen.copy()
+    dist, skipped = np.zeros(stream.n_rows), 0
+    if freeze:
+        net = frozen.copy()
+        anchor = AnchorConfig(theta_pre=frozen.theta,
+                              lambda_reg=cfg.lambda_reg,
+                              squared=cfg.squared_anchor)
+        if cfg.carry_optimizer:
+            adam = replace(ckpt.optimizer, m=ckpt.optimizer.m.copy(),
+                           v=ckpt.optimizer.v.copy(), lr=cfg.lr)
+        else:
+            adam = AdamState.init(net.theta, lr=cfg.lr)
+        states, skipped, dist[freeze:] = _adapt(net, stream, freeze, adam,
+                                                cfg.clip, anchor, preds, dist)
+        _step_fixed(net, stream, preds, freeze, states)
+        loss = huber_values(preds - stream.targets).mean(axis=1)
     return RunMetrics(timestamps=stream.timestamps.copy(),
                       targets=stream.targets.copy(),
                       predictions=preds, predictions_frozen=preds_frozen,
@@ -411,6 +409,8 @@ def impute_benchmark(gen_cfg: GeneratorConfig, mask_rate: float = 0.2,
                      window: int = 5, k: int = 20, seed: int = 0) -> dict:
     """Mask cells of a fully observed synthetic validation table and compare
     the two imputers by MSE on the masked cells (standardized scale)."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     ds = generate_dataset(replace(gen_cfg, missing_rate=0.0))
     table = join_weather(ds.emission, ds.weather)
     _, val = split_sessions(table)

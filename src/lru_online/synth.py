@@ -50,6 +50,8 @@ class GeneratorConfig:
             raise ConfigurationError("need at least one session")
         if self.shift_sessions > self.sessions:
             raise ConfigurationError("more shifted sessions than sessions")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

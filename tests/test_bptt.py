@@ -182,11 +182,13 @@ class TestTrain:
                 cls(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("lr", -0.01), ("lr", float("nan")), ("clip", 0.0), ("clip", -1.0),
-        ("clip", float("nan"))])
+        ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")),
+        ("clip", 0.0), ("clip", -1.0), ("clip", float("nan")),
+        ("seed", -1)])
     def test_invalid_lr_and_clip_rejected(self, field, value):
-        """A negative or NaN lr and a clip that is not > 0 are rejected,
-        as FinetuneConfig rejects them, before any step can run."""
+        """A negative, NaN or infinite lr and a clip that is not > 0 are
+        rejected, as FinetuneConfig rejects them, and so is a negative
+        seed, before any step can run."""
         for cls in (TrainConfig, PretrainConfig):
             with pytest.raises(ConfigurationError, match=field):
                 cls(**{field: value})

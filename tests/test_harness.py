@@ -23,7 +23,7 @@ from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
 from lru_online.lru import init_network, network_scan, network_step
 from lru_online.errors import TrainingError
 from lru_online.optim import (AdamState, AnchorConfig, anchor_distance,
-                              apply_update)
+                              apply_update, huber_values)
 from lru_online.rtrl import online_step, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -146,6 +146,13 @@ class TestCheckpoint:
         assert np.abs(preds - ref["predictions"]).max() <= 1e-10 * scale
 
 
+def assert_distinct_arrays(a, b):
+    """Writing a leaves b as it was."""
+    before = b.copy()
+    a[...] = 7.0
+    assert np.array_equal(b, before, equal_nan=True)
+
+
 class TestFinetune:
     def test_lr_zero_equals_frozen(self, pretrained, stream):
         ckpt, _ = pretrained
@@ -153,11 +160,17 @@ class TestFinetune:
         assert np.array_equal(m.predictions, m.predictions_frozen)
         assert np.array_equal(m.loss, m.loss_frozen)
         assert np.all(m.anchor_distance == 0.0)
+        assert_distinct_arrays(m.predictions, m.predictions_frozen)
+        assert_distinct_arrays(m.loss, m.loss_frozen)
 
     def test_freeze_zero_equals_frozen(self, pretrained, stream):
         ckpt, _ = pretrained
         m = cmd_finetune(ckpt, stream, FinetuneConfig(lr=1e-2, freeze_after=0))
         assert np.array_equal(m.predictions, m.predictions_frozen)
+        assert np.array_equal(m.loss, m.loss_frozen)
+        assert np.all(m.anchor_distance == 0.0)
+        assert_distinct_arrays(m.predictions_frozen, m.predictions)
+        assert_distinct_arrays(m.loss_frozen, m.loss)
 
     def test_freeze_agrees_with_no_freeze_before_cutoff(self, pretrained,
                                                         stream):
@@ -404,14 +417,17 @@ class TestFinetune:
         assert np.array_equal(metrics.predictions, np.asarray(preds))
 
     # the stream's first session boundary is b = 61, its length N = 122
-    @pytest.mark.parametrize("freeze_after", [60, 61, 62, 127])
-    def test_freeze_at_session_boundary_matches_plain_loop(self,
+    @pytest.mark.parametrize("lr, freeze_after", [
+        (1e-2, 0), (1e-2, 60), (1e-2, 61), (1e-2, 62), (1e-2, 127),
+        (0.0, None)], ids=["0", "60", "61", "62", "127", "lr0"])
+    def test_freeze_at_session_boundary_matches_plain_loop(self, lr,
                                                            freeze_after):
-        """freeze_after at, just before and just after the first session
-        boundary b, and past the end of the stream: cmd_finetune is bitwise
-        a plain row loop that adapts with online_step + apply_update before
-        the freeze and steps with network_step after it. The stream has a
-        NaN feature row after b and a NaN target row before it."""
+        """freeze_after at 0, at, just before and just after the first
+        session boundary b, and past the end of the stream, and lr 0 with no
+        freeze: cmd_finetune is bitwise a plain row loop that adapts with
+        online_step + apply_update before the freeze and steps with
+        network_step after it. The stream has a NaN feature row after b and
+        a NaN target row before it."""
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
         ref = np.load(DATA / "checkpoint_depth1_eval.npz")
         nan_x, nan_y = 64, 30
@@ -422,9 +438,10 @@ class TestFinetune:
         assert (np.flatnonzero(ids != ids[0])[0], ids.size) == (61, 122)
         data = SequenceData(features=features, targets=targets,
                             session_ids=ids, timestamps=ref["timestamps"])
-        cfg = FinetuneConfig(lambda_reg=0.01, lr=1e-2,
+        cfg = FinetuneConfig(lambda_reg=0.01, lr=lr,
                              freeze_after=freeze_after)
         metrics = cmd_finetune(ckpt, data, cfg)
+        freeze = 0 if lr == 0 else freeze_after
 
         net, frozen = ckpt.net.copy(), ckpt.net
         adam = AdamState.init(net.theta, lr=cfg.lr)
@@ -437,7 +454,7 @@ class TestFinetune:
                 frozen_states = frozen.zero_states()
             x = features[t]
             new_frozen, y_frozen, _ = network_step(frozen, frozen_states, x)
-            if t < cfg.freeze_after:
+            if t < freeze:
                 new_states, new_traces, y_hat, grads = online_step(
                     net, states, traces, x, targets[t])
                 if t not in (nan_x, nan_y):
@@ -456,8 +473,13 @@ class TestFinetune:
         assert np.array_equal(metrics.predictions_frozen,
                               np.asarray(preds_frozen), equal_nan=True)
         assert np.array_equal(metrics.anchor_distance, np.asarray(dist))
-        assert metrics.skipped_updates == (
-            (nan_x < cfg.freeze_after) + (nan_y < cfg.freeze_after))
+        assert np.array_equal(metrics.loss, huber_values(
+            np.asarray(preds) - targets).mean(axis=1), equal_nan=True)
+        assert np.array_equal(metrics.loss_frozen, huber_values(
+            np.asarray(preds_frozen) - targets).mean(axis=1), equal_nan=True)
+        assert metrics.skipped_updates == (nan_x < freeze) + (nan_y < freeze)
+        assert_distinct_arrays(metrics.predictions, metrics.predictions_frozen)
+        assert_distinct_arrays(metrics.loss, metrics.loss_frozen)
 
     def test_empty_stream_rejected(self, pretrained, stream):
         ckpt, _ = pretrained
@@ -470,7 +492,8 @@ class TestFinetune:
 
     @pytest.mark.parametrize("field, value", [
         ("lr", -1e-3), ("lr", float("nan")), ("freeze_after", -1),
-        ("clip", 0.0), ("clip", -0.5), ("lambda_reg", -0.1)])
+        ("clip", 0.0), ("clip", -0.5), ("lambda_reg", -0.1),
+        ("lr", float("inf")), ("lambda_reg", float("inf"))])
     def test_invalid_config_rejected(self, field, value):
         """Rejected up front, also where the run would never update."""
         for base in ({}, {"lr": 0.0}, {"freeze_after": 0}):
@@ -869,6 +892,12 @@ class TestImputeBenchmark:
         assert out["rolling_mse"] > 0.0
         assert out["knn_mse"] > 0.0
 
+    @pytest.mark.parametrize("gen_seed, mask_seed", [(0, -1), (-1, 0)])
+    def test_negative_seed_rejected(self, gen_seed, mask_seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            impute_benchmark(replace(SMALL_GEN, seed=gen_seed),
+                             seed=mask_seed)
+
 
 class TestCli:
     def test_gen_preprocess_pretrain_finetune(self, tmp_path, capsys):
@@ -1041,15 +1070,15 @@ class TestCli:
 
     @pytest.mark.parametrize("trainer", ["bptt", "rtrl"])
     @pytest.mark.parametrize("flag", ["--batch", "--window", "--eval-every",
-                                      "--steps", "--lr", "--clip"])
+                                      "--steps", "--lr", "--clip", "--seed"])
     def test_non_positive_train_size_exits_2(self, data_dir, tmp_path, capsys,
                                              trainer, flag):
-        """steps, batch, window and eval_every below 1, a negative lr and a
-        clip of 0 are configuration errors for both trainers, and no run
-        directory is left behind."""
+        """steps, batch, window and eval_every below 1, a negative lr, a
+        clip of 0 and a negative seed are configuration errors for both
+        trainers, and no run directory is left behind."""
         out = tmp_path / "runs"
         out.mkdir()
-        value = {"--lr": "-0.001"}.get(flag, "0")
+        value = {"--lr": "-0.001", "--seed": "-1"}.get(flag, "0")
         code = main(["pretrain", "--data", str(data_dir), "--out", str(out),
                      "--trainer", trainer, "--layers", "4", "--steps", "2",
                      "--batch", "2", "--window", "8", "--eval-every", "1",
@@ -1057,6 +1086,22 @@ class TestCli:
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert flag[2:].replace("-", "_") in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--out", "{out}/data"],
+        ["impute-bench", "--out", "{out}"]], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        """A negative seed is a configuration error, raised before any
+        data is generated, and nothing is written."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main([a.format(out=out) for a in argv]
+                    + ["--sessions", "2", "--session-seconds", "100",
+                       "--seed", "-1"])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "seed" in err["message"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["finetune", "ablate"])

@@ -106,6 +106,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             generate_dataset(GeneratorConfig(sessions=0))
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_dataset(GeneratorConfig(seed=-1))
+
 
 class TestWriteDataset:
     def test_csv_roundtrip_is_exact(self, tmp_path):
