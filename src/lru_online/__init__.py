@@ -1,15 +1,12 @@
 """LRU state-space sequence models with online RTRL fine-tuning."""
 
 from .lru import (LruLayerParams, LruNetwork, init_layer, init_network,
-                  layer_step, network_replay, network_scan, network_step,
-                  scan_forward)
-from .rtrl import (online_gradient, online_step, reset_trace, trace_step,
-                   window_gradient)
+                  network_replay, network_scan, network_step, scan_forward)
+from .rtrl import online_step, reset_trace, window_gradient
 from .bptt import (TrainConfig, WindowBatch, bptt_gradient, sample_windows,
                    train)
-from .optim import (AdamState, AnchorConfig, adam_step, anchor_distance,
-                    anchor_gradient, apply_update, clip_global_norm, huber,
-                    huber_grad)
+from .optim import (AdamState, AnchorConfig, anchor_distance, anchor_gradient,
+                    apply_update, clip_global_norm, huber, huber_grad)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,

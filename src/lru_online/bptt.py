@@ -12,8 +12,8 @@ import numpy as np
 from .datapipe import SequenceData
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
-from .lru import (LruNetwork, _interleave, _linear_recurrence, layer_constants,
-                  network_scan)
+from .lru import (LruNetwork, _check_call, _interleave, _linear_recurrence,
+                  layer_constants, network_scan)
 from .optim import AdamState, _Descent, huber, huber_grad
 
 
@@ -106,9 +106,11 @@ def bptt_gradient(net: LruNetwork,
     hand-rolled reverse mode (the stack is linear, so the complex adjoint
     recursion s_t = a_t + lambda * s_{t+1} suffices; it runs through the
     same chunked recurrence as the forward scan). The contractions over
-    (batch, time) are real matmuls on float64 views of the complex arrays."""
+    (batch, time) are real matmuls on float64 views of the complex arrays.
+    Inputs and targets that do not fit the network raise in _check_call."""
     inputs = np.asarray(batch.inputs, dtype=np.float64)
     targets = np.asarray(batch.targets, dtype=np.float64)
+    _check_call(net, inputs, targets, ndim=3)
     layer_inputs, layer_states, preds = network_scan(net, inputs)
     resid = preds - targets
     loss = huber(resid)
@@ -156,20 +158,29 @@ def bptt_gradient(net: LruNetwork,
     return loss, grads
 
 
-def evaluate(net: LruNetwork, data: SequenceData) -> float:
-    """Mean per-step Huber loss over full sessions from zero initial state.
-    Empty data is a ContractViolationError; a feature or target width that
-    is not the network's is a CompatibilityError."""
+def _scan_sessions(net: LruNetwork, data: SequenceData) -> np.ndarray:
+    """Predictions for every row of the data, each session scanned from
+    zero initial states. Empty data is a ContractViolationError; a feature
+    or target width that is not the network's is a CompatibilityError."""
     _check_widths(net, data, "data")
     if data.n_rows == 0:
         raise ContractViolationError("cannot evaluate on data with no rows")
-    total, count = 0.0, 0
+    preds = np.empty_like(data.targets)
     for first, stop in zip(*data.session_bounds()):
-        _, _, preds = network_scan(net, data.features[first:stop])
-        rows = int(stop - first)
-        total += huber(preds - data.targets[first:stop]) * rows
-        count += rows
-    return total / count
+        _, _, preds[first:stop] = network_scan(net, data.features[first:stop])
+    return preds
+
+
+def evaluate(net: LruNetwork, data: SequenceData) -> float:
+    """Mean per-step Huber loss over full sessions from zero initial state
+    (per-session means weighted by session length); raises as
+    _scan_sessions."""
+    preds = _scan_sessions(net, data)
+    total = 0.0
+    for first, stop in zip(*data.session_bounds()):
+        total += (huber(preds[first:stop] - data.targets[first:stop])
+                  * int(stop - first))
+    return total / data.n_rows
 
 
 def bptt_step(net: LruNetwork, batch: WindowBatch, descend: _Descent) -> float:

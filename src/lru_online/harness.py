@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .bptt import TrainConfig, TrainResult, _check_widths, bptt_step, train
+from .bptt import (TrainConfig, TrainResult, _check_widths, _scan_sessions,
+                   bptt_step, train)
 from .checkpoint import Checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
@@ -18,8 +19,7 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
-from .lru import (LruNetwork, init_network, layer_constants, network_replay,
-                  network_scan)
+from .lru import LruNetwork, _check_call, init_network, network_replay
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
 from .rtrl import _StreamPlan, reset_trace, rtrl_stream_step, rtrl_window_step
 from .synth import GeneratorConfig, generate_dataset
@@ -99,6 +99,13 @@ class SweepConfig:
     window: int = 128
     eval_every: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ConfigurationError(
+                f"repeats must be at least 1, got {self.repeats}")
+        TrainConfig(steps=self.steps, batch=self.batch, window=self.window,
+                    eval_every=self.eval_every, seed=self.seed)
 
 
 def cmd_sweep(train_data: SequenceData, val_data: SequenceData,
@@ -214,7 +221,6 @@ def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
     session start, the states held on a non-finite feature row. Each
     session's rows are one lru.network_replay, bitwise a network_step per
     row."""
-    consts = [layer_constants(layer) for layer in net.layers]
     finite_rows = np.isfinite(stream.features).all(axis=1)
     for first, stop in zip(*stream.session_bounds()):
         if stop <= start:
@@ -223,7 +229,7 @@ def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
             states = net.zero_states()
         rows = slice(max(first, start), stop)
         out[rows] = network_replay(net, states, stream.features[rows],
-                                   finite_rows[rows], consts)[0]
+                                   finite_rows[rows])[0]
 
 
 def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,
@@ -237,11 +243,11 @@ def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,
     row's prediction into preds and the anchor distance after it into
     dist. Returns (the states after row freeze - 1, the skipped updates,
     the final anchor distance)."""
-    plan = _StreamPlan(net)
-    descend = _Descent(net.theta, adam, clip, anchor)
-    step = plan.step
     features = np.asarray(stream.features[:freeze], dtype=np.float64)
     targets = np.asarray(stream.targets[:freeze], dtype=np.float64)
+    _check_call(net, features, targets, ndim=2)
+    step = _StreamPlan(net).step
+    descend = _Descent(net.theta, adam, clip, anchor)
     finite_rows = np.isfinite(features).all(axis=1).tolist()
     skipped = 0
     states = None
@@ -382,13 +388,7 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
     prediction/target arrays for plotting. Empty data, or a session id
     that comes back, is a ContractViolationError; a feature or target
     width that is not the checkpoint's is a CompatibilityError."""
-    net = ckpt.net
-    _check_widths(net, data, "data")
-    if data.n_rows == 0:
-        raise ContractViolationError("cannot evaluate on data with no rows")
-    preds = np.empty_like(data.targets)
-    for first, stop in zip(*data.session_bounds()):
-        _, _, preds[first:stop] = network_scan(net, data.features[first:stop])
+    preds = _scan_sessions(ckpt.net, data)
     resid = preds - data.targets
     per_target_mse = np.mean(resid * resid, axis=0)
     names = data.target_names or [f"target_{i}" for i in range(resid.shape[1])]

@@ -14,6 +14,10 @@ split real blocks (nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d).
 An LruNetwork stores all of them in one flat float64 vector theta, and each
 layer's blocks are reshaped views into it, so the optimizer updates theta in
 place and every layer sees the update.
+
+network_step (one row), network_replay (a session's rows at fixed theta) and
+network_scan (whole sequences) check their widths with _check_call, the one
+width check of every model call, and run unchecked kernels.
 """
 
 from __future__ import annotations
@@ -223,25 +227,10 @@ def _complex_t(re: np.ndarray, im: np.ndarray,
     return out.T
 
 
-def layer_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
-               consts: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step. h_prev complex (..., n), u_t real (..., m);
-    `consts` is the layer's layer_constants (derived when None).
-    Returns (h_t, y_t); y_t reflects u_t (the state has already absorbed it)."""
-    u_t = np.asarray(u_t, dtype=np.float64)
-    if u_t.shape[-1] != params.m:
-        raise ContractViolationError(
-            f"input width {u_t.shape[-1]} != layer input width {params.m}")
-    if h_prev.shape[-1] != params.n:
-        raise ContractViolationError(
-            f"state width {h_prev.shape[-1]} != layer width {params.n}")
-    return _layer_step(params, h_prev, u_t, consts or layer_constants(params))
-
-
 def _layer_step(params: LruLayerParams, h_prev: np.ndarray, u: np.ndarray,
                 consts: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """layer_step without its checks: u float64 of the layer's input width,
-    h_prev of its state width, consts its layer_constants."""
+    """One unchecked step from h_prev (n,) on the float64 row u (m,), with
+    the layer's layer_constants. Returns (h_t, y_t); y_t reflects u."""
     lam, gamma, b_t, _, _, _ = consts
     h_t = lam * h_prev + _input_term(gamma, b_t, u)
     return h_t, _output(params, h_t, u)
@@ -308,8 +297,8 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     """Full-sequence forward via the chunked linear recurrence.
 
     u_seq real (..., T, m), h_0 complex (..., n). Returns (h_seq, y_seq) with
-    shapes (..., T, n) and (..., T, p), equal to T repeated layer_step
-    calls up to rounding.
+    shapes (..., T, n) and (..., T, p), equal to T network_step calls on
+    the one-layer net LruNetwork([params]) up to rounding.
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
@@ -325,30 +314,41 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     return h_seq, y_seq
 
 
-def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray,
-                 consts: list | None = None
+def _check_call(net: LruNetwork, inputs: np.ndarray,
+                targets: np.ndarray | None = None,
+                states: list[np.ndarray] | None = None,
+                ndim: int | None = None) -> None:
+    """The one width check of a model call (ContractViolationError): a
+    valid network, input rows (..., m) of its input width (ndim axes when
+    given), target rows (..., p) of the inputs' leading shape and its
+    output width, and one (n_k,) state per layer."""
+    net.validate()
+    if inputs.shape[-1:] != (net.input_dim,) or ndim not in (None,
+                                                              inputs.ndim):
+        raise ContractViolationError(
+            f"input shape {inputs.shape} for a network of input width "
+            f"{net.input_dim}" + (f" in a {ndim}-D call" if ndim else ""))
+    if targets is not None and (targets.shape
+                                != inputs.shape[:-1] + (net.output_dim,)):
+        raise ContractViolationError(
+            f"target shape {targets.shape} for input shape {inputs.shape} "
+            f"and output width {net.output_dim}")
+    widths = [(layer.n,) for layer in net.layers]
+    if states is not None and [np.shape(h) for h in states] != widths:
+        raise ContractViolationError(
+            f"state shapes {[np.shape(h) for h in states]} for layer "
+            f"widths {widths}")
+
+
+def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
                  ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """One timestep through the stack; layer k's output feeds layer k+1
-    within the same step. Returns (new states, prediction, each layer's
-    input at this step); the inputs feed the eligibility-trace updates.
-    `consts` is each layer's layer_constants (derived when None)."""
-    if len(states) != net.depth:
-        raise ContractViolationError(
-            f"got {len(states)} states for a depth-{net.depth} network")
+    """One input row u_t (m,) through the stack from one (n_k,) state per
+    layer, layer k's output feeding layer k+1. Returns (new states,
+    prediction, each layer's input, which the trace updates read)."""
     x = np.asarray(u_t, dtype=np.float64)
-    if x.shape[-1] != net.input_dim:
-        raise ContractViolationError(
-            f"input width {x.shape[-1]} != network input width {net.input_dim}")
-    for k, (layer, h) in enumerate(zip(net.layers, states)):
-        if h.shape[-1] != layer.n:
-            raise ContractViolationError(
-                f"state width {h.shape[-1]} != layer width {layer.n}")
-        if k and layer.m != net.layers[k - 1].p:
-            raise ContractViolationError(
-                f"layer {k - 1} output width {net.layers[k - 1].p} != "
-                f"layer {k} input width {layer.m}")
-    consts = consts or [layer_constants(layer) for layer in net.layers]
-    return _forward(net.layers, states, x, consts)
+    _check_call(net, x, states=states, ndim=1)
+    return _forward(net.layers, states, x,
+                    [layer_constants(layer) for layer in net.layers])
 
 
 def _forward(layers: list[LruLayerParams], states: list[np.ndarray],
@@ -365,34 +365,27 @@ def _forward(layers: list[LruLayerParams], states: list[np.ndarray],
 
 
 def network_replay(net: LruNetwork, states: list[np.ndarray],
-                   u_seq: np.ndarray, advance: np.ndarray, consts: list
+                   u_seq: np.ndarray, advance: np.ndarray
                    ) -> tuple[np.ndarray, list[np.ndarray]]:
     """T network_step calls from `states` over u_seq (T, m), bitwise, where
     a row with advance[t] False keeps every layer's pre-row state (its
-    prediction is still made). `consts` is each layer's layer_constants.
-    Returns (predictions (T, p), final states).
+    prediction is still made). Returns (predictions (T, p), final states).
 
     Layer by layer: the input term and the output of all T rows are one
     stacked product each, with every row a (1, m) block, for which numpy
     runs the same vector-matrix kernel as for one step's u_t @ W (a plain
     (T, m) @ (m, n) product would round differently). Only the recurrence
     h_t = lambda * h_{t-1} + x_t runs row by row."""
-    if len(states) != net.depth:
-        raise ContractViolationError(
-            f"got {len(states)} states for a depth-{net.depth} network")
-    x = np.asarray(u_seq, dtype=np.float64)[:, None, :]
-    if x.shape[-1] != net.input_dim:
-        raise ContractViolationError(
-            f"input width {x.shape[-1]} != network input width {net.input_dim}")
+    x = np.asarray(u_seq, dtype=np.float64)
+    _check_call(net, x, states=states, ndim=2)
     advance = np.asarray(advance, dtype=bool).tolist()
     if len(advance) != x.shape[0]:
         raise ContractViolationError(
             f"{len(advance)} advance flags for {x.shape[0]} rows")
+    x = x[:, None, :]
     final = []
-    for layer, h, (lam, gamma, b_t, *_) in zip(net.layers, states, consts):
-        if h.shape != (layer.n,):
-            raise ContractViolationError(
-                f"state shape {h.shape} != layer width ({layer.n},)")
+    for layer, h in zip(net.layers, states):
+        lam, gamma, b_t, *_ = layer_constants(layer)
         h_seq = _input_term(gamma, b_t, x)
         for keep, h_t in zip(advance, h_seq[:, 0]):
             np.add(lam * h, h_t, out=h_t)
@@ -411,6 +404,7 @@ def network_scan(net: LruNetwork, u_seq: np.ndarray
     Returns (per-layer input sequences, per-layer state sequences, predictions).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
+    _check_call(net, u_seq)
     lead = u_seq.shape[:-2]
     layer_inputs = []
     layer_states = []

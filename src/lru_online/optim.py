@@ -16,28 +16,24 @@ from .errors import ConfigurationError, TrainingError
 
 # --------------------------------------------------------------------- loss
 
-def huber_values(residual: np.ndarray, delta: float = 1.0) -> np.ndarray:
-    """Elementwise Huber: 0.5 r^2 inside |r| <= delta, linear outside."""
-    if delta <= 0:
-        raise ConfigurationError(f"huber delta must be > 0, got {delta}")
+def huber_values(residual: np.ndarray) -> np.ndarray:
+    """Elementwise Huber (delta 1): 0.5 r^2 for |r| <= 1, else |r| - 0.5."""
     r = np.asarray(residual, dtype=np.float64)
     a = np.abs(r)
-    return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
+    return np.where(a <= 1.0, 0.5 * r * r, a - 0.5)
 
 
-def huber(residual: np.ndarray, delta: float = 1.0) -> float:
-    """Mean Huber loss over all residual entries."""
-    return float(np.mean(huber_values(residual, delta)))
+def huber(residual: np.ndarray) -> float:
+    """Mean Huber loss (delta 1) over all residual entries."""
+    return float(np.mean(huber_values(residual)))
 
 
-def huber_grad(residual: np.ndarray, delta: float = 1.0) -> np.ndarray:
-    """d mean-Huber / d residual (elementwise psi / count)."""
-    if delta <= 0:
-        raise ConfigurationError(f"huber delta must be > 0, got {delta}")
+def huber_grad(residual: np.ndarray) -> np.ndarray:
+    """d mean-Huber / d residual (elementwise psi / count, delta 1)."""
     r = np.asarray(residual, dtype=np.float64)
     # minimum/maximum, not np.clip: the same values (NaN included) without
     # np.clip's Python-level wrapper
-    psi = np.minimum(np.maximum(r, -delta), delta)
+    psi = np.minimum(np.maximum(r, -1.0), 1.0)
     return psi / r.size
 
 
@@ -84,19 +80,11 @@ class AdamState:
                    t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """Bias-corrected Adam update of theta and the state, both in place:
-    one _Descent update with neither pull nor clip, on work vectors
-    allocated for this call. A non-finite gradient raises TrainingError
-    before anything is written."""
-    _Descent(theta, state, None)(grads)
-
-
 def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
           step: np.ndarray, denom: np.ndarray) -> None:
-    """adam_step without its finiteness check, in the work vectors step
-    and denom (their contents are overwritten): theta -= lr * (m / c1) /
-    (sqrt(v / c2) + eps), evaluated in that order."""
+    """Unchecked bias-corrected Adam step of theta and the state in place,
+    in the work vectors step and denom (overwritten): theta -= lr * (m /
+    c1) / (sqrt(v / c2) + eps), evaluated in that order."""
     m, v = state.m, state.v
     t = state.t = state.t + 1
     b1, b2 = state.beta1, state.beta2
@@ -175,9 +163,10 @@ def apply_update(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
                  clip: float | None,
                  anchor: AnchorConfig | None = None) -> None:
     """One _Descent update on work vectors allocated for this call: the
-    anchor pull, the global-norm clip, then an in-place Adam step. The
-    caller's gradient is never written to. A non-finite gradient raises
-    TrainingError before anything is written."""
+    anchor pull, the global-norm clip, then an in-place Adam step (a plain
+    Adam step with clip and anchor None). The caller's gradient is never
+    written to. A non-finite gradient raises TrainingError before anything
+    is written."""
     if anchor is not None and anchor.lambda_reg == 0.0:
         anchor = None
     _Descent(theta, adam, clip, anchor)(grads)
@@ -217,7 +206,7 @@ class _Descent:
             grads = pull
         sq = grads @ grads
         if not math.isfinite(sq) and not np.isfinite(grads).all():
-            raise TrainingError("non-finite gradient passed to adam_step")
+            raise TrainingError("non-finite gradient passed to the update")
         if self.clip is not None:
             grads = _clip(grads, sq, self.clip)
         _adam(self.theta, grads, self.adam, *self.work)

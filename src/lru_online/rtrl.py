@@ -19,6 +19,10 @@ Gradient extraction convention: for a real parameter with complex trace
 z = dh/dtheta, the loss gradient is Re[a * z] where a = C^T dL/dy is the
 complex adjoint coefficient of the hidden state (the loss is real, taken
 through y = Re[C h] + D u).
+
+online_step, window_gradient and the RTRL pretraining steps check their
+widths with lru._check_call (online_step adds the trace shapes) and run the
+unchecked per-stream kernel _StreamPlan.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .bptt import WindowBatch
 from .errors import ContractViolationError
-from .lru import LruLayerParams, LruNetwork, _forward, layer_constants
+from .lru import LruNetwork, _check_call, _forward, layer_constants
 from .optim import _Descent, huber, huber_grad
 
 # Columns of a layer's trace matrix Z.
@@ -41,25 +45,11 @@ def reset_trace(net: LruNetwork) -> list[np.ndarray]:
             for layer in net.layers]
 
 
-def trace_step(params: LruLayerParams, h_prev: np.ndarray, u_t: np.ndarray,
-               z_prev: np.ndarray, consts: tuple | None = None) -> np.ndarray:
-    """Advance one layer's traces: Z_t = lambda * Z_{t-1} + immediate
-    Jacobian. `consts` is the layer's lru.layer_constants (derived when
-    None), which carry dlambda/dnu and dlambda/dtheta_phase."""
-    u_t = np.asarray(u_t, dtype=np.float64)
-    if z_prev.shape != (params.n, 2 + params.m):
-        raise ContractViolationError(
-            f"trace shape {z_prev.shape} does not match layer "
-            f"({params.n}, 2 + {params.m})")
-    if u_t.shape[-1] != params.m:
-        raise ContractViolationError(
-            f"input width {u_t.shape[-1]} != layer input width {params.m}")
-    return _trace_step(h_prev, u_t, z_prev, consts or layer_constants(params))
-
-
 def _trace_step(h_prev: np.ndarray, u: np.ndarray, z_prev: np.ndarray,
                 consts: tuple) -> np.ndarray:
-    """trace_step without its checks."""
+    """One layer's unchecked trace update Z_t = lambda * Z_{t-1} + immediate
+    Jacobian, from the pre-step state h_prev (n,), the input row u (m,) and
+    lru.layer_constants (which carry dlambda/dnu and dlambda/dtheta_phase)."""
     lam, gamma, _, _, dlam_dnu, dlam_dphase = consts
     # out of place: numpy's in-place complex multiply rounds differently
     z = lam[:, None] * z_prev
@@ -70,31 +60,6 @@ def _trace_step(h_prev: np.ndarray, u: np.ndarray, z_prev: np.ndarray,
     z_phase += dlam_dphase * h_prev
     z_b += gamma[:, None] * u
     return z
-
-
-def online_gradient(net: LruNetwork, traces: list[np.ndarray],
-                    h_states: list[np.ndarray], layer_inputs: list[np.ndarray],
-                    dL_dy: np.ndarray, consts: list[tuple]) -> np.ndarray:
-    """Convert a per-step output gradient into a flat parameter gradient
-    laid out like net.theta.
-
-    h_states are the post-step hidden states (also the gamma_log traces),
-    layer_inputs the per-layer inputs at this step (from lru.network_step)
-    and consts each layer's lru.layer_constants of this step. Credit flows
-    spatially through upper layers' instantaneous maps; temporal credit
-    within each layer comes from its own traces. Exact for depth 1; the
-    cross-layer temporal terms of deeper stacks are deliberately dropped
-    (the standard efficient diagonal-RTRL approximation).
-    """
-    if len(traces) != net.depth:
-        raise ContractViolationError(
-            f"got {len(traces)} traces for a depth-{net.depth} network")
-    if len(h_states) != net.depth or len(layer_inputs) != net.depth:
-        raise ContractViolationError("states/inputs count does not match depth")
-    inputs = [np.asarray(u, dtype=np.float64) for u in layer_inputs]
-    return _StreamPlan(net).gradient(traces, h_states, inputs,
-                                     np.asarray(dL_dy, dtype=np.float64),
-                                     consts)
 
 
 def online_step(net: LruNetwork, states: list[np.ndarray],
@@ -116,49 +81,28 @@ def online_step(net: LruNetwork, states: list[np.ndarray],
     """
     u_t = np.asarray(u_t, dtype=np.float64)
     y_t = np.asarray(y_t, dtype=np.float64)
-    _check_rows(net, u_t[None], y_t[None])
-    if len(states) != net.depth or len(traces) != net.depth:
+    _check_call(net, u_t, y_t, states, ndim=1)
+    shapes = [(layer.n, 2 + layer.m) for layer in net.layers]
+    if [np.shape(z) for z in traces] != shapes:
         raise ContractViolationError(
-            f"got {len(states)} states and {len(traces)} traces for a "
-            f"depth-{net.depth} network")
-    for layer, h, z in zip(net.layers, states, traces):
-        if h.shape != (layer.n,) or z.shape != (layer.n, 2 + layer.m):
-            raise ContractViolationError(
-                f"state shape {h.shape} and trace shape {z.shape} do not "
-                f"match layer ({layer.n},) and ({layer.n}, 2 + {layer.m})")
+            f"trace shapes {[np.shape(z) for z in traces]} for layer "
+            f"traces {shapes}")
     return _StreamPlan(net).step(states, traces, u_t, y_t)
 
 
-def _check_rows(net: LruNetwork, inputs: np.ndarray,
-                targets: np.ndarray) -> None:
-    """Input rows (T, m) and target rows (T, p) of the network's widths."""
-    if inputs.shape[1:] != (net.input_dim,):
-        raise ContractViolationError(
-            f"input rows of shape {inputs.shape[1:]} for a network of input "
-            f"width {net.input_dim}")
-    if targets.shape[1:] != (net.output_dim,):
-        raise ContractViolationError(
-            f"target rows of shape {targets.shape[1:]} for a network of "
-            f"output width {net.output_dim}")
-    if len(inputs) != len(targets):
-        raise ContractViolationError(
-            f"{len(inputs)} input rows but {len(targets)} target rows")
-
-
 class _StreamPlan:
-    """online_step for one stream, checked once.
+    """online_step for one stream, checked once by the caller.
 
-    Construction checks the network and lays out what every step reuses:
+    Construction lays out what every step reuses:
     each layer's block views into one flat gradient buffer and the
     buffers its complex B^T and C^T are written into. step() and
     gradient() check nothing: the caller has checked the input and target
-    widths (_check_rows) and passes states and traces that started from
+    widths (lru._check_call) and passes states and traces that started from
     net.zero_states() and reset_trace(net). The gradient they return is
     the buffer, overwritten by the next step.
     """
 
     def __init__(self, net: LruNetwork):
-        net.validate()
         self.params = net.layers
         self.grads = np.empty_like(net.theta)
         self.const_out = []
@@ -204,8 +148,13 @@ class _StreamPlan:
     def gradient(self, traces: list[np.ndarray], h_states: list[np.ndarray],
                  layer_inputs: list[np.ndarray], g: np.ndarray,
                  consts: list[tuple]) -> np.ndarray:
-        """online_gradient without its checks; layer_inputs and the output
-        gradient g float64."""
+        """The flat parameter gradient (laid out like net.theta) of one
+        step's float64 output gradient g, from the post-step traces and
+        states (the gamma_log traces), each layer's float64 input and its
+        layer_constants. Credit flows spatially through upper layers'
+        instantaneous maps and temporally through each layer's own traces:
+        exact for depth 1; deeper stacks drop the cross-layer temporal
+        terms (the standard efficient diagonal-RTRL approximation)."""
         for k in range(self.top, -1, -1):
             nu_phase, gamma_log, b, c, d = self.blocks[k]
             h = h_states[k]
@@ -229,23 +178,29 @@ class _StreamPlan:
         return self.grads
 
 
+def _window_stream(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray):
+    """Checked RTRL steps over one window from zero states and traces,
+    yielding each row's Huber loss and gradient buffer, lazily."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    _check_call(net, inputs, targets, ndim=2)
+    step = _StreamPlan(net).step
+    states, traces = net.zero_states(), reset_trace(net)
+    for u_t, y_t in zip(inputs, targets):
+        states, traces, y_hat, grads = step(states, traces, u_t, y_t)
+        yield huber(y_hat - y_t), grads
+
+
 def window_gradient(net: LruNetwork, inputs: np.ndarray,
                     targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Run RTRL over one window from zero state/traces, accumulating the
     per-step gradients. Returns the mean per-step Huber loss and its
     gradient, normalized like bptt_gradient so the two can be compared
     directly (they agree exactly for depth-1 networks)."""
-    plan = _StreamPlan(net)
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    _check_rows(net, inputs, targets)
-    states = net.zero_states()
-    traces = reset_trace(net)
     total_loss = 0.0
     grads = np.zeros_like(net.theta)
-    for u_t, y_t in zip(inputs, targets):
-        states, traces, y_hat, g = plan.step(states, traces, u_t, y_t)
-        total_loss += huber(y_hat - y_t)
+    for loss, g in _window_stream(net, inputs, targets):
+        total_loss += loss
         grads += g
     T = len(inputs)
     return total_loss / T, grads * (1.0 / T)
@@ -266,15 +221,8 @@ def rtrl_stream_step(net: LruNetwork, batch: WindowBatch,
                      descend: _Descent) -> float:
     """Training step for bptt.train: streams the batch's first window from
     zero state, updating the parameters after every timestep."""
-    plan = _StreamPlan(net)
-    inputs = np.asarray(batch.inputs[0], dtype=np.float64)
-    targets = np.asarray(batch.targets[0], dtype=np.float64)
-    _check_rows(net, inputs, targets)
-    states = net.zero_states()
-    traces = reset_trace(net)
     total = 0.0
-    for u_t, y_t in zip(inputs, targets):
-        states, traces, y_hat, grads = plan.step(states, traces, u_t, y_t)
+    for loss, grads in _window_stream(net, batch.inputs[0], batch.targets[0]):
         descend(grads)
-        total += huber(y_hat - y_t)
+        total += loss
     return total / batch.window

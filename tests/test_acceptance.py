@@ -16,11 +16,11 @@ from lru_online.checkpoint import save_checkpoint, load_checkpoint
 from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_finetune,
                                 cmd_pretrain, impute_benchmark,
                                 prepare_tables)
-from lru_online.lru import (LruLayerParams, init_layer, init_network,
-                            layer_constants, layer_step, network_scan,
-                            scan_forward)
-from lru_online.optim import (AdamState, AnchorConfig, _Descent, adam_step,
-                              anchor_gradient)
+from lru_online.lru import (LruLayerParams, LruNetwork, init_layer,
+                            init_network, layer_constants, network_scan,
+                            network_step, scan_forward)
+from lru_online.optim import (AdamState, AnchorConfig, _Descent,
+                              anchor_gradient, apply_update)
 from lru_online.rtrl import _StreamPlan, reset_trace, window_gradient
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -107,9 +107,10 @@ def test_criterion_03_scan_equals_sequential(capfd):
         u = rng.standard_normal((T, 4))
         h0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         h_scan, y_scan = scan_forward(layer, h0, u)
-        h = h0
+        net, states = LruNetwork([layer]), [h0]
         for t in range(T):
-            h, y = layer_step(layer, h, u[t])
+            states, y, _ = network_step(net, states, u[t])
+            h = states[0]
             sh = max(np.abs(h).max(), 1.0)
             sy = max(np.abs(y).max(), 1.0)
             worst = max(worst, np.abs(h_scan[t] - h).max() / sh,
@@ -137,7 +138,8 @@ def test_criterion_04_stability_invariant(capfd):
         net = init_network(2, (8,), 2, seed=i)
         state = AdamState.init(net.theta, lr=0.1)
         for _ in range(5):
-            adam_step(net.theta, rng.standard_normal(net.theta.shape), state)
+            apply_update(net.theta, rng.standard_normal(net.theta.shape),
+                         state, None)
         for layer in net.layers:
             lam = layer_constants(layer)[0]
             worst = max(worst, float(np.abs(lam).max()))

@@ -115,6 +115,26 @@ class TestBpttGradient:
         assert loss == 0.0
         assert grads.shape == net.theta.shape and np.all(grads == 0)
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_target_width_mismatch_rejected(self, rng, p):
+        """Targets that are not one row of the output width per input row
+        would broadcast into the residual (1 column) or fail inside numpy
+        (3 columns); both are a ContractViolationError."""
+        net = init_network(3, (4,), 2, seed=0)
+        batch = WindowBatch(rng.standard_normal((2, 10, 3)),
+                            rng.standard_normal((2, 10, p)), 10,
+                            np.zeros(2, np.int64))
+        with pytest.raises(ContractViolationError, match="target"):
+            bptt_gradient(net, batch)
+
+    def test_input_width_mismatch_rejected(self, rng):
+        net = init_network(3, (4,), 2, seed=0)
+        batch = WindowBatch(rng.standard_normal((2, 10, 4)),
+                            rng.standard_normal((2, 10, 2)), 10,
+                            np.zeros(2, np.int64))
+        with pytest.raises(ContractViolationError, match="input"):
+            bptt_gradient(net, batch)
+
     def test_finite_differences_depth1(self, rng):
         net = small_random_net(rng, m=3, n=6, p=2)
         batch = random_batch(rng, net, T=50)

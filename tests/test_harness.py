@@ -1089,19 +1089,42 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
-        ["gen-data", "--out", "{out}/data"],
-        ["impute-bench", "--out", "{out}"]], ids=lambda argv: argv[0])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        ["gen-data", "--out", "{out}/data", "--sessions", "2",
+         "--session-seconds", "100"],
+        ["impute-bench", "--out", "{out}", "--sessions", "2",
+         "--session-seconds", "100"],
+        ["sweep", "--data", "{data}", "--out", "{out}", "--layers", "4",
+         "--lrs", "1e-2", "--clips", "0.5", "--trainers", "bptt",
+         "--steps", "2", "--batch", "2", "--window", "16"]],
+        ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, data_dir, tmp_path, capsys, argv):
         """A negative seed is a configuration error, raised before any
-        data is generated, and nothing is written."""
+        data is generated or any run starts, and nothing is written."""
         out = tmp_path / "runs"
         out.mkdir()
-        code = main([a.format(out=out) for a in argv]
-                    + ["--sessions", "2", "--session-seconds", "100",
-                       "--seed", "-1"])
+        code = main([a.format(out=out, data=data_dir) for a in argv]
+                    + ["--seed", "-1"])
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert "seed" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--repeats", "--steps", "--batch",
+                                      "--window", "--eval-every"])
+    def test_sweep_non_positive_size_exits_2(self, data_dir, tmp_path,
+                                             capsys, flag):
+        """No repeats, or a size every run shares below 1, is one
+        configuration error, not a run dir with a header-only sweep.csv or
+        the same rejection in every row."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["sweep", "--data", str(data_dir), "--out", str(out),
+                     "--layers", "4", "--lrs", "1e-2", "--clips", "0.5",
+                     "--trainers", "bptt", "--steps", "2", "--batch", "2",
+                     "--window", "16", "--repeats", "1", flag, "0"])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert flag[2:].replace("-", "_") in err["message"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["finetune", "ablate"])

@@ -7,15 +7,21 @@ from hypothesis.extra.numpy import arrays
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
                             init_layer, init_network, layer_constants,
-                            layer_step, network_replay, network_scan,
-                            network_step, scan_forward)
-from lru_online.optim import AdamState, adam_step
+                            network_replay, network_scan, network_step,
+                            scan_forward)
+from lru_online.optim import AdamState, apply_update
 
 
 def make_layer(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d):
     return LruLayerParams(*(np.asarray(a, dtype=np.float64)
                             for a in (nu, theta_phase, gamma_log,
                                       b_re, b_im, c_re, c_im, d)))
+
+
+def step_one_layer(layer, h_prev, u):
+    """One step of a single layer: network_step on the one-layer net."""
+    states, y, _ = network_step(LruNetwork([layer]), [h_prev], u)
+    return states[0], y
 
 
 def diagonal_layer(n, lam=0.0, gamma=1.0):
@@ -88,13 +94,13 @@ class TestLayerStep:
     def test_memoryless_identity(self):
         layer = diagonal_layer(3, lam=0.0)
         u = np.array([1.0, 0.0, 0.0])
-        h, y = layer_step(layer, np.zeros(3, complex), u)
+        h, y = step_one_layer(layer, np.zeros(3, complex), u)
         assert np.allclose(h.real, u) and np.allclose(h.imag, 0.0)
         assert np.allclose(y, u)
 
     def test_pure_decay(self):
         layer = diagonal_layer(2, lam=0.5)
-        h, _ = layer_step(layer, np.array([2 + 0j, 2 + 0j]), np.zeros(2))
+        h, _ = step_one_layer(layer, np.array([2 + 0j, 2 + 0j]), np.zeros(2))
         assert np.allclose(h, [1 + 0j, 1 + 0j])
 
     def test_convolution_oracle(self, rng):
@@ -105,7 +111,7 @@ class TestLayerStep:
         u = rng.standard_normal((8, 3))
         h = np.zeros(6, complex)
         for t in range(8):
-            h, _ = layer_step(layer, h, u[t])
+            h, _ = step_one_layer(layer, h, u[t])
         expect = sum(lam ** (7 - k) * gamma * (Bc @ u[k]) for k in range(8))
         assert np.allclose(h, expect, atol=1e-12)
 
@@ -114,16 +120,16 @@ class TestLayerStep:
         layer.d[:] = rng.standard_normal((2, 3))
         u = rng.standard_normal(3)
         h_prev = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        h, y = layer_step(layer, h_prev, u)
+        h, y = step_one_layer(layer, h_prev, u)
         C = layer.c_re + 1j * layer.c_im
         assert np.allclose(y, (C @ h).real + layer.d @ u, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         layer = init_layer(3, 4, 2, seed=0)
         with pytest.raises(ContractViolationError):
-            layer_step(layer, np.zeros(4, complex), np.zeros(5))
+            step_one_layer(layer, np.zeros(4, complex), np.zeros(5))
         with pytest.raises(ContractViolationError):
-            layer_step(layer, np.zeros(3, complex), np.zeros(3))
+            step_one_layer(layer, np.zeros(3, complex), np.zeros(3))
 
 
 class TestScanForward:
@@ -135,7 +141,7 @@ class TestScanForward:
         h_seq, y_seq = scan_forward(layer, h0, u)
         h = h0
         for t in range(T):
-            h, y = layer_step(layer, h, u[t])
+            h, y = step_one_layer(layer, h, u[t])
             scale = max(np.abs(h).max(), 1.0)
             assert np.abs(h_seq[t] - h).max() < 1e-10 * scale
             assert np.abs(y_seq[t] - y).max() < 1e-10 * max(np.abs(y).max(), 1.0)
@@ -235,20 +241,13 @@ class TestLinearRecurrence:
 
 
 class TestNetworkForward:
-    def test_single_layer_equals_layer_step(self, rng):
-        net = init_network(3, (5,), 2, seed=4)
-        u = rng.standard_normal(3)
-        states, y, _ = network_step(net, net.zero_states(), u)
-        h, y2 = layer_step(net.layers[0], np.zeros(5, complex), u)
-        assert np.allclose(states[0], h) and np.allclose(y, y2)
-
     def test_transparent_second_layer(self, rng):
         first = init_layer(3, 4, 4, seed=2)
         second = diagonal_layer(4, lam=0.0)
         net = LruNetwork([first, second])
         u = rng.standard_normal(3)
         _, y, _ = network_step(net, net.zero_states(), u)
-        _, y_first = layer_step(first, np.zeros(4, complex), u)
+        _, y_first = step_one_layer(first, np.zeros(4, complex), u)
         assert np.allclose(y, y_first)
 
     def test_depth2_matches_unrolled(self, rng):
@@ -271,6 +270,12 @@ class TestNetworkForward:
         net = init_network(3, (5, 4), 2, seed=6)
         with pytest.raises(ContractViolationError):
             network_step(net, net.zero_states(), np.zeros(4))
+
+    @pytest.mark.parametrize("lead", [(7,), (2, 7)], ids=["rows", "batch"])
+    def test_scan_input_width_mismatch(self, lead):
+        net = init_network(3, (5, 4), 2, seed=6)
+        with pytest.raises(ContractViolationError, match="input"):
+            network_scan(net, np.zeros(lead + (4,)))
 
 
 class TestFlatParameters:
@@ -319,15 +324,15 @@ class TestLayerConstants:
         for _ in range(20):
             grads = rng.standard_normal(net.theta.size)
             grads[rng.random(grads.size) < 0.2] = 0.0
-            adam_step(net.theta, grads, adam)
+            apply_update(net.theta, grads, adam, None)
             self._check(net)
 
 
-def stepped(net, states, u, advance, consts):
+def stepped(net, states, u, advance):
     """The network_step row loop network_replay stands for."""
     preds = np.empty((u.shape[0], net.output_dim))
     for t in range(u.shape[0]):
-        new_states, preds[t], _ = network_step(net, states, u[t], consts)
+        new_states, preds[t], _ = network_step(net, states, u[t])
         if advance[t]:
             states = new_states
     return preds, states
@@ -350,7 +355,6 @@ class TestNetworkReplay:
         widths = tuple(int(v) for v in rng.integers(1, 20, depth))
         net = init_network(m, widths, p, seed=int(rng.integers(1000)))
         net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
-        consts = [layer_constants(layer) for layer in net.layers]
         states = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
                   for n in widths]
         kept = [h.copy() for h in states]
@@ -358,8 +362,8 @@ class TestNetworkReplay:
         advance = advance_pattern(T, rng)
         # a held row is a non-finite feature row, or a finite one
         u[~advance & (rng.random(T) < 0.5), 0] = np.nan
-        preds, final = network_replay(net, states, u, advance, consts)
-        ref_preds, ref_final = stepped(net, states, u, advance, consts)
+        preds, final = network_replay(net, states, u, advance)
+        ref_preds, ref_final = stepped(net, states, u, advance)
         assert preds.tobytes() == ref_preds.tobytes()
         assert len(final) == depth
         for h, ref in zip(final, ref_final):
@@ -369,13 +373,11 @@ class TestNetworkReplay:
 
     def test_every_row_held_keeps_start_states(self, rng):
         net = init_network(3, (5, 4), 2, seed=6)
-        consts = [layer_constants(layer) for layer in net.layers]
         states = [rng.standard_normal(n) + 0j for n in (5, 4)]
         u = rng.standard_normal((6, 3))
-        preds, final = network_replay(net, states, u, np.zeros(6, bool),
-                                      consts)
+        preds, final = network_replay(net, states, u, np.zeros(6, bool))
         for t in range(6):
-            _, y, _ = network_step(net, states, u[t], consts)
+            _, y, _ = network_step(net, states, u[t])
             assert preds[t].tobytes() == y.tobytes()
         for h, start in zip(final, states):
             assert h.tobytes() == start.tobytes()
@@ -383,7 +385,6 @@ class TestNetworkReplay:
     @pytest.mark.parametrize("case", ["states", "advance", "width", "state"])
     def test_shape_mismatch(self, case):
         net = init_network(3, (5, 4), 2, seed=6)
-        consts = [layer_constants(layer) for layer in net.layers]
         states, u, advance = net.zero_states(), np.zeros((4, 3)), np.ones(4, bool)
         if case == "states":
             states = states[:1]
@@ -394,13 +395,13 @@ class TestNetworkReplay:
         else:
             states[1] = np.zeros(5, complex)
         with pytest.raises(ContractViolationError):
-            network_replay(net, states, u, advance, consts)
+            network_replay(net, states, u, advance)
 
 
 @pytest.mark.parametrize("kind", ["real", "real_f", "complex", "strided"])
 def test_stacked_product_is_the_per_row_product(rng, kind):
     """(U[:, None, :] @ W)[:, 0] is U[t] @ W for every row t, bitwise:
-    network_replay and layer_step rely on it (a plain U @ W is not)."""
+    network_replay and network_step rely on it (a plain U @ W is not)."""
     for _ in range(40):
         T, m, n = (int(v) for v in rng.integers(1, 40, 3))
         u = rng.standard_normal((T, m))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lru_online.errors import ConfigurationError, TrainingError
-from lru_online.optim import (AdamState, AnchorConfig, _Descent, adam_step,
+from lru_online.optim import (AdamState, AnchorConfig, _Descent,
                               anchor_distance, anchor_gradient,
                               apply_update, clip_global_norm, huber,
                               huber_grad, huber_values)
@@ -17,32 +17,28 @@ class TestHuber:
         assert huber(np.array([0.0])) == 0.0
 
     def test_quadratic_branch(self):
-        assert huber(np.array([0.5]), delta=1.0) == pytest.approx(0.125)
+        assert huber(np.array([0.5])) == pytest.approx(0.125)
 
     def test_linear_branch(self):
-        assert huber(np.array([2.0]), delta=1.0) == pytest.approx(1.5)
+        assert huber(np.array([2.0])) == pytest.approx(1.5)
 
-    def test_invalid_delta(self):
-        with pytest.raises(ConfigurationError):
-            huber(np.array([1.0]), delta=0.0)
-
-    @given(delta=st.floats(0.1, 10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_c1_at_kink(self, delta):
+    def test_c1_at_kink(self):
+        """Value and slope are continuous at the kinks r = 1 and r = -1."""
         eps = 1e-9
-        below = huber_values(np.array([delta - eps]), delta)[0]
-        above = huber_values(np.array([delta + eps]), delta)[0]
-        assert abs(above - below) < 1e-7 * max(delta, 1.0)
-        g_below = (huber_values(np.array([delta]), delta)[0]
-                   - huber_values(np.array([delta - 1e-6]), delta)[0]) / 1e-6
-        g_above = (huber_values(np.array([delta + 1e-6]), delta)[0]
-                   - huber_values(np.array([delta]), delta)[0]) / 1e-6
-        assert abs(g_below - g_above) < 1e-4
+        for k in (1.0, -1.0):
+            below = huber_values(np.array([k - eps]))[0]
+            above = huber_values(np.array([k + eps]))[0]
+            assert abs(above - below) < 1e-7
+            g_below = (huber_values(np.array([k]))[0]
+                       - huber_values(np.array([k - 1e-6]))[0]) / 1e-6
+            g_above = (huber_values(np.array([k + 1e-6]))[0]
+                       - huber_values(np.array([k]))[0]) / 1e-6
+            assert abs(g_below - g_above) < 1e-4
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
         r = rng.standard_normal(20) * 2
-        g = huber_grad(r, delta=1.0)
+        g = huber_grad(r)
         eps = 1e-7
         for i in range(20):
             rp = r.copy(); rp[i] += eps
@@ -52,20 +48,19 @@ class TestHuber:
 
     def test_grad_propagates_nan(self):
         r = np.array([np.nan, 0.5, -3.0, np.inf, -np.inf])
-        g = huber_grad(r, delta=1.0)
+        g = huber_grad(r)
         assert np.isnan(g[0])
         assert np.array_equal(g[1:], np.array([0.5, -1.0, 1.0, -1.0]) / 5)
 
     def test_grad_bitwise_equals_clip(self):
-        """psi is np.clip(r, -delta, delta), bitwise, signed zeros and
-        NaNs included."""
+        """psi is np.clip(r, -1, 1), bitwise, signed zeros and NaNs
+        included."""
         rng = np.random.default_rng(5)
         r = np.concatenate([rng.standard_normal(200) * 3,
                             [0.0, -0.0, np.nan, np.inf, -np.inf]])
-        for delta in (0.3, 1.0, 2.5):
-            ref = np.clip(r, -delta, delta) / r.size
-            assert np.array_equal(huber_grad(r, delta).view(np.int64),
-                                  ref.view(np.int64))
+        ref = np.clip(r, -1.0, 1.0) / r.size
+        assert np.array_equal(huber_grad(r).view(np.int64),
+                              ref.view(np.int64))
 
 
 class TestClip:
@@ -138,13 +133,14 @@ class TestAdam:
     def test_zero_grad_no_move(self):
         theta = np.array([1.5])
         state = AdamState.init(theta, lr=0.1)
-        adam_step(theta, np.array([0.0]), state)
+        apply_update(theta, np.array([0.0]), state, None)
         assert theta[0] == 1.5
 
     def test_first_step_magnitude(self):
         for g in (1e-3, 1.0, 1e3):
             theta = np.array([0.0])
-            adam_step(theta, np.array([g]), AdamState.init(theta, lr=0.01))
+            apply_update(theta, np.array([g]), AdamState.init(theta, lr=0.01),
+                         None)
             step = abs(theta[0])
             assert step <= 0.01 + 1e-12
             assert step >= 0.01 * g / (g + 1e-8) - 1e-12
@@ -153,14 +149,14 @@ class TestAdam:
         theta = np.array([1.0])
         state = AdamState.init(theta, lr=0.1)
         for _ in range(100):
-            adam_step(theta, 2.0 * theta, state)
+            apply_update(theta, 2.0 * theta, state, None)
         assert abs(theta[0]) < 0.1
 
     def test_nonfinite_grad_rejected(self):
         theta = np.array([0.0])
         state = AdamState.init(theta)
         with pytest.raises(TrainingError):
-            adam_step(theta, np.array([np.nan]), state)
+            apply_update(theta, np.array([np.nan]), state, None)
         assert theta[0] == 0.0 and state.t == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -171,12 +167,12 @@ class TestAdam:
         theta = rng.standard_normal(9)
         state = AdamState.init(theta, lr=0.05)
         for _ in range(3):
-            adam_step(theta, rng.standard_normal(9), state)
+            apply_update(theta, rng.standard_normal(9), state, None)
         before = (theta.copy(), state.m.copy(), state.v.copy(), state.t)
         grads = rng.standard_normal(9)
         grads[4] = bad
         with pytest.raises(TrainingError):
-            adam_step(theta, grads, state)
+            apply_update(theta, grads, state, None)
         assert np.array_equal(theta, before[0])
         assert np.array_equal(state.m, before[1])
         assert np.array_equal(state.v, before[2])
@@ -192,7 +188,7 @@ class TestAdam:
         b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
         for t in range(1, 30):
             g = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 3)
-            adam_step(theta, g, state)
+            apply_update(theta, g, state, None)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t))
@@ -204,8 +200,8 @@ class TestAdam:
     def test_deterministic(self):
         a, b = np.arange(4.0), np.arange(4.0)
         g = np.ones(4)
-        adam_step(a, g, AdamState.init(a, lr=0.05))
-        adam_step(b, g, AdamState.init(b, lr=0.05))
+        apply_update(a, g, AdamState.init(a, lr=0.05), None)
+        apply_update(b, g, AdamState.init(b, lr=0.05), None)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, np.arange(4.0))
 
@@ -274,7 +270,7 @@ class TestApplyUpdate:
         ref = theta.copy()
         state, ref_state = AdamState.init(theta), AdamState.init(theta)
         expect = clip_global_norm(grads + anchor_gradient(ref, anchor), 0.5)
-        adam_step(ref, expect, ref_state)
+        apply_update(ref, expect, ref_state, None)
         apply_update(theta, grads, state, 0.5, anchor)
         assert np.array_equal(theta, ref)
         assert np.array_equal(state.m, ref_state.m)
@@ -325,7 +321,7 @@ class TestApplyUpdate:
     @pytest.mark.parametrize("clip", [None, 0.5])
     def test_finite_gradient_with_overflowing_norm_steps(self, clip):
         """A finite gradient whose squared norm overflows is not rejected:
-        the step counts (t += 1) and equals adam_step on the clipped
+        the step counts (t += 1) and equals a plain Adam step on the clipped
         gradient, as when every entry was checked before each step."""
         rng = np.random.default_rng(13)
         theta = rng.standard_normal(7)
@@ -336,7 +332,7 @@ class TestApplyUpdate:
         with np.errstate(over="ignore"):
             assert not math.isfinite(grads @ grads)
             apply_update(theta, grads, state, clip)
-            adam_step(ref, clip_global_norm(grads, clip), ref_state)
+            apply_update(ref, clip_global_norm(grads, clip), ref_state, None)
         assert state.t == 1
         assert theta.tobytes() == ref.tobytes()
         assert state.m.tobytes() == ref_state.m.tobytes()

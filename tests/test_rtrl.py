@@ -8,16 +8,28 @@ from conftest import (finite_difference_grads, max_rel_error, random_batch,
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.lru import (LruNetwork, init_network, layer_constants,
-                            layer_step, network_step)
+                            network_step)
 from lru_online.optim import AdamState, apply_update, huber
-from lru_online.rtrl import (B_RE, NU, PHASE, online_gradient, online_step,
-                             reset_trace, trace_step, window_gradient)
+from lru_online.rtrl import (B_RE, NU, PHASE, _StreamPlan, _trace_step,
+                             online_step, reset_trace, window_gradient)
 
 
-def step_all_traces(net, states, layer_inputs, traces):
-    """Advance every layer's traces by one step, from the pre-step states."""
-    return [trace_step(layer, h, u, z)
-            for layer, h, u, z in zip(net.layers, states, layer_inputs, traces)]
+def trace_update(layer, h_prev, u, z_prev):
+    """One layer's trace update from a pre-step state h_prev the caller
+    keeps itself."""
+    return _trace_step(h_prev, u, z_prev, layer_constants(layer))
+
+
+def stream(net, inputs):
+    """online_step over the input rows from zero states and traces (zero
+    targets); yields the pre-step states and the post-step states and
+    traces of every row."""
+    states, traces = net.zero_states(), reset_trace(net)
+    zero = np.zeros(net.output_dim)
+    for u in inputs:
+        new_states, traces, _, _ = online_step(net, states, traces, u, zero)
+        yield states, new_states, traces
+        states = new_states
 
 
 class TestResetTrace:
@@ -42,7 +54,8 @@ class TestTraceStep:
         net = init_network(3, (5,), 2, seed=1)
         layer = net.layers[0]
         u = rng.standard_normal(3)
-        z = trace_step(layer, np.zeros(5, complex), u, reset_trace(net)[0])
+        _, (z,), _, _ = online_step(net, net.zero_states(), reset_trace(net),
+                                    u, np.zeros(2))
         gamma = layer_constants(layer)[1]
         assert np.allclose(z[:, B_RE], gamma[:, None] * u[None, :])
         assert np.all(z[:, NU] == 0)  # zero previous state
@@ -56,7 +69,7 @@ class TestTraceStep:
         h = np.zeros(4, complex)
         for t in range(5):
             u = rng.standard_normal(4)
-            z = trace_step(layer, h, u, z)
+            z = trace_update(layer, h, u, z)
             h = 2.0 * u.astype(complex)
             # with lam = 0 the trace is exactly this step's immediate Jacobian
             assert np.allclose(z[:, B_RE], 2.0 * np.ones((4, 1)) * u[None, :])
@@ -68,16 +81,14 @@ class TestTraceStep:
         u = rng.standard_normal((T, layer.m))
 
         def final_state(params_layer):
-            h = np.zeros(params_layer.n, complex)
+            one = LruNetwork([params_layer])
+            states = one.zero_states()
             for t in range(T):
-                h, _ = layer_step(params_layer, h, u[t])
-            return h
+                states, _, _ = network_step(one, states, u[t])
+            return states[0]
 
-        z = reset_trace(net)[0]
-        h = np.zeros(layer.n, complex)
-        for t in range(T):
-            z = trace_step(layer, h, u[t], z)
-            h, _ = layer_step(layer, h, u[t])
+        for _, (h,), (z,) in stream(net, u):
+            pass
 
         eps = 1e-5
         # the gamma_log trace is the final state itself, and the b_im trace
@@ -107,42 +118,38 @@ class TestTraceStep:
         net = small_random_net(rng)
         layer = net.layers[0]
         lam = layer_constants(layer)[0]
-        z = reset_trace(net)[0]
-        h = np.zeros(layer.n, complex)
-        u = rng.standard_normal(layer.m)
-        z = trace_step(layer, h, u, z)
-        h, _ = layer_step(layer, h, u)
-        base = z[:, B_RE].copy()
-        zero = np.zeros(layer.m)
-        for t in range(100):
-            z = trace_step(layer, h, zero, z)
-            h, _ = layer_step(layer, h, zero)
-            expect = lam[:, None] ** (t + 1) * base
+        u = np.zeros((101, layer.m))
+        u[0] = rng.standard_normal(layer.m)
+        for t, (_, _, (z,)) in enumerate(stream(net, u)):
+            if t == 0:
+                base = z[:, B_RE].copy()
+            expect = lam[:, None] ** t * base
             assert np.allclose(z[:, B_RE], expect, atol=1e-12)
 
     def test_shape_mismatch(self):
         net = init_network(3, (5,), 2, seed=0)
         bad = np.zeros((5, 2 + 4), complex)
         with pytest.raises(ContractViolationError):
-            trace_step(net.layers[0], np.zeros(5, complex), np.zeros(3), bad)
+            online_step(net, net.zero_states(), [bad], np.zeros(3),
+                        np.zeros(2))
 
     def test_bitwise_equals_out_of_place_formula(self, rng):
-        """trace_step is bitwise lambda * Z + imm with the immediate
-        Jacobian imm built from exp(nu) and exp(theta_phase) afresh."""
+        """online_step's trace update is bitwise lambda * Z + imm with the
+        immediate Jacobian imm built from exp(nu) and exp(theta_phase)
+        afresh."""
         net = init_network(6, (9,), 2, seed=4)
         layer = net.layers[0]
         lam = layer_constants(layer)[0]
-        z, h = reset_trace(net)[0], np.zeros(9, complex)
-        for _ in range(30):
-            u = rng.standard_normal(6)
+        z = reset_trace(net)[0]
+        u = rng.standard_normal((30, 6))
+        for u_t, ((h_prev,), _, (z_new,)) in zip(u, stream(net, u)):
             imm = np.empty_like(z)
-            imm[:, NU] = -np.exp(layer.nu) * lam * h
-            imm[:, PHASE] = 1j * np.exp(layer.theta_phase) * lam * h
-            imm[:, B_RE] = layer_constants(layer)[1][:, None] * u[None, :]
+            imm[:, NU] = -np.exp(layer.nu) * lam * h_prev
+            imm[:, PHASE] = 1j * np.exp(layer.theta_phase) * lam * h_prev
+            imm[:, B_RE] = layer_constants(layer)[1][:, None] * u_t[None, :]
             ref = lam[:, None] * z + imm
-            z = trace_step(layer, h, u, z)
-            assert np.array_equal(z, ref)
-            h, _ = layer_step(layer, h, u)
+            assert np.array_equal(z_new, ref)
+            z = z_new
 
     def test_constants_carry_the_lambda_derivatives(self):
         """dlambda/dnu and dlambda/dtheta_phase in layer_constants are
@@ -160,48 +167,23 @@ class TestTraceStep:
             assert np.array_equal(dphase,
                                   1j * np.exp(layer.theta_phase) * lam)
 
-    def test_consts_give_bitwise_equal_steps(self, rng):
-        """layer_step, trace_step and network_step give bitwise the same
-        results with the layer_constants passed in as without them."""
-        net = init_network(3, (5, 4), 2, seed=7)
-        consts = [layer_constants(layer) for layer in net.layers]
-        states, traces = net.zero_states(), reset_trace(net)
-        for _ in range(20):
-            u = rng.standard_normal(3)
-            got = network_step(net, states, u, consts)
-            ref = network_step(net, states, u)
-            assert np.array_equal(got[1], ref[1])
-            for a, b in zip(got[0] + got[2], ref[0] + ref[2]):
-                assert np.array_equal(a, b)
-            x = u
-            for k, layer in enumerate(net.layers):
-                h_c, y_c = layer_step(layer, states[k], x, consts[k])
-                h, y = layer_step(layer, states[k], x)
-                assert np.array_equal(h_c, h) and np.array_equal(y_c, y)
-                assert np.array_equal(h, got[0][k])
-                z_c = trace_step(layer, states[k], x, traces[k], consts[k])
-                z = trace_step(layer, states[k], x, traces[k])
-                assert np.array_equal(z_c, z)
-                traces[k] = z
-                x = y
-            states = got[0]
-
 
 class TestOnlineGradient:
     def test_blocks_land_at_their_offsets(self, rng):
-        """online_gradient's writes at fixed offsets are bitwise the
+        """_StreamPlan.gradient's writes at fixed offsets are bitwise the
         per-block formulas written through net.unflatten."""
         net = init_network(4, (6, 5, 3), 2, seed=9)
+        plan = _StreamPlan(net)
         states, traces = net.zero_states(), reset_trace(net)
         for _ in range(6):
             u = rng.standard_normal(4)
             consts = [layer_constants(layer) for layer in net.layers]
-            new_states, y, li = network_step(net, states, u, consts)
-            traces = [trace_step(layer, h, x, z, c) for layer, h, x, z, c
-                      in zip(net.layers, states, li, traces, consts)]
+            new_states, y, li = network_step(net, states, u)
+            traces = [trace_update(layer, h, x, z) for layer, h, x, z
+                      in zip(net.layers, states, li, traces)]
             states = new_states
             dL_dy = rng.standard_normal(2)
-            got = online_gradient(net, traces, states, li, dL_dy, consts)
+            got = plan.gradient(traces, states, li, dL_dy, consts)
             ref = np.full_like(net.theta, np.nan)
             blocks = net.unflatten(ref)
             g = dL_dy
@@ -226,9 +208,10 @@ class TestOnlineGradient:
         net = init_network(3, (5,), 2, seed=2)
         states, y, li = network_step(net, net.zero_states(),
                                      rng.standard_normal(3))
-        traces = step_all_traces(net, net.zero_states(), li, reset_trace(net))
+        traces = [trace_update(layer, h, x, z) for layer, h, x, z
+                  in zip(net.layers, net.zero_states(), li, reset_trace(net))]
         consts = [layer_constants(layer) for layer in net.layers]
-        g = online_gradient(net, traces, states, li, np.zeros(2), consts)
+        g = _StreamPlan(net).gradient(traces, states, li, np.zeros(2), consts)
         assert g.shape == net.theta.shape and np.all(g == 0)
 
     def test_sum_equals_bptt_depth1(self, rng):
@@ -256,22 +239,14 @@ class TestOnlineGradient:
 
     def test_missing_traces_rejected(self, rng):
         net = init_network(3, (5, 4), 2, seed=3)
-        states, y, li = network_step(net, net.zero_states(),
-                                     rng.standard_normal(3))
         with pytest.raises(ContractViolationError):
-            online_gradient(net, reset_trace(net)[:1], states, li, np.zeros(2),
-                            [layer_constants(layer) for layer in net.layers])
+            online_step(net, net.zero_states(), reset_trace(net)[:1],
+                        rng.standard_normal(3), np.zeros(2))
 
     def test_constant_memory_over_stream(self, rng):
         net = init_network(4, (8,), 2, seed=0)
-        traces = reset_trace(net)
-        states = net.zero_states()
-        shapes = [z.shape for z in traces]
-        for t in range(200):
-            u = rng.standard_normal(4)
-            new_states, y, li = network_step(net, states, u)
-            traces = step_all_traces(net, states, li, traces)
-            states = new_states
+        shapes = [z.shape for z in reset_trace(net)]
+        for _, _, traces in stream(net, rng.standard_normal((200, 4))):
             assert [z.shape for z in traces] == shapes
 
 
