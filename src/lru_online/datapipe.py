@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -149,14 +152,13 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
         raise SchemaError(f"unparseable value {raw!r} at row {row}, column {col!r}")
 
 
-def load_emission_csv(path) -> SeriesTable:
-    """Read the 11-column emission CSV. Gaps > SESSION_GAP_S seconds between
-    consecutive rows start a new session. Missing rows stay missing (no grid
-    materialization here; see resample_to_grid)."""
+@contextmanager
+def _emission_body(path):
+    """The emission file, open after its header record, which must be
+    EMISSION_HEADER (cells stripped)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise SchemaError(f"{path}: empty file")
         if header != EMISSION_HEADER:
@@ -165,20 +167,66 @@ def load_emission_csv(path) -> SeriesTable:
             raise SchemaError(
                 f"{path}: header mismatch; missing columns {missing}, "
                 f"unknown columns {extra}")
-        rows = []
-        for i, rec in enumerate(reader, start=1):
-            if not rec:
-                continue
-            if len(rec) != len(EMISSION_HEADER):
-                raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
-                                  f"expected {len(EMISSION_HEADER)}")
-            rows.append([_parse_cell(c, i, EMISSION_HEADER[j])
-                         for j, c in enumerate(rec)])
+        yield fh
+
+
+def _body_by_loadtxt(fh) -> np.ndarray | None:
+    """The body as numpy's C reader parses it: (N, 11) float64, or None
+    unless it is N >= 1 rows of 11 plain numbers with no NaN timestamp.
+    None leaves the file to _body_by_cells, which decides what it means."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(fh, delimiter=",", comments=None,
+                              dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if (data.shape[0] == 0 or data.shape[1] != len(EMISSION_HEADER)
+            or np.isnan(data[:, 0]).any()):
+        return None
+    return data
+
+
+def _body_by_cells(fh, path) -> np.ndarray:
+    """The body record by record, one _parse_cell per cell: an empty cell
+    is NaN, and a ragged row, an unparseable cell, no rows or a missing
+    timestamp is a SchemaError naming its record (blank lines counted)."""
+    rows = []
+    no_timestamp = None
+    for i, rec in enumerate(csv.reader(fh), start=1):
+        if not rec:
+            continue
+        if len(rec) != len(EMISSION_HEADER):
+            raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
+                              f"expected {len(EMISSION_HEADER)}")
+        rows.append([_parse_cell(c, i, EMISSION_HEADER[j])
+                     for j, c in enumerate(rec)])
+        if no_timestamp is None and math.isnan(rows[-1][0]):
+            no_timestamp = i
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if np.any(np.isnan(data[:, 0])):
-        raise SchemaError(f"{path}: missing timestamp value")
+    if no_timestamp is not None:
+        raise SchemaError(f"{path}: missing timestamp value at row {no_timestamp}")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def load_emission_csv(path) -> SeriesTable:
+    """Read the 11-column emission CSV. Gaps > SESSION_GAP_S seconds between
+    consecutive rows start a new session. Missing rows stay missing (no grid
+    materialization here; see resample_to_grid).
+
+    A body of plain numbers (the generator's files: `repr` floats, `nan`
+    for a missing value) is parsed by numpy's C reader. Any other body
+    (an empty or quoted cell, a ragged row, text, no rows, a NaN timestamp)
+    is read again one cell at a time, and that reader alone decides what it
+    means and raises its SchemaErrors. Both readers round correctly, and
+    the C reader accepts only cells that float() reads the same, so the
+    table does not depend on which one ran."""
+    with _emission_body(path) as fh:
+        data = _body_by_loadtxt(fh)
+    if data is None:
+        with _emission_body(path) as fh:
+            data = _body_by_cells(fh, path)
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]
     ts = data[:, 0]

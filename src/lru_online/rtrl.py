@@ -179,11 +179,14 @@ class _StreamPlan:
 
 
 def _window_stream(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray):
-    """Checked RTRL steps over one window from zero states and traces,
-    yielding each row's Huber loss and gradient buffer, lazily."""
+    """Checked RTRL steps over one window of at least one row from zero
+    states and traces, yielding each row's Huber loss and gradient buffer,
+    lazily."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     _check_call(net, inputs, targets, ndim=2)
+    if inputs.shape[0] == 0:
+        raise ContractViolationError("an RTRL window needs at least one row")
     step = _StreamPlan(net).step
     states, traces = net.zero_states(), reset_trace(net)
     for u_t, y_t in zip(inputs, targets):

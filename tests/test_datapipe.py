@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from lru_online import datapipe
 from lru_online.datapipe import (EMISSION_HEADER, ROLE_CATEGORICAL,
                                  ROLE_NUMERIC, ROLE_TARGET, TARGET_COLUMNS,
                                  FittedPipeline, SequenceData, SeriesTable,
@@ -85,6 +86,154 @@ class TestLoadEmissionCsv:
             fh.write(",".join(EMISSION_HEADER) + "\n")
         with pytest.raises(SchemaError, match="no data"):
             load_emission_csv(path)
+
+
+def emission_file(path, body):
+    """An emission CSV: the header line, then body verbatim."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(EMISSION_HEADER) + "\n" + body)
+    return path
+
+
+def read_body(path, reader):
+    """The body of an emission file as one of datapipe's two readers
+    parses it: "c" numpy's C reader (None if it declines), "cells" the
+    per-cell reader."""
+    with datapipe._emission_body(path) as fh:
+        if reader == "c":
+            return datapipe._body_by_loadtxt(fh)
+        return datapipe._body_by_cells(fh, path)
+
+
+def cell_rows(cells, n_rows=2):
+    """n_rows rows with timestamps 0, 1, ... and the given ten cells."""
+    return "".join(",".join([repr(float(t))] + cells) + "\n"
+                   for t in range(n_rows))
+
+
+def repr_rows(rng, n_rows, scale):
+    values = rng.uniform(-1, 1, (n_rows, 10)) * 10.0 ** rng.integers(
+        -scale, scale, (n_rows, 10))
+    return "".join(",".join([repr(float(t))] + [repr(float(v)) for v in r])
+                   + "\n" for t, r in enumerate(values))
+
+
+def plain_cells(**at):
+    """Ten cells "1.0".."10.0", with cells replaced at the given columns."""
+    cells = [repr(float(j + 1)) for j in range(10)]
+    for name, cell in at.items():
+        cells[EMISSION_HEADER.index(name) - 1] = cell
+    return cells
+
+
+C_READER_CORPUS = {
+    "17-digit": repr_rows(np.random.default_rng(0), 400, 300),
+    "subnormal": cell_rows(
+        ["5e-324", "-4.9e-324", "2.2250738585072009e-308", "1e-310",
+         "2.225073858507201e-308", "1.5e-323", "1", "2", "3", "4"]),
+    "overflow": cell_rows(
+        ["1e400", "-1e400", "1e-400", "-1e-400", "1.7976931348623157e308",
+         "1.7976931348623159e308", "1", "2", "3", "4"]),
+    "nan-inf": cell_rows(
+        ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-INF", "+nan",
+         "3", "4"]),
+    "signed-zero": cell_rows(
+        ["-0.0", "0.0", "-0", "+0", "-0e5", "0e-5", "-.0", "1", "2", "3"]),
+    "padded": cell_rows(
+        [" 1.5", "2.5 ", "\t3.5", "4.5\t", "  -5.5  ", " nan ", "7", "8",
+         "9", "10"]),
+    "crlf": cell_rows(plain_cells(), 3).replace("\n", "\r\n"),
+    "blank-lines": "\n" + cell_rows(plain_cells(), 2).replace(
+        "\n", "\n\n\r\n"),
+    "single-row": cell_rows(plain_cells(), 1),
+    "no-trailing-newline": cell_rows(plain_cells(), 2)[:-1],
+}
+
+
+class TestEmissionReaders:
+    """The C reader and the per-cell reader give bitwise the same table on
+    every body the C reader accepts; every other body is the per-cell
+    reader's alone."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_generator_files_bitwise(self, tmp_path, seed):
+        write_dataset(generate_dataset(GeneratorConfig(seed=seed)), tmp_path)
+        path = tmp_path / "emission.csv"
+        fast = read_body(path, "c")
+        assert fast is not None and fast.shape[1] == len(EMISSION_HEADER)
+        assert fast.tobytes() == read_body(path, "cells").tobytes()
+
+    @pytest.mark.parametrize("case", sorted(C_READER_CORPUS))
+    def test_corpus_bitwise(self, tmp_path, case):
+        path = emission_file(tmp_path / "e.csv", C_READER_CORPUS[case])
+        fast = read_body(path, "c")
+        assert fast is not None
+        assert fast.tobytes() == read_body(path, "cells").tobytes()
+        table = load_emission_csv(path)
+        assert np.column_stack(
+            [table.timestamps] + [table.columns[c] for c in EMISSION_HEADER[1:]]
+        ).tobytes() == fast.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_generator_files_skip_per_cell_reader(self, tmp_path, monkeypatch,
+                                                  seed):
+        write_dataset(generate_dataset(GeneratorConfig(seed=seed)), tmp_path)
+
+        def no_cells(*args):
+            raise AssertionError("per-cell reader ran on a generator file")
+
+        monkeypatch.setattr(datapipe, "_parse_cell", no_cells)
+        assert load_emission_csv(tmp_path / "emission.csv").n_rows > 0
+
+    @pytest.mark.parametrize("cell,value", [
+        ("", np.nan), ("   ", np.nan), (" \t", np.nan), ('"2.5"', 2.5),
+        ("1_0", 10.0), ("\u0661\u0662", 12.0)])
+    def test_declined_cells_read_per_cell(self, tmp_path, cell, value):
+        body = cell_rows(plain_cells(coolant_c=cell))
+        path = emission_file(tmp_path / "e.csv", body)
+        assert read_body(path, "c") is None
+        table = load_emission_csv(path)
+        expect = np.tile(np.arange(1.0, 11.0), (2, 1))
+        expect[:, EMISSION_HEADER.index("coolant_c") - 1] = value
+        got = np.column_stack([table.columns[c] for c in EMISSION_HEADER[1:]])
+        assert got.tobytes() == expect.tobytes()
+        assert np.array_equal(table.timestamps, [0.0, 1.0])
+
+    @pytest.mark.parametrize("body,message", [
+        ("\n" + cell_rows(plain_cells(co_ppm="abc")),
+         "unparseable value 'abc' at row 2, column 'co_ppm'"),
+        (cell_rows(plain_cells(no_ppm="0x10")),
+         "unparseable value '0x10' at row 1, column 'no_ppm'"),
+        (cell_rows(plain_cells()[:9]),
+         "{path}: row 1 has 10 cells, expected 11"),
+        (cell_rows(plain_cells()) + cell_rows(plain_cells() + ["1"]),
+         "{path}: row 3 has 12 cells, expected 11"),
+        (cell_rows(plain_cells() + [""]),
+         "{path}: row 1 has 12 cells, expected 11"),
+        (cell_rows(plain_cells()) + "   \n",
+         "{path}: row 3 has 1 cells, expected 11"),
+        ("", "{path}: no data rows"),
+        ("\n\r\n", "{path}: no data rows"),
+    ], ids=["text", "hex", "10-cells", "12-cells",
+            "trailing-comma", "whitespace-line", "header-only", "blank-only"])
+    def test_declined_bodies_raise_per_cell_errors(self, tmp_path, body,
+                                                   message):
+        path = emission_file(tmp_path / "e.csv", body)
+        assert read_body(path, "c") is None
+        with pytest.raises(SchemaError) as err:
+            load_emission_csv(path)
+        assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("cell", ["", "nan", " -nan "])
+    def test_missing_timestamp_names_its_row(self, tmp_path, cell):
+        """The record number counts blank lines, and the message is the
+        same whether or not the C reader could parse the cell."""
+        body = (cell_rows(plain_cells()) + "\n"
+                + ",".join([cell] + plain_cells()) + "\n")
+        path = emission_file(tmp_path / "e.csv", body)
+        with pytest.raises(SchemaError) as err:
+            load_emission_csv(path)
+        assert str(err.value) == f"{path}: missing timestamp value at row 4"
 
 
 class TestWeatherJoin:

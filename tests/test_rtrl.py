@@ -237,6 +237,11 @@ class TestOnlineGradient:
             denom = np.maximum(np.abs(fd[1][name]), 1e-6)
             assert np.max(np.abs(g_r[1][name] - fd[1][name]) / denom) < 1e-4
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ContractViolationError, match="at least one row"):
+            window_gradient(init_network(3, (4,), 2), np.zeros((0, 3)),
+                            np.zeros((0, 2)))
+
     def test_missing_traces_rejected(self, rng):
         net = init_network(3, (5, 4), 2, seed=3)
         with pytest.raises(ContractViolationError):
