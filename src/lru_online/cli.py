@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datapipe import apply_pipeline, split_sessions
-from .errors import LruOnlineError
+from .errors import CompatibilityError, LruOnlineError
 from .harness import (FinetuneConfig, PretrainConfig, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
                       cmd_sweep, impute_benchmark, load_grid, prepare_tables)
@@ -79,7 +79,11 @@ def _prepared(args, window: int = 5):
 
 
 def _finetune_stream(args, ckpt: Checkpoint):
-    """The --split of the data, preprocessed with the checkpoint's pipeline."""
+    """The --split of the data, preprocessed with the checkpoint's pipeline;
+    a checkpoint without one is a CompatibilityError."""
+    if ckpt.pipeline is None:
+        raise CompatibilityError(f"{args.checkpoint}: the checkpoint holds no "
+                                 "preprocessing pipeline")
     data_dir = Path(args.data)
     table = load_grid(data_dir / "emission.csv", data_dir / "weather.csv",
                       ckpt.pipeline.window)
@@ -200,8 +204,7 @@ def _finetune_cfg(args) -> FinetuneConfig:
         lambda_reg=args.lambda_reg,
         freeze_after=args.freeze_after,
         lr=args.lr, clip=None if args.no_clip else args.clip,
-        squared_anchor=args.squared_anchor,
-        carry_optimizer=args.carry_optimizer)
+        squared_anchor=args.squared_anchor)
 
 
 def _do_finetune(args) -> int:
@@ -297,7 +300,6 @@ def _add_finetune_flags(p):
     p.add_argument("--clip", type=float, default=0.5)
     p.add_argument("--no-clip", action="store_true")
     p.add_argument("--squared-anchor", action="store_true")
-    p.add_argument("--carry-optimizer", action="store_true")
     p.add_argument("--split", choices=["val", "train", "all"], default="val")
 
 

@@ -17,8 +17,7 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
-from .errors import (CompatibilityError, ConfigurationError,
-                     ContractViolationError, TrainingError)
+from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import LruNetwork, _check_call, init_network, network_replay
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
 from .rtrl import _StreamPlan, reset_trace, rtrl_stream_step, rtrl_window_step
@@ -151,7 +150,6 @@ class FinetuneConfig:
     lr: float = 1e-3                  # 0 = never update
     clip: float | None = 0.5          # None = no clipping
     squared_anchor: bool = False
-    carry_optimizer: bool = False
 
     def __post_init__(self):
         for name in ("lambda_reg", "lr"):
@@ -293,14 +291,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     stream.session_bounds(), so a session id that comes back is a
     ContractViolationError, as is an empty stream. A feature or target
     width that is not the checkpoint's is a CompatibilityError, raised
-    before any pass runs, and so is carry_optimizer on a checkpoint that
-    holds no optimizer state (cmd_pretrain stores none).
+    before any pass runs.
     """
     frozen = ckpt.net
     _check_widths(frozen, stream, "stream")
-    if cfg.carry_optimizer and ckpt.optimizer is None:
-        raise CompatibilityError("carry_optimizer is set but the checkpoint "
-                                 "holds no optimizer state")
     if stream.n_rows == 0:
         raise ContractViolationError("cannot fine-tune on a stream with no rows")
     freeze = 0 if cfg.lr == 0 else stream.n_rows
@@ -316,11 +310,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
         anchor = AnchorConfig(theta_pre=frozen.theta,
                               lambda_reg=cfg.lambda_reg,
                               squared=cfg.squared_anchor)
-        if cfg.carry_optimizer:
-            adam = replace(ckpt.optimizer, m=ckpt.optimizer.m.copy(),
-                           v=ckpt.optimizer.v.copy(), lr=cfg.lr)
-        else:
-            adam = AdamState.init(net.theta, lr=cfg.lr)
+        adam = AdamState.init(net.theta, lr=cfg.lr)
         states, skipped, dist[freeze:] = _adapt(net, stream, freeze, adam,
                                                 cfg.clip, anchor, preds, dist)
         _step_fixed(net, stream, preds, freeze, states)

@@ -63,21 +63,19 @@ def _clip(grads: np.ndarray, sq: float, max_norm: float) -> np.ndarray:
 
 # --------------------------------------------------------------------- adam
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's (2015) defaults
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, theta: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
-                   t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def init(cls, theta: np.ndarray, lr: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), t=0, lr=lr)
 
 
 def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -87,19 +85,18 @@ def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
     c1) / (sqrt(v / c2) + eps), evaluated in that order."""
     m, v = state.m, state.v
     t = state.t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    m *= b1
-    np.multiply(grads, 1 - b1, out=step)
+    m *= BETA1
+    np.multiply(grads, 1 - BETA1, out=step)
     m += step
-    v *= b2
-    np.multiply(grads, 1 - b2, out=step)
+    v *= BETA2
+    np.multiply(grads, 1 - BETA2, out=step)
     step *= grads
     v += step
-    np.divide(m, 1 - b1 ** t, out=step)
+    np.divide(m, 1 - BETA1 ** t, out=step)
     step *= state.lr
-    np.divide(v, 1 - b2 ** t, out=denom)
+    np.divide(v, 1 - BETA2 ** t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     step /= denom
     theta -= step
 

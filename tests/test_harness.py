@@ -114,7 +114,8 @@ class TestCheckpoint:
          "'b_re' has shape"),
         (lambda p: p[0].pop("d"), r"missing blocks \['d'\]"),
         (lambda p: p.append(dict(p[0])), "layer 0 output width"),
-    ], ids=["wrong_shape", "missing_block", "layer_chaining"])
+        (lambda p: p.__setitem__(0, 1), "layer 0 is not an object"),
+    ], ids=["wrong_shape", "missing_block", "layer_chaining", "not_object"])
     def test_malformed_params_rejected(self, pretrained, tmp_path, edit,
                                        match):
         ckpt, _ = pretrained
@@ -126,13 +127,58 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("block", [{"x": 1}, [1]],
+                             ids=["unknown_field", "not_object"])
+    def test_malformed_pipeline_rejected(self, pretrained, tmp_path, block):
+        ckpt, _ = pretrained
+        path = tmp_path / "m.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        doc["pipeline"] = block
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="pipeline"):
+            load_checkpoint(path)
+
+    def test_reads_null_optimizer_of_earlier_writer(self, pretrained, stream,
+                                                    tmp_path):
+        """A checkpoint as written when the format still had an optimizer
+        key (null in every file the CLI wrote) loads, re-saves without the
+        key and predicts bitwise the same."""
+        ckpt, _ = pretrained
+        now = tmp_path / "now.json"
+        save_checkpoint(ckpt, now)
+        doc = json.loads(now.read_text())
+        assert "optimizer" not in doc
+        doc["optimizer"] = None
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        assert '"optimizer": null,' in old.read_text()
+        again = load_checkpoint(old)
+        save_checkpoint(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == now.read_bytes()
+        _, _, pa = network_scan(ckpt.net, stream.features)
+        _, _, pb = network_scan(again.net, stream.features)
+        assert np.array_equal(pa, pb)
+
+    def test_optimizer_block_rejected(self, pretrained, tmp_path):
+        """Optimizer state in a file is an error, not state dropped
+        silently: fine-tuning always starts a fresh Adam."""
+        ckpt, _ = pretrained
+        path = tmp_path / "o.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        doc["optimizer"] = {"t": 3, "lr": 1e-3}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="optimizer"):
+            load_checkpoint(path)
+
     def test_reads_checkpoint_of_first_format_version(self, tmp_path):
-        """A depth-1 checkpoint with optimizer state, written before the
-        parameters became one flat vector, re-saves byte-identically and
-        still predicts what it predicted then, up to the rounding of the
-        full-sequence recurrence (acceptance 03's bound)."""
+        """A depth-1 checkpoint written before the parameters became one
+        flat vector (its optimizer block, which this build no longer reads,
+        removed from the file) re-saves byte-identically and still predicts
+        what it predicted then, up to the rounding of the full-sequence
+        recurrence (acceptance 03's bound)."""
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
-        assert ckpt.optimizer.m.shape == ckpt.net.theta.shape
         save_checkpoint(ckpt, tmp_path / "again.json")
         assert ((tmp_path / "again.json").read_bytes()
                 == (DATA / "checkpoint_depth1.json").read_bytes())
@@ -278,60 +324,6 @@ class TestFinetune:
         # theta stays finite and is not moved by the skipped step
         assert np.isfinite(metrics.anchor_distance).all()
         assert metrics.anchor_distance[10] == metrics.anchor_distance[9]
-
-    def test_carry_optimizer_continues_checkpoint_adam(self):
-        """carry_optimizer starts Adam from the checkpoint's moments and step
-        count at the configured lr, and leaves the checkpoint's state as it
-        was: the stream equals online_step + apply_update from that state."""
-        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
-        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
-        data = SequenceData(features=ref["features"], targets=ref["targets"],
-                            session_ids=ref["session_ids"],
-                            timestamps=ref["timestamps"])
-        saved = ckpt.optimizer
-        before = replace(saved, m=saved.m.copy(), v=saved.v.copy())
-        assert before.t > 0
-        cfg = FinetuneConfig(lambda_reg=0.01, lr=2e-3, carry_optimizer=True)
-        metrics = cmd_finetune(ckpt, data, cfg)
-
-        net = ckpt.net.copy()
-        adam = replace(before, m=before.m.copy(), v=before.v.copy(),
-                       lr=cfg.lr)
-        anchor = AnchorConfig(theta_pre=ckpt.net.theta,
-                              lambda_reg=cfg.lambda_reg)
-        preds, dist = [], []
-        for sid in dict.fromkeys(data.session_ids.tolist()):
-            states, traces = net.zero_states(), reset_trace(net)
-            for t in np.flatnonzero(data.session_ids == sid):
-                states, traces, y_hat, grads = online_step(
-                    net, states, traces, data.features[t], data.targets[t])
-                apply_update(net.theta, grads, adam, cfg.clip, anchor)
-                preds.append(y_hat)
-                dist.append(anchor_distance(net.theta, anchor))
-        assert np.array_equal(metrics.predictions, np.asarray(preds))
-        assert np.array_equal(metrics.anchor_distance, np.asarray(dist))
-        assert ckpt.optimizer is saved
-        assert (saved.t, saved.lr) == (before.t, before.lr)
-        assert np.array_equal(saved.m, before.m)
-        assert np.array_equal(saved.v, before.v)
-        fresh = cmd_finetune(ckpt, data, replace(cfg, carry_optimizer=False))
-        assert not np.array_equal(fresh.predictions, metrics.predictions)
-
-    def test_carry_optimizer_without_state_rejected(self, pretrained, stream,
-                                                    monkeypatch):
-        """carry_optimizer on a checkpoint without optimizer state (every
-        one cmd_pretrain writes) is a CompatibilityError raised before any
-        pass runs, where it used to start a fresh Adam silently."""
-        ckpt, _ = pretrained
-        assert ckpt.optimizer is None
-
-        def no_pass(*args, **kwargs):
-            raise AssertionError("a pass ran")
-
-        monkeypatch.setattr(harness, "_adapt", no_pass)
-        monkeypatch.setattr(harness, "_step_fixed", no_pass)
-        with pytest.raises(CompatibilityError, match="optimizer state"):
-            cmd_finetune(ckpt, stream, FinetuneConfig(carry_optimizer=True))
 
     @staticmethod
     def _depth1_stream_with_nan(row):
@@ -1148,23 +1140,39 @@ class TestCli:
         assert field in err["message"]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["finetune", "ablate"])
-    def test_carry_optimizer_without_state_exits_8(self, data_dir, pretrained,
-                                                   tmp_path, capsys, command):
-        """--carry-optimizer on a checkpoint that pretrain wrote (it holds
-        no Adam state) is a compatibility error, and no run directory is
-        left behind."""
+    def test_optimizer_block_exits_7(self, data_dir, pretrained, tmp_path,
+                                     capsys):
         ckpt, _ = pretrained
         path = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, path)
-        assert load_checkpoint(path).optimizer is None
+        doc = json.loads(path.read_text())
+        doc["optimizer"] = {"t": 3, "lr": 1e-3}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out)])
+        assert code == EXIT_CODES["checkpoint"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "optimizer" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["finetune", "ablate", "evaluate"])
+    def test_checkpoint_without_pipeline_exits_8(self, data_dir, pretrained,
+                                                 tmp_path, capsys, command):
+        """A checkpoint with no pipeline (valid for the library) cannot
+        preprocess the CLI's data: a compatibility error, and no run
+        directory is left behind."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(replace(ckpt, pipeline=None), path)
         out = tmp_path / "runs"
         out.mkdir()
         code = main([command, "--data", str(data_dir), "--checkpoint",
-                     str(path), "--out", str(out), "--carry-optimizer"])
+                     str(path), "--out", str(out)])
         assert code == EXIT_CODES["compatibility"]
         err = json.loads(capsys.readouterr().err.strip())
-        assert "optimizer" in err["message"]
+        assert "pipeline" in err["message"]
         assert list(out.iterdir()) == []
 
     def test_checkpoint_error_exit_code(self, tmp_path, capsys):

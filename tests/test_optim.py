@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lru_online.errors import ConfigurationError, TrainingError
-from lru_online.optim import (AdamState, AnchorConfig, _Descent,
-                              anchor_distance, anchor_gradient,
+from lru_online.optim import (BETA1, BETA2, EPS, AdamState, AnchorConfig,
+                              _Descent, anchor_distance, anchor_gradient,
                               apply_update, clip_global_norm, huber,
                               huber_grad, huber_values)
 
@@ -185,7 +185,7 @@ class TestAdam:
         ref = theta.copy()
         state = AdamState.init(theta, lr=0.01)
         m, v = np.zeros(50), np.zeros(50)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = BETA1, BETA2, EPS, state.lr
         for t in range(1, 30):
             g = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 3)
             apply_update(theta, g, state, None)
