@@ -183,28 +183,21 @@ def evaluate(net: LruNetwork, data: SequenceData) -> float:
     return total / data.n_rows
 
 
-def bptt_step(net: LruNetwork, batch: WindowBatch, descend: _Descent) -> float:
-    """One update on the batch's exact BPTT gradient."""
-    loss, grads = bptt_gradient(net, batch)
-    descend(grads)
-    return loss
-
-
 def train(net: LruNetwork, train_data: SequenceData,
           val_data: SequenceData | None, cfg: TrainConfig,
-          step: Callable[[LruNetwork, WindowBatch, _Descent],
-                         float] = bptt_step) -> TrainResult:
-    """The training loop of every trainer. It builds the run's one update,
-    descend = optim._Descent (fresh Adam at cfg.lr, cfg.clip). Each of
-    cfg.steps iterations samples cfg.batch windows and calls step(net,
-    batch, descend), which updates net.theta through descend and returns
-    the train loss. The loop tracks the train loss every step and the
-    validation loss at the eval cadence, and returns the best-validation
-    parameters (the last ones without validation data). A non-finite loss
-    or gradient (TrainingError) stops training with `diverged` set; the
-    last finite best parameters are kept. A data set whose widths are not
-    the network's is a CompatibilityError, raised before any step. The
-    input network is not modified."""
+          gradient: Callable[[LruNetwork, WindowBatch],
+                             tuple[float, np.ndarray]] = bptt_gradient
+          ) -> TrainResult:
+    """The training loop of every trainer. Each of cfg.steps iterations
+    samples cfg.batch windows, takes (train loss, flat gradient) =
+    gradient(net, batch) and applies the run's one update, optim._Descent
+    (fresh Adam at cfg.lr, cfg.clip). It tracks the train loss every step
+    and the validation loss at the eval cadence, and returns the
+    best-validation parameters; with no finite validation loss, the last
+    ones and best_val_loss NaN. A non-finite loss or gradient
+    (TrainingError) stops training with `diverged` set. A data set whose
+    widths are not the network's is a CompatibilityError, raised before
+    any step. The input network is not modified."""
     _check_widths(net, train_data, "training data")
     if val_data is not None:
         _check_widths(net, val_data, "validation data")
@@ -219,7 +212,8 @@ def train(net: LruNetwork, train_data: SequenceData,
     for i in range(1, cfg.steps + 1):
         batch = sample_windows(train_data, cfg.window, cfg.batch, rng)
         try:
-            loss = step(net, batch, descend)
+            loss, grads = gradient(net, batch)
+            descend(grads)
         except TrainingError:
             diverged = True
             break
@@ -230,9 +224,9 @@ def train(net: LruNetwork, train_data: SequenceData,
                 best_val = val_loss
                 best = net.theta.copy()
         curve.append((i, loss, val_loss))
-    if val_data is None:
-        best_val = float("nan")
     if np.isfinite(best_val):
         net.theta[...] = best
+    else:
+        best_val = float("nan")
     return TrainResult(net=net, loss_curve=curve, best_val_loss=best_val,
                        diverged=diverged)

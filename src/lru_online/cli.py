@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datapipe import apply_pipeline, split_sessions
-from .errors import CompatibilityError, LruOnlineError
+from .errors import CompatibilityError, ConfigurationError, LruOnlineError
 from .harness import (FinetuneConfig, PretrainConfig, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
                       cmd_sweep, impute_benchmark, load_grid, prepare_tables)
@@ -146,8 +146,18 @@ def _do_preprocess(args) -> int:
     return 0
 
 
+def _parse_list(flag: str, items, parse) -> list:
+    """parse() of each item; a ValueError is a ConfigurationError naming
+    the flag."""
+    try:
+        return [parse(x) for x in items]
+    except ValueError as e:
+        raise ConfigurationError(f"{flag}: {e}") from None
+
+
 def _parse_layers(spec: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in spec.split(",") if x.strip())
+    return tuple(_parse_list("--layers", filter(str.strip, spec.split(",")),
+                             int))
 
 
 def _do_pretrain(args) -> int:
@@ -157,20 +167,17 @@ def _do_pretrain(args) -> int:
                           steps=args.steps, batch=args.batch, lr=args.lr,
                           clip=clip, window=args.window, seed=args.seed,
                           eval_every=args.eval_every,
-                          r_min=args.r_min, r_max=args.r_max,
-                          rtrl_update=args.rtrl_update)
-    config = asdict(pcfg)
-    config["layers"] = list(pcfg.layers)
+                          r_min=args.r_min, r_max=args.r_max)
     pipe, train, val = _prepared(args, window=args.pipeline_window)
     ckpt, result = cmd_pretrain(train, val, pipe, pcfg,
                                 provenance={"argv": sys.argv,
                                             "written": time.strftime(
                                                 "%Y-%m-%dT%H:%M:%S")})
-    run_dir = _run_dir(args, "pretrain", config)
+    run_dir = _run_dir(args, "pretrain", ckpt.config)
     save_checkpoint(ckpt, run_dir / "checkpoint.json")
     _write_csv(run_dir / "loss_curve.csv", ["step", "train_loss", "val_loss"],
                result.loss_curve)
-    _write_summary(run_dir, "pretrain", config, {
+    _write_summary(run_dir, "pretrain", ckpt.config, {
         "best_val_loss": result.best_val_loss, "diverged": result.diverged,
         "steps_run": len(result.loss_curve)})
     print(str(run_dir))
@@ -180,9 +187,9 @@ def _do_pretrain(args) -> int:
 def _do_sweep(args) -> int:
     scfg = SweepConfig(
         layers=[_parse_layers(s) for s in args.layers.split(";")],
-        lrs=[float(x) for x in args.lrs.split(",")],
-        clips=[None if x in ("none", "") else float(x)
-               for x in args.clips.split(",")],
+        lrs=_parse_list("--lrs", args.lrs.split(","), float),
+        clips=_parse_list("--clips", args.clips.split(","),
+                          lambda x: None if x in ("none", "") else float(x)),
         trainers=args.trainers.split(","),
         repeats=args.repeats, steps=args.steps, batch=args.batch,
         window=args.window, eval_every=args.eval_every, seed=args.seed)
@@ -203,8 +210,7 @@ def _finetune_cfg(args) -> FinetuneConfig:
     return FinetuneConfig(
         lambda_reg=args.lambda_reg,
         freeze_after=args.freeze_after,
-        lr=args.lr, clip=None if args.no_clip else args.clip,
-        squared_anchor=args.squared_anchor)
+        lr=args.lr, clip=None if args.no_clip else args.clip)
 
 
 def _do_finetune(args) -> int:
@@ -299,7 +305,6 @@ def _add_finetune_flags(p):
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--clip", type=float, default=0.5)
     p.add_argument("--no-clip", action="store_true")
-    p.add_argument("--squared-anchor", action="store_true")
     p.add_argument("--split", choices=["val", "train", "all"], default="val")
 
 
@@ -335,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-every", type=int, default=250)
     p.add_argument("--r-min", type=float, default=0.9)
     p.add_argument("--r-max", type=float, default=0.999)
-    p.add_argument("--rtrl-update", choices=["window", "step"],
-                   default="window")
     p.add_argument("--pipeline-window", type=int, default=5)
     p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_pretrain)

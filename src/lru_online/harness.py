@@ -7,20 +7,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
 from .bptt import (TrainConfig, TrainResult, _check_widths, _scan_sessions,
-                   bptt_step, train)
+                   bptt_gradient, train)
 from .checkpoint import Checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
-from .lru import LruNetwork, _check_call, init_network, network_replay
+from .lru import (LruNetwork, _check_call, _check_layers, init_network,
+                  network_replay)
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
-from .rtrl import _StreamPlan, reset_trace, rtrl_stream_step, rtrl_window_step
+from .rtrl import _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
 
 
@@ -49,33 +51,34 @@ def prepare_tables(emission_path, weather_path, window: int = 5,
 
 @dataclass
 class PretrainConfig(TrainConfig):
-    """TrainConfig plus the model shape and the trainer. RTRL trainers
-    stream one window per training step, so `batch` applies to BPTT only."""
+    """TrainConfig plus the model shape and the trainer, both checked here.
+    The RTRL trainer updates once per window, one window per training
+    step, so `batch` applies to BPTT only."""
     trainer: str = "bptt"                 # "bptt" | "rtrl"
     layers: tuple[int, ...] = (16,)
     r_min: float = 0.9
     r_max: float = 0.999
-    rtrl_update: str = "window"           # "window" | "step"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.trainer not in ("bptt", "rtrl"):
+            raise ConfigurationError(f"unknown trainer {self.trainer!r}")
+        _check_layers(self.layers)
 
 
 def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
                  pipeline: FittedPipeline | None, cfg: PretrainConfig,
                  provenance: dict | None = None
                  ) -> tuple[Checkpoint, TrainResult]:
-    if cfg.trainer == "bptt":
-        step, tcfg = bptt_step, cfg
-    elif cfg.trainer == "rtrl":
-        steps = {"window": rtrl_window_step, "step": rtrl_stream_step}
-        if cfg.rtrl_update not in steps:
-            raise ConfigurationError(
-                f"unknown rtrl update cadence {cfg.rtrl_update!r}")
-        step, tcfg = steps[cfg.rtrl_update], replace(cfg, batch=1)
-    else:
-        raise ConfigurationError(f"unknown trainer {cfg.trainer!r}")
     net = init_network(train_data.features.shape[1], tuple(cfg.layers),
                        train_data.targets.shape[1],
                        r_min=cfg.r_min, r_max=cfg.r_max, seed=cfg.seed)
-    result = train(net, train_data, val_data, tcfg, step)
+    if cfg.trainer == "rtrl":   # one window per RTRL step
+        result = train(net, train_data, val_data, replace(cfg, batch=1),
+                       lambda net, batch: window_gradient(
+                           net, batch.inputs[0], batch.targets[0]))
+    else:
+        result = train(net, train_data, val_data, cfg, bptt_gradient)
     cfg_dict = asdict(cfg)
     cfg_dict["layers"] = list(cfg.layers)
     ckpt = Checkpoint(net=result.net, pipeline=pipeline, config=cfg_dict,
@@ -112,32 +115,24 @@ def cmd_sweep(train_data: SequenceData, val_data: SequenceData,
     """One row per run (config x repeat), sorted deterministically. Failures
     are recorded in their row and the sweep continues."""
     rows = []
-    for trainer in cfg.trainers:
-        for layers in cfg.layers:
-            for lr in cfg.lrs:
-                for clip in cfg.clips:
-                    for rep in range(cfg.repeats):
-                        row = {"trainer": trainer,
-                               "layers": "x".join(map(str, layers)),
-                               "lr": lr,
-                               "clip": "" if clip is None else clip,
-                               "repeat": rep}
-                        t0 = time.perf_counter()
-                        try:
-                            pcfg = PretrainConfig(
-                                trainer=trainer, layers=tuple(layers), lr=lr,
-                                clip=clip, steps=cfg.steps, batch=cfg.batch,
-                                window=cfg.window, eval_every=cfg.eval_every,
-                                seed=cfg.seed + rep)
-                            _, result = cmd_pretrain(train_data, val_data,
-                                                     None, pcfg)
-                            row["best_val_loss"] = result.best_val_loss
-                            row["error"] = ""
-                        except Exception as e:  # keep sweeping
-                            row["best_val_loss"] = float("nan")
-                            row["error"] = f"{type(e).__name__}: {e}"
-                        row["wall_seconds"] = time.perf_counter() - t0
-                        rows.append(row)
+    for trainer, layers, lr, clip, rep in product(
+            cfg.trainers, cfg.layers, cfg.lrs, cfg.clips, range(cfg.repeats)):
+        row = {"trainer": trainer, "layers": "x".join(map(str, layers)),
+               "lr": lr, "clip": "" if clip is None else clip, "repeat": rep}
+        t0 = time.perf_counter()
+        try:
+            pcfg = PretrainConfig(
+                trainer=trainer, layers=tuple(layers), lr=lr, clip=clip,
+                steps=cfg.steps, batch=cfg.batch, window=cfg.window,
+                eval_every=cfg.eval_every, seed=cfg.seed + rep)
+            _, result = cmd_pretrain(train_data, val_data, None, pcfg)
+            row["best_val_loss"] = result.best_val_loss
+            row["error"] = ""
+        except Exception as e:  # keep sweeping
+            row["best_val_loss"] = float("nan")
+            row["error"] = f"{type(e).__name__}: {e}"
+        row["wall_seconds"] = time.perf_counter() - t0
+        rows.append(row)
     return rows
 
 
@@ -149,7 +144,6 @@ class FinetuneConfig:
     freeze_after: int | None = None   # 0 = never update, None = no freeze
     lr: float = 1e-3                  # 0 = never update
     clip: float | None = 0.5          # None = no clipping
-    squared_anchor: bool = False
 
     def __post_init__(self):
         for name in ("lambda_reg", "lr"):
@@ -308,8 +302,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     if freeze:
         net = frozen.copy()
         anchor = AnchorConfig(theta_pre=frozen.theta,
-                              lambda_reg=cfg.lambda_reg,
-                              squared=cfg.squared_anchor)
+                              lambda_reg=cfg.lambda_reg)
         adam = AdamState.init(net.theta, lr=cfg.lr)
         states, skipped, dist[freeze:] = _adapt(net, stream, freeze, adam,
                                                 cfg.clip, anchor, preds, dist)
@@ -398,9 +391,13 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
 def impute_benchmark(gen_cfg: GeneratorConfig, mask_rate: float = 0.2,
                      window: int = 5, k: int = 20, seed: int = 0) -> dict:
     """Mask cells of a fully observed synthetic validation table and compare
-    the two imputers by MSE on the masked cells (standardized scale)."""
+    the two imputers by MSE on the masked cells (standardized scale). A
+    mask_rate outside (0, 1], or a draw that masks no row, is a
+    ConfigurationError."""
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not 0 < mask_rate <= 1:
+        raise ConfigurationError(f"mask_rate {mask_rate} is not in (0, 1]")
     ds = generate_dataset(replace(gen_cfg, missing_rate=0.0))
     table = join_weather(ds.emission, ds.weather)
     _, val = split_sessions(table)
@@ -416,17 +413,18 @@ def impute_benchmark(gen_cfg: GeneratorConfig, mask_rate: float = 0.2,
     # masked cell never has same-row companions to match on
     m = rng.random(val.n_rows) < mask_rate
     m[0] = m[-1] = False  # keep session endpoints observed
-    masks = {c: m for c in names}
+    if not m.any():
+        raise ConfigurationError(
+            f"mask_rate {mask_rate} masked none of the {val.n_rows} rows")
     for c in names:
         masked.columns[c][m] = np.nan
 
     def mse(imputed: SeriesTable) -> float:
-        errs = [imputed.columns[c][masks[c]] - truth[c][masks[c]]
-                for c in names if masks[c].any()]
-        e = np.concatenate(errs)
+        e = np.concatenate([imputed.columns[c][m] - truth[c][m]
+                            for c in names])
         return float(np.mean(e * e))
 
     rolled = impute_rolling_median(masked, window)
     knned = impute_knn(masked, k)
     return {"rolling_mse": mse(rolled), "knn_mse": mse(knned),
-            "masked_cells": int(sum(m.sum() for m in masks.values()))}
+            "masked_cells": int(m.sum()) * len(names)}

@@ -178,10 +178,18 @@ def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
     return LruLayerParams(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d)
 
 
+def _check_layers(layer_widths) -> None:
+    """One or more widths >= 1, else a ConfigurationError."""
+    if len(layer_widths) == 0 or min(layer_widths) < 1:
+        raise ConfigurationError(
+            f"layers must be one or more widths >= 1: {tuple(layer_widths)}")
+
+
 def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
                  r_min: float = 0.9, r_max: float = 0.999, seed: int = 0) -> LruNetwork:
     """Stack of layers with widths `layer_widths`; each hidden layer maps its
     input to a real vector of the same width, the last layer maps to output_dim."""
+    _check_layers(layer_widths)
     layers = []
     m = input_dim
     for k, n in enumerate(layer_widths):

@@ -105,15 +105,11 @@ def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
 
 @dataclass
 class AnchorConfig:
-    """Pull toward a pretrained parameter snapshot: R = lambda_reg * ||theta_pre - theta||_2.
-
-    The unsquared norm is used (constant-magnitude pull), with subgradient
-    zero at theta == theta_pre. squared=True switches to the conventional
-    squared penalty lambda_reg * ||theta_pre - theta||_2^2.
-    """
+    """Pull toward a pretrained parameter snapshot: R = lambda_reg *
+    ||theta_pre - theta||_2, unsquared (a constant-magnitude pull), with
+    subgradient zero at theta == theta_pre."""
     theta_pre: np.ndarray = field(default_factory=lambda: np.zeros(0))
     lambda_reg: float = 0.0
-    squared: bool = False
 
     def __post_init__(self):
         if self.lambda_reg < 0:
@@ -144,10 +140,7 @@ def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig) -> np.ndarray:
 def _pull(diff: np.ndarray, anchor: AnchorConfig, distance: float,
           out: np.ndarray) -> np.ndarray:
     """anchor_gradient from diff = theta - theta_pre and its norm
-    `distance` (read by the unsquared penalty only), written into out
-    (which may be diff)."""
-    if anchor.squared:
-        return np.multiply(diff, 2.0 * anchor.lambda_reg, out=out)
+    `distance`, written into out (which may be diff)."""
     if distance == 0.0:
         out.fill(0.0)   # the subgradient at theta_pre
         return out

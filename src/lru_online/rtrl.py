@@ -20,7 +20,7 @@ z = dh/dtheta, the loss gradient is Re[a * z] where a = C^T dL/dy is the
 complex adjoint coefficient of the hidden state (the loss is real, taken
 through y = Re[C h] + D u).
 
-online_step, window_gradient and the RTRL pretraining steps check their
+online_step and window_gradient (RTRL pretraining's gradient) check their
 widths with lru._check_call (online_step adds the trace shapes) and run the
 unchecked per-stream kernel _StreamPlan.
 """
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bptt import WindowBatch
 from .errors import ContractViolationError
 from .lru import LruNetwork, _check_call, _forward, layer_constants
-from .optim import _Descent, huber, huber_grad
+from .optim import huber, huber_grad
 
 # Columns of a layer's trace matrix Z.
 NU, PHASE, B_RE = 0, 1, slice(2, None)
@@ -178,54 +177,24 @@ class _StreamPlan:
         return self.grads
 
 
-def _window_stream(net: LruNetwork, inputs: np.ndarray, targets: np.ndarray):
-    """Checked RTRL steps over one window of at least one row from zero
-    states and traces, yielding each row's Huber loss and gradient buffer,
-    lazily."""
+def window_gradient(net: LruNetwork, inputs: np.ndarray,
+                    targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Run RTRL over one window of at least one row from zero state/traces,
+    accumulating the per-step gradients. Returns the mean per-step Huber
+    loss and its gradient, normalized like bptt_gradient so the two can be
+    compared directly (they agree exactly for depth-1 networks)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     _check_call(net, inputs, targets, ndim=2)
-    if inputs.shape[0] == 0:
+    T = inputs.shape[0]
+    if T == 0:
         raise ContractViolationError("an RTRL window needs at least one row")
     step = _StreamPlan(net).step
     states, traces = net.zero_states(), reset_trace(net)
-    for u_t, y_t in zip(inputs, targets):
-        states, traces, y_hat, grads = step(states, traces, u_t, y_t)
-        yield huber(y_hat - y_t), grads
-
-
-def window_gradient(net: LruNetwork, inputs: np.ndarray,
-                    targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Run RTRL over one window from zero state/traces, accumulating the
-    per-step gradients. Returns the mean per-step Huber loss and its
-    gradient, normalized like bptt_gradient so the two can be compared
-    directly (they agree exactly for depth-1 networks)."""
     total_loss = 0.0
     grads = np.zeros_like(net.theta)
-    for loss, g in _window_stream(net, inputs, targets):
-        total_loss += loss
+    for u_t, y_t in zip(inputs, targets):
+        states, traces, y_hat, g = step(states, traces, u_t, y_t)
+        total_loss += huber(y_hat - y_t)
         grads += g
-    T = len(inputs)
     return total_loss / T, grads * (1.0 / T)
-
-
-# ------------------------------------------------------- pretraining steps
-
-def rtrl_window_step(net: LruNetwork, batch: WindowBatch,
-                     descend: _Descent) -> float:
-    """Training step for bptt.train: one update per window, on the
-    window's accumulated RTRL gradient. Uses the batch's first window."""
-    loss, grads = window_gradient(net, batch.inputs[0], batch.targets[0])
-    descend(grads)
-    return loss
-
-
-def rtrl_stream_step(net: LruNetwork, batch: WindowBatch,
-                     descend: _Descent) -> float:
-    """Training step for bptt.train: streams the batch's first window from
-    zero state, updating the parameters after every timestep."""
-    total = 0.0
-    for loss, grads in _window_stream(net, batch.inputs[0], batch.targets[0]):
-        descend(grads)
-        total += loss
-    return total / batch.window

@@ -213,6 +213,31 @@ class TestTrain:
             with pytest.raises(ConfigurationError, match=field):
                 cls(**{field: value})
 
+    @pytest.mark.parametrize("layers", [(), (0,), (-1,), (4, 0)])
+    def test_bad_layer_widths_rejected(self, layers):
+        """No width, or a width below 1, is a ConfigurationError naming
+        layers when the config is built, before any data is touched."""
+        with pytest.raises(ConfigurationError, match="layers"):
+            PretrainConfig(layers=layers)
+
+    def test_unknown_trainer_rejected(self):
+        with pytest.raises(ConfigurationError, match="trainer 'sgd'"):
+            PretrainConfig(trainer="sgd")
+
+    def test_stop_before_first_validation_reports_nan(self):
+        """Training that stops before its first validation (all-NaN
+        features diverge on step 1, validation every 3 steps) reports
+        best_val_loss NaN, as it does without validation data, and keeps
+        the initial parameters."""
+        net = init_network(3, (4,), 2, seed=0)
+        data = make_data([60])
+        data.features[...] = np.nan
+        cfg = TrainConfig(steps=6, batch=2, window=10, eval_every=3)
+        result = train(net, data, make_data([40], seed=1), cfg)
+        assert result.diverged and result.loss_curve == []
+        assert np.isnan(result.best_val_loss)
+        assert np.array_equal(result.net.theta, net.theta)
+
     def test_lr_zero_leaves_params_bitwise(self):
         net = init_network(3, (4,), 2, seed=0)
         data = make_data([80])
@@ -280,11 +305,11 @@ class TestWidths:
         data = (bad, good) if which == "training" else (good, bad)
         steps = []
 
-        def step(*args):
+        def gradient(*args):
             steps.append(args)
-            return 0.0
+            return 0.0, np.zeros_like(net.theta)
 
         cfg = TrainConfig(steps=3, batch=2, window=10, eval_every=1)
         with pytest.raises(CompatibilityError, match=f"{which} data"):
-            train(net, *data, cfg, step=step)
+            train(net, *data, cfg, gradient=gradient)
         assert steps == []

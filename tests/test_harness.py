@@ -59,6 +59,14 @@ def stream(prepared):
     return prepared[2]
 
 
+@pytest.fixture
+def no_data_read(monkeypatch):
+    """The CLI's data reader fails the test if it is called."""
+    def fail(*args, **kwargs):
+        raise AssertionError("data read")
+    monkeypatch.setattr(cli, "prepare_tables", fail)
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, pretrained, tmp_path):
         ckpt, _ = pretrained
@@ -579,11 +587,11 @@ def public_adapt(net, stream, freeze, adam, clip, anchor):
     return preds, dist, skipped, states
 
 
-# (depth, lambda_reg, squared anchor, clip, carried Adam state)
-ADAPT_CASES = [(1, 0.01, False, 0.5, False), (2, 0.01, True, 0.5, False),
-               (3, 0.0, False, None, False), (1, 0.1, True, None, True),
-               (2, 0.0, False, 0.5, True), (3, 0.01, False, 1e-3, True),
-               (2, 0.05, False, None, False), (1, 0.0, True, 1e-3, False)]
+# (depth, lambda_reg, clip, carried Adam state)
+ADAPT_CASES = [(1, 0.01, 0.5, False), (2, 0.01, 0.5, False),
+               (3, 0.0, None, False), (1, 0.1, None, True),
+               (2, 0.0, 0.5, True), (3, 0.01, 1e-3, True),
+               (2, 0.05, None, False), (1, 0.0, 1e-3, False)]
 
 
 @pytest.mark.parametrize("case", range(len(ADAPT_CASES)))
@@ -595,7 +603,7 @@ def test_kernel_loop_equals_checked_public_path(case):
     skipped updates and final states. Random (m, n, p); a two-session
     stream with NaN feature rows and NaN targets, and a freeze inside the
     second session."""
-    depth, lambda_reg, squared, clip, carry = ADAPT_CASES[case]
+    depth, lambda_reg, clip, carry = ADAPT_CASES[case]
     rng = np.random.default_rng(100 + case)
     m, n, p = (int(k) for k in rng.integers(1, 9, size=3))
     net = init_network(m, (n,) * depth, p, r_min=0.5, r_max=0.99,
@@ -613,8 +621,7 @@ def test_kernel_loop_equals_checked_public_path(case):
         for _ in range(3):
             apply_update(net.theta.copy(), rng.standard_normal(net.theta.size),
                          adam, None)
-    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=lambda_reg,
-                          squared=squared)
+    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=lambda_reg)
     freeze = 38
     sides = []
     for run in (harness._adapt, None):
@@ -648,12 +655,12 @@ PRETRAIN_RTRL_REF = DATA / "pretrain_rtrl_reference.npz"
 
 
 def run_pretrain_rtrl_reference():
-    """cmd_pretrain with trainer="rtrl" under both update cadences, on a
+    """cmd_pretrain with trainer="rtrl" (one update per window) on a
     depth-1 and a depth-(4, 3) net, trained on a seeded two-session
     stream without validation data, so the returned parameters are the
     last ones. lr is high enough that the 0.5 clip acts on some updates.
     Returns the parameters, the loss curve and the divergence flag of each
-    run keyed '<layers>.<update>.<field>'."""
+    run keyed '<layers>.window.<field>'."""
     rng = np.random.default_rng(21)
     rows = 70
     data = SequenceData(features=rng.standard_normal((rows, 3)),
@@ -662,27 +669,28 @@ def run_pretrain_rtrl_reference():
                         timestamps=np.arange(float(rows)))
     out = {}
     for layers in ((5,), (4, 3)):
-        for update in ("window", "step"):
-            cfg = PretrainConfig(trainer="rtrl", rtrl_update=update,
-                                 layers=layers, steps=12, batch=4, window=16,
-                                 eval_every=4, lr=5e-2, seed=3)
-            ckpt, result = cmd_pretrain(data, None, None, cfg)
-            key = "x".join(map(str, layers)) + "." + update
-            out[key + ".theta"] = ckpt.net.theta
-            out[key + ".loss_curve"] = np.asarray(result.loss_curve)
-            out[key + ".diverged"] = np.asarray(result.diverged)
+        cfg = PretrainConfig(trainer="rtrl", layers=layers, steps=12,
+                             batch=4, window=16, eval_every=4, lr=5e-2, seed=3)
+        ckpt, result = cmd_pretrain(data, None, None, cfg)
+        key = "x".join(map(str, layers)) + ".window"
+        out[key + ".theta"] = ckpt.net.theta
+        out[key + ".loss_curve"] = np.asarray(result.loss_curve)
+        out[key + ".diverged"] = np.asarray(result.diverged)
     return out
 
 
 def test_pretrain_rtrl_matches_reference():
-    """RTRL pretraining (both cadences, depths 1 and 2) is bitwise what it
-    was when every row went through the checked online_step and
-    apply_update (reference written by run_pretrain_rtrl_reference with
-    that code), NaN validation losses in place."""
+    """RTRL pretraining (depths 1 and 2) is bitwise what it was when
+    every row went through the checked online_step and apply_update
+    (reference written by run_pretrain_rtrl_reference with that code),
+    NaN validation losses in place. The reference file also holds the
+    runs of a per-row update cadence that no longer exists (its '.step.'
+    keys); only the '.window.' keys are compared."""
     ref = np.load(PRETRAIN_RTRL_REF)
     got = run_pretrain_rtrl_reference()
-    assert sorted(got) == sorted(ref.files)
-    for key in ref.files:
+    window_keys = [key for key in ref.files if ".window." in key]
+    assert sorted(got) == sorted(window_keys)
+    for key in window_keys:
         assert np.array_equal(got[key], ref[key], equal_nan=True), key
 
 
@@ -735,9 +743,10 @@ def test_pretrain_bptt_matches_reference():
 
 
 class TestPretrain:
-    @pytest.mark.parametrize("trainer, update", [
-        ("bptt", "window"), ("rtrl", "window"), ("rtrl", "step")])
-    def test_nan_features_set_diverged(self, trainer, update):
+    # each trainer updates once per sampled batch of windows
+    @pytest.mark.parametrize("trainer", ["bptt", "rtrl"],
+                             ids=["bptt-window", "rtrl-window"])
+    def test_nan_features_set_diverged(self, trainer):
         rng = np.random.default_rng(0)
         n = 60
         clean = SequenceData(features=rng.standard_normal((n, 3)),
@@ -746,7 +755,7 @@ class TestPretrain:
                              timestamps=np.arange(n, dtype=np.float64))
         bad = replace(clean, features=clean.features.copy())
         bad.features[-1] = np.nan          # in 1 of the 45 windows
-        cfg = PretrainConfig(trainer=trainer, rtrl_update=update, layers=(4,),
+        cfg = PretrainConfig(trainer=trainer, layers=(4,),
                              steps=200, batch=4, window=16, eval_every=1,
                              lr=1e-2, seed=1)
         ckpt, result = cmd_pretrain(bad, clean, None, cfg)
@@ -883,6 +892,20 @@ class TestImputeBenchmark:
         assert out["masked_cells"] > 0
         assert out["rolling_mse"] > 0.0
         assert out["knn_mse"] > 0.0
+
+    @pytest.mark.parametrize("mask_rate", [0.0, -0.5, 1.5, float("nan")])
+    def test_bad_mask_rate_rejected(self, monkeypatch, mask_rate):
+        """A mask_rate outside (0, 1], or NaN, is a ConfigurationError
+        raised before any data is generated."""
+        def no_data(cfg):
+            raise AssertionError("data generated")
+        monkeypatch.setattr(harness, "generate_dataset", no_data)
+        with pytest.raises(ConfigurationError, match="mask_rate"):
+            impute_benchmark(SMALL_GEN, mask_rate=mask_rate)
+
+    def test_draw_masking_no_row_rejected(self):
+        with pytest.raises(ConfigurationError, match="masked none"):
+            impute_benchmark(SMALL_GEN, mask_rate=1e-12)
 
     @pytest.mark.parametrize("gen_seed, mask_seed", [(0, -1), (-1, 0)])
     def test_negative_seed_rejected(self, gen_seed, mask_seed):
@@ -1024,6 +1047,88 @@ class TestCli:
         for key, field in ((("-0.01", "0.5"), "lr"), (("-0.01", "0.0"), "lr"),
                            (("0.01", "0.0"), "clip")):
             assert errors[key].startswith(f"ConfigurationError: {field}"), key
+
+    def test_sweep_records_bad_layer_widths(self, data_dir, tmp_path,
+                                            capsys):
+        """A layer spec with no width or a width below 1 is a
+        ConfigurationError naming layers in its own row."""
+        run = tmp_path / "sw"
+        assert main(["sweep", "--data", str(data_dir), "--run-dir", str(run),
+                     "--layers", "0;4,-1;4", "--lrs", "1e-2",
+                     "--clips", "0.5", "--trainers", "bptt",
+                     "--repeats", "1", "--steps", "2", "--batch", "2",
+                     "--window", "16", "--eval-every", "2"]) == 0
+        with open(run / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        errors = {r["layers"]: r["error"] for r in rows}
+        assert errors["4"] == ""
+        for spec in ("0", "4x-1"):
+            assert errors[spec].startswith("ConfigurationError: layers")
+
+    @pytest.mark.parametrize("layers", ["", "0", "-1", "4,0", "a", "4,1.5"])
+    def test_bad_layers_exit_2_before_data(self, no_data_read, tmp_path,
+                                           capsys, layers):
+        """Layer widths that are empty, below 1 or not integers exit 2
+        with a configuration error naming layers, before any data is
+        read and with no run directory."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["pretrain", "--data", str(tmp_path), "--out", str(out),
+                     f"--layers={layers}"])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "configuration"
+        assert "layers" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--layers", "4;a"), ("--lrs", "x"), ("--lrs", "1e-2,"),
+        ("--clips", "x")])
+    def test_sweep_non_numeric_list_exits_2(self, no_data_read, tmp_path,
+                                            capsys, flag, value):
+        """A list item that is not a number exits 2 with a configuration
+        error naming its flag, before any data is read."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["sweep", "--data", str(tmp_path), "--out", str(out),
+                     f"{flag}={value}"])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "configuration"
+        assert err["message"].startswith(flag)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("rate", ["0", "-0.5", "nan"])
+    def test_impute_bench_bad_mask_rate_exits_2(self, tmp_path, capsys,
+                                                rate):
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["impute-bench", "--out", str(out),
+                     f"--mask-rate={rate}"])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "mask_rate" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_pretrain_stopped_before_validation_writes_nan(
+            self, data_dir, tmp_path, capsys, monkeypatch):
+        """A run that diverges before its first validation writes
+        best_val_loss NaN into summary.json, not Infinity."""
+        prepared = harness.prepare_tables
+
+        def nan_features(*args, **kwargs):
+            pipe, train, val = prepared(*args, **kwargs)
+            train.features[...] = np.nan
+            return pipe, train, val
+        monkeypatch.setattr(cli, "prepare_tables", nan_features)
+        run = tmp_path / "pre"
+        assert main(["pretrain", "--data", str(data_dir), "--run-dir",
+                     str(run), "--layers", "4", "--steps", "5", "--batch",
+                     "2", "--window", "16", "--eval-every", "3"]) == 0
+        text = (run / "summary.json").read_text()
+        assert "Infinity" not in text
+        results = json.loads(text)["results"]
+        assert results["diverged"] and np.isnan(results["best_val_loss"])
 
     @pytest.mark.parametrize("argv, reads_seed", [
         (["preprocess", "--data", "d"], False),

@@ -89,6 +89,13 @@ class TestInitLayer:
     def test_d_zero(self):
         assert np.all(init_layer(3, 4, 2, seed=1).d == 0.0)
 
+    @pytest.mark.parametrize("widths", [(), (0,), (-1,), (4, 0)])
+    def test_network_rejects_bad_widths(self, widths):
+        """No layer, or a layer of width below 1, is a ConfigurationError
+        naming layers, not a numpy error or a network of 0 nodes."""
+        with pytest.raises(ConfigurationError, match="layers"):
+            init_network(3, widths, 2)
+
 
 class TestLayerStep:
     def test_memoryless_identity(self):

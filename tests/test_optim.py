@@ -123,10 +123,6 @@ class TestNormsBitwise:
             assert anchor_distance(theta, anchor) == norm
             ref = (theta - pre) * (anchor.lambda_reg / norm)
             assert np.array_equal(anchor_gradient(theta, anchor), ref)
-            squared = AnchorConfig(theta_pre=pre, lambda_reg=0.03,
-                                   squared=True)
-            assert np.array_equal(anchor_gradient(theta, squared),
-                                  (theta - pre) * (2.0 * 0.03))
 
 
 class TestAdam:
@@ -231,12 +227,6 @@ class TestAnchor:
             assert np.linalg.norm(anchor_gradient(theta, cfg)) \
                 == pytest.approx(lam)
 
-    def test_squared_variant(self):
-        cfg = AnchorConfig(theta_pre=np.zeros(2), lambda_reg=0.5,
-                           squared=True)
-        g = anchor_gradient(np.array([1.0, -2.0]), cfg)
-        assert np.allclose(g, [1.0, -2.0])
-
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
             AnchorConfig(theta_pre=np.array([0.0]), lambda_reg=-1.0)
@@ -294,17 +284,15 @@ class TestApplyUpdate:
         """A sequence of calls on one _Descent, which carries the anchor
         distance taken after the previous update into the next pull, is
         bitwise the same sequence of one-shot apply_update calls, which
-        take it afresh: theta, Adam's m, v and t, and the distance. Unsquared
-        and squared anchors, a zero-lambda anchor and none; with and
-        without the clip."""
-        cases = [(0.05, False, 0.5), (0.05, True, None), (0.0, False, 0.5),
-                 (None, False, None)]
-        for lambda_reg, squared, clip in cases:
+        take it afresh: theta, Adam's m, v and t, and the distance. An
+        anchor with and without the clip, a zero-lambda anchor and none."""
+        cases = [(0.05, 0.5), (0.05, None), (0.0, 0.5), (None, None)]
+        for lambda_reg, clip in cases:
             rng = np.random.default_rng(10)
             pre = rng.standard_normal(20)
             a, b = pre.copy(), pre.copy()
             anchor = None if lambda_reg is None else AnchorConfig(
-                theta_pre=pre, lambda_reg=lambda_reg, squared=squared)
+                theta_pre=pre, lambda_reg=lambda_reg)
             sa, sb = AdamState.init(a, lr=0.02), AdamState.init(b, lr=0.02)
             descend = _Descent(b, sb, clip, anchor)
             for _ in range(25):
