@@ -36,9 +36,9 @@ class Checkpoint:
 
 
 def _network_from_jsonable(path, obj) -> LruNetwork:
-    """Rebuild the network from its stored per-layer blocks, checking that
-    each layer is an object, that no block is missing, every block's shape,
-    and that each layer's output width is the next layer's input width."""
+    """Rebuild the network from its stored per-layer blocks: each layer must
+    be an object of numeric blocks with none missing, and LruNetwork checks
+    the block shapes and that each layer's output is the next one's input."""
     if not isinstance(obj, list) or not obj:
         raise CheckpointError(f"{path}: params has no layers")
     layers = []
@@ -50,19 +50,15 @@ def _network_from_jsonable(path, obj) -> LruNetwork:
             raise CheckpointError(
                 f"{path}: params layer {k} is missing blocks {missing}")
         try:
-            layer = LruLayerParams(
+            layers.append(LruLayerParams(
                 **{name: np.asarray(blocks[name], dtype=np.float64)
-                   for name in PARAM_BLOCKS})
-            layer.validate()
-        except (ValueError, ContractViolationError) as e:
+                   for name in PARAM_BLOCKS}))
+        except ValueError as e:
             raise CheckpointError(f"{path}: params layer {k}: {e}") from None
-        layers.append(layer)
-    net = LruNetwork(layers)
     try:
-        net.validate()
+        return LruNetwork(layers)
     except ContractViolationError as e:
         raise CheckpointError(f"{path}: params: {e}") from None
-    return net
 
 
 def _pipeline_from_jsonable(path, obj) -> FittedPipeline | None:
@@ -91,7 +87,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

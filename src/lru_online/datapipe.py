@@ -22,10 +22,6 @@ from .errors import (ConfigurationError, ContractViolationError,
 
 log = logging.getLogger(__name__)
 
-ROLE_NUMERIC = "feature_numeric"
-ROLE_CATEGORICAL = "feature_categorical"
-ROLE_TARGET = "target"
-
 EMISSION_HEADER = ["timestamp", "engine_rpm", "fuel_lph", "coolant_c",
                    "speed_kmh", "fuel_econ_kmpl",
                    "no_ppm", "no2_ppm", "nox_ppm", "co2_pct", "co_ppm"]
@@ -61,14 +57,14 @@ class SeriesTable:
     """Timestamped multivariate frame with explicit missingness.
 
     Numeric columns are float64 with NaN as the missing marker; categorical
-    columns are object arrays with None. Rows of one session are contiguous
-    and strictly increasing in time; every stage takes its sessions from
-    session_bounds, which rejects an id that comes back after another.
+    columns are object arrays with None, so a column's dtype is its role
+    (the numeric TARGET_COLUMNS are the targets). Rows of one session are
+    contiguous and strictly increasing in time; every stage takes its
+    sessions from session_bounds, which rejects an id that comes back.
     """
     timestamps: np.ndarray                 # (N,) float64 seconds
     session_ids: np.ndarray                # (N,) int64
     columns: dict[str, np.ndarray] = field(default_factory=dict)
-    roles: dict[str, str] = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -89,17 +85,16 @@ class SeriesTable:
         return np.arange(0)
 
     def numeric_columns(self) -> list[str]:
-        return [c for c, r in self.roles.items() if r in (ROLE_NUMERIC, ROLE_TARGET)]
+        return [c for c, v in self.columns.items() if v.dtype != object]
 
     def categorical_columns(self) -> list[str]:
-        return [c for c, r in self.roles.items() if r == ROLE_CATEGORICAL]
+        return [c for c, v in self.columns.items() if v.dtype == object]
 
     def select(self, idx: np.ndarray) -> "SeriesTable":
         return SeriesTable(
             timestamps=self.timestamps[idx],
             session_ids=self.session_ids[idx],
             columns={c: v[idx] for c, v in self.columns.items()},
-            roles=dict(self.roles),
         )
 
     def copy(self) -> "SeriesTable":
@@ -107,7 +102,6 @@ class SeriesTable:
             timestamps=self.timestamps.copy(),
             session_ids=self.session_ids.copy(),
             columns={c: v.copy() for c, v in self.columns.items()},
-            roles=dict(self.roles),
         )
 
 
@@ -153,21 +147,29 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
 
 
 @contextmanager
+def _csv_body(path, header: list[str]):
+    """The UTF-8 file, open after its header record, which must be `header`
+    (cells stripped). A file that cannot be opened or decoded is a
+    SchemaError naming it, as are an empty file and another header."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                got = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file")
+            if got != header:
+                missing = [c for c in header if c not in got]
+                extra = [c for c in got if c not in header]
+                raise SchemaError(
+                    f"{path}: header mismatch; missing columns {missing}, "
+                    f"unknown columns {extra}")
+            yield fh
+    except (OSError, UnicodeDecodeError) as e:
+        raise SchemaError(f"{path}: cannot read: {e}") from None
+
+
 def _emission_body(path):
-    """The emission file, open after its header record, which must be
-    EMISSION_HEADER (cells stripped)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file")
-        if header != EMISSION_HEADER:
-            missing = [c for c in EMISSION_HEADER if c not in header]
-            extra = [c for c in header if c not in EMISSION_HEADER]
-            raise SchemaError(
-                f"{path}: header mismatch; missing columns {missing}, "
-                f"unknown columns {extra}")
-        yield fh
+    return _csv_body(path, EMISSION_HEADER)
 
 
 def _body_by_loadtxt(fh) -> np.ndarray | None:
@@ -238,25 +240,15 @@ def load_emission_csv(path) -> SeriesTable:
         raise SchemaError(
             f"{path}: duplicate timestamp {ts[i]} at sorted rows {i} and {i + 1}")
     columns = {name: data[:, j + 1] for j, name in enumerate(EMISSION_HEADER[1:])}
-    roles = {c: ROLE_NUMERIC for c in EMISSION_FEATURES}
-    roles.update({c: ROLE_TARGET for c in TARGET_COLUMNS})
-    return SeriesTable(timestamps=ts, session_ids=session_ids,
-                       columns=columns, roles=roles)
+    return SeriesTable(timestamps=ts, session_ids=session_ids, columns=columns)
 
 
 def load_weather_csv(path) -> WeatherTable:
     """Read the 4-column hourly weather CSV, sorted by hour. An empty or
     repeated hour is a SchemaError naming its row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file")
-        if header != WEATHER_HEADER:
-            raise SchemaError(f"{path}: weather header mismatch, got {header}")
+    with _csv_body(path, WEATHER_HEADER) as fh:
         lines, ts, temp, precip, cond = [], [], [], [], []
-        for i, rec in enumerate(reader, start=1):
+        for i, rec in enumerate(csv.reader(fh), start=1):
             if not rec:
                 continue
             if len(rec) != len(WEATHER_HEADER):
@@ -299,9 +291,6 @@ def join_weather(table: SeriesTable, weather: WeatherTable) -> SeriesTable:
     out.columns["temp_c"] = weather.temp_c[idx].astype(np.float64)
     out.columns["precip_mm"] = weather.precip_mm[idx].astype(np.float64)
     out.columns["conditions"] = weather.conditions[idx].copy()
-    out.roles["temp_c"] = ROLE_NUMERIC
-    out.roles["precip_mm"] = ROLE_NUMERIC
-    out.roles["conditions"] = ROLE_CATEGORICAL
     return out
 
 
@@ -330,17 +319,14 @@ def resample_to_grid(table: SeriesTable) -> SeriesTable:
         ts_parts.append(grid)
         sid_parts.append(np.full(n_grid, sid, dtype=np.int64))
         for name, vals in table.columns.items():
-            if table.roles.get(name) == ROLE_CATEGORICAL:
-                new = np.full(n_grid, None, dtype=object)
-            else:
-                new = np.full(n_grid, np.nan)
+            new = (np.full(n_grid, None, dtype=object) if vals.dtype == object
+                   else np.full(n_grid, np.nan))
             new[pos] = vals[start:stop]
             col_parts[name].append(new)
     return SeriesTable(
         timestamps=np.concatenate(ts_parts),
         session_ids=np.concatenate(sid_parts),
         columns={c: np.concatenate(parts) for c, parts in col_parts.items()},
-        roles=dict(table.roles),
     )
 
 
@@ -502,7 +488,8 @@ def fit_pipeline(train_table: SeriesTable, vocab_table: SeriesTable | None = Non
     fit on vocab_table when given (pass the union of train and validation to
     keep feature dimensions aligned across the two; omit for a strict
     train-only fit)."""
-    numeric = [c for c, r in train_table.roles.items() if r == ROLE_NUMERIC]
+    numeric = [c for c in train_table.numeric_columns()
+               if c not in TARGET_COLUMNS]
     cats = train_table.categorical_columns()
     mean, scale = {}, {}
     for name in numeric + TARGET_COLUMNS:
@@ -582,9 +569,13 @@ def split_sessions(table: SeriesTable,
                    train_fraction: float = 0.8) -> tuple[SeriesTable, SeriesTable]:
     """Whole-session split in stream order: train is the sessions up to the
     first one whose end reaches train_fraction of the rows, the rest is
-    validation (never empty). Sessions come from session_bounds, so an id
-    that comes back after another is a ContractViolationError. Both parts
-    are copies."""
+    validation (never empty). A train_fraction outside [0, 1] or NaN is a
+    ConfigurationError. Sessions come from session_bounds, so an id that
+    comes back after another is a ContractViolationError. Both parts are
+    copies."""
+    if not 0.0 <= train_fraction <= 1.0:
+        raise ConfigurationError(
+            f"train_fraction must lie in [0, 1], got {train_fraction}")
     starts, stops = table.session_bounds()
     if starts.size < 2:
         raise ConfigurationError(

@@ -16,13 +16,14 @@ layer's blocks are reshaped views into it, so the optimizer updates theta in
 place and every layer sees the update.
 
 network_step (one row), network_replay (a session's rows at fixed theta) and
-network_scan (whole sequences) check their widths with _check_call, the one
-width check of every model call, and run unchecked kernels.
+network_scan (whole sequences) check their rows with _check_call (LruNetwork
+checks its block shapes when it is built) and run unchecked kernels.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ PARAM_BLOCKS = ("nu", "theta_phase", "gamma_log",
                 "b_re", "b_im", "c_re", "c_im", "d")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LruLayerParams:
     """Real parameter blocks of a single LRU layer (n nodes, m inputs, p outputs)."""
 
@@ -62,49 +63,58 @@ class LruLayerParams:
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_BLOCKS}
 
-    def validate(self) -> None:
-        """Block shapes must follow from n = len(nu) and (p, m) = d.shape."""
-        if self.nu.ndim != 1 or self.d.ndim != 2:
+
+def _block_shapes(k: int, layer: LruLayerParams, width: int | None) -> dict:
+    """Layer k's block shapes in PARAM_BLOCKS order from n = len(nu), (p, m) =
+    d.shape and m = width, the previous layer's p (None for the first)."""
+    nu, d = np.shape(layer.nu), np.shape(layer.d)
+    if len(nu) != 1 or len(d) != 2:
+        raise ContractViolationError(f"layer {k} blocks 'nu' and 'd' must be "
+                                     f"1-D and 2-D, got shapes {nu} and {d}")
+    (n,), (p, m) = nu, d
+    if width not in (None, m):
+        raise ContractViolationError(
+            f"layer {k - 1} output width {width} != layer {k} input width {m}")
+    expect = {"nu": (n,), "theta_phase": (n,), "gamma_log": (n,),
+              "b_re": (n, m), "b_im": (n, m),
+              "c_re": (p, n), "c_im": (p, n), "d": (p, m)}
+    for name, shape in expect.items():
+        got = np.shape(getattr(layer, name))
+        if got != shape:
             raise ContractViolationError(
-                f"layer blocks 'nu' and 'd' must be 1-D and 2-D, got shapes "
-                f"{self.nu.shape} and {self.d.shape}")
-        n, (p, m) = self.nu.shape[0], self.d.shape
-        expect = {"nu": (n,), "theta_phase": (n,), "gamma_log": (n,),
-                  "b_re": (n, m), "b_im": (n, m),
-                  "c_re": (p, n), "c_im": (p, n), "d": (p, m)}
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ContractViolationError(
-                    f"layer block {name!r} has shape {got}, expected {shape}")
+                f"layer {k} block {name!r} has shape {got}, expected {shape}")
+    return expect
 
 
 class LruNetwork:
     """Stack of LRU layers; layer k's output feeds layer k+1's input.
 
     All parameters live in one contiguous float64 vector `theta`, laid out
-    layer by layer in PARAM_BLOCKS order. The blocks of `layers` are views
-    into it, so writing into theta (an optimizer step) changes the layers.
+    layer by layer in PARAM_BLOCKS order. The blocks of `layers`, a tuple of
+    frozen layers checked by _block_shapes, are views into it, so writing
+    into theta (an optimizer step) changes the layers.
     """
 
-    def __init__(self, layers: list[LruLayerParams]):
+    def __init__(self, layers: Sequence[LruLayerParams]):
         self._layout = []               # per layer: (name, start, stop, shape)
         self.offsets = []               # per layer: start of its blocks
-        offset = 0
-        for layer in layers:
+        if not layers:
+            raise ContractViolationError("a network needs at least one layer")
+        offset, width = 0, None
+        for k, layer in enumerate(layers):
             self.offsets.append(offset)
             blocks = []
-            for name in PARAM_BLOCKS:
-                shape = np.shape(getattr(layer, name))
+            for name, shape in _block_shapes(k, layer, width).items():
                 size = math.prod(shape)
                 blocks.append((name, offset, offset + size, shape))
                 offset += size
             self._layout.append(blocks)
+            width = shape[0]            # d, the last block, is (p, m)
         self.theta = np.concatenate(
             [np.asarray(getattr(layer, name), dtype=np.float64).ravel()
              for layer in layers for name in PARAM_BLOCKS])
-        self.layers = [LruLayerParams(**blocks)
-                       for blocks in self.unflatten(self.theta)]
+        self.layers = tuple(LruLayerParams(**blocks)
+                            for blocks in self.unflatten(self.theta))
 
     def unflatten(self, vec: np.ndarray) -> list[dict[str, np.ndarray]]:
         """Per-layer PARAM_BLOCKS views into a flat vector laid out like theta
@@ -124,15 +134,6 @@ class LruNetwork:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].p
-
-    def validate(self) -> None:
-        for layer in self.layers:
-            layer.validate()
-        for k in range(len(self.layers) - 1):
-            if self.layers[k].p != self.layers[k + 1].m:
-                raise ContractViolationError(
-                    f"layer {k} output width {self.layers[k].p} != "
-                    f"layer {k + 1} input width {self.layers[k + 1].m}")
 
     def copy(self) -> "LruNetwork":
         """An independent network with its own copy of theta."""
@@ -196,9 +197,7 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
         p = output_dim if k == len(layer_widths) - 1 else n
         layers.append(init_layer(m, n, p, r_min, r_max, seed=seed + 1000 * k))
         m = p
-    net = LruNetwork(layers)
-    net.validate()
-    return net
+    return LruNetwork(layers)
 
 
 def layer_constants(params: LruLayerParams, out: tuple | None = None
@@ -326,11 +325,10 @@ def _check_call(net: LruNetwork, inputs: np.ndarray,
                 targets: np.ndarray | None = None,
                 states: list[np.ndarray] | None = None,
                 ndim: int | None = None) -> None:
-    """The one width check of a model call (ContractViolationError): a
-    valid network, input rows (..., m) of its input width (ndim axes when
-    given), target rows (..., p) of the inputs' leading shape and its
-    output width, and one (n_k,) state per layer."""
-    net.validate()
+    """The one width check of a model call (ContractViolationError): input
+    rows (..., m) of the network's input width (ndim axes when given),
+    target rows (..., p) of the inputs' leading shape and its output width,
+    and one (n_k,) state per layer; LruNetwork checked the network itself."""
     if inputs.shape[-1:] != (net.input_dim,) or ndim not in (None,
                                                               inputs.ndim):
         raise ContractViolationError(
@@ -359,7 +357,7 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
                     [layer_constants(layer) for layer in net.layers])
 
 
-def _forward(layers: list[LruLayerParams], states: list[np.ndarray],
+def _forward(layers: Sequence[LruLayerParams], states: list[np.ndarray],
              x: np.ndarray, consts: list
              ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """network_step without its checks."""

@@ -49,7 +49,7 @@ def clip_global_norm(grads: np.ndarray, max_norm: float | None) -> np.ndarray:
 
 
 def _check_clip(max_norm: float | None) -> None:
-    if max_norm is not None and max_norm <= 0:
+    if max_norm is not None and not max_norm > 0:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
 
 
@@ -112,9 +112,9 @@ class AnchorConfig:
     lambda_reg: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_reg < 0:
+        if not 0 <= self.lambda_reg < math.inf:
             raise ConfigurationError(
-                f"lambda_reg must be >= 0, got {self.lambda_reg}")
+                f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
 
 
 def anchor_distance(theta: np.ndarray, anchor: AnchorConfig) -> float:

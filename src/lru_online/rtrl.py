@@ -21,7 +21,8 @@ complex adjoint coefficient of the hidden state (the loss is real, taken
 through y = Re[C h] + D u).
 
 online_step and window_gradient (RTRL pretraining's gradient) check their
-widths with lru._check_call (online_step adds the trace shapes) and run the
+input, target and state widths with lru._check_call (online_step adds the
+trace shapes; the network was checked when it was built) and run the
 unchecked per-stream kernel _StreamPlan.
 """
 

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import (EMISSION_HEADER, ROLE_NUMERIC, ROLE_TARGET,
-                       TARGET_COLUMNS, SeriesTable, WeatherTable)
+from .datapipe import EMISSION_HEADER, SeriesTable, WeatherTable
 from .errors import ConfigurationError
 
 
@@ -48,8 +47,13 @@ class GeneratorConfig:
                 f"session duration must be >= 1 s, got {self.session_seconds}")
         if self.sessions < 1:
             raise ConfigurationError("need at least one session")
-        if self.shift_sessions > self.sessions:
-            raise ConfigurationError("more shifted sessions than sessions")
+        if not 0 <= self.shift_sessions <= self.sessions:
+            raise ConfigurationError(
+                f"shift_sessions must lie in [0, {self.sessions}], "
+                f"got {self.shift_sessions}")
+        if not np.isfinite([self.shift.emission_gain,
+                            self.shift.ambient_offset_c]).all():
+            raise ConfigurationError(f"shift must be finite, got {self.shift}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
@@ -186,13 +190,10 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
         })
         row_cursor += kept
 
-    roles = {c: ROLE_NUMERIC for c in EMISSION_HEADER[1:6]}
-    roles.update({c: ROLE_TARGET for c in TARGET_COLUMNS})
     emission = SeriesTable(
         timestamps=np.concatenate(ts_all),
         session_ids=np.concatenate(sid_all),
         columns={c: np.concatenate(v) for c, v in cols_all.items()},
-        roles=roles,
     )
     weather = WeatherTable(
         timestamps=np.concatenate(w_ts),

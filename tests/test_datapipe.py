@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lru_online import datapipe
-from lru_online.datapipe import (EMISSION_HEADER, ROLE_CATEGORICAL,
-                                 ROLE_NUMERIC, ROLE_TARGET, TARGET_COLUMNS,
+from lru_online.datapipe import (EMISSION_HEADER, TARGET_COLUMNS,
                                  FittedPipeline, SequenceData, SeriesTable,
                                  apply_pipeline,
                                  fit_pipeline, impute_knn,
@@ -18,7 +17,7 @@ from lru_online.harness import load_grid
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 
-def numeric_table(columns, session_ids=None, timestamps=None, roles=None):
+def numeric_table(columns, session_ids=None, timestamps=None):
     n = len(next(iter(columns.values())))
     cols = {c: np.asarray(v, dtype=np.float64) for c, v in columns.items()}
     return SeriesTable(
@@ -27,7 +26,6 @@ def numeric_table(columns, session_ids=None, timestamps=None, roles=None):
         session_ids=np.asarray(session_ids if session_ids is not None
                                else np.zeros(n), dtype=np.int64),
         columns=cols,
-        roles=roles or {c: ROLE_NUMERIC for c in columns},
     )
 
 
@@ -51,7 +49,7 @@ class TestLoadEmissionCsv:
         assert table.n_rows == 3
         assert np.array_equal(table.timestamps, [0.0, 1.0, 2.0])
         assert np.array_equal(table.columns["engine_rpm"], [1.0, 1.0, 1.0])
-        assert table.roles["no_ppm"] == ROLE_TARGET
+        assert "no_ppm" in table.numeric_columns()
 
     def test_empty_cell_becomes_nan(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -251,7 +249,7 @@ class TestWeatherJoin:
         joined = join_weather(table, weather)
         assert np.array_equal(joined.columns["temp_c"], [20.0, 20.0, 22.0])
         assert list(joined.columns["conditions"]) == ["clear", "clear", "rain"]
-        assert joined.roles["conditions"] == ROLE_CATEGORICAL
+        assert "conditions" in joined.categorical_columns()
 
     @pytest.mark.parametrize("text, match", [
         ("", "empty file"),
@@ -444,7 +442,6 @@ class TestCategoricalFill:
         sids = np.repeat(np.arange(len(sessions)), [len(s) for s in sessions])
         table = numeric_table({"x": np.ones(vals.size)}, session_ids=sids)
         table.columns["cond"] = vals.copy()
-        table.roles["cond"] = ROLE_CATEGORICAL
         out = impute_rolling_median(table, w=3)
         expect = [v for s in sessions for v in reference_fill_categorical(s)]
         assert list(out.columns["cond"]) == expect
@@ -542,17 +539,14 @@ def full_table(n=40, seed=0, sessions=1):
     rng = np.random.default_rng(seed)
     cols = {"speed": rng.standard_normal(n) * 3 + 50,
             "temp_c": rng.standard_normal(n)}
-    roles = {"speed": ROLE_NUMERIC, "temp_c": ROLE_NUMERIC,
-             "conditions": ROLE_CATEGORICAL}
     for c in TARGET_COLUMNS:
         cols[c] = rng.standard_normal(n) + 5
-        roles[c] = ROLE_TARGET
     cats = np.asarray(["clear", "rain"], dtype=object)
     cols["conditions"] = cats[rng.integers(0, 2, n)]
     sids = np.repeat(np.arange(sessions), n // sessions)
     return SeriesTable(timestamps=np.arange(n, dtype=np.float64),
                        session_ids=sids.astype(np.int64),
-                       columns=cols, roles=roles)
+                       columns=cols)
 
 
 class TestPipeline:
@@ -677,7 +671,47 @@ class TestPipeline:
         assert "snow" in pipe.vocabularies["conditions"]
 
 
+def test_column_roles_follow_from_dtypes():
+    """A table built from its columns alone: the float columns are numeric
+    (the TARGET_COLUMNS among them are the targets) and the object column
+    is categorical, through resampling, imputation and the pipeline fit."""
+    table = full_table(n=40, sessions=2)
+    keep = np.ones(table.n_rows, dtype=bool)
+    keep[[3, 4, 25]] = False
+    grid = resample_to_grid(table.select(np.flatnonzero(keep)))
+    assert grid.n_rows == table.n_rows
+    assert grid.numeric_columns() == ["speed", "temp_c", *TARGET_COLUMNS]
+    assert grid.categorical_columns() == ["conditions"]
+    assert np.isnan(grid.columns["speed"][3])
+    assert grid.columns["conditions"][3] is None
+    filled = impute_rolling_median(grid)
+    for name in filled.numeric_columns():
+        assert not np.isnan(filled.columns[name]).any()
+    assert not np.equal(filled.columns["conditions"], None).any()
+    pipe = fit_pipeline(filled)
+    assert pipe.numeric_columns == ["speed", "temp_c"]
+    assert pipe.categorical_columns == ["conditions"]
+    assert pipe.target_columns == TARGET_COLUMNS
+
+
+@pytest.mark.parametrize("loader", [load_emission_csv, load_weather_csv])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe,\x80\n"],
+                         ids=["missing", "not_utf8"])
+def test_unreadable_file_is_schema_error(tmp_path, loader, content):
+    """A file that is absent or not UTF-8 is a SchemaError naming it."""
+    path = tmp_path / "in.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SchemaError, match="in.csv: cannot read"):
+        loader(path)
+
+
 class TestSplitSessions:
+    @pytest.mark.parametrize("fraction", [7.0, -1.0, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigurationError, match="train_fraction"):
+            split_sessions(full_table(n=60, sessions=3), fraction)
+
     def test_five_equal_sessions(self):
         table = full_table(n=50, sessions=5)
         train, val = split_sessions(table, 0.8)
@@ -804,6 +838,5 @@ def test_table_returning_session_id_rejected(stage):
         timestamps=[0.0, 1.0, 2.0, 100.0, 101.0, 102.0, 200.0, 201.0])
     table.columns["cond"] = np.asarray(["a", None, "b", "a", None, "b",
                                         None, "a"], dtype=object)
-    table.roles["cond"] = ROLE_CATEGORICAL
     with pytest.raises(ContractViolationError, match="session 0 .* row 6"):
         stage(table)

@@ -1280,6 +1280,45 @@ class TestCli:
         assert "pipeline" in err["message"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("case, category", [
+        ("missing_data", "schema"), ("missing_checkpoint", "checkpoint"),
+        ("non_utf8_checkpoint", "checkpoint")])
+    def test_unreadable_input_file_exits_with_category(
+            self, data_dir, pretrained, tmp_path, capsys, case, category):
+        """An input file that is absent or not UTF-8 is a categorised
+        error naming it, and no run directory is left behind."""
+        ckpt, _ = pretrained
+        data, path = data_dir, tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        if case == "missing_data":
+            data = tmp_path / "nowhere"
+            named = data / "emission.csv"
+        elif case == "missing_checkpoint":
+            path = named = tmp_path / "absent.json"
+        else:
+            path.write_bytes(b"\xff" + path.read_bytes())
+            named = path
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["finetune", "--data", str(data), "--checkpoint",
+                     str(path), "--out", str(out)])
+        assert code == EXIT_CODES[category]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == category and str(named) in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", ["7", "nan", "-1"])
+    def test_bad_train_fraction_exits_2(self, data_dir, tmp_path, capsys,
+                                        fraction):
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["preprocess", "--data", str(data_dir), "--out", str(out),
+                     "--train-fraction", fraction])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "train_fraction" in err["message"]
+        assert list(out.iterdir()) == []
+
     def test_checkpoint_error_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["gen-data", "--out", str(data), "--sessions", "2",

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,38 @@ class TestFlatParameters:
         other.theta += 1.0
         assert not np.array_equal(other.theta, net.theta)
         assert np.array_equal(other.layers[0].nu, net.layers[0].nu + 1.0)
+
+
+class TestNetworkShapeCheck:
+    @pytest.mark.parametrize("block, shape", [
+        ("theta_phase", (3,)), ("b_re", (4, 2)), ("c_im", (2, 5)),
+        ("d", (2,))])
+    def test_misshapen_layer_rejected(self, block, shape):
+        """The constructor checks every block against n = len(nu) and
+        (p, m) = d.shape and names the layer and the block."""
+        bad = replace(init_layer(3, 4, 2, seed=1), **{block: np.zeros(shape)})
+        with pytest.raises(ContractViolationError,
+                           match=f"layer 1 .*'{block}'"):
+            LruNetwork([init_layer(3, 5, 3), bad])
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(ContractViolationError, match="at least one layer"):
+            LruNetwork([])
+
+    def test_mischained_layers_rejected(self):
+        with pytest.raises(ContractViolationError,
+                           match="layer 0 output width 5 != layer 1 input "
+                                 "width 3"):
+            LruNetwork([init_layer(3, 4, 5), init_layer(3, 4, 2)])
+
+    def test_blocks_cannot_be_swapped(self):
+        """A built network's layers are frozen and held in a tuple, so no
+        block can bypass the constructor's check."""
+        net = init_network(3, (5, 4), 2, seed=6)
+        with pytest.raises(FrozenInstanceError):
+            net.layers[0].b_re = np.zeros((5, 2))
+        with pytest.raises(TypeError):
+            net.layers[1] = init_layer(5, 4, 3)
 
 
 class TestLayerConstants:

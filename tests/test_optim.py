@@ -231,6 +231,11 @@ class TestAnchor:
         with pytest.raises(ConfigurationError):
             AnchorConfig(theta_pre=np.array([0.0]), lambda_reg=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigurationError, match="lambda_reg"):
+            AnchorConfig(theta_pre=np.array([0.0]), lambda_reg=lam)
+
     def test_fd_agreement(self):
         rng = np.random.default_rng(3)
         pre = rng.standard_normal(5)
@@ -347,6 +352,17 @@ class TestApplyUpdate:
         assert state.m.tobytes() == before[1].tobytes()
         assert state.v.tobytes() == before[2].tobytes()
         assert state.t == before[3] == 3
+
+    def test_nan_clip_rejected(self):
+        """A NaN max_norm would turn the clipped gradient, and theta with
+        it, into NaN: both entry points reject it and theta is untouched."""
+        theta = np.zeros(3)
+        with pytest.raises(ConfigurationError, match="max_norm"):
+            clip_global_norm(np.ones(3), float("nan"))
+        with pytest.raises(ConfigurationError, match="max_norm"):
+            apply_update(theta, np.ones(3), AdamState.init(theta),
+                         float("nan"))
+        assert np.array_equal(theta, np.zeros(3))
 
     def test_invalid_clip_rejected(self):
         theta = np.zeros(3)

@@ -102,6 +102,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             generate_dataset(GeneratorConfig(sessions=2, shift_sessions=3))
 
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(sessions=3, shift_sessions=-2),
+        GeneratorConfig(shift=ShiftSpec(emission_gain=float("nan"))),
+        GeneratorConfig(shift=ShiftSpec(emission_gain=float("inf"))),
+        GeneratorConfig(shift=ShiftSpec(ambient_offset_c=float("nan"))),
+    ], ids=["negative_shift_sessions", "nan_gain", "inf_gain", "nan_offset"])
+    def test_bad_shift_rejected(self, cfg):
+        """Rejected before any data is made: a negative count would write
+        unshifted data, a non-finite gain NaN targets."""
+        with pytest.raises(ConfigurationError, match="shift"):
+            generate_dataset(cfg)
+
     def test_zero_sessions(self):
         with pytest.raises(ConfigurationError):
             generate_dataset(GeneratorConfig(sessions=0))
