@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every run writes a summary.json (totals, config echo, provenance) and CSV
-metrics into a run directory named by timestamp + config hash (override
-with --run-dir). Exit status is 0 on success; on failure a JSON error with
-a machine-readable category goes to stderr and the category picks the code.
+Every command but gen-data records its run through _recording: its own
+files, then summary.json (totals, config echo, provenance) last, in
+--run-dir or in a new directory under --out named by the time and a hash
+of every other flag. Exit status is 0 on success; on failure a JSON error
+with a machine-readable category goes to stderr and the category picks the
+code.
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .datapipe import apply_pipeline, split_sessions
+from .datapipe import SequenceData, apply_pipeline, split_sessions
 from .errors import CompatibilityError, ConfigurationError, LruOnlineError
-from .harness import (FinetuneConfig, PretrainConfig, SweepConfig,
+from .harness import (TRAINERS, FinetuneConfig, PretrainConfig, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
                       cmd_sweep, impute_benchmark, load_grid, prepare_tables)
 from .synth import GeneratorConfig, ShiftSpec, generate_dataset, write_dataset
@@ -31,34 +34,51 @@ EXIT_CODES = {"configuration": 2, "schema": 3, "contract": 4, "imputation": 5,
               "training": 6, "checkpoint": 7, "compatibility": 8, "usage": 9}
 
 
-def _run_dir(args, command: str, config: dict) -> Path:
-    """Create the run directory; commands call it once their work is done."""
+def _provenance() -> dict:
+    return {"argv": sys.argv, "written": time.strftime("%Y-%m-%dT%H:%M:%S")}
+
+
+@contextmanager
+def _recording(args, command: str, config: dict, results: dict):
+    """The one writer of run directories: yields the directory for the
+    command's files, then writes summary.json, so a write that raises
+    leaves none. Enter it once the run's work is done. The name's hash
+    leaves out func, which prints with a per-process address."""
     if args.run_dir:
-        d = Path(args.run_dir)
+        run_dir = Path(args.run_dir)
     else:
-        blob = json.dumps(config, sort_keys=True, default=str).encode()
-        h = hashlib.sha1(blob).hexdigest()[:8]
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("out", "run_dir", "func")}
+        h = hashlib.sha1(json.dumps(flags, sort_keys=True).encode())
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        d = Path(args.out) / f"{command}-{stamp}-{h}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _write_summary(run_dir: Path, command: str, config: dict, results: dict):
-    doc = {"command": command, "config": config, "results": results,
-           "provenance": {"argv": sys.argv,
-                          "written": time.strftime("%Y-%m-%dT%H:%M:%S")}}
+        run_dir = Path(args.out) / f"{command}-{stamp}-{h.hexdigest()[:8]}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    yield run_dir
     with open(run_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+        json.dump({"command": command, "config": config, "results": results,
+                   "provenance": _provenance()},
+                  fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header line, then one line per row dict in header order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv_mod.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w = csv_mod.DictWriter(fh, header)
+        w.writeheader()
+        w.writerows(rows)
+
+
+def _per_step_csv(path: Path, names, timestamps, blocks: dict,
+                  columns: dict) -> None:
+    """One row per step: step, timestamp, then `<prefix><name>` for each
+    prefix's (N, len(names)) array in blocks, then each (N,) column."""
+    header = ["step", "timestamp",
+              *(prefix + n for prefix in blocks for n in names), *columns]
+    cells = [range(len(timestamps)), timestamps,
+             *(b[:, j] for b in blocks.values() for j in range(len(names))),
+             *columns.values()]
+    _write_csv(path, header, (dict(zip(header, row)) for row in zip(*cells)))
 
 
 def _gen_cfg(args) -> GeneratorConfig:
@@ -75,12 +95,13 @@ def _prepared(args, window: int = 5):
     return prepare_tables(data_dir / "emission.csv", data_dir / "weather.csv",
                           window=window,
                           strict_vocab=getattr(args, "strict_vocab", False),
-                          train_fraction=getattr(args, "train_fraction", 0.8))
+                          train_fraction=args.train_fraction)
 
 
-def _finetune_stream(args, ckpt: Checkpoint):
-    """The --split of the data, preprocessed with the checkpoint's pipeline;
-    a checkpoint without one is a CompatibilityError."""
+def _finetune_stream(args) -> tuple[Checkpoint, SequenceData]:
+    """The --checkpoint, and the --split of the data preprocessed with its
+    pipeline; a checkpoint without one is a CompatibilityError."""
+    ckpt = load_checkpoint(args.checkpoint)
     if ckpt.pipeline is None:
         raise CompatibilityError(f"{args.checkpoint}: the checkpoint holds no "
                                  "preprocessing pipeline")
@@ -91,28 +112,7 @@ def _finetune_stream(args, ckpt: Checkpoint):
         _, table = split_sessions(table, args.train_fraction)
     elif args.split == "train":
         table, _ = split_sessions(table, args.train_fraction)
-    return apply_pipeline(ckpt.pipeline, table)
-
-
-def _metrics_csv(run_dir: Path, metrics, target_names) -> None:
-    names = target_names or [f"t{i}" for i in range(metrics.targets.shape[1])]
-    header = (["step", "timestamp"]
-              + [f"pred_{n}" for n in names]
-              + [f"pred_frozen_{n}" for n in names]
-              + [f"true_{n}" for n in names]
-              + ["loss", "loss_frozen", "cum_loss", "cum_loss_frozen",
-                 "anchor_distance"])
-    cum = np.cumsum(metrics.loss)
-    cum_fr = np.cumsum(metrics.loss_frozen)
-    rows = []
-    for t in range(metrics.loss.size):
-        rows.append([t, metrics.timestamps[t]]
-                    + list(metrics.predictions[t])
-                    + list(metrics.predictions_frozen[t])
-                    + list(metrics.targets[t])
-                    + [metrics.loss[t], metrics.loss_frozen[t],
-                       cum[t], cum_fr[t], metrics.anchor_distance[t]])
-    _write_csv(run_dir / "metrics.csv", header, rows)
+    return ckpt, apply_pipeline(ckpt.pipeline, table)
 
 
 # ----------------------------------------------------------------- commands
@@ -130,19 +130,17 @@ def _do_preprocess(args) -> int:
     config = {"data": args.data, "train_fraction": args.train_fraction,
               "window": args.window, "strict_vocab": args.strict_vocab}
     pipe, train, val = _prepared(args, window=args.window)
-    run_dir = _run_dir(args, "preprocess", config)
-    np.savez(run_dir / "train.npz", features=train.features,
-             targets=train.targets, session_ids=train.session_ids,
-             timestamps=train.timestamps)
-    np.savez(run_dir / "val.npz", features=val.features, targets=val.targets,
-             session_ids=val.session_ids, timestamps=val.timestamps)
-    with open(run_dir / "pipeline.json", "w", encoding="utf-8") as fh:
-        json.dump(pipe.to_dict(), fh, indent=2, sort_keys=True)
-    _write_summary(run_dir, "preprocess", config, {
-        "train_rows": train.n_rows, "val_rows": val.n_rows,
-        "n_features": len(pipe.feature_names),
-        "feature_names": pipe.feature_names})
-    print(str(run_dir))
+    with _recording(args, "preprocess", config, {
+            "train_rows": train.n_rows, "val_rows": val.n_rows,
+            "n_features": len(pipe.feature_names),
+            "feature_names": pipe.feature_names}) as run_dir:
+        for name, seq in (("train", train), ("val", val)):
+            np.savez(run_dir / f"{name}.npz", features=seq.features,
+                     targets=seq.targets, session_ids=seq.session_ids,
+                     timestamps=seq.timestamps)
+        with open(run_dir / "pipeline.json", "w", encoding="utf-8") as fh:
+            json.dump(pipe.to_dict(), fh, indent=2, sort_keys=True)
+    print(run_dir)
     return 0
 
 
@@ -170,17 +168,15 @@ def _do_pretrain(args) -> int:
                           r_min=args.r_min, r_max=args.r_max)
     pipe, train, val = _prepared(args, window=args.pipeline_window)
     ckpt, result = cmd_pretrain(train, val, pipe, pcfg,
-                                provenance={"argv": sys.argv,
-                                            "written": time.strftime(
-                                                "%Y-%m-%dT%H:%M:%S")})
-    run_dir = _run_dir(args, "pretrain", ckpt.config)
-    save_checkpoint(ckpt, run_dir / "checkpoint.json")
-    _write_csv(run_dir / "loss_curve.csv", ["step", "train_loss", "val_loss"],
-               result.loss_curve)
-    _write_summary(run_dir, "pretrain", ckpt.config, {
-        "best_val_loss": result.best_val_loss, "diverged": result.diverged,
-        "steps_run": len(result.loss_curve)})
-    print(str(run_dir))
+                                provenance=_provenance())
+    with _recording(args, "pretrain", ckpt.config, {
+            "best_val_loss": result.best_val_loss, "diverged": result.diverged,
+            "steps_run": len(result.loss_curve)}) as run_dir:
+        save_checkpoint(ckpt, run_dir / "checkpoint.json")
+        header = ["step", "train_loss", "val_loss"]
+        _write_csv(run_dir / "loss_curve.csv", header,
+                   (dict(zip(header, row)) for row in result.loss_curve))
+    print(run_dir)
     return 0
 
 
@@ -193,16 +189,14 @@ def _do_sweep(args) -> int:
         trainers=args.trainers.split(","),
         repeats=args.repeats, steps=args.steps, batch=args.batch,
         window=args.window, eval_every=args.eval_every, seed=args.seed)
-    config = asdict(scfg)
     _, train, val = _prepared(args)
     rows = cmd_sweep(train, val, scfg)
-    run_dir = _run_dir(args, "sweep", config)
-    header = ["trainer", "layers", "lr", "clip", "repeat", "best_val_loss",
-              "wall_seconds", "error"]
-    _write_csv(run_dir / "sweep.csv", header,
-               [[r[h] for h in header] for r in rows])
-    _write_summary(run_dir, "sweep", config, {"runs": len(rows)})
-    print(str(run_dir))
+    with _recording(args, "sweep", asdict(scfg),
+                    {"runs": len(rows)}) as run_dir:
+        _write_csv(run_dir / "sweep.csv",
+                   ["trainer", "layers", "lr", "clip", "repeat",
+                    "best_val_loss", "wall_seconds", "error"], rows)
+    print(run_dir)
     return 0
 
 
@@ -214,54 +208,46 @@ def _finetune_cfg(args) -> FinetuneConfig:
 
 
 def _do_finetune(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
     fcfg = _finetune_cfg(args)
-    config = asdict(fcfg)
-    stream = _finetune_stream(args, ckpt)
-    metrics = cmd_finetune(ckpt, stream, fcfg)
-    run_dir = _run_dir(args, "finetune", config)
-    _metrics_csv(run_dir, metrics, stream.target_names)
-    _write_summary(run_dir, "finetune", config, metrics.summary())
-    print(str(run_dir))
+    ckpt, stream = _finetune_stream(args)
+    m = cmd_finetune(ckpt, stream, fcfg)
+    with _recording(args, "finetune", asdict(fcfg), m.summary()) as run_dir:
+        _per_step_csv(run_dir / "metrics.csv", stream.target_names,
+                      m.timestamps, {"pred_": m.predictions,
+                                     "pred_frozen_": m.predictions_frozen,
+                                     "true_": m.targets},
+                      {"loss": m.loss, "loss_frozen": m.loss_frozen,
+                       "cum_loss": np.cumsum(m.loss),
+                       "cum_loss_frozen": np.cumsum(m.loss_frozen),
+                       "anchor_distance": m.anchor_distance})
+    print(run_dir)
     return 0
 
 
 def _do_ablate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
     fcfg = _finetune_cfg(args)
-    config = asdict(fcfg)
-    stream = _finetune_stream(args, ckpt)
+    ckpt, stream = _finetune_stream(args)
     rows = cmd_ablate(ckpt, stream, fcfg)
-    run_dir = _run_dir(args, "ablate", config)
-    header = ["kind", "lambda_reg", "freeze_after", "total_loss", "mean_loss",
-              "final_anchor_distance"]
-    _write_csv(run_dir / "ablation.csv", header,
-               [[r[h] for h in header] for r in rows])
-    _write_summary(run_dir, "ablate", config, {"rows": len(rows)})
-    print(str(run_dir))
+    with _recording(args, "ablate", asdict(fcfg),
+                    {"rows": len(rows)}) as run_dir:
+        _write_csv(run_dir / "ablation.csv",
+                   ["kind", "lambda_reg", "freeze_after", "total_loss",
+                    "mean_loss", "final_anchor_distance"], rows)
+    print(run_dir)
     return 0
 
 
 def _do_evaluate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    config = {"checkpoint": str(args.checkpoint), "split": args.split}
-    data = _finetune_stream(args, ckpt)
+    ckpt, data = _finetune_stream(args)
     result = cmd_evaluate(ckpt, data)
-    run_dir = _run_dir(args, "evaluate", config)
-    names = result["target_names"]
-    header = (["step", "timestamp"] + [f"pred_{n}" for n in names]
-              + [f"true_{n}" for n in names])
-    rows = []
-    for t in range(result["predictions"].shape[0]):
-        rows.append([t, result["timestamps"][t]]
-                    + list(result["predictions"][t])
-                    + list(result["targets"][t]))
-    _write_csv(run_dir / "predictions.csv", header, rows)
-    _write_summary(run_dir, "evaluate", config, {
-        "per_target_mse": result["per_target_mse"],
-        "huber_mean": result["huber_mean"],
-        "huber_total": result["huber_total"]})
-    print(str(run_dir))
+    config = {"checkpoint": str(args.checkpoint), "split": args.split}
+    with _recording(args, "evaluate", config, {
+            k: result[k] for k in ("per_target_mse", "huber_mean",
+                                   "huber_total")}) as run_dir:
+        _per_step_csv(run_dir / "predictions.csv", result["target_names"],
+                      result["timestamps"], {"pred_": result["predictions"],
+                                             "true_": result["targets"]}, {})
+    print(run_dir)
     return 0
 
 
@@ -271,13 +257,14 @@ def _do_impute_bench(args) -> int:
               "window": args.window}
     results = impute_benchmark(cfg, mask_rate=args.mask_rate,
                                window=args.window, k=args.k, seed=args.seed)
-    run_dir = _run_dir(args, "impute-bench", config)
-    _write_summary(run_dir, "impute-bench", config, results)
+    with _recording(args, "impute-bench", config, results):
+        pass    # the summary is the whole record
     print(json.dumps(results))
     return 0
 
 
 # ------------------------------------------------------------------- parser
+# A scalar flag that sets a config field takes that field's default.
 
 def _add_common(p):
     p.add_argument("--out", default="runs", help="parent directory for runs")
@@ -285,12 +272,15 @@ def _add_common(p):
 
 
 def _add_gen_flags(p):
-    p.add_argument("--sessions", type=int, default=5)
-    p.add_argument("--session-seconds", type=int, default=3600)
-    p.add_argument("--missing-rate", type=float, default=0.211)
-    p.add_argument("--shift-sessions", type=int, default=1)
-    p.add_argument("--emission-gain", type=float, default=1.3)
-    p.add_argument("--ambient-offset", type=float, default=10.0)
+    g = GeneratorConfig()
+    p.add_argument("--seed", type=int, default=g.seed)
+    p.add_argument("--sessions", type=int, default=g.sessions)
+    p.add_argument("--session-seconds", type=int, default=g.session_seconds)
+    p.add_argument("--missing-rate", type=float, default=g.missing_rate)
+    p.add_argument("--shift-sessions", type=int, default=g.shift_sessions)
+    p.add_argument("--emission-gain", type=float, default=g.shift.emission_gain)
+    p.add_argument("--ambient-offset", type=float,
+                   default=g.shift.ambient_offset_c)
 
 
 def _add_data_flags(p):
@@ -299,13 +289,18 @@ def _add_data_flags(p):
     p.add_argument("--train-fraction", type=float, default=0.8)
 
 
-def _add_finetune_flags(p):
-    p.add_argument("--lambda-reg", type=float, default=0.0)
-    p.add_argument("--freeze-after", type=int, default=None)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--clip", type=float, default=0.5)
-    p.add_argument("--no-clip", action="store_true")
+def _add_checkpoint_flags(p):
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["val", "train", "all"], default="val")
+
+
+def _add_finetune_flags(p):
+    f = FinetuneConfig()
+    p.add_argument("--lambda-reg", type=float, default=f.lambda_reg)
+    p.add_argument("--freeze-after", type=int, default=f.freeze_after)
+    p.add_argument("--lr", type=float, default=f.lr)
+    p.add_argument("--clip", type=float, default=f.clip)
+    p.add_argument("--no-clip", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     _add_gen_flags(p)
     p.set_defaults(func=_do_gen_data)
 
@@ -328,18 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="offline training (BPTT or RTRL)")
     _add_common(p)
     _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trainer", choices=["bptt", "rtrl"], default="bptt")
+    c = PretrainConfig()
+    p.add_argument("--seed", type=int, default=c.seed)
+    p.add_argument("--trainer", choices=TRAINERS, default=c.trainer)
     p.add_argument("--layers", default="16", help="comma list, e.g. 16 or 16,16")
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--clip", type=float, default=0.5)
+    p.add_argument("--steps", type=int, default=c.steps)
+    p.add_argument("--batch", type=int, default=c.batch)
+    p.add_argument("--lr", type=float, default=c.lr)
+    p.add_argument("--clip", type=float, default=c.clip)
     p.add_argument("--no-clip", action="store_true")
-    p.add_argument("--window", type=int, default=256)
-    p.add_argument("--eval-every", type=int, default=250)
-    p.add_argument("--r-min", type=float, default=0.9)
-    p.add_argument("--r-max", type=float, default=0.999)
+    p.add_argument("--window", type=int, default=c.window)
+    p.add_argument("--eval-every", type=int, default=c.eval_every)
+    p.add_argument("--r-min", type=float, default=c.r_min)
+    p.add_argument("--r-max", type=float, default=c.r_max)
     p.add_argument("--pipeline-window", type=int, default=5)
     p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_pretrain)
@@ -347,43 +342,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="hyperparameter grid")
     _add_common(p)
     _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    c = SweepConfig()
+    p.add_argument("--seed", type=int, default=c.seed)
     p.add_argument("--layers", default="8;16;8,8;16,16;8,8,8",
                    help="semicolon-separated layer tuples")
     p.add_argument("--lrs", default="1e-2,1e-3,1e-4")
     p.add_argument("--clips", default="0.5,1.0,none")
-    p.add_argument("--trainers", default="bptt,rtrl")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--window", type=int, default=128)
-    p.add_argument("--eval-every", type=int, default=100)
+    p.add_argument("--trainers", default=",".join(TRAINERS))
+    p.add_argument("--repeats", type=int, default=c.repeats)
+    p.add_argument("--steps", type=int, default=c.steps)
+    p.add_argument("--batch", type=int, default=c.batch)
+    p.add_argument("--window", type=int, default=c.window)
+    p.add_argument("--eval-every", type=int, default=c.eval_every)
     p.set_defaults(func=_do_sweep)
 
-    p = sub.add_parser("finetune", help="online fine-tuning during inference")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True)
-    _add_finetune_flags(p)
-    p.set_defaults(func=_do_finetune)
-
-    p = sub.add_parser("ablate", help="regularization/freeze ablation grids")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True)
-    _add_finetune_flags(p)
-    p.set_defaults(func=_do_ablate)
+    for name, func, help in (
+            ("finetune", _do_finetune, "online fine-tuning during inference"),
+            ("ablate", _do_ablate, "regularization/freeze ablation grids")):
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        _add_data_flags(p)
+        _add_checkpoint_flags(p)
+        _add_finetune_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("evaluate", help="frozen evaluation of a checkpoint")
     _add_common(p)
     _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=["val", "train", "all"], default="val")
+    _add_checkpoint_flags(p)
     p.set_defaults(func=_do_evaluate)
 
     p = sub.add_parser("impute-bench", help="rolling-median vs KNN imputation")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
     _add_gen_flags(p)
     p.add_argument("--mask-rate", type=float, default=0.2)
     p.add_argument("--window", type=int, default=5)

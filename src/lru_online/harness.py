@@ -19,8 +19,8 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
-from .lru import (LruNetwork, _check_call, _check_layers, init_network,
-                  network_replay)
+from .lru import (LruNetwork, _check_call, _check_layers, _check_ring,
+                  init_network, network_replay)
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
 from .rtrl import _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
@@ -49,21 +49,25 @@ def prepare_tables(emission_path, weather_path, window: int = 5,
 
 # -------------------------------------------------------------- pretraining
 
+TRAINERS = ("bptt", "rtrl")
+
+
 @dataclass
 class PretrainConfig(TrainConfig):
-    """TrainConfig plus the model shape and the trainer, both checked here.
-    The RTRL trainer updates once per window, one window per training
-    step, so `batch` applies to BPTT only."""
-    trainer: str = "bptt"                 # "bptt" | "rtrl"
+    """TrainConfig plus the model shape, its eigenvalue ring and the
+    trainer, all checked here. The RTRL trainer updates once per window,
+    one window per training step, so `batch` applies to BPTT only."""
+    trainer: str = "bptt"                 # one of TRAINERS
     layers: tuple[int, ...] = (16,)
     r_min: float = 0.9
     r_max: float = 0.999
 
     def __post_init__(self):
         super().__post_init__()
-        if self.trainer not in ("bptt", "rtrl"):
+        if self.trainer not in TRAINERS:
             raise ConfigurationError(f"unknown trainer {self.trainer!r}")
         _check_layers(self.layers)
+        _check_ring(self.r_min, self.r_max)
 
 
 def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
@@ -94,7 +98,7 @@ class SweepConfig:
                                                   (16, 16), (8, 8, 8)])
     lrs: list = field(default_factory=lambda: [1e-2, 1e-3, 1e-4])
     clips: list = field(default_factory=lambda: [0.5, 1.0, None])
-    trainers: list = field(default_factory=lambda: ["bptt", "rtrl"])
+    trainers: list = field(default_factory=lambda: list(TRAINERS))
     repeats: int = 5
     steps: int = 500
     batch: int = 32

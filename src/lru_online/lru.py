@@ -158,9 +158,7 @@ def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
     phase uniform in [0, pi/10], gamma = sqrt(1 - |lambda|^2),
     B, C gaussian with 1/sqrt(fan_in) scaling, D zero.
     """
-    if not (0.0 < r_min <= r_max < 1.0):
-        raise ConfigurationError(
-            f"invalid eigenvalue ring [{r_min}, {r_max}]; need 0 < r_min <= r_max < 1")
+    _check_ring(r_min, r_max)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     r2 = u * (r_max ** 2 - r_min ** 2) + r_min ** 2
@@ -177,6 +175,13 @@ def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
     c_im = rng.standard_normal((p, n)) / np.sqrt(n)
     d = np.zeros((p, m))
     return LruLayerParams(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d)
+
+
+def _check_ring(r_min: float, r_max: float) -> None:
+    """0 < r_min <= r_max < 1, else a ConfigurationError."""
+    if not (0.0 < r_min <= r_max < 1.0):
+        raise ConfigurationError(
+            f"invalid eigenvalue ring [{r_min}, {r_max}]; need 0 < r_min <= r_max < 1")
 
 
 def _check_layers(layer_widths) -> None:

@@ -1330,3 +1330,104 @@ class TestCli:
         assert code == EXIT_CODES["checkpoint"]
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "checkpoint"
+
+    def test_runs_differing_in_one_flag_get_own_run_dirs(
+            self, data_dir, pretrained, prepared, tmp_path, capsys,
+            monkeypatch):
+        """Two finetune runs that differ only in --split, named in the same
+        second under one --out, leave two run directories, each with the
+        summary of its own run."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "same-second")
+        out = tmp_path / "runs"
+        for split in ("train", "val"):
+            assert main(["finetune", "--data", str(data_dir), "--checkpoint",
+                         str(path), "--out", str(out), "--freeze-after", "0",
+                         "--split", split]) == 0
+        steps = [json.loads((d / "summary.json").read_text())
+                 ["results"]["steps"] for d in sorted(out.iterdir())]
+        assert sorted(steps) == sorted([prepared[1].n_rows,
+                                        prepared[2].n_rows])
+
+    def test_failed_write_leaves_no_summary(self, data_dir, tmp_path, capsys,
+                                            monkeypatch):
+        """summary.json is written after the command's own files, so a
+        pretrain whose checkpoint write raises leaves none."""
+        def fail(ckpt, path):
+            raise CheckpointError(f"{path}: write failed")
+        monkeypatch.setattr(cli, "save_checkpoint", fail)
+        run = tmp_path / "pre"
+        code = main(["pretrain", "--data", str(data_dir), "--run-dir",
+                     str(run), "--layers", "4", "--steps", "2", "--batch",
+                     "2", "--window", "16", "--eval-every", "1"])
+        assert code == EXIT_CODES["checkpoint"]
+        assert not (run / "summary.json").exists()
+
+    def test_predictions_csv_holds_evaluate_arrays(
+            self, data_dir, pretrained, stream, tmp_path, capsys):
+        """predictions.csv is step, timestamp, pred_<name>..., true_<name>...
+        with cmd_evaluate's values, row for row."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        run = tmp_path / "ev"
+        assert main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                     str(path), "--run-dir", str(run)]) == 0
+        result = cmd_evaluate(load_checkpoint(path), stream)
+        names = result["target_names"]
+        with open(run / "predictions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == (["step", "timestamp"] + [f"pred_{n}" for n in names]
+                           + [f"true_{n}" for n in names])
+        values = np.array(rows[1:], dtype=np.float64)
+        p = len(names)
+        np.testing.assert_array_equal(values[:, 0], np.arange(stream.n_rows))
+        np.testing.assert_array_equal(values[:, 1], result["timestamps"])
+        np.testing.assert_array_equal(values[:, 2:2 + p],
+                                      result["predictions"])
+        np.testing.assert_array_equal(values[:, 2 + p:], result["targets"])
+
+    @pytest.mark.parametrize("r_min, r_max", [("0.9", "0.5"), ("0", "0.5"),
+                                              ("0.5", "1")])
+    def test_bad_ring_exits_2_before_data(self, no_data_read, tmp_path,
+                                          capsys, r_min, r_max):
+        """An eigenvalue ring outside 0 < r_min <= r_max < 1 exits 2 before
+        any data is read, even when --data does not exist."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["pretrain", "--data", str(tmp_path / "nowhere"),
+                     "--out", str(out), "--r-min", r_min, "--r-max", r_max])
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "eigenvalue ring" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, builder, default", [
+        (["gen-data", "--out", "o"], "generate_dataset", GeneratorConfig()),
+        (["impute-bench"], "impute_benchmark", GeneratorConfig()),
+        (["pretrain", "--data", "d"], "cmd_pretrain", PretrainConfig()),
+        (["sweep", "--data", "d"], "cmd_sweep", harness.SweepConfig()),
+        (["finetune", "--data", "d", "--checkpoint", "c"], "cmd_finetune",
+         FinetuneConfig()),
+        (["ablate", "--data", "d", "--checkpoint", "c"], "cmd_ablate",
+         FinetuneConfig()),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_flag_defaults_are_config_defaults(self, monkeypatch, argv,
+                                               builder, default):
+        """With no optional flag, each command builds the config that its
+        dataclass defaults make."""
+        class Built(Exception):
+            pass
+        built = []
+
+        def capture(*args, **kwargs):
+            built.extend(a for a in args if isinstance(a, type(default)))
+            raise Built
+        monkeypatch.setattr(cli, builder, capture)
+        monkeypatch.setattr(cli, "prepare_tables", lambda *a, **k: (None,) * 3)
+        monkeypatch.setattr(cli, "_finetune_stream", lambda args: (None, None))
+        with pytest.raises(Built):
+            main(argv)
+        assert built == [default]
