@@ -509,13 +509,19 @@ class TestFinetune:
 FINETUNE_REF = DATA / "finetune_reference.npz"
 
 
-def run_finetune_reference():
-    """cmd_finetune on the committed depth-1 checkpoint with its eval
-    stream and on a seeded depth-(4, 3) net with a two-session stream,
-    each under four configs: adaptive, freeze_after=0, freeze_after=25 and
-    lr=0. Feature rows 10, 35 and 50 are NaN, so non-finite rows fall both
-    before and after the freeze. Returns every RunMetrics field keyed
-    '<net>.<config>.<field>'."""
+FINETUNE_CONFIGS = {
+    "adaptive": FinetuneConfig(lambda_reg=0.01, lr=1e-2),
+    "freeze0": FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=0),
+    "freeze25": FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=25),
+    "lr0": FinetuneConfig(lr=0.0),
+}
+
+
+def finetune_reference_runs():
+    """{net name: (checkpoint, stream)}: the committed depth-1 checkpoint
+    with its eval stream and a seeded depth-(4, 3) net with a two-session
+    stream. Feature rows 10, 35 and 50 are NaN, so non-finite rows fall
+    both before and after the freeze of FINETUNE_CONFIGS["freeze25"]."""
     ref = np.load(DATA / "checkpoint_depth1_eval.npz")
     rng = np.random.default_rng(7)
     runs = {
@@ -530,16 +536,18 @@ def run_finetune_reference():
                                   session_ids=np.repeat([0, 1], [40, 30]),
                                   timestamps=np.arange(70.0))),
     }
-    configs = {
-        "adaptive": FinetuneConfig(lambda_reg=0.01, lr=1e-2),
-        "freeze0": FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=0),
-        "freeze25": FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=25),
-        "lr0": FinetuneConfig(lr=0.0),
-    }
-    out = {}
-    for name, (ckpt, data) in runs.items():
+    for _, data in runs.values():
         data.features[[10, 35, 50], 0] = np.nan
-        for cname, cfg in configs.items():
+    return runs
+
+
+def run_finetune_reference():
+    """cmd_finetune on each of finetune_reference_runs() under each of
+    FINETUNE_CONFIGS: adaptive, freeze_after=0, freeze_after=25 and lr=0.
+    Returns every RunMetrics field keyed '<net>.<config>.<field>'."""
+    out = {}
+    for name, (ckpt, data) in finetune_reference_runs().items():
+        for cname, cfg in FINETUNE_CONFIGS.items():
             metrics = cmd_finetune(ckpt, data, cfg)
             for field, value in vars(metrics).items():
                 out[f"{name}.{cname}.{field}"] = np.asarray(value)
