@@ -1,7 +1,7 @@
 """LRU state-space sequence models with online RTRL fine-tuning."""
 
 from .lru import (LruLayerParams, LruNetwork, init_layer, init_network,
-                  network_replay, network_scan, network_step, scan_forward)
+                  network_scan, network_step, scan_forward)
 from .rtrl import online_step, reset_trace, window_gradient
 from .bptt import (TrainConfig, WindowBatch, bptt_gradient, sample_windows,
                    train)

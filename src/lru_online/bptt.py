@@ -158,23 +158,51 @@ def bptt_gradient(net: LruNetwork,
     return loss, grads
 
 
-def _scan_sessions(net: LruNetwork, data: SequenceData) -> np.ndarray:
-    """Predictions for every row of the data, each session scanned from
-    zero initial states. Empty data is a ContractViolationError; a feature
-    or target width that is not the network's is a CompatibilityError."""
+def _scan_sessions(net: LruNetwork, data: SequenceData, start: int = 0,
+                   states: list[np.ndarray] | None = None) -> np.ndarray:
+    """The fixed-theta predictor: predictions (N - start, p) for rows
+    [start, N) of the data. When row `start` is inside a session, that
+    session continues from `states` (one (n_k,) state per layer; zero when
+    None); every session that begins at or after `start` begins from zero
+    states. Each run of finite feature rows is one network_scan. A
+    non-finite feature row is predicted from the states before it by a
+    one-row scan whose states are dropped, so it leaves them as they
+    were. Empty data is a ContractViolationError; a feature or target
+    width that is not the network's is a CompatibilityError."""
     _check_widths(net, data, "data")
     if data.n_rows == 0:
         raise ContractViolationError("cannot evaluate on data with no rows")
-    preds = np.empty_like(data.targets)
+    features = data.features
+    preds = np.empty_like(data.targets[start:])
+    # one whole-array check; flags per row only for data that fails it
+    bad = (None if np.isfinite(features[start:]).all()
+           else ~np.isfinite(features).all(axis=1))
     for first, stop in zip(*data.session_bounds()):
-        _, _, preds[first:stop] = network_scan(net, data.features[first:stop])
+        if stop <= start:
+            continue
+        if first >= start:
+            states = None
+        lo = max(first, start)
+        cuts = [] if bad is None else (lo + np.flatnonzero(bad[lo:stop]))
+        for cut in [*cuts, stop]:
+            if cut > lo:
+                _, h, preds[lo - start:cut - start] = network_scan(
+                    net, features[lo:cut], states)
+                # copies, so no session's (T, n) states outlive its scan
+                states = [h_k[-1].copy() for h_k in h]
+            if cut < stop:
+                preds[cut - start] = network_scan(
+                    net, features[cut:cut + 1], states)[2][0]
+            lo = cut + 1
     return preds
 
 
 def evaluate(net: LruNetwork, data: SequenceData) -> float:
-    """Mean per-step Huber loss over full sessions from zero initial state
-    (per-session means weighted by session length); raises as
-    _scan_sessions."""
+    """Mean per-step Huber loss over full sessions, each predicted from
+    zero states by _scan_sessions (per-session means weighted by session
+    length); raises as _scan_sessions. A non-finite feature row makes its
+    own prediction, and so the loss, NaN; it does not change the
+    predictions of the rows after it."""
     preds = _scan_sessions(net, data)
     total = 0.0
     for first, stop in zip(*data.session_bounds()):

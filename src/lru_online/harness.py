@@ -20,7 +20,7 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import (LruNetwork, _check_call, _check_layers, _check_ring,
-                  init_network, network_replay)
+                  init_network)
 from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
 from .rtrl import _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
@@ -210,24 +210,6 @@ class RunMetrics:
         }
 
 
-def _step_fixed(net: LruNetwork, stream: SequenceData, out: np.ndarray,
-                start: int, states: list[np.ndarray] | None) -> None:
-    """Predict rows [start, N) of the stream into `out` with fixed theta:
-    from `states` inside the session at `start`, from zero states at each
-    session start, the states held on a non-finite feature row. Each
-    session's rows are one lru.network_replay, bitwise a network_step per
-    row."""
-    finite_rows = np.isfinite(stream.features).all(axis=1)
-    for first, stop in zip(*stream.session_bounds()):
-        if stop <= start:
-            continue
-        if first >= start:
-            states = net.zero_states()
-        rows = slice(max(first, start), stop)
-        out[rows] = network_replay(net, states, stream.features[rows],
-                                   finite_rows[rows])[0]
-
-
 def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,
            adam: AdamState, clip: float | None, anchor: AnchorConfig,
            preds: np.ndarray, dist: np.ndarray
@@ -269,11 +251,12 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                  cfg: FinetuneConfig) -> RunMetrics:
     """Online fine-tuning against a ground-truth stream.
 
-    The fixed-theta predictor _step_fixed runs the frozen checkpoint over
-    the stream, replaying each session with lru.network_replay, bitwise a
-    network_step per row. With freeze 0 (lr 0 or freeze_after 0) that is
-    the only pass: the fine-tuned predictions and losses are copies of the
-    frozen ones and the anchor distance is 0. Otherwise the adaptive pass
+    The fixed-theta predictor bptt._scan_sessions runs the frozen
+    checkpoint over the stream, each session from zero states: the same
+    computation as cmd_evaluate, so predictions_frozen is bitwise
+    cmd_evaluate's predictions. With freeze 0 (lr 0 or freeze_after 0)
+    that is the only pass: the fine-tuned predictions and losses are
+    copies of the frozen ones and the anchor distance is 0. Otherwise the adaptive pass
     runs rows [0, freeze), the first freeze_after rows (all when None): the
     model predicts, observes the label and Adam-updates on the clipped
     Huber + anchor gradient, the prediction logged before the update (no
@@ -282,8 +265,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     feature or target) logs its prediction, skips the update and counts in
     RunMetrics.skipped_updates. A non-finite feature row leaves states and
     traces at their pre-step values; a row with finite features advances
-    them, even when its target is not finite. _step_fixed then runs the
-    adapted net from the freeze row on, continuing the adaptive states.
+    them, even when its target is not finite. _scan_sessions then runs the
+    adapted net from the freeze row on, continuing the adaptive states
+    inside the freeze row's session. At fixed theta too a non-finite
+    feature row is predicted and leaves the states as they were.
 
     The losses come from the logged predictions. Sessions come from
     stream.session_bounds(), so a session id that comes back is a
@@ -298,8 +283,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     freeze = 0 if cfg.lr == 0 else stream.n_rows
     if cfg.freeze_after is not None:
         freeze = min(freeze, cfg.freeze_after)
-    preds_frozen = np.empty_like(stream.targets)
-    _step_fixed(frozen, stream, preds_frozen, 0, None)
+    preds_frozen = _scan_sessions(frozen, stream)
     loss_frozen = huber_values(preds_frozen - stream.targets).mean(axis=1)
     preds, loss = preds_frozen.copy(), loss_frozen.copy()
     dist, skipped = np.zeros(stream.n_rows), 0
@@ -310,7 +294,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
         adam = AdamState.init(net.theta, lr=cfg.lr)
         states, skipped, dist[freeze:] = _adapt(net, stream, freeze, adam,
                                                 cfg.clip, anchor, preds, dist)
-        _step_fixed(net, stream, preds, freeze, states)
+        preds[freeze:] = _scan_sessions(net, stream, freeze, states)
         loss = huber_values(preds - stream.targets).mean(axis=1)
     return RunMetrics(timestamps=stream.timestamps.copy(),
                       targets=stream.targets.copy(),
@@ -370,11 +354,15 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
 # --------------------------------------------------------------- evaluation
 
 def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
-    """Frozen full-sequence prediction, each session scanned from zero
-    states, with per-target MSE and Huber totals; also returns the per-step
-    prediction/target arrays for plotting. Empty data, or a session id
-    that comes back, is a ContractViolationError; a feature or target
-    width that is not the checkpoint's is a CompatibilityError."""
+    """Frozen full-sequence prediction by bptt._scan_sessions, each
+    session from zero states, with per-target MSE and Huber totals; also
+    returns the per-step prediction/target arrays for plotting. The
+    predictions are bitwise cmd_finetune's predictions_frozen. A
+    non-finite feature row gets a non-finite prediction and leaves the
+    states as they were, so the rest of its session is predicted as
+    without it. Empty data, or a session id that comes back, is a
+    ContractViolationError; a feature or target width that is not the
+    checkpoint's is a CompatibilityError."""
     preds = _scan_sessions(ckpt.net, data)
     resid = preds - data.targets
     per_target_mse = np.mean(resid * resid, axis=0)
@@ -416,7 +404,8 @@ def impute_benchmark(gen_cfg: GeneratorConfig, mask_rate: float = 0.2,
     # mask whole rows: the production missingness is absent samples, so a
     # masked cell never has same-row companions to match on
     m = rng.random(val.n_rows) < mask_rate
-    m[0] = m[-1] = False  # keep session endpoints observed
+    first, stop = val.session_bounds()
+    m[first] = m[stop - 1] = False  # keep session endpoints observed
     if not m.any():
         raise ConfigurationError(
             f"mask_rate {mask_rate} masked none of the {val.n_rows} rows")

@@ -15,9 +15,11 @@ An LruNetwork stores all of them in one flat float64 vector theta, and each
 layer's blocks are reshaped views into it, so the optimizer updates theta in
 place and every layer sees the update.
 
-network_step (one row), network_replay (a session's rows at fixed theta) and
-network_scan (whole sequences) check their rows with _check_call (LruNetwork
-checks its block shapes when it is built) and run unchecked kernels.
+network_step (one row, which the online RTRL step builds on) and
+network_scan (whole sequences at fixed theta, from given or zero states)
+check their rows with _check_call (LruNetwork checks its block shapes when
+it is built) and run unchecked kernels. Every fixed-theta prediction,
+training windows and evaluated sessions alike, is a network_scan.
 """
 
 from __future__ import annotations
@@ -242,21 +244,12 @@ def _complex_t(re: np.ndarray, im: np.ndarray,
 def _layer_step(params: LruLayerParams, h_prev: np.ndarray, u: np.ndarray,
                 consts: tuple) -> tuple[np.ndarray, np.ndarray]:
     """One unchecked step from h_prev (n,) on the float64 row u (m,), with
-    the layer's layer_constants. Returns (h_t, y_t); y_t reflects u."""
+    the layer's layer_constants: returns h_t = lambda * h_prev +
+    gamma * (B u) and y_t = Re[C h_t] + D u."""
     lam, gamma, b_t, _, _, _ = consts
-    h_t = lam * h_prev + _input_term(gamma, b_t, u)
-    return h_t, _output(params, h_t, u)
-
-
-def _input_term(gamma: np.ndarray, b_t: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    """gamma * (B u), the input's share of the new state."""
-    return gamma * (u @ b_t)
-
-
-def _output(params: LruLayerParams, h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Re[C h] + D u."""
-    return h.real @ params.c_re.T - h.imag @ params.c_im.T + u @ params.d.T
+    h_t = lam * h_prev + gamma * (u @ b_t)
+    return h_t, (h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T
+                 + u @ params.d.T)
 
 
 def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
@@ -306,11 +299,14 @@ def _interleave(re: np.ndarray, im: np.ndarray, axis: int) -> np.ndarray:
 
 def scan_forward(params: LruLayerParams, h_0: np.ndarray,
                  u_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-sequence forward via the chunked linear recurrence.
+    """One layer over a whole sequence via the chunked linear recurrence.
 
-    u_seq real (..., T, m), h_0 complex (..., n). Returns (h_seq, y_seq) with
-    shapes (..., T, n) and (..., T, p), equal to T network_step calls on
-    the one-layer net LruNetwork([params]) up to rounding.
+    u_seq real (..., T, m), h_0 complex (..., n), the state before the
+    first row. Returns (h_seq, y_seq) with shapes (..., T, n) and
+    (..., T, p): T network_step calls on the one-layer net
+    LruNetwork([params]) from h_0, up to rounding (the input and output
+    products are (T, m) and (T, 2n) matmuls, and the recurrence is
+    chunked).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
@@ -375,54 +371,26 @@ def _forward(layers: Sequence[LruLayerParams], states: list[np.ndarray],
     return new_states, x, layer_inputs
 
 
-def network_replay(net: LruNetwork, states: list[np.ndarray],
-                   u_seq: np.ndarray, advance: np.ndarray
-                   ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """T network_step calls from `states` over u_seq (T, m), bitwise, where
-    a row with advance[t] False keeps every layer's pre-row state (its
-    prediction is still made). Returns (predictions (T, p), final states).
-
-    Layer by layer: the input term and the output of all T rows are one
-    stacked product each, with every row a (1, m) block, for which numpy
-    runs the same vector-matrix kernel as for one step's u_t @ W (a plain
-    (T, m) @ (m, n) product would round differently). Only the recurrence
-    h_t = lambda * h_{t-1} + x_t runs row by row."""
-    x = np.asarray(u_seq, dtype=np.float64)
-    _check_call(net, x, states=states, ndim=2)
-    advance = np.asarray(advance, dtype=bool).tolist()
-    if len(advance) != x.shape[0]:
-        raise ContractViolationError(
-            f"{len(advance)} advance flags for {x.shape[0]} rows")
-    x = x[:, None, :]
-    final = []
-    for layer, h in zip(net.layers, states):
-        lam, gamma, b_t, *_ = layer_constants(layer)
-        h_seq = _input_term(gamma, b_t, x)
-        for keep, h_t in zip(advance, h_seq[:, 0]):
-            np.add(lam * h, h_t, out=h_t)
-            if keep:
-                h = h_t
-        final.append(h.copy())
-        x = _output(layer, h_seq, x)
-    return x[:, 0], final
-
-
-def network_scan(net: LruNetwork, u_seq: np.ndarray
+def network_scan(net: LruNetwork, u_seq: np.ndarray,
+                 states: list[np.ndarray] | None = None
                  ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Full-sequence forward through the stack via per-layer scans, from
-    zero initial states.
+    """Full-sequence forward through the stack via per-layer scans of
+    u_seq (..., T, m), from one (n_k,) state per layer (zero when None;
+    given states need a 2-D u_seq).
 
     Returns (per-layer input sequences, per-layer state sequences, predictions).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
-    _check_call(net, u_seq)
+    _check_call(net, u_seq, states=states,
+                ndim=None if states is None else 2)
     lead = u_seq.shape[:-2]
     layer_inputs = []
     layer_states = []
     x = u_seq
-    for layer in net.layers:
+    for k, layer in enumerate(net.layers):
         layer_inputs.append(x)
-        h0 = np.zeros(lead + (layer.n,), dtype=np.complex128)
+        h0 = (np.zeros(lead + (layer.n,), dtype=np.complex128)
+              if states is None else states[k])
         h_seq, x = scan_forward(layer, h0, x)
         layer_states.append(h_seq)
     return layer_inputs, layer_states, x

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from lru_online.bptt import evaluate as offline_evaluate, sample_windows
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from lru_online.datapipe import SequenceData
+from lru_online.datapipe import SequenceData, impute_rolling_median
 from lru_online import cli, harness
 from lru_online.cli import EXIT_CODES, build_parser, main
 from lru_online.errors import (CheckpointError, CompatibilityError,
@@ -235,8 +236,10 @@ class TestFinetune:
         frozen = cmd_finetune(ckpt, stream,
                               FinetuneConfig(lr=1e-2, lambda_reg=0.01,
                                              freeze_after=N))
-        assert np.array_equal(free.predictions[:N + 1],
-                              frozen.predictions[:N + 1])
+        # row N, the first the frozen run scans, is within the bound
+        assert np.array_equal(free.predictions[:N], frozen.predictions[:N])
+        assert oracle.relative_error(frozen.predictions[N],
+                                     free.predictions[N]) <= oracle.BOUND
         assert not np.array_equal(free.predictions, frozen.predictions)
         assert np.all(np.diff(frozen.anchor_distance[N:]) == 0.0)
 
@@ -362,15 +365,17 @@ class TestFinetune:
             metrics.loss_frozen[keep].sum())
         assert s["mean_loss_finetuned"] == pytest.approx(
             metrics.loss[keep].mean())
-        # the frozen run continues as if the row had not been there
+        # the frozen run continues as if the row had not been there, up
+        # to the rounding of a scan cut at row 10
         idx = np.arange(11, 20)
         clean = cmd_finetune(ckpt, SequenceData(
             features=np.delete(data.features, 10, axis=0),
             targets=np.delete(data.targets, 10, axis=0),
             session_ids=np.delete(data.session_ids, 10),
             timestamps=np.delete(data.timestamps, 10)), FinetuneConfig(lr=0))
-        assert np.array_equal(metrics.predictions_frozen[idx],
-                              clean.predictions_frozen[idx - 1])
+        assert oracle.relative_error(metrics.predictions_frozen[idx],
+                                     clean.predictions_frozen[idx - 1]
+                                     ) <= oracle.BOUND
 
     def test_nonfinite_row_after_freeze_keeps_states(self):
         ckpt, data = self._depth1_stream_with_nan(30)
@@ -424,10 +429,13 @@ class TestFinetune:
                                                            freeze_after):
         """freeze_after at 0, at, just before and just after the first
         session boundary b, and past the end of the stream, and lr 0 with no
-        freeze: cmd_finetune is bitwise a plain row loop that adapts with
+        freeze: cmd_finetune is a plain row loop that adapts with
         online_step + apply_update before the freeze and steps with
-        network_step after it. The stream has a NaN feature row after b and
-        a NaN target row before it."""
+        network_step after it, bitwise on the adaptive rows and within
+        tests/oracle.py's BOUND on the fixed-theta rows (the frozen
+        predictions and the rows from the freeze on), which cmd_finetune
+        scans. The stream has a NaN feature row after b and a NaN target
+        row before it."""
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
         ref = np.load(DATA / "checkpoint_depth1_eval.npz")
         nan_x, nan_y = 64, 30
@@ -468,15 +476,18 @@ class TestFinetune:
             preds.append(y_hat)
             preds_frozen.append(y_frozen)
             dist.append(anchor_distance(net.theta, anchor))
-        assert np.array_equal(metrics.predictions, np.asarray(preds),
-                              equal_nan=True)
-        assert np.array_equal(metrics.predictions_frozen,
-                              np.asarray(preds_frozen), equal_nan=True)
+        preds, preds_frozen = np.asarray(preds), np.asarray(preds_frozen)
+        for got, want, fixed in (
+                (metrics.predictions, preds, freeze),
+                (metrics.loss, huber_values(preds - targets).mean(axis=1),
+                 freeze),
+                (metrics.predictions_frozen, preds_frozen, 0),
+                (metrics.loss_frozen,
+                 huber_values(preds_frozen - targets).mean(axis=1), 0)):
+            assert np.array_equal(got[:fixed], want[:fixed], equal_nan=True)
+            assert oracle.relative_error(got[fixed:],
+                                         want[fixed:]) <= oracle.BOUND
         assert np.array_equal(metrics.anchor_distance, np.asarray(dist))
-        assert np.array_equal(metrics.loss, huber_values(
-            np.asarray(preds) - targets).mean(axis=1), equal_nan=True)
-        assert np.array_equal(metrics.loss_frozen, huber_values(
-            np.asarray(preds_frozen) - targets).mean(axis=1), equal_nan=True)
         assert metrics.skipped_updates == (nan_x < freeze) + (nan_y < freeze)
         assert_distinct_arrays(metrics.predictions, metrics.predictions_frozen)
         assert_distinct_arrays(metrics.loss, metrics.loss_frozen)
@@ -555,15 +566,31 @@ def run_finetune_reference():
 
 
 def test_finetune_matches_reference():
-    """Every RunMetrics array of cmd_finetune is bitwise what it was
-    before the frozen and predict-only steps took precomputed layer
-    constants (reference written by run_finetune_reference with the
-    earlier code), NaNs in place."""
+    """Every RunMetrics array of cmd_finetune against the reference that
+    run_finetune_reference wrote when the fixed-theta rows were replayed
+    row by row, NaNs in place. The adaptive rows' predictions and losses,
+    the anchor distances and the skipped updates are bitwise the
+    reference. The fixed-theta rows (every frozen prediction and loss,
+    and the predictions and losses from the freeze row on), which the
+    chunked scan now predicts, are within tests/oracle.py's BOUND of it."""
     ref = np.load(FINETUNE_REF)
     got = run_finetune_reference()
     assert sorted(got) == sorted(ref.files)
     for key in ref.files:
-        assert np.array_equal(got[key], ref[key], equal_nan=True), key
+        _, config, field = key.split(".")
+        cfg = FINETUNE_CONFIGS[config]
+        fixed = None                      # the first fixed-theta row
+        if field in ("predictions_frozen", "loss_frozen"):
+            fixed = 0
+        elif field in ("predictions", "loss"):
+            fixed = 0 if cfg.lr == 0 else cfg.freeze_after
+        if fixed is None:
+            assert np.array_equal(got[key], ref[key], equal_nan=True), key
+            continue
+        assert np.array_equal(got[key][:fixed], ref[key][:fixed],
+                              equal_nan=True), key
+        assert oracle.relative_error(got[key][fixed:],
+                                     ref[key][fixed:]) <= oracle.BOUND, key
 
 
 def public_adapt(net, stream, freeze, adam, clip, anchor):
@@ -849,6 +876,26 @@ class TestEvaluate:
         b = cmd_evaluate(ckpt, stream)
         assert np.array_equal(a["predictions"], b["predictions"])
 
+    @pytest.mark.parametrize("nan_rows", [[], [10, 35, 50]],
+                             ids=["clean", "nan"])
+    def test_is_finetunes_frozen_baseline(self, nan_rows):
+        """cmd_evaluate and cmd_finetune's frozen predictions are one
+        computation, bitwise, also with NaN feature rows; each NaN row
+        leaves the rest of its session finite."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        features = ref["features"].copy()
+        features[nan_rows, 0] = np.nan
+        data = SequenceData(features=features, targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        preds = cmd_evaluate(ckpt, data)["predictions"]
+        frozen = cmd_finetune(ckpt, data,
+                              FinetuneConfig(lr=0.0)).predictions_frozen
+        assert frozen.tobytes() == preds.tobytes()
+        assert np.array_equal(np.flatnonzero(np.isnan(preds).any(axis=1)),
+                              nan_rows)
+
     @pytest.mark.parametrize("outputs, columns", [(1, 3), (3, 1)])
     def test_target_width_mismatch(self, outputs, columns):
         rng = np.random.default_rng(4)
@@ -910,6 +957,25 @@ class TestImputeBenchmark:
         monkeypatch.setattr(harness, "generate_dataset", no_data)
         with pytest.raises(ConfigurationError, match="mask_rate"):
             impute_benchmark(SMALL_GEN, mask_rate=mask_rate)
+
+    def test_session_endpoints_stay_observed(self, monkeypatch):
+        """Every session's first and last rows reach the imputers
+        observed, also in a validation table of two sessions."""
+        seen = []
+
+        def spy(table, window):
+            seen.append(table)
+            return impute_rolling_median(table, window)
+        monkeypatch.setattr(harness, "impute_rolling_median", spy)
+        gen = GeneratorConfig(sessions=10, session_seconds=300)
+        for seed in range(20):
+            impute_benchmark(gen, seed=seed)
+            table = seen.pop()
+            first, stop = table.session_bounds()
+            assert len(first) == 2
+            for c in table.numeric_columns():
+                ends = table.columns[c][np.concatenate([first, stop - 1])]
+                assert np.isfinite(ends).all(), (seed, c)
 
     def test_draw_masking_no_row_rejected(self):
         with pytest.raises(ConfigurationError, match="masked none"):

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
                             init_layer, init_network, layer_constants,
-                            network_replay, network_scan, network_step,
-                            scan_forward)
+                            network_scan, network_step, scan_forward)
 from lru_online.optim import AdamState, apply_update
 
 
@@ -280,6 +279,39 @@ class TestNetworkForward:
         with pytest.raises(ContractViolationError):
             network_step(net, net.zero_states(), np.zeros(4))
 
+    def test_scan_from_states_matches_stepping(self, rng):
+        """network_scan continues from given states, as network_step
+        does, and leaves them as they were."""
+        net = init_network(3, (5, 4), 2, seed=6)
+        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
+        u = rng.standard_normal((16, 3))
+        start = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                 for n in (5, 4)]
+        kept = [h.copy() for h in start]
+        states, stepped = start, []
+        for t in range(16):
+            states, y, _ = network_step(net, states, u[t])
+            stepped.append(y)
+        _, h_seq, preds = network_scan(net, u, start)
+        assert np.allclose(preds, np.asarray(stepped), atol=1e-12)
+        for h, h_end in zip(h_seq, states):
+            assert np.allclose(h[-1], h_end, atol=1e-12)
+        for h, before in zip(start, kept):
+            assert h.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("case", ["count", "width", "batch"])
+    def test_scan_state_shape_mismatch(self, case):
+        net = init_network(3, (5, 4), 2, seed=6)
+        states, u = net.zero_states(), np.zeros((7, 3))
+        if case == "count":
+            states = states[:1]
+        elif case == "width":
+            states[1] = np.zeros(5, complex)
+        else:
+            u = np.zeros((2, 7, 3))
+        with pytest.raises(ContractViolationError):
+            network_scan(net, u, states)
+
     @pytest.mark.parametrize("lead", [(7,), (2, 7)], ids=["rows", "batch"])
     def test_scan_input_width_mismatch(self, lead):
         net = init_network(3, (5, 4), 2, seed=6)
@@ -367,93 +399,3 @@ class TestLayerConstants:
             grads[rng.random(grads.size) < 0.2] = 0.0
             apply_update(net.theta, grads, adam, None)
             self._check(net)
-
-
-def stepped(net, states, u, advance):
-    """The network_step row loop network_replay stands for."""
-    preds = np.empty((u.shape[0], net.output_dim))
-    for t in range(u.shape[0]):
-        new_states, preds[t], _ = network_step(net, states, u[t])
-        if advance[t]:
-            states = new_states
-    return preds, states
-
-
-def advance_pattern(T, rng):
-    """Held rows at the first, a middle and the last position, plus a run."""
-    advance = rng.random(T) < 0.8
-    advance[[0, T // 2, T - 1]] = False
-    run = int(rng.integers(0, T))
-    advance[run:run + 4] = False
-    return advance
-
-
-class TestNetworkReplay:
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("T", [1, 2, 17, 300])
-    def test_bitwise_equals_stepping(self, rng, depth, T):
-        m, p = (int(v) for v in rng.integers(1, 12, 2))
-        widths = tuple(int(v) for v in rng.integers(1, 20, depth))
-        net = init_network(m, widths, p, seed=int(rng.integers(1000)))
-        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
-        states = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                  for n in widths]
-        kept = [h.copy() for h in states]
-        u = rng.standard_normal((T, m))
-        advance = advance_pattern(T, rng)
-        # a held row is a non-finite feature row, or a finite one
-        u[~advance & (rng.random(T) < 0.5), 0] = np.nan
-        preds, final = network_replay(net, states, u, advance)
-        ref_preds, ref_final = stepped(net, states, u, advance)
-        assert preds.tobytes() == ref_preds.tobytes()
-        assert len(final) == depth
-        for h, ref in zip(final, ref_final):
-            assert h.tobytes() == ref.tobytes()
-        for h, before in zip(states, kept):
-            assert h.tobytes() == before.tobytes()
-
-    def test_every_row_held_keeps_start_states(self, rng):
-        net = init_network(3, (5, 4), 2, seed=6)
-        states = [rng.standard_normal(n) + 0j for n in (5, 4)]
-        u = rng.standard_normal((6, 3))
-        preds, final = network_replay(net, states, u, np.zeros(6, bool))
-        for t in range(6):
-            _, y, _ = network_step(net, states, u[t])
-            assert preds[t].tobytes() == y.tobytes()
-        for h, start in zip(final, states):
-            assert h.tobytes() == start.tobytes()
-
-    @pytest.mark.parametrize("case", ["states", "advance", "width", "state"])
-    def test_shape_mismatch(self, case):
-        net = init_network(3, (5, 4), 2, seed=6)
-        states, u, advance = net.zero_states(), np.zeros((4, 3)), np.ones(4, bool)
-        if case == "states":
-            states = states[:1]
-        elif case == "advance":
-            advance = advance[:3]
-        elif case == "width":
-            u = np.zeros((4, 2))
-        else:
-            states[1] = np.zeros(5, complex)
-        with pytest.raises(ContractViolationError):
-            network_replay(net, states, u, advance)
-
-
-@pytest.mark.parametrize("kind", ["real", "real_f", "complex", "strided"])
-def test_stacked_product_is_the_per_row_product(rng, kind):
-    """(U[:, None, :] @ W)[:, 0] is U[t] @ W for every row t, bitwise:
-    network_replay and network_step rely on it (a plain U @ W is not)."""
-    for _ in range(40):
-        T, m, n = (int(v) for v in rng.integers(1, 40, 3))
-        u = rng.standard_normal((T, m))
-        w = rng.standard_normal((m, n))
-        if kind == "real_f":
-            w = rng.standard_normal((n, m)).T
-        elif kind == "complex":
-            w = (rng.standard_normal((n, m))
-                 + 1j * rng.standard_normal((n, m))).T
-        elif kind == "strided":
-            u = (u + 1j * rng.standard_normal((T, m))).imag
-        got = (u[:, None, :] @ w)[:, 0]
-        ref = np.stack([u[t] @ w for t in range(T)])
-        assert got.tobytes() == ref.tobytes()
