@@ -256,19 +256,20 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     computation as cmd_evaluate, so predictions_frozen is bitwise
     cmd_evaluate's predictions. With freeze 0 (lr 0 or freeze_after 0)
     that is the only pass: the fine-tuned predictions and losses are
-    copies of the frozen ones and the anchor distance is 0. Otherwise the adaptive pass
-    runs rows [0, freeze), the first freeze_after rows (all when None): the
-    model predicts, observes the label and Adam-updates on the clipped
-    Huber + anchor gradient, the prediction logged before the update (no
-    label leakage). Each session starts from zero states and traces; θ and
-    the Adam state carry over. A step whose gradient is not finite (a NaN
-    feature or target) logs its prediction, skips the update and counts in
-    RunMetrics.skipped_updates. A non-finite feature row leaves states and
-    traces at their pre-step values; a row with finite features advances
-    them, even when its target is not finite. _scan_sessions then runs the
-    adapted net from the freeze row on, continuing the adaptive states
-    inside the freeze row's session. At fixed theta too a non-finite
-    feature row is predicted and leaves the states as they were.
+    copies of the frozen ones and the anchor distance is 0. Otherwise the
+    adaptive pass runs rows [0, freeze), the first freeze_after rows (all
+    when None): the model predicts, observes the label and Adam-updates on
+    the clipped Huber + anchor gradient, the prediction logged before the
+    update (no label leakage). Each session starts from zero states and
+    traces; θ and the Adam state carry over. A step whose gradient is not
+    finite (a NaN feature or target) logs its prediction, skips the update
+    and counts in RunMetrics.skipped_updates. A non-finite feature row
+    leaves states and traces at their pre-step values; a row with finite
+    features advances them, even when its target is not finite.
+    _scan_sessions then runs the adapted net from the freeze row on,
+    continuing the adaptive states inside the freeze row's session. At
+    fixed theta too a non-finite feature row is predicted and leaves the
+    states as they were.
 
     The losses come from the logged predictions. Sessions come from
     stream.session_bounds(), so a session id that comes back is a
@@ -366,11 +367,12 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
     preds = _scan_sessions(ckpt.net, data)
     resid = preds - data.targets
     per_target_mse = np.mean(resid * resid, axis=0)
+    huber_mean = huber(resid)
     names = data.target_names or [f"target_{i}" for i in range(resid.shape[1])]
     return {
         "per_target_mse": {n: float(v) for n, v in zip(names, per_target_mse)},
-        "huber_mean": huber(resid),
-        "huber_total": huber(resid) * resid.shape[0],
+        "huber_mean": huber_mean,
+        "huber_total": huber_mean * resid.shape[0],
         "predictions": preds,
         "targets": data.targets,
         "timestamps": data.timestamps,
