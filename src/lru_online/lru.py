@@ -383,14 +383,14 @@ def network_scan(net: LruNetwork, u_seq: np.ndarray,
     u_seq = np.asarray(u_seq, dtype=np.float64)
     _check_call(net, u_seq, states=states,
                 ndim=None if states is None else 2)
-    lead = u_seq.shape[:-2]
+    if states is None:
+        states = [np.zeros(u_seq.shape[:-2] + (layer.n,), dtype=np.complex128)
+                  for layer in net.layers]
     layer_inputs = []
     layer_states = []
     x = u_seq
-    for k, layer in enumerate(net.layers):
+    for layer, h0 in zip(net.layers, states):
         layer_inputs.append(x)
-        h0 = (np.zeros(lead + (layer.n,), dtype=np.complex128)
-              if states is None else states[k])
         h_seq, x = scan_forward(layer, h0, x)
         layer_states.append(h_seq)
     return layer_inputs, layer_states, x
