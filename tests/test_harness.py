@@ -689,25 +689,33 @@ def test_kernel_loop_equals_checked_public_path(case):
 PRETRAIN_RTRL_REF = DATA / "pretrain_rtrl_reference.npz"
 
 
-def run_pretrain_rtrl_reference():
-    """cmd_pretrain with trainer="rtrl" (one update per window) on a
-    depth-1 and a depth-(4, 3) net, trained on a seeded two-session
-    stream without validation data, so the returned parameters are the
-    last ones. lr is high enough that the 0.5 clip acts on some updates.
-    Returns the parameters, the loss curve and the divergence flag of each
-    run keyed '<layers>.window.<field>'."""
+def pretrain_rtrl_reference_runs():
+    """{key prefix: (training data, validation data, config)}: RTRL
+    pretraining (one update per window) of a depth-1 and a depth-(4, 3)
+    net on a seeded two-session stream without validation data, so the
+    returned parameters are the last ones. lr is high enough that the 0.5
+    clip acts on some updates."""
     rng = np.random.default_rng(21)
     rows = 70
     data = SequenceData(features=rng.standard_normal((rows, 3)),
                         targets=rng.standard_normal((rows, 2)),
                         session_ids=np.repeat([0, 1], [40, 30]),
                         timestamps=np.arange(float(rows)))
+    return {"x".join(map(str, layers)) + ".window": (
+                data, None,
+                PretrainConfig(trainer="rtrl", layers=layers, steps=12,
+                               batch=4, window=16, eval_every=4, lr=5e-2,
+                               seed=3))
+            for layers in ((5,), (4, 3))}
+
+
+def run_pretrain_rtrl_reference():
+    """cmd_pretrain on each of pretrain_rtrl_reference_runs(). Returns the
+    parameters, the loss curve and the divergence flag of each run keyed
+    '<layers>.window.<field>'."""
     out = {}
-    for layers in ((5,), (4, 3)):
-        cfg = PretrainConfig(trainer="rtrl", layers=layers, steps=12,
-                             batch=4, window=16, eval_every=4, lr=5e-2, seed=3)
+    for key, (data, _, cfg) in pretrain_rtrl_reference_runs().items():
         ckpt, result = cmd_pretrain(data, None, None, cfg)
-        key = "x".join(map(str, layers)) + ".window"
         out[key + ".theta"] = ckpt.net.theta
         out[key + ".loss_curve"] = np.asarray(result.loss_curve)
         out[key + ".diverged"] = np.asarray(result.diverged)
@@ -732,14 +740,12 @@ def test_pretrain_rtrl_matches_reference():
 PRETRAIN_BPTT_REF = DATA / "pretrain_bptt_reference.npz"
 
 
-def run_pretrain_bptt_reference():
-    """cmd_pretrain with trainer="bptt" on a depth-1 and a depth-(4, 3)
-    net, with the 0.5 clip and without clipping, trained on a seeded
-    two-session stream and validated on a second one, so the returned
-    parameters are the best-validation ones. lr is high enough that the
-    0.5 clip acts on some updates. Returns the parameters, the loss curve,
-    the best validation loss and the divergence flag of each run keyed
-    '<layers>.clip<clip>.<field>'."""
+def pretrain_bptt_reference_runs():
+    """{key prefix: (training data, validation data, config)}: BPTT
+    pretraining of a depth-1 and a depth-(4, 3) net, with the 0.5 clip
+    and without clipping, on a seeded two-session stream, validated on a
+    second one, so the returned parameters are the best-validation ones.
+    lr is high enough that the 0.5 clip acts on some updates."""
     rng = np.random.default_rng(22)
 
     def stream(rows, split):
@@ -749,18 +755,26 @@ def run_pretrain_bptt_reference():
                             timestamps=np.arange(float(rows)))
 
     train_data, val_data = stream(70, [40, 30]), stream(50, [20, 30])
+    return {"x".join(map(str, layers)) + f".clip{clip}": (
+                train_data, val_data,
+                PretrainConfig(trainer="bptt", layers=layers, clip=clip,
+                               steps=12, batch=4, window=16, eval_every=3,
+                               lr=5e-2, seed=3))
+            for layers in ((5,), (4, 3)) for clip in (0.5, None)}
+
+
+def run_pretrain_bptt_reference():
+    """cmd_pretrain on each of pretrain_bptt_reference_runs(). Returns the
+    parameters, the loss curve, the best validation loss and the
+    divergence flag of each run keyed '<layers>.clip<clip>.<field>'."""
     out = {}
-    for layers in ((5,), (4, 3)):
-        for clip in (0.5, None):
-            cfg = PretrainConfig(trainer="bptt", layers=layers, clip=clip,
-                                 steps=12, batch=4, window=16, eval_every=3,
-                                 lr=5e-2, seed=3)
-            ckpt, result = cmd_pretrain(train_data, val_data, None, cfg)
-            key = "x".join(map(str, layers)) + f".clip{clip}"
-            out[key + ".theta"] = ckpt.net.theta
-            out[key + ".loss_curve"] = np.asarray(result.loss_curve)
-            out[key + ".best_val_loss"] = np.asarray(result.best_val_loss)
-            out[key + ".diverged"] = np.asarray(result.diverged)
+    for key, (train_data, val_data, cfg) in (
+            pretrain_bptt_reference_runs().items()):
+        ckpt, result = cmd_pretrain(train_data, val_data, None, cfg)
+        out[key + ".theta"] = ckpt.net.theta
+        out[key + ".loss_curve"] = np.asarray(result.loss_curve)
+        out[key + ".best_val_loss"] = np.asarray(result.best_val_loss)
+        out[key + ".diverged"] = np.asarray(result.diverged)
     return out
 
 

@@ -298,16 +298,21 @@ class TestOnlineStep:
 ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
 
 
-def run_reference_stream(steps=40):
-    """A fixed depth-2 stream through online_step + apply_update; returns
-    every step's prediction, loss (huber(y_hat - y_t)) and gradient, the
-    final states and traces, and the final parameters. The traces are returned under the
-    names of the reference file's per-parameter fields: the gamma_log trace
-    is the state, and the b_im trace is 1j times the b_re trace."""
-    net = init_network(3, (5, 4), 2, seed=6)
+def reference_stream(steps=40):
+    """The depth-(5, 4) net, inputs and targets of run_reference_stream."""
     rng = np.random.default_rng(2024)
-    inputs = rng.standard_normal((steps, 3))
-    targets = rng.standard_normal((steps, 2))
+    return (init_network(3, (5, 4), 2, seed=6),
+            rng.standard_normal((steps, 3)), rng.standard_normal((steps, 2)))
+
+
+def run_reference_stream(steps=40):
+    """A fixed depth-2 stream through online_step + apply_update (lr 1e-2,
+    clip 0.5); returns every step's prediction, loss (huber(y_hat - y_t))
+    and gradient, the final states and traces, and the final parameters.
+    The traces are returned under the names of the reference file's
+    per-parameter fields: the gamma_log trace is the state, and the b_im
+    trace is 1j times the b_re trace."""
+    net, inputs, targets = reference_stream(steps)
     adam = AdamState.init(net.theta, lr=1e-2)
     states, traces = net.zero_states(), reset_trace(net)
     out = {"preds": [], "losses": [], "grads": []}
