@@ -5,8 +5,9 @@ The recurrence per layer is
     h_t = lambda * h_{t-1} + gamma * (B u_t)
     y_t = Re[C h_t] + D u_t
 
-with lambda_j = exp(-exp(nu_j)) * exp(i * exp(theta_phase_j)), so every
-eigenvalue magnitude is inside the unit circle by construction, and
+with lambda_j = exp(-exp(nu_j) + i * exp(theta_phase_j)), one complex exp,
+so every eigenvalue magnitude exp(-exp(nu_j)) is inside the unit circle
+by construction, and
 gamma_j = exp(gamma_log_j) a trainable per-node input normalization.
 
 Hidden states are numpy complex128 arrays; the trainable parameters are
@@ -147,11 +148,13 @@ class LruNetwork:
 
 def _lambda_parts(params: LruLayerParams
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(-exp(nu), exp(theta_phase), lambda)."""
-    neg_e_nu = -np.exp(params.nu)
-    phase = np.exp(params.theta_phase)
-    return (neg_e_nu, phase,
-            np.exp(neg_e_nu) * (np.cos(phase) + 1j * np.sin(phase)))
+    """(-exp(nu), exp(theta_phase), lambda): the exponent -exp(nu) +
+    i exp(theta_phase) is set part by part and lambda is its one complex
+    exp; the first two are views of the exponent's parts."""
+    z = np.empty(params.nu.shape, np.complex128)
+    z.real = -np.exp(params.nu)
+    z.imag = np.exp(params.theta_phase)
+    return z.real, z.imag, np.exp(z)
 
 
 def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,

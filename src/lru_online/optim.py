@@ -81,8 +81,12 @@ class AdamState:
 def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
           step: np.ndarray, denom: np.ndarray) -> None:
     """Unchecked bias-corrected Adam step of theta and the state in place,
-    in the work vectors step and denom (overwritten): theta -= lr * (m /
-    c1) / (sqrt(v / c2) + eps), evaluated in that order."""
+    in the work vectors step and denom (overwritten). m and v follow the
+    textbook recurrences; the bias corrections c1 = 1 - beta1^t and c2 =
+    1 - beta2^t are folded into the step size and eps (Kingma & Ba 2015,
+    Section 2): theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps *
+    sqrt(c2)), which is lr * (m / c1) / (sqrt(v / c2) + eps) up to
+    rounding."""
     m, v = state.m, state.v
     t = state.t = state.t + 1
     m *= BETA1
@@ -92,12 +96,11 @@ def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
     np.multiply(grads, 1 - BETA2, out=step)
     step *= grads
     v += step
-    np.divide(m, 1 - BETA1 ** t, out=step)
-    step *= state.lr
-    np.divide(v, 1 - BETA2 ** t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += EPS
-    step /= denom
+    root_c2 = math.sqrt(1 - BETA2 ** t)
+    np.sqrt(v, out=denom)
+    denom += EPS * root_c2
+    np.divide(m, denom, out=step)
+    step *= state.lr * root_c2 / (1 - BETA1 ** t)
     theta -= step
 
 

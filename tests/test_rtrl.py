@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from conftest import (finite_difference_grads, max_rel_error, random_batch,
                       small_random_net)
 from lru_online.bptt import bptt_gradient
@@ -336,11 +337,16 @@ def run_reference_stream(steps=40):
 
 
 def test_online_step_matches_reference_stream():
-    """online_step is bitwise what it was before the forward pass handed
-    lambda, gamma and B u to the trace update (reference written by
-    run_reference_stream with the earlier code)."""
+    """online_step + apply_update are what they were before the forward
+    pass handed lambda, gamma and B u to the trace update, while lambda
+    was exp(-exp(nu)) (cos + i sin)(exp(theta_phase)) and Adam divided by
+    its bias corrections (reference written by run_reference_stream with
+    that code): every array within tests/oracle.py's STREAM_BOUNDS."""
     ref = np.load(ONLINE_REF)
     got = run_reference_stream()
     assert sorted(got) == sorted(ref.files)
+    bound = {"preds": "predictions", "losses": "loss", "grads": "gradients",
+             "theta": "theta", "state": "state", "trace": "trace"}
     for key in ref.files:
-        assert np.array_equal(got[key], ref[key]), key
+        limit = oracle.STREAM_BOUNDS[bound[key.split("_")[0]]]
+        assert oracle.relative_error(got[key], ref[key]) <= limit, key
