@@ -199,16 +199,18 @@ def _scan_sessions(net: LruNetwork, data: SequenceData, start: int = 0,
 
 def evaluate(net: LruNetwork, data: SequenceData) -> float:
     """Mean per-step Huber loss over full sessions, each predicted from
-    zero states by _scan_sessions (per-session means weighted by session
-    length); raises as _scan_sessions. A non-finite feature row makes its
-    own prediction, and so the loss, NaN; it does not change the
-    predictions of the rows after it."""
-    preds = _scan_sessions(net, data)
+    zero states by _scan_sessions; raises as _scan_sessions. Rows whose
+    loss is not finite (a non-finite feature or target) are left out of
+    the per-session means and their weights, as RunMetrics.finite_steps
+    leaves them out of fine-tuning's totals; NaN when no row is finite."""
+    resid = _scan_sessions(net, data) - data.targets
+    finite = np.isfinite(resid).all(axis=1)
     total = 0.0
     for first, stop in zip(*data.session_bounds()):
-        total += (huber(preds[first:stop] - data.targets[first:stop])
-                  * int(stop - first))
-    return total / data.n_rows
+        rows = resid[first:stop][finite[first:stop]]
+        total += huber(rows) * len(rows) if rows.size else 0.0
+    count = np.count_nonzero(finite)
+    return total / count if count else float("nan")
 
 
 def train(net: LruNetwork, train_data: SequenceData,

@@ -5,9 +5,8 @@ The recurrence per layer is
     h_t = lambda * h_{t-1} + gamma * (B u_t)
     y_t = Re[C h_t] + D u_t
 
-with lambda_j = exp(-exp(nu_j) + i * exp(theta_phase_j)), one complex exp,
-so every eigenvalue magnitude exp(-exp(nu_j)) is inside the unit circle
-by construction, and
+with lambda_j = exp(-exp(nu_j) + i * exp(theta_phase_j)) (one complex exp),
+so every eigenvalue magnitude is inside the unit circle by construction, and
 gamma_j = exp(gamma_log_j) a trainable per-node input normalization.
 
 Hidden states are numpy complex128 arrays; the trainable parameters are
@@ -148,12 +147,9 @@ class LruNetwork:
 
 def _lambda_parts(params: LruLayerParams
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(-exp(nu), exp(theta_phase), lambda): the exponent -exp(nu) +
-    i exp(theta_phase) is set part by part and lambda is its one complex
-    exp; the first two are views of the exponent's parts."""
+    """(-exp(nu), exp(theta_phase), exp(-exp(nu) + i exp(theta_phase)))."""
     z = np.empty(params.nu.shape, np.complex128)
-    z.real = -np.exp(params.nu)
-    z.imag = np.exp(params.theta_phase)
+    z.real, z.imag = -np.exp(params.nu), np.exp(params.theta_phase)
     return z.real, z.imag, np.exp(z)
 
 

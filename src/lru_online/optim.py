@@ -80,13 +80,9 @@ class AdamState:
 
 def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
           step: np.ndarray, denom: np.ndarray) -> None:
-    """Unchecked bias-corrected Adam step of theta and the state in place,
-    in the work vectors step and denom (overwritten). m and v follow the
-    textbook recurrences; the bias corrections c1 = 1 - beta1^t and c2 =
-    1 - beta2^t are folded into the step size and eps (Kingma & Ba 2015,
-    Section 2): theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps *
-    sqrt(c2)), which is lr * (m / c1) / (sqrt(v / c2) + eps) up to
-    rounding."""
+    """Unchecked Adam step in place, in the work vectors step and denom:
+    textbook m and v, then Kingma & Ba's efficient form theta -= (lr sqrt(c2)
+    / c1) m / (sqrt(v) + eps sqrt(c2)), c1 = 1 - beta1^t, c2 = 1 - beta2^t."""
     m, v = state.m, state.v
     t = state.t = state.t + 1
     m *= BETA1

@@ -123,16 +123,22 @@ def unflatten(theta, dims):
     return layers
 
 
+def eigenvalues(nu, theta_phase):
+    """(lambda, dlambda/dnu = -exp(nu) lambda, dlambda/dtheta_phase =
+    i exp(theta_phase) lambda) in extended precision."""
+    e_nu = np.exp(np.asarray(nu, np.longdouble))
+    phase = np.exp(np.asarray(theta_phase, np.longdouble))
+    radius = np.exp(-e_nu)
+    lam = _complex(radius * np.cos(phase), radius * np.sin(phase))
+    return lam, -e_nu * lam, _complex(-phase * lam.imag, phase * lam.real)
+
+
 class _Layer:
     def __init__(self, blocks):
         for name in BLOCKS:
             setattr(self, name, np.asarray(blocks[name], np.longdouble))
-        e_nu, phase = np.exp(self.nu), np.exp(self.theta_phase)
-        radius = np.exp(-e_nu)
-        self.lam = _complex(radius * np.cos(phase), radius * np.sin(phase))
-        self.dlam_dnu = -e_nu * self.lam
-        self.dlam_dphase = _complex(-phase * self.lam.imag,
-                                    phase * self.lam.real)
+        self.lam, self.dlam_dnu, self.dlam_dphase = eigenvalues(
+            self.nu, self.theta_phase)
         self.gamma = np.exp(self.gamma_log)
         self.b = _complex(self.b_re, self.b_im)
         self.c = _complex(self.c_re, self.c_im)
@@ -441,10 +447,12 @@ def rtrl_gradient(theta, dims, inputs, targets):
 
 
 def evaluate(theta, dims, features, targets, session_ids):
-    """Mean per-row Huber loss of every session predicted from zero states
-    (NaN when a row's loss is NaN)."""
-    return huber_rows(_predict(_stack(theta, dims), features, session_ids),
-                      targets).mean()
+    """Mean per-row Huber loss of every session predicted from zero states,
+    over the rows whose loss is finite (NaN when none is)."""
+    rows = huber_rows(_predict(_stack(theta, dims), features, session_ids),
+                      targets)
+    rows = rows[np.isfinite(rows)]
+    return rows.mean() if rows.size else np.longdouble(np.nan)
 
 
 def train(theta, dims, train_data, val_data, steps, batch, window, lr, clip,

@@ -3,13 +3,14 @@ import pytest
 
 from conftest import finite_difference_grads, max_rel_error, random_batch, \
     small_random_net
-from lru_online.bptt import (TrainConfig, WindowBatch, bptt_gradient,
-                             evaluate, sample_windows, train)
+from lru_online.bptt import (TrainConfig, WindowBatch, _scan_sessions,
+                             bptt_gradient, evaluate, sample_windows, train)
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError)
 from lru_online.harness import PretrainConfig
 from lru_online.lru import init_network
+from lru_online.optim import huber
 from lru_online.rtrl import window_gradient
 
 
@@ -285,6 +286,44 @@ class TestEvaluate:
         net = init_network(2, (4,), 1, seed=0)
         with pytest.raises(ContractViolationError, match="no rows"):
             evaluate(net, empty_data(m=2, p=1))
+
+    def test_clean_data_is_weighted_session_means(self):
+        """On finite data, bitwise the sum of per-session mean Huber
+        losses weighted by session length, over the row count."""
+        net = init_network(3, (4,), 2, seed=2)
+        data = make_data([60, 40, 25], seed=4)
+        preds = _scan_sessions(net, data)
+        total = 0.0
+        for first, stop in zip(*data.session_bounds()):
+            total += (huber(preds[first:stop] - data.targets[first:stop])
+                      * int(stop - first))
+        assert evaluate(net, data) == total / data.n_rows
+
+    @pytest.mark.parametrize("where", ["feature", "target"])
+    def test_nonfinite_row_left_out(self, where):
+        """2 sessions, 100 rows, one NaN feature or target: evaluate is
+        the mean Huber loss of the other rows, and train's best
+        validation loss is finite."""
+        net = init_network(3, (4,), 2, seed=0)
+        data = make_data([60, 40])
+        getattr(data, where + "s")[70, 1] = np.nan
+        keep = np.arange(100) != 70
+        preds = _scan_sessions(net, data)
+        loss = evaluate(net, data)
+        assert loss == pytest.approx(
+            huber(preds[keep] - data.targets[keep]), rel=1e-12)
+        result = train(net, make_data([80], seed=1), data,
+                       TrainConfig(steps=20, batch=2, window=10,
+                                   eval_every=5))
+        assert np.isfinite(result.best_val_loss)
+        assert result.best_val_loss == np.nanmin(
+            [v for _, _, v in result.loss_curve])
+
+    def test_no_finite_row_is_nan(self):
+        net = init_network(3, (4,), 2, seed=0)
+        data = make_data([10, 5])
+        data.targets[:] = np.nan
+        assert np.isnan(evaluate(net, data))
 
 
 class TestWidths:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracle
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
                             init_layer, init_network, layer_constants,
@@ -59,6 +60,55 @@ class TestDeriveLambda:
                            np.zeros((1, 8)), np.zeros((1, 8)),
                            np.zeros((1, 1)))
         assert np.all(np.abs(layer_constants(layer)[0]) < 1.0)
+
+
+class TestLambdaAgainstOracle:
+    """layer_constants' lambda = exp(-exp(nu) + i exp(theta_phase)) and
+    its two derivatives at random nu in [-12, 6.5] (|lambda| from
+    0.99999 down to about 1e-280) and random theta_phase from
+    init_layer's 1e-8 phase floor to log(pi), every seventh at the
+    floor."""
+
+    @staticmethod
+    def layer(rng, nu_high=6.5, n=2000):
+        nu = rng.uniform(-12.0, nu_high, n)
+        theta_phase = np.log(rng.uniform(1e-8, np.pi, n))
+        theta_phase[::7] = np.log(1e-8)
+        return replace(init_layer(1, n, 1), nu=nu, theta_phase=theta_phase)
+
+    def test_matches_oracle(self, rng):
+        """Within 4 (1 + exp(nu) + exp(theta_phase)) eps of the oracle's,
+        relative: rounding exp(nu) and exp(theta_phase) to float64 alone
+        moves the exponent by (exp(nu) + exp(theta_phase)) eps."""
+        layer = self.layer(rng)
+        lam, _, _, _, dlam_dnu, dlam_dphase = layer_constants(layer)
+        tol = 4 * np.finfo(np.float64).eps * (
+            1 + np.exp(layer.nu) + np.exp(layer.theta_phase))
+        for got, ref in zip((lam, dlam_dnu, dlam_dphase),
+                            oracle.eigenvalues(layer.nu, layer.theta_phase)):
+            assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
+
+    def test_derivatives_match_central_differences(self, rng):
+        """Steps of 1e-4 (in nu divided by max(1, exp(nu))), within 1e-6
+        of the derivative plus 1e-11 of lambda: the rounding of lambda
+        over such a step, which the tiny derivative at the phase floor
+        cannot outweigh."""
+        layer = self.layer(rng)
+        lam, _, _, _, dlam_dnu, dlam_dphase = layer_constants(layer)
+        for name, want in (("nu", dlam_dnu), ("theta_phase", dlam_dphase)):
+            x = getattr(layer, name)
+            h = 1e-4 / np.maximum(1.0, np.exp(x)) if name == "nu" else 1e-4
+            up = layer_constants(replace(layer, **{name: x + h}))[0]
+            down = layer_constants(replace(layer, **{name: x - h}))[0]
+            diff = (up - down) / ((x + h) - (x - h))
+            assert np.all(np.abs(diff - want)
+                          <= 1e-6 * np.abs(want) + 1e-11 * np.abs(lam)), name
+
+    def test_inside_unit_circle(self, rng):
+        """Also where exp(-exp(nu)) underflows to 0 (nu up to 10)."""
+        lam = layer_constants(self.layer(rng, nu_high=10.0))[0]
+        assert np.all(np.abs(lam) < 1.0)
+        assert np.any(lam == 0.0)
 
 
 class TestInitLayer:
