@@ -44,7 +44,8 @@ Pretraining (`train`): the float64 trainer's window draws from the same
 generator, the mean Huber loss of each batch of windows and its exact
 gradient by reverse mode row by row (BPTT), or the mean of the per-row
 adaptive gradients over one window from zero states (RTRL), clip and Adam,
-and the best-validation parameters.
+and the best-validation parameters (validation leaves out rows whose loss
+is not finite).
 
 Tolerances. Each is relative to max(1, max |oracle|) of its array (to
 max |oracle| for Adam's moments m and v) and applies to every stream and
@@ -202,8 +203,10 @@ def huber_rows(preds, targets):
 
 # ------------------------------------------------------------ adaptive loop
 
-def zero_traces(dims):
-    return [np.zeros((n, 2 + m), np.clongdouble) for n, m, _ in dims]
+def _zero(dims):
+    """Zero states and traces, where every session starts."""
+    return ([np.zeros(n, np.clongdouble) for n, _, _ in dims],
+            [np.zeros((n, 2 + m), np.clongdouble) for n, m, _ in dims])
 
 
 def _rtrl_row(stack, states, traces, u, y):
@@ -279,8 +282,7 @@ def replay_row(theta, dims, adam, lr, clip, theta_pre, lambda_reg,
     state (m, v, t), states and traces, each converted to extended
     precision. Returns {name: array} of what the row computes: states,
     traces, prediction, gradient, and after the update theta, m, v, the
-    step count, the anchor distance (theta_pre given) and whether the
-    update was applied."""
+    step count, the anchor distance and whether the update was applied."""
     theta = np.array(theta, np.longdouble)
     adam = Adam(*adam)
     new_states, new_traces, pred, grad = _rtrl_row(
@@ -288,18 +290,17 @@ def replay_row(theta, dims, adam, lr, clip, theta_pre, lambda_reg,
         [np.asarray(z, np.clongdouble) for z in traces], u, y)
     applied = descend(theta, grad, adam, lr, clip, theta_pre, lambda_reg)
     out = {"prediction": pred, "gradient": grad, "theta": theta,
-           "m": adam.m, "v": adam.v, "t": adam.t, "applied": applied}
-    if theta_pre is not None:
-        out["distance"] = _norm(theta - theta_pre)
+           "m": adam.m, "v": adam.v, "t": adam.t, "applied": applied,
+           "distance": _norm(theta - theta_pre)}
     for k, (h, z) in enumerate(zip(new_states, new_traces)):
         out[f"state_{k}"], out[f"trace_{k}"] = h, z
     return out
 
 
 def adapt(theta, dims, features, targets, session_ids, freeze, lr,
-          clip=None, theta_pre=None, lambda_reg=0.0, adam=None):
+          clip=None, theta_pre=None, lambda_reg=0.0):
     """The adaptive loop over rows [0, freeze), free-running from theta
-    (and from an Adam state (m, v, t), fresh when None). Returns
+    with a fresh Adam state. Returns
     {name: array}: per row the prediction (before its update), the
     gradient of its loss (before pull and clip) and the anchor distance
     after its update (theta_pre given); then the number of skipped
@@ -308,16 +309,14 @@ def adapt(theta, dims, features, targets, session_ids, freeze, lr,
     theta = np.array(theta, np.longdouble)
     if theta_pre is not None:
         theta_pre = np.asarray(theta_pre, np.longdouble)
-    adam = Adam(*adam) if adam is not None else Adam(
-        np.zeros(theta.size), np.zeros(theta.size))
+    adam = Adam(np.zeros(theta.size), np.zeros(theta.size))
     features = np.asarray(features, np.longdouble)
     ids = np.asarray(session_ids)
     preds, grads, dist, skipped = [], [], [], 0
     states = traces = None
     for t in range(freeze):
         if t == 0 or ids[t] != ids[t - 1]:
-            states = [np.zeros(n, np.clongdouble) for n, _, _ in dims]
-            traces = zero_traces(dims)
+            states, traces = _zero(dims)
         new_states, new_traces, pred, grad = _rtrl_row(
             _stack(theta, dims), states, traces, features[t], targets[t])
         preds.append(pred)
@@ -436,8 +435,7 @@ def rtrl_gradient(theta, dims, inputs, targets):
     """(mean Huber loss, mean per-row adaptive gradient) over one window
     from zero states and traces at fixed theta."""
     stack = _stack(theta, dims)
-    states = [np.zeros(n, np.clongdouble) for n, _, _ in dims]
-    traces = zero_traces(dims)
+    states, traces = _zero(dims)
     loss, grad = np.longdouble(0), np.zeros(theta.size, np.longdouble)
     for u, y in zip(inputs, targets):
         states, traces, pred, g = _rtrl_row(stack, states, traces, u, y)
