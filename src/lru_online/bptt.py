@@ -12,9 +12,11 @@ import numpy as np
 from .datapipe import SequenceData
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
-from .lru import (LruNetwork, _check_call, _interleave, _linear_recurrence,
+from .lru import (LruNetwork, _check_call, _LayerKernel, _linear_recurrence,
                   layer_constants, network_scan)
 from .optim import AdamState, _Descent, huber, huber_grad
+
+_CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
 
 
 @dataclass
@@ -119,42 +121,41 @@ def bptt_gradient(net: LruNetwork,
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
     down = huber_grad(resid)                         # (B, T, p)
     grads = np.empty_like(net.theta)
-    blocks = net.unflatten(grads)
+    params, blocks = net.paired(net.theta), net.paired(grads)
     for k in range(net.depth - 1, -1, -1):
-        layer = net.layers[k]
-        n, m, p = layer.n, layer.m, layer.p
+        (head, b, c, d), (g_head, g_b, g_c, g_d) = params[k], blocks[k]
+        n, m, p = net.dims[k]
         u2 = layer_inputs[k].reshape(-1, m)
         h = layer_states[k]
         down2 = down.reshape(-1, p)
-        lam, gamma, _, _, dlam_dnu, dlam_dphase = layer_constants(layer)
+        lam, gamma, dlam = layer_constants(_LayerKernel(head, b, c, d))
 
-        out = blocks[k]
+        # the c pairs are (Re, -Im) of sum_t down_t h_t
         gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)
-        out["c_re"][...] = gc[:, 0::2]
-        out["c_im"][...] = -gc[:, 1::2]
-        out["d"][...] = down2.T @ u2
+        np.multiply(gc.reshape(p, n, 2), _CONJ, out=g_c)
+        g_d[...] = down2.T @ u2
 
-        # adjoint of h: a = down @ (c_re + i c_im); s_t = a_t + lam * s_{t+1}
-        # is the forward recurrence on the time-reversed a, run in place
-        s = (down @ _interleave(layer.c_re, layer.c_im, 1)).view(np.complex128)
+        # adjoint of h: a = down @ (c_re + i c_im), the (re, im) pairs of
+        # down @ C2; s_t = a_t + lam * s_{t+1} is the forward recurrence on
+        # the time-reversed a, run in place
+        s = (down @ c.reshape(p, 2 * n)).view(np.complex128)
         _linear_recurrence(lam, s[:, ::-1])
         s2 = s.view(np.float64).reshape(-1, 2 * n)
 
         sh = np.sum(s[:, 1:] * h[:, :-1], axis=(0, 1))    # sum_t s_t h_{t-1}
         su = s2.T @ u2                                    # sum_t s_t u_t^T
-        su_re, su_im = su[0::2], su[1::2]
-        out["nu"][...] = np.real(dlam_dnu * sh)
-        out["theta_phase"][...] = np.real(dlam_dphase * sh)
+        g_head[:2 * n].reshape(2, n).T[...] = (dlam * sh[:, None]).real
         # sum_t s_t (B u_t) = rowsum(B * su)
-        out["gamma_log"][...] = gamma * np.sum(
-            layer.b_re * su_re - layer.b_im * su_im, axis=1)
-        out["b_re"][...] = gamma[:, None] * su_re
-        out["b_im"][...] = -gamma[:, None] * su_im
+        g_head[2 * n:] = gamma * np.sum(
+            b[..., 0] * su[0::2] - b[..., 1] * su[1::2], axis=1)
+        # the b pairs are gamma * (Re, -Im) of su
+        signs = gamma[:, None] * _CONJ
+        np.multiply(su.reshape(n, 2, m).transpose(0, 2, 1), signs[:, None],
+                    out=g_b)
         if k > 0:
             # dL/du = Re[(gamma * s) @ (b_re + i b_im)] + down @ d
-            down = (s2 @ _interleave(gamma[:, None] * layer.b_re,
-                                    -gamma[:, None] * layer.b_im, 0)
-                    + down2 @ layer.d).reshape(layer_inputs[k].shape)
+            down = (s2 @ (b * signs[:, None]).transpose(0, 2, 1).reshape(
+                2 * n, m) + down2 @ d).reshape(layer_inputs[k].shape)
     return loss, grads
 
 

@@ -5,15 +5,18 @@ The recurrence per layer is
     h_t = lambda * h_{t-1} + gamma * (B u_t)
     y_t = Re[C h_t] + D u_t
 
-with lambda_j = exp(-exp(nu_j) + i * exp(theta_phase_j)) (one complex exp),
-so every eigenvalue magnitude is inside the unit circle by construction, and
-gamma_j = exp(gamma_log_j) a trainable per-node input normalization.
+with lambda_j = exp(-exp(nu_j) + i * exp(theta_phase_j)) (one complex exp)
+and gamma_j = exp(gamma_log_j) a trainable per-node input normalization.
+|lambda_j| = exp(-exp(nu_j)) < 1 holds in exact arithmetic, not in float64:
+exp(-exp(nu_j)) rounds to 1 from about nu_j = -37.7 down, and |lambda_j| as
+computed (np.abs; the phase's cos and sin round too) reads 1 from about
+nu_j = -35.8 down and at most 1 + 2**-52. So the recurrence is strictly
+stable for nu_j >= -35 and marginally stable below; nothing clamps nu.
 
 Hidden states are numpy complex128 arrays; the trainable parameters are
-split real blocks (nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d).
-An LruNetwork stores all of them in one flat float64 vector theta, and each
-layer's blocks are reshaped views into it, so the optimizer updates theta in
-place and every layer sees the update.
+split real blocks (nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d),
+all views into one flat float64 vector theta (LruNetwork), so the optimizer
+updates theta in place and every layer sees the update.
 
 network_step (one row, which the online RTRL step builds on) and
 network_scan (whole sequences at fixed theta, from given or zero states)
@@ -66,9 +69,10 @@ class LruLayerParams:
         return {name: getattr(self, name) for name in PARAM_BLOCKS}
 
 
-def _block_shapes(k: int, layer: LruLayerParams, width: int | None) -> dict:
-    """Layer k's block shapes in PARAM_BLOCKS order from n = len(nu), (p, m) =
-    d.shape and m = width, the previous layer's p (None for the first)."""
+def _block_shapes(k: int, layer: LruLayerParams, width: int | None
+                  ) -> tuple[int, int, int]:
+    """Layer k's (n, m, p) from len(nu) and d.shape, every block checked
+    against them and m against width, the previous layer's p (or None)."""
     nu, d = np.shape(layer.nu), np.shape(layer.d)
     if len(nu) != 1 or len(d) != 2:
         raise ContractViolationError(f"layer {k} blocks 'nu' and 'd' must be "
@@ -85,45 +89,53 @@ def _block_shapes(k: int, layer: LruLayerParams, width: int | None) -> dict:
         if got != shape:
             raise ContractViolationError(
                 f"layer {k} block {name!r} has shape {got}, expected {shape}")
-    return expect
+    return n, m, p
 
 
 class LruNetwork:
     """Stack of LRU layers; layer k's output feeds layer k+1's input.
 
-    All parameters live in one contiguous float64 vector `theta`, laid out
-    layer by layer in PARAM_BLOCKS order. The blocks of `layers`, a tuple of
-    frozen layers checked by _block_shapes, are views into it, so writing
-    into theta (an optimizer step) changes the layers.
+    All parameters live in one contiguous float64 vector `theta`, layer by
+    layer: nu, theta_phase and gamma_log (n each), b (n, m, 2) and c
+    (p, n, 2) as (re, im) pairs, then d (p, m), each row-major. The blocks
+    of `layers`, a tuple of frozen layers checked by _block_shapes, are
+    views into it, so writing into theta (an optimizer step) changes them.
     """
 
     def __init__(self, layers: Sequence[LruLayerParams]):
-        self._layout = []               # per layer: (name, start, stop, shape)
-        self.offsets = []               # per layer: start of its blocks
         if not layers:
             raise ContractViolationError("a network needs at least one layer")
-        offset, width = 0, None
+        self.dims = []                  # per layer: (n, m, p)
         for k, layer in enumerate(layers):
-            self.offsets.append(offset)
-            blocks = []
-            for name, shape in _block_shapes(k, layer, width).items():
-                size = math.prod(shape)
-                blocks.append((name, offset, offset + size, shape))
-                offset += size
-            self._layout.append(blocks)
-            width = shape[0]            # d, the last block, is (p, m)
-        self.theta = np.concatenate(
-            [np.asarray(getattr(layer, name), dtype=np.float64).ravel()
-             for layer in layers for name in PARAM_BLOCKS])
+            self.dims.append(_block_shapes(k, layer,
+                                           self.dims[-1][2] if k else None))
+        self.theta = np.empty(sum(n * (3 + 2 * m + 2 * p) + p * m
+                                  for n, m, p in self.dims))
+        for layer, blocks in zip(layers, self.unflatten(self.theta)):
+            for name, view in blocks.items():
+                view[...] = getattr(layer, name)
         self.layers = tuple(LruLayerParams(**blocks)
                             for blocks in self.unflatten(self.theta))
 
+    def paired(self, vec: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Per-layer views (head, b, c, d) of a flat vector laid out like
+        theta: head (3n,) = [nu, theta_phase, gamma_log], b (n, m, 2) and
+        c (p, n, 2) of (re, im) pairs, d (p, m)."""
+        views, start = [], 0
+        for n, m, p in self.dims:
+            head, b, c, d, _ = np.split(vec[start:], np.cumsum(
+                (3 * n, 2 * n * m, 2 * p * n, p * m)))
+            views.append((head, b.reshape(n, m, 2), c.reshape(p, n, 2),
+                          d.reshape(p, m)))
+            start += n * (3 + 2 * m + 2 * p) + p * m
+        return views
+
     def unflatten(self, vec: np.ndarray) -> list[dict[str, np.ndarray]]:
-        """Per-layer PARAM_BLOCKS views into a flat vector laid out like theta
-        (a gradient or an optimizer moment as well as theta itself)."""
-        return [{name: vec[start:stop].reshape(shape)
-                 for name, start, stop, shape in blocks}
-                for blocks in self._layout]
+        """Per-layer PARAM_BLOCKS views into a flat vector laid out like
+        theta (b_re, b_im, c_re and c_im strided)."""
+        return [dict(zip(PARAM_BLOCKS, (*np.split(head, 3), b[..., 0],
+                                        b[..., 1], c[..., 0], c[..., 1], d)))
+                for head, b, c, d in self.paired(vec)]
 
     @property
     def depth(self) -> int:
@@ -143,14 +155,6 @@ class LruNetwork:
 
     def zero_states(self) -> list[np.ndarray]:
         return [np.zeros(layer.n, dtype=np.complex128) for layer in self.layers]
-
-
-def _lambda_parts(params: LruLayerParams
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(-exp(nu), exp(theta_phase), exp(-exp(nu) + i exp(theta_phase)))."""
-    z = np.empty(params.nu.shape, np.complex128)
-    z.real, z.imag = -np.exp(params.nu), np.exp(params.theta_phase)
-    return z.real, z.imag, np.exp(z)
 
 
 def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
@@ -206,49 +210,51 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
     return LruNetwork(layers)
 
 
-def layer_constants(params: LruLayerParams, out: tuple | None = None
-                    ) -> tuple[np.ndarray, ...]:
-    """The input-independent part of a step and of its trace update:
-    (lambda, gamma, complex B^T, complex C^T, dlambda/dnu,
-    dlambda/dtheta_phase), with lambda from the nu and theta_phase blocks
-    (|lambda_j| < 1 for every finite nu_j), gamma = exp(gamma_log),
-    dlambda/dnu = -exp(nu) * lambda and dlambda/dtheta_phase =
-    1j * exp(theta_phase) * lambda. `out` is a pair of complex (n, m) and
-    (p, n) arrays to write B and C into (fresh arrays when None); a
-    stream that derives the constants every step reuses one pair."""
-    neg_e_nu, phase, lam = _lambda_parts(params)
-    b_out, c_out = out or (None, None)
-    return (lam, np.exp(params.gamma_log),
-            _complex_t(params.b_re, params.b_im, b_out),
-            _complex_t(params.c_re, params.c_im, c_out), neg_e_nu * lam,
-            1j * phase * lam)
+# -exp(nu) and i exp(theta_phase) as exact (re, im) pairs from their exps
+_SIGNS = np.array([[-1.0, 0.0], [0.0, 1.0]])
 
 
-def _complex_t(re: np.ndarray, im: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """(re + 1j * im).T in the same (F) memory order, written part by part
-    into `out` (a complex array shaped like re, fresh when None) instead of
-    through a complex multiply and add. The two are bitwise equal for
-    finite blocks without a -0.0 entry (the expression turns a -0.0 into
-    +0.0), and no parameter is ever -0.0: init_layer's blocks are nonzero
-    draws or +0.0 zeros, and an Adam step x - y gives -0.0 only when x is
-    -0.0."""
-    if out is None:
-        out = np.empty(re.shape, np.complex128)
-    out.real = re
-    out.imag = im
-    return out.T
+class _LayerKernel:
+    """One layer's per-row kernel on LruNetwork.paired views (head, b, c,
+    d) of theta, so no row copies a block: complex B (n, m), the real
+    (p, 2n) map C2 of the (Re h, -Im h) pairs, and the buffers that
+    layer_constants and the step write into, with the views of them that
+    every row uses made once."""
+
+    def __init__(self, head: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 d: np.ndarray):
+        n = head.size // 3
+        self.head, self.e = head, np.empty(3 * n)
+        self.e_pairs = self.e[:2 * n].reshape(2, n).T[:, :, None]
+        self.gamma, self.gamma_col = self.e[2 * n:], self.e[2 * n:, None]
+        self.f = np.empty((n, 2), np.complex128)
+        self.f_pairs = self.f.view(np.float64).reshape(n, 2, 2)
+        self.f_nu, self.f_phase = self.f[:, 0], self.f[:, 1]
+        self.lam, self.z, self.h_conj = np.empty((3, n), np.complex128)
+        self.lam_col, self.dlam = self.lam[:, None], np.empty_like(self.f)
+        self.h_pairs = self.h_conj.view(np.float64)
+        self.b, self.c2 = b.view(np.complex128)[..., 0], c.reshape(len(c), -1)
+        self.c2_t, self.d, self.d_t = self.c2.T, d, d.T
+
+    @classmethod
+    def of(cls, params: LruLayerParams) -> "_LayerKernel":
+        """A kernel on paired copies of a layer's blocks."""
+        return cls(np.concatenate((params.nu, params.theta_phase,
+                                   params.gamma_log)),
+                   np.stack((params.b_re, params.b_im), axis=-1),
+                   np.stack((params.c_re, params.c_im), axis=-1), params.d)
 
 
-def _layer_step(params: LruLayerParams, h_prev: np.ndarray, u: np.ndarray,
-                consts: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One unchecked step from h_prev (n,) on the float64 row u (m,), with
-    the layer's layer_constants: returns h_t = lambda * h_prev +
-    gamma * (B u) and y_t = Re[C h_t] + D u."""
-    lam, gamma, b_t, _, _, _ = consts
-    h_t = lam * h_prev + gamma * (u @ b_t)
-    return h_t, (h_t.real @ params.c_re.T - h_t.imag @ params.c_im.T
-                 + u @ params.d.T)
+def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
+    """The input-independent part of a step and of its trace update, from
+    one exp of the head: (lambda, gamma, dlambda), dlambda (n, 2) the
+    columns dlambda/dnu = -exp(nu) * lambda and dlambda/dtheta_phase =
+    1j * exp(theta_phase) * lambda, in k's buffers until the next call."""
+    np.exp(k.head, out=k.e)
+    np.multiply(k.e_pairs, _SIGNS, out=k.f_pairs)
+    np.exp(np.add(k.f_nu, k.f_phase, out=k.z), out=k.lam)
+    np.multiply(k.f, k.lam_col, out=k.dlam)
+    return k.lam, k.gamma, k.dlam
 
 
 def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
@@ -286,16 +292,6 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
     return x
 
 
-def _interleave(re: np.ndarray, im: np.ndarray, axis: int) -> np.ndarray:
-    """Real matrix whose `axis` alternates re and im entries (axis 1: columns
-    re[:, 0], im[:, 0], re[:, 1], ...; axis 0: rows). For a real x,
-    (x @ _interleave(R, I, 1)).view(complex128) is x @ (R + 1j*I); for a
-    complex z, z.view(float64) @ _interleave(R, I, 0) is Re(z) @ R + Im(z) @ I.
-    Both are one real matmul on contiguous memory."""
-    return np.stack([re, im], axis=axis + 1).reshape(
-        (-1, re.shape[1]) if axis == 0 else (re.shape[0], -1))
-
-
 def scan_forward(params: LruLayerParams, h_0: np.ndarray,
                  u_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One layer over a whole sequence via the chunked linear recurrence.
@@ -310,13 +306,15 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
-    lam = _lambda_parts(params)[2]
-    gamma = np.exp(params.gamma_log)
-    h_seq = (u_seq @ _interleave((gamma[:, None] * params.b_re).T,
-                                (gamma[:, None] * params.b_im).T, 1)
-             ).view(np.complex128)
+    lam, gamma, _ = layer_constants(_LayerKernel.of(params))
+    # real maps with interleaved (re, im) columns and rows: (u @ W) viewed
+    # as complex is u @ (gamma B)^T, and h viewed as float64 @ V is
+    # Re(h) @ c_re^T - Im(h) @ c_im^T
+    w = np.stack((gamma * params.b_re.T, gamma * params.b_im.T), axis=2)
+    h_seq = (u_seq @ w.reshape(params.m, -1)).view(np.complex128)
     _linear_recurrence(lam, h_seq, np.asarray(h_0, dtype=np.complex128))
-    y_seq = (h_seq.view(np.float64) @ _interleave(params.c_re.T, -params.c_im.T, 0)
+    v = np.stack((params.c_re.T, -params.c_im.T), axis=1)
+    y_seq = (h_seq.view(np.float64) @ v.reshape(-1, params.p)
              + u_seq @ params.d.T)
     return h_seq, y_seq
 
@@ -353,19 +351,27 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
     prediction, each layer's input, which the trace updates read)."""
     x = np.asarray(u_t, dtype=np.float64)
     _check_call(net, x, states=states, ndim=1)
-    return _forward(net.layers, states, x,
-                    [layer_constants(layer) for layer in net.layers])
+    kernels = [_LayerKernel(*views) for views in net.paired(net.theta)]
+    for k in kernels:
+        layer_constants(k)
+    return _forward(kernels, states, x)
 
 
-def _forward(layers: Sequence[LruLayerParams], states: list[np.ndarray],
-             x: np.ndarray, consts: list
+def _forward(kernels: Sequence[_LayerKernel], states: list[np.ndarray],
+             x: np.ndarray
              ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """network_step without its checks."""
+    """network_step without its checks, on kernels with current
+    layer_constants: per layer h_t = lambda * h_prev + gamma * (B u) and
+    y_t = conj(h_t) pairs @ C2^T + D u, leaving conj(h_t) in k.h_conj."""
     new_states = []
     layer_inputs = []
-    for layer, h_prev, c in zip(layers, states, consts):
-        layer_inputs.append(x)
-        h, x = _layer_step(layer, h_prev, x, c)
+    for k, h_prev in zip(kernels, states):
+        layer_inputs.append(u := x)
+        h = np.multiply(k.gamma, k.b @ u)
+        h += k.lam * h_prev
+        np.conjugate(h, out=k.h_conj)
+        x = k.h_pairs @ k.c2_t
+        x += u @ k.d_t
         new_states.append(h)
     return new_states, x, layer_inputs
 

@@ -30,11 +30,16 @@ def huber(residual: np.ndarray) -> float:
 
 def huber_grad(residual: np.ndarray) -> np.ndarray:
     """d mean-Huber / d residual (elementwise psi / count, delta 1)."""
-    r = np.asarray(residual, dtype=np.float64)
+    return _huber_grad(np.array(residual, dtype=np.float64))
+
+
+def _huber_grad(r: np.ndarray) -> np.ndarray:
+    """huber_grad in place in the float64 array r, which it returns."""
     # minimum/maximum, not np.clip: the same values (NaN included) without
     # np.clip's Python-level wrapper
-    psi = np.minimum(np.maximum(r, -1.0), 1.0)
-    return psi / r.size
+    np.minimum(np.maximum(r, -1.0, out=r), 1.0, out=r)
+    r /= r.size
+    return r
 
 
 # ----------------------------------------------------------------- clipping

@@ -23,7 +23,9 @@ through y = Re[C h] + D u).
 online_step and window_gradient (RTRL pretraining's gradient) check their
 input, target and state widths with lru._check_call (online_step adds the
 trace shapes; the network was checked when it was built) and run the
-unchecked per-stream kernel _StreamPlan.
+unchecked per-stream kernel _StreamPlan, which copies no block per row: B
+and C are views of theta's (re, im) pairs (lru.LruNetwork.paired), and the
+gradient is written through the same views of one buffer.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError
-from .lru import LruNetwork, _check_call, _forward, layer_constants
-from .optim import huber, huber_grad
+from .lru import (LruNetwork, _check_call, _forward, _LayerKernel,
+                  layer_constants)
+from .optim import _huber_grad, huber
 
 # Columns of a layer's trace matrix Z.
 NU, PHASE, B_RE = 0, 1, slice(2, None)
@@ -45,20 +48,18 @@ def reset_trace(net: LruNetwork) -> list[np.ndarray]:
             for layer in net.layers]
 
 
-def _trace_step(h_prev: np.ndarray, u: np.ndarray, z_prev: np.ndarray,
-                consts: tuple) -> np.ndarray:
+def _trace_step(k: _LayerKernel, h_prev: np.ndarray, u: np.ndarray,
+                z_prev: np.ndarray, work: tuple) -> np.ndarray:
     """One layer's unchecked trace update Z_t = lambda * Z_{t-1} + immediate
-    Jacobian, from the pre-step state h_prev (n,), the input row u (m,) and
-    lru.layer_constants (which carry dlambda/dnu and dlambda/dtheta_phase)."""
-    lam, gamma, _, _, dlam_dnu, dlam_dphase = consts
+    Jacobian (a new array) from the pre-step state h_prev (n,), the input
+    row u (m,) and k's current layer_constants. work: the (n, 2 + m)
+    Jacobian buffer, its NU/PHASE columns and its B_RE columns' real part."""
+    imm, imm_lam, imm_b = work
+    np.multiply(k.dlam, h_prev[:, None], out=imm_lam)
+    np.multiply(k.gamma_col, u, out=imm_b)   # B_RE's imaginary part stays 0
     # out of place: numpy's in-place complex multiply rounds differently
-    z = lam[:, None] * z_prev
-    # add the immediate Jacobian column by column (additions round alike
-    # in place and out of place)
-    z_nu, z_phase, z_b = z[:, NU], z[:, PHASE], z[:, B_RE]
-    z_nu += dlam_dnu * h_prev
-    z_phase += dlam_dphase * h_prev
-    z_b += gamma[:, None] * u
+    z = k.lam_col * z_prev
+    z += imm
     return z
 
 
@@ -93,42 +94,30 @@ def online_step(net: LruNetwork, states: list[np.ndarray],
 class _StreamPlan:
     """online_step for one stream, checked once by the caller.
 
-    Construction lays out what every step reuses:
-    each layer's block views into one flat gradient buffer and the
-    buffers its complex B^T and C^T are written into. step() and
-    gradient() check nothing: the caller has checked the input and target
-    widths (lru._check_call) and passes states and traces that started from
-    net.zero_states() and reset_trace(net). The gradient they return is
-    the buffer, overwritten by the next step.
+    Construction lays out what every step reuses: each layer's
+    lru._LayerKernel on theta, its work buffers and its paired views into
+    one flat gradient buffer. step() and gradient() check nothing: the
+    caller has checked the input and target widths (lru._check_call) and
+    passes states and traces that started from net.zero_states() and
+    reset_trace(net). The gradient they return is the buffer, overwritten
+    by the next step; states, traces and predictions are new arrays.
     """
 
     def __init__(self, net: LruNetwork):
-        self.params = net.layers
+        self.kernels = [_LayerKernel(*v) for v in net.paired(net.theta)]
         self.grads = np.empty_like(net.theta)
-        self.const_out = []
-        self.h_conj = []
-        self.blocks = []
-        for layer, start in zip(net.layers, net.offsets):
-            n, m, p = layer.n, layer.m, layer.p
-            self.const_out.append((np.empty((n, m), np.complex128),
-                                   np.empty((p, n), np.complex128)))
-            # conj(h), and its [Re h, -Im h] pairs viewed as a (2, 1, n)
-            # factor of the c_re and c_im rows
-            h_conj = np.empty(n, np.complex128)
-            self.h_conj.append(
-                (h_conj, h_conj.view(np.float64).reshape(n, 2).T[:, None]))
-            # the layer's blocks sit in PARAM_BLOCKS order from its offset:
-            # nu and theta_phase, gamma_log, b_re and b_im, c_re and c_im,
-            # d; nu/theta_phase and b_re/b_im are viewed with the pair last
-            gl = start + 2 * n
-            b = gl + n
-            c = b + 2 * n * m
-            d = c + 2 * p * n
-            g = self.grads
-            self.blocks.append((g[start:gl].reshape(2, n).T, g[gl:b],
-                                g[b:c].reshape(2, n, m).transpose(1, 2, 0),
-                                g[c:d].reshape(2, p, n),
-                                g[d:d + p * m].reshape(p, m)))
+        self.g = np.empty(net.output_dim)     # the top layer's dL/dy
+        self.traces, self.blocks = [], []
+        for (n, m, _), (head, b, c, d) in zip(net.dims,
+                                              net.paired(self.grads)):
+            imm = np.zeros((n, 2 + m), np.complex128)
+            self.traces.append((imm, imm[:, :B_RE.start], imm[:, B_RE].real))
+            az = np.empty((n, 2 + m), np.complex128)   # a * Z
+            ah = np.empty(n, np.complex128)             # a * h
+            self.blocks.append((az, az[:, :B_RE.start].real, az[:, B_RE],
+                                ah, ah.real, head[:2 * n].reshape(2, n).T,
+                                head[2 * n:], b.view(np.complex128)[..., 0],
+                                c.reshape(-1, 2 * n), d))
         self.top = len(net.layers) - 1
 
     def step(self, states: list[np.ndarray], traces: list[np.ndarray],
@@ -136,45 +125,44 @@ class _StreamPlan:
              ) -> tuple[list[np.ndarray], list[np.ndarray],
                         np.ndarray, np.ndarray]:
         """online_step without its checks; u and y float64 rows."""
-        consts = [layer_constants(layer, out)
-                  for layer, out in zip(self.params, self.const_out)]
-        new_states, y_hat, inputs = _forward(self.params, states, u, consts)
-        new_traces = [_trace_step(h, x, z, c) for h, x, z, c
-                      in zip(states, inputs, traces, consts)]
-        grads = self.gradient(new_traces, new_states, inputs,
-                              huber_grad(y_hat - y), consts)
-        return new_states, new_traces, y_hat, grads
+        for k in self.kernels:
+            layer_constants(k)
+        new_states, y_hat, inputs = _forward(self.kernels, states, u)
+        new_traces = [_trace_step(k, h, x, z, work) for k, h, x, z, work
+                      in zip(self.kernels, states, inputs, traces,
+                             self.traces)]
+        g = _huber_grad(np.subtract(y_hat, y, out=self.g))
+        return (new_states, new_traces, y_hat,
+                self.gradient(new_traces, new_states, inputs, g))
 
     def gradient(self, traces: list[np.ndarray], h_states: list[np.ndarray],
-                 layer_inputs: list[np.ndarray], g: np.ndarray,
-                 consts: list[tuple]) -> np.ndarray:
+                 layer_inputs: list[np.ndarray], g: np.ndarray) -> np.ndarray:
         """The flat parameter gradient (laid out like net.theta) of one
         step's float64 output gradient g, from the post-step traces and
-        states (the gamma_log traces), each layer's float64 input and its
-        layer_constants. Credit flows spatially through upper layers'
+        states (the gamma_log traces) and each layer's float64 input, right
+        after _forward ran self.kernels to those states (it left conj(h) in
+        them). Credit flows spatially through upper layers'
         instantaneous maps and temporally through each layer's own traces:
         exact for depth 1; deeper stacks drop the cross-layer temporal
         terms (the standard efficient diagonal-RTRL approximation)."""
         for k in range(self.top, -1, -1):
-            nu_phase, gamma_log, b, c, d = self.blocks[k]
-            h = h_states[k]
-            _, gamma, b_t, c_t, _, _ = consts[k]
-            a = c_t @ g  # complex adjoint of h
+            kern = self.kernels[k]
+            (az, az_lam, az_b, ah, ah_re,
+             nu_phase, gamma_log, b, c, d) = self.blocks[k]
+            a = (g @ kern.c2).view(np.complex128)  # complex adjoint of h
+            np.multiply(a[:, None], traces[k], out=az)
+            nu_phase[...] = az_lam
             # conj(a * Z) holds Re[a * Z] and -Im[a * Z] = Re[a * 1j * Z]
-            # side by side: the nu, theta_phase and b_re gradients, and
-            # the b_im one
-            at = np.conjugate(a[:, None] * traces[k]).view(np.float64)
-            nu_phase[...] = at[:, 0:4:2]
-            gamma_log[...] = (a * h).real
-            b[...] = at[:, 4:].reshape(b.shape)
-            h_conj, pairs = self.h_conj[k]
-            np.conjugate(h, out=h_conj)
-            np.multiply(g[None, :, None], pairs, out=c)
+            # side by side: the b_re and b_im gradients as b's pairs
+            np.conjugate(az_b, out=b)
+            np.multiply(a, h_states[k], out=ah)
+            gamma_log[...] = ah_re
+            np.multiply(g[:, None], kern.h_pairs, out=c)
             np.multiply(g[:, None], layer_inputs[k], out=d)
             if k > 0:
                 # instantaneous dL/du of this layer = input gradient for
                 # the layer below
-                g = (b_t @ (gamma * a)).real + self.params[k].d.T @ g
+                g = ((kern.gamma * a) @ kern.b).real + g @ kern.d
         return self.grads
 
 

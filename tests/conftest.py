@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lru_online.bptt import WindowBatch, bptt_gradient
-from lru_online.lru import init_network
+from lru_online.lru import _LayerKernel, init_network, layer_constants
 
 
 @pytest.fixture
@@ -44,3 +44,29 @@ def small_random_net(rng, m=None, n=None, p=None, depth=1):
     widths = tuple([n] * depth)
     return init_network(m, widths, p, r_min=0.4, r_max=0.95,
                         seed=int(rng.integers(0, 2**31)))
+
+
+def constants(layer):
+    """lru.layer_constants of a layer's own blocks: (lambda, gamma, the
+    (n, 2) columns dlambda/dnu and dlambda/dtheta_phase), fresh arrays."""
+    return layer_constants(_LayerKernel.of(layer))
+
+
+def paired_order(m, widths, p):
+    """The fixed index map from the flat layout of the references in
+    tests/data (each layer's blocks nu, theta_phase, gamma_log, b_re, b_im,
+    c_re, c_im, d one after another, each row-major) to LruNetwork.theta's
+    (b and c stored as (re, im) pairs): theta = old[paired_order(...)] for
+    the network of input width m, layer widths `widths` and output width
+    p, and old[..., paired_order(...)] for rows of flat vectors."""
+    idx, start = [], 0
+    for k, n in enumerate(widths):
+        p_k = p if k == len(widths) - 1 else n
+        sizes = (3 * n, 2 * n * m, 2 * p_k * n, p_k * m)
+        head, b, c, d = np.split(np.arange(start, start + sum(sizes)),
+                                 np.cumsum(sizes)[:-1])
+        idx += [head, b.reshape(2, -1).T.ravel(), c.reshape(2, -1).T.ravel(),
+                d]
+        start += sum(sizes)
+        m = p_k
+    return np.concatenate(idx)

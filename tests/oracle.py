@@ -12,7 +12,9 @@ The model. Per layer,
 
 and layer k's y_t is layer k+1's u_t. A flat parameter vector holds the
 layers one after another, each layer's blocks in BLOCKS order and each
-block row-major, with the shapes of `_shapes`.
+block row-major (nu, theta_phase and gamma_log (n,), d (p, m)), except
+that b_re and b_im (n, m) are stored as one (n, m, 2) block of (re, im)
+pairs and c_re and c_im (p, n) as one (p, n, 2) block.
 
 The adaptive loop (`adapt`), one row at a time:
 
@@ -67,8 +69,6 @@ changed, rounded up to one significant digit; that error follows each
 entry.
 """
 
-import math
-
 import numpy as np
 
 BLOCKS = ("nu", "theta_phase", "gamma_log",
@@ -106,22 +106,32 @@ def _complex(re, im):
     return z
 
 
-def _shapes(n, m, p):
-    return ((n,), (n,), (n,), (n, m), (n, m), (p, n), (p, n), (p, m))
-
-
 def unflatten(theta, dims):
     """Per-layer {block name: view} of a flat vector; dims is one (n, m, p)
     per layer."""
     layers, start = [], 0
     for n, m, p in dims:
-        layer = {}
-        for name, shape in zip(BLOCKS, _shapes(n, m, p)):
-            size = math.prod(shape)
-            layer[name] = theta[start:start + size].reshape(shape)
-            start += size
-        layers.append(layer)
+        sizes = (n, n, n, 2 * n * m, 2 * p * n, p * m)
+        nu, phase, gamma_log, b, c, d = np.split(
+            theta[start:start + sum(sizes)], np.cumsum(sizes)[:-1])
+        b, c = b.reshape(n, m, 2), c.reshape(p, n, 2)
+        layers.append(dict(zip(BLOCKS, (nu, phase, gamma_log, b[..., 0],
+                                        b[..., 1], c[..., 0], c[..., 1],
+                                        d.reshape(p, m)))))
+        start += sum(sizes)
     return layers
+
+
+def flatten(layers):
+    """The flat vector that unflatten reads as `layers`, one list of
+    blocks in BLOCKS order per layer."""
+    dims = [(blocks[0].size,) + blocks[-1].shape[::-1] for blocks in layers]
+    theta = np.empty(sum(sum(block.size for block in blocks)
+                         for blocks in layers), np.longdouble)
+    for blocks, views in zip(layers, unflatten(theta, dims)):
+        for name, block in zip(BLOCKS, blocks):
+            views[name][...] = block
+    return theta
 
 
 def eigenvalues(nu, theta_phase):
@@ -235,8 +245,7 @@ def _rtrl_row(stack, states, traces, u, y):
                       np.outer(g, h.real), -np.outer(g, h.imag),
                       np.outer(g, u_k)])
         g = (layer.b.T @ (layer.gamma * a)).real + layer.d.T @ g
-    grad = np.concatenate([block.ravel() for blocks in parts[::-1]
-                           for block in blocks])
+    grad = flatten(parts[::-1])
     return new_states, new_traces, x, grad
 
 
@@ -426,8 +435,7 @@ def bptt_gradient(theta, dims, inputs, targets):
                       -np.einsum("btp,btn->pn", down, h.imag),
                       np.einsum("btp,btm->pm", down, u)])
         down = ((layer.gamma * s) @ layer.b).real + down @ layer.d
-    grad = np.concatenate([block.ravel() for blocks in parts[::-1]
-                           for block in blocks])
+    grad = flatten(parts[::-1])
     return loss, grad
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import paired_order
 from lru_online.bptt import evaluate as offline_evaluate, sample_windows
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData, impute_rolling_median
@@ -631,6 +632,36 @@ def public_adapt(net, stream, freeze, adam, clip, anchor):
     return preds, dist, skipped, states
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_nonfinite_row_holds_the_adaptive_states(depth):
+    """A non-finite feature row leaves the states that harness._adapt
+    holds bitwise as they were: the adaptive pass that ends on that row
+    returns the states, parameters and Adam moments of the pass that
+    ends just before it (the row's update is skipped)."""
+    rng = np.random.default_rng(40 + depth)
+    net = init_network(3, (5,) * depth, 2, seed=depth)
+    rows = 12
+    stream = SequenceData(features=rng.standard_normal((rows, 3)),
+                          targets=rng.standard_normal((rows, 2)),
+                          session_ids=np.zeros(rows, dtype=np.int64),
+                          timestamps=np.arange(float(rows)))
+    stream.features[rows - 1, 1] = np.nan
+    sides = []
+    for freeze in (rows - 1, rows):
+        side_net = net.copy()
+        adam = AdamState.init(side_net.theta, lr=1e-2)
+        anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=0.01)
+        states, skipped, _ = harness._adapt(
+            side_net, stream, freeze, adam, 0.5, anchor,
+            np.empty_like(stream.targets), np.empty(rows))
+        sides.append(([h.tobytes() for h in states]
+                      + [a.tobytes() for a in (side_net.theta, adam.m, adam.v)],
+                      skipped))
+    (before, skipped_before), (held, skipped) = sides
+    assert held == before
+    assert skipped == skipped_before + 1
+
+
 # (depth, lambda_reg, clip, carried Adam state)
 ADAPT_CASES = [(1, 0.01, 0.5, False), (2, 0.01, 0.5, False),
                (3, 0.0, None, False), (1, 0.1, None, True),
@@ -731,33 +762,42 @@ def run_pretrain_rtrl_reference():
     return out
 
 
-def assert_matches_pretrain_reference(got, ref, keys):
+def assert_matches_pretrain_reference(got, ref, keys, runs):
     """The divergence flags bitwise, the parameters, loss curves and best
     validation losses within tests/oracle.py's PRETRAIN_BOUNDS, NaN
-    validation losses in place."""
+    validation losses in place. `runs` are the runs' (training data,
+    validation data, config) by key prefix; the references' flat
+    parameters are read through conftest's paired_order."""
     assert sorted(got) == sorted(keys)
     for key in keys:
-        field = key.rsplit(".", 1)[1]
+        prefix, field = key.rsplit(".", 1)
+        want = ref[key]
         if field == "diverged":
-            assert np.array_equal(got[key], ref[key]), key
-        else:
-            assert oracle.relative_error(got[key], ref[key]) <= (
-                oracle.PRETRAIN_BOUNDS[field]), key
+            assert np.array_equal(got[key], want), key
+            continue
+        if field == "theta":
+            data, _, cfg = runs[prefix]
+            want = want[paired_order(data.features.shape[1], cfg.layers,
+                                     data.targets.shape[1])]
+        assert oracle.relative_error(got[key], want) <= (
+            oracle.PRETRAIN_BOUNDS[field]), key
 
 
 def test_pretrain_rtrl_matches_reference():
     """RTRL pretraining (depths 1 and 2) is what it was when every row
     went through the checked online_step and apply_update, lambda was
-    exp(-exp(nu)) (cos + i sin)(exp(theta_phase)) and Adam divided by its
-    bias corrections (reference written by run_pretrain_rtrl_reference
-    with that code), within assert_matches_pretrain_reference's bounds.
+    exp(-exp(nu)) (cos + i sin)(exp(theta_phase)), Adam divided by its
+    bias corrections and theta stored b and c as separate re and im
+    blocks (reference written by run_pretrain_rtrl_reference with that
+    code), within assert_matches_pretrain_reference's bounds.
     The reference file also holds the runs of a per-row update cadence
     that no longer exists (its '.step.' keys); only the '.window.' keys
     are compared."""
     ref = np.load(PRETRAIN_RTRL_REF)
     assert_matches_pretrain_reference(
         run_pretrain_rtrl_reference(), ref,
-        [key for key in ref.files if ".window." in key])
+        [key for key in ref.files if ".window." in key],
+        pretrain_rtrl_reference_runs())
 
 
 PRETRAIN_BPTT_REF = DATA / "pretrain_bptt_reference.npz"
@@ -805,12 +845,14 @@ def test_pretrain_bptt_matches_reference():
     """BPTT pretraining (depths 1 and 2, clipped and unclipped, with
     validation data) is what it was when bptt_step called apply_update,
     which composed the update afresh each step, lambda was exp(-exp(nu))
-    (cos + i sin)(exp(theta_phase)) and Adam divided by its bias
-    corrections (reference written by run_pretrain_bptt_reference with
-    that code), within assert_matches_pretrain_reference's bounds."""
+    (cos + i sin)(exp(theta_phase)), Adam divided by its bias corrections
+    and theta stored b and c as separate re and im blocks (reference
+    written by run_pretrain_bptt_reference with that code), within
+    assert_matches_pretrain_reference's bounds."""
     ref = np.load(PRETRAIN_BPTT_REF)
     assert_matches_pretrain_reference(run_pretrain_bptt_reference(), ref,
-                                      ref.files)
+                                      ref.files,
+                                      pretrain_bptt_reference_runs())
 
 
 class TestPretrain:

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
+from conftest import constants
 from lru_online.errors import ConfigurationError, ContractViolationError
-from lru_online.lru import (LruLayerParams, LruNetwork, _linear_recurrence,
-                            init_layer, init_network, layer_constants,
-                            network_scan, network_step, scan_forward)
+from lru_online.lru import (LruLayerParams, LruNetwork, _LayerKernel,
+                            _linear_recurrence,
+                            init_layer, init_network, network_scan,
+                            network_step, scan_forward)
 from lru_online.optim import AdamState, apply_update
 
 
@@ -42,14 +44,14 @@ class TestDeriveLambda:
     def test_known_value(self):
         layer = make_layer([0.0], [np.log(np.pi)], [0.0],
                            [[1.0]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
-        lam = layer_constants(layer)[0][0]
+        lam = constants(layer)[0][0]
         assert lam.real == pytest.approx(-np.exp(-1.0), abs=1e-15)
         assert lam.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_large_nu_shrinks_magnitude(self):
         layer = make_layer([40.0], [0.0], [0.0],
                            [[1.0]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
-        assert abs(layer_constants(layer)[0][0]) == 0.0
+        assert abs(constants(layer)[0][0]) == 0.0
 
     @given(nu=arrays(np.float64, 8, elements=st.floats(-20, 20)),
            theta=arrays(np.float64, 8, elements=st.floats(-20, 5)))
@@ -59,7 +61,7 @@ class TestDeriveLambda:
                            np.zeros((8, 1)), np.zeros((8, 1)),
                            np.zeros((1, 8)), np.zeros((1, 8)),
                            np.zeros((1, 1)))
-        assert np.all(np.abs(layer_constants(layer)[0]) < 1.0)
+        assert np.all(np.abs(constants(layer)[0]) < 1.0)
 
 
 class TestLambdaAgainstOracle:
@@ -81,10 +83,10 @@ class TestLambdaAgainstOracle:
         relative: rounding exp(nu) and exp(theta_phase) to float64 alone
         moves the exponent by (exp(nu) + exp(theta_phase)) eps."""
         layer = self.layer(rng)
-        lam, _, _, _, dlam_dnu, dlam_dphase = layer_constants(layer)
+        lam, _, dlam = constants(layer)
         tol = 4 * np.finfo(np.float64).eps * (
             1 + np.exp(layer.nu) + np.exp(layer.theta_phase))
-        for got, ref in zip((lam, dlam_dnu, dlam_dphase),
+        for got, ref in zip((lam, dlam[:, 0], dlam[:, 1]),
                             oracle.eigenvalues(layer.nu, layer.theta_phase)):
             assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
 
@@ -94,27 +96,42 @@ class TestLambdaAgainstOracle:
         over such a step, which the tiny derivative at the phase floor
         cannot outweigh."""
         layer = self.layer(rng)
-        lam, _, _, _, dlam_dnu, dlam_dphase = layer_constants(layer)
-        for name, want in (("nu", dlam_dnu), ("theta_phase", dlam_dphase)):
+        lam, _, dlam = constants(layer)
+        for name, want in (("nu", dlam[:, 0]), ("theta_phase", dlam[:, 1])):
             x = getattr(layer, name)
             h = 1e-4 / np.maximum(1.0, np.exp(x)) if name == "nu" else 1e-4
-            up = layer_constants(replace(layer, **{name: x + h}))[0]
-            down = layer_constants(replace(layer, **{name: x - h}))[0]
+            up = constants(replace(layer, **{name: x + h}))[0]
+            down = constants(replace(layer, **{name: x - h}))[0]
             diff = (up - down) / ((x + h) - (x - h))
             assert np.all(np.abs(diff - want)
                           <= 1e-6 * np.abs(want) + 1e-11 * np.abs(lam)), name
 
     def test_inside_unit_circle(self, rng):
         """Also where exp(-exp(nu)) underflows to 0 (nu up to 10)."""
-        lam = layer_constants(self.layer(rng, nu_high=10.0))[0]
+        lam = constants(self.layer(rng, nu_high=10.0))[0]
         assert np.all(np.abs(lam) < 1.0)
         assert np.any(lam == 0.0)
+
+    def test_magnitude_bound_down_to_the_exp_floor(self, rng):
+        """The bound the module docstring states, on a nu grid from -745
+        (where exp(nu) is subnormal) up to 6.5, at random phases: every
+        |lambda| is at most 1 + 2**-52, and below 1 for nu >= -35. Below
+        about -37.7 exp(-exp(nu)) is exactly 1, so the strict bound fails
+        there, and nothing clamps nu."""
+        nu = np.concatenate((np.linspace(-745.0, 6.5, 40000),
+                             np.arange(-745.0, 7.0)))
+        layer = replace(self.layer(rng, n=nu.size), nu=nu)
+        mag = np.abs(constants(layer)[0])
+        assert mag.max() <= 1.0 + 2.0 ** -52
+        assert np.all(mag[nu >= -35.0] < 1.0)
+        assert np.all(np.exp(-np.exp(nu[nu <= -38.0])) == 1.0)
+        assert np.any(mag[nu <= -38.0] >= 1.0)
 
 
 class TestInitLayer:
     def test_degenerate_ring(self):
         layer = init_layer(2, 6, 3, r_min=0.5, r_max=0.5, seed=0)
-        assert np.allclose(np.abs(layer_constants(layer)[0]), 0.5,
+        assert np.allclose(np.abs(constants(layer)[0]), 0.5,
                            atol=1e-12)
 
     def test_deterministic(self):
@@ -127,7 +144,7 @@ class TestInitLayer:
         # gamma = sqrt(1 - |lam|^2); ring [0.9, 0.999] gives
         # gamma in (sqrt(1-0.999^2), sqrt(1-0.9^2)) = (0.0447..., 0.4358...)
         layer = init_layer(4, 64, 2, seed=5)
-        gamma = layer_constants(layer)[1]
+        gamma = constants(layer)[1]
         assert np.all(gamma > np.sqrt(1 - 0.999 ** 2) - 1e-12)
         assert np.all(gamma < np.sqrt(1 - 0.9 ** 2) + 1e-12)
 
@@ -163,8 +180,8 @@ class TestLayerStep:
 
     def test_convolution_oracle(self, rng):
         layer = init_layer(3, 6, 2, r_min=0.3, r_max=0.9, seed=9)
-        lam = layer_constants(layer)[0]
-        gamma = layer_constants(layer)[1]
+        lam = constants(layer)[0]
+        gamma = constants(layer)[1]
         Bc = layer.b_re + 1j * layer.b_im
         u = rng.standard_normal((8, 3))
         h = np.zeros(6, complex)
@@ -226,8 +243,8 @@ class TestScanForward:
         layer = init_layer(3, 8, 2, seed=21)
         u = rng.uniform(-1.0, 1.0, size=(2000, 3))
         h_seq, _ = scan_forward(layer, np.zeros(8, complex), u)
-        lam_max = np.abs(layer_constants(layer)[0]).max()
-        gamma = layer_constants(layer)[1]
+        lam_max = np.abs(constants(layer)[0]).max()
+        gamma = constants(layer)[1]
         row_sum = np.abs(layer.b_re + 1j * layer.b_im).sum(axis=1)
         bound = (gamma * row_sum).max() / (1.0 - lam_max)
         assert np.abs(h_seq).max() <= bound + 1e-9
@@ -425,27 +442,58 @@ class TestNetworkShapeCheck:
             net.layers[1] = init_layer(5, 4, 3)
 
 
-class TestLayerConstants:
-    @staticmethod
-    def _check(net):
-        for layer in net.layers:
-            _, _, b_t, c_t, _, _ = layer_constants(layer)
-            for got, ref in ((b_t, layer.b_re.T + 1j * layer.b_im.T),
-                             (c_t, (layer.c_re + 1j * layer.c_im).T)):
-                assert got.tobytes(order="A") == ref.tobytes(order="A")
-                assert got.flags.f_contiguous and ref.flags.f_contiguous
+class TestPairedLayout:
+    SHAPES = [(9, (16,), 5), (10, (16,), 5), (3, (5, 4), 2), (1, (1, 2, 3), 1)]
 
-    @pytest.mark.parametrize("shape", [(9, (16,), 5), (10, (16,), 5),
-                                       (3, (5, 4), 2), (1, (1, 2, 3), 1)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_blocks_alias_theta_at_paired_offsets(self, shape):
+        """Each layer's unflatten blocks are views of theta: nu,
+        theta_phase and gamma_log from the layer's offset, then b_re and
+        b_im at the even and odd entries of one (n, m, 2) block, c_re and
+        c_im likewise in one (p, n, 2) block, then d."""
+        m, widths, p = shape
+        net = init_network(m, widths, p, seed=1)
+        net.theta[:] = np.arange(net.theta.size)
+        start = 0
+        for (n, m_k, p_k), blocks in zip(net.dims, net.unflatten(net.theta)):
+            offsets = {}
+            for name, size in (("nu", n), ("theta_phase", n),
+                               ("gamma_log", n), ("b", 2 * n * m_k),
+                               ("c", 2 * p_k * n), ("d", p_k * m_k)):
+                offsets[name] = start + np.arange(size)
+                start += size
+            b, c = offsets.pop("b"), offsets.pop("c")
+            offsets.update(b_re=b[0::2].reshape(n, m_k),
+                           b_im=b[1::2].reshape(n, m_k),
+                           c_re=c[0::2].reshape(p_k, n),
+                           c_im=c[1::2].reshape(p_k, n),
+                           d=offsets["d"].reshape(p_k, m_k))
+            for name, view in blocks.items():
+                assert np.shares_memory(view, net.theta), name
+                assert np.array_equal(view, offsets[name]), name
+        assert start == net.theta.size
+
+
+
+class TestLayerConstants:
+    @pytest.mark.parametrize("shape", TestPairedLayout.SHAPES)
     def test_complex_blocks_bitwise_the_sum(self, rng, shape):
-        """Complex B^T and C^T equal re + 1j * im byte for byte, memory
-        order included, on initialised and on Adam-stepped parameters."""
+        """The complex B and the real C2 map that the per-row kernel uses
+        next to layer_constants are views of theta, equal to
+        b_re + 1j * b_im and to c_re + 1j * c_im (as (re, im) pairs) byte
+        for byte, on initialised and on Adam-stepped parameters."""
         m, widths, p = shape
         net = init_network(m, widths, p, seed=int(rng.integers(1000)))
-        self._check(net)
+        kernels = [_LayerKernel(*views) for views in net.paired(net.theta)]
         adam = AdamState.init(net.theta, lr=0.05)
         for _ in range(20):
+            for layer, k in zip(net.layers, kernels):
+                assert np.shares_memory(k.b, net.theta)
+                assert np.shares_memory(k.c2, net.theta)
+                assert (k.b.tobytes()
+                        == (layer.b_re + 1j * layer.b_im).tobytes())
+                assert (k.c2.view(np.complex128).tobytes()
+                        == (layer.c_re + 1j * layer.c_im).tobytes())
             grads = rng.standard_normal(net.theta.size)
             grads[rng.random(grads.size) < 0.2] = 0.0
             apply_update(net.theta, grads, adam, None)
-            self._check(net)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import (finite_difference_grads, max_rel_error, random_batch,
-                      small_random_net)
+from conftest import (constants, finite_difference_grads, max_rel_error,
+                      paired_order, random_batch, small_random_net)
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
-from lru_online.lru import (LruNetwork, init_network, layer_constants,
-                            network_step)
+from lru_online.lru import (LruNetwork, _forward, init_network,
+                            layer_constants, network_step)
 from lru_online.optim import AdamState, apply_update, huber
 from lru_online.rtrl import (B_RE, NU, PHASE, _StreamPlan, _trace_step,
                              online_step, reset_trace, window_gradient)
@@ -18,7 +18,9 @@ from lru_online.rtrl import (B_RE, NU, PHASE, _StreamPlan, _trace_step,
 def trace_update(layer, h_prev, u, z_prev):
     """One layer's trace update from a pre-step state h_prev the caller
     keeps itself."""
-    return _trace_step(h_prev, u, z_prev, layer_constants(layer))
+    plan = _StreamPlan(LruNetwork([layer]))
+    layer_constants(plan.kernels[0])
+    return _trace_step(plan.kernels[0], h_prev, u, z_prev, plan.traces[0])
 
 
 def stream(net, inputs):
@@ -57,7 +59,7 @@ class TestTraceStep:
         u = rng.standard_normal(3)
         _, (z,), _, _ = online_step(net, net.zero_states(), reset_trace(net),
                                     u, np.zeros(2))
-        gamma = layer_constants(layer)[1]
+        gamma = constants(layer)[1]
         assert np.allclose(z[:, B_RE], gamma[:, None] * u[None, :])
         assert np.all(z[:, NU] == 0)  # zero previous state
         assert np.all(z[:, PHASE] == 0)
@@ -118,7 +120,7 @@ class TestTraceStep:
     def test_zero_input_geometric_decay(self, rng):
         net = small_random_net(rng)
         layer = net.layers[0]
-        lam = layer_constants(layer)[0]
+        lam = constants(layer)[0]
         u = np.zeros((101, layer.m))
         u[0] = rng.standard_normal(layer.m)
         for t, (_, _, (z,)) in enumerate(stream(net, u)):
@@ -140,57 +142,64 @@ class TestTraceStep:
         afresh."""
         net = init_network(6, (9,), 2, seed=4)
         layer = net.layers[0]
-        lam = layer_constants(layer)[0]
+        lam = constants(layer)[0]
         z = reset_trace(net)[0]
         u = rng.standard_normal((30, 6))
         for u_t, ((h_prev,), _, (z_new,)) in zip(u, stream(net, u)):
             imm = np.empty_like(z)
             imm[:, NU] = -np.exp(layer.nu) * lam * h_prev
             imm[:, PHASE] = 1j * np.exp(layer.theta_phase) * lam * h_prev
-            imm[:, B_RE] = layer_constants(layer)[1][:, None] * u_t[None, :]
+            imm[:, B_RE] = constants(layer)[1][:, None] * u_t[None, :]
             ref = lam[:, None] * z + imm
             assert np.array_equal(z_new, ref)
             z = z_new
 
     def test_constants_carry_the_lambda_derivatives(self):
-        """dlambda/dnu and dlambda/dtheta_phase in layer_constants are
-        bitwise -exp(nu) * lambda and 1j * exp(theta_phase) * lambda."""
+        """layer_constants on a network's kernels, whose heads are views of
+        theta, gives lambda, gamma and the columns dlambda/dnu and
+        dlambda/dtheta_phase bitwise exp(-exp(nu)) (cos + i sin)(exp(
+        theta_phase)), exp(gamma_log), -exp(nu) * lambda and
+        1j * exp(theta_phase) * lambda."""
         net = init_network(3, (7, 4), 2, seed=5)
-        for layer in net.layers:
-            lam, gamma, b_t, c_t, dnu, dphase = layer_constants(layer)
+        for layer, k in zip(net.layers, _StreamPlan(net).kernels):
+            lam, gamma, dlam = layer_constants(k)
+            assert np.shares_memory(k.head, net.theta)
             phase = np.exp(layer.theta_phase)
             assert np.array_equal(lam, np.exp(-np.exp(layer.nu))
                                   * (np.cos(phase) + 1j * np.sin(phase)))
             assert np.array_equal(gamma, np.exp(layer.gamma_log))
-            assert np.array_equal(b_t, layer.b_re.T + 1j * layer.b_im.T)
-            assert np.array_equal(c_t, (layer.c_re + 1j * layer.c_im).T)
-            assert np.array_equal(dnu, -np.exp(layer.nu) * lam)
-            assert np.array_equal(dphase,
+            assert np.array_equal(dlam[:, 0], -np.exp(layer.nu) * lam)
+            assert np.array_equal(dlam[:, 1],
                                   1j * np.exp(layer.theta_phase) * lam)
 
 
 class TestOnlineGradient:
     def test_blocks_land_at_their_offsets(self, rng):
-        """_StreamPlan.gradient's writes at fixed offsets are bitwise the
-        per-block formulas written through net.unflatten."""
+        """_StreamPlan.gradient's writes through the paired views are
+        bitwise the per-block formulas written through net.unflatten, with
+        the adjoint a from g and a fresh (p, 2n) copy of the (c_re, c_im)
+        pairs (a real product over p, as the kernel takes it)."""
         net = init_network(4, (6, 5, 3), 2, seed=9)
+        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
         plan = _StreamPlan(net)
         states, traces = net.zero_states(), reset_trace(net)
         for _ in range(6):
             u = rng.standard_normal(4)
-            consts = [layer_constants(layer) for layer in net.layers]
-            new_states, y, li = network_step(net, states, u)
+            for k in plan.kernels:
+                layer_constants(k)
+            new_states, y, li = _forward(plan.kernels, states, u)
             traces = [trace_update(layer, h, x, z) for layer, h, x, z
                       in zip(net.layers, states, li, traces)]
             states = new_states
             dL_dy = rng.standard_normal(2)
-            got = plan.gradient(traces, states, li, dL_dy, consts)
+            got = plan.gradient(traces, states, li, dL_dy)
             ref = np.full_like(net.theta, np.nan)
             blocks = net.unflatten(ref)
             g = dL_dy
             for k in range(net.depth - 1, -1, -1):
                 layer, h, z = net.layers[k], states[k], traces[k]
-                a = (layer.c_re + 1j * layer.c_im).T @ g
+                c2 = np.stack((layer.c_re, layer.c_im), axis=-1)
+                a = (g @ c2.reshape(layer.p, -1)).view(np.complex128)
                 at = a[:, None] * z
                 out = blocks[k]
                 out["nu"][...] = at[:, NU].real
@@ -201,18 +210,21 @@ class TestOnlineGradient:
                 out["c_re"][...] = g[:, None] * h.real
                 out["c_im"][...] = g[:, None] * -h.imag
                 out["d"][...] = g[:, None] * li[k]
-                g = (np.real(consts[k][2] @ (layer_constants(layer)[1] * a))
-                     + layer.d.T @ g)
+                g = (np.real((constants(layer)[1] * a)
+                             @ (layer.b_re + 1j * layer.b_im))
+                     + g @ layer.d)
             assert np.array_equal(got, ref)
 
     def test_zero_output_gradient(self, rng):
         net = init_network(3, (5,), 2, seed=2)
-        states, y, li = network_step(net, net.zero_states(),
-                                     rng.standard_normal(3))
+        plan = _StreamPlan(net)
+        for k in plan.kernels:
+            layer_constants(k)
+        states, y, li = _forward(plan.kernels, net.zero_states(),
+                                 rng.standard_normal(3))
         traces = [trace_update(layer, h, x, z) for layer, h, x, z
                   in zip(net.layers, net.zero_states(), li, reset_trace(net))]
-        consts = [layer_constants(layer) for layer in net.layers]
-        g = _StreamPlan(net).gradient(traces, states, li, np.zeros(2), consts)
+        g = plan.gradient(traces, states, li, np.zeros(2))
         assert g.shape == net.theta.shape and np.all(g == 0)
 
     def test_sum_equals_bptt_depth1(self, rng):
@@ -295,6 +307,24 @@ class TestOnlineStep:
                     rng.standard_normal(2))
         assert np.array_equal(g1, kept)
 
+    @pytest.mark.parametrize("widths", [(5,), (4, 3)])
+    def test_step_outputs_outlive_the_next_step(self, rng, widths):
+        """The states, traces and prediction that _StreamPlan.step returns
+        for a row are its own arrays: the next row, which writes into the
+        plan's buffers, leaves them byte for byte as they were."""
+        net = init_network(3, widths, 2, seed=8)
+        step = _StreamPlan(net).step
+        states, traces = net.zero_states(), reset_trace(net)
+        kept = None
+        for _ in range(5):
+            states, traces, y_hat, _ = step(states, traces,
+                                            rng.standard_normal(3),
+                                            rng.standard_normal(2))
+            if kept is not None:
+                assert [a.tobytes() for a in held] == kept
+            held = [*states, *traces, y_hat]
+            kept = [a.tobytes() for a in held]
+
 
 ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"
 
@@ -339,14 +369,18 @@ def run_reference_stream(steps=40):
 def test_online_step_matches_reference_stream():
     """online_step + apply_update are what they were before the forward
     pass handed lambda, gamma and B u to the trace update, while lambda
-    was exp(-exp(nu)) (cos + i sin)(exp(theta_phase)) and Adam divided by
-    its bias corrections (reference written by run_reference_stream with
-    that code): every array within tests/oracle.py's STREAM_BOUNDS."""
+    was exp(-exp(nu)) (cos + i sin)(exp(theta_phase)), Adam divided by
+    its bias corrections and theta stored b and c as separate re and im
+    blocks (reference written by run_reference_stream with that code;
+    its flat theta and gradients are read through conftest's
+    paired_order): every array within tests/oracle.py's STREAM_BOUNDS."""
     ref = np.load(ONLINE_REF)
     got = run_reference_stream()
     assert sorted(got) == sorted(ref.files)
+    order = paired_order(3, (5, 4), 2)
     bound = {"preds": "predictions", "losses": "loss", "grads": "gradients",
              "theta": "theta", "state": "state", "trace": "trace"}
     for key in ref.files:
         limit = oracle.STREAM_BOUNDS[bound[key.split("_")[0]]]
-        assert oracle.relative_error(got[key], ref[key]) <= limit, key
+        want = ref[key][..., order] if key in ("grads", "theta") else ref[key]
+        assert oracle.relative_error(got[key], want) <= limit, key
