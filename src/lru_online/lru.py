@@ -123,11 +123,12 @@ class LruNetwork:
         c (p, n, 2) of (re, im) pairs, d (p, m)."""
         views, start = [], 0
         for n, m, p in self.dims:
-            head, b, c, d, _ = np.split(vec[start:], np.cumsum(
-                (3 * n, 2 * n * m, 2 * p * n, p * m)))
-            views.append((head, b.reshape(n, m, 2), c.reshape(p, n, 2),
-                          d.reshape(p, m)))
-            start += n * (3 + 2 * m + 2 * p) + p * m
+            b, c, d = (start + 3 * n, start + n * (3 + 2 * m),
+                       start + n * (3 + 2 * m + 2 * p))
+            views.append((vec[start:b], vec[b:c].reshape(n, m, 2),
+                          vec[c:d].reshape(p, n, 2),
+                          vec[d:d + p * m].reshape(p, m)))
+            start = d + p * m
         return views
 
     def unflatten(self, vec: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -363,16 +364,16 @@ def _forward(kernels: Sequence[_LayerKernel], states: list[np.ndarray],
     """network_step without its checks, on kernels with current
     layer_constants: per layer h_t = lambda * h_prev + gamma * (B u) and
     y_t = conj(h_t) pairs @ C2^T + D u, leaving conj(h_t) in k.h_conj."""
-    new_states = []
-    layer_inputs = []
+    new_states, layer_inputs = [], []
     for k, h_prev in zip(kernels, states):
-        layer_inputs.append(u := x)
-        h = np.multiply(k.gamma, k.b @ u)
+        layer_inputs.append(x)
+        h = np.multiply(k.gamma, k.b @ x)
         h += k.lam * h_prev
         np.conjugate(h, out=k.h_conj)
-        x = k.h_pairs @ k.c2_t
-        x += u @ k.d_t
+        y = k.h_pairs @ k.c2_t
+        y += x @ k.d_t
         new_states.append(h)
+        x = y
     return new_states, x, layer_inputs
 
 

@@ -160,8 +160,7 @@ class _StreamPlan:
             np.multiply(g[:, None], kern.h_pairs, out=c)
             np.multiply(g[:, None], layer_inputs[k], out=d)
             if k > 0:
-                # instantaneous dL/du of this layer = input gradient for
-                # the layer below
+                # this layer's instantaneous dL/du: the layer below's dL/dy
                 g = ((kern.gamma * a) @ kern.b).real + g @ kern.d
         return self.grads
 
