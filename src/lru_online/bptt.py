@@ -14,7 +14,7 @@ from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
 from .lru import (LruNetwork, _check_call, _LayerKernel, _linear_recurrence,
                   layer_constants, network_scan)
-from .optim import AdamState, _Descent, huber, huber_grad
+from .optim import AdamState, _Descent, _huber_grad, huber
 
 _CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
 
@@ -119,43 +119,43 @@ def bptt_gradient(net: LruNetwork,
     if not np.isfinite(loss):
         bad = np.nonzero(~np.isfinite(resid).all(axis=(1, 2)))[0]
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
-    down = huber_grad(resid)                         # (B, T, p)
+    down = _huber_grad(resid)               # (B, T, p), resid's own buffer
     grads = np.empty_like(net.theta)
-    params, blocks = net.paired(net.theta), net.paired(grads)
+    outs = net.paired(grads)
     for k in range(net.depth - 1, -1, -1):
-        (head, b, c, d), (g_head, g_b, g_c, g_d) = params[k], blocks[k]
+        layer, out = net.layers[k], outs[k]
         n, m, p = net.dims[k]
         u2 = layer_inputs[k].reshape(-1, m)
         h = layer_states[k]
         down2 = down.reshape(-1, p)
-        lam, gamma, dlam = layer_constants(_LayerKernel(head, b, c, d))
+        lam, gamma, dlam = layer_constants(_LayerKernel(layer))
 
         # the c pairs are (Re, -Im) of sum_t down_t h_t
         gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)
-        np.multiply(gc.reshape(p, n, 2), _CONJ, out=g_c)
-        g_d[...] = down2.T @ u2
+        np.multiply(gc.reshape(p, n, 2), _CONJ, out=out.c)
+        out.d[...] = down2.T @ u2
 
         # adjoint of h: a = down @ (c_re + i c_im), the (re, im) pairs of
         # down @ C2; s_t = a_t + lam * s_{t+1} is the forward recurrence on
         # the time-reversed a, run in place
-        s = (down @ c.reshape(p, 2 * n)).view(np.complex128)
+        s = (down @ layer.c2).view(np.complex128)
         _linear_recurrence(lam, s[:, ::-1])
         s2 = s.view(np.float64).reshape(-1, 2 * n)
 
         sh = np.sum(s[:, 1:] * h[:, :-1], axis=(0, 1))    # sum_t s_t h_{t-1}
         su = s2.T @ u2                                    # sum_t s_t u_t^T
-        g_head[:2 * n].reshape(2, n).T[...] = (dlam * sh[:, None]).real
+        out.nu_phase[...] = (dlam * sh[:, None]).real
         # sum_t s_t (B u_t) = rowsum(B * su)
-        g_head[2 * n:] = gamma * np.sum(
-            b[..., 0] * su[0::2] - b[..., 1] * su[1::2], axis=1)
+        out.gamma_log[...] = gamma * np.sum(
+            layer.b_re * su[0::2] - layer.b_im * su[1::2], axis=1)
         # the b pairs are gamma * (Re, -Im) of su
         signs = gamma[:, None] * _CONJ
         np.multiply(su.reshape(n, 2, m).transpose(0, 2, 1), signs[:, None],
-                    out=g_b)
+                    out=out.b)
         if k > 0:
             # dL/du = Re[(gamma * s) @ (b_re + i b_im)] + down @ d
-            down = (s2 @ (b * signs[:, None]).transpose(0, 2, 1).reshape(
-                2 * n, m) + down2 @ d).reshape(layer_inputs[k].shape)
+            down = (s2 @ (layer.b * signs[:, None]).transpose(0, 2, 1).reshape(
+                2 * n, m) + down2 @ layer.d).reshape(layer_inputs[k].shape)
     return loss, grads
 
 

@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .datapipe import FittedPipeline
 from .errors import CheckpointError, ContractViolationError
 from .lru import PARAM_BLOCKS, LruLayerParams, LruNetwork
@@ -37,8 +35,8 @@ class Checkpoint:
 
 def _network_from_jsonable(path, obj) -> LruNetwork:
     """Rebuild the network from its stored per-layer blocks: each layer must
-    be an object of numeric blocks with none missing, and LruNetwork checks
-    the block shapes and that each layer's output is the next one's input."""
+    be an object of numeric blocks with none missing; from_blocks checks
+    their shapes and LruNetwork that each layer's output feeds the next."""
     if not isinstance(obj, list) or not obj:
         raise CheckpointError(f"{path}: params has no layers")
     layers = []
@@ -50,10 +48,9 @@ def _network_from_jsonable(path, obj) -> LruNetwork:
             raise CheckpointError(
                 f"{path}: params layer {k} is missing blocks {missing}")
         try:
-            layers.append(LruLayerParams(
-                **{name: np.asarray(blocks[name], dtype=np.float64)
-                   for name in PARAM_BLOCKS}))
-        except ValueError as e:
+            layers.append(LruLayerParams.from_blocks(
+                **{name: blocks[name] for name in PARAM_BLOCKS}))
+        except (ValueError, ContractViolationError) as e:
             raise CheckpointError(f"{path}: params layer {k}: {e}") from None
     try:
         return LruNetwork(layers)
@@ -78,8 +75,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "seed": ckpt.seed,
         "config": ckpt.config,
         "provenance": ckpt.provenance,
-        "params": [{k: blocks[k].tolist() for k in PARAM_BLOCKS}
-                   for blocks in ckpt.net.unflatten(ckpt.net.theta)],
+        "params": [{k: v.tolist() for k, v in layer.blocks().items()}
+                   for layer in ckpt.net.layers],
         "pipeline": ckpt.pipeline.to_dict() if ckpt.pipeline else None,
     }
     text = json.dumps(doc, sort_keys=True, indent=1)

@@ -13,10 +13,11 @@ computed (np.abs; the phase's cos and sin round too) reads 1 from about
 nu_j = -35.8 down and at most 1 + 2**-52. So the recurrence is strictly
 stable for nu_j >= -35 and marginally stable below; nothing clamps nu.
 
-Hidden states are numpy complex128 arrays; the trainable parameters are
-split real blocks (nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d),
-all views into one flat float64 vector theta (LruNetwork), so the optimizer
-updates theta in place and every layer sees the update.
+Hidden states are numpy complex128 arrays. A layer (LruLayerParams) holds a
+head [nu, theta_phase, gamma_log], B and C as (re, im) pairs, and D; its
+named blocks and complex B are views of them. A network's layers are views
+into one flat float64 vector theta (LruNetwork), so the optimizer updates
+theta in place and every layer sees the update.
 
 network_step (one row, which the online RTRL step builds on) and
 network_scan (whole sequences at fixed theta, from given or zero states)
@@ -30,61 +31,92 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 
-# Canonical ordering of the real parameter blocks of one layer.
+# The named real blocks of one layer, which a checkpoint stores.
 PARAM_BLOCKS = ("nu", "theta_phase", "gamma_log",
                 "b_re", "b_im", "c_re", "c_im", "d")
 
 
 @dataclass(frozen=True)
 class LruLayerParams:
-    """Real parameter blocks of a single LRU layer (n nodes, m inputs, p outputs)."""
+    """One LRU layer (n nodes, m inputs, p outputs) in theta's paired
+    layout: views of theta or of a vector laid out like it, a gradient or
+    an Adam moment (LruNetwork.paired), or its own arrays (from_blocks)."""
 
-    nu: np.ndarray            # (n,)  |lambda_j| = exp(-exp(nu_j))
-    theta_phase: np.ndarray   # (n,)  arg(lambda_j) = exp(theta_phase_j)
-    gamma_log: np.ndarray     # (n,)  gamma_j = exp(gamma_log_j)
-    b_re: np.ndarray          # (n, m)
-    b_im: np.ndarray          # (n, m)
-    c_re: np.ndarray          # (p, n)
-    c_im: np.ndarray          # (p, n)
-    d: np.ndarray             # (p, m)
+    head: np.ndarray   # (3n,) [nu, theta_phase, gamma_log]
+    b: np.ndarray      # (n, m, 2) pairs (b_re, b_im) of B = b_re + i b_im
+    c: np.ndarray      # (p, n, 2) pairs (c_re, c_im) of C = c_re + i c_im
+    d: np.ndarray      # (p, m)
 
-    @property
-    def n(self) -> int:
-        return self.nu.shape[0]
+    @classmethod
+    def from_blocks(cls, *, nu, theta_phase, gamma_log, b_re, b_im, c_re,
+                    c_im, d) -> "LruLayerParams":
+        """A layer of paired float64 copies of its named blocks, each
+        checked against n = len(nu) and (p, m) = d.shape: a
+        ContractViolationError names the first that does not fit."""
+        named = {name: np.asarray(block, dtype=np.float64) for name, block
+                 in zip(PARAM_BLOCKS, (nu, theta_phase, gamma_log, b_re,
+                                       b_im, c_re, c_im, d))}
+        if named["nu"].ndim != 1 or named["d"].ndim != 2:
+            raise ContractViolationError(
+                f"blocks 'nu' and 'd' must be 1-D and 2-D, got shapes "
+                f"{named['nu'].shape} and {named['d'].shape}")
+        (n,), (p, m) = named["nu"].shape, named["d"].shape
+        expect = {"theta_phase": (n,), "gamma_log": (n,), "b_re": (n, m),
+                  "b_im": (n, m), "c_re": (p, n), "c_im": (p, n)}
+        for name, shape in expect.items():
+            if named[name].shape != shape:
+                raise ContractViolationError(
+                    f"block {name!r} has shape {named[name].shape}, "
+                    f"expected {shape}")
+        return cls(np.concatenate([named[k] for k in PARAM_BLOCKS[:3]]),
+                   np.stack((named["b_re"], named["b_im"]), axis=-1),
+                   np.stack((named["c_re"], named["c_im"]), axis=-1),
+                   named["d"])
 
-    @property
-    def m(self) -> int:
-        return self.b_re.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.c_re.shape[0]
+    n = property(lambda self: len(self.head) // 3)
+    m = property(lambda self: self.d.shape[1])
+    p = property(lambda self: self.d.shape[0])
+    # read-only views, made on first use: |lambda_j| = exp(-exp(nu_j)),
+    # arg(lambda_j) = exp(theta_phase_j), gamma_j = exp(gamma_log_j)
+    nu = cached_property(lambda self: self.head[:self.n])
+    theta_phase = cached_property(lambda self: self.head[self.n:2 * self.n])
+    gamma_log = cached_property(lambda self: self.head[2 * self.n:])
+    b_re = cached_property(lambda self: self.b[..., 0])
+    b_im = cached_property(lambda self: self.b[..., 1])
+    c_re = cached_property(lambda self: self.c[..., 0])
+    c_im = cached_property(lambda self: self.c[..., 1])
+    # the (n, 2) columns [nu, theta_phase], complex B (n, m), and the real
+    # (p, 2n) map C2: conj(h) viewed as float64 @ C2^T is Re[C h]
+    nu_phase = cached_property(
+        lambda self: self.head[:2 * self.n].reshape(2, self.n).T)
+    b_complex = cached_property(lambda self: self.b.view(np.complex128)[..., 0])
+    c2 = cached_property(lambda self: self.c.reshape(self.p, 2 * self.n))
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_BLOCKS}
 
 
-def _block_shapes(k: int, layer: LruLayerParams, width: int | None
-                  ) -> tuple[int, int, int]:
-    """Layer k's (n, m, p) from len(nu) and d.shape, every block checked
-    against them and m against width, the previous layer's p (or None)."""
-    nu, d = np.shape(layer.nu), np.shape(layer.d)
-    if len(nu) != 1 or len(d) != 2:
-        raise ContractViolationError(f"layer {k} blocks 'nu' and 'd' must be "
-                                     f"1-D and 2-D, got shapes {nu} and {d}")
-    (n,), (p, m) = nu, d
+def _pair_shapes(k: int, layer: LruLayerParams, width: int | None
+                 ) -> tuple[int, int, int]:
+    """Layer k's (n, m, p) from len(head) // 3 and d.shape, every block
+    checked against them and m against width (None or the layer below's p)."""
+    head, d = np.shape(layer.head), np.shape(layer.d)
+    if len(head) != 1 or len(d) != 2:
+        raise ContractViolationError(
+            f"layer {k} blocks 'head' and 'd' must be 1-D and 2-D, got "
+            f"shapes {head} and {d}")
+    n, (p, m) = head[0] // 3, d
     if width not in (None, m):
         raise ContractViolationError(
             f"layer {k - 1} output width {width} != layer {k} input width {m}")
-    expect = {"nu": (n,), "theta_phase": (n,), "gamma_log": (n,),
-              "b_re": (n, m), "b_im": (n, m),
-              "c_re": (p, n), "c_im": (p, n), "d": (p, m)}
-    for name, shape in expect.items():
+    for name, shape in (("head", (3 * n,)), ("b", (n, m, 2)),
+                        ("c", (p, n, 2))):
         got = np.shape(getattr(layer, name))
         if got != shape:
             raise ContractViolationError(
@@ -97,46 +129,31 @@ class LruNetwork:
 
     All parameters live in one contiguous float64 vector `theta`, layer by
     layer: nu, theta_phase and gamma_log (n each), b (n, m, 2) and c
-    (p, n, 2) as (re, im) pairs, then d (p, m), each row-major. The blocks
-    of `layers`, a tuple of frozen layers checked by _block_shapes, are
-    views into it, so writing into theta (an optimizer step) changes them.
+    (p, n, 2) as (re, im) pairs, then d (p, m), each row-major. `layers`,
+    a tuple of frozen layers checked by _pair_shapes, is paired(theta),
+    so writing into theta (an optimizer step) changes them.
     """
 
     def __init__(self, layers: Sequence[LruLayerParams]):
         if not layers:
             raise ContractViolationError("a network needs at least one layer")
-        self.dims = []                  # per layer: (n, m, p)
-        for k, layer in enumerate(layers):
-            self.dims.append(_block_shapes(k, layer,
-                                           self.dims[-1][2] if k else None))
-        self.theta = np.empty(sum(n * (3 + 2 * m + 2 * p) + p * m
-                                  for n, m, p in self.dims))
-        for layer, blocks in zip(layers, self.unflatten(self.theta)):
-            for name, view in blocks.items():
-                view[...] = getattr(layer, name)
-        self.layers = tuple(LruLayerParams(**blocks)
-                            for blocks in self.unflatten(self.theta))
+        self.dims = [_pair_shapes(k, layer, layers[k - 1].p if k else None)
+                     for k, layer in enumerate(layers)]    # (n, m, p) each
+        self.theta = np.concatenate([x.ravel() for layer in layers for x in (
+            layer.head, layer.b, layer.c, layer.d)], dtype=np.float64)
+        self.layers = self.paired(self.theta)
 
-    def paired(self, vec: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-        """Per-layer views (head, b, c, d) of a flat vector laid out like
-        theta: head (3n,) = [nu, theta_phase, gamma_log], b (n, m, 2) and
-        c (p, n, 2) of (re, im) pairs, d (p, m)."""
-        views, start = [], 0
+    def paired(self, vec: np.ndarray) -> tuple[LruLayerParams, ...]:
+        """Per-layer views of a flat vector laid out like theta."""
+        layers, start = [], 0
         for n, m, p in self.dims:
             b, c, d = (start + 3 * n, start + n * (3 + 2 * m),
                        start + n * (3 + 2 * m + 2 * p))
-            views.append((vec[start:b], vec[b:c].reshape(n, m, 2),
-                          vec[c:d].reshape(p, n, 2),
-                          vec[d:d + p * m].reshape(p, m)))
+            layers.append(LruLayerParams(
+                vec[start:b], vec[b:c].reshape(n, m, 2),
+                vec[c:d].reshape(p, n, 2), vec[d:d + p * m].reshape(p, m)))
             start = d + p * m
-        return views
-
-    def unflatten(self, vec: np.ndarray) -> list[dict[str, np.ndarray]]:
-        """Per-layer PARAM_BLOCKS views into a flat vector laid out like
-        theta (b_re, b_im, c_re and c_im strided)."""
-        return [dict(zip(PARAM_BLOCKS, (*np.split(head, 3), b[..., 0],
-                                        b[..., 1], c[..., 0], c[..., 1], d)))
-                for head, b, c, d in self.paired(vec)]
+        return tuple(layers)
 
     @property
     def depth(self) -> int:
@@ -173,14 +190,13 @@ def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
     phase = rng.random(n) * (np.pi / 10)
     # phases of exactly zero cannot be log-parameterized; nudge away from 0
     phase = np.maximum(phase, 1e-8)
-    theta_phase = np.log(phase)
-    gamma_log = 0.5 * np.log(1.0 - r2)
-    b_re = rng.standard_normal((n, m)) / np.sqrt(m)
-    b_im = rng.standard_normal((n, m)) / np.sqrt(m)
-    c_re = rng.standard_normal((p, n)) / np.sqrt(n)
-    c_im = rng.standard_normal((p, n)) / np.sqrt(n)
-    d = np.zeros((p, m))
-    return LruLayerParams(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d)
+    # keyword arguments are evaluated in order: b_re, b_im, c_re, c_im
+    return LruLayerParams.from_blocks(
+        nu=nu, theta_phase=np.log(phase), gamma_log=0.5 * np.log(1.0 - r2),
+        b_re=rng.standard_normal((n, m)) / np.sqrt(m),
+        b_im=rng.standard_normal((n, m)) / np.sqrt(m),
+        c_re=rng.standard_normal((p, n)) / np.sqrt(n),
+        c_im=rng.standard_normal((p, n)) / np.sqrt(n), d=np.zeros((p, m)))
 
 
 def _check_ring(r_min: float, r_max: float) -> None:
@@ -216,16 +232,14 @@ _SIGNS = np.array([[-1.0, 0.0], [0.0, 1.0]])
 
 
 class _LayerKernel:
-    """One layer's per-row kernel on LruNetwork.paired views (head, b, c,
-    d) of theta, so no row copies a block: complex B (n, m), the real
-    (p, 2n) map C2 of the (Re h, -Im h) pairs, and the buffers that
-    layer_constants and the step write into, with the views of them that
-    every row uses made once."""
+    """One layer's per-row kernel on a layer's views (of theta, so no row
+    copies a block): complex B (n, m), the real (p, 2n) map C2 of the
+    (Re h, -Im h) pairs, and the buffers that layer_constants and the step
+    write into, with the views of them that every row uses made once."""
 
-    def __init__(self, head: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 d: np.ndarray):
-        n = head.size // 3
-        self.head, self.e = head, np.empty(3 * n)
+    def __init__(self, layer: LruLayerParams):
+        n = layer.n
+        self.head, self.e = layer.head, np.empty(3 * n)
         self.e_pairs = self.e[:2 * n].reshape(2, n).T[:, :, None]
         self.gamma, self.gamma_col = self.e[2 * n:], self.e[2 * n:, None]
         self.f = np.empty((n, 2), np.complex128)
@@ -234,16 +248,8 @@ class _LayerKernel:
         self.lam, self.z, self.h_conj = np.empty((3, n), np.complex128)
         self.lam_col, self.dlam = self.lam[:, None], np.empty_like(self.f)
         self.h_pairs = self.h_conj.view(np.float64)
-        self.b, self.c2 = b.view(np.complex128)[..., 0], c.reshape(len(c), -1)
-        self.c2_t, self.d, self.d_t = self.c2.T, d, d.T
-
-    @classmethod
-    def of(cls, params: LruLayerParams) -> "_LayerKernel":
-        """A kernel on paired copies of a layer's blocks."""
-        return cls(np.concatenate((params.nu, params.theta_phase,
-                                   params.gamma_log)),
-                   np.stack((params.b_re, params.b_im), axis=-1),
-                   np.stack((params.c_re, params.c_im), axis=-1), params.d)
+        self.b, self.c2, self.d = layer.b_complex, layer.c2, layer.d
+        self.c2_t, self.d_t = self.c2.T, self.d.T
 
 
 def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
@@ -307,7 +313,7 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
-    lam, gamma, _ = layer_constants(_LayerKernel.of(params))
+    lam, gamma, _ = layer_constants(_LayerKernel(params))
     # real maps with interleaved (re, im) columns and rows: (u @ W) viewed
     # as complex is u @ (gamma B)^T, and h viewed as float64 @ V is
     # Re(h) @ c_re^T - Im(h) @ c_im^T
@@ -352,7 +358,7 @@ def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
     prediction, each layer's input, which the trace updates read)."""
     x = np.asarray(u_t, dtype=np.float64)
     _check_call(net, x, states=states, ndim=1)
-    kernels = [_LayerKernel(*views) for views in net.paired(net.theta)]
+    kernels = [_LayerKernel(layer) for layer in net.layers]
     for k in kernels:
         layer_constants(k)
     return _forward(kernels, states, x)

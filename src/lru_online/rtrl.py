@@ -24,8 +24,8 @@ online_step and window_gradient (RTRL pretraining's gradient) check their
 input, target and state widths with lru._check_call (online_step adds the
 trace shapes; the network was checked when it was built) and run the
 unchecked per-stream kernel _StreamPlan, which copies no block per row: B
-and C are views of theta's (re, im) pairs (lru.LruNetwork.paired), and the
-gradient is written through the same views of one buffer.
+and C are views of theta's (re, im) pairs (lru.LruLayerParams), and the
+gradient is written through the same views of one buffer (net.paired).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class _StreamPlan:
     """online_step for one stream, checked once by the caller.
 
     Construction lays out what every step reuses: each layer's
-    lru._LayerKernel on theta, its work buffers and its paired views into
-    one flat gradient buffer. step() and gradient() check nothing: the
+    lru._LayerKernel on theta, its work buffers and its layer views of one
+    flat gradient buffer. step() and gradient() check nothing: the
     caller has checked the input and target widths (lru._check_call) and
     passes states and traces that started from net.zero_states() and
     reset_trace(net). The gradient they return is the buffer, overwritten
@@ -104,20 +104,18 @@ class _StreamPlan:
     """
 
     def __init__(self, net: LruNetwork):
-        self.kernels = [_LayerKernel(*v) for v in net.paired(net.theta)]
+        self.kernels = [_LayerKernel(layer) for layer in net.layers]
         self.grads = np.empty_like(net.theta)
+        self.outs = net.paired(self.grads)
         self.g = np.empty(net.output_dim)     # the top layer's dL/dy
-        self.traces, self.blocks = [], []
-        for (n, m, _), (head, b, c, d) in zip(net.dims,
-                                              net.paired(self.grads)):
+        self.traces, self.work = [], []
+        for n, m, _ in net.dims:
             imm = np.zeros((n, 2 + m), np.complex128)
             self.traces.append((imm, imm[:, :B_RE.start], imm[:, B_RE].real))
             az = np.empty((n, 2 + m), np.complex128)   # a * Z
             ah = np.empty(n, np.complex128)             # a * h
-            self.blocks.append((az, az[:, :B_RE.start].real, az[:, B_RE],
-                                ah, ah.real, head[:2 * n].reshape(2, n).T,
-                                head[2 * n:], b.view(np.complex128)[..., 0],
-                                c.reshape(-1, 2 * n), d))
+            self.work.append((az, az[:, :B_RE.start].real, az[:, B_RE],
+                              ah, ah.real))
         self.top = len(net.layers) - 1
 
     def step(self, states: list[np.ndarray], traces: list[np.ndarray],
@@ -146,19 +144,18 @@ class _StreamPlan:
         exact for depth 1; deeper stacks drop the cross-layer temporal
         terms (the standard efficient diagonal-RTRL approximation)."""
         for k in range(self.top, -1, -1):
-            kern = self.kernels[k]
-            (az, az_lam, az_b, ah, ah_re,
-             nu_phase, gamma_log, b, c, d) = self.blocks[k]
+            kern, out = self.kernels[k], self.outs[k]
+            az, az_lam, az_b, ah, ah_re = self.work[k]
             a = (g @ kern.c2).view(np.complex128)  # complex adjoint of h
             np.multiply(a[:, None], traces[k], out=az)
-            nu_phase[...] = az_lam
+            out.nu_phase[...] = az_lam
             # conj(a * Z) holds Re[a * Z] and -Im[a * Z] = Re[a * 1j * Z]
             # side by side: the b_re and b_im gradients as b's pairs
-            np.conjugate(az_b, out=b)
+            np.conjugate(az_b, out=out.b_complex)
             np.multiply(a, h_states[k], out=ah)
-            gamma_log[...] = ah_re
-            np.multiply(g[:, None], kern.h_pairs, out=c)
-            np.multiply(g[:, None], layer_inputs[k], out=d)
+            out.gamma_log[...] = ah_re
+            np.multiply(g[:, None], kern.h_pairs, out=out.c2)
+            np.multiply(g[:, None], layer_inputs[k], out=out.d)
             if k > 0:
                 # this layer's instantaneous dL/du: the layer below's dL/dy
                 g = ((kern.gamma * a) @ kern.b).real + g @ kern.d

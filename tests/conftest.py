@@ -49,7 +49,7 @@ def small_random_net(rng, m=None, n=None, p=None, depth=1):
 def constants(layer):
     """lru.layer_constants of a layer's own blocks: (lambda, gamma, the
     (n, 2) columns dlambda/dnu and dlambda/dtheta_phase), fresh arrays."""
-    return layer_constants(_LayerKernel.of(layer))
+    return layer_constants(_LayerKernel(layer))
 
 
 def paired_order(m, widths, p):

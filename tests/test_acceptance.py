@@ -127,7 +127,7 @@ def test_criterion_04_stability_invariant(capfd):
     # 1e5 random parameter draws
     for _ in range(100):
         n = 1000
-        layer = LruLayerParams(
+        layer = LruLayerParams.from_blocks(
             nu=rng.uniform(-12.0, 12.0, n),
             theta_phase=rng.uniform(-12.0, 5.0, n),
             gamma_log=np.zeros(n), b_re=np.zeros((n, 1)),

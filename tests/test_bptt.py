@@ -181,8 +181,8 @@ class TestBpttGradient:
         batch = random_batch(np.random.default_rng(0), net, T=200)
         _, g_bptt = bptt_gradient(net, batch)
         _, g_rtrl = window_gradient(net, batch.inputs[0], batch.targets[0])
-        lower_b, top_b = net.unflatten(g_bptt)
-        lower_r, top_r = net.unflatten(g_rtrl)
+        lower_b, top_b = [v.blocks() for v in net.paired(g_bptt)]
+        lower_r, top_r = [v.blocks() for v in net.paired(g_rtrl)]
         floor = {"nu": 0.90, "theta_phase": 0.98, "gamma_log": 0.82,
                  "b_re": 0.90, "b_im": 0.64, "c_re": 0.82, "c_im": 0.83,
                  "d": 0.70}

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from conftest import constants
+from conftest import constants, random_batch
+from lru_online.bptt import bptt_gradient
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.lru import (LruLayerParams, LruNetwork, _LayerKernel,
                             _linear_recurrence,
@@ -17,9 +18,14 @@ from lru_online.optim import AdamState, apply_update
 
 
 def make_layer(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d):
-    return LruLayerParams(*(np.asarray(a, dtype=np.float64)
-                            for a in (nu, theta_phase, gamma_log,
-                                      b_re, b_im, c_re, c_im, d)))
+    return LruLayerParams.from_blocks(
+        nu=nu, theta_phase=theta_phase, gamma_log=gamma_log, b_re=b_re,
+        b_im=b_im, c_re=c_re, c_im=c_im, d=d)
+
+
+def replace_blocks(layer, **named):
+    """A copy of a layer with some of its named blocks replaced."""
+    return LruLayerParams.from_blocks(**{**layer.blocks(), **named})
 
 
 def step_one_layer(layer, h_prev, u):
@@ -76,7 +82,8 @@ class TestLambdaAgainstOracle:
         nu = rng.uniform(-12.0, nu_high, n)
         theta_phase = np.log(rng.uniform(1e-8, np.pi, n))
         theta_phase[::7] = np.log(1e-8)
-        return replace(init_layer(1, n, 1), nu=nu, theta_phase=theta_phase)
+        return replace_blocks(init_layer(1, n, 1), nu=nu,
+                              theta_phase=theta_phase)
 
     def test_matches_oracle(self, rng):
         """Within 4 (1 + exp(nu) + exp(theta_phase)) eps of the oracle's,
@@ -100,8 +107,8 @@ class TestLambdaAgainstOracle:
         for name, want in (("nu", dlam[:, 0]), ("theta_phase", dlam[:, 1])):
             x = getattr(layer, name)
             h = 1e-4 / np.maximum(1.0, np.exp(x)) if name == "nu" else 1e-4
-            up = constants(replace(layer, **{name: x + h}))[0]
-            down = constants(replace(layer, **{name: x - h}))[0]
+            up = constants(replace_blocks(layer, **{name: x + h}))[0]
+            down = constants(replace_blocks(layer, **{name: x - h}))[0]
             diff = (up - down) / ((x + h) - (x - h))
             assert np.all(np.abs(diff - want)
                           <= 1e-6 * np.abs(want) + 1e-11 * np.abs(lam)), name
@@ -120,7 +127,7 @@ class TestLambdaAgainstOracle:
         there, and nothing clamps nu."""
         nu = np.concatenate((np.linspace(-745.0, 6.5, 40000),
                              np.arange(-745.0, 7.0)))
-        layer = replace(self.layer(rng, n=nu.size), nu=nu)
+        layer = replace_blocks(self.layer(rng, n=nu.size), nu=nu)
         mag = np.abs(constants(layer)[0])
         assert mag.max() <= 1.0 + 2.0 ** -52
         assert np.all(mag[nu >= -35.0] < 1.0)
@@ -396,7 +403,7 @@ class TestFlatParameters:
         assert net.layers[0].nu[0] == 0.0
         assert net.layers[1].nu[0] == sizes[0]
         assert net.layers[1].d[-1, -1] == net.theta.size - 1
-        blocks = net.unflatten(net.theta)
+        blocks = [views.blocks() for views in net.paired(net.theta)]
         for layer, views in zip(net.layers, blocks):
             for name, arr in layer.blocks().items():
                 assert np.array_equal(arr, views[name])
@@ -415,8 +422,17 @@ class TestNetworkShapeCheck:
         ("theta_phase", (3,)), ("b_re", (4, 2)), ("c_im", (2, 5)),
         ("d", (2,))])
     def test_misshapen_layer_rejected(self, block, shape):
-        """The constructor checks every block against n = len(nu) and
-        (p, m) = d.shape and names the layer and the block."""
+        """The named-block constructor checks every block against n =
+        len(nu) and (p, m) = d.shape and names the block."""
+        with pytest.raises(ContractViolationError, match=f"'{block}'"):
+            replace_blocks(init_layer(3, 4, 2, seed=1),
+                           **{block: np.zeros(shape)})
+
+    @pytest.mark.parametrize("block, shape", [
+        ("head", (11,)), ("b", (4, 2, 2)), ("c", (2, 5, 2)), ("d", (2,))])
+    def test_misshapen_pair_block_rejected(self, block, shape):
+        """The network checks every paired block against n = len(head)
+        // 3 and (p, m) = d.shape and names the layer and the block."""
         bad = replace(init_layer(3, 4, 2, seed=1), **{block: np.zeros(shape)})
         with pytest.raises(ContractViolationError,
                            match=f"layer 1 .*'{block}'"):
@@ -445,17 +461,16 @@ class TestNetworkShapeCheck:
 class TestPairedLayout:
     SHAPES = [(9, (16,), 5), (10, (16,), 5), (3, (5, 4), 2), (1, (1, 2, 3), 1)]
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_blocks_alias_theta_at_paired_offsets(self, shape):
-        """Each layer's unflatten blocks are views of theta: nu,
-        theta_phase and gamma_log from the layer's offset, then b_re and
-        b_im at the even and odd entries of one (n, m, 2) block, c_re and
-        c_im likewise in one (p, n, 2) block, then d."""
-        m, widths, p = shape
-        net = init_network(m, widths, p, seed=1)
-        net.theta[:] = np.arange(net.theta.size)
+    @staticmethod
+    def assert_alias_at_offsets(net, vec, layers):
+        """Each layer's named blocks are views of vec: nu, theta_phase
+        and gamma_log from the layer's offset, then b_re and b_im at the
+        even and odd entries of one (n, m, 2) block, c_re and c_im
+        likewise in one (p, n, 2) block, then d; nu_phase is the
+        [nu, theta_phase] columns."""
+        vec[:] = np.arange(vec.size)
         start = 0
-        for (n, m_k, p_k), blocks in zip(net.dims, net.unflatten(net.theta)):
+        for (n, m_k, p_k), layer in zip(net.dims, layers):
             offsets = {}
             for name, size in (("nu", n), ("theta_phase", n),
                                ("gamma_log", n), ("b", 2 * n * m_k),
@@ -468,11 +483,32 @@ class TestPairedLayout:
                            c_re=c[0::2].reshape(p_k, n),
                            c_im=c[1::2].reshape(p_k, n),
                            d=offsets["d"].reshape(p_k, m_k))
-            for name, view in blocks.items():
-                assert np.shares_memory(view, net.theta), name
+            for name, view in layer.blocks().items():
+                assert np.shares_memory(view, vec), name
                 assert np.array_equal(view, offsets[name]), name
-        assert start == net.theta.size
+            assert np.shares_memory(layer.nu_phase, vec)
+            assert np.array_equal(layer.nu_phase, np.stack(
+                (offsets["nu"], offsets["theta_phase"]), axis=1))
+        assert start == vec.size
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_blocks_alias_theta_at_paired_offsets(self, shape):
+        """net.layers are views of theta at the paired offsets."""
+        m, widths, p = shape
+        net = init_network(m, widths, p, seed=1)
+        self.assert_alias_at_offsets(net, net.theta, net.layers)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradient_and_moments_alias_at_paired_offsets(self, rng, shape):
+        """net.paired(g) of a bptt_gradient result and of the Adam moments
+        are views of it at the offsets of theta's layers."""
+        m, widths, p = shape
+        net = init_network(m, widths, p, seed=1)
+        _, g = bptt_gradient(net, random_batch(rng, net, T=5, batch=2))
+        adam = AdamState.init(net.theta, lr=0.05)
+        apply_update(net.theta, g, adam, None)
+        for vec in (g, adam.m, adam.v):
+            self.assert_alias_at_offsets(net, vec, net.paired(vec))
 
 
 class TestLayerConstants:
@@ -484,7 +520,7 @@ class TestLayerConstants:
         for byte, on initialised and on Adam-stepped parameters."""
         m, widths, p = shape
         net = init_network(m, widths, p, seed=int(rng.integers(1000)))
-        kernels = [_LayerKernel(*views) for views in net.paired(net.theta)]
+        kernels = [_LayerKernel(layer) for layer in net.layers]
         adam = AdamState.init(net.theta, lr=0.05)
         for _ in range(20):
             for layer, k in zip(net.layers, kernels):

@@ -176,9 +176,10 @@ class TestTraceStep:
 class TestOnlineGradient:
     def test_blocks_land_at_their_offsets(self, rng):
         """_StreamPlan.gradient's writes through the paired views are
-        bitwise the per-block formulas written through net.unflatten, with
-        the adjoint a from g and a fresh (p, 2n) copy of the (c_re, c_im)
-        pairs (a real product over p, as the kernel takes it)."""
+        bitwise the per-block formulas written through the named blocks
+        of net.paired, with the adjoint a from g and a fresh (p, 2n) copy
+        of the (c_re, c_im) pairs (a real product over p, as the kernel
+        takes it)."""
         net = init_network(4, (6, 5, 3), 2, seed=9)
         net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
         plan = _StreamPlan(net)
@@ -194,7 +195,7 @@ class TestOnlineGradient:
             dL_dy = rng.standard_normal(2)
             got = plan.gradient(traces, states, li, dL_dy)
             ref = np.full_like(net.theta, np.nan)
-            blocks = net.unflatten(ref)
+            blocks = [v.blocks() for v in net.paired(ref)]
             g = dL_dy
             for k in range(net.depth - 1, -1, -1):
                 layer, h, z = net.layers[k], states[k], traces[k]
@@ -243,8 +244,9 @@ class TestOnlineGradient:
         T = 30
         batch = random_batch(rng, net, T)
         _, g_r = window_gradient(net, batch.inputs[0], batch.targets[0])
-        fd = net.unflatten(finite_difference_grads(net, batch))
-        g_r = net.unflatten(g_r)
+        fd = [v.blocks()
+              for v in net.paired(finite_difference_grads(net, batch))]
+        g_r = [v.blocks() for v in net.paired(g_r)]
         # top layer C and D depend only instantaneously on the state: exact
         for name in ("c_re", "c_im", "d"):
             denom = np.maximum(np.abs(fd[1][name]), 1e-6)
