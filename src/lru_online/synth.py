@@ -34,8 +34,6 @@ class GeneratorConfig:
     missing_rate: float = 0.211      # mean dt ~= 1/(1-rate) ~= 1.267 s
     shift_sessions: int = 1          # number of tail sessions with the shift
     shift: ShiftSpec = field(default_factory=ShiftSpec)
-    speed_noise: float = 2.0
-    emission_noise: float = 0.05
     seed: int = 0
 
     def validate(self) -> None:
@@ -107,7 +105,7 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
             amp = rng.uniform(5.0, 15.0)
             phase = rng.uniform(0.0, 2 * np.pi)
             speed += amp * np.sin(2 * np.pi * t / period + phase)
-        speed += _ou_noise(rng, n, tau=30.0, sigma=cfg.speed_noise)
+        speed += _ou_noise(rng, n, tau=30.0, sigma=2.0)
         speed = np.clip(speed, 0.0, None)
         accel = np.gradient(speed)
 
@@ -151,16 +149,17 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
         load = _sigmoid((rpm - 1800.0) / 400.0)
         surge = np.clip(accel, 0.0, None)
         no = 120.0 * load * (1.0 + 0.5 * surge) + 1.5 * (amb - 15.0) \
-            + _ar1(rng, n, 0.95, 4.0 * cfg.emission_noise / 0.05)
+            + _ar1(rng, n, 0.95, 4.0)
         no2 = 0.35 * no + 25.0 * _sigmoid((speed - 60.0) / 10.0) \
-            + _ar1(rng, n, 0.9, 2.0 * cfg.emission_noise / 0.05)
-        nox = no + no2 + _ar1(rng, n, 0.8, 1.0 * cfg.emission_noise / 0.05)
+            + _ar1(rng, n, 0.9, 2.0)
+        nox = no + no2 + _ar1(rng, n, 0.8, 1.0)
         co2 = np.clip(2.0 + 9.0 * fuel_lph / (speed + 8.0)
                       + 0.02 * (amb - 15.0)
-                      + _ar1(rng, n, 0.95, 0.05 * cfg.emission_noise / 0.05),
+                      # 0.05 * 0.05 / 0.05 in float64: seeds keep their data
+                      + _ar1(rng, n, 0.95, 0.05000000000000001),
                       0.2, 16.0)
         co = 250.0 * _sigmoid(surge / 0.4 - 1.0) + 0.05 * rpm \
-            + _ar1(rng, n, 0.9, 8.0 * cfg.emission_noise / 0.05)
+            + _ar1(rng, n, 0.9, 8.0)
         targets = {"no_ppm": no, "no2_ppm": no2, "nox_ppm": nox,
                    "co2_pct": co2, "co_ppm": co}
         if shifted:
