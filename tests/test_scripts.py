@@ -1,0 +1,43 @@
+"""Smoke tests of the experiment scripts in scripts/: each runs end to end
+through the CLI at a few steps and writes its table."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import lru_online
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lru_online.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_reproduce_finetune(tmp_path):
+    """Data, a 2-step pretraining, fine-tuning and the ablation grid: one
+    row per lambda and per freeze point (11)."""
+    run_script("reproduce_finetune.py", "--out", str(tmp_path), "--steps", "2")
+    assert (tmp_path / "finetune" / "summary.json").is_file()
+    assert len(read_rows(tmp_path / "ablate" / "ablation.csv")) == 11
+
+
+def test_run_sweep(tmp_path):
+    """The default grid at one step and one repeat: 90 configurations,
+    none failed."""
+    run_script("run_sweep.py", "--out", str(tmp_path), "--steps", "1",
+               "--repeats", "1")
+    rows = read_rows(tmp_path / "grid" / "sweep.csv")
+    assert len(rows) == 90
+    assert all(row["error"] == "" for row in rows)
