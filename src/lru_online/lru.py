@@ -59,7 +59,7 @@ class LruLayerParams:
         """A layer of paired float64 copies of its named blocks, each
         checked against n = len(nu) and (p, m) = d.shape: a
         ContractViolationError names the first that does not fit."""
-        named = {name: np.asarray(block, dtype=np.float64) for name, block
+        named = {name: np.array(block, dtype=np.float64) for name, block
                  in zip(PARAM_BLOCKS, (nu, theta_phase, gamma_log, b_re,
                                        b_im, c_re, c_im, d))}
         if named["nu"].ndim != 1 or named["d"].ndim != 2:
