@@ -301,104 +301,132 @@ def resample_to_grid(table: SeriesTable) -> SeriesTable:
     timestamp. Grid points without a source row become all-missing rows.
     Two rows of a session that round to the same grid point are a
     SchemaError: one would overwrite the other."""
-    ts_parts, sid_parts = [], []
-    col_parts: dict[str, list[np.ndarray]] = {c: [] for c in table.columns}
-    for start, stop in zip(*table.session_bounds()):
-        sid = table.session_ids[start]
-        ts = table.timestamps[start:stop]
-        t0 = ts[0]
-        n_grid = int(round(ts[-1] - t0)) + 1
-        grid = t0 + np.arange(n_grid, dtype=np.float64)
-        pos = np.rint(ts - t0).astype(np.int64)
-        clash = np.flatnonzero(pos[1:] <= pos[:-1])
-        if clash.size:
-            i = clash[0]
-            raise SchemaError(
-                f"session {sid}: timestamps {ts[i]} and {ts[i + 1]} do not "
-                "fall on distinct, increasing 1 s grid points")
-        ts_parts.append(grid)
-        sid_parts.append(np.full(n_grid, sid, dtype=np.int64))
-        for name, vals in table.columns.items():
-            new = (np.full(n_grid, None, dtype=object) if vals.dtype == object
-                   else np.full(n_grid, np.nan))
-            new[pos] = vals[start:stop]
-            col_parts[name].append(new)
+    starts, stops = table.session_bounds()
+    ts = table.timestamps
+    t0 = ts[starts]
+    n_grid = np.rint(ts[stops - 1] - t0).astype(np.int64) + 1
+    pos = np.rint(ts - np.repeat(t0, stops - starts)).astype(np.int64)
+    clash = np.flatnonzero(pos[1:] <= pos[:-1])
+    clash = clash[~np.isin(clash + 1, starts)]   # pos restarts in each session
+    if clash.size:
+        i = clash[0]
+        raise SchemaError(
+            f"session {table.session_ids[i]}: timestamps {ts[i]} and "
+            f"{ts[i + 1]} do not fall on distinct, increasing 1 s grid points")
+    # session k's grid rows are offset[k]:offset[k] + n_grid[k], and grid
+    # row i lies step[i] seconds after its session's first timestamp
+    offset = np.cumsum(n_grid) - n_grid
+    pos += np.repeat(offset, stops - starts)
+    step = np.arange(n_grid.sum()) - np.repeat(offset, n_grid)
+    columns = {}
+    for name, vals in table.columns.items():
+        new = (np.full(step.size, None, dtype=object) if vals.dtype == object
+               else np.full(step.size, np.nan))
+        new[pos] = vals
+        columns[name] = new
     return SeriesTable(
-        timestamps=np.concatenate(ts_parts),
-        session_ids=np.concatenate(sid_parts),
-        columns={c: np.concatenate(parts) for c, parts in col_parts.items()},
+        timestamps=np.repeat(t0, n_grid) + step.astype(np.float64),
+        session_ids=np.repeat(table.session_ids[starts], n_grid),
+        columns=columns,
     )
 
 
 # ---------------------------------------------------------------- imputation
 
-def _ffill(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
-    """Copy of values with each missing entry replaced by the last
-    non-missing entry before it; a leading missing run stays missing.
-    Applied to reversed arrays it is the backward fill."""
-    # the index of the last non-missing entry at or before each position;
-    # a leading missing run maps to index 0, which is itself missing
-    src = np.maximum.accumulate(np.where(missing, 0, np.arange(values.size)))
-    return values[src]
+def _fill_categorical(vals: np.ndarray, starts: np.ndarray,
+                      stops: np.ndarray) -> np.ndarray:
+    """Copy of vals with each None entry forward filled, then backward
+    filled, within its session (rows starts[k]:stops[k], which tile vals);
+    a session with no value stays None."""
+    idx = np.arange(vals.size)
+    # the last non-None row at or before each row, never before its
+    # session's first row, which maps to itself even when it is None
+    src = np.where(np.equal(vals, None), 0, idx)
+    src[starts] = starts
+    vals = vals[np.maximum.accumulate(src)]
+    src = np.where(np.equal(vals, None), vals.size, idx)
+    src[stops - 1] = stops - 1
+    return vals[np.minimum.accumulate(src[::-1])[::-1]]
 
 
-def _bfill(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
-    return _ffill(values[::-1], missing[::-1])[::-1]
+def _impute_session(block: np.ndarray, missing: np.ndarray, w: int) -> None:
+    """Impute one session's (columns, rows) block in place at its missing
+    cells: the median of the observed values in the centred width-w
+    window, then, where the window saw none, the nearest value after the
+    cell in its column, else the nearest before it (a backward fill, then
+    a forward fill). Every column must hold an observed value.
 
-
-def _fill_categorical(vals: np.ndarray) -> np.ndarray:
-    """Forward fill, then backward fill, of the None entries."""
-    vals = _ffill(vals, np.equal(vals, None))
-    return _bfill(vals, np.equal(vals, None))
-
-
-def _window_medians(x: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
-    """np.median over the observed values of the centered width-w window
-    around each position in `at`; NaN where the window has none.
-
-    Windows with the same count c of observed values are stacked into one
-    (windows, c) array of those values, in window order, and reduced by one
-    np.median call along its rows: the same partition and mean as a
-    separate np.median per window, so the results are bitwise equal to it
-    (signed zeros included).
+    The missing cells are grouped by the count c of observed values in
+    their window. A group's windows are stacked into one (cells, c) array
+    of those values and reduced by one np.median call along its rows: the
+    same partition and mean as a separate np.median per window, so the
+    results are bitwise equal to it (signed zeros included).
     """
     hw = w // 2
-    padded = np.concatenate([np.full(hw, np.nan), x, np.full(hw, np.nan)])
-    windows = sliding_window_view(padded, w)[at]
-    observed = ~np.isnan(windows)
-    count = np.count_nonzero(observed, axis=1)
-    medians = np.full(at.size, np.nan)
-    for c in np.flatnonzero(np.bincount(count)[1:]) + 1:   # distinct counts > 0
-        rows = count == c
-        vals = windows[rows][observed[rows]].reshape(-1, c)
-        medians[rows] = np.median(vals, axis=1)
-    return medians
+    n = block.shape[1]
+    padded = np.full((len(block), n + 2 * hw), np.nan)
+    padded[:, hw:hw + n] = block
+    observed = ~np.isnan(padded)
+    count = np.zeros(block.shape, np.min_scalar_type(w))
+    for shift in range(w):              # the window count, one shift at a time
+        count += observed[:, shift:shift + n]
+    col, at = np.nonzero(missing)
+    seen = count[col, at]
+    n_cells = np.bincount(seen, minlength=1)
+    order = np.argsort(seen, kind="stable")   # radix sort: small ints
+    col, at = col[order], at[order]
+    windows = sliding_window_view(padded, w, axis=1)
+    cell = n_cells[0]
+    for c in np.flatnonzero(n_cells[1:]) + 1:   # distinct counts > 0
+        group = slice(cell, cell + n_cells[c])
+        vals = windows[col[group], at[group]]
+        block[col[group], at[group]] = np.median(
+            vals[~np.isnan(vals)].reshape(-1, c), axis=1)
+        cell = group.stop
+    left = np.isnan(block[col, at])     # no observed value in the window
+    if not left.any():
+        return
+    col, at = col[left], at[left]
+    valid = np.flatnonzero(~np.isnan(block))    # positions in (C, n) order
+    j = np.searchsorted(valid, col * n + at)
+    after = valid[np.minimum(j, valid.size - 1)]
+    src = np.where((j < valid.size) & (after // n == col), after, valid[j - 1])
+    block[col, at] = block[src // n, src % n]
 
 
 def impute_rolling_median(table: SeriesTable, w: int = 5) -> SeriesTable:
     """Four-step recipe per numeric column, per session:
     centered width-w median over observed values, substitute at missing
     cells, then backward fill and forward fill for the boundary runs.
-    Categorical columns are forward/backward filled."""
+    Categorical columns are forward/backward filled.
+
+    Each session's numeric columns are imputed together in one
+    (columns, rows) block. A column with no observed value in a session
+    is an ImputationError naming the first such session in stream order
+    and, within it, the first such column."""
     if w < 3 or w % 2 == 0:
         raise ConfigurationError(f"rolling window must be odd and >= 3, got {w}")
-    out = table.copy()
-    for start, stop in zip(*table.session_bounds()):
-        rows = slice(start, stop)
-        for name in table.numeric_columns():
-            x = out.columns[name][rows]
-            missing = np.isnan(x)
-            if missing.all():
-                raise ImputationError(
-                    f"column {name!r} entirely missing in session "
-                    f"{table.session_ids[start]}")
-            at = np.nonzero(missing)[0]
-            x[at] = _window_medians(x, at, w)
-            x = _bfill(x, np.isnan(x))
-            out.columns[name][rows] = _ffill(x, np.isnan(x))
-        for name in table.categorical_columns():
-            out.columns[name][rows] = _fill_categorical(out.columns[name][rows])
-    return out
+    starts, stops = table.session_bounds()
+    names = table.numeric_columns()
+    X = (np.stack([table.columns[c] for c in names]) if names
+         else np.empty((0, table.n_rows)))
+    for start, stop in zip(starts, stops):
+        block = X[:, start:stop]
+        missing = np.isnan(block)
+        full = missing.all(axis=1)
+        if full.any():
+            raise ImputationError(
+                f"column {names[np.argmax(full)]!r} entirely missing in "
+                f"session {table.session_ids[start]}")
+        _impute_session(block, missing, w)
+    filled = dict(zip(names, X))
+    return SeriesTable(
+        timestamps=table.timestamps.copy(),
+        session_ids=table.session_ids.copy(),
+        columns={c: filled[c] if c in filled
+                 else _fill_categorical(v, starts, stops)
+                 for c, v in table.columns.items()},
+    )
 
 
 def impute_knn(table: SeriesTable, k: int = 20) -> SeriesTable:
@@ -447,9 +475,7 @@ def impute_knn(table: SeriesTable, k: int = 20) -> SeriesTable:
     for ci, name in enumerate(names):
         out.columns[name] = filled[:, ci]
     for name in table.categorical_columns():
-        for start, stop in zip(*bounds):
-            out.columns[name][start:stop] = _fill_categorical(
-                out.columns[name][start:stop])
+        out.columns[name] = _fill_categorical(out.columns[name], *bounds)
     return out
 
 

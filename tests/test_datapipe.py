@@ -315,6 +315,31 @@ class TestResample:
         with pytest.raises(SchemaError, match="session 0.* 1.6 and 2.4"):
             resample_to_grid(table)
 
+    def test_first_clash_in_stream_order(self):
+        # session 4 ends at grid point 2 and session 1 starts again at 0,
+        # which is no clash; sessions 1 and 2 both clash, 1 first
+        table = numeric_table({"x": np.arange(9.0)},
+                              timestamps=[0.0, 1.0, 2.0, 100.0, 101.6, 102.4,
+                                          103.0, 200.0, 200.4],
+                              session_ids=[4, 4, 4, 1, 1, 1, 1, 2, 2])
+        with pytest.raises(SchemaError, match=r"session 1: .* 101\.6 and 102\.4"):
+            resample_to_grid(table)
+
+    def test_sessions_scatter_to_their_own_grids(self):
+        table = numeric_table({"x": [1.0, 2.0, 3.0, 4.0, 5.0]},
+                              timestamps=[10.0, 12.0, 50.5, 51.5, 53.5],
+                              session_ids=[3, 3, 1, 1, 1])
+        table.columns["cond"] = np.asarray(["a", "b", "c", None, "d"],
+                                           dtype=object)
+        out = resample_to_grid(table)
+        assert out.timestamps.tobytes() == np.array(
+            [10.0, 11.0, 12.0, 50.5, 51.5, 52.5, 53.5]).tobytes()
+        assert np.array_equal(out.session_ids, [3, 3, 3, 1, 1, 1, 1])
+        assert np.array_equal(out.columns["x"],
+                              [1.0, np.nan, 2.0, 3.0, 4.0, np.nan, 5.0],
+                              equal_nan=True)
+        assert list(out.columns["cond"]) == ["a", None, "b", "c", None, None, "d"]
+
 
 def reference_rolling_median(x, w):
     """Independent re-statement of the imputer: window medians over observed
@@ -359,6 +384,37 @@ class TestRollingMedian:
         with pytest.raises(ImputationError):
             impute_rolling_median(table)
 
+    @pytest.mark.parametrize("ids, message", [
+        # session 0 lacks b and c, the later sessions 7 and 3 lack a
+        ([0, 0, 7, 7, 3, 3], "column 'b' entirely missing in session 0"),
+        # stream order, not id order: session 7 comes first
+        ([7, 7, 3, 3, 0, 0], "column 'b' entirely missing in session 7"),
+    ])
+    def test_all_missing_error_names_first_session_then_column(self, ids,
+                                                               message):
+        nan = np.nan
+        table = numeric_table({"a": [1.0, 2.0, nan, nan, nan, nan],
+                               "b": [nan, nan, 1.0, 2.0, 3.0, 4.0],
+                               "c": [nan, nan, 1.0, nan, 2.0, nan]},
+                              session_ids=ids)
+        with pytest.raises(ImputationError, match=f"^{message}$"):
+            impute_rolling_median(table)
+
+    def test_empty_and_categorical_only_tables(self):
+        empty = numeric_table({"x": []})
+        empty.columns["cond"] = np.asarray([], dtype=object)
+        out = impute_rolling_median(empty)
+        assert out.n_rows == 0 and list(out.columns) == ["x", "cond"]
+        assert out.columns["x"].dtype == np.float64
+        assert out.columns["cond"].dtype == object
+        cats = np.asarray([None, "a", None, None, "b"], dtype=object)
+        table = SeriesTable(timestamps=np.arange(5.0),
+                            session_ids=np.array([0, 0, 0, 1, 1]),
+                            columns={"cond": cats.copy()})
+        out = impute_rolling_median(table)
+        assert list(out.columns["cond"]) == ["a", "a", "a", "b", "b"]
+        assert list(table.columns["cond"]) == list(cats)
+
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(0)
         for w in (3, 5, 7):
@@ -397,7 +453,7 @@ class TestRollingMedian:
         rng.shuffle(lengths)
         sids = np.repeat(np.arange(len(lengths)), lengths)
         cols = {}
-        for name in ("a", "b"):
+        for name in ("a", "b", "c"):
             x = np.round(rng.standard_normal(sids.size), 1)  # ties, +-0.0
             x[rng.random(sids.size) < 0.3] = np.nan
             cols[name] = x
@@ -409,6 +465,14 @@ class TestRollingMedian:
                 if n > 3 * w:
                     x[idx[n // 3:n // 3 + w + 2]] = np.nan  # gap longer than w
                 x[idx[n // 4 + rng.integers(n - 2 * (n // 4))]] = 1.5
+        # the columns of one session have different observed counts: one
+        # has no missing cell, one a single observed value per session
+        cols["full"] = np.round(rng.standard_normal(sids.size), 1)
+        single = np.full(sids.size, np.nan)
+        starts = np.cumsum(lengths) - lengths
+        single[starts + rng.integers(lengths)] = np.round(
+            rng.standard_normal(len(lengths)), 1)
+        cols["single"] = single
         out = impute_rolling_median(numeric_table(cols, session_ids=sids), w)
         for name, x in cols.items():
             expect = np.concatenate([
@@ -442,9 +506,9 @@ class TestCategoricalFill:
         sids = np.repeat(np.arange(len(sessions)), [len(s) for s in sessions])
         table = numeric_table({"x": np.ones(vals.size)}, session_ids=sids)
         table.columns["cond"] = vals.copy()
-        out = impute_rolling_median(table, w=3)
         expect = [v for s in sessions for v in reference_fill_categorical(s)]
-        assert list(out.columns["cond"]) == expect
+        for out in (impute_rolling_median(table, w=3), impute_knn(table)):
+            assert list(out.columns["cond"]) == expect
         assert list(table.columns["cond"]) == list(vals)  # input untouched
 
 
