@@ -322,7 +322,8 @@ class TestResample:
                               timestamps=[0.0, 1.0, 2.0, 100.0, 101.6, 102.4,
                                           103.0, 200.0, 200.4],
                               session_ids=[4, 4, 4, 1, 1, 1, 1, 2, 2])
-        with pytest.raises(SchemaError, match=r"session 1: .* 101\.6 and 102\.4"):
+        with pytest.raises(SchemaError,
+                           match=r"session 1: .* 101\.6 and 102\.4"):
             resample_to_grid(table)
 
     def test_sessions_scatter_to_their_own_grids(self):
@@ -338,7 +339,8 @@ class TestResample:
         assert np.array_equal(out.columns["x"],
                               [1.0, np.nan, 2.0, 3.0, 4.0, np.nan, 5.0],
                               equal_nan=True)
-        assert list(out.columns["cond"]) == ["a", None, "b", "c", None, None, "d"]
+        assert list(out.columns["cond"]) == ["a", None, "b", "c", None, None,
+                                             "d"]
 
 
 def reference_rolling_median(x, w):
