@@ -13,7 +13,7 @@ from .datapipe import SequenceData
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
 from .lru import (LruNetwork, _check_call, _LayerKernel, _linear_recurrence,
-                  layer_constants, network_scan)
+                  _scan, layer_constants, network_scan)
 from .optim import AdamState, _Descent, _huber_grad, huber
 
 _CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
@@ -101,25 +101,50 @@ def sample_windows(data: SequenceData, T: int, batch: int,
                        session_ids=ids[starts].astype(np.int64))
 
 
+def _scan_windows(net: LruNetwork, inputs: np.ndarray
+                  ) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray],
+                             list[np.ndarray], np.ndarray]:
+    """network_scan of time-first inputs (T, batch, m) from zero states
+    that also hands over each layer's (lambda, gamma, dlambda), derived
+    once per layer for the forward scan and the backward pass. Returns
+    (constants, layer inputs, layer states, predictions)."""
+    consts, layer_inputs, layer_states = [], [], []
+    x = inputs
+    for layer in net.layers:
+        lam, gamma, dlam = layer_constants(_LayerKernel(layer))
+        h_0 = np.zeros(x.shape[1:-1] + (layer.n,), dtype=np.complex128)
+        layer_inputs.append(x)
+        h_seq, x = _scan(layer, h_0, x, lam, gamma)
+        consts.append((lam, gamma, dlam))
+        layer_states.append(h_seq)
+    return consts, layer_inputs, layer_states, x
+
+
 def bptt_gradient(net: LruNetwork,
                   batch: WindowBatch) -> tuple[float, np.ndarray]:
     """Mean per-step Huber loss (delta 1) over the batch and its exact
     full-unroll gradient (flat, laid out like net.theta), computed by
     hand-rolled reverse mode (the stack is linear, so the complex adjoint
     recursion s_t = a_t + lambda * s_{t+1} suffices; it runs through the
-    same chunked recurrence as the forward scan). The contractions over
-    (batch, time) are real matmuls on float64 views of the complex arrays.
+    same _linear_recurrence as the forward scan, on the time-reversed
+    adjoint). The window batch is swapped once to time first, (T, batch,
+    ·), so every step of both recurrences is a contiguous (batch, n)
+    slice; a batch of at least lru.STEP_LOOP_MIN entries per step runs
+    them as plain step loops, a smaller one chunked. The contractions over
+    (time, batch) are real matmuls on float64 views of the complex arrays.
     Inputs and targets that do not fit the network raise in _check_call."""
-    inputs = np.asarray(batch.inputs, dtype=np.float64)
-    targets = np.asarray(batch.targets, dtype=np.float64)
-    _check_call(net, inputs, targets, ndim=3)
-    layer_inputs, layer_states, preds = network_scan(net, inputs)
+    _check_call(net, np.asarray(batch.inputs), np.asarray(batch.targets),
+                ndim=3)
+    inputs, targets = (np.ascontiguousarray(np.swapaxes(a, 0, 1),
+                                            dtype=np.float64)
+                       for a in (batch.inputs, batch.targets))
+    consts, layer_inputs, layer_states, preds = _scan_windows(net, inputs)
     resid = preds - targets
     loss = huber(resid)
     if not np.isfinite(loss):
-        bad = np.nonzero(~np.isfinite(resid).all(axis=(1, 2)))[0]
+        bad = np.nonzero(~np.isfinite(resid).all(axis=(0, 2)))[0]
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
-    down = _huber_grad(resid)               # (B, T, p), resid's own buffer
+    down = _huber_grad(resid)               # (T, B, p), resid's own buffer
     grads = np.empty_like(net.theta)
     outs = net.paired(grads)
     for k in range(net.depth - 1, -1, -1):
@@ -128,7 +153,7 @@ def bptt_gradient(net: LruNetwork,
         u2 = layer_inputs[k].reshape(-1, m)
         h = layer_states[k]
         down2 = down.reshape(-1, p)
-        lam, gamma, dlam = layer_constants(_LayerKernel(layer))
+        lam, gamma, dlam = consts[k]
 
         # the c pairs are (Re, -Im) of sum_t down_t h_t
         gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)
@@ -138,11 +163,11 @@ def bptt_gradient(net: LruNetwork,
         # adjoint of h: a = down @ (c_re + i c_im), the (re, im) pairs of
         # down @ C2; s_t = a_t + lam * s_{t+1} is the forward recurrence on
         # the time-reversed a, run in place
-        s = (down @ layer.c2).view(np.complex128)
-        _linear_recurrence(lam, s[:, ::-1])
-        s2 = s.view(np.float64).reshape(-1, 2 * n)
+        s2 = down2 @ layer.c2
+        s = s2.view(np.complex128).reshape(h.shape)
+        _linear_recurrence(lam, s[::-1])
 
-        sh = np.sum(s[:, 1:] * h[:, :-1], axis=(0, 1))    # sum_t s_t h_{t-1}
+        sh = np.sum(s[1:] * h[:-1], axis=(0, 1))          # sum_t s_t h_{t-1}
         su = s2.T @ u2                                    # sum_t s_t u_t^T
         out.nu_phase[...] = (dlam * sh[:, None]).real
         # sum_t s_t (B u_t) = rowsum(B * su)

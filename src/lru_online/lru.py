@@ -22,8 +22,13 @@ theta in place and every layer sees the update.
 network_step (one row, which the online RTRL step builds on) and
 network_scan (whole sequences at fixed theta, from given or zero states)
 check their rows with _check_call (LruNetwork checks its block shapes when
-it is built) and run unchecked kernels. Every fixed-theta prediction,
-training windows and evaluated sessions alike, is a network_scan.
+it is built) and run unchecked kernels. Every fixed-theta prediction of
+an evaluated session is a network_scan, and every BPTT forward pass runs
+the same per-layer scan. Sequences are time first: a (T, m) session or a
+(T, batch, m) batch of windows, whose recurrence steps are contiguous
+(batch, n) slices. A batch of at least STEP_LOOP_MIN entries per step
+runs the recurrence as a plain step loop; a smaller batch and every 2-D
+session run it chunked.
 """
 
 from __future__ import annotations
@@ -264,66 +269,98 @@ def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
     return k.lam, k.gamma, k.dlam
 
 
+# the fewest entries per time step at which a batched recurrence runs as a
+# plain step loop: below it the chunked form's fewer, larger calls win, at
+# and above it the loop's contiguous (batch, n) steps do. At n = 16 on a
+# 2-vCPU Xeon the loop took 0.78-0.95 of the chunked time at 256 entries
+# and 0.98-1.56 at 128, for T = 128-3601
+STEP_LOOP_MIN = 256
+
+
 def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
                        h_0: np.ndarray | None = None) -> np.ndarray:
-    """h_t = lam * h_{t-1} + x_t along axis -2 of x (..., T, n), in place:
+    """h_t = lam * h_{t-1} + x_t along axis 0 of x (T, ..., n), in place:
     x holds h_0..h_{T-1} on return. lam (n,); h_0 (..., n), None for zero.
+    x may be a view; on a time-reversed view x[::-1] the recurrence runs
+    backwards in time.
 
-    Two-level chunked form (the blocked algorithm of state space duality,
-    Dao & Gu 2024, for a diagonal transition): T is cut into C chunks of
-    L = isqrt(T) steps plus a tail of T - C*L < L steps. An L-step loop runs
-    the recurrence inside every chunk at once from a zero start, a C-step
-    loop carries the true state from chunk to chunk (carry_j =
-    lam^L * carry_{j-1} + last local state of chunk j-1), and an L-step loop
-    adds lam^(i+1) * carry_j to local step i of chunk j. The tail continues
-    step by step: about 3*sqrt(T) vectorized steps instead of T. x may be
-    a view; on a time-reversed view the recurrence runs backwards in time.
+    A batched x (3 or more axes) whose time step x[t] holds at least
+    STEP_LOOP_MIN entries runs the plain step loop x[t] += lam * x[t-1]
+    over contiguous slices x[t]. Every other x, a 2-D (T, n) session
+    included, runs the two-level chunked form first (the blocked
+    algorithm of state space duality, Dao & Gu 2024, for a diagonal
+    transition): T is cut into C chunks of L = isqrt(T) steps plus a tail
+    of T - C*L < L steps. An L-step loop runs the recurrence inside every
+    chunk at once from a zero start, a C-step loop carries the true state
+    from chunk to chunk (carry_j = lam^L * carry_{j-1} + last local state
+    of chunk j-1), and an L-step loop adds lam^(i+1) * carry_j to local
+    step i of chunk j. The step loop then runs the tail: about 3*sqrt(T)
+    vectorized steps instead of T.
     """
-    T, n = x.shape[-2:]
+    T = len(x)
     if h_0 is not None:
-        x[..., 0, :] += lam * h_0
-    L = max(1, math.isqrt(T))
-    C = T // L
-    # splitting one axis never copies, so writes to chunks land in x
-    chunks = x[..., :C * L, :].reshape(x.shape[:-2] + (C, L, n))
-    for i in range(1, L):
-        chunks[..., i, :] += lam * chunks[..., i - 1, :]
-    pows = np.cumprod(np.broadcast_to(lam, (L, n)), axis=0)   # lam^(i+1)
-    carry = np.zeros_like(chunks[..., 0, :])    # state entering chunk j
-    for j in range(1, C):
-        carry[..., j, :] = pows[-1] * carry[..., j - 1, :] + chunks[..., j - 1, -1, :]
-    for i in range(L):
-        chunks[..., 1:, i, :] += pows[i] * carry[..., 1:, :]
-    for t in range(C * L, T):
-        x[..., t, :] += lam * x[..., t - 1, :]
+        x[0] += lam * h_0
+    if x.ndim > 2 and x[0].size >= STEP_LOOP_MIN:
+        done = 1
+    else:
+        L = max(1, math.isqrt(T))
+        C = T // L
+        done = C * L
+        # splitting one axis never copies, so writes to chunks land in x
+        chunks = x[:done].reshape((C, L) + x.shape[1:])
+        for i in range(1, L):
+            chunks[:, i] += lam * chunks[:, i - 1]
+        pows = np.cumprod(np.broadcast_to(lam, (L, len(lam))), axis=0)
+        carry = np.zeros_like(chunks[:, 0])    # state entering chunk j
+        for j in range(1, C):
+            carry[j] = pows[-1] * carry[j - 1] + chunks[j - 1, -1]
+        for i in range(L):
+            chunks[1:, i] += pows[i] * carry[1:]    # pows[i] = lam^(i+1)
+    prev = x[done - 1]
+    for cur in x[done:]:
+        cur += lam * prev
+        prev = cur
     return x
+
+
+def _scan(params: LruLayerParams, h_0: np.ndarray, u_seq: np.ndarray,
+          lam: np.ndarray, gamma: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """scan_forward on a float64 u_seq (T, ..., m) with the layer's
+    lambda and gamma already derived (layer_constants), which is how the
+    BPTT forward pass runs it."""
+    m, n, p = params.m, params.n, params.p
+    lead = u_seq.shape[:-1]
+    u2 = u_seq.reshape(-1, m)
+    # real maps with interleaved (re, im) columns and rows: (u @ W) viewed
+    # as complex is u @ (gamma B)^T, and h viewed as float64 @ V is
+    # Re(h) @ c_re^T - Im(h) @ c_im^T; each is one (T * batch)-row matmul
+    w = np.stack((gamma * params.b_re.T, gamma * params.b_im.T), axis=2)
+    h_seq = (u2 @ w.reshape(m, -1)).view(np.complex128).reshape(lead + (n,))
+    _linear_recurrence(lam, h_seq, np.asarray(h_0, dtype=np.complex128))
+    v = np.stack((params.c_re.T, -params.c_im.T), axis=1)
+    y_seq = (h_seq.view(np.float64).reshape(-1, 2 * n) @ v.reshape(-1, p)
+             + u2 @ params.d.T)
+    return h_seq, y_seq.reshape(lead + (p,))
 
 
 def scan_forward(params: LruLayerParams, h_0: np.ndarray,
                  u_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One layer over a whole sequence via the chunked linear recurrence.
+    """One layer over a whole sequence via _linear_recurrence, time first.
 
-    u_seq real (..., T, m), h_0 complex (..., n), the state before the
-    first row. Returns (h_seq, y_seq) with shapes (..., T, n) and
-    (..., T, p): T network_step calls on the one-layer net
-    LruNetwork([params]) from h_0, up to rounding (the input and output
-    products are (T, m) and (T, 2n) matmuls, and the recurrence is
-    chunked).
+    u_seq real (T, ..., m), a (T, m) session or a (T, batch, m) batch of
+    windows; h_0 complex (..., n), the state before the first row. Returns
+    (h_seq, y_seq) with shapes (T, ..., n) and (T, ..., p): T network_step
+    calls on the one-layer net LruNetwork([params]) from h_0, up to
+    rounding (the input and output products are matmuls over every row,
+    and the recurrence is chunked or, for a wide enough batch, a plain
+    step loop).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
-    if u_seq.ndim < 2 or u_seq.shape[-2] < 1:
+    if u_seq.ndim < 2 or len(u_seq) < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
     lam, gamma, _ = layer_constants(_LayerKernel(params))
-    # real maps with interleaved (re, im) columns and rows: (u @ W) viewed
-    # as complex is u @ (gamma B)^T, and h viewed as float64 @ V is
-    # Re(h) @ c_re^T - Im(h) @ c_im^T
-    w = np.stack((gamma * params.b_re.T, gamma * params.b_im.T), axis=2)
-    h_seq = (u_seq @ w.reshape(params.m, -1)).view(np.complex128)
-    _linear_recurrence(lam, h_seq, np.asarray(h_0, dtype=np.complex128))
-    v = np.stack((params.c_re.T, -params.c_im.T), axis=1)
-    y_seq = (h_seq.view(np.float64) @ v.reshape(-1, params.p)
-             + u_seq @ params.d.T)
-    return h_seq, y_seq
+    return _scan(params, h_0, u_seq, lam, gamma)
 
 
 def _check_call(net: LruNetwork, inputs: np.ndarray,
@@ -387,16 +424,18 @@ def network_scan(net: LruNetwork, u_seq: np.ndarray,
                  states: list[np.ndarray] | None = None
                  ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Full-sequence forward through the stack via per-layer scans of
-    u_seq (..., T, m), from one (n_k,) state per layer (zero when None;
-    given states need a 2-D u_seq).
+    u_seq (T, ..., m), time first: a (T, m) session or a (T, batch, m)
+    batch of windows. Starts from one (n_k,) state per layer (zero when
+    None; given states need a 2-D u_seq).
 
-    Returns (per-layer input sequences, per-layer state sequences, predictions).
+    Returns (per-layer input sequences, per-layer state sequences,
+    predictions), each time first like u_seq.
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     _check_call(net, u_seq, states=states,
                 ndim=None if states is None else 2)
     if states is None:
-        states = [np.zeros(u_seq.shape[:-2] + (layer.n,), dtype=np.complex128)
+        states = [np.zeros(u_seq.shape[1:-1] + (layer.n,), dtype=np.complex128)
                   for layer in net.layers]
     layer_inputs = []
     layer_states = []

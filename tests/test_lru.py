@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -10,8 +11,8 @@ import oracle
 from conftest import constants, random_batch
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ConfigurationError, ContractViolationError
-from lru_online.lru import (LruLayerParams, LruNetwork, _LayerKernel,
-                            _linear_recurrence,
+from lru_online.lru import (STEP_LOOP_MIN, LruLayerParams, LruNetwork,
+                            _LayerKernel, _linear_recurrence,
                             init_layer, init_network, network_scan,
                             network_step, scan_forward)
 from lru_online.optim import AdamState, apply_update
@@ -257,36 +258,39 @@ class TestScanForward:
         assert np.abs(h_seq).max() <= bound + 1e-9
 
     def test_batched_matches_loop(self, rng):
+        """A time-first (T, batch, m) batch scans each window u[:, b]."""
         layer = init_layer(2, 4, 2, seed=8)
-        u = rng.standard_normal((3, 10, 2))
+        u = rng.standard_normal((10, 3, 2))
         h0 = np.zeros((3, 4), complex)
         h_seq, y_seq = scan_forward(layer, h0, u)
         for b in range(3):
-            hb, yb = scan_forward(layer, h0[b], u[b])
-            assert np.allclose(h_seq[b], hb) and np.allclose(y_seq[b], yb)
+            hb, yb = scan_forward(layer, h0[b], u[:, b])
+            assert np.allclose(h_seq[:, b], hb) and np.allclose(y_seq[:, b], yb)
 
 
 def sequential_recurrence(lam, x, h_0):
-    """Reference: h_t = lam * h_{t-1} + x_t, one step at a time."""
+    """Reference: h_t = lam * h_{t-1} + x_t, one step at a time along
+    axis 0 of x (T, ..., n)."""
     h = np.empty_like(x)
     prev = h_0
-    for t in range(x.shape[-2]):
-        prev = lam * prev + x[..., t, :]
-        h[..., t, :] = prev
+    for t in range(len(x)):
+        prev = lam * prev + x[t]
+        h[t] = prev
     return h
 
 
 class TestLinearRecurrence:
-    """The chunked primitive against a plain loop. T covers one and two
-    steps, T just below, at and just above a square (the chunk length
-    isqrt(T) steps up there and the tail after the last chunk is empty or
-    one step) and a full 3601-step session."""
+    """The recurrence primitive, time first, against a plain loop. T
+    covers one and two steps, T just below, at and just above a square
+    (the chunk length isqrt(T) steps up there and the tail after the last
+    chunk is empty or one step) and a full 3601-step session; `lead` is
+    the batch shape between the time axis and the n nodes."""
 
     @staticmethod
     def _case(rng, lead, T, mag, n=6):
         lam = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-        x = (rng.standard_normal(lead + (T, n))
-             + 1j * rng.standard_normal(lead + (T, n)))
+        x = (rng.standard_normal((T,) + lead + (n,))
+             + 1j * rng.standard_normal((T,) + lead + (n,)))
         h_0 = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
         return lam, x, h_0
 
@@ -311,9 +315,9 @@ class TestLinearRecurrence:
         """On a time-reversed view it runs s_t = x_t + lam * s_{t+1}
         backwards, in place in the original array."""
         lam, x, h_0 = self._case(rng, lead, T, mag)
-        ref = sequential_recurrence(lam, x[..., ::-1, :], h_0)[..., ::-1, :]
+        ref = sequential_recurrence(lam, x[::-1], h_0)[::-1]
         got = x.copy()
-        _linear_recurrence(lam, got[..., ::-1, :], h_0)
+        _linear_recurrence(lam, got[::-1], h_0)
         assert self._rel_err(got, ref) < 1e-12
 
     def test_zero_start_by_default(self, rng):
@@ -321,8 +325,93 @@ class TestLinearRecurrence:
         ref = sequential_recurrence(lam, x, np.zeros((2, 6), complex))
         assert self._rel_err(_linear_recurrence(lam, x.copy()), ref) < 1e-12
 
+    @pytest.mark.parametrize("T", [1, 2, 17, 128])
+    @pytest.mark.parametrize("start", ["h_0", "zero"])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reverse"])
+    @pytest.mark.parametrize("width", [STEP_LOOP_MIN // 8 - 1,
+                                       STEP_LOOP_MIN // 8],
+                             ids=["below", "at"])
+    def test_both_branches(self, width, reverse, start, T, rng):
+        """A (T, width, 8) batch holds 8 * width entries per step. Just
+        below STEP_LOOP_MIN it runs chunked, so each window is bitwise its
+        own (T, 8) session scan; at STEP_LOOP_MIN it runs the plain step
+        loop, bitwise the reference. Both stay within 1e-12 of the
+        reference, forwards and on the time-reversed view the adjoint
+        takes, from a given and from a zero start."""
+        lam, x, h_0 = self._case(rng, (width,), T, 0.9999, n=8)
+        if start == "zero":
+            h_0 = None
+        flip = (lambda a: a[::-1]) if reverse else (lambda a: a)
+        ref = flip(sequential_recurrence(
+            lam, flip(x), np.zeros((width, 8), complex) if h_0 is None
+            else h_0))
+        got = x.copy()
+        _linear_recurrence(lam, flip(got), h_0)
+        assert self._rel_err(got, ref) < 1e-12
+        if 8 * width >= STEP_LOOP_MIN:
+            assert np.array_equal(got, ref)
+        else:
+            for b in range(width):
+                col = x[:, b].copy()
+                _linear_recurrence(lam, flip(col),
+                                   None if h_0 is None else h_0[b])
+                assert np.array_equal(got[:, b], col)
+
+
+def chunked_recurrence(lam, x, h_0):
+    """Reference: the chunked form on a (T, n) session, written out for
+    two dimensions only (chunks of isqrt(T) steps, a carry between them,
+    a step-by-step tail), in place."""
+    T, n = x.shape
+    x[0] += lam * h_0
+    L = math.isqrt(T)
+    C = T // L
+    chunks = x[:C * L].reshape(C, L, n)
+    for i in range(1, L):
+        chunks[:, i] += lam * chunks[:, i - 1]
+    pows = np.cumprod(np.broadcast_to(lam, (L, n)), axis=0)
+    carry = np.zeros((C, n), complex)
+    for j in range(1, C):
+        carry[j] = pows[-1] * carry[j - 1] + chunks[j - 1, -1]
+    for i in range(L):
+        chunks[1:, i] += pows[i] * carry[1:]
+    for t in range(C * L, T):
+        x[t] += lam * x[t - 1]
+    return x
+
+
+def chunked_scan(net, u):
+    """Reference: a (T, m) session through the stack from zero states,
+    each layer's (T, m) and (T, 2n) matmuls around chunked_recurrence."""
+    states = []
+    for layer in net.layers:
+        lam, gamma, _ = constants(layer)
+        w = np.stack((gamma * layer.b_re.T, gamma * layer.b_im.T), axis=2)
+        h = (u @ w.reshape(layer.m, -1)).view(complex)
+        chunked_recurrence(lam, h, np.zeros(layer.n, complex))
+        v = np.stack((layer.c_re.T, -layer.c_im.T), axis=1)
+        u = h.view(np.float64) @ v.reshape(-1, layer.p) + u @ layer.d.T
+        states.append(h)
+    return states, u
+
 
 class TestNetworkForward:
+    @pytest.mark.parametrize("widths, T", [((16,), 3601), ((8, 8), 200),
+                                           ((STEP_LOOP_MIN,), 300)])
+    def test_session_scan_is_chunked_bitwise(self, widths, T, rng):
+        """A 2-D (T, m) network_scan, the scan of every evaluated session,
+        is bitwise the chunked reference, also when one step holds
+        STEP_LOOP_MIN or more entries."""
+        net = init_network(9, widths, 5, seed=4)
+        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
+        u = rng.standard_normal((T, 9))
+        _, h_seq, preds = network_scan(net, u)
+        ref_h, ref_preds = chunked_scan(net, u)
+        assert np.array_equal(preds, ref_preds)
+        for h, ref in zip(h_seq, ref_h):
+            assert np.array_equal(h, ref)
+
     def test_transparent_second_layer(self, rng):
         first = init_layer(3, 4, 4, seed=2)
         second = diagonal_layer(4, lam=0.0)
