@@ -159,33 +159,29 @@ class TestBpttGradient:
         fd = finite_difference_grads(net, batch)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
 
-    def test_batch_reduction_matches_mean_of_singles(self, rng):
-        net = small_random_net(rng, m=3, n=5, p=2)
-        batch = random_batch(rng, net, T=16, batch=4)
+    @staticmethod
+    def _assert_mean_of_singles(net, batch):
         loss, grads = bptt_gradient(net, batch)
-        singles = [bptt_gradient(net, WindowBatch(batch.inputs[b:b + 1],
-                                                  batch.targets[b:b + 1], 16,
-                                                  batch.session_ids[b:b + 1]))
-                   for b in range(4)]
+        singles = [bptt_gradient(net, WindowBatch(
+                       batch.inputs[b:b + 1], batch.targets[b:b + 1],
+                       batch.window, batch.session_ids[b:b + 1]))
+                   for b in range(len(batch.inputs))]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
         mean = np.mean([s[1] for s in singles], axis=0)
         assert np.allclose(grads, mean, atol=1e-12)
+
+    def test_batch_reduction_matches_mean_of_singles(self, rng):
+        net = small_random_net(rng, m=3, n=5, p=2)
+        self._assert_mean_of_singles(net, random_batch(rng, net, T=16,
+                                                       batch=4))
 
     def test_step_loop_batch_matches_mean_of_singles(self, rng):
         """A batch of STEP_LOOP_MIN / n windows runs both recurrences of
         both layers as plain step loops; each single window runs them
         chunked. The two branches meet in the mean."""
         net = small_random_net(rng, m=3, n=8, p=2, depth=2)
-        B = STEP_LOOP_MIN // 8
-        batch = random_batch(rng, net, T=40, batch=B)
-        loss, grads = bptt_gradient(net, batch)
-        singles = [bptt_gradient(net, WindowBatch(batch.inputs[b:b + 1],
-                                                  batch.targets[b:b + 1], 40,
-                                                  batch.session_ids[b:b + 1]))
-                   for b in range(B)]
-        assert loss == pytest.approx(np.mean([s[0] for s in singles]))
-        mean = np.mean([s[1] for s in singles], axis=0)
-        assert np.allclose(grads, mean, atol=1e-12)
+        self._assert_mean_of_singles(net, random_batch(
+            rng, net, T=40, batch=STEP_LOOP_MIN // 8))
 
     def test_finite_differences_step_loop(self, rng):
         """The finite-difference check on a depth-2 batch whose forward
