@@ -5,6 +5,7 @@ benchmark. The CLI in cli.py is a thin wrapper over these functions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
@@ -19,9 +20,9 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
-from .lru import (LruNetwork, _check_call, _check_layers, _check_ring,
-                  init_network)
-from .optim import AdamState, AnchorConfig, _Descent, huber, huber_values
+from .lru import LruNetwork, _check_layers, _check_ring, init_network
+from .optim import (AdamState, AnchorConfig, _Descent, _huber_grad, huber,
+                    huber_values)
 from .rtrl import _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
 
@@ -210,41 +211,92 @@ class RunMetrics:
         }
 
 
-def _adapt(net: LruNetwork, stream: SequenceData, freeze: int,
-           adam: AdamState, clip: float | None, anchor: AnchorConfig,
-           preds: np.ndarray, dist: np.ndarray
-           ) -> tuple[list[np.ndarray] | None, int, float]:
-    """The adaptive pass of cmd_finetune over rows [0, freeze): the
-    network is checked once, then every row runs the unchecked RTRL step
-    (rtrl._StreamPlan) and the update (optim._Descent), which together are
-    bitwise online_step + apply_update + anchor_distance. Writes each
-    row's prediction into preds and the anchor distance after it into
-    dist. Returns (the states after row freeze - 1, the skipped updates,
-    the final anchor distance)."""
-    features = np.asarray(stream.features[:freeze], dtype=np.float64)
-    targets = np.asarray(stream.targets[:freeze], dtype=np.float64)
-    _check_call(net, features, targets, ndim=2)
-    step = _StreamPlan(net).step
-    descend = _Descent(net.theta, adam, clip, anchor)
-    finite_rows = np.isfinite(features).all(axis=1).tolist()
-    skipped = 0
-    states = None
+class OnlineLearner:
+    """A copy of a pretrained network adapted one incoming row at a time,
+    as cmd_finetune and a deployed model run it: per row predict(u) before
+    the label is known, then observe(y); end_session() at each session
+    start. RTRL (rtrl._StreamPlan) and one update (optim._Descent: Adam at
+    cfg.lr on the Huber gradient plus the cfg.lambda_reg pull toward the
+    pretrained theta, clipped at cfg.clip); the caller applies
+    cfg.freeze_after by stopping. A non-finite feature row leaves the
+    states and traces as they were; an update whose gradient is not finite
+    (a NaN label reports a row without one) counts in `skipped` and
+    changes nothing. observe before predict, predict twice, and a row or
+    label of the wrong width are ContractViolationErrors that change
+    nothing. observe reads the returned prediction again: copy it before
+    writing to it."""
+
+    def __init__(self, net: LruNetwork, cfg: FinetuneConfig):
+        self.net = net.copy()
+        self.adam = AdamState.init(self.net.theta, lr=cfg.lr)
+        anchor = AnchorConfig(theta_pre=net.theta.copy(),
+                              lambda_reg=cfg.lambda_reg)
+        self._plan = _StreamPlan(self.net)
+        self._descend = _Descent(self.net.theta, self.adam, cfg.clip, anchor)
+        self._u_shape, self._y_shape = (net.input_dim,), (net.output_dim,)
+        self._pending = None   # predict's outputs, until observe reads them
+        self.skipped = 0       # updates whose gradient was not finite
+        self.end_session()
+
+    @property
+    def distance(self) -> float:
+        """||theta - theta_pre||_2 after the last update."""
+        return self._descend.distance
+
+    def end_session(self) -> None:
+        """Zero the states and traces; theta and the Adam state carry
+        over. A pending prediction's observe may still follow."""
+        net = self.net
+        self.states, self.traces = net.zero_states(), reset_trace(net)
+
+    def predict(self, u: np.ndarray) -> np.ndarray:
+        """The prediction (p,) for the feature row u (m,) at the current
+        theta, from the states before it."""
+        if self._pending is not None:
+            raise ContractViolationError("predict called twice")
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != self._u_shape:
+            raise ContractViolationError(
+                f"row shape {u.shape} for input shape {self._u_shape}")
+        states, traces, y_hat, _ = self._pending = self._plan.predict(
+            self.states, self.traces, u)
+        # a finite u.dot(u) (half u @ u's time) skips the full scan
+        if math.isfinite(u.dot(u)) or np.isfinite(u).all():
+            self.states, self.traces = states, traces
+        return y_hat
+
+    def observe(self, y: np.ndarray) -> None:
+        """Update theta and the Adam state on the label y (p,) of the row
+        that predict saw last."""
+        if self._pending is None:
+            raise ContractViolationError("observe called before predict")
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != self._y_shape:
+            raise ContractViolationError(
+                f"label shape {y.shape} for output shape {self._y_shape}")
+        states, traces, y_hat, inputs = self._pending
+        self._pending = None
+        plan = self._plan
+        g = _huber_grad(np.subtract(y_hat, y, out=plan.g))
+        try:
+            self._descend(plan.gradient(traces, states, inputs, g))
+        except TrainingError:
+            self.skipped += 1   # non-finite gradient: nothing was updated
+
+
+def _adapt(learner: OnlineLearner, stream: SequenceData, freeze: int,
+           preds: np.ndarray, dist: np.ndarray) -> None:
+    """cmd_finetune's adaptive pass: rows [0, freeze) through the learner,
+    each row's prediction into preds and the distance after it into dist."""
+    features, targets = stream.features, stream.targets
     for first, stop in zip(*stream.session_bounds()):
         if first >= freeze:
             break
-        states, traces = net.zero_states(), reset_trace(net)
+        learner.end_session()
         for t in range(first, min(stop, freeze)):
-            new_states, new_traces, preds[t], grads = step(
-                states, traces, features[t], targets[t])
-            try:
-                descend(grads)
-            except TrainingError:
-                # non-finite gradient: nothing was updated
-                skipped += 1
-            if finite_rows[t]:
-                states, traces = new_states, new_traces
-            dist[t] = descend.distance
-    return states, skipped, descend.distance
+            preds[t] = learner.predict(features[t])
+            learner.observe(targets[t])
+            dist[t] = learner.distance
 
 
 def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
@@ -256,20 +308,14 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     computation as cmd_evaluate, so predictions_frozen is bitwise
     cmd_evaluate's predictions. With freeze 0 (lr 0 or freeze_after 0)
     that is the only pass: the fine-tuned predictions and losses are
-    copies of the frozen ones and the anchor distance is 0. Otherwise the
-    adaptive pass runs rows [0, freeze), the first freeze_after rows (all
-    when None): the model predicts, observes the label and Adam-updates on
-    the clipped Huber + anchor gradient, the prediction logged before the
-    update (no label leakage). Each session starts from zero states and
-    traces; θ and the Adam state carry over. A step whose gradient is not
-    finite (a NaN feature or target) logs its prediction, skips the update
-    and counts in RunMetrics.skipped_updates. A non-finite feature row
-    leaves states and traces at their pre-step values; a row with finite
-    features advances them, even when its target is not finite.
-    _scan_sessions then runs the adapted net from the freeze row on,
-    continuing the adaptive states inside the freeze row's session. At
-    fixed theta too a non-finite feature row is predicted and leaves the
-    states as they were.
+    copies of the frozen ones and the anchor distance is 0. Otherwise an
+    OnlineLearner runs rows [0, freeze), the first freeze_after rows (all
+    when None): each prediction is logged before its label updates θ (no
+    label leakage), and a step whose gradient is not finite (a NaN feature
+    or target) counts in RunMetrics.skipped_updates. _scan_sessions then
+    runs the learner's net from the freeze row on, continuing its states
+    inside the freeze row's session. At fixed theta too a non-finite
+    feature row is predicted and leaves the states as they were.
 
     The losses come from the logged predictions. Sessions come from
     stream.session_bounds(), so a session id that comes back is a
@@ -289,13 +335,11 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     preds, loss = preds_frozen.copy(), loss_frozen.copy()
     dist, skipped = np.zeros(stream.n_rows), 0
     if freeze:
-        net = frozen.copy()
-        anchor = AnchorConfig(theta_pre=frozen.theta,
-                              lambda_reg=cfg.lambda_reg)
-        adam = AdamState.init(net.theta, lr=cfg.lr)
-        states, skipped, dist[freeze:] = _adapt(net, stream, freeze, adam,
-                                                cfg.clip, anchor, preds, dist)
-        preds[freeze:] = _scan_sessions(net, stream, freeze, states)
+        learner = OnlineLearner(frozen, cfg)
+        _adapt(learner, stream, freeze, preds, dist)
+        dist[freeze:], skipped = learner.distance, learner.skipped
+        preds[freeze:] = _scan_sessions(learner.net, stream, freeze,
+                                        learner.states)
         loss = huber_values(preds - stream.targets).mean(axis=1)
     return RunMetrics(timestamps=stream.timestamps.copy(),
                       targets=stream.targets.copy(),

@@ -19,10 +19,11 @@ named blocks and complex B are views of them. A network's layers are views
 into one flat float64 vector theta (LruNetwork), so the optimizer updates
 theta in place and every layer sees the update.
 
-network_step (one row, which the online RTRL step builds on) and
-network_scan (whole sequences at fixed theta, from given or zero states)
-check their rows with _check_call (LruNetwork checks its block shapes when
-it is built) and run unchecked kernels. Every fixed-theta prediction of
+The online RTRL step runs one checked row on the unchecked per-row
+kernels (_LayerKernel, layer_constants, _forward). network_scan (whole
+sequences at fixed theta, from given or zero states) checks its rows with
+_check_call (LruNetwork checks its block shapes when it is built) and runs
+unchecked kernels. Every fixed-theta prediction of
 an evaluated session is a network_scan, and every BPTT forward pass runs
 the same per-layer scan. Sequences are time first: a (T, m) session or a
 (T, batch, m) batch of windows, whose recurrence steps are contiguous
@@ -350,11 +351,10 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
 
     u_seq real (T, ..., m), a (T, m) session or a (T, batch, m) batch of
     windows; h_0 complex (..., n), the state before the first row. Returns
-    (h_seq, y_seq) with shapes (T, ..., n) and (T, ..., p): T network_step
-    calls on the one-layer net LruNetwork([params]) from h_0, up to
-    rounding (the input and output products are matmuls over every row,
-    and the recurrence is chunked or, for a wide enough batch, a plain
-    step loop).
+    (h_seq, y_seq) with shapes (T, ..., n) and (T, ..., p): T rows of
+    _forward on the layer's kernel from h_0, up to rounding (the input and
+    output products are matmuls over every row, and the recurrence is
+    chunked or, for a wide enough batch, a plain step loop).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or len(u_seq) < 1:
@@ -388,25 +388,14 @@ def _check_call(net: LruNetwork, inputs: np.ndarray,
             f"widths {widths}")
 
 
-def network_step(net: LruNetwork, states: list[np.ndarray], u_t: np.ndarray
-                 ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """One input row u_t (m,) through the stack from one (n_k,) state per
-    layer, layer k's output feeding layer k+1. Returns (new states,
-    prediction, each layer's input, which the trace updates read)."""
-    x = np.asarray(u_t, dtype=np.float64)
-    _check_call(net, x, states=states, ndim=1)
-    kernels = [_LayerKernel(layer) for layer in net.layers]
-    for k in kernels:
-        layer_constants(k)
-    return _forward(kernels, states, x)
-
-
 def _forward(kernels: Sequence[_LayerKernel], states: list[np.ndarray],
              x: np.ndarray
              ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """network_step without its checks, on kernels with current
-    layer_constants: per layer h_t = lambda * h_prev + gamma * (B u) and
-    y_t = conj(h_t) pairs @ C2^T + D u, leaving conj(h_t) in k.h_conj."""
+    """One float64 row x (m,) through the stack from one (n_k,) state per
+    layer, unchecked, on kernels with current layer_constants: per layer
+    h_t = lambda * h_prev + gamma * (B x) and y_t = conj(h_t) pairs @ C2^T
+    + D x (conj(h_t) left in k.h_conj), the next layer's x. Returns (new
+    states, prediction, each layer's input)."""
     new_states, layer_inputs = [], []
     for k, h_prev in zip(kernels, states):
         layer_inputs.append(x)

@@ -153,19 +153,6 @@ def _pull(diff: np.ndarray, anchor: AnchorConfig, distance: float,
 
 # ------------------------------------------------------------------- update
 
-def apply_update(theta: np.ndarray, grads: np.ndarray, adam: AdamState,
-                 clip: float | None,
-                 anchor: AnchorConfig | None = None) -> None:
-    """One _Descent update on work vectors allocated for this call: the
-    anchor pull, the global-norm clip, then an in-place Adam step (a plain
-    Adam step with clip and anchor None). The caller's gradient is never
-    written to. A non-finite gradient raises TrainingError before anything
-    is written."""
-    if anchor is not None and anchor.lambda_reg == 0.0:
-        anchor = None
-    _Descent(theta, adam, clip, anchor)(grads)
-
-
 class _Descent:
     """The parameter update of every trainer and of online fine-tuning,
     and the only code that composes it: construct it once per stream of
@@ -175,7 +162,8 @@ class _Descent:
     It owns Adam's two work vectors and keeps theta - theta_pre from one
     update to the next, so that difference is taken once per update: for
     the distance after it (`distance`) and for the next update's pull,
-    theta not having moved in between."""
+    theta not having moved in between. One made for a single call,
+    _Descent(theta, adam, None)(grads), is a plain Adam step."""
 
     def __init__(self, theta: np.ndarray, adam: AdamState,
                  clip: float | None, anchor: AnchorConfig | None = None):

@@ -20,12 +20,13 @@ z = dh/dtheta, the loss gradient is Re[a * z] where a = C^T dL/dy is the
 complex adjoint coefficient of the hidden state (the loss is real, taken
 through y = Re[C h] + D u).
 
-online_step and window_gradient (RTRL pretraining's gradient) check their
-input, target and state widths with lru._check_call (online_step adds the
-trace shapes; the network was checked when it was built) and run the
-unchecked per-stream kernel _StreamPlan, which copies no block per row: B
-and C are views of theta's (re, im) pairs (lru.LruLayerParams), and the
-gradient is written through the same views of one buffer (net.paired).
+The per-stream kernel _StreamPlan checks nothing and has two halves:
+predict (one row's forward step and trace update) and gradient (that row's
+parameter gradient). Its callers check the widths: harness.OnlineLearner
+of each row, window_gradient (RTRL pretraining's gradient) of its window
+(lru._check_call). The kernel copies no block per row: B and C are views of
+theta's (re, im) pairs (lru.LruLayerParams), and the gradient is written
+through the same views of one buffer (net.paired).
 """
 
 from __future__ import annotations
@@ -63,44 +64,17 @@ def _trace_step(k: _LayerKernel, h_prev: np.ndarray, u: np.ndarray,
     return z
 
 
-def online_step(net: LruNetwork, states: list[np.ndarray],
-                traces: list[np.ndarray], u_t: np.ndarray, y_t: np.ndarray
-                ) -> tuple[list[np.ndarray], list[np.ndarray],
-                           np.ndarray, np.ndarray]:
-    """One RTRL step: forward, trace update, and the gradient of this step's
-    mean Huber loss. Everything uses the current parameters; the caller
-    decides whether to update them, and takes the loss, when it needs one,
-    as huber(prediction - y_t).
-
-    States and traces must start at zero together (net.zero_states() and
-    reset_trace(net)), at the start of a stream or session: the gamma_log
-    trace is read from the state, which equals it only from a shared zero
-    start. A state, trace, input or target whose shape does not fit the
-    network is a ContractViolationError.
-
-    Returns (new states, new traces, prediction, flat gradient).
-    """
-    u_t = np.asarray(u_t, dtype=np.float64)
-    y_t = np.asarray(y_t, dtype=np.float64)
-    _check_call(net, u_t, y_t, states, ndim=1)
-    shapes = [(layer.n, 2 + layer.m) for layer in net.layers]
-    if [np.shape(z) for z in traces] != shapes:
-        raise ContractViolationError(
-            f"trace shapes {[np.shape(z) for z in traces]} for layer "
-            f"traces {shapes}")
-    return _StreamPlan(net).step(states, traces, u_t, y_t)
-
-
 class _StreamPlan:
-    """online_step for one stream, checked once by the caller.
+    """The RTRL step of one stream, checked by its caller.
 
-    Construction lays out what every step reuses: each layer's
+    Construction lays out what every row reuses: each layer's
     lru._LayerKernel on theta, its work buffers and its layer views of one
-    flat gradient buffer. step() and gradient() check nothing: the
-    caller has checked the input and target widths (lru._check_call) and
-    passes states and traces that started from net.zero_states() and
-    reset_trace(net). The gradient they return is the buffer, overwritten
-    by the next step; states, traces and predictions are new arrays.
+    flat gradient buffer. predict() and gradient() check nothing: the
+    caller has checked the input and target widths and passes states and
+    traces that started from net.zero_states() and reset_trace(net)
+    together (the gamma_log trace is read from the state, which equals it
+    only from a shared zero start). The gradient is the buffer, overwritten
+    by the next row; states, traces and predictions are new arrays.
     """
 
     def __init__(self, net: LruNetwork):
@@ -118,28 +92,28 @@ class _StreamPlan:
                               ah, ah.real))
         self.top = len(net.layers) - 1
 
-    def step(self, states: list[np.ndarray], traces: list[np.ndarray],
-             u: np.ndarray, y: np.ndarray
-             ) -> tuple[list[np.ndarray], list[np.ndarray],
-                        np.ndarray, np.ndarray]:
-        """online_step without its checks; u and y float64 rows."""
+    def predict(self, states: list[np.ndarray], traces: list[np.ndarray],
+                u: np.ndarray
+                ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray,
+                           list[np.ndarray]]:
+        """One float64 row u at the current theta: the layer constants,
+        the forward step and the trace update. Returns (new states, new
+        traces, prediction, each layer's input) for gradient()."""
         for k in self.kernels:
             layer_constants(k)
         new_states, y_hat, inputs = _forward(self.kernels, states, u)
         new_traces = [_trace_step(k, h, x, z, work) for k, h, x, z, work
                       in zip(self.kernels, states, inputs, traces,
                              self.traces)]
-        g = _huber_grad(np.subtract(y_hat, y, out=self.g))
-        return (new_states, new_traces, y_hat,
-                self.gradient(new_traces, new_states, inputs, g))
+        return new_states, new_traces, y_hat, inputs
 
     def gradient(self, traces: list[np.ndarray], h_states: list[np.ndarray],
                  layer_inputs: list[np.ndarray], g: np.ndarray) -> np.ndarray:
         """The flat parameter gradient (laid out like net.theta) of one
         step's float64 output gradient g, from the post-step traces and
         states (the gamma_log traces) and each layer's float64 input, right
-        after _forward ran self.kernels to those states (it left conj(h) in
-        them). Credit flows spatially through upper layers'
+        after predict() ran self.kernels to those states (it left conj(h)
+        in them). Credit flows spatially through upper layers'
         instantaneous maps and temporally through each layer's own traces:
         exact for depth 1; deeper stacks drop the cross-layer temporal
         terms (the standard efficient diagonal-RTRL approximation)."""
@@ -174,12 +148,14 @@ def window_gradient(net: LruNetwork, inputs: np.ndarray,
     T = inputs.shape[0]
     if T == 0:
         raise ContractViolationError("an RTRL window needs at least one row")
-    step = _StreamPlan(net).step
+    plan = _StreamPlan(net)
     states, traces = net.zero_states(), reset_trace(net)
     total_loss = 0.0
     grads = np.zeros_like(net.theta)
     for u_t, y_t in zip(inputs, targets):
-        states, traces, y_hat, g = step(states, traces, u_t, y_t)
+        states, traces, y_hat, layer_inputs = plan.predict(states, traces,
+                                                           u_t)
+        g = _huber_grad(np.subtract(y_hat, y_t, out=plan.g))
+        grads += plan.gradient(traces, states, layer_inputs, g)
         total_loss += huber(y_hat - y_t)
-        grads += g
     return total_loss / T, grads * (1.0 / T)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lru_online.bptt import WindowBatch, bptt_gradient
-from lru_online.lru import _LayerKernel, init_network, layer_constants
+from lru_online.lru import (_forward, _LayerKernel, init_network,
+                            layer_constants)
 
 
 @pytest.fixture
@@ -50,6 +51,17 @@ def constants(layer):
     """lru.layer_constants of a layer's own blocks: (lambda, gamma, the
     (n, 2) columns dlambda/dnu and dlambda/dtheta_phase), fresh arrays."""
     return layer_constants(_LayerKernel(layer))
+
+
+def forward_row(net, states, u):
+    """One input row u through the stack from one state per layer, as the
+    online step's predict half runs it: layer_constants and lru._forward
+    on fresh kernels. Returns (new states, prediction, each layer's
+    input)."""
+    kernels = [_LayerKernel(layer) for layer in net.layers]
+    for k in kernels:
+        layer_constants(k)
+    return _forward(kernels, states, np.asarray(u, dtype=np.float64))
 
 
 def paired_order(m, widths, p):

@@ -11,19 +11,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (constants, finite_difference_grads, max_rel_error,
-                      random_batch)
+from conftest import (constants, finite_difference_grads, forward_row,
+                      max_rel_error, random_batch)
 from lru_online.bptt import bptt_gradient
 from lru_online.checkpoint import save_checkpoint, load_checkpoint
-from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_finetune,
-                                cmd_pretrain, impute_benchmark,
-                                prepare_tables)
+from lru_online.harness import (FinetuneConfig, OnlineLearner,
+                                PretrainConfig, cmd_finetune, cmd_pretrain,
+                                impute_benchmark, prepare_tables)
 from lru_online.lru import (LruLayerParams, LruNetwork, init_layer,
-                            init_network, network_scan,
-                            network_step, scan_forward)
+                            init_network, network_scan, scan_forward)
 from lru_online.optim import (AdamState, AnchorConfig, _Descent,
-                              anchor_gradient, apply_update)
-from lru_online.rtrl import _StreamPlan, reset_trace, window_gradient
+                              anchor_gradient)
+from lru_online.rtrl import window_gradient
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 GEN = GeneratorConfig(seed=0)  # 5 sessions x 3600 s, shift on the last
@@ -111,7 +110,7 @@ def test_criterion_03_scan_equals_sequential(capfd):
         h_scan, y_scan = scan_forward(layer, h0, u)
         net, states = LruNetwork([layer]), [h0]
         for t in range(T):
-            states, y, _ = network_step(net, states, u[t])
+            states, y, _ = forward_row(net, states, u[t])
             h = states[0]
             sh = max(np.abs(h).max(), 1.0)
             sy = max(np.abs(y).max(), 1.0)
@@ -140,8 +139,8 @@ def test_criterion_04_stability_invariant(capfd):
         net = init_network(2, (8,), 2, seed=i)
         state = AdamState.init(net.theta, lr=0.1)
         for _ in range(5):
-            apply_update(net.theta, rng.standard_normal(net.theta.shape),
-                         state, None)
+            _Descent(net.theta, state, None)(
+                rng.standard_normal(net.theta.shape))
         for layer in net.layers:
             lam = constants(layer)[0]
             worst = max(worst, float(np.abs(lam).max()))
@@ -231,27 +230,21 @@ def current_rss_bytes() -> int:
 
 
 def test_criterion_10_flat_memory_over_long_stream(capfd):
-    """The row loop of cmd_finetune's adaptive pass (harness._adapt): the
-    per-stream RTRL step and the per-stream update, each set up once."""
+    """The row loop of cmd_finetune's adaptive pass and of a deployed
+    model: OnlineLearner.predict then .observe on every row."""
     import gc
-    net = init_network(4, (8,), 2, seed=0)
-    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=0.01)
-    adam = AdamState.init(net.theta, lr=1e-4)
+    learner = OnlineLearner(init_network(4, (8,), 2, seed=0),
+                            FinetuneConfig(lambda_reg=0.01, lr=1e-4))
     rng = np.random.default_rng(0)
     buf_x = rng.standard_normal((256, 4))
     buf_y = rng.standard_normal((256, 2))
-    step = _StreamPlan(net).step
-    descend = _Descent(net.theta, adam, 0.5, anchor)
-    states = net.zero_states()
-    traces = reset_trace(net)
     total_steps = 1_000_000
     warmup = 50_000
     rss_warm = None
     start = time.perf_counter()
     for t in range(total_steps):
-        states, traces, _, grads = step(states, traces, buf_x[t % 256],
-                                        buf_y[t % 256])
-        descend(grads)
+        learner.predict(buf_x[t % 256])
+        learner.observe(buf_y[t % 256])
         if t == warmup:
             gc.collect()
             rss_warm = current_rss_bytes()

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import paired_order
+from conftest import forward_row, paired_order
+from test_rtrl import snapshot
 from lru_online.bptt import evaluate as offline_evaluate, sample_windows
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData, impute_rolling_median
@@ -19,14 +20,14 @@ from lru_online import cli, harness
 from lru_online.cli import EXIT_CODES, build_parser, main
 from lru_online.errors import (CheckpointError, CompatibilityError,
                                ConfigurationError, ContractViolationError)
-from lru_online.harness import (FinetuneConfig, PretrainConfig, cmd_ablate,
-                                cmd_evaluate, cmd_finetune, cmd_pretrain,
-                                impute_benchmark, prepare_tables)
-from lru_online.lru import init_network, network_scan, network_step
-from lru_online.errors import TrainingError
-from lru_online.optim import (AdamState, AnchorConfig, anchor_distance,
-                              apply_update, huber_values)
-from lru_online.rtrl import online_step, reset_trace
+from lru_online.harness import (FinetuneConfig, OnlineLearner,
+                                PretrainConfig, cmd_ablate, cmd_evaluate,
+                                cmd_finetune, cmd_pretrain, impute_benchmark,
+                                prepare_tables)
+from lru_online.lru import init_network, network_scan
+from lru_online.optim import (AdamState, AnchorConfig, _Descent,
+                              anchor_distance, huber_grad, huber_values)
+from lru_online.rtrl import _StreamPlan, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 SMALL_GEN = GeneratorConfig(sessions=3, session_seconds=150,
@@ -391,8 +392,8 @@ class TestFinetune:
     def test_nonfinite_target_advances_states(self):
         """A NaN target with finite features skips only the update: the
         adaptive states and traces advance past the row, as the frozen
-        net's do, so the stream equals online_step + apply_update with
-        that one update left out."""
+        net's do, so the stream equals the RTRL step's two halves and the
+        update, run by hand, with that one update left out."""
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
         ref = np.load(DATA / "checkpoint_depth1_eval.npz")
         targets = ref["targets"].copy()
@@ -408,17 +409,19 @@ class TestFinetune:
         assert np.isfinite(np.delete(metrics.loss, bad)).all()
 
         net = ckpt.net.copy()
-        adam = AdamState.init(net.theta, lr=cfg.lr)
-        anchor = AnchorConfig(theta_pre=ckpt.net.theta,
-                              lambda_reg=cfg.lambda_reg)
+        plan = _StreamPlan(net)
+        descend = _Descent(net.theta, AdamState.init(net.theta, lr=cfg.lr),
+                           cfg.clip, AnchorConfig(theta_pre=ckpt.net.theta,
+                                                  lambda_reg=cfg.lambda_reg))
         preds = []
         for sid in dict.fromkeys(data.session_ids.tolist()):
             states, traces = net.zero_states(), reset_trace(net)
             for t in np.flatnonzero(data.session_ids == sid):
-                states, traces, y_hat, grads = online_step(
-                    net, states, traces, data.features[t], data.targets[t])
+                states, traces, y_hat, inputs = plan.predict(
+                    states, traces, data.features[t])
                 if t != bad:
-                    apply_update(net.theta, grads, adam, cfg.clip, anchor)
+                    g = huber_grad(y_hat - data.targets[t])
+                    descend(plan.gradient(traces, states, inputs, g))
                 preds.append(y_hat)
         assert np.array_equal(metrics.predictions, np.asarray(preds))
 
@@ -431,8 +434,9 @@ class TestFinetune:
         """freeze_after at 0, at, just before and just after the first
         session boundary b, and past the end of the stream, and lr 0 with no
         freeze: cmd_finetune is a plain row loop that adapts with
-        online_step + apply_update before the freeze and steps with
-        network_step after it, bitwise on the adaptive rows and within
+        OnlineLearner.predict + observe before the freeze and steps the
+        learner's net with conftest.forward_row after it, bitwise on the
+        adaptive rows and within
         tests/oracle.py's BOUND on the fixed-theta rows (the frozen
         predictions and the rows from the freeze on), which cmd_finetune
         scans. The stream has a NaN feature row after b and a NaN target
@@ -452,31 +456,27 @@ class TestFinetune:
         metrics = cmd_finetune(ckpt, data, cfg)
         freeze = 0 if lr == 0 else freeze_after
 
-        net, frozen = ckpt.net.copy(), ckpt.net
-        adam = AdamState.init(net.theta, lr=cfg.lr)
+        learner, frozen = OnlineLearner(ckpt.net, cfg), ckpt.net
         anchor = AnchorConfig(theta_pre=frozen.theta,
                               lambda_reg=cfg.lambda_reg)
         preds, preds_frozen, dist = [], [], []
         for t in range(data.n_rows):
             if t == 0 or ids[t] != ids[t - 1]:
-                states, traces = net.zero_states(), reset_trace(net)
-                frozen_states = frozen.zero_states()
+                learner.end_session()
+                states, frozen_states = learner.states, frozen.zero_states()
             x = features[t]
-            new_frozen, y_frozen, _ = network_step(frozen, frozen_states, x)
+            new_frozen, y_frozen, _ = forward_row(frozen, frozen_states, x)
             if t < freeze:
-                new_states, new_traces, y_hat, grads = online_step(
-                    net, states, traces, x, targets[t])
-                if t not in (nan_x, nan_y):
-                    apply_update(net.theta, grads, adam, cfg.clip, anchor)
-                if t != nan_x:
-                    traces = new_traces
+                y_hat = learner.predict(x)
+                learner.observe(targets[t])
+                new_states = learner.states
             else:
-                new_states, y_hat, _ = network_step(net, states, x)
+                new_states, y_hat, _ = forward_row(learner.net, states, x)
             if t != nan_x:
                 states, frozen_states = new_states, new_frozen
             preds.append(y_hat)
             preds_frozen.append(y_frozen)
-            dist.append(anchor_distance(net.theta, anchor))
+            dist.append(anchor_distance(learner.net.theta, anchor))
         preds, preds_frozen = np.asarray(preds), np.asarray(preds_frozen)
         for got, want, fixed in (
                 (metrics.predictions, preds, freeze),
@@ -603,41 +603,41 @@ def test_finetune_matches_reference():
                                      ref[key][fixed:]) <= oracle.BOUND, key
 
 
-def public_adapt(net, stream, freeze, adam, clip, anchor):
-    """cmd_finetune's adaptive pass as a row loop of the checked public
-    calls: online_step, apply_update (which takes the anchor distance
-    afresh) and anchor_distance. Returns (predictions, distances, skipped
-    updates, final states)."""
+def public_adapt(learner, stream, freeze):
+    """cmd_finetune's adaptive pass as a caller writes it over the public
+    OnlineLearner: end_session at each session start from
+    stream.session_bounds(), then predict and observe per row, with the
+    anchor distance taken afresh by anchor_distance. Returns (predictions,
+    distances)."""
+    anchor = learner._descend.anchor
+    starts = set(stream.session_bounds()[0].tolist())
     preds = np.full_like(stream.targets, -1.0)
     dist = np.full(stream.n_rows, -1.0)
-    distance = anchor_distance(net.theta, anchor)
-    skipped = 0
-    states = None
-    for first, stop in zip(*stream.session_bounds()):
-        if first >= freeze:
-            break
-        states, traces = net.zero_states(), reset_trace(net)
-        for t in range(first, min(stop, freeze)):
-            new_states, new_traces, preds[t], grads = online_step(
-                net, states, traces, stream.features[t], stream.targets[t])
-            try:
-                apply_update(net.theta, grads, adam, clip, anchor)
-            except TrainingError:
-                skipped += 1
-            else:
-                distance = anchor_distance(net.theta, anchor)
-            if np.isfinite(stream.features[t]).all():
-                states, traces = new_states, new_traces
-            dist[t] = distance
-    return preds, dist, skipped, states
+    for t in range(freeze):
+        if t in starts:
+            learner.end_session()
+        preds[t] = learner.predict(stream.features[t])
+        learner.observe(stream.targets[t])
+        dist[t] = anchor_distance(learner.net.theta, anchor)
+    return preds, dist
+
+
+def warmed_learner(net, cfg, rng):
+    """An OnlineLearner whose Adam state carries moments and a step count
+    from three updates of earlier training on a copy of theta."""
+    learner = OnlineLearner(net, cfg)
+    theta = learner.net.theta.copy()
+    for _ in range(3):
+        _Descent(theta, learner.adam, None)(rng.standard_normal(theta.size))
+    return learner
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_nonfinite_row_holds_the_adaptive_states(depth):
-    """A non-finite feature row leaves the states that harness._adapt
-    holds bitwise as they were: the adaptive pass that ends on that row
-    returns the states, parameters and Adam moments of the pass that
-    ends just before it (the row's update is skipped)."""
+    """A non-finite feature row leaves the states and traces that the
+    learner holds bitwise as they were: the adaptive pass that ends on
+    that row leaves the states, traces, parameters and Adam state of the
+    pass that ends just before it (the row's update is skipped)."""
     rng = np.random.default_rng(40 + depth)
     net = init_network(3, (5,) * depth, 2, seed=depth)
     rows = 12
@@ -648,15 +648,11 @@ def test_nonfinite_row_holds_the_adaptive_states(depth):
     stream.features[rows - 1, 1] = np.nan
     sides = []
     for freeze in (rows - 1, rows):
-        side_net = net.copy()
-        adam = AdamState.init(side_net.theta, lr=1e-2)
-        anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=0.01)
-        states, skipped, _ = harness._adapt(
-            side_net, stream, freeze, adam, 0.5, anchor,
-            np.empty_like(stream.targets), np.empty(rows))
-        sides.append(([h.tobytes() for h in states]
-                      + [a.tobytes() for a in (side_net.theta, adam.m, adam.v)],
-                      skipped))
+        learner = OnlineLearner(net, FinetuneConfig(lambda_reg=0.01,
+                                                    lr=1e-2))
+        harness._adapt(learner, stream, freeze,
+                       np.empty_like(stream.targets), np.empty(rows))
+        sides.append((snapshot(learner), learner.skipped))
     (before, skipped_before), (held, skipped) = sides
     assert held == before
     assert skipped == skipped_before + 1
@@ -672,12 +668,12 @@ ADAPT_CASES = [(1, 0.01, 0.5, False), (2, 0.01, 0.5, False),
 @pytest.mark.parametrize("case", range(len(ADAPT_CASES)))
 def test_kernel_loop_equals_checked_public_path(case):
     """The adaptive pass that cmd_finetune runs (harness._adapt: the
-    network checked once, then the unchecked RTRL step and update per row)
-    is bitwise the row loop of online_step + apply_update +
-    anchor_distance: predictions, theta, Adam's m, v and t, distances,
-    skipped updates and final states. Random (m, n, p); a two-session
-    stream with NaN feature rows and NaN targets, and a freeze inside the
-    second session."""
+    learner's calls in a loop over the session bounds) is bitwise a
+    caller's own loop over the same public calls, with the anchor
+    distance taken afresh: predictions, theta, Adam's m, v and t,
+    distances, skipped updates and final states. Random (m, n, p); a
+    two-session stream with NaN feature rows and NaN targets, and a
+    freeze inside the second session."""
     depth, lambda_reg, clip, carry = ADAPT_CASES[case]
     rng = np.random.default_rng(100 + case)
     m, n, p = (int(k) for k in rng.integers(1, 9, size=3))
@@ -691,39 +687,34 @@ def test_kernel_loop_equals_checked_public_path(case):
     stream = SequenceData(features=features, targets=targets,
                           session_ids=np.repeat([4, 9], [20, 25]),
                           timestamps=np.arange(float(rows)))
-    adam = AdamState.init(net.theta, lr=2e-2)
-    if carry:   # moments and a step count from earlier training
-        for _ in range(3):
-            apply_update(net.theta.copy(), rng.standard_normal(net.theta.size),
-                         adam, None)
-    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=lambda_reg)
+    cfg = FinetuneConfig(lambda_reg=lambda_reg, lr=2e-2, clip=clip)
+    warm = rng.bit_generator.state
     freeze = 38
     sides = []
     for run in (harness._adapt, None):
-        side_net = net.copy()
-        side_adam = replace(adam, m=adam.m.copy(), v=adam.v.copy())
+        rng.bit_generator.state = warm   # the same warm-up on both sides
+        learner = (warmed_learner(net, cfg, rng) if carry
+                   else OnlineLearner(net, cfg))
+        t_start = learner.adam.t
         if run is None:
-            preds, dist, skipped, states = public_adapt(
-                side_net, stream, freeze, side_adam, clip, anchor)
+            preds, dist = public_adapt(learner, stream, freeze)
         else:
             preds = np.full_like(stream.targets, -1.0)
             dist = np.full(stream.n_rows, -1.0)
-            states, skipped, distance = run(side_net, stream, freeze,
-                                            side_adam, clip, anchor, preds,
-                                            dist)
-            assert distance == dist[freeze - 1]
-        sides.append((preds, dist, skipped, states, side_net.theta,
-                      side_adam))
-    (pa, da, sa, ha, ta, aa), (pb, db, sb, hb, tb, ab) = sides
-    assert sa == sb == 4
+            run(learner, stream, freeze, preds, dist)
+            assert learner.distance == dist[freeze - 1]
+        sides.append((preds, dist, learner))
+    (pa, da, la), (pb, db, lb) = sides
+    assert la.skipped == lb.skipped == 4
     assert pa.tobytes() == pb.tobytes()
     assert da.tobytes() == db.tobytes()
-    assert ta.tobytes() == tb.tobytes()
-    assert aa.m.tobytes() == ab.m.tobytes()
-    assert aa.v.tobytes() == ab.v.tobytes()
-    assert aa.t == ab.t == adam.t + freeze - 4
-    assert [h.tobytes() for h in ha] == [h.tobytes() for h in hb]
-    assert not np.array_equal(ta, net.theta)
+    assert la.net.theta.tobytes() == lb.net.theta.tobytes()
+    assert la.adam.m.tobytes() == lb.adam.m.tobytes()
+    assert la.adam.v.tobytes() == lb.adam.v.tobytes()
+    assert la.adam.t == lb.adam.t == t_start + freeze - 4
+    assert ([h.tobytes() for h in la.states]
+            == [h.tobytes() for h in lb.states])
+    assert not np.array_equal(la.net.theta, net.theta)
 
 
 PRETRAIN_RTRL_REF = DATA / "pretrain_rtrl_reference.npz"

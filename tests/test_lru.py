@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from conftest import constants, random_batch
+from conftest import constants, forward_row, random_batch
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ConfigurationError, ContractViolationError
+from lru_online.harness import FinetuneConfig, OnlineLearner
 from lru_online.lru import (STEP_LOOP_MIN, LruLayerParams, LruNetwork,
                             _LayerKernel, _linear_recurrence,
                             init_layer, init_network, network_scan,
-                            network_step, scan_forward)
-from lru_online.optim import AdamState, apply_update
+                            scan_forward)
+from lru_online.optim import AdamState, _Descent
 
 
 def make_layer(nu, theta_phase, gamma_log, b_re, b_im, c_re, c_im, d):
@@ -30,8 +31,8 @@ def replace_blocks(layer, **named):
 
 
 def step_one_layer(layer, h_prev, u):
-    """One step of a single layer: network_step on the one-layer net."""
-    states, y, _ = network_step(LruNetwork([layer]), [h_prev], u)
+    """One step of a single layer: forward_row on the one-layer net."""
+    states, y, _ = forward_row(LruNetwork([layer]), [h_prev], u)
     return states[0], y
 
 
@@ -208,11 +209,15 @@ class TestLayerStep:
         assert np.allclose(y, (C @ h).real + layer.d @ u, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        layer = init_layer(3, 4, 2, seed=0)
+        """The online step on the one-layer net rejects an input row and a
+        label of the wrong width."""
+        learner = OnlineLearner(LruNetwork([init_layer(3, 4, 2, seed=0)]),
+                                FinetuneConfig())
         with pytest.raises(ContractViolationError):
-            step_one_layer(layer, np.zeros(4, complex), np.zeros(5))
+            learner.predict(np.zeros(5))
+        learner.predict(np.zeros(3))
         with pytest.raises(ContractViolationError):
-            step_one_layer(layer, np.zeros(3, complex), np.zeros(3))
+            learner.observe(np.zeros(3))
 
 
 class TestScanForward:
@@ -417,7 +422,7 @@ class TestNetworkForward:
         second = diagonal_layer(4, lam=0.0)
         net = LruNetwork([first, second])
         u = rng.standard_normal(3)
-        _, y, _ = network_step(net, net.zero_states(), u)
+        _, y, _ = forward_row(net, net.zero_states(), u)
         _, y_first = step_one_layer(first, np.zeros(4, complex), u)
         assert np.allclose(y, y_first)
 
@@ -427,24 +432,14 @@ class TestNetworkForward:
         states = net.zero_states()
         stepped = []
         for t in range(16):
-            states, y, _ = network_step(net, states, u[t])
+            states, y, _ = forward_row(net, states, u[t])
             stepped.append(y)
         _, _, preds = network_scan(net, u)
         assert np.allclose(preds, np.asarray(stepped), atol=1e-12)
 
-    def test_state_count_mismatch(self):
-        net = init_network(3, (5, 4), 2, seed=6)
-        with pytest.raises(ContractViolationError):
-            network_step(net, net.zero_states()[:1], np.zeros(3))
-
-    def test_input_width_mismatch(self):
-        net = init_network(3, (5, 4), 2, seed=6)
-        with pytest.raises(ContractViolationError):
-            network_step(net, net.zero_states(), np.zeros(4))
-
     def test_scan_from_states_matches_stepping(self, rng):
-        """network_scan continues from given states, as network_step
-        does, and leaves them as they were."""
+        """network_scan continues from given states, as stepping row by
+        row does, and leaves them as they were."""
         net = init_network(3, (5, 4), 2, seed=6)
         net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
         u = rng.standard_normal((16, 3))
@@ -453,7 +448,7 @@ class TestNetworkForward:
         kept = [h.copy() for h in start]
         states, stepped = start, []
         for t in range(16):
-            states, y, _ = network_step(net, states, u[t])
+            states, y, _ = forward_row(net, states, u[t])
             stepped.append(y)
         _, h_seq, preds = network_scan(net, u, start)
         assert np.allclose(preds, np.asarray(stepped), atol=1e-12)
@@ -595,7 +590,7 @@ class TestPairedLayout:
         net = init_network(m, widths, p, seed=1)
         _, g = bptt_gradient(net, random_batch(rng, net, T=5, batch=2))
         adam = AdamState.init(net.theta, lr=0.05)
-        apply_update(net.theta, g, adam, None)
+        _Descent(net.theta, adam, None)(g)
         for vec in (g, adam.m, adam.v):
             self.assert_alias_at_offsets(net, vec, net.paired(vec))
 
@@ -621,4 +616,4 @@ class TestLayerConstants:
                         == (layer.c_re + 1j * layer.c_im).tobytes())
             grads = rng.standard_normal(net.theta.size)
             grads[rng.random(grads.size) < 0.2] = 0.0
-            apply_update(net.theta, grads, adam, None)
+            _Descent(net.theta, adam, None)(grads)

@@ -10,8 +10,8 @@ import oracle
 from lru_online.errors import ConfigurationError, TrainingError
 from lru_online.optim import (BETA1, BETA2, EPS, AdamState, AnchorConfig,
                               _Descent, anchor_distance, anchor_gradient,
-                              apply_update, clip_global_norm, huber,
-                              huber_grad, huber_values)
+                              clip_global_norm, huber, huber_grad,
+                              huber_values)
 
 
 class TestHuber:
@@ -131,14 +131,14 @@ class TestAdam:
     def test_zero_grad_no_move(self):
         theta = np.array([1.5])
         state = AdamState.init(theta, lr=0.1)
-        apply_update(theta, np.array([0.0]), state, None)
+        _Descent(theta, state, None)(np.array([0.0]))
         assert theta[0] == 1.5
 
     def test_first_step_magnitude(self):
         for g in (1e-3, 1.0, 1e3):
             theta = np.array([0.0])
-            apply_update(theta, np.array([g]), AdamState.init(theta, lr=0.01),
-                         None)
+            _Descent(theta, AdamState.init(theta, lr=0.01),
+                     None)(np.array([g]))
             step = abs(theta[0])
             assert step <= 0.01 + 1e-12
             assert step >= 0.01 * g / (g + 1e-8) - 1e-12
@@ -147,14 +147,14 @@ class TestAdam:
         theta = np.array([1.0])
         state = AdamState.init(theta, lr=0.1)
         for _ in range(100):
-            apply_update(theta, 2.0 * theta, state, None)
+            _Descent(theta, state, None)(2.0 * theta)
         assert abs(theta[0]) < 0.1
 
     def test_nonfinite_grad_rejected(self):
         theta = np.array([0.0])
         state = AdamState.init(theta)
         with pytest.raises(TrainingError):
-            apply_update(theta, np.array([np.nan]), state, None)
+            _Descent(theta, state, None)(np.array([np.nan]))
         assert theta[0] == 0.0 and state.t == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -165,12 +165,12 @@ class TestAdam:
         theta = rng.standard_normal(9)
         state = AdamState.init(theta, lr=0.05)
         for _ in range(3):
-            apply_update(theta, rng.standard_normal(9), state, None)
+            _Descent(theta, state, None)(rng.standard_normal(9))
         before = (theta.copy(), state.m.copy(), state.v.copy(), state.t)
         grads = rng.standard_normal(9)
         grads[4] = bad
         with pytest.raises(TrainingError):
-            apply_update(theta, grads, state, None)
+            _Descent(theta, state, None)(grads)
         assert np.array_equal(theta, before[0])
         assert np.array_equal(state.m, before[1])
         assert np.array_equal(state.v, before[2])
@@ -189,7 +189,7 @@ class TestAdam:
         b1, b2, eps, lr = BETA1, BETA2, EPS, state.lr
         for t in range(1, 30):
             g = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 3)
-            apply_update(theta, g, state, None)
+            _Descent(theta, state, None)(g)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t))
@@ -202,8 +202,8 @@ class TestAdam:
     def test_deterministic(self):
         a, b = np.arange(4.0), np.arange(4.0)
         g = np.ones(4)
-        apply_update(a, g, AdamState.init(a, lr=0.05), None)
-        apply_update(b, g, AdamState.init(b, lr=0.05), None)
+        _Descent(a, AdamState.init(a, lr=0.05), None)(g)
+        _Descent(b, AdamState.init(b, lr=0.05), None)(g)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, np.arange(4.0))
 
@@ -271,8 +271,8 @@ class TestApplyUpdate:
         ref = theta.copy()
         state, ref_state = AdamState.init(theta), AdamState.init(theta)
         expect = clip_global_norm(grads + anchor_gradient(ref, anchor), 0.5)
-        apply_update(ref, expect, ref_state, None)
-        apply_update(theta, grads, state, 0.5, anchor)
+        _Descent(ref, ref_state, None)(expect)
+        _Descent(theta, state, 0.5, anchor)(grads)
         assert np.array_equal(theta, ref)
         assert np.array_equal(state.m, ref_state.m)
         assert np.array_equal(grads, before)
@@ -288,14 +288,14 @@ class TestApplyUpdate:
         for _ in range(3):
             grads = rng.standard_normal(6)
             before = grads.copy()
-            apply_update(theta, grads, state, clip, anchor)
+            _Descent(theta, state, clip, anchor)(grads)
             assert np.array_equal(grads, before)
 
     def test_given_distance_is_bitwise_the_computed_one(self):
         """A sequence of calls on one _Descent, which carries the anchor
         distance taken after the previous update into the next pull, is
-        bitwise the same sequence of one-shot apply_update calls, which
-        take it afresh: theta, Adam's m, v and t, and the distance. An
+        bitwise the same sequence of one-shot _Descent calls, which take
+        it afresh: theta, Adam's m, v and t, and the distance. An
         anchor with and without the clip, a zero-lambda anchor and none."""
         cases = [(0.05, 0.5), (0.05, None), (0.0, 0.5), (None, None)]
         for lambda_reg, clip in cases:
@@ -308,7 +308,7 @@ class TestApplyUpdate:
             descend = _Descent(b, sb, clip, anchor)
             for _ in range(25):
                 grads = rng.standard_normal(20)
-                apply_update(a, grads, sa, clip, anchor)
+                _Descent(a, sa, clip, anchor)(grads)
                 descend(grads)
                 assert a.tobytes() == b.tobytes()
                 assert sa.m.tobytes() == sb.m.tobytes()
@@ -330,8 +330,8 @@ class TestApplyUpdate:
         grads[[1, 4]] = [1e200, -3e190]
         with np.errstate(over="ignore"):
             assert not math.isfinite(grads @ grads)
-            apply_update(theta, grads, state, clip)
-            apply_update(ref, clip_global_norm(grads, clip), ref_state, None)
+            _Descent(theta, state, clip)(grads)
+            _Descent(ref, ref_state, None)(clip_global_norm(grads, clip))
         assert state.t == 1
         assert theta.tobytes() == ref.tobytes()
         assert state.m.tobytes() == ref_state.m.tobytes()
@@ -348,12 +348,12 @@ class TestApplyUpdate:
         anchor = AnchorConfig(theta_pre=pre, lambda_reg=lambda_reg)
         state = AdamState.init(theta, lr=0.05)
         for _ in range(3):
-            apply_update(theta, rng.standard_normal(9), state, clip, anchor)
+            _Descent(theta, state, clip, anchor)(rng.standard_normal(9))
         before = (theta.copy(), state.m.copy(), state.v.copy(), state.t)
         grads = rng.standard_normal(9)
         grads[5] = bad
         with pytest.raises(TrainingError):
-            apply_update(theta, grads, state, clip, anchor)
+            _Descent(theta, state, clip, anchor)(grads)
         assert theta.tobytes() == before[0].tobytes()
         assert state.m.tobytes() == before[1].tobytes()
         assert state.v.tobytes() == before[2].tobytes()
@@ -366,12 +366,11 @@ class TestApplyUpdate:
         with pytest.raises(ConfigurationError, match="max_norm"):
             clip_global_norm(np.ones(3), float("nan"))
         with pytest.raises(ConfigurationError, match="max_norm"):
-            apply_update(theta, np.ones(3), AdamState.init(theta),
-                         float("nan"))
+            _Descent(theta, AdamState.init(theta), float("nan"))(np.ones(3))
         assert np.array_equal(theta, np.zeros(3))
 
     def test_invalid_clip_rejected(self):
         theta = np.zeros(3)
         for clip in (0.0, -1.0):
             with pytest.raises(ConfigurationError, match="max_norm"):
-                apply_update(theta, np.ones(3), AdamState.init(theta), clip)
+                _Descent(theta, AdamState.init(theta), clip)(np.ones(3))

@@ -20,11 +20,12 @@ from test_rtrl import reference_stream, run_reference_stream
 from lru_online.bptt import _scan_sessions
 from lru_online.checkpoint import Checkpoint
 from lru_online.datapipe import SequenceData
-from lru_online.harness import (FinetuneConfig, PretrainConfig, _adapt,
-                                cmd_finetune, cmd_pretrain, prepare_tables)
+from lru_online.harness import (FinetuneConfig, OnlineLearner,
+                                PretrainConfig, _adapt, cmd_finetune,
+                                cmd_pretrain, prepare_tables)
 from lru_online.lru import init_network
-from lru_online.optim import AdamState, AnchorConfig, _Descent, apply_update
-from lru_online.rtrl import B_RE, NU, PHASE, _StreamPlan
+from lru_online.optim import AdamState, _Descent
+from lru_online.rtrl import B_RE, NU, PHASE
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 TINY = np.finfo(np.float64).tiny    # a floor that makes an error relative
@@ -60,14 +61,10 @@ def dims(net):
 def adapted_at(ckpt, stream, cfg, freeze):
     """The network and states that cmd_finetune's adaptive pass leaves
     after row freeze - 1."""
-    net = ckpt.net.copy()
-    adam = AdamState.init(net.theta, lr=cfg.lr)
-    anchor = AnchorConfig(theta_pre=ckpt.net.theta,
-                          lambda_reg=cfg.lambda_reg)
+    learner = OnlineLearner(ckpt.net, cfg)
     preds, dist = np.empty_like(stream.targets), np.empty(stream.n_rows)
-    states, _, _ = _adapt(net, stream, freeze, adam, cfg.clip, anchor,
-                          preds, dist)
-    return net, states
+    _adapt(learner, stream, freeze, preds, dist)
+    return learner.net, learner.states
 
 
 def check_finetune(check, ckpt, stream, cfg):
@@ -248,52 +245,50 @@ def pretrained(generator_stream):
             for widths in ((16,), (8, 8))}
 
 
-def shadow(monkeypatch, net, stream, freeze, adam, clip, anchor):
-    """harness._adapt(net, stream, freeze, adam, clip, anchor), every row
-    replayed by oracle.replay_row from the values the float64 run had
-    before it (parameters, Adam state, states and traces). Returns the
-    worst error of each array over the rows; the applied updates and
-    step counts are equal row by row."""
-    plan_step, descend_call = _StreamPlan.step, _Descent.__call__
+def shadow(monkeypatch, learner, stream, freeze):
+    """harness._adapt(learner, stream, freeze), every row replayed by
+    oracle.replay_row from the values the float64 run had before it
+    (parameters, Adam state, states and traces): predict records them
+    and the row's outputs, observe replays the row once the label is
+    known. Returns the worst error of each array over the rows; the
+    applied updates and step counts are equal row by row."""
+    predict, observe = OnlineLearner.predict, OnlineLearner.observe
+    net, a, anchor = learner.net, learner.adam, learner._descend.anchor
     theta_pre = np.asarray(anchor.theta_pre, np.longdouble)
     worst = defaultdict(float)
     row = {}
 
-    def step(plan, states, traces, u, y):
-        row["before"] = (net.theta.copy(), [h.copy() for h in states],
-                         [z.copy() for z in traces], u.copy(), y.copy())
-        new_states, new_traces, y_hat, grads = plan_step(plan, states,
-                                                         traces, u, y)
-        row["after"] = (new_states, new_traces, y_hat.copy(), grads.copy())
-        return new_states, new_traces, y_hat, grads
+    def recorded_predict(self, u):
+        row["before"] = (net.theta.copy(), [h.copy() for h in self.states],
+                         [z.copy() for z in self.traces], u.copy())
+        y_hat = predict(self, u)
+        row["after"] = (*self._pending[:2], y_hat.copy())
+        return y_hat
 
-    def call(descend, grads):
-        a = descend.adam
-        adam_before = (a.m.copy(), a.v.copy(), a.t)
-        applied = False
-        try:
-            descend_call(descend, grads)
-            applied = True
-        finally:
-            theta, states, traces, u, y = row["before"]
-            ref = oracle.replay_row(theta, dims(net), adam_before, a.lr,
-                                    descend.clip, theta_pre,
-                                    anchor.lambda_reg, states, traces, u, y)
-            assert ref["applied"] == applied and ref["t"] == a.t
-            new_states, new_traces, y_hat, g = row["after"]
-            got = {"prediction": y_hat, "gradient": g, "theta": net.theta,
-                   "m": a.m, "v": a.v, "distance": descend.distance}
-            for k, (h, z) in enumerate(zip(new_states, new_traces)):
-                got[f"state_{k}"], got[f"trace_{k}"] = h, z
-            for name, value in got.items():
-                floor = TINY if name in ("m", "v") else 1.0
-                worst[name] = max(worst[name], oracle.relative_error(
-                    value, ref[name], floor))
+    def replayed_observe(self, y):
+        adam_before, skipped = (a.m.copy(), a.v.copy(), a.t), self.skipped
+        observe(self, y)
+        theta, states, traces, u = row["before"]
+        ref = oracle.replay_row(theta, dims(net), adam_before, a.lr,
+                                self._descend.clip, theta_pre,
+                                anchor.lambda_reg, states, traces, u, y)
+        assert ref["applied"] == (self.skipped == skipped)
+        assert ref["t"] == a.t
+        new_states, new_traces, y_hat = row["after"]
+        got = {"prediction": y_hat, "gradient": self._plan.grads,
+               "theta": net.theta, "m": a.m, "v": a.v,
+               "distance": self.distance}
+        for k, (h, z) in enumerate(zip(new_states, new_traces)):
+            got[f"state_{k}"], got[f"trace_{k}"] = h, z
+        for name, value in got.items():
+            floor = TINY if name in ("m", "v") else 1.0
+            worst[name] = max(worst[name], oracle.relative_error(
+                value, ref[name], floor))
 
-    monkeypatch.setattr(_StreamPlan, "step", step)
-    monkeypatch.setattr(_Descent, "__call__", call)
+    monkeypatch.setattr(OnlineLearner, "predict", recorded_predict)
+    monkeypatch.setattr(OnlineLearner, "observe", replayed_observe)
     preds, dist = np.empty_like(stream.targets), np.empty(stream.n_rows)
-    _adapt(net, stream, freeze, adam, clip, anchor, preds, dist)
+    _adapt(learner, stream, freeze, preds, dist)
     monkeypatch.undo()
     return worst
 
@@ -323,23 +318,23 @@ def test_adaptive_rows_within_bound(monkeypatch, report, generator_stream,
                           timestamps=val.timestamps)
     stream.features[500, 3] = np.nan
     stream.targets[900, 4] = np.nan
-    net = pretrained[widths].copy()
-    adam = AdamState.init(net.theta, lr=1e-3)
+    learner = OnlineLearner(pretrained[widths], FinetuneConfig(
+        lambda_reg=lambda_reg, lr=1e-3, clip=clip))
     if carry:   # moments and a step count from earlier training
         rng = np.random.default_rng(5)
+        theta = learner.net.theta.copy()
         for _ in range(3):
-            apply_update(net.theta.copy(),
-                         0.1 * rng.standard_normal(net.theta.size), adam, None)
-    anchor = AnchorConfig(theta_pre=net.theta.copy(), lambda_reg=lambda_reg)
-    worst = shadow(monkeypatch, net, stream, freeze or stream.n_rows, adam,
-                   clip, anchor)
+            _Descent(theta.copy(), learner.adam, None)(
+                0.1 * rng.standard_normal(theta.size))
+    worst = shadow(monkeypatch, learner, stream, freeze or stream.n_rows)
     for name, error in worst.items():
         report(name, error, oracle.STEP_BOUNDS[name.split("_")[0]])
 
 
 def test_online_reference_stream_within_bound(check):
     """online_step_depth2.npz's stream, free-running: 40 rows at depth
-    (5, 4), online_step + apply_update at lr 1e-2 and clip 0.5."""
+    (5, 4) through an OnlineLearner at lr 1e-2, clip 0.5 and lambda_reg
+    0."""
     net, inputs, targets = reference_stream()
     got = run_reference_stream()
     ref = oracle.adapt(net.theta, dims(net), inputs, targets,
@@ -371,7 +366,7 @@ def test_adam_steps_within_bound(report):
     worst = defaultdict(float)
     for _ in range(29):
         g = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 3)
-        apply_update(theta, g, state, None)
+        _Descent(theta, state, None)(g)
         oracle.descend(ref_theta, np.asarray(g, np.longdouble), ref, 0.01)
         for name, got, want, floor in (("theta", theta, ref_theta, 1.0),
                                        ("m", state.m, ref.m, TINY),

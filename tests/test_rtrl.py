@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import (constants, finite_difference_grads, max_rel_error,
-                      paired_order, random_batch, small_random_net)
+from conftest import (constants, finite_difference_grads, forward_row,
+                      max_rel_error, paired_order, random_batch,
+                      small_random_net)
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
-from lru_online.lru import (LruNetwork, _forward, init_network,
-                            layer_constants, network_step)
-from lru_online.optim import AdamState, apply_update, huber
+from lru_online.harness import FinetuneConfig, OnlineLearner
+from lru_online.lru import LruNetwork, _forward, init_network, layer_constants
+from lru_online.optim import huber
 from lru_online.rtrl import (B_RE, NU, PHASE, _StreamPlan, _trace_step,
-                             online_step, reset_trace, window_gradient)
+                             reset_trace, window_gradient)
 
 
 def trace_update(layer, h_prev, u, z_prev):
@@ -24,13 +25,13 @@ def trace_update(layer, h_prev, u, z_prev):
 
 
 def stream(net, inputs):
-    """online_step over the input rows from zero states and traces (zero
-    targets); yields the pre-step states and the post-step states and
-    traces of every row."""
+    """The predict half of the RTRL step over the input rows from zero
+    states and traces; yields the pre-step states and the post-step states
+    and traces of every row."""
+    plan = _StreamPlan(net)
     states, traces = net.zero_states(), reset_trace(net)
-    zero = np.zeros(net.output_dim)
     for u in inputs:
-        new_states, traces, _, _ = online_step(net, states, traces, u, zero)
+        new_states, traces, _, _ = plan.predict(states, traces, u)
         yield states, new_states, traces
         states = new_states
 
@@ -57,8 +58,8 @@ class TestTraceStep:
         net = init_network(3, (5,), 2, seed=1)
         layer = net.layers[0]
         u = rng.standard_normal(3)
-        _, (z,), _, _ = online_step(net, net.zero_states(), reset_trace(net),
-                                    u, np.zeros(2))
+        _, (z,), _, _ = _StreamPlan(net).predict(net.zero_states(),
+                                                 reset_trace(net), u)
         gamma = constants(layer)[1]
         assert np.allclose(z[:, B_RE], gamma[:, None] * u[None, :])
         assert np.all(z[:, NU] == 0)  # zero previous state
@@ -87,7 +88,7 @@ class TestTraceStep:
             one = LruNetwork([params_layer])
             states = one.zero_states()
             for t in range(T):
-                states, _, _ = network_step(one, states, u[t])
+                states, _, _ = forward_row(one, states, u[t])
             return states[0]
 
         for _, (h,), (z,) in stream(net, u):
@@ -129,15 +130,8 @@ class TestTraceStep:
             expect = lam[:, None] ** t * base
             assert np.allclose(z[:, B_RE], expect, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        net = init_network(3, (5,), 2, seed=0)
-        bad = np.zeros((5, 2 + 4), complex)
-        with pytest.raises(ContractViolationError):
-            online_step(net, net.zero_states(), [bad], np.zeros(3),
-                        np.zeros(2))
-
     def test_bitwise_equals_out_of_place_formula(self, rng):
-        """online_step's trace update is bitwise lambda * Z + imm with the
+        """The predict half's trace update is bitwise lambda * Z + imm with the
         immediate Jacobian imm built from exp(nu) and exp(theta_phase)
         afresh."""
         net = init_network(6, (9,), 2, seed=4)
@@ -257,12 +251,6 @@ class TestOnlineGradient:
             window_gradient(init_network(3, (4,), 2), np.zeros((0, 3)),
                             np.zeros((0, 2)))
 
-    def test_missing_traces_rejected(self, rng):
-        net = init_network(3, (5, 4), 2, seed=3)
-        with pytest.raises(ContractViolationError):
-            online_step(net, net.zero_states(), reset_trace(net)[:1],
-                        rng.standard_normal(3), np.zeros(2))
-
     def test_constant_memory_over_stream(self, rng):
         net = init_network(4, (8,), 2, seed=0)
         shapes = [z.shape for z in reset_trace(net)]
@@ -270,58 +258,164 @@ class TestOnlineGradient:
             assert [z.shape for z in traces] == shapes
 
 
-class TestOnlineStep:
-    @pytest.mark.parametrize("what", [
-        "target1", "target3", "input", "state", "trace", "states", "traces"])
-    def test_shape_mismatch_rejected(self, what):
-        """online_step checks the target width as well as the shapes of
-        the input, the states and the traces, before it runs anything."""
-        net = init_network(3, (5, 4), 2, seed=8)
-        states, traces = net.zero_states(), reset_trace(net)
-        u, y = np.zeros(3), np.zeros(2)
-        if what == "target1":
-            y = np.zeros(1)          # would broadcast into the prediction
-        elif what == "target3":
-            y = np.zeros(3)
-        elif what == "input":
-            u = np.zeros(4)
-        elif what == "state":
-            states[1] = np.zeros(5, complex)
-        elif what == "trace":
-            traces[0] = np.zeros((5, 2 + 4), complex)
-        elif what == "states":
-            states = states[:1]
-        else:
-            traces = traces + traces[:1]
-        with pytest.raises(ContractViolationError):
-            online_step(net, states, traces, u, y)
+def warm_learner(rng, rows=4):
+    """An OnlineLearner on a depth-(5, 4) net after `rows` rows, so its
+    states, traces and Adam moments are not zero."""
+    learner = OnlineLearner(init_network(3, (5, 4), 2, seed=8),
+                            FinetuneConfig(lambda_reg=0.01, lr=1e-2))
+    for _ in range(rows):
+        learner.predict(rng.standard_normal(3))
+        learner.observe(rng.standard_normal(2))
+    return learner
 
-    def test_gradient_is_fresh_per_call(self, rng):
-        """Each online_step returns its own gradient array, although the
-        per-stream kernels reuse one buffer."""
-        net = init_network(3, (5,), 2, seed=8)
-        states, traces = net.zero_states(), reset_trace(net)
-        states, traces, _, g1 = online_step(net, states, traces,
-                                            rng.standard_normal(3),
-                                            rng.standard_normal(2))
-        kept = g1.copy()
-        online_step(net, states, traces, rng.standard_normal(3),
-                    rng.standard_normal(2))
-        assert np.array_equal(g1, kept)
+
+def snapshot(learner):
+    """The bytes of theta, the Adam moments and step count, the states and
+    the traces."""
+    a = learner.adam
+    return ([learner.net.theta.tobytes(), a.m.tobytes(), a.v.tobytes(), a.t]
+            + [h.tobytes() for h in learner.states]
+            + [z.tobytes() for z in learner.traces])
+
+
+class TestOnlineStep:
+    """The online step is OnlineLearner.predict then .observe: a call out
+    of that order, or with a row of the wrong width, raises and changes
+    nothing, and the learner takes the next call as if it had not been
+    made."""
+
+    @pytest.mark.parametrize("what", ["target1", "target3", "input"])
+    def test_shape_mismatch_rejected(self, rng, what):
+        learner = warm_learner(rng)
+        u, y = rng.standard_normal(3), rng.standard_normal(2)
+        if what == "input":
+            before = snapshot(learner)
+            with pytest.raises(ContractViolationError, match="input shape"):
+                learner.predict(np.zeros(4))
+        else:
+            learner.predict(u)
+            before = snapshot(learner)
+            with pytest.raises(ContractViolationError, match="output shape"):
+                # a 1-wide label would broadcast into the prediction
+                learner.observe(np.zeros(1 if what == "target1" else 3))
+        assert snapshot(learner) == before
+        if what == "input":
+            learner.predict(u)
+        learner.observe(y)
+        assert learner.adam.t == 5
+
+    def test_observe_before_predict_rejected(self, rng):
+        learner = OnlineLearner(init_network(3, (5, 4), 2, seed=8),
+                                FinetuneConfig())
+        for _ in range(2):   # a fresh learner, then one after a full row
+            before = snapshot(learner)
+            with pytest.raises(ContractViolationError, match="before predict"):
+                learner.observe(rng.standard_normal(2))
+            assert snapshot(learner) == before
+            learner.predict(rng.standard_normal(3))
+            learner.observe(rng.standard_normal(2))
+
+    def test_predict_twice_rejected(self, rng):
+        learner = warm_learner(rng)
+        y_hat = learner.predict(rng.standard_normal(3))
+        kept = y_hat.copy()
+        before = snapshot(learner)
+        with pytest.raises(ContractViolationError, match="twice"):
+            learner.predict(rng.standard_normal(3))
+        assert snapshot(learner) == before
+        assert y_hat.tobytes() == kept.tobytes()
+        learner.observe(rng.standard_normal(2))
+        assert learner.adam.t == 5
+
+    def test_end_session_zeroes_states_and_traces(self, rng):
+        """end_session zeroes the states and traces, shaped for the
+        network, and leaves theta and the Adam state as they were."""
+        learner = warm_learner(rng)
+        kept = snapshot(learner)[:4]   # theta, m, v and t
+        learner.end_session()
+        assert snapshot(learner)[:4] == kept and learner.adam.t == 4
+        net = learner.net
+        for got, zero in ((learner.states, net.zero_states()),
+                          (learner.traces, reset_trace(net))):
+            assert [(a.shape, a.dtype) for a in got] == [
+                (a.shape, a.dtype) for a in zero]
+            assert all(not a.any() for a in got)
+
+    def test_observe_after_end_session(self):
+        """A prediction's label may arrive after end_session: predict,
+        end_session, observe is bitwise predict, observe, end_session."""
+        sides = []
+        for late in (False, True):
+            learner = warm_learner(np.random.default_rng(3))
+            learner.predict(np.arange(3.0))
+            if late:
+                learner.end_session()
+            learner.observe(np.ones(2))
+            if not late:
+                learner.end_session()
+            sides.append(snapshot(learner))
+        assert sides[0] == sides[1]
+
+    def test_nan_label_skips_the_update_only(self, rng):
+        """A NaN label reports a row without one: observe counts a skipped
+        update and leaves theta and the Adam state as they were, while
+        predict advanced the states and traces past the row."""
+        learner = warm_learner(rng)
+        before = snapshot(learner)
+        learner.predict(rng.standard_normal(3))
+        advanced = snapshot(learner)
+        learner.observe(np.full(2, np.nan))
+        assert learner.skipped == 1
+        assert snapshot(learner) == advanced
+        assert advanced[:4] == before[:4] and advanced[4:] != before[4:]
+
+    @pytest.mark.parametrize("row", ["nan", "inf", "overflow"])
+    def test_nonfinite_row_holds_states_and_traces(self, rng, row):
+        """A feature row with a NaN or inf entry leaves the states and
+        traces as they were; a finite row whose squared norm overflows
+        advances them, as every finite row does."""
+        learner = warm_learner(rng)
+        u = rng.standard_normal(3)
+        u[1] = {"nan": np.nan, "inf": -np.inf, "overflow": 1e200}[row]
+        before = snapshot(learner)
+        with np.errstate(over="ignore", invalid="ignore"):
+            learner.predict(u)
+            held = snapshot(learner)[4:] == before[4:]
+            learner.observe(rng.standard_normal(2))
+        assert held == (row != "overflow")
+
+    def test_learner_owns_its_parameters(self, rng):
+        """The learner adapts a copy of the network and anchors at a copy
+        of its theta: the caller's network is never written, and writing
+        to it changes nothing the learner does."""
+        net = init_network(3, (5, 4), 2, seed=8)
+        kept = net.theta.copy()
+        sides = []
+        for touch in (False, True):
+            learner = OnlineLearner(net, FinetuneConfig(lambda_reg=0.01))
+            if touch:
+                net.theta += 1.0
+            for u, y in zip(np.arange(12.0).reshape(4, 3),
+                            np.ones((4, 2))):
+                learner.predict(u)
+                learner.observe(y)
+            assert touch or net.theta.tobytes() == kept.tobytes()
+            sides.append(snapshot(learner) + [learner.distance])
+        assert sides[0] == sides[1]
 
     @pytest.mark.parametrize("widths", [(5,), (4, 3)])
     def test_step_outputs_outlive_the_next_step(self, rng, widths):
-        """The states, traces and prediction that _StreamPlan.step returns
-        for a row are its own arrays: the next row, which writes into the
-        plan's buffers, leaves them byte for byte as they were."""
+        """The states, traces and prediction that _StreamPlan.predict
+        returns for a row are its own arrays: the next row, which writes
+        into the plan's buffers, leaves them byte for byte as they were."""
         net = init_network(3, widths, 2, seed=8)
-        step = _StreamPlan(net).step
+        plan = _StreamPlan(net)
         states, traces = net.zero_states(), reset_trace(net)
         kept = None
         for _ in range(5):
-            states, traces, y_hat, _ = step(states, traces,
-                                            rng.standard_normal(3),
-                                            rng.standard_normal(2))
+            states, traces, y_hat, inputs = plan.predict(
+                states, traces, rng.standard_normal(3))
+            plan.gradient(traces, states, inputs, rng.standard_normal(2))
             if kept is not None:
                 assert [a.tobytes() for a in held] == kept
             held = [*states, *traces, y_hat]
@@ -339,39 +433,39 @@ def reference_stream(steps=40):
 
 
 def run_reference_stream(steps=40):
-    """A fixed depth-2 stream through online_step + apply_update (lr 1e-2,
-    clip 0.5); returns every step's prediction, loss (huber(y_hat - y_t))
-    and gradient, the final states and traces, and the final parameters.
+    """A fixed depth-2 stream through an OnlineLearner (lr 1e-2, clip 0.5,
+    lambda_reg 0); returns every step's prediction, loss
+    (huber(y_hat - y_t)) and gradient (read from the RTRL step's gradient
+    buffer), the final states and traces, and the final parameters.
     The traces are returned under the names of the reference file's
     per-parameter fields: the gamma_log trace is the state, and the b_im
     trace is 1j times the b_re trace."""
     net, inputs, targets = reference_stream(steps)
-    adam = AdamState.init(net.theta, lr=1e-2)
-    states, traces = net.zero_states(), reset_trace(net)
+    learner = OnlineLearner(net, FinetuneConfig(lr=1e-2, clip=0.5))
     out = {"preds": [], "losses": [], "grads": []}
     for u_t, y_t in zip(inputs, targets):
-        states, traces, y_hat, grads = online_step(net, states, traces,
-                                                   u_t, y_t)
-        apply_update(net.theta, grads, adam, 0.5)
+        y_hat = learner.predict(u_t)
+        learner.observe(y_t)
         out["preds"].append(y_hat)
         out["losses"].append(huber(y_hat - y_t))
-        out["grads"].append(grads)
+        out["grads"].append(learner._plan.grads.copy())
     out = {k: np.asarray(v) for k, v in out.items()}
-    for k, (h, z) in enumerate(zip(states, traces)):
+    for k, (h, z) in enumerate(zip(learner.states, learner.traces)):
         out[f"state_{k}"] = h
         out[f"trace_nu_{k}"] = z[:, NU]
         out[f"trace_phase_{k}"] = z[:, PHASE]
         out[f"trace_gamma_{k}"] = h
         out[f"trace_b_re_{k}"] = z[:, B_RE]
         out[f"trace_b_im_{k}"] = 1j * z[:, B_RE]
-    out["theta"] = net.theta
+    out["theta"] = learner.net.theta
     return out
 
 
 def test_online_step_matches_reference_stream():
-    """online_step + apply_update are what they were before the forward
-    pass handed lambda, gamma and B u to the trace update, while lambda
-    was exp(-exp(nu)) (cos + i sin)(exp(theta_phase)), Adam divided by
+    """The online learner is what its checked per-row predecessors,
+    online_step + apply_update, were before the forward pass handed
+    lambda, gamma and B u to the trace update, while lambda was
+    exp(-exp(nu)) (cos + i sin)(exp(theta_phase)), Adam divided by
     its bias corrections and theta stored b and c as separate re and im
     blocks (reference written by run_reference_stream with that code;
     its flat theta and gradients are read through conftest's
