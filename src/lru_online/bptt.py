@@ -14,14 +14,17 @@ from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
 from .lru import (LruNetwork, _check_call, _LayerKernel, _linear_recurrence,
                   _scan, layer_constants, network_scan)
-from .optim import AdamState, _Descent, _huber_grad, huber
+from .optim import AdamState, _Descent, _huber_loss_grad, huber
 
 _CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
 
 
 @dataclass
 class WindowBatch:
-    """Fixed-length training windows; every window lies inside one session."""
+    """Fixed-length training windows; every window lies inside one session.
+    A sampled batch's inputs and targets are (batch, T, ·) views of
+    time-first (T, batch, ·) memory; a batch built by a caller may hold
+    any layout."""
     inputs: np.ndarray        # (batch, T, m)
     targets: np.ndarray       # (batch, T, p)
     window: int
@@ -76,29 +79,52 @@ def _check_widths(net: LruNetwork, data: SequenceData, what: str) -> None:
 def sample_windows(data: SequenceData, T: int, batch: int,
                    rng: np.random.Generator | int = 0) -> WindowBatch:
     """Uniform over all admissible (session, offset) windows, so sessions
-    contribute proportionally to their available window count. Empty data
-    is a ContractViolationError."""
-    if data.n_rows == 0:
-        raise ContractViolationError("cannot sample windows from data with no rows")
+    contribute proportionally to their available window count. The batch's
+    (batch, T, ·) inputs and targets are views of time-first (T, batch, ·)
+    copies, the layout bptt_gradient runs on. Empty data is a
+    ContractViolationError; a session shorter than T is a
+    ConfigurationError."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    ids = data.session_ids
-    first, stop = data.session_bounds()
-    sizes = stop - first
-    short = np.flatnonzero(sizes < T)
-    if short.size:
-        s = short[0]
-        raise ConfigurationError(
-            f"window length {T} exceeds session {ids[first[s]]} length {sizes[s]}")
-    counts = sizes - T + 1
-    cum = np.cumsum(counts)
-    draws = rng.integers(0, cum[-1], size=batch)
-    which = np.searchsorted(cum, draws, side="right")
-    starts = first[which] + draws - (cum - counts)[which]
-    rows = starts[:, None] + np.arange(T)                # (batch, T)
-    return WindowBatch(inputs=data.features[rows], targets=data.targets[rows],
-                       window=T,
-                       session_ids=ids[starts].astype(np.int64))
+    return _WindowSampler(data, T)(batch, rng)
+
+
+class _WindowSampler:
+    """sample_windows for one data set and window length: the session
+    bounds and window counts are found (and checked) once, and each call
+    only draws from rng and gathers, with the same draws as
+    sample_windows."""
+
+    def __init__(self, data: SequenceData, T: int):
+        if data.n_rows == 0:
+            raise ContractViolationError(
+                "cannot sample windows from data with no rows")
+        first, stop = data.session_bounds()
+        sizes = stop - first
+        short = np.flatnonzero(sizes < T)
+        if short.size:
+            s = short[0]
+            raise ConfigurationError(
+                f"window length {T} exceeds session "
+                f"{data.session_ids[first[s]]} length {sizes[s]}")
+        counts = sizes - T + 1
+        self.data, self.T = data, T
+        self.cum = np.cumsum(counts)
+        # a draw d in session k's range starts its window at d + offset[k]
+        self.offset = first - (self.cum - counts)
+        self.steps = np.arange(T)[:, None]
+
+    def __call__(self, batch: int, rng: np.random.Generator) -> WindowBatch:
+        data = self.data
+        draws = rng.integers(0, self.cum[-1], size=batch)
+        which = np.searchsorted(self.cum, draws, side="right")
+        starts = draws + self.offset[which]
+        rows = self.steps + starts                           # (T, batch)
+        return WindowBatch(inputs=data.features[rows].swapaxes(0, 1),
+                           targets=data.targets[rows].swapaxes(0, 1),
+                           window=self.T,
+                           session_ids=data.session_ids[starts].astype(
+                               np.int64))
 
 
 def _scan_windows(net: LruNetwork, inputs: np.ndarray
@@ -127,10 +153,12 @@ def bptt_gradient(net: LruNetwork,
     hand-rolled reverse mode (the stack is linear, so the complex adjoint
     recursion s_t = a_t + lambda * s_{t+1} suffices; it runs through the
     same _linear_recurrence as the forward scan, on the time-reversed
-    adjoint). The window batch is swapped once to time first, (T, batch,
-    ·), so every step of both recurrences is a contiguous (batch, n)
-    slice; a batch of at least lru.STEP_LOOP_MIN entries per step runs
-    them as plain step loops, a smaller one chunked. The contractions over
+    adjoint). The window batch runs time first, (T, batch, ·), so every
+    step of both recurrences is a contiguous (batch, n) slice: a sampled
+    batch is a (batch, T, ·) view of that memory and is not copied, a
+    batch in another layout is copied to it once. A batch of at least
+    lru.STEP_LOOP_MIN entries per step runs both recurrences as plain step
+    loops, a smaller one chunked. The contractions over
     (time, batch) are real matmuls on float64 views of the complex arrays.
     Inputs and targets that do not fit the network raise in _check_call."""
     _check_call(net, np.asarray(batch.inputs), np.asarray(batch.targets),
@@ -139,12 +167,10 @@ def bptt_gradient(net: LruNetwork,
                                             dtype=np.float64)
                        for a in (batch.inputs, batch.targets))
     consts, layer_inputs, layer_states, preds = _scan_windows(net, inputs)
-    resid = preds - targets
-    loss = huber(resid)
+    loss, down = _huber_loss_grad(preds - targets)   # down: (T, B, p)
     if not np.isfinite(loss):
-        bad = np.nonzero(~np.isfinite(resid).all(axis=(0, 2)))[0]
+        bad = np.nonzero(~np.isfinite(preds - targets).all(axis=(0, 2)))[0]
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
-    down = _huber_grad(resid)               # (T, B, p), resid's own buffer
     grads = np.empty_like(net.theta)
     outs = net.paired(grads)
     for k in range(net.depth - 1, -1, -1):
@@ -257,6 +283,7 @@ def train(net: LruNetwork, train_data: SequenceData,
     _check_widths(net, train_data, "training data")
     if val_data is not None:
         _check_widths(net, val_data, "validation data")
+    sample = _WindowSampler(train_data, cfg.window)
     net = net.copy()
     rng = np.random.default_rng(cfg.seed)
     descend = _Descent(net.theta, AdamState.init(net.theta, lr=cfg.lr),
@@ -266,7 +293,7 @@ def train(net: LruNetwork, train_data: SequenceData,
     curve = []
     diverged = False
     for i in range(1, cfg.steps + 1):
-        batch = sample_windows(train_data, cfg.window, cfg.batch, rng)
+        batch = sample(cfg.batch, rng)
         try:
             loss, grads = gradient(net, batch)
             descend(grads)

@@ -18,9 +18,18 @@ from .errors import ConfigurationError, TrainingError
 
 def huber_values(residual: np.ndarray) -> np.ndarray:
     """Elementwise Huber (delta 1): 0.5 r^2 for |r| <= 1, else |r| - 0.5."""
-    r = np.asarray(residual, dtype=np.float64)
-    a = np.abs(r)
-    return np.where(a <= 1.0, 0.5 * r * r, a - 0.5)
+    return _huber_values(np.abs(np.asarray(residual, dtype=np.float64)))
+
+
+def _huber_values(a: np.ndarray) -> np.ndarray:
+    """huber_values in place in a = |r|, which it returns: c (a - 0.5 c)
+    with c = min(a, 1), bitwise 0.5 r r for a <= 1 and a - 0.5 above
+    (+0.0 at r = -0.0). No branch squares a large r, so a finite r never
+    overflows."""
+    c = np.minimum(a, 1.0)
+    a -= 0.5 * c
+    a *= c
+    return a
 
 
 def huber(residual: np.ndarray) -> float:
@@ -40,6 +49,13 @@ def _huber_grad(r: np.ndarray) -> np.ndarray:
     np.minimum(np.maximum(r, -1.0, out=r), 1.0, out=r)
     r /= r.size
     return r
+
+
+def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """(huber(r), huber_grad(r)) from one |r|, the gradient in place in the
+    float64 array r."""
+    loss = float(np.mean(_huber_values(np.abs(r))))
+    return loss, _huber_grad(r)
 
 
 # ----------------------------------------------------------------- clipping

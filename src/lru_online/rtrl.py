@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .lru import (LruNetwork, _check_call, _forward, _LayerKernel,
                   layer_constants)
-from .optim import _huber_grad, huber
+from .optim import _huber_loss_grad
 
 # Columns of a layer's trace matrix Z.
 NU, PHASE, B_RE = 0, 1, slice(2, None)
@@ -155,7 +155,7 @@ def window_gradient(net: LruNetwork, inputs: np.ndarray,
     for u_t, y_t in zip(inputs, targets):
         states, traces, y_hat, layer_inputs = plan.predict(states, traces,
                                                            u_t)
-        g = _huber_grad(np.subtract(y_hat, y_t, out=plan.g))
+        loss, g = _huber_loss_grad(np.subtract(y_hat, y_t, out=plan.g))
         grads += plan.gradient(traces, states, layer_inputs, g)
-        total_loss += huber(y_hat - y_t)
+        total_loss += loss
     return total_loss / T, grads * (1.0 / T)

@@ -7,7 +7,7 @@ from lru_online.bptt import (TrainConfig, WindowBatch, _scan_sessions,
                              bptt_gradient, evaluate, sample_windows, train)
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
-                               ContractViolationError)
+                               ContractViolationError, TrainingError)
 from lru_online.harness import PretrainConfig
 from lru_online.lru import STEP_LOOP_MIN, init_network
 from lru_online.optim import huber
@@ -59,11 +59,59 @@ class TestSampleWindows:
         got = sample_windows(data, T, 64, np.random.default_rng(5))
         inputs, targets, sids = sample_windows_reference(
             data, T, 64, np.random.default_rng(5))
+        assert got.inputs.shape == inputs.shape
+        assert got.targets.shape == targets.shape
         assert np.array_equal(got.inputs, inputs)
         assert np.array_equal(got.targets, targets)
         assert np.array_equal(got.session_ids, sids)
         assert got.session_ids.dtype == np.int64
 
+
+    def test_batch_views_time_first_memory(self):
+        """A sampled batch is (batch, T, ·), and its time-first (T, batch,
+        ·) transpose is C-contiguous: the layout bptt_gradient runs on."""
+        data = make_data([30, 7, 64, 12])
+        batch = sample_windows(data, 7, 16, rng=2)
+        for a, width in ((batch.inputs, 3), (batch.targets, 2)):
+            assert a.shape == (16, 7, width)
+            assert a.swapaxes(0, 1).flags.c_contiguous
+
+    def test_train_draws_successive_sample_windows(self):
+        """train() samples through one sampler built per run; its batches
+        are those of successive sample_windows calls on one generator
+        seeded with cfg.seed."""
+        data = make_data([30, 7, 64, 12])
+        net = init_network(3, (4,), 2, seed=0)
+        seen = []
+
+        def gradient(net, batch):
+            seen.append(batch)
+            return 0.0, np.zeros_like(net.theta)
+
+        cfg = TrainConfig(steps=6, batch=16, window=7, seed=11)
+        train(net, data, None, cfg, gradient=gradient)
+        rng = np.random.default_rng(cfg.seed)
+        assert len(seen) == cfg.steps
+        for got in seen:
+            want = sample_windows(data, 7, 16, rng)
+            assert got.window == want.window == 7
+            for a, b in ((got.inputs, want.inputs),
+                         (got.targets, want.targets),
+                         (got.session_ids, want.session_ids)):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_train_rejects_too_long_window_before_any_step(self):
+        net = init_network(3, (4,), 2, seed=0)
+        steps = []
+
+        def gradient(*args):
+            steps.append(args)
+            return 0.0, np.zeros_like(net.theta)
+
+        with pytest.raises(ConfigurationError, match="session 1"):
+            train(net, make_data([100, 30]), None,
+                  TrainConfig(steps=3, batch=2, window=50), gradient=gradient)
+        assert steps == []
 
     def test_single_possible_window(self):
         data = make_data([10])
@@ -115,6 +163,30 @@ class TestBpttGradient:
                                                      np.zeros(1, np.int64)))
         assert loss == 0.0
         assert grads.shape == net.theta.shape and np.all(grads == 0)
+
+    def test_sampled_layout_and_copy_agree_bitwise(self):
+        """A sampled batch (a view of time-first memory, run as it is) and
+        its C-contiguous (batch, T, ·) copy (copied to time first) give
+        bitwise the same loss and gradient."""
+        data = make_data([30, 7, 64, 12])
+        net = init_network(3, (4, 3), 2, seed=1)
+        batch = sample_windows(data, 7, 16, rng=4)
+        copy = WindowBatch(np.ascontiguousarray(batch.inputs),
+                           np.ascontiguousarray(batch.targets),
+                           7, batch.session_ids)
+        assert copy.inputs.flags.c_contiguous
+        loss, grads = bptt_gradient(net, batch)
+        loss_c, grads_c = bptt_gradient(net, copy)
+        assert loss == loss_c
+        assert np.array_equal(grads, grads_c)
+
+    def test_nonfinite_loss_names_batch_entries(self, rng):
+        net = init_network(3, (4,), 2, seed=0)
+        batch = random_batch(rng, net, T=6, batch=4)
+        batch.targets[1, 2, 0] = np.nan
+        batch.targets[3, 5, 1] = -np.inf
+        with pytest.raises(TrainingError, match=r"batch entries \[1, 3\]"):
+            bptt_gradient(net, batch)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_target_width_mismatch_rejected(self, rng, p):

@@ -9,9 +9,34 @@ import oracle
 
 from lru_online.errors import ConfigurationError, TrainingError
 from lru_online.optim import (BETA1, BETA2, EPS, AdamState, AnchorConfig,
-                              _Descent, anchor_distance, anchor_gradient,
-                              clip_global_norm, huber, huber_grad,
-                              huber_values)
+                              _Descent, _huber_loss_grad, anchor_distance,
+                              anchor_gradient, clip_global_norm, huber,
+                              huber_grad, huber_values)
+
+# signed zeros, the kink and its neighbours, subnormals, residuals whose
+# square overflows, infinities and NaNs of either sign
+HUBER_EDGES = np.array([
+    0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0),
+    np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 0.5, -2.5,
+    5e-324, -5e-324, 1.5e-323, np.finfo(np.float64).tiny, -1e-160, 1e-300,
+    1.3e154, -1.4e154, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def two_branch_huber_values(r):
+    """The formula huber_values had before the |r| form: both branches
+    evaluated, one chosen by np.where."""
+    a = np.abs(r)
+    with np.errstate(over="ignore"):
+        return np.where(a <= 1.0, 0.5 * r * r, a - 0.5)
+
+
+def clip_huber_grad(r):
+    """The Huber gradient as np.clip: psi(r) / count."""
+    return np.clip(r, -1.0, 1.0) / r.size
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
 class TestHuber:
@@ -63,6 +88,42 @@ class TestHuber:
         ref = np.clip(r, -1.0, 1.0) / r.size
         assert np.array_equal(huber_grad(r).view(np.int64),
                               ref.view(np.int64))
+
+    @pytest.mark.parametrize("case", ["edges", "finite edges", "random"])
+    def test_bitwise_equals_two_branch_formula(self, case):
+        """huber_values, huber_grad and the one-pass (loss, gradient) are
+        bitwise the two-branch values and the clipped gradient: signed
+        zeros, subnormals, infinities and NaNs included."""
+        r = {"edges": HUBER_EDGES,
+             # a finite mean: no two values whose sum overflows
+             "finite edges": HUBER_EDGES[np.abs(HUBER_EDGES) < 1e300],
+             "random": np.random.default_rng(7).standard_normal(300) * 2
+             }[case]
+        values = two_branch_huber_values(r)
+        grad = clip_huber_grad(r)
+        loss = float(np.mean(values))
+        assert np.array_equal(bits(huber_values(r)), bits(values))
+        assert np.array_equal(bits(huber_grad(r)), bits(grad))
+        assert bits(huber(r)) == bits(loss)
+        work = r.copy()
+        got_loss, got_grad = _huber_loss_grad(work)
+        assert got_grad is work
+        assert bits(got_loss) == bits(loss)
+        assert np.array_equal(bits(got_grad), bits(grad))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_residuals_raise_no_warning(self):
+        """No branch squares a residual, so one whose square overflows
+        gives |r| - 0.5 with no overflow warning (an error here)."""
+        big = np.array([1e300, -1e300, -np.finfo(np.float64).max])
+        assert np.array_equal(huber_values(big), np.abs(big) - 0.5)
+        assert np.array_equal(huber_grad(big), np.sign(big) / big.size)
+        r = np.array([1e300, -1e300, np.inf, -np.inf])
+        assert huber(r[:2]) == 1e300 - 0.5
+        assert huber(r) == np.inf
+        loss, grad = _huber_loss_grad(r.copy())
+        assert loss == np.inf
+        assert np.array_equal(grad, np.sign(r) / r.size)
 
 
 class TestClip:
