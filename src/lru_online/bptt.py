@@ -271,15 +271,18 @@ def train(net: LruNetwork, train_data: SequenceData,
                              tuple[float, np.ndarray]] = bptt_gradient
           ) -> TrainResult:
     """The training loop of every trainer. Each of cfg.steps iterations
-    samples cfg.batch windows, takes (train loss, flat gradient) =
+    samples cfg.batch windows (the draws of successive sample_windows
+    calls on one generator seeded with cfg.seed, through one sampler built
+    for the run), takes (train loss, flat gradient) =
     gradient(net, batch) and applies the run's one update, optim._Descent
     (fresh Adam at cfg.lr, cfg.clip). It tracks the train loss every step
     and the validation loss at the eval cadence, and returns the
     best-validation parameters; with no finite validation loss, the last
     ones and best_val_loss NaN. A non-finite loss or gradient
     (TrainingError) stops training with `diverged` set. A data set whose
-    widths are not the network's is a CompatibilityError, raised before
-    any step. The input network is not modified."""
+    widths are not the network's is a CompatibilityError, and training
+    data that sample_windows rejects raises as there, both before any
+    step. The input network is not modified."""
     _check_widths(net, train_data, "training data")
     if val_data is not None:
         _check_widths(net, val_data, "validation data")

@@ -17,15 +17,11 @@ from .errors import ConfigurationError, TrainingError
 # --------------------------------------------------------------------- loss
 
 def huber_values(residual: np.ndarray) -> np.ndarray:
-    """Elementwise Huber (delta 1): 0.5 r^2 for |r| <= 1, else |r| - 0.5."""
-    return _huber_values(np.abs(np.asarray(residual, dtype=np.float64)))
-
-
-def _huber_values(a: np.ndarray) -> np.ndarray:
-    """huber_values in place in a = |r|, which it returns: c (a - 0.5 c)
-    with c = min(a, 1), bitwise 0.5 r r for a <= 1 and a - 0.5 above
-    (+0.0 at r = -0.0). No branch squares a large r, so a finite r never
-    overflows."""
+    """Elementwise Huber (delta 1): 0.5 r^2 for |r| <= 1, else |r| - 0.5.
+    Computed as c (a - 0.5 c) with a = |r| and c = min(a, 1), which is
+    bitwise both branches (+0.0 at r = -0.0) and squares no large r, so a
+    finite r never overflows."""
+    a = np.abs(np.asarray(residual, dtype=np.float64))
     c = np.minimum(a, 1.0)
     a -= 0.5 * c
     a *= c
@@ -52,9 +48,9 @@ def _huber_grad(r: np.ndarray) -> np.ndarray:
 
 
 def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
-    """(huber(r), huber_grad(r)) from one |r|, the gradient in place in the
-    float64 array r."""
-    loss = float(np.mean(_huber_values(np.abs(r))))
+    """(huber(r), huber_grad(r)), the loss taken before the gradient
+    overwrites the float64 array r."""
+    loss = huber(r)
     return loss, _huber_grad(r)
 
 
