@@ -23,7 +23,7 @@ from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import LruNetwork, _check_layers, _check_ring, init_network
 from .optim import (AdamState, AnchorConfig, _Descent, _huber_grad, huber,
                     huber_values)
-from .rtrl import _StreamPlan, reset_trace, window_gradient
+from .rtrl import H, _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
 
 
@@ -243,11 +243,15 @@ class OnlineLearner:
         """||theta - theta_pre||_2 after the last update."""
         return self._descend.distance
 
+    @property
+    def states(self) -> list[np.ndarray]:
+        """Each layer's state (n,): a view of its trace's H column."""
+        return [z[:, H] for z in self.traces]
+
     def end_session(self) -> None:
-        """Zero the states and traces; theta and the Adam state carry
-        over. A pending prediction's observe may still follow."""
-        net = self.net
-        self.states, self.traces = net.zero_states(), reset_trace(net)
+        """Zero the traces, the states with them; theta and the Adam state
+        carry over. A pending prediction's observe may still follow."""
+        self.traces = reset_trace(self.net)
 
     def predict(self, u: np.ndarray) -> np.ndarray:
         """The prediction (p,) for the feature row u (m,) at the current
@@ -258,11 +262,10 @@ class OnlineLearner:
         if u.shape != self._u_shape:
             raise ContractViolationError(
                 f"row shape {u.shape} for input shape {self._u_shape}")
-        states, traces, y_hat, _ = self._pending = self._plan.predict(
-            self.states, self.traces, u)
+        traces, y_hat, _ = self._pending = self._plan.predict(self.traces, u)
         # a finite u.dot(u) (half u @ u's time) skips the full scan
         if math.isfinite(u.dot(u)) or np.isfinite(u).all():
-            self.states, self.traces = states, traces
+            self.traces = traces
         return y_hat
 
     def observe(self, y: np.ndarray) -> None:
@@ -274,12 +277,12 @@ class OnlineLearner:
         if y.shape != self._y_shape:
             raise ContractViolationError(
                 f"label shape {y.shape} for output shape {self._y_shape}")
-        states, traces, y_hat, inputs = self._pending
+        traces, y_hat, inputs = self._pending
         self._pending = None
         plan = self._plan
         g = _huber_grad(np.subtract(y_hat, y, out=plan.g))
         try:
-            self._descend(plan.gradient(traces, states, inputs, g))
+            self._descend(plan.gradient(traces, inputs, g))
         except TrainingError:
             self.skipped += 1   # non-finite gradient: nothing was updated
 

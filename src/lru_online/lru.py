@@ -20,7 +20,8 @@ into one flat float64 vector theta (LruNetwork), so the optimizer updates
 theta in place and every layer sees the update.
 
 The online RTRL step runs one checked row on the unchecked per-row
-kernels (_LayerKernel, layer_constants, _forward). network_scan (whole
+kernels (_LayerKernel, layer_constants), stepping each state as the H
+column of its layer's trace (rtrl._StreamPlan). network_scan (whole
 sequences at fixed theta, from given or zero states) checks its rows with
 _check_call (LruNetwork checks its block shapes when it is built) and runs
 unchecked kernels. Every fixed-theta prediction of
@@ -352,9 +353,9 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     u_seq real (T, ..., m), a (T, m) session or a (T, batch, m) batch of
     windows; h_0 complex (..., n), the state before the first row. Returns
     (h_seq, y_seq) with shapes (T, ..., n) and (T, ..., p): T rows of
-    _forward on the layer's kernel from h_0, up to rounding (the input and
-    output products are matmuls over every row, and the recurrence is
-    chunked or, for a wide enough batch, a plain step loop).
+    the online step's state update and readout from h_0, up to rounding
+    (the input and output products are matmuls over every row, and the
+    recurrence is chunked or, for a wide enough batch, a plain step loop).
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or len(u_seq) < 1:
@@ -386,27 +387,6 @@ def _check_call(net: LruNetwork, inputs: np.ndarray,
         raise ContractViolationError(
             f"state shapes {[np.shape(h) for h in states]} for layer "
             f"widths {widths}")
-
-
-def _forward(kernels: Sequence[_LayerKernel], states: list[np.ndarray],
-             x: np.ndarray
-             ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """One float64 row x (m,) through the stack from one (n_k,) state per
-    layer, unchecked, on kernels with current layer_constants: per layer
-    h_t = lambda * h_prev + gamma * (B x) and y_t = conj(h_t) pairs @ C2^T
-    + D x (conj(h_t) left in k.h_conj), the next layer's x. Returns (new
-    states, prediction, each layer's input)."""
-    new_states, layer_inputs = [], []
-    for k, h_prev in zip(kernels, states):
-        layer_inputs.append(x)
-        h = np.multiply(k.gamma, k.b @ x)
-        h += k.lam * h_prev
-        np.conjugate(h, out=k.h_conj)
-        y = k.h_pairs @ k.c2_t
-        y += x @ k.d_t
-        new_states.append(h)
-        x = y
-    return new_states, x, layer_inputs
 
 
 def network_scan(net: LruNetwork, u_seq: np.ndarray,

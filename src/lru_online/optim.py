@@ -71,7 +71,15 @@ def _check_clip(max_norm: float | None) -> None:
 
 
 def _clip(grads: np.ndarray, sq: float, max_norm: float) -> np.ndarray:
-    """clip_global_norm without its checks, from sq = grads @ grads."""
+    """clip_global_norm without its checks, from sq = grads @ grads. A
+    finite gradient whose squares overflow (sq inf) takes its norm as
+    max|grads| times that of grads / max|grads|."""
+    if not math.isfinite(sq):
+        top = float(np.abs(grads).max())
+        if math.isfinite(top):
+            unit = grads / top
+            r = math.sqrt(unit @ unit)
+            return grads if top * r <= max_norm else unit * (max_norm / r)
     g = math.sqrt(sq)
     if g <= max_norm:
         return grads

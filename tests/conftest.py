@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lru_online.bptt import WindowBatch, bptt_gradient
-from lru_online.lru import (_forward, _LayerKernel, init_network,
-                            layer_constants)
+from lru_online.lru import _LayerKernel, init_network, layer_constants
 
 
 @pytest.fixture
@@ -54,14 +53,20 @@ def constants(layer):
 
 
 def forward_row(net, states, u):
-    """One input row u through the stack from one state per layer, as the
-    online step's predict half runs it: layer_constants and lru._forward
-    on fresh kernels. Returns (new states, prediction, each layer's
-    input)."""
-    kernels = [_LayerKernel(layer) for layer in net.layers]
-    for k in kernels:
-        layer_constants(k)
-    return _forward(kernels, states, np.asarray(u, dtype=np.float64))
+    """One input row u through the stack from one state per layer, written
+    from the formulas: per layer h = gamma * (B u) + lambda * h_prev, then
+    y = conj(h) as (re, im) pairs @ C2^T + D u, the next layer's u, with
+    lambda and gamma from lru.layer_constants. Returns (new states,
+    prediction, each layer's input)."""
+    new_states, layer_inputs = [], []
+    x = np.asarray(u, dtype=np.float64)
+    for layer, h_prev in zip(net.layers, states):
+        lam, gamma, _ = constants(layer)
+        layer_inputs.append(x)
+        h = gamma * (layer.b_complex @ x) + lam * h_prev
+        new_states.append(h)
+        x = np.conj(h).view(np.float64) @ layer.c2.T + x @ layer.d.T
+    return new_states, x, layer_inputs
 
 
 def paired_order(m, widths, p):

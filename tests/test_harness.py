@@ -415,13 +415,12 @@ class TestFinetune:
                                                   lambda_reg=cfg.lambda_reg))
         preds = []
         for sid in dict.fromkeys(data.session_ids.tolist()):
-            states, traces = net.zero_states(), reset_trace(net)
+            traces = reset_trace(net)
             for t in np.flatnonzero(data.session_ids == sid):
-                states, traces, y_hat, inputs = plan.predict(
-                    states, traces, data.features[t])
+                traces, y_hat, inputs = plan.predict(traces, data.features[t])
                 if t != bad:
                     g = huber_grad(y_hat - data.targets[t])
-                    descend(plan.gradient(traces, states, inputs, g))
+                    descend(plan.gradient(traces, inputs, g))
                 preds.append(y_hat)
         assert np.array_equal(metrics.predictions, np.asarray(preds))
 

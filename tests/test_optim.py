@@ -398,6 +398,24 @@ class TestApplyUpdate:
         assert state.m.tobytes() == ref_state.m.tobytes()
         assert state.v.tobytes() == ref_state.v.tobytes()
 
+    def test_overflowing_norm_clips_to_max_norm(self):
+        """A finite gradient whose squared norm overflows is clipped to
+        max_norm (its norm taken on the gradient scaled by its largest
+        entry), not scaled by max_norm / inf to zero: by clip_global_norm,
+        and by _Descent, whose first Adam moment is (1 - beta1) times the
+        gradient it stepped on."""
+        grads = np.array([3e154, 4e154, 1.0])
+        want = [0.3, 0.4, 1e-155]
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(grads @ grads)
+            got = clip_global_norm(grads, 0.5)
+            theta = np.zeros(3)
+            state = AdamState.init(theta)
+            _Descent(theta, state, 0.5)(grads)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        np.testing.assert_allclose(state.m / (1 - BETA1), want, rtol=1e-15)
+        assert np.array_equal(grads, [3e154, 4e154, 1.0])
+
     @pytest.mark.parametrize("clip", [None, 0.5])
     @pytest.mark.parametrize("lambda_reg", [0.0, 0.2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

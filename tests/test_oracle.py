@@ -25,7 +25,7 @@ from lru_online.harness import (FinetuneConfig, OnlineLearner,
                                 cmd_pretrain, prepare_tables)
 from lru_online.lru import init_network
 from lru_online.optim import AdamState, _Descent
-from lru_online.rtrl import B_RE, NU, PHASE
+from lru_online.rtrl import H
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 TINY = np.finfo(np.float64).tiny    # a floor that makes an error relative
@@ -56,6 +56,12 @@ def check(report):
 
 def dims(net):
     return [(layer.n, layer.m, layer.p) for layer in net.layers]
+
+
+def oracle_trace(z):
+    """A float64 trace (n, 3 + m) in the oracle's (n, 2 + m) layout: the
+    state column H dropped, leaving nu, theta_phase and the b_re rows."""
+    return np.delete(z, H, axis=1)
 
 
 def adapted_at(ckpt, stream, cfg, freeze):
@@ -260,9 +266,11 @@ def shadow(monkeypatch, learner, stream, freeze):
 
     def recorded_predict(self, u):
         row["before"] = (net.theta.copy(), [h.copy() for h in self.states],
-                         [z.copy() for z in self.traces], u.copy())
+                         [oracle_trace(z) for z in self.traces], u.copy())
         y_hat = predict(self, u)
-        row["after"] = (*self._pending[:2], y_hat.copy())
+        traces = self._pending[0]
+        row["after"] = ([z[:, H] for z in traces],
+                        [oracle_trace(z) for z in traces], y_hat.copy())
         return y_hat
 
     def replayed_observe(self, y):
@@ -346,12 +354,12 @@ def test_online_reference_stream_within_bound(check):
     check("grads", got["grads"], ref["gradients"], bounds["gradients"])
     check("theta", got["theta"], ref["theta"], bounds["theta"])
     for k in range(net.depth):
-        z = ref[f"trace_{k}"]
+        z = ref[f"trace_{k}"]    # the oracle's columns: nu, phase, b_re rows
         check(f"state_{k}", got[f"state_{k}"], ref[f"state_{k}"],
               bounds["state"])
-        for name, want in (("trace_nu", z[:, NU]),
-                           ("trace_phase", z[:, PHASE]),
-                           ("trace_b_re", z[:, B_RE])):
+        for name, want in (("trace_nu", z[:, 0]),
+                           ("trace_phase", z[:, 1]),
+                           ("trace_b_re", z[:, 2:])):
             check(f"{name}_{k}", got[f"{name}_{k}"], want, bounds["trace"])
 
 

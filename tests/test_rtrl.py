@@ -10,38 +10,38 @@ from conftest import (constants, finite_difference_grads, forward_row,
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.harness import FinetuneConfig, OnlineLearner
-from lru_online.lru import LruNetwork, _forward, init_network, layer_constants
+from lru_online.lru import LruNetwork, init_network, layer_constants
 from lru_online.optim import huber
-from lru_online.rtrl import (B_RE, NU, PHASE, _StreamPlan, _trace_step,
+from lru_online.rtrl import (B_RE, H, NU, PHASE, _StreamPlan, _trace_step,
                              reset_trace, window_gradient)
 
 
-def trace_update(layer, h_prev, u, z_prev):
-    """One layer's trace update from a pre-step state h_prev the caller
-    keeps itself."""
+def trace_update(layer, u, z_prev):
+    """One layer's trace update, its state in the H column, on a fresh
+    plan."""
     plan = _StreamPlan(LruNetwork([layer]))
     layer_constants(plan.kernels[0])
-    return _trace_step(plan.kernels[0], h_prev, u, z_prev, plan.traces[0])
+    return _trace_step(plan.kernels[0], u, z_prev, plan.imm[0])
 
 
 def stream(net, inputs):
     """The predict half of the RTRL step over the input rows from zero
-    states and traces; yields the pre-step states and the post-step states
-    and traces of every row."""
+    traces; yields the pre-step states and the post-step states and
+    traces of every row (the states are the traces' H columns)."""
     plan = _StreamPlan(net)
-    states, traces = net.zero_states(), reset_trace(net)
+    traces = reset_trace(net)
     for u in inputs:
-        new_states, traces, _, _ = plan.predict(states, traces, u)
-        yield states, new_states, traces
-        states = new_states
+        states = [z[:, H] for z in traces]
+        traces, _, _ = plan.predict(traces, u)
+        yield states, [z[:, H] for z in traces], traces
 
 
 class TestResetTrace:
     def test_zero_and_shapes(self):
         net = init_network(20, (16, 16), 5, seed=0)
         traces = reset_trace(net)
-        assert traces[0].shape == (16, 2 + 20)
-        assert traces[1].shape == (16, 2 + 16)
+        assert traces[0].shape == (16, 3 + 20)
+        assert traces[1].shape == (16, 3 + 16)
         for z in traces:
             assert z.dtype == np.complex128
             assert np.all(z == 0)
@@ -50,7 +50,8 @@ class TestResetTrace:
         net = init_network(20, (16,), 5, seed=0)
         traces = reset_trace(net)
         assert len(traces) == 1
-        assert traces[0].size == 2 * 16 + 16 * 20  # 2n + n*m, not n^2*m
+        # 3n + n*m, not n^2*m: the H column is the state, kept nowhere else
+        assert traces[0].size == 3 * 16 + 16 * 20
 
 
 class TestTraceStep:
@@ -58,10 +59,10 @@ class TestTraceStep:
         net = init_network(3, (5,), 2, seed=1)
         layer = net.layers[0]
         u = rng.standard_normal(3)
-        _, (z,), _, _ = _StreamPlan(net).predict(net.zero_states(),
-                                                 reset_trace(net), u)
+        (z,), _, _ = _StreamPlan(net).predict(reset_trace(net), u)
         gamma = constants(layer)[1]
         assert np.allclose(z[:, B_RE], gamma[:, None] * u[None, :])
+        assert np.allclose(z[:, H], gamma * (layer.b_complex @ u))
         assert np.all(z[:, NU] == 0)  # zero previous state
         assert np.all(z[:, PHASE] == 0)
 
@@ -70,13 +71,13 @@ class TestTraceStep:
         layer = diagonal_layer(4, lam=0.0, gamma=2.0)
         net = LruNetwork([layer])
         z = reset_trace(net)[0]
-        h = np.zeros(4, complex)
         for t in range(5):
             u = rng.standard_normal(4)
-            z = trace_update(layer, h, u, z)
-            h = 2.0 * u.astype(complex)
-            # with lam = 0 the trace is exactly this step's immediate Jacobian
+            z = trace_update(layer, u, z)
+            # with lam = 0 the trace is exactly this step's immediate
+            # Jacobian, and the state gamma * (B u) with B = identity
             assert np.allclose(z[:, B_RE], 2.0 * np.ones((4, 1)) * u[None, :])
+            assert np.allclose(z[:, H], 2.0 * u)
 
     def test_matches_finite_differences(self, rng):
         net = small_random_net(rng)
@@ -97,8 +98,9 @@ class TestTraceStep:
         eps = 1e-5
         # the gamma_log trace is the final state itself, and the b_im trace
         # is 1j times the b_re trace
+        assert np.shares_memory(h, z)
         blocks = {"nu": z[:, NU], "theta_phase": z[:, PHASE],
-                  "gamma_log": h, "b_re": z[:, B_RE],
+                  "gamma_log": z[:, H], "b_re": z[:, B_RE],
                   "b_im": 1j * z[:, B_RE]}
         for name, trace in blocks.items():
             arr = getattr(layer, name)
@@ -133,7 +135,8 @@ class TestTraceStep:
     def test_bitwise_equals_out_of_place_formula(self, rng):
         """The predict half's trace update is bitwise lambda * Z + imm with the
         immediate Jacobian imm built from exp(nu) and exp(theta_phase)
-        afresh."""
+        afresh: its H column gamma * (B u) makes the state column
+        lambda * h_prev + gamma * (B u)."""
         net = init_network(6, (9,), 2, seed=4)
         layer = net.layers[0]
         lam = constants(layer)[0]
@@ -143,7 +146,9 @@ class TestTraceStep:
             imm = np.empty_like(z)
             imm[:, NU] = -np.exp(layer.nu) * lam * h_prev
             imm[:, PHASE] = 1j * np.exp(layer.theta_phase) * lam * h_prev
-            imm[:, B_RE] = constants(layer)[1][:, None] * u_t[None, :]
+            gamma = constants(layer)[1]
+            imm[:, H] = gamma * (layer.b_complex @ u_t)
+            imm[:, B_RE] = gamma[:, None] * u_t[None, :]
             ref = lam[:, None] * z + imm
             assert np.array_equal(z_new, ref)
             z = z_new
@@ -177,22 +182,17 @@ class TestOnlineGradient:
         net = init_network(4, (6, 5, 3), 2, seed=9)
         net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
         plan = _StreamPlan(net)
-        states, traces = net.zero_states(), reset_trace(net)
+        traces = reset_trace(net)
         for _ in range(6):
-            u = rng.standard_normal(4)
-            for k in plan.kernels:
-                layer_constants(k)
-            new_states, y, li = _forward(plan.kernels, states, u)
-            traces = [trace_update(layer, h, x, z) for layer, h, x, z
-                      in zip(net.layers, states, li, traces)]
-            states = new_states
+            traces, _, li = plan.predict(traces, rng.standard_normal(4))
             dL_dy = rng.standard_normal(2)
-            got = plan.gradient(traces, states, li, dL_dy)
+            got = plan.gradient(traces, li, dL_dy)
             ref = np.full_like(net.theta, np.nan)
             blocks = [v.blocks() for v in net.paired(ref)]
             g = dL_dy
             for k in range(net.depth - 1, -1, -1):
-                layer, h, z = net.layers[k], states[k], traces[k]
+                layer, z = net.layers[k], traces[k]
+                h = z[:, H]
                 c2 = np.stack((layer.c_re, layer.c_im), axis=-1)
                 a = (g @ c2.reshape(layer.p, -1)).view(np.complex128)
                 at = a[:, None] * z
@@ -213,13 +213,8 @@ class TestOnlineGradient:
     def test_zero_output_gradient(self, rng):
         net = init_network(3, (5,), 2, seed=2)
         plan = _StreamPlan(net)
-        for k in plan.kernels:
-            layer_constants(k)
-        states, y, li = _forward(plan.kernels, net.zero_states(),
-                                 rng.standard_normal(3))
-        traces = [trace_update(layer, h, x, z) for layer, h, x, z
-                  in zip(net.layers, net.zero_states(), li, reset_trace(net))]
-        g = plan.gradient(traces, states, li, np.zeros(2))
+        traces, _, li = plan.predict(reset_trace(net), rng.standard_normal(3))
+        g = plan.gradient(traces, li, np.zeros(2))
         assert g.shape == net.theta.shape and np.all(g == 0)
 
     def test_sum_equals_bptt_depth1(self, rng):
@@ -384,6 +379,22 @@ class TestOnlineStep:
             learner.observe(rng.standard_normal(2))
         assert held == (row != "overflow")
 
+    def test_states_are_views_of_the_traces(self, rng):
+        """Each learner.states[k] is the H column of learner.traces[k], not
+        a copy; a non-finite feature row leaves both as they were."""
+        learner = warm_learner(rng)
+        for h, z in zip(learner.states, learner.traces):
+            assert np.shares_memory(h, z[:, H])
+            assert h.tobytes() == z[:, H].tobytes()
+        before = snapshot(learner)[4:]
+        u = rng.standard_normal(3)
+        u[2] = np.nan
+        with np.errstate(invalid="ignore"):
+            learner.predict(u)
+            learner.observe(rng.standard_normal(2))
+        assert learner.skipped == 1
+        assert snapshot(learner)[4:] == before
+
     def test_learner_owns_its_parameters(self, rng):
         """The learner adapts a copy of the network and anchors at a copy
         of its theta: the caller's network is never written, and writing
@@ -405,20 +416,21 @@ class TestOnlineStep:
 
     @pytest.mark.parametrize("widths", [(5,), (4, 3)])
     def test_step_outputs_outlive_the_next_step(self, rng, widths):
-        """The states, traces and prediction that _StreamPlan.predict
-        returns for a row are its own arrays: the next row, which writes
-        into the plan's buffers, leaves them byte for byte as they were."""
+        """The traces (the states with them) and prediction that
+        _StreamPlan.predict returns for a row are its own arrays: the next
+        row, which writes into the plan's buffers, leaves them byte for
+        byte as they were."""
         net = init_network(3, widths, 2, seed=8)
         plan = _StreamPlan(net)
-        states, traces = net.zero_states(), reset_trace(net)
+        traces = reset_trace(net)
         kept = None
         for _ in range(5):
-            states, traces, y_hat, inputs = plan.predict(
-                states, traces, rng.standard_normal(3))
-            plan.gradient(traces, states, inputs, rng.standard_normal(2))
+            traces, y_hat, inputs = plan.predict(traces,
+                                                 rng.standard_normal(3))
+            plan.gradient(traces, inputs, rng.standard_normal(2))
             if kept is not None:
                 assert [a.tobytes() for a in held] == kept
-            held = [*states, *traces, y_hat]
+            held = [*traces, y_hat]
             kept = [a.tobytes() for a in held]
 
 
@@ -454,7 +466,7 @@ def run_reference_stream(steps=40):
         out[f"state_{k}"] = h
         out[f"trace_nu_{k}"] = z[:, NU]
         out[f"trace_phase_{k}"] = z[:, PHASE]
-        out[f"trace_gamma_{k}"] = h
+        out[f"trace_gamma_{k}"] = z[:, H]
         out[f"trace_b_re_{k}"] = z[:, B_RE]
         out[f"trace_b_im_{k}"] = 1j * z[:, B_RE]
     out["theta"] = learner.net.theta
