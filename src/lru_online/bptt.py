@@ -13,7 +13,7 @@ from .datapipe import SequenceData
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
 from .lru import (LruNetwork, _check_call, _LayerKernel, _linear_recurrence,
-                  _scan, layer_constants, network_scan)
+                  layer_constants, network_scan)
 from .optim import AdamState, _Descent, _huber_loss_grad, huber
 
 _CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
@@ -127,46 +127,30 @@ class _WindowSampler:
                                np.int64))
 
 
-def _scan_windows(net: LruNetwork, inputs: np.ndarray
-                  ) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray],
-                             list[np.ndarray], np.ndarray]:
-    """network_scan of time-first inputs (T, batch, m) from zero states
-    that also hands over each layer's (lambda, gamma, dlambda), derived
-    once per layer for the forward scan and the backward pass. Returns
-    (constants, layer inputs, layer states, predictions)."""
-    consts, layer_inputs, layer_states = [], [], []
-    x = inputs
-    for layer in net.layers:
-        lam, gamma, dlam = layer_constants(_LayerKernel(layer))
-        h_0 = np.zeros(x.shape[1:-1] + (layer.n,), dtype=np.complex128)
-        layer_inputs.append(x)
-        h_seq, x = _scan(layer, h_0, x, lam, gamma)
-        consts.append((lam, gamma, dlam))
-        layer_states.append(h_seq)
-    return consts, layer_inputs, layer_states, x
-
-
 def bptt_gradient(net: LruNetwork,
                   batch: WindowBatch) -> tuple[float, np.ndarray]:
     """Mean per-step Huber loss (delta 1) over the batch and its exact
-    full-unroll gradient (flat, laid out like net.theta), computed by
+    full-unroll gradient (flat, laid out like net.theta). The forward
+    pass is network_scan from zero states; the backward pass is
     hand-rolled reverse mode (the stack is linear, so the complex adjoint
     recursion s_t = a_t + lambda * s_{t+1} suffices; it runs through the
     same _linear_recurrence as the forward scan, on the time-reversed
-    adjoint). The window batch runs time first, (T, batch, ·), so every
-    step of both recurrences is a contiguous (batch, n) slice: a sampled
-    batch is a (batch, T, ·) view of that memory and is not copied, a
-    batch in another layout is copied to it once. A batch of at least
-    lru.STEP_LOOP_MIN entries per step runs both recurrences as plain step
-    loops, a smaller one chunked. The contractions over
-    (time, batch) are real matmuls on float64 views of the complex arrays.
-    Inputs and targets that do not fit the network raise in _check_call."""
+    adjoint), with each layer's (lambda, gamma, dlambda) derived again
+    from theta, so bitwise the constants its scan used. The window batch
+    runs time first, (T, batch, ·), so every step of both recurrences is
+    a contiguous (batch, n) slice: a sampled batch is a (batch, T, ·) view
+    of that memory and is not copied, a batch in another layout is copied
+    to it once. A batch of at least lru.STEP_LOOP_MIN entries per step
+    runs both recurrences as plain step loops, a smaller one chunked. The
+    contractions over (time, batch) are real matmuls on float64 views of
+    the complex arrays. Inputs and targets that do not fit the network
+    raise in _check_call."""
     _check_call(net, np.asarray(batch.inputs), np.asarray(batch.targets),
                 ndim=3)
     inputs, targets = (np.ascontiguousarray(np.swapaxes(a, 0, 1),
                                             dtype=np.float64)
                        for a in (batch.inputs, batch.targets))
-    consts, layer_inputs, layer_states, preds = _scan_windows(net, inputs)
+    layer_inputs, layer_states, preds = network_scan(net, inputs)
     loss, down = _huber_loss_grad(preds - targets)   # down: (T, B, p)
     if not np.isfinite(loss):
         bad = np.nonzero(~np.isfinite(preds - targets).all(axis=(0, 2)))[0]
@@ -176,10 +160,10 @@ def bptt_gradient(net: LruNetwork,
     for k in range(net.depth - 1, -1, -1):
         layer, out = net.layers[k], outs[k]
         n, m, p = net.dims[k]
+        lam, gamma, dlam = layer_constants(_LayerKernel(layer))
         u2 = layer_inputs[k].reshape(-1, m)
         h = layer_states[k]
         down2 = down.reshape(-1, p)
-        lam, gamma, dlam = consts[k]
 
         # the c pairs are (Re, -Im) of sum_t down_t h_t
         gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)

@@ -241,9 +241,9 @@ def _do_evaluate(args) -> int:
     ckpt, data = _finetune_stream(args)
     result = cmd_evaluate(ckpt, data)
     config = {"checkpoint": str(args.checkpoint), "split": args.split}
-    with _recording(args, "evaluate", config, {
-            k: result[k] for k in ("per_target_mse", "huber_mean",
-                                   "huber_total")}) as run_dir:
+    metrics = {k: result[k] for k in ("per_target_mse", "huber_mean",
+                                      "huber_total", "nonfinite_steps")}
+    with _recording(args, "evaluate", config, metrics) as run_dir:
         _per_step_csv(run_dir / "predictions.csv", result["target_names"],
                       result["timestamps"], {"pred_": result["predictions"],
                                              "true_": result["targets"]}, {})

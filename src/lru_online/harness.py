@@ -408,18 +408,26 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
     predictions are bitwise cmd_finetune's predictions_frozen. A
     non-finite feature row gets a non-finite prediction and leaves the
     states as they were, so the rest of its session is predicted as
-    without it. Empty data, or a session id that comes back, is a
-    ContractViolationError; a feature or target width that is not the
-    checkpoint's is a CompatibilityError."""
+    without it. The metrics score only rows whose residual is finite, as
+    bptt.evaluate and RunMetrics do, and nonfinite_steps counts the rest;
+    with no finite row they are NaN. Empty data, or a session id that
+    comes back, is a ContractViolationError; a feature or target width
+    that is not the checkpoint's is a CompatibilityError."""
     preds = _scan_sessions(ckpt.net, data)
     resid = preds - data.targets
-    per_target_mse = np.mean(resid * resid, axis=0)
     huber_mean = huber(resid)
+    if not np.isfinite(huber_mean):
+        # clean data never gets here, so its metrics stay one pass
+        resid = resid[np.isfinite(resid).all(axis=1)]
+        huber_mean = huber(resid) if len(resid) else float("nan")
+    per_target_mse = (np.mean(resid * resid, axis=0) if len(resid)
+                      else np.full(resid.shape[1], np.nan))
     names = data.target_names or [f"target_{i}" for i in range(resid.shape[1])]
     return {
         "per_target_mse": {n: float(v) for n, v in zip(names, per_target_mse)},
         "huber_mean": huber_mean,
-        "huber_total": huber_mean * resid.shape[0],
+        "huber_total": huber_mean * len(resid),
+        "nonfinite_steps": len(preds) - len(resid),
         "predictions": preds,
         "targets": data.targets,
         "timestamps": data.timestamps,

@@ -24,9 +24,9 @@ kernels (_LayerKernel, layer_constants), stepping each state as the H
 column of its layer's trace (rtrl._StreamPlan). network_scan (whole
 sequences at fixed theta, from given or zero states) checks its rows with
 _check_call (LruNetwork checks its block shapes when it is built) and runs
-unchecked kernels. Every fixed-theta prediction of
-an evaluated session is a network_scan, and every BPTT forward pass runs
-the same per-layer scan. Sequences are time first: a (T, m) session or a
+scan_forward, the one whole-sequence pass of a layer, on each. Every
+fixed-theta prediction of an evaluated session and every BPTT forward
+pass is a network_scan. Sequences are time first: a (T, m) session or a
 (T, batch, m) batch of windows, whose recurrence steps are contiguous
 (batch, n) slices. A batch of at least STEP_LOOP_MIN entries per step
 runs the recurrence as a plain step loop; a smaller batch and every 2-D
@@ -325,27 +325,6 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
     return x
 
 
-def _scan(params: LruLayerParams, h_0: np.ndarray, u_seq: np.ndarray,
-          lam: np.ndarray, gamma: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """scan_forward on a float64 u_seq (T, ..., m) with the layer's
-    lambda and gamma already derived (layer_constants), which is how the
-    BPTT forward pass runs it."""
-    m, n, p = params.m, params.n, params.p
-    lead = u_seq.shape[:-1]
-    u2 = u_seq.reshape(-1, m)
-    # real maps with interleaved (re, im) columns and rows: (u @ W) viewed
-    # as complex is u @ (gamma B)^T, and h viewed as float64 @ V is
-    # Re(h) @ c_re^T - Im(h) @ c_im^T; each is one (T * batch)-row matmul
-    w = np.stack((gamma * params.b_re.T, gamma * params.b_im.T), axis=2)
-    h_seq = (u2 @ w.reshape(m, -1)).view(np.complex128).reshape(lead + (n,))
-    _linear_recurrence(lam, h_seq, np.asarray(h_0, dtype=np.complex128))
-    v = np.stack((params.c_re.T, -params.c_im.T), axis=1)
-    y_seq = (h_seq.view(np.float64).reshape(-1, 2 * n) @ v.reshape(-1, p)
-             + u2 @ params.d.T)
-    return h_seq, y_seq.reshape(lead + (p,))
-
-
 def scan_forward(params: LruLayerParams, h_0: np.ndarray,
                  u_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One layer over a whole sequence via _linear_recurrence, time first.
@@ -361,7 +340,19 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     if u_seq.ndim < 2 or len(u_seq) < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
     lam, gamma, _ = layer_constants(_LayerKernel(params))
-    return _scan(params, h_0, u_seq, lam, gamma)
+    m, n, p = params.m, params.n, params.p
+    lead = u_seq.shape[:-1]
+    u2 = u_seq.reshape(-1, m)
+    # real maps with interleaved (re, im) columns and rows: (u @ W) viewed
+    # as complex is u @ (gamma B)^T, and h viewed as float64 @ V is
+    # Re(h) @ c_re^T - Im(h) @ c_im^T; each is one (T * batch)-row matmul
+    w = np.stack((gamma * params.b_re.T, gamma * params.b_im.T), axis=2)
+    h_seq = (u2 @ w.reshape(m, -1)).view(np.complex128).reshape(lead + (n,))
+    _linear_recurrence(lam, h_seq, np.asarray(h_0, dtype=np.complex128))
+    v = np.stack((params.c_re.T, -params.c_im.T), axis=1)
+    y_seq = (h_seq.view(np.float64).reshape(-1, 2 * n) @ v.reshape(-1, p)
+             + u2 @ params.d.T)
+    return h_seq, y_seq.reshape(lead + (p,))
 
 
 def _check_call(net: LruNetwork, inputs: np.ndarray,

@@ -8,6 +8,7 @@ from lru_online.bptt import (TrainConfig, WindowBatch, _scan_sessions,
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError, TrainingError)
+from lru_online import lru
 from lru_online.harness import PretrainConfig
 from lru_online.lru import STEP_LOOP_MIN, init_network
 from lru_online.optim import huber
@@ -179,6 +180,23 @@ class TestBpttGradient:
         loss_c, grads_c = bptt_gradient(net, copy)
         assert loss == loss_c
         assert np.array_equal(grads, grads_c)
+
+    def test_forward_pass_is_scan_forward(self, monkeypatch):
+        """The forward pass is network_scan: one lru.scan_forward per layer
+        on the time-first (T, batch, m) windows, the call the benchmark's
+        training-scan figures trace."""
+        calls = []
+        original = lru.scan_forward
+
+        def counting(params, h_0, u_seq):
+            calls.append(np.shape(u_seq))
+            return original(params, h_0, u_seq)
+
+        monkeypatch.setattr(lru, "scan_forward", counting)
+        data = make_data([30, 7, 64, 12])
+        net = init_network(3, (4, 3), 2, seed=1)
+        bptt_gradient(net, sample_windows(data, 7, 16, rng=4))
+        assert calls == [(7, 16, 3), (7, 16, 4)]
 
     def test_nonfinite_loss_names_batch_entries(self, rng):
         net = init_network(3, (4,), 2, seed=0)

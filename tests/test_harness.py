@@ -26,7 +26,8 @@ from lru_online.harness import (FinetuneConfig, OnlineLearner,
                                 prepare_tables)
 from lru_online.lru import init_network, network_scan
 from lru_online.optim import (AdamState, AnchorConfig, _Descent,
-                              anchor_distance, huber_grad, huber_values)
+                              anchor_distance, huber, huber_grad,
+                              huber_values)
 from lru_online.rtrl import _StreamPlan, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -963,6 +964,48 @@ class TestEvaluate:
         assert frozen.tobytes() == preds.tobytes()
         assert np.array_equal(np.flatnonzero(np.isnan(preds).any(axis=1)),
                               nan_rows)
+
+    def test_metrics_score_finite_rows(self):
+        """NaN feature rows are left out of the metrics, as bptt.evaluate
+        leaves them out, and counted; clean data is scored in one pass."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        features = ref["features"].copy()
+        data = SequenceData(features=features, targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        clean = cmd_evaluate(ckpt, data)
+        resid = clean["predictions"] - data.targets
+        assert clean["huber_mean"] == huber(resid)
+        assert clean["huber_total"] == huber(resid) * len(resid)
+        assert list(clean["per_target_mse"].values()) == list(
+            np.mean(resid * resid, axis=0))
+        assert clean["nonfinite_steps"] == 0
+        features[[10, 35], 0] = np.nan
+        result = cmd_evaluate(ckpt, data)
+        kept = np.delete(result["predictions"] - data.targets, [10, 35], 0)
+        assert result["nonfinite_steps"] == 2
+        assert result["huber_mean"] == huber(kept)
+        assert result["huber_mean"] == pytest.approx(
+            offline_evaluate(ckpt.net, data), rel=1e-12)
+        assert result["huber_total"] == huber(kept) * (len(data.targets) - 2)
+        assert list(result["per_target_mse"].values()) == list(
+            np.mean(kept * kept, axis=0))
+
+    def test_no_finite_row_is_nan(self):
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=np.full_like(ref["features"], np.nan),
+                            targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cmd_evaluate(ckpt, data)
+        assert result["nonfinite_steps"] == len(data.targets)
+        assert np.isnan(result["huber_mean"])
+        assert np.isnan(result["huber_total"])
+        assert np.isnan(list(result["per_target_mse"].values())).all()
 
     @pytest.mark.parametrize("outputs, columns", [(1, 3), (3, 1)])
     def test_target_width_mismatch(self, outputs, columns):
