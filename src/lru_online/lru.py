@@ -30,7 +30,8 @@ pass is a network_scan. Sequences are time first: a (T, m) session or a
 (T, batch, m) batch of windows, whose recurrence steps are contiguous
 (batch, n) slices. A batch of at least STEP_LOOP_MIN entries per step
 runs the recurrence as a plain step loop; a smaller batch and every 2-D
-session run it chunked.
+session run it chunked, on a step-major copy of the chunks whose steps
+are contiguous too.
 """
 
 from __future__ import annotations
@@ -274,8 +275,9 @@ def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
 # the fewest entries per time step at which a batched recurrence runs as a
 # plain step loop: below it the chunked form's fewer, larger calls win, at
 # and above it the loop's contiguous (batch, n) steps do. At n = 16 on a
-# 2-vCPU Xeon the loop took 0.78-0.95 of the chunked time at 256 entries
-# and 0.98-1.56 at 128, for T = 128-3601
+# 2-vCPU Xeon, against the step-major chunked form, the loop took
+# 0.83-0.87 of the chunked time at 256 entries, 0.96-1.02 at 192 and
+# 1.20-1.50 at 128, for T = 128-3601
 STEP_LOOP_MIN = 256
 
 
@@ -292,12 +294,22 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
     included, runs the two-level chunked form first (the blocked
     algorithm of state space duality, Dao & Gu 2024, for a diagonal
     transition): T is cut into C chunks of L = isqrt(T) steps plus a tail
-    of T - C*L < L steps. An L-step loop runs the recurrence inside every
-    chunk at once from a zero start, a C-step loop carries the true state
-    from chunk to chunk (carry_j = lam^L * carry_{j-1} + last local state
-    of chunk j-1), and an L-step loop adds lam^(i+1) * carry_j to local
-    step i of chunk j. The step loop then runs the tail: about 3*sqrt(T)
-    vectorized steps instead of T.
+    of T - C*L < L steps. The chunks are copied once in step-major order,
+    (L, C, ..., n), so that step i of every chunk is one contiguous slice.
+    An L-step loop runs the recurrence inside every chunk at once from a
+    zero start, and a C-step loop carries the true state from chunk to
+    chunk (carry_j = lam^L * carry_{j-1} + last local state of chunk
+    j-1), both with out= into one (C, ..., n) buffer. The fix-up is two
+    calls with no temporary: lam^(i+1) * carry_j is written into x's own
+    chunk memory, free once copied, and the local states are added to it.
+    The step loop then runs the tail: about 2*sqrt(T) vectorized steps
+    instead of T. The copy is about x.nbytes of transient memory. Each
+    entry gets the products and sums, in the same operand order, of the
+    form that loops over chunks[:, i] in x's own layout, so the result is
+    bitwise that form's; the one exception is a step of one entry
+    (n = 1) at T = 4 or 5, where that form's one-element fix-up products
+    took numpy's scalar complex multiply, which rounds without the fused
+    multiply-add of its vector loop.
     """
     T = len(x)
     if h_0 is not None:
@@ -310,14 +322,23 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
         done = C * L
         # splitting one axis never copies, so writes to chunks land in x
         chunks = x[:done].reshape((C, L) + x.shape[1:])
+        local = chunks.swapaxes(0, 1).copy()    # local[i]: step i of each chunk
+        buf = np.empty_like(local[0])
         for i in range(1, L):
-            chunks[:, i] += lam * chunks[:, i - 1]
+            np.add(local[i], np.multiply(lam, local[i - 1], out=buf),
+                   out=local[i])
         pows = np.cumprod(np.broadcast_to(lam, (L, len(lam))), axis=0)
-        carry = np.zeros_like(chunks[:, 0])    # state entering chunk j
+        carry = buf    # carry[j]: the state entering chunk j
+        carry[0] = 0
         for j in range(1, C):
-            carry[j] = pows[-1] * carry[j - 1] + chunks[j - 1, -1]
-        for i in range(L):
-            chunks[1:, i] += pows[i] * carry[1:]    # pows[i] = lam^(i+1)
+            np.add(np.multiply(pows[-1], carry[j - 1], out=carry[j]),
+                   local[-1, j - 1], out=carry[j])
+        # chunks[j, i] = local step i + lam^(i+1) * carry_j, the product
+        # written into x's chunk memory (copied to local above) first
+        chunks[0] = local[:, 0]
+        np.multiply(pows.reshape((L,) + (1,) * (x.ndim - 2) + (-1,)),
+                    carry[1:, None], out=chunks[1:])
+        np.add(local.swapaxes(0, 1)[1:], chunks[1:], out=chunks[1:])
     prev = x[done - 1]
     for cur in x[done:]:
         cur += lam * prev
@@ -335,12 +356,18 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     the online step's state update and readout from h_0, up to rounding
     (the input and output products are matmuls over every row, and the
     recurrence is chunked or, for a wide enough batch, a plain step loop).
+    An input row that is not m wide, or an h_0 that is not one (n,) state
+    per row of u_seq[0], is a ContractViolationError.
     """
     u_seq = np.asarray(u_seq, dtype=np.float64)
     if u_seq.ndim < 2 or len(u_seq) < 1:
         raise ContractViolationError("scan_forward requires a sequence of length >= 1")
-    lam, gamma, _ = layer_constants(_LayerKernel(params))
     m, n, p = params.m, params.n, params.p
+    if u_seq.shape[-1] != m or np.shape(h_0) != u_seq.shape[1:-1] + (n,):
+        raise ContractViolationError(
+            f"state shape {np.shape(h_0)} and input shape {u_seq.shape} for "
+            f"a layer of {n} nodes and input width {m}")
+    lam, gamma, _ = layer_constants(_LayerKernel(params))
     lead = u_seq.shape[:-1]
     u2 = u_seq.reshape(-1, m)
     # real maps with interleaved (re, im) columns and rows: (u @ W) viewed

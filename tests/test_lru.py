@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -272,6 +274,22 @@ class TestScanForward:
             hb, yb = scan_forward(layer, h0[b], u[:, b])
             assert np.allclose(h_seq[:, b], hb) and np.allclose(y_seq[:, b], yb)
 
+    @pytest.mark.parametrize("h0_shape, u_shape", [
+        ((1,), (10, 2)),       # a (1,) state broadcast over the 4 nodes
+        ((5,), (10, 2)),       # one state entry too many
+        ((4,), (10, 3)),       # input rows one entry too wide
+        ((4,), (10, 3, 2)),    # one state for a batch of 3 windows
+        ((2, 4), (10, 3, 2)),  # two states for a batch of 3 windows
+    ], ids=["broadcast-state", "wide-state", "wide-input", "unbatched-state",
+            "short-batch-state"])
+    def test_shape_mismatch_rejected(self, h0_shape, u_shape):
+        """h_0 must be one (n,) state per row of u_seq[0], and input rows
+        m wide; anything else raises, naming both shapes."""
+        layer = init_layer(2, 4, 1, seed=0)
+        with pytest.raises(ContractViolationError, match=re.escape(
+                f"state shape {h0_shape} and input shape {u_shape}")):
+            scan_forward(layer, np.zeros(h0_shape, complex), np.zeros(u_shape))
+
 
 def sequential_recurrence(lam, x, h_0):
     """Reference: h_t = lam * h_{t-1} + x_t, one step at a time along
@@ -362,6 +380,39 @@ class TestLinearRecurrence:
                 _linear_recurrence(lam, flip(col),
                                    None if h_0 is None else h_0[b])
                 assert np.array_equal(got[:, b], col)
+
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 15, 16, 17, 63, 64, 65, 3601])
+    @pytest.mark.parametrize("start", ["h_0", "zero"])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reverse"])
+    def test_session_is_chunked_reference_bitwise(self, reverse, start, T,
+                                                  rng):
+        """On a (T, n) session the step-major chunked form is bitwise
+        chunked_recurrence, which loops over the chunks in x's own layout,
+        forwards and on the time-reversed view, from a given and from a
+        zero start."""
+        lam, x, h_0 = self._case(rng, (), T, 0.9999)
+        flip = (lambda a: a[::-1]) if reverse else (lambda a: a)
+        ref = x.copy()
+        chunked_recurrence(lam, flip(ref),
+                           np.zeros(6, complex) if start == "zero" else h_0)
+        got = x.copy()
+        _linear_recurrence(lam, flip(got), None if start == "zero" else h_0)
+        assert np.array_equal(got, ref)
+
+    def test_chunked_peak_memory(self, rng):
+        """One chunked call on a (3601, 16) session allocates at most
+        2 * x.nbytes at its peak: the step-major copy of the chunks and
+        nothing of that size on top of it."""
+        lam, x, h_0 = self._case(rng, (), 3601, 0.9999, n=16)
+        tracemalloc.start()
+        try:
+            _linear_recurrence(lam, x, h_0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes
 
 
 def chunked_recurrence(lam, x, h_0):
