@@ -381,7 +381,6 @@ class TestLinearRecurrence:
                                    None if h_0 is None else h_0[b])
                 assert np.array_equal(got[:, b], col)
 
-
     @pytest.mark.parametrize("T", [1, 2, 3, 15, 16, 17, 63, 64, 65, 3601])
     @pytest.mark.parametrize("start", ["h_0", "zero"])
     @pytest.mark.parametrize("reverse", [False, True],
