@@ -120,8 +120,12 @@ class _WindowSampler:
         which = np.searchsorted(self.cum, draws, side="right")
         starts = draws + self.offset[which]
         rows = self.steps + starts                           # (T, batch)
-        return WindowBatch(inputs=data.features[rows].swapaxes(0, 1),
-                           targets=data.targets[rows].swapaxes(0, 1),
+        # np.take: the fancy-index gather's values and C-contiguous
+        # (T, batch, ·) result in about half its time
+        return WindowBatch(inputs=np.take(data.features, rows,
+                                          axis=0).swapaxes(0, 1),
+                           targets=np.take(data.targets, rows,
+                                           axis=0).swapaxes(0, 1),
                            window=self.T,
                            session_ids=data.session_ids[starts].astype(
                                np.int64))
@@ -142,18 +146,30 @@ def bptt_gradient(net: LruNetwork,
     of that memory and is not copied, a batch in another layout is copied
     to it once. A batch of at least lru.STEP_LOOP_MIN entries per step
     runs both recurrences as plain step loops, a smaller one chunked. The
-    contractions over (time, batch) are real matmuls on float64 views of
-    the complex arrays. Inputs and targets that do not fit the network
-    raise in _check_call."""
+    residual is taken in place in the top prediction, and the loss and
+    its gradient come from its clipped value psi = min(max(r, -1), 1)
+    (optim._huber_loss_grad: the loss mean(psi (r - psi/2)), the gradient
+    psi / count over the residual's memory). A non-finite loss is a
+    TrainingError naming the batch entries whose residual is not finite,
+    found by running the forward pass again. The contractions over
+    (time, batch) are real matmuls on float64 views of the complex
+    arrays; sum_t down_t h_t and sum_t s_t u_t run as (B.T @ A).T, the
+    order that was faster in the step on its tall arrays and, with
+    OpenBLAS 0.3.31, bitwise A.T @ B. Inputs and targets that do not fit
+    the network raise in _check_call."""
     _check_call(net, np.asarray(batch.inputs), np.asarray(batch.targets),
                 ndim=3)
     inputs, targets = (np.ascontiguousarray(np.swapaxes(a, 0, 1),
                                             dtype=np.float64)
                        for a in (batch.inputs, batch.targets))
     layer_inputs, layer_states, preds = network_scan(net, inputs)
-    loss, down = _huber_loss_grad(preds - targets)   # down: (T, B, p)
+    # the residual in place: the top prediction is no layer's input
+    loss, down = _huber_loss_grad(np.subtract(preds, targets, out=preds))
     if not np.isfinite(loss):
-        bad = np.nonzero(~np.isfinite(preds - targets).all(axis=(0, 2)))[0]
+        # down holds the gradient now; the forward pass again gives the
+        # residual whose non-finite entries name the batch entries
+        resid = network_scan(net, inputs)[2] - targets
+        bad = np.nonzero(~np.isfinite(resid).all(axis=(0, 2)))[0]
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
     grads = np.empty_like(net.theta)
     outs = net.paired(grads)
@@ -165,8 +181,9 @@ def bptt_gradient(net: LruNetwork,
         h = layer_states[k]
         down2 = down.reshape(-1, p)
 
-        # the c pairs are (Re, -Im) of sum_t down_t h_t
-        gc = down2.T @ h.view(np.float64).reshape(-1, 2 * n)
+        # the c pairs are (Re, -Im) of sum_t down_t h_t; this and su are
+        # (B.T @ A).T, the faster order here (docstring)
+        gc = (h.view(np.float64).reshape(-1, 2 * n).T @ down2).T
         np.multiply(gc.reshape(p, n, 2), _CONJ, out=out.c)
         out.d[...] = down2.T @ u2
 
@@ -178,7 +195,7 @@ def bptt_gradient(net: LruNetwork,
         _linear_recurrence(lam, s[::-1])
 
         sh = np.sum(s[1:] * h[:-1], axis=(0, 1))          # sum_t s_t h_{t-1}
-        su = s2.T @ u2                                    # sum_t s_t u_t^T
+        su = (u2.T @ s2).T                                # sum_t s_t u_t^T
         out.nu_phase[...] = (dlam * sh[:, None]).real
         # sum_t s_t (B u_t) = rowsum(B * su)
         out.gamma_log[...] = gamma * np.sum(

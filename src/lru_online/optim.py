@@ -48,10 +48,20 @@ def _huber_grad(r: np.ndarray) -> np.ndarray:
 
 
 def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
-    """(huber(r), huber_grad(r)), the loss taken before the gradient
-    overwrites the float64 array r."""
-    loss = huber(r)
-    return loss, _huber_grad(r)
+    """(huber(r), huber_grad(r)) from the clipped residual psi =
+    min(max(r, -1), 1), built once: the loss is mean(psi (r - psi/2)),
+    elementwise huber_values' c (|r| - c/2) up to the sign of a zero or
+    NaN, which the abs of the (otherwise >= 0) mean clears as |r| does
+    there; the gradient psi / count overwrites the C-contiguous float64
+    array r, which it returns."""
+    psi = np.maximum(r, -1.0)
+    np.minimum(psi, 1.0, out=psi)
+    values = np.multiply(psi, 0.5)
+    np.subtract(r, values, out=values)
+    values *= psi
+    loss = abs(float(np.mean(values)))
+    np.divide(psi, r.size, out=r)
+    return loss, r
 
 
 # ----------------------------------------------------------------- clipping

@@ -4,7 +4,8 @@ import pytest
 from conftest import finite_difference_grads, max_rel_error, random_batch, \
     small_random_net
 from lru_online.bptt import (TrainConfig, WindowBatch, _scan_sessions,
-                             bptt_gradient, evaluate, sample_windows, train)
+                             _WindowSampler, bptt_gradient, evaluate,
+                             sample_windows, train)
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError, TrainingError)
@@ -76,6 +77,42 @@ class TestSampleWindows:
         for a, width in ((batch.inputs, 3), (batch.targets, 2)):
             assert a.shape == (16, 7, width)
             assert a.swapaxes(0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gather_is_fancy_index_and_not_copied_again(self, order,
+                                                        monkeypatch):
+        """Every draw of a seeded sampler run is the fancy-index gather
+        data.features[rows] / data.targets[rows] of its (T, batch) window
+        rows, whatever the layout of the data's arrays, and stays a view
+        of C-contiguous time-first memory, the array bptt_gradient's
+        forward pass runs on."""
+        data = make_data([30, 7, 64, 12], seed=3)
+        data.features = np.asarray(data.features, order=order)
+        data.targets = np.asarray(data.targets, order=order)
+        T, B = 7, 16
+        sample = _WindowSampler(data, T)
+        rng, mirror = np.random.default_rng(8), np.random.default_rng(8)
+        net = init_network(3, (4,), 2, seed=0)
+        scanned = []
+        original = lru.scan_forward
+
+        def recording(params, h_0, u_seq):
+            scanned.append(u_seq)
+            return original(params, h_0, u_seq)
+
+        monkeypatch.setattr(lru, "scan_forward", recording)
+        for _ in range(5):
+            batch = sample(B, rng)
+            draws = mirror.integers(0, sample.cum[-1], size=B)
+            which = np.searchsorted(sample.cum, draws, side="right")
+            rows = np.arange(T)[:, None] + draws + sample.offset[which]
+            for got, table in ((batch.inputs, data.features),
+                               (batch.targets, data.targets)):
+                assert np.array_equal(got.swapaxes(0, 1), table[rows])
+                assert got.swapaxes(0, 1).flags.c_contiguous
+            scanned.clear()
+            bptt_gradient(net, batch)
+            assert scanned[0].base is batch.inputs.base
 
     def test_train_draws_successive_sample_windows(self):
         """train() samples through one sampler built per run; its batches
@@ -204,6 +241,26 @@ class TestBpttGradient:
         batch.targets[1, 2, 0] = np.nan
         batch.targets[3, 5, 1] = -np.inf
         with pytest.raises(TrainingError, match=r"batch entries \[1, 3\]"):
+            bptt_gradient(net, batch)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_residual_names_batch_entries(self, rng):
+        """The error names the batch entries whose residual is not finite,
+        whose memory the gradient has overwritten by then: a non-finite
+        target (entry 0), a finite target that the prediction's
+        difference overflows (entry 1: neither it nor the gradient, psi /
+        count, is non-finite there) and a NaN input feature that makes
+        the prediction non-finite from its step on (entry 3)."""
+        net = init_network(3, (4, 3), 2, seed=0)
+        batch = random_batch(rng, net, T=6, batch=5)
+        batch.inputs[1, 4] = 1e300
+        pred = lru.network_scan(net, batch.inputs.swapaxes(0, 1))[2][4, 1, 0]
+        assert 1e290 < abs(pred) < np.inf
+        batch.targets[1, 4, 0] = -np.copysign(np.finfo(np.float64).max, pred)
+        batch.targets[0, 5, 1] = np.nan
+        batch.inputs[3, 2, 1] = np.nan
+        with pytest.raises(TrainingError,
+                           match=r"batch entries \[0, 1, 3\]$"):
             bptt_gradient(net, batch)
 
     @pytest.mark.parametrize("p", [1, 3])

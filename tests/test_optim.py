@@ -111,6 +111,30 @@ class TestHuber:
         assert bits(got_loss) == bits(loss)
         assert np.array_equal(bits(got_grad), bits(grad))
 
+    @pytest.mark.parametrize("case", [
+        *[repr(float(r)) for r in (0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                             np.nextafter(1.0, 0.0), 1e154, -1e154, 1.7e308,
+                             -1.7e308, np.inf, -np.inf, np.nan)],
+        "-nan", "random (p,)", "random (T, B, p)"])
+    def test_loss_grad_is_huber_and_huber_grad(self, case):
+        """The one-pass (loss, gradient) from the clipped residual is
+        bitwise huber(r) and huber_grad(r) for each edge value alone (a
+        NaN of either sign included: huber's loss NaN is positive) and
+        for random residuals of a step and of a batch of windows.
+        huber_values' +0.0 at r = -0.0 stays pinned by the two-branch
+        test above."""
+        rng = np.random.default_rng(3)
+        r = {"random (p,)": rng.standard_normal(5) * 2,
+             "random (T, B, p)": rng.standard_normal((16, 8, 5)) * 2,
+             }.get(case)
+        if r is None:
+            r = np.array([float(case)])
+        want_loss, want_grad = huber(r), huber_grad(r)
+        loss, grad = _huber_loss_grad(r.copy())
+        assert bits(loss) == bits(want_loss)
+        assert np.array_equal(bits(grad), bits(want_grad))
+        assert grad.shape == r.shape
+
     @pytest.mark.filterwarnings("error")
     def test_large_residuals_raise_no_warning(self):
         """No branch squares a residual, so one whose square overflows
