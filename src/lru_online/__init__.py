@@ -3,8 +3,7 @@
 from .lru import (LruLayerParams, LruNetwork, init_layer, init_network,
                   network_scan, scan_forward)
 from .rtrl import reset_trace, window_gradient
-from .bptt import (TrainConfig, WindowBatch, bptt_gradient, sample_windows,
-                   train)
+from .bptt import TrainConfig, bptt_gradient, sample_windows, train
 from .optim import (AdamState, AnchorConfig, anchor_distance, anchor_gradient,
                     clip_global_norm, huber, huber_grad)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

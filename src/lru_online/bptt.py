@@ -20,18 +20,6 @@ _CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
 
 
 @dataclass
-class WindowBatch:
-    """Fixed-length training windows; every window lies inside one session.
-    A sampled batch's inputs and targets are (batch, T, ·) views of
-    time-first (T, batch, ·) memory; a batch built by a caller may hold
-    any layout."""
-    inputs: np.ndarray        # (batch, T, m)
-    targets: np.ndarray       # (batch, T, p)
-    window: int
-    session_ids: np.ndarray   # (batch,)
-
-
-@dataclass
 class TrainConfig:
     steps: int = 5000
     batch: int = 256
@@ -77,13 +65,16 @@ def _check_widths(net: LruNetwork, data: SequenceData, what: str) -> None:
 
 
 def sample_windows(data: SequenceData, T: int, batch: int,
-                   rng: np.random.Generator | int = 0) -> WindowBatch:
-    """Uniform over all admissible (session, offset) windows, so sessions
-    contribute proportionally to their available window count. The batch's
-    (batch, T, ·) inputs and targets are views of time-first (T, batch, ·)
-    copies, the layout bptt_gradient runs on. Empty data is a
-    ContractViolationError; a session shorter than T is a
-    ConfigurationError."""
+                   rng: np.random.Generator | int = 0
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, targets) of `batch` windows of T rows, time first:
+    C-contiguous (T, batch, m) and (T, batch, p) copies. Windows are
+    uniform over all admissible (session, offset) windows, so sessions
+    contribute proportionally to their available window count. Empty data
+    is a ContractViolationError; T or batch below 1, or a session shorter
+    than T, is a ConfigurationError."""
+    if batch < 1:
+        raise ConfigurationError(f"batch must be at least 1, got {batch}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     return _WindowSampler(data, T)(batch, rng)
@@ -96,6 +87,9 @@ class _WindowSampler:
     sample_windows."""
 
     def __init__(self, data: SequenceData, T: int):
+        if T < 1:
+            raise ConfigurationError(
+                f"window length must be at least 1, got {T}")
         if data.n_rows == 0:
             raise ContractViolationError(
                 "cannot sample windows from data with no rows")
@@ -108,60 +102,52 @@ class _WindowSampler:
                 f"window length {T} exceeds session "
                 f"{data.session_ids[first[s]]} length {sizes[s]}")
         counts = sizes - T + 1
-        self.data, self.T = data, T
+        self.data = data
         self.cum = np.cumsum(counts)
         # a draw d in session k's range starts its window at d + offset[k]
         self.offset = first - (self.cum - counts)
         self.steps = np.arange(T)[:, None]
 
-    def __call__(self, batch: int, rng: np.random.Generator) -> WindowBatch:
-        data = self.data
+    def __call__(self, batch: int, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
         draws = rng.integers(0, self.cum[-1], size=batch)
         which = np.searchsorted(self.cum, draws, side="right")
-        starts = draws + self.offset[which]
-        rows = self.steps + starts                           # (T, batch)
+        rows = self.steps + (draws + self.offset[which])     # (T, batch)
         # np.take: the fancy-index gather's values and C-contiguous
         # (T, batch, ·) result in about half its time
-        return WindowBatch(inputs=np.take(data.features, rows,
-                                          axis=0).swapaxes(0, 1),
-                           targets=np.take(data.targets, rows,
-                                           axis=0).swapaxes(0, 1),
-                           window=self.T,
-                           session_ids=data.session_ids[starts].astype(
-                               np.int64))
+        return (np.take(self.data.features, rows, axis=0),
+                np.take(self.data.targets, rows, axis=0))
 
 
-def bptt_gradient(net: LruNetwork,
-                  batch: WindowBatch) -> tuple[float, np.ndarray]:
-    """Mean per-step Huber loss (delta 1) over the batch and its exact
-    full-unroll gradient (flat, laid out like net.theta). The forward
-    pass is network_scan from zero states; the backward pass is
-    hand-rolled reverse mode (the stack is linear, so the complex adjoint
-    recursion s_t = a_t + lambda * s_{t+1} suffices; it runs through the
-    same _linear_recurrence as the forward scan, on the time-reversed
-    adjoint), with each layer's (lambda, gamma, dlambda) derived again
-    from theta, so bitwise the constants its scan used. The window batch
-    runs time first, (T, batch, ·), so every step of both recurrences is
-    a contiguous (batch, n) slice: a sampled batch is a (batch, T, ·) view
-    of that memory and is not copied, a batch in another layout is copied
-    to it once. A batch of at least lru.STEP_LOOP_MIN entries per step
-    runs both recurrences as plain step loops, a smaller one chunked. The
-    residual is taken in place in the top prediction, and the loss and
-    its gradient come from its clipped value psi = min(max(r, -1), 1)
-    (optim._huber_loss_grad: the loss mean(psi (r - psi/2)), the gradient
-    psi / count over the residual's memory). A non-finite loss is a
-    TrainingError naming the batch entries whose residual is not finite,
-    found by running the forward pass again. The contractions over
-    (time, batch) are real matmuls on float64 views of the complex
-    arrays; sum_t down_t h_t and sum_t s_t u_t run as (B.T @ A).T, the
-    order that was faster in the step on its tall arrays and, with
-    OpenBLAS 0.3.31, bitwise A.T @ B. Inputs and targets that do not fit
-    the network raise in _check_call."""
-    _check_call(net, np.asarray(batch.inputs), np.asarray(batch.targets),
-                ndim=3)
-    inputs, targets = (np.ascontiguousarray(np.swapaxes(a, 0, 1),
-                                            dtype=np.float64)
-                       for a in (batch.inputs, batch.targets))
+def bptt_gradient(net: LruNetwork, inputs: np.ndarray,
+                  targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean per-step Huber loss (delta 1) over a batch of windows, inputs
+    (T, batch, m) and targets (T, batch, p) time first, and its exact
+    full-unroll gradient (flat, laid out like net.theta). The forward pass
+    is network_scan from zero states; the backward pass is hand-rolled
+    reverse mode (the stack is linear, so the complex adjoint recursion
+    s_t = a_t + lambda * s_{t+1} suffices; it runs through the same
+    _linear_recurrence as the forward scan, on the time-reversed adjoint),
+    with each layer's (lambda, gamma, dlambda) derived again from theta, so
+    bitwise the constants its scan used. Time first, every step of both
+    recurrences is a contiguous (batch, n) slice; sampled windows are
+    C-contiguous float64 already and are not copied. A batch of at least
+    lru.STEP_LOOP_MIN entries per step runs both recurrences as plain step
+    loops, a smaller one chunked. The residual is taken in place in the top
+    prediction, and the loss and its gradient come from its clipped value
+    psi = min(max(r, -1), 1) (optim._huber_loss_grad: the loss
+    mean(psi (r - psi/2)), the gradient psi / count over the residual's
+    memory). A non-finite loss is a TrainingError naming the batch entries
+    whose residual is not finite, found by running the forward pass again,
+    or saying that the loss overflowed when every residual is finite. The
+    contractions over (time, batch) are real matmuls on float64 views of
+    the complex arrays; sum_t down_t h_t and sum_t s_t u_t run as
+    (B.T @ A).T, the order that was faster in the step on its tall arrays
+    and, with OpenBLAS 0.3.31, bitwise A.T @ B. Inputs and targets that do
+    not fit the network raise in _check_call."""
+    inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    _check_call(net, inputs, targets, ndim=3)
     layer_inputs, layer_states, preds = network_scan(net, inputs)
     # the residual in place: the top prediction is no layer's input
     loss, down = _huber_loss_grad(np.subtract(preds, targets, out=preds))
@@ -170,6 +156,9 @@ def bptt_gradient(net: LruNetwork,
         # residual whose non-finite entries name the batch entries
         resid = network_scan(net, inputs)[2] - targets
         bad = np.nonzero(~np.isfinite(resid).all(axis=(0, 2)))[0]
+        if not bad.size:
+            raise TrainingError(
+                "the loss overflowed with every residual finite")
         raise TrainingError(f"non-finite loss in batch entries {bad.tolist()}")
     grads = np.empty_like(net.theta)
     outs = net.paired(grads)
@@ -268,25 +257,30 @@ def evaluate(net: LruNetwork, data: SequenceData) -> float:
 
 def train(net: LruNetwork, train_data: SequenceData,
           val_data: SequenceData | None, cfg: TrainConfig,
-          gradient: Callable[[LruNetwork, WindowBatch],
+          gradient: Callable[[LruNetwork, np.ndarray, np.ndarray],
                              tuple[float, np.ndarray]] = bptt_gradient
           ) -> TrainResult:
     """The training loop of every trainer. Each of cfg.steps iterations
     samples cfg.batch windows (the draws of successive sample_windows
     calls on one generator seeded with cfg.seed, through one sampler built
     for the run), takes (train loss, flat gradient) =
-    gradient(net, batch) and applies the run's one update, optim._Descent
-    (fresh Adam at cfg.lr, cfg.clip). It tracks the train loss every step
-    and the validation loss at the eval cadence, and returns the
-    best-validation parameters; with no finite validation loss, the last
-    ones and best_val_loss NaN. A non-finite loss or gradient
-    (TrainingError) stops training with `diverged` set. A data set whose
-    widths are not the network's is a CompatibilityError, and training
-    data that sample_windows rejects raises as there, both before any
-    step. The input network is not modified."""
+    gradient(net, inputs, targets) on the time-first windows and applies
+    the run's one update, optim._Descent (fresh Adam at cfg.lr, cfg.clip).
+    It tracks the train loss every step and the validation loss at the
+    eval cadence, and returns the best-validation parameters; with no
+    finite validation loss, the last ones and best_val_loss NaN. A
+    non-finite loss or gradient (TrainingError) stops training with
+    `diverged` set. A data set whose widths are not the network's is a
+    CompatibilityError, validation data with no rows a
+    ContractViolationError, and training data that sample_windows rejects
+    raises as there, all before any step. The input network is not
+    modified."""
     _check_widths(net, train_data, "training data")
     if val_data is not None:
         _check_widths(net, val_data, "validation data")
+        if val_data.n_rows == 0:
+            raise ContractViolationError(
+                "cannot evaluate on validation data with no rows")
     sample = _WindowSampler(train_data, cfg.window)
     net = net.copy()
     rng = np.random.default_rng(cfg.seed)
@@ -297,9 +291,9 @@ def train(net: LruNetwork, train_data: SequenceData,
     curve = []
     diverged = False
     for i in range(1, cfg.steps + 1):
-        batch = sample(cfg.batch, rng)
+        inputs, targets = sample(cfg.batch, rng)
         try:
-            loss, grads = gradient(net, batch)
+            loss, grads = gradient(net, inputs, targets)
             descend(grads)
         except TrainingError:
             diverged = True

@@ -80,8 +80,8 @@ def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
                        r_min=cfg.r_min, r_max=cfg.r_max, seed=cfg.seed)
     if cfg.trainer == "rtrl":   # one window per RTRL step
         result = train(net, train_data, val_data, replace(cfg, batch=1),
-                       lambda net, batch: window_gradient(
-                           net, batch.inputs[0], batch.targets[0]))
+                       lambda net, inputs, targets: window_gradient(
+                           net, inputs[:, 0], targets[:, 0]))
     else:
         result = train(net, train_data, val_data, cfg, bptt_gradient)
     cfg_dict = asdict(cfg)

@@ -26,12 +26,14 @@ sequences at fixed theta, from given or zero states) checks its rows with
 _check_call (LruNetwork checks its block shapes when it is built) and runs
 scan_forward, the one whole-sequence pass of a layer, on each. Every
 fixed-theta prediction of an evaluated session and every BPTT forward
-pass is a network_scan. Sequences are time first: a (T, m) session or a
-(T, batch, m) batch of windows, whose recurrence steps are contiguous
-(batch, n) slices. A batch of at least STEP_LOOP_MIN entries per step
-runs the recurrence as a plain step loop; a smaller batch and every 2-D
-session run it chunked, on a step-major copy of the chunks whose steps
-are contiguous too.
+pass is a network_scan. Every model call is time first: network_scan
+takes a (T, m) session or a (T, batch, m) batch of windows, whose
+recurrence steps are contiguous (batch, n) slices; bptt.bptt_gradient
+takes (T, batch, ·) windows, rtrl.window_gradient one (T, ·) window and
+the online step one row of a session. A batch of at least STEP_LOOP_MIN
+entries per step runs the recurrence as a plain step loop; a smaller
+batch and every 2-D session run it chunked, on a step-major copy of the
+chunks whose steps are contiguous too.
 """
 
 from __future__ import annotations

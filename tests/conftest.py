@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lru_online.bptt import WindowBatch, bptt_gradient
+from lru_online.bptt import bptt_gradient
 from lru_online.lru import _LayerKernel, init_network, layer_constants
 
 
@@ -11,22 +11,23 @@ def rng():
 
 
 def random_batch(rng, net, T, batch=1):
+    """Time-first (T, batch, m) inputs and (T, batch, p) targets: views of
+    standard normal (batch, T, ·) draws."""
     inputs = rng.standard_normal((batch, T, net.input_dim))
     targets = rng.standard_normal((batch, T, net.output_dim))
-    return WindowBatch(inputs=inputs, targets=targets, window=T,
-                       session_ids=np.zeros(batch, dtype=np.int64))
+    return inputs.swapaxes(0, 1), targets.swapaxes(0, 1)
 
 
-def finite_difference_grads(net, batch, eps=1e-5):
+def finite_difference_grads(net, inputs, targets, eps=1e-5):
     """Central differences of the batch loss w.r.t. every entry of the flat
     parameter vector (the layers are views into it)."""
     theta = net.theta
     out = np.zeros_like(theta)
     for i in range(theta.size):
         theta[i] += eps
-        lp, _ = bptt_gradient(net, batch)
+        lp, _ = bptt_gradient(net, inputs, targets)
         theta[i] -= 2 * eps
-        lm, _ = bptt_gradient(net, batch)
+        lm, _ = bptt_gradient(net, inputs, targets)
         theta[i] += eps
         out[i] = (lp - lm) / (2 * eps)
     return out

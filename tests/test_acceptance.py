@@ -77,9 +77,9 @@ def test_criterion_01_rtrl_equals_bptt_depth1(capfd):
     for _ in range(20):
         net = random_instance(rng)
         T = int(rng.integers(1, 201))
-        batch = random_batch(rng, net, T)
-        _, g_bptt = bptt_gradient(net, batch)
-        _, g_rtrl = window_gradient(net, batch.inputs[0], batch.targets[0])
+        inputs, targets = random_batch(rng, net, T)
+        _, g_bptt = bptt_gradient(net, inputs, targets)
+        _, g_rtrl = window_gradient(net, inputs[:, 0], targets[:, 0])
         worst = max(worst, max_rel_error(g_rtrl, g_bptt))
     report(capfd, 1, "RTRL equals BPTT at depth 1", worst < 1e-8,
            f"max rel err {worst:.3e} over 20 instances")
@@ -90,10 +90,10 @@ def test_criterion_02_finite_difference_oracle(capfd):
     worst = 0.0
     for _ in range(10):
         net = random_instance(rng, n_max=6, m_max=4, p_max=3)
-        batch = random_batch(rng, net, T=int(rng.integers(5, 40)))
-        fd = finite_difference_grads(net, batch, eps=1e-5)
-        _, g_bptt = bptt_gradient(net, batch)
-        _, g_rtrl = window_gradient(net, batch.inputs[0], batch.targets[0])
+        inputs, targets = random_batch(rng, net, T=int(rng.integers(5, 40)))
+        fd = finite_difference_grads(net, inputs, targets, eps=1e-5)
+        _, g_bptt = bptt_gradient(net, inputs, targets)
+        _, g_rtrl = window_gradient(net, inputs[:, 0], targets[:, 0])
         worst = max(worst, max_rel_error(g_bptt, fd, floor=1e-6),
                     max_rel_error(g_rtrl, fd, floor=1e-6))
     report(capfd, 2, "central-difference gradient oracle", worst < 1e-4,

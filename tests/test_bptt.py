@@ -3,9 +3,8 @@ import pytest
 
 from conftest import finite_difference_grads, max_rel_error, random_batch, \
     small_random_net
-from lru_online.bptt import (TrainConfig, WindowBatch, _scan_sessions,
-                             _WindowSampler, bptt_gradient, evaluate,
-                             sample_windows, train)
+from lru_online.bptt import (TrainConfig, _scan_sessions, _WindowSampler,
+                             bptt_gradient, evaluate, sample_windows, train)
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError, TrainingError)
@@ -34,23 +33,22 @@ def empty_data(m=3, p=2):
 
 
 def sample_windows_reference(data, T, batch, rng):
-    """The per-window copy loop sample_windows replaced (same draws)."""
+    """The per-window copy loop sample_windows replaced (same draws),
+    time first."""
     sessions = list(dict.fromkeys(data.session_ids.tolist()))
     rows = [np.flatnonzero(data.session_ids == s) for s in sessions]
     spans = [(r[0], r.size - T + 1) for r in rows]
     cum = np.cumsum([c for _, c in spans])
     draws = rng.integers(0, cum[-1], size=batch)
     which = np.searchsorted(cum, draws, side="right")
-    inputs = np.empty((batch, T, data.features.shape[1]))
-    targets = np.empty((batch, T, data.targets.shape[1]))
-    sids = np.empty(batch, dtype=np.int64)
+    inputs = np.empty((T, batch, data.features.shape[1]))
+    targets = np.empty((T, batch, data.targets.shape[1]))
     for b in range(batch):
         s = which[b]
         start = spans[s][0] + (draws[b] - (cum[s - 1] if s else 0))
-        inputs[b] = data.features[start:start + T]
-        targets[b] = data.targets[start:start + T]
-        sids[b] = sessions[s]
-    return inputs, targets, sids
+        inputs[:, b] = data.features[start:start + T]
+        targets[:, b] = data.targets[start:start + T]
+    return inputs, targets
 
 
 class TestSampleWindows:
@@ -59,33 +57,28 @@ class TestSampleWindows:
     def test_matches_per_window_loop(self, lengths, T):
         data = make_data(lengths, seed=len(lengths))
         got = sample_windows(data, T, 64, np.random.default_rng(5))
-        inputs, targets, sids = sample_windows_reference(
-            data, T, 64, np.random.default_rng(5))
-        assert got.inputs.shape == inputs.shape
-        assert got.targets.shape == targets.shape
-        assert np.array_equal(got.inputs, inputs)
-        assert np.array_equal(got.targets, targets)
-        assert np.array_equal(got.session_ids, sids)
-        assert got.session_ids.dtype == np.int64
-
+        want = sample_windows_reference(data, T, 64,
+                                        np.random.default_rng(5))
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_batch_views_time_first_memory(self):
-        """A sampled batch is (batch, T, ·), and its time-first (T, batch,
-        ·) transpose is C-contiguous: the layout bptt_gradient runs on."""
+        """Sampled inputs and targets are C-contiguous float64 (T, batch,
+        ·) arrays: the layout bptt_gradient runs on."""
         data = make_data([30, 7, 64, 12])
-        batch = sample_windows(data, 7, 16, rng=2)
-        for a, width in ((batch.inputs, 3), (batch.targets, 2)):
-            assert a.shape == (16, 7, width)
-            assert a.swapaxes(0, 1).flags.c_contiguous
+        inputs, targets = sample_windows(data, 7, 16, rng=2)
+        for a, width in ((inputs, 3), (targets, 2)):
+            assert a.shape == (7, 16, width)
+            assert a.flags.c_contiguous and a.dtype == np.float64
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_gather_is_fancy_index_and_not_copied_again(self, order,
                                                         monkeypatch):
         """Every draw of a seeded sampler run is the fancy-index gather
         data.features[rows] / data.targets[rows] of its (T, batch) window
-        rows, whatever the layout of the data's arrays, and stays a view
-        of C-contiguous time-first memory, the array bptt_gradient's
-        forward pass runs on."""
+        rows, whatever the layout of the data's arrays, in C-contiguous
+        time-first memory, and is the very array bptt_gradient's forward
+        scan receives."""
         data = make_data([30, 7, 64, 12], seed=3)
         data.features = np.asarray(data.features, order=order)
         data.targets = np.asarray(data.targets, order=order)
@@ -102,28 +95,28 @@ class TestSampleWindows:
 
         monkeypatch.setattr(lru, "scan_forward", recording)
         for _ in range(5):
-            batch = sample(B, rng)
+            inputs, targets = sample(B, rng)
             draws = mirror.integers(0, sample.cum[-1], size=B)
             which = np.searchsorted(sample.cum, draws, side="right")
             rows = np.arange(T)[:, None] + draws + sample.offset[which]
-            for got, table in ((batch.inputs, data.features),
-                               (batch.targets, data.targets)):
-                assert np.array_equal(got.swapaxes(0, 1), table[rows])
-                assert got.swapaxes(0, 1).flags.c_contiguous
+            for got, table in ((inputs, data.features),
+                               (targets, data.targets)):
+                assert np.array_equal(got, table[rows])
+                assert got.flags.c_contiguous
             scanned.clear()
-            bptt_gradient(net, batch)
-            assert scanned[0].base is batch.inputs.base
+            bptt_gradient(net, inputs, targets)
+            assert scanned[0] is inputs
 
     def test_train_draws_successive_sample_windows(self):
-        """train() samples through one sampler built per run; its batches
-        are those of successive sample_windows calls on one generator
-        seeded with cfg.seed."""
+        """train() samples through one sampler built per run; the windows
+        its gradient gets are those of successive sample_windows calls on
+        one generator seeded with cfg.seed, and no two steps' are equal."""
         data = make_data([30, 7, 64, 12])
         net = init_network(3, (4,), 2, seed=0)
         seen = []
 
-        def gradient(net, batch):
-            seen.append(batch)
+        def gradient(net, inputs, targets):
+            seen.append((inputs, targets))
             return 0.0, np.zeros_like(net.theta)
 
         cfg = TrainConfig(steps=6, batch=16, window=7, seed=11)
@@ -132,11 +125,10 @@ class TestSampleWindows:
         assert len(seen) == cfg.steps
         for got in seen:
             want = sample_windows(data, 7, 16, rng)
-            assert got.window == want.window == 7
-            for a, b in ((got.inputs, want.inputs),
-                         (got.targets, want.targets),
-                         (got.session_ids, want.session_ids)):
+            for a, b in zip(got, want, strict=True):
                 assert a.shape == b.shape and np.array_equal(a, b)
+        for i in range(1, cfg.steps):
+            assert not np.array_equal(seen[i][0], seen[i - 1][0])
 
     def test_train_rejects_too_long_window_before_any_step(self):
         net = init_network(3, (4,), 2, seed=0)
@@ -153,16 +145,17 @@ class TestSampleWindows:
 
     def test_single_possible_window(self):
         data = make_data([10])
-        batch = sample_windows(data, T=10, batch=4, rng=0)
-        assert np.array_equal(batch.inputs[0], data.features)
-        assert np.array_equal(batch.inputs[1], data.features)
+        inputs, targets = sample_windows(data, T=10, batch=4, rng=0)
+        for b in range(4):
+            assert np.array_equal(inputs[:, b], data.features)
+            assert np.array_equal(targets[:, b], data.targets)
 
     def test_deterministic_given_seed(self):
         data = make_data([100, 50])
         a = sample_windows(data, 20, 8, rng=7)
         b = sample_windows(data, 20, 8, rng=7)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.session_ids, b.session_ids)
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x, y)
 
     def test_window_too_long_names_session(self):
         data = make_data([100, 30])
@@ -173,13 +166,31 @@ class TestSampleWindows:
         with pytest.raises(ContractViolationError, match="no rows"):
             sample_windows(empty_data(), 1, 4, rng=0)
 
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_window_length_below_one_rejected(self, T):
+        """A window of no rows is a ConfigurationError when the run's
+        sampler is built, not empty windows or an IndexError."""
+        data = make_data([10])
+        with pytest.raises(ConfigurationError, match="window length"):
+            _WindowSampler(data, T)
+        with pytest.raises(ConfigurationError, match="window length"):
+            sample_windows(data, T, 4, rng=0)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected(self, batch):
+        with pytest.raises(ConfigurationError, match="batch"):
+            sample_windows(make_data([10]), 5, batch, rng=0)
+
     def test_session_frequency_proportional_to_windows(self):
+        """Feature 0 encodes the session id, so a window's first row names
+        its session; 100 draws of 1000 windows on one generator."""
         data = make_data([1000, 3000])
+        data.features[:, 0] = data.session_ids
         T = 200
         rng = np.random.default_rng(0)
-        draws = 100_000
-        batch = sample_windows(data, T, draws, rng)
-        frac = np.mean(batch.session_ids == 1)
+        first_rows = [sample_windows(data, T, 1000, rng)[0][0, :, 0]
+                      for _ in range(100)]
+        frac = np.mean(np.concatenate(first_rows) == 1)
         expect = (3000 - 199) / ((1000 - 199) + (3000 - 199))
         assert abs(frac - expect) / expect < 0.02
 
@@ -187,34 +198,32 @@ class TestSampleWindows:
         data = make_data([60, 60], seed=1)
         # make the features encode the session id so crossings are visible
         data.features[:, 0] = data.session_ids
-        batch = sample_windows(data, 30, 64, rng=3)
+        inputs, _ = sample_windows(data, 30, 64, rng=3)
         for b in range(64):
-            assert len(np.unique(batch.inputs[b, :, 0])) == 1
+            assert len(np.unique(inputs[:, b, 0])) == 1
 
 
 class TestBpttGradient:
     def test_perfect_predictions_zero(self):
         net = init_network(2, (4,), 1, seed=0)
-        inputs = np.zeros((1, 10, 2))
-        targets = np.zeros((1, 10, 1))
-        loss, grads = bptt_gradient(net, WindowBatch(inputs, targets, 10,
-                                                     np.zeros(1, np.int64)))
+        inputs = np.zeros((10, 1, 2))
+        targets = np.zeros((10, 1, 1))
+        loss, grads = bptt_gradient(net, inputs, targets)
         assert loss == 0.0
         assert grads.shape == net.theta.shape and np.all(grads == 0)
 
     def test_sampled_layout_and_copy_agree_bitwise(self):
-        """A sampled batch (a view of time-first memory, run as it is) and
-        its C-contiguous (batch, T, ·) copy (copied to time first) give
-        bitwise the same loss and gradient."""
+        """Sampled windows (C-contiguous, run as they are) and the same
+        windows as time-first views of a (batch, T, ·) copy (copied once)
+        give bitwise the same loss and gradient."""
         data = make_data([30, 7, 64, 12])
         net = init_network(3, (4, 3), 2, seed=1)
-        batch = sample_windows(data, 7, 16, rng=4)
-        copy = WindowBatch(np.ascontiguousarray(batch.inputs),
-                           np.ascontiguousarray(batch.targets),
-                           7, batch.session_ids)
-        assert copy.inputs.flags.c_contiguous
-        loss, grads = bptt_gradient(net, batch)
-        loss_c, grads_c = bptt_gradient(net, copy)
+        inputs, targets = sample_windows(data, 7, 16, rng=4)
+        views = [np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+                 for a in (inputs, targets)]
+        assert not views[0].flags.c_contiguous
+        loss, grads = bptt_gradient(net, inputs, targets)
+        loss_c, grads_c = bptt_gradient(net, *views)
         assert loss == loss_c
         assert np.array_equal(grads, grads_c)
 
@@ -232,16 +241,16 @@ class TestBpttGradient:
         monkeypatch.setattr(lru, "scan_forward", counting)
         data = make_data([30, 7, 64, 12])
         net = init_network(3, (4, 3), 2, seed=1)
-        bptt_gradient(net, sample_windows(data, 7, 16, rng=4))
+        bptt_gradient(net, *sample_windows(data, 7, 16, rng=4))
         assert calls == [(7, 16, 3), (7, 16, 4)]
 
     def test_nonfinite_loss_names_batch_entries(self, rng):
         net = init_network(3, (4,), 2, seed=0)
-        batch = random_batch(rng, net, T=6, batch=4)
-        batch.targets[1, 2, 0] = np.nan
-        batch.targets[3, 5, 1] = -np.inf
+        inputs, targets = random_batch(rng, net, T=6, batch=4)
+        targets[2, 1, 0] = np.nan
+        targets[5, 3, 1] = -np.inf
         with pytest.raises(TrainingError, match=r"batch entries \[1, 3\]"):
-            bptt_gradient(net, batch)
+            bptt_gradient(net, inputs, targets)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_residual_names_batch_entries(self, rng):
@@ -252,16 +261,28 @@ class TestBpttGradient:
         count, is non-finite there) and a NaN input feature that makes
         the prediction non-finite from its step on (entry 3)."""
         net = init_network(3, (4, 3), 2, seed=0)
-        batch = random_batch(rng, net, T=6, batch=5)
-        batch.inputs[1, 4] = 1e300
-        pred = lru.network_scan(net, batch.inputs.swapaxes(0, 1))[2][4, 1, 0]
+        inputs, targets = random_batch(rng, net, T=6, batch=5)
+        inputs[4, 1] = 1e300
+        pred = lru.network_scan(net, inputs)[2][4, 1, 0]
         assert 1e290 < abs(pred) < np.inf
-        batch.targets[1, 4, 0] = -np.copysign(np.finfo(np.float64).max, pred)
-        batch.targets[0, 5, 1] = np.nan
-        batch.inputs[3, 2, 1] = np.nan
+        targets[4, 1, 0] = -np.copysign(np.finfo(np.float64).max, pred)
+        targets[5, 0, 1] = np.nan
+        inputs[2, 3, 1] = np.nan
         with pytest.raises(TrainingError,
                            match=r"batch entries \[0, 1, 3\]$"):
-            bptt_gradient(net, batch)
+            bptt_gradient(net, inputs, targets)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_loss_with_finite_residuals(self, rng):
+        """Two finite residuals of 1.7e308 overflow the Huber sum: the
+        error says so instead of naming no batch entry."""
+        net = init_network(3, (4,), 2, seed=0)
+        inputs, targets = random_batch(rng, net, T=6, batch=4)
+        targets[1, 0, 0] = targets[3, 2, 1] = 1.7e308
+        with pytest.raises(TrainingError,
+                           match="loss overflowed with every residual "
+                                 "finite"):
+            bptt_gradient(net, inputs, targets)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_target_width_mismatch_rejected(self, rng, p):
@@ -269,74 +290,69 @@ class TestBpttGradient:
         would broadcast into the residual (1 column) or fail inside numpy
         (3 columns); both are a ContractViolationError."""
         net = init_network(3, (4,), 2, seed=0)
-        batch = WindowBatch(rng.standard_normal((2, 10, 3)),
-                            rng.standard_normal((2, 10, p)), 10,
-                            np.zeros(2, np.int64))
         with pytest.raises(ContractViolationError, match="target"):
-            bptt_gradient(net, batch)
+            bptt_gradient(net, rng.standard_normal((10, 2, 3)),
+                          rng.standard_normal((10, 2, p)))
 
     def test_input_width_mismatch_rejected(self, rng):
         net = init_network(3, (4,), 2, seed=0)
-        batch = WindowBatch(rng.standard_normal((2, 10, 4)),
-                            rng.standard_normal((2, 10, 2)), 10,
-                            np.zeros(2, np.int64))
         with pytest.raises(ContractViolationError, match="input"):
-            bptt_gradient(net, batch)
+            bptt_gradient(net, rng.standard_normal((10, 2, 4)),
+                          rng.standard_normal((10, 2, 2)))
 
     def test_finite_differences_depth1(self, rng):
         net = small_random_net(rng, m=3, n=6, p=2)
-        batch = random_batch(rng, net, T=50)
-        _, grads = bptt_gradient(net, batch)
-        fd = finite_difference_grads(net, batch)
+        inputs, targets = random_batch(rng, net, T=50)
+        _, grads = bptt_gradient(net, inputs, targets)
+        fd = finite_difference_grads(net, inputs, targets)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
 
     def test_finite_differences_depth2(self, rng):
         net = small_random_net(rng, m=2, n=4, p=2, depth=2)
-        batch = random_batch(rng, net, T=20)
-        _, grads = bptt_gradient(net, batch)
-        fd = finite_difference_grads(net, batch)
+        inputs, targets = random_batch(rng, net, T=20)
+        _, grads = bptt_gradient(net, inputs, targets)
+        fd = finite_difference_grads(net, inputs, targets)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
 
     def test_finite_differences_depth2_ragged_chunks(self, rng):
         """T = 23 is 5 chunks of isqrt(23) = 4 steps plus a 3-step tail, in
         the forward scan and in the reversed adjoint."""
         net = small_random_net(rng, m=2, n=4, p=2, depth=2)
-        batch = random_batch(rng, net, T=23, batch=2)
-        _, grads = bptt_gradient(net, batch)
-        fd = finite_difference_grads(net, batch)
+        inputs, targets = random_batch(rng, net, T=23, batch=2)
+        _, grads = bptt_gradient(net, inputs, targets)
+        fd = finite_difference_grads(net, inputs, targets)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
 
     @staticmethod
-    def _assert_mean_of_singles(net, batch):
-        loss, grads = bptt_gradient(net, batch)
-        singles = [bptt_gradient(net, WindowBatch(
-                       batch.inputs[b:b + 1], batch.targets[b:b + 1],
-                       batch.window, batch.session_ids[b:b + 1]))
-                   for b in range(len(batch.inputs))]
+    def _assert_mean_of_singles(net, inputs, targets):
+        loss, grads = bptt_gradient(net, inputs, targets)
+        singles = [bptt_gradient(net, inputs[:, b:b + 1], targets[:, b:b + 1])
+                   for b in range(inputs.shape[1])]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
         mean = np.mean([s[1] for s in singles], axis=0)
         assert np.allclose(grads, mean, atol=1e-12)
 
     def test_batch_reduction_matches_mean_of_singles(self, rng):
         net = small_random_net(rng, m=3, n=5, p=2)
-        self._assert_mean_of_singles(net, random_batch(rng, net, T=16,
-                                                       batch=4))
+        self._assert_mean_of_singles(net, *random_batch(rng, net, T=16,
+                                                        batch=4))
 
     def test_step_loop_batch_matches_mean_of_singles(self, rng):
         """A batch of STEP_LOOP_MIN / n windows runs both recurrences of
         both layers as plain step loops; each single window runs them
         chunked. The two branches meet in the mean."""
         net = small_random_net(rng, m=3, n=8, p=2, depth=2)
-        self._assert_mean_of_singles(net, random_batch(
+        self._assert_mean_of_singles(net, *random_batch(
             rng, net, T=40, batch=STEP_LOOP_MIN // 8))
 
     def test_finite_differences_step_loop(self, rng):
         """The finite-difference check on a depth-2 batch whose forward
         scans and adjoints run as plain step loops."""
         net = small_random_net(rng, m=2, n=8, p=2, depth=2)
-        batch = random_batch(rng, net, T=20, batch=STEP_LOOP_MIN // 8)
-        _, grads = bptt_gradient(net, batch)
-        fd = finite_difference_grads(net, batch)
+        inputs, targets = random_batch(rng, net, T=20,
+                                       batch=STEP_LOOP_MIN // 8)
+        _, grads = bptt_gradient(net, inputs, targets)
+        fd = finite_difference_grads(net, inputs, targets)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4
 
     def test_depth2_rtrl_gap_pinned(self):
@@ -345,9 +361,9 @@ class TestBpttGradient:
         just below its current value on a fixed 200-step window so that
         the gap cannot silently widen; the top layer is exact."""
         net = init_network(4, (8, 8), 3, r_min=0.4, r_max=0.95, seed=0)
-        batch = random_batch(np.random.default_rng(0), net, T=200)
-        _, g_bptt = bptt_gradient(net, batch)
-        _, g_rtrl = window_gradient(net, batch.inputs[0], batch.targets[0])
+        inputs, targets = random_batch(np.random.default_rng(0), net, T=200)
+        _, g_bptt = bptt_gradient(net, inputs, targets)
+        _, g_rtrl = window_gradient(net, inputs[:, 0], targets[:, 0])
         lower_b, top_b = [v.blocks() for v in net.paired(g_bptt)]
         lower_r, top_r = [v.blocks() for v in net.paired(g_rtrl)]
         floor = {"nu": 0.90, "theta_phase": 0.98, "gamma_log": 0.82,
@@ -518,4 +534,20 @@ class TestWidths:
         cfg = TrainConfig(steps=3, batch=2, window=10, eval_every=1)
         with pytest.raises(CompatibilityError, match=f"{which} data"):
             train(net, *data, cfg, gradient=gradient)
+        assert steps == []
+
+    def test_train_rejects_empty_validation_before_any_step(self):
+        """Validation data with no rows is rejected with the width checks,
+        as empty training data is, not by evaluate after eval_every
+        steps."""
+        net = init_network(3, (4,), 2, seed=0)
+        steps = []
+
+        def gradient(*args):
+            steps.append(args)
+            return 0.0, np.zeros_like(net.theta)
+
+        cfg = TrainConfig(steps=30, batch=2, window=10, eval_every=25)
+        with pytest.raises(ContractViolationError, match="no rows"):
+            train(net, make_data([40]), empty_data(), cfg, gradient=gradient)
         assert steps == []

@@ -638,7 +638,7 @@ class TestPairedLayout:
         are views of it at the offsets of theta's layers."""
         m, widths, p = shape
         net = init_network(m, widths, p, seed=1)
-        _, g = bptt_gradient(net, random_batch(rng, net, T=5, batch=2))
+        _, g = bptt_gradient(net, *random_batch(rng, net, T=5, batch=2))
         adam = AdamState.init(net.theta, lr=0.05)
         _Descent(net.theta, adam, None)(g)
         for vec in (g, adam.m, adam.v):

@@ -7,7 +7,7 @@ PUBLIC = [
     "AdamState", "AnchorConfig", "Checkpoint", "FinetuneConfig",
     "FittedPipeline", "GeneratorConfig", "LruLayerParams", "LruNetwork",
     "OnlineLearner", "PretrainConfig", "RunMetrics", "SequenceData",
-    "SeriesTable", "ShiftSpec", "SweepConfig", "TrainConfig", "WindowBatch",
+    "SeriesTable", "ShiftSpec", "SweepConfig", "TrainConfig",
     "anchor_distance", "anchor_gradient", "apply_pipeline", "bptt",
     "bptt_gradient", "checkpoint", "clip_global_norm", "cmd_ablate",
     "cmd_evaluate", "cmd_finetune", "cmd_pretrain", "cmd_sweep", "datapipe",

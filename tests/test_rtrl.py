@@ -221,20 +221,19 @@ class TestOnlineGradient:
         for trial in range(5):
             net = small_random_net(rng)
             T = int(rng.integers(10, 120))
-            batch = random_batch(rng, net, T)
-            loss_b, g_b = bptt_gradient(net, batch)
-            loss_r, g_r = window_gradient(net, batch.inputs[0],
-                                          batch.targets[0])
+            inputs, targets = random_batch(rng, net, T)
+            loss_b, g_b = bptt_gradient(net, inputs, targets)
+            loss_r, g_r = window_gradient(net, inputs[:, 0], targets[:, 0])
             assert abs(loss_b - loss_r) < 1e-12 * max(1.0, abs(loss_b))
             assert max_rel_error(g_r, g_b) < 1e-8
 
     def test_depth2_cd_blocks_exact(self, rng):
         net = small_random_net(rng, depth=2)
         T = 30
-        batch = random_batch(rng, net, T)
-        _, g_r = window_gradient(net, batch.inputs[0], batch.targets[0])
-        fd = [v.blocks()
-              for v in net.paired(finite_difference_grads(net, batch))]
+        inputs, targets = random_batch(rng, net, T)
+        _, g_r = window_gradient(net, inputs[:, 0], targets[:, 0])
+        fd = [v.blocks() for v in net.paired(
+            finite_difference_grads(net, inputs, targets))]
         g_r = [v.blocks() for v in net.paired(g_r)]
         # top layer C and D depend only instantaneously on the state: exact
         for name in ("c_re", "c_im", "d"):
