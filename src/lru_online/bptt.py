@@ -239,20 +239,23 @@ def _scan_sessions(net: LruNetwork, data: SequenceData, start: int = 0,
     return preds
 
 
+def _finite_score(resid: np.ndarray) -> tuple[float, np.ndarray]:
+    """(loss, scored rows) of a (N, p) residual: huber(resid) and resid,
+    unless that loss is not finite; then the huber mean of the rows whose
+    residual is finite (NaN when there is none) and those rows."""
+    loss = huber(resid)
+    if not np.isfinite(loss):
+        resid = resid[np.isfinite(resid).all(axis=1)]
+        loss = huber(resid) if len(resid) else float("nan")
+    return loss, resid
+
+
 def evaluate(net: LruNetwork, data: SequenceData) -> float:
     """Mean per-step Huber loss over full sessions, each predicted from
-    zero states by _scan_sessions; raises as _scan_sessions. Rows whose
-    loss is not finite (a non-finite feature or target) are left out of
-    the per-session means and their weights, as RunMetrics.finite_steps
-    leaves them out of fine-tuning's totals; NaN when no row is finite."""
-    resid = _scan_sessions(net, data) - data.targets
-    finite = np.isfinite(resid).all(axis=1)
-    total = 0.0
-    for first, stop in zip(*data.session_bounds()):
-        rows = resid[first:stop][finite[first:stop]]
-        total += huber(rows) * len(rows) if rows.size else 0.0
-    count = np.count_nonzero(finite)
-    return total / count if count else float("nan")
+    zero states by _scan_sessions (raising as it does) and scored by
+    _finite_score, so bitwise harness.cmd_evaluate's huber_mean: rows
+    with a non-finite feature or target are left out; NaN when all are."""
+    return _finite_score(_scan_sessions(net, data) - data.targets)[0]
 
 
 def train(net: LruNetwork, train_data: SequenceData,
@@ -266,11 +269,11 @@ def train(net: LruNetwork, train_data: SequenceData,
     for the run), takes (train loss, flat gradient) =
     gradient(net, inputs, targets) on the time-first windows and applies
     the run's one update, optim._Descent (fresh Adam at cfg.lr, cfg.clip).
-    It tracks the train loss every step and the validation loss at the
-    eval cadence, and returns the best-validation parameters; with no
-    finite validation loss, the last ones and best_val_loss NaN. A
-    non-finite loss or gradient (TrainingError) stops training with
-    `diverged` set. A data set whose widths are not the network's is a
+    It tracks the train loss every step and the validation loss (evaluate,
+    cmd_evaluate's huber_mean) at the eval cadence, and returns the
+    best-validation parameters; with no finite validation loss, the last
+    ones and best_val_loss NaN. A non-finite loss or gradient
+    (TrainingError) stops training with `diverged` set. A data set whose widths are not the network's is a
     CompatibilityError, validation data with no rows a
     ContractViolationError, and training data that sample_windows rejects
     raises as there, all before any step. The input network is not

@@ -503,10 +503,6 @@ class FittedPipeline:
     def from_dict(cls, d: dict) -> "FittedPipeline":
         return cls(**d)
 
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
 
 def fit_pipeline(train_table: SeriesTable, vocab_table: SeriesTable | None = None,
                  window: int = 5) -> FittedPipeline:

@@ -12,8 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from .bptt import (TrainConfig, TrainResult, _check_widths, _scan_sessions,
-                   bptt_gradient, train)
+from .bptt import (TrainConfig, TrainResult, _check_widths, _finite_score,
+                   _scan_sessions, bptt_gradient, train)
 from .checkpoint import Checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,
@@ -21,7 +21,7 @@ from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import LruNetwork, _check_layers, _check_ring, init_network
-from .optim import (AdamState, AnchorConfig, _Descent, _huber_grad, huber,
+from .optim import (AdamState, AnchorConfig, _Descent, _huber_grad,
                     huber_values)
 from .rtrl import H, _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
@@ -191,11 +191,17 @@ class RunMetrics:
 
     @property
     def mean_loss(self) -> float:
-        return float(np.mean(self.loss[self.finite_steps]))
+        return self._finite_mean(self.loss)
 
     @property
     def mean_loss_frozen(self) -> float:
-        return float(np.mean(self.loss_frozen[self.finite_steps]))
+        return self._finite_mean(self.loss_frozen)
+
+    def _finite_mean(self, loss: np.ndarray) -> float:
+        """Mean of loss over the finite steps; NaN, with no warning,
+        when there is none."""
+        finite = self.finite_steps
+        return float(np.mean(loss[finite])) if finite.any() else float("nan")
 
     def summary(self) -> dict:
         n = self.loss.size
@@ -359,42 +365,33 @@ FREEZE_GRID = (1000, 2000, 3000)
 
 def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
                base: FinetuneConfig) -> list[dict]:
-    """Regularization-strength grid over the full horizon plus the
-    freeze-after grid (with the best lambda and with lambda 0), plus the
-    frozen-baseline row: 4 + 2*3 + 1 rows. When the best lambda is 0 the
-    two freeze grids are one, run once and reported twice."""
-    rows = []
-    best_lambda, best_total = None, float("inf")
-    baseline_total = None
-    for lam in LAMBDA_GRID:
-        metrics = cmd_finetune(ckpt, stream,
-                               replace(base, lambda_reg=lam, freeze_after=None))
-        total = metrics.total_loss
-        rows.append({"kind": "lambda", "lambda_reg": lam, "freeze_after": "",
-                     "total_loss": total,
-                     "mean_loss": metrics.mean_loss,
-                     "final_anchor_distance": float(metrics.anchor_distance[-1])})
-        if total < best_total:
-            best_total, best_lambda = total, lam
-        baseline_total = metrics.total_loss_frozen
-        baseline_mean = metrics.mean_loss_frozen
-    for lam in (best_lambda, 0.0) if best_lambda != 0.0 else (0.0,):
-        for freeze in FREEZE_GRID:
-            metrics = cmd_finetune(ckpt, stream,
-                                   replace(base, lambda_reg=lam,
-                                           freeze_after=freeze))
-            rows.append({"kind": "freeze", "lambda_reg": lam,
-                         "freeze_after": freeze,
-                         "total_loss": metrics.total_loss,
-                         "mean_loss": metrics.mean_loss,
-                         "final_anchor_distance":
-                             float(metrics.anchor_distance[-1])})
-    if best_lambda == 0.0:
-        # the best-lambda grid is the lambda-0 grid: report its rows twice
-        rows += [dict(row) for row in rows[-len(FREEZE_GRID):]]
+    """Regularization-strength grid over the full horizon, the freeze-after
+    grid with the best lambda (the first least total loss in LAMBDA_GRID)
+    and with lambda 0, and the frozen baseline of the last lambda run:
+    4 + 2*3 + 1 rows. Each distinct (lambda, freeze) cell runs
+    cmd_finetune once, in row order."""
+    runs = {}
+
+    def row(kind: str, lam: float, freeze: int | None) -> dict:
+        if (lam, freeze) not in runs:
+            runs[lam, freeze] = cmd_finetune(
+                ckpt, stream, replace(base, lambda_reg=lam,
+                                      freeze_after=freeze))
+        metrics = runs[lam, freeze]
+        return {"kind": kind, "lambda_reg": lam,
+                "freeze_after": "" if freeze is None else freeze,
+                "total_loss": metrics.total_loss,
+                "mean_loss": metrics.mean_loss,
+                "final_anchor_distance": float(metrics.anchor_distance[-1])}
+
+    rows = [row("lambda", lam, None) for lam in LAMBDA_GRID]
+    best = min(LAMBDA_GRID, key=lambda lam: runs[lam, None].total_loss)
+    rows += [row("freeze", lam, freeze)
+             for lam in (best, 0.0) for freeze in FREEZE_GRID]
+    last = runs[LAMBDA_GRID[-1], None]
     rows.append({"kind": "baseline", "lambda_reg": "", "freeze_after": "",
-                 "total_loss": baseline_total,
-                 "mean_loss": baseline_mean,
+                 "total_loss": last.total_loss_frozen,
+                 "mean_loss": last.mean_loss_frozen,
                  "final_anchor_distance": 0.0})
     return rows
 
@@ -408,18 +405,14 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
     predictions are bitwise cmd_finetune's predictions_frozen. A
     non-finite feature row gets a non-finite prediction and leaves the
     states as they were, so the rest of its session is predicted as
-    without it. The metrics score only rows whose residual is finite, as
-    bptt.evaluate and RunMetrics do, and nonfinite_steps counts the rest;
-    with no finite row they are NaN. Empty data, or a session id that
-    comes back, is a ContractViolationError; a feature or target width
-    that is not the checkpoint's is a CompatibilityError."""
+    without it. The metrics score only rows whose residual is finite
+    (bptt._finite_score, so huber_mean is bitwise the validation loss
+    bptt.evaluate), and nonfinite_steps counts the rest; with no finite
+    row they are NaN. Empty data, or a session id that comes back, is a
+    ContractViolationError; a feature or target width that is not the
+    checkpoint's is a CompatibilityError."""
     preds = _scan_sessions(ckpt.net, data)
-    resid = preds - data.targets
-    huber_mean = huber(resid)
-    if not np.isfinite(huber_mean):
-        # clean data never gets here, so its metrics stay one pass
-        resid = resid[np.isfinite(resid).all(axis=1)]
-        huber_mean = huber(resid) if len(resid) else float("nan")
+    huber_mean, resid = _finite_score(preds - data.targets)
     per_target_mse = (np.mean(resid * resid, axis=0) if len(resid)
                       else np.full(resid.shape[1], np.nan))
     names = data.target_names or [f"target_{i}" for i in range(resid.shape[1])]

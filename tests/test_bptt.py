@@ -5,11 +5,12 @@ from conftest import finite_difference_grads, max_rel_error, random_batch, \
     small_random_net
 from lru_online.bptt import (TrainConfig, _scan_sessions, _WindowSampler,
                              bptt_gradient, evaluate, sample_windows, train)
+from lru_online.checkpoint import Checkpoint
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError, TrainingError)
 from lru_online import lru
-from lru_online.harness import PretrainConfig
+from lru_online.harness import PretrainConfig, cmd_evaluate
 from lru_online.lru import STEP_LOOP_MIN, init_network
 from lru_online.optim import huber
 from lru_online.rtrl import window_gradient
@@ -470,17 +471,26 @@ class TestEvaluate:
         with pytest.raises(ContractViolationError, match="no rows"):
             evaluate(net, empty_data(m=2, p=1))
 
-    def test_clean_data_is_weighted_session_means(self):
-        """On finite data, bitwise the sum of per-session mean Huber
-        losses weighted by session length, over the row count."""
+    def test_clean_data_is_one_huber_mean(self):
+        """On finite data, bitwise huber of every row's residual in one
+        pass, across sessions."""
         net = init_network(3, (4,), 2, seed=2)
         data = make_data([60, 40, 25], seed=4)
         preds = _scan_sessions(net, data)
-        total = 0.0
-        for first, stop in zip(*data.session_bounds()):
-            total += (huber(preds[first:stop] - data.targets[first:stop])
-                      * int(stop - first))
-        assert evaluate(net, data) == total / data.n_rows
+        assert evaluate(net, data) == huber(preds - data.targets)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_is_cmd_evaluates_huber_mean(self, seed):
+        """Validation and cmd_evaluate are one score: bitwise equal, a
+        Python float, on three sessions, with a NaN feature row on odd
+        seeds."""
+        net = init_network(3, (4,), 2, seed=2)
+        data = make_data([60, 40, 25], seed=seed)
+        if seed % 2:
+            data.features[70, 0] = np.nan
+        loss = evaluate(net, data)
+        assert type(loss) is float
+        assert loss == cmd_evaluate(Checkpoint(net=net), data)["huber_mean"]
 
     @pytest.mark.parametrize("where", ["feature", "target"])
     def test_nonfinite_row_left_out(self, where):
@@ -493,8 +503,7 @@ class TestEvaluate:
         keep = np.arange(100) != 70
         preds = _scan_sessions(net, data)
         loss = evaluate(net, data)
-        assert loss == pytest.approx(
-            huber(preds[keep] - data.targets[keep]), rel=1e-12)
+        assert loss == huber(preds[keep] - data.targets[keep])
         result = train(net, make_data([80], seed=1), data,
                        TrainConfig(steps=20, batch=2, window=10,
                                    eval_every=5))

@@ -724,7 +724,7 @@ class TestPipeline:
         pipe = fit_pipeline(full_table())
         expect = len(pipe.numeric_columns) + sum(
             len(v) for v in pipe.vocabularies.values())
-        assert pipe.n_features == expect
+        assert len(pipe.feature_names) == expect
         assert apply_pipeline(pipe, full_table()).features.shape[1] == expect
 
     def test_vocab_table_extends_vocabulary(self):

@@ -390,6 +390,27 @@ class TestFinetune:
         assert np.isfinite(metrics.loss_frozen[31:]).all()
         assert metrics.summary()["nonfinite_steps"] == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lr", [0.0, FinetuneConfig().lr],
+                             ids=["lr0", "default-lr"])
+    def test_no_finite_step_means_are_nan(self, lr):
+        """With every feature NaN no step is finite: the means are NaN
+        with no "Mean of empty slice" warning, in the summary and in
+        cmd_ablate's rows, as cmd_evaluate's metrics are."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=np.full_like(ref["features"], np.nan),
+                            targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        s = cmd_finetune(ckpt, data, FinetuneConfig(lr=lr)).summary()
+        assert s["nonfinite_steps"] == s["steps"] == len(data.targets)
+        assert np.isnan(s["mean_loss_finetuned"])
+        assert np.isnan(s["mean_loss_frozen"])
+        assert s["total_loss_finetuned"] == s["total_loss_frozen"] == 0.0
+        rows = cmd_ablate(ckpt, data, FinetuneConfig(lr=lr))
+        assert np.isnan([r["mean_loss"] for r in rows]).all()
+
     def test_nonfinite_target_advances_states(self):
         """A NaN target with finite features skips only the update: the
         adaptive states and traces advance past the row, as the frozen
@@ -929,6 +950,41 @@ class TestAblate:
         assert freeze[0] is not freeze[3]
         assert len(rows) == 4 + 2 * 3 + 1
 
+    @pytest.mark.parametrize("lr, best", [(1e-3, 0.0), (1e-1, 0.01)])
+    def test_rows_are_direct_finetune_runs(self, lr, best):
+        """On the committed depth-1 checkpoint and its stream, every row is
+        bitwise its cell's direct cmd_finetune run. The best lambda is the
+        first minimum of the lambda rows' totals in grid order, and the
+        baseline row holds the frozen totals of the last lambda run."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=ref["features"], targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        base = FinetuneConfig(lr=lr)
+
+        def direct(kind, lam, freeze):
+            m = cmd_finetune(ckpt, data, replace(base, lambda_reg=lam,
+                                                 freeze_after=freeze))
+            return m, {"kind": kind, "lambda_reg": lam,
+                       "freeze_after": "" if freeze is None else freeze,
+                       "total_loss": m.total_loss, "mean_loss": m.mean_loss,
+                       "final_anchor_distance": float(m.anchor_distance[-1])}
+
+        runs = [direct("lambda", lam, None) for lam in harness.LAMBDA_GRID]
+        totals = [m.total_loss for m, _ in runs]
+        assert harness.LAMBDA_GRID[totals.index(min(totals))] == best
+        expect = [row for _, row in runs]
+        expect += [direct("freeze", lam, freeze)[1] for lam in (best, 0.0)
+                   for freeze in harness.FREEZE_GRID]
+        last = runs[-1][0]
+        expect.append({"kind": "baseline", "lambda_reg": "",
+                       "freeze_after": "",
+                       "total_loss": last.total_loss_frozen,
+                       "mean_loss": last.mean_loss_frozen,
+                       "final_anchor_distance": 0.0})
+        assert cmd_ablate(ckpt, data, base) == expect
+
 
 class TestEvaluate:
     def test_consistent_with_offline_loss(self, pretrained, stream):
@@ -986,8 +1042,7 @@ class TestEvaluate:
         kept = np.delete(result["predictions"] - data.targets, [10, 35], 0)
         assert result["nonfinite_steps"] == 2
         assert result["huber_mean"] == huber(kept)
-        assert result["huber_mean"] == pytest.approx(
-            offline_evaluate(ckpt.net, data), rel=1e-12)
+        assert result["huber_mean"] == offline_evaluate(ckpt.net, data)
         assert result["huber_total"] == huber(kept) * (len(data.targets) - 2)
         assert list(result["per_target_mse"].values()) == list(
             np.mean(kept * kept, axis=0))
