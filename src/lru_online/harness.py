@@ -283,12 +283,12 @@ class OnlineLearner:
         if y.shape != self._y_shape:
             raise ContractViolationError(
                 f"label shape {y.shape} for output shape {self._y_shape}")
-        traces, y_hat, inputs = self._pending
+        traces, y_hat, vs = self._pending
         self._pending = None
         plan = self._plan
         g = _huber_grad(np.subtract(y_hat, y, out=plan.g))
         try:
-            self._descend(plan.gradient(traces, inputs, g))
+            self._descend(plan.gradient(traces, vs, g))
         except TrainingError:
             self.skipped += 1   # non-finite gradient: nothing was updated
 
@@ -369,15 +369,17 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
     grid with the best lambda (the first least total loss in LAMBDA_GRID)
     and with lambda 0, and the frozen baseline of the last lambda run:
     4 + 2*3 + 1 rows. Each distinct (lambda, freeze) cell runs
-    cmd_finetune once, in row order."""
+    cmd_finetune once, in row order; a freeze_after of at least the
+    stream's length is the full horizon, the cell of freeze None."""
     runs = {}
 
     def row(kind: str, lam: float, freeze: int | None) -> dict:
-        if (lam, freeze) not in runs:
-            runs[lam, freeze] = cmd_finetune(
-                ckpt, stream, replace(base, lambda_reg=lam,
-                                      freeze_after=freeze))
-        metrics = runs[lam, freeze]
+        full = freeze is None or freeze >= stream.n_rows
+        cell = lam, None if full else freeze
+        if cell not in runs:
+            runs[cell] = cmd_finetune(ckpt, stream, replace(
+                base, lambda_reg=lam, freeze_after=freeze))
+        metrics = runs[cell]
         return {"kind": kind, "lambda_reg": lam,
                 "freeze_after": "" if freeze is None else freeze,
                 "total_loss": metrics.total_loss,

@@ -14,14 +14,16 @@ nu_j = -35.8 down and at most 1 + 2**-52. So the recurrence is strictly
 stable for nu_j >= -35 and marginally stable below; nothing clamps nu.
 
 Hidden states are numpy complex128 arrays. A layer (LruLayerParams) holds a
-head [nu, theta_phase, gamma_log], B and C as (re, im) pairs, and D; its
-named blocks and complex B are views of them. A network's layers are views
-into one flat float64 vector theta (LruNetwork), so the optimizer updates
-theta in place and every layer sees the update.
+head [nu, theta_phase, gamma_log], B as (re, im) pairs and the readout
+w = [C2 | D] (p, 2n + m), whose row i is output i's C pairs next to row i
+of D; its named blocks, complex B, C2 and D are views of them. A network's
+layers are views into one flat float64 vector theta (LruNetwork), so the
+optimizer updates theta in place and every layer sees the update.
 
 The online RTRL step runs one checked row on the unchecked per-row
 kernels (_LayerKernel, layer_constants), stepping each state as the H
-column of its layer's trace (rtrl._StreamPlan). network_scan (whole
+column of its layer's trace and reading each layer out with one matvec
+of w (rtrl._StreamPlan). network_scan (whole
 sequences at fixed theta, from given or zero states) checks its rows with
 _check_call (LruNetwork checks its block shapes when it is built) and runs
 scan_forward, the one whole-sequence pass of a layer, on each. Every
@@ -60,8 +62,7 @@ class LruLayerParams:
 
     head: np.ndarray   # (3n,) [nu, theta_phase, gamma_log]
     b: np.ndarray      # (n, m, 2) pairs (b_re, b_im) of B = b_re + i b_im
-    c: np.ndarray      # (p, n, 2) pairs (c_re, c_im) of C = c_re + i c_im
-    d: np.ndarray      # (p, m)
+    w: np.ndarray      # (p, 2n + m) rows [output i's (c_re, c_im) | D_i]
 
     @classmethod
     def from_blocks(cls, *, nu, theta_phase, gamma_log, b_re, b_im, c_re,
@@ -84,14 +85,14 @@ class LruLayerParams:
                 raise ContractViolationError(
                     f"block {name!r} has shape {named[name].shape}, "
                     f"expected {shape}")
+        c = np.stack((named["c_re"], named["c_im"]), axis=-1)
         return cls(np.concatenate([named[k] for k in PARAM_BLOCKS[:3]]),
                    np.stack((named["b_re"], named["b_im"]), axis=-1),
-                   np.stack((named["c_re"], named["c_im"]), axis=-1),
-                   named["d"])
+                   np.concatenate((c.reshape(p, 2 * n), named["d"]), axis=1))
 
     n = property(lambda self: len(self.head) // 3)
-    m = property(lambda self: self.d.shape[1])
-    p = property(lambda self: self.d.shape[0])
+    m = property(lambda self: self.b.shape[1])
+    p = property(lambda self: self.w.shape[0])
     # read-only views, made on first use: |lambda_j| = exp(-exp(nu_j)),
     # arg(lambda_j) = exp(theta_phase_j), gamma_j = exp(gamma_log_j)
     nu = cached_property(lambda self: self.head[:self.n])
@@ -99,14 +100,17 @@ class LruLayerParams:
     gamma_log = cached_property(lambda self: self.head[2 * self.n:])
     b_re = cached_property(lambda self: self.b[..., 0])
     b_im = cached_property(lambda self: self.b[..., 1])
+    # the real (p, 2n) map C2 (conj(h) viewed as float64 @ C2^T is
+    # Re[C h]), its (p, n, 2) pairs and D (p, m): strided views of w
+    c2 = cached_property(lambda self: self.w[:, :2 * self.n])
+    c = cached_property(lambda self: self.c2.reshape(self.p, self.n, 2))
+    d = cached_property(lambda self: self.w[:, 2 * self.n:])
     c_re = cached_property(lambda self: self.c[..., 0])
     c_im = cached_property(lambda self: self.c[..., 1])
-    # the (n, 2) columns [nu, theta_phase], complex B (n, m), and the real
-    # (p, 2n) map C2: conj(h) viewed as float64 @ C2^T is Re[C h]
+    # the (n, 2) columns [nu, theta_phase] and complex B (n, m)
     nu_phase = cached_property(
         lambda self: self.head[:2 * self.n].reshape(2, self.n).T)
     b_complex = cached_property(lambda self: self.b.view(np.complex128)[..., 0])
-    c2 = cached_property(lambda self: self.c.reshape(self.p, 2 * self.n))
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_BLOCKS}
@@ -114,23 +118,23 @@ class LruLayerParams:
 
 def _pair_shapes(k: int, layer: LruLayerParams, width: int | None
                  ) -> tuple[int, int, int]:
-    """Layer k's (n, m, p) from len(head) // 3 and d.shape, every block
-    checked against them and m against width (None or the layer below's p)."""
-    head, d = np.shape(layer.head), np.shape(layer.d)
-    if len(head) != 1 or len(d) != 2:
+    """Layer k's (n, m, p) from len(head) // 3 and w.shape = (p, 2n + m),
+    checked against b and m against width (None or the layer below's p)."""
+    head, w = np.shape(layer.head), np.shape(layer.w)
+    if len(head) != 1 or len(w) != 2:
         raise ContractViolationError(
-            f"layer {k} blocks 'head' and 'd' must be 1-D and 2-D, got "
-            f"shapes {head} and {d}")
-    n, (p, m) = head[0] // 3, d
-    if width not in (None, m):
-        raise ContractViolationError(
-            f"layer {k - 1} output width {width} != layer {k} input width {m}")
-    for name, shape in (("head", (3 * n,)), ("b", (n, m, 2)),
-                        ("c", (p, n, 2))):
+            f"layer {k} blocks 'head' and 'w' must be 1-D and 2-D, got "
+            f"shapes {head} and {w}")
+    n = head[0] // 3
+    p, m = w[0], w[1] - 2 * n
+    for name, shape in (("head", (3 * n,)), ("b", (n, m, 2))):
         got = np.shape(getattr(layer, name))
         if got != shape:
             raise ContractViolationError(
                 f"layer {k} block {name!r} has shape {got}, expected {shape}")
+    if width not in (None, m):
+        raise ContractViolationError(
+            f"layer {k - 1} output width {width} != layer {k} input width {m}")
     return n, m, p
 
 
@@ -138,10 +142,11 @@ class LruNetwork:
     """Stack of LRU layers; layer k's output feeds layer k+1's input.
 
     All parameters live in one contiguous float64 vector `theta`, layer by
-    layer: nu, theta_phase and gamma_log (n each), b (n, m, 2) and c
-    (p, n, 2) as (re, im) pairs, then d (p, m), each row-major. `layers`,
-    a tuple of frozen layers checked by _pair_shapes, is paired(theta),
-    so writing into theta (an optimizer step) changes them.
+    layer: nu, theta_phase and gamma_log (n each), b (n, m, 2) as (re, im)
+    pairs, then the readout w (p, 2n + m), whose row i is output i's c
+    pairs (n, 2) followed by row i of d, each row-major. `layers`, a tuple
+    of frozen layers checked by _pair_shapes, is paired(theta), so writing
+    into theta (an optimizer step) changes them.
     """
 
     def __init__(self, layers: Sequence[LruLayerParams]):
@@ -150,19 +155,19 @@ class LruNetwork:
         self.dims = [_pair_shapes(k, layer, layers[k - 1].p if k else None)
                      for k, layer in enumerate(layers)]    # (n, m, p) each
         self.theta = np.concatenate([x.ravel() for layer in layers for x in (
-            layer.head, layer.b, layer.c, layer.d)], dtype=np.float64)
+            layer.head, layer.b, layer.w)], dtype=np.float64)
         self.layers = self.paired(self.theta)
 
     def paired(self, vec: np.ndarray) -> tuple[LruLayerParams, ...]:
         """Per-layer views of a flat vector laid out like theta."""
         layers, start = [], 0
         for n, m, p in self.dims:
-            b, c, d = (start + 3 * n, start + n * (3 + 2 * m),
-                       start + n * (3 + 2 * m + 2 * p))
+            b, w = start + 3 * n, start + n * (3 + 2 * m)
+            stop = w + p * (2 * n + m)
             layers.append(LruLayerParams(
-                vec[start:b], vec[b:c].reshape(n, m, 2),
-                vec[c:d].reshape(p, n, 2), vec[d:d + p * m].reshape(p, m)))
-            start = d + p * m
+                vec[start:b], vec[b:w].reshape(n, m, 2),
+                vec[w:stop].reshape(p, 2 * n + m)))
+            start = stop
         return tuple(layers)
 
     @property
@@ -237,39 +242,41 @@ def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,
     return LruNetwork(layers)
 
 
-# -exp(nu) and i exp(theta_phase) as exact (re, im) pairs from their exps
-_SIGNS = np.array([[-1.0, 0.0], [0.0, 1.0]])
-
-
 class _LayerKernel:
     """One layer's per-row kernel on a layer's views (of theta, so no row
-    copies a block): complex B (n, m), the real (p, 2n) map C2 of the
-    (Re h, -Im h) pairs, and the buffers that layer_constants and the step
-    write into, with the views of them that every row uses made once."""
+    copies a block): complex B (n, m), the readout w = [C2 | D], and the
+    buffers that layer_constants and the step write into, with the views
+    of them that every row uses made once."""
 
     def __init__(self, layer: LruLayerParams):
         n = layer.n
         self.head, self.e = layer.head, np.empty(3 * n)
-        self.e_pairs = self.e[:2 * n].reshape(2, n).T[:, :, None]
+        self.e_nu, self.e_phase = self.e[:n], self.e[n:2 * n]
         self.gamma, self.gamma_col = self.e[2 * n:], self.e[2 * n:, None]
-        self.f = np.empty((n, 2), np.complex128)
-        self.f_pairs = self.f.view(np.float64).reshape(n, 2, 2)
-        self.f_nu, self.f_phase = self.f[:, 0], self.f[:, 1]
+        # f's columns -e^nu + 0i and 0 + i e^phi: the zeros are set once
+        self.f = np.zeros((n, 2), np.complex128)
+        f_pairs = self.f.view(np.float64).reshape(n, 2, 2)
+        self.f_nu, self.f_phase = f_pairs[:, 0, 0], f_pairs[:, 1, 1]
         self.lam, self.z, self.h_conj = np.empty((3, n), np.complex128)
+        self.z_re, self.z_im = self.z.real, self.z.imag
         self.lam_col, self.dlam = self.lam[:, None], np.empty_like(self.f)
         self.h_pairs = self.h_conj.view(np.float64)
-        self.b, self.c2, self.d = layer.b_complex, layer.c2, layer.d
-        self.c2_t, self.d_t = self.c2.T, self.d.T
+        self.b, self.w = layer.b_complex, layer.w
 
 
 def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
     """The input-independent part of a step and of its trace update, from
     one exp of the head: (lambda, gamma, dlambda), dlambda (n, 2) the
     columns dlambda/dnu = -exp(nu) * lambda and dlambda/dtheta_phase =
-    1j * exp(theta_phase) * lambda, in k's buffers until the next call."""
+    1j * exp(theta_phase) * lambda, in k's buffers until the next call;
+    -exp(nu) and exp(theta_phase) go straight into the parts of f and of
+    lambda's exponent z."""
     np.exp(k.head, out=k.e)
-    np.multiply(k.e_pairs, _SIGNS, out=k.f_pairs)
-    np.exp(np.add(k.f_nu, k.f_phase, out=k.z), out=k.lam)
+    np.negative(k.e_nu, out=k.z_re)
+    np.negative(k.e_nu, out=k.f_nu)
+    k.z_im[...] = k.e_phase
+    k.f_phase[...] = k.e_phase
+    np.exp(k.z, out=k.lam)
     np.multiply(k.f, k.lam_col, out=k.dlam)
     return k.lam, k.gamma, k.dlam
 

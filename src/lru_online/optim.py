@@ -38,11 +38,14 @@ def huber_grad(residual: np.ndarray) -> np.ndarray:
     return _huber_grad(np.array(residual, dtype=np.float64))
 
 
+_LO, _HI = np.array(-1.0), np.array(1.0)   # 0-d: no float cast per call
+
+
 def _huber_grad(r: np.ndarray) -> np.ndarray:
     """huber_grad in place in the float64 array r, which it returns."""
     # minimum/maximum, not np.clip: the same values (NaN included) without
     # np.clip's Python-level wrapper
-    np.minimum(np.maximum(r, -1.0, out=r), 1.0, out=r)
+    np.minimum(np.maximum(r, _LO, out=r), _HI, out=r)
     r /= r.size
     return r
 
@@ -54,8 +57,8 @@ def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
     NaN, which the abs of the (otherwise >= 0) mean clears as |r| does
     there; the gradient psi / count overwrites the C-contiguous float64
     array r, which it returns."""
-    psi = np.maximum(r, -1.0)
-    np.minimum(psi, 1.0, out=psi)
+    psi = np.maximum(r, _LO)
+    np.minimum(psi, _HI, out=psi)
     values = np.multiply(psi, 0.5)
     np.subtract(r, values, out=values)
     values *= psi
@@ -80,10 +83,12 @@ def _check_clip(max_norm: float | None) -> None:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
 
 
-def _clip(grads: np.ndarray, sq: float, max_norm: float) -> np.ndarray:
-    """clip_global_norm without its checks, from sq = grads @ grads. A
-    finite gradient whose squares overflow (sq inf) takes its norm as
-    max|grads| times that of grads / max|grads|."""
+def _clip(grads: np.ndarray, sq: float, max_norm: float,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """clip_global_norm without its checks, from sq = grads @ grads, into
+    out (a new array when None). A finite gradient whose squares overflow
+    (sq inf) takes its norm as max|grads| times that of grads / max|grads|
+    and is clipped into a new array."""
     if not math.isfinite(sq):
         top = float(np.abs(grads).max())
         if math.isfinite(top):
@@ -93,7 +98,7 @@ def _clip(grads: np.ndarray, sq: float, max_norm: float) -> np.ndarray:
     g = math.sqrt(sq)
     if g <= max_norm:
         return grads
-    return grads * (max_norm / g)
+    return np.multiply(grads, max_norm / g, out=out)
 
 
 # --------------------------------------------------------------------- adam
@@ -160,7 +165,7 @@ def _distance(theta: np.ndarray, anchor: AnchorConfig,
               diff: np.ndarray) -> float:
     """anchor_distance, leaving theta - theta_pre in `diff`."""
     np.subtract(theta, anchor.theta_pre, out=diff)
-    return math.sqrt(diff @ diff)
+    return math.sqrt(diff.dot(diff))
 
 
 def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig) -> np.ndarray:
@@ -189,11 +194,11 @@ class _Descent:
     updates on the parameters, the Adam state, the clip (checked here) and
     optionally the anchor, then call it with each gradient.
 
-    It owns Adam's two work vectors and keeps theta - theta_pre from one
-    update to the next, so that difference is taken once per update: for
-    the distance after it (`distance`) and for the next update's pull,
-    theta not having moved in between. One made for a single call,
-    _Descent(theta, adam, None)(grads), is a plain Adam step."""
+    It owns the work vectors of Adam and the clip and keeps theta -
+    theta_pre from one update to the next, so that difference is taken
+    once per update: for the distance after it (`distance`) and for the
+    next update's pull, theta not having moved in between. One made for a
+    single call, _Descent(theta, adam, None)(grads), is a plain Adam step."""
 
     def __init__(self, theta: np.ndarray, adam: AdamState,
                  clip: float | None, anchor: AnchorConfig | None = None):
@@ -201,7 +206,7 @@ class _Descent:
         self.theta, self.adam = theta, adam
         self.clip, self.anchor = clip, anchor
         self.pulls = anchor is not None and anchor.lambda_reg != 0.0
-        self.work = (np.empty_like(adam.m), np.empty_like(adam.m))
+        self.step, self.denom, self.clipped = np.empty((3, theta.size))
         if anchor is not None:
             self.diff = np.empty_like(theta)
             self.pull = np.empty_like(theta)
@@ -216,11 +221,11 @@ class _Descent:
             pull = _pull(self.diff, self.anchor, self.distance, self.pull)
             pull += grads
             grads = pull
-        sq = grads @ grads
+        sq = grads.dot(grads)
         if not math.isfinite(sq) and not np.isfinite(grads).all():
             raise TrainingError("non-finite gradient passed to the update")
         if self.clip is not None:
-            grads = _clip(grads, sq, self.clip)
-        _adam(self.theta, grads, self.adam, *self.work)
+            grads = _clip(grads, sq, self.clip, self.clipped)
+        _adam(self.theta, grads, self.adam, self.step, self.denom)
         if self.anchor is not None:
             self.distance = _distance(self.theta, self.anchor, self.diff)

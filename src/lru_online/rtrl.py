@@ -27,8 +27,11 @@ predict (one row's trace update, the state included, and readout) and
 gradient (that row's parameter gradient). Its callers check the widths:
 harness.OnlineLearner of each row, window_gradient (RTRL pretraining's
 gradient) of its window (lru._check_call). The kernel copies no block per
-row: B and C are views of theta's (re, im) pairs (lru.LruLayerParams), and
-the gradient is written through the same views of one buffer (net.paired).
+row: B and the readout w = [C2 | D] are views of theta
+(lru.LruLayerParams), and the gradient is written through the same views
+of one buffer (net.paired). A layer reads out y = w @ v, v = [conj(h)
+pairs | its input], and w's gradient is the outer product of dL/dy and v.
+Its matrix products are ndarray.dot calls: bitwise @ at half the call cost.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _trace_step(k: _LayerKernel, u: np.ndarray, z_prev: np.ndarray,
     + gamma * (B u). work: the (n, 3 + m) Jacobian buffer, its NU/PHASE
     columns, its H column and its B_RE columns' real part."""
     imm, imm_lam, imm_h, imm_b = work
-    np.multiply(k.gamma, k.b @ u, out=imm_h)
+    np.multiply(k.gamma, k.b.dot(u), out=imm_h)
     np.multiply(k.dlam, z_prev[:, H:H + 1], out=imm_lam)
     np.multiply(k.gamma_col, u, out=imm_b)   # B_RE's imaginary part stays 0
     # out of place: numpy's in-place complex multiply rounds differently
@@ -75,7 +78,7 @@ class _StreamPlan:
     flat gradient buffer. predict() and gradient() check nothing: the
     caller has checked the input and target widths and passes traces that
     started from reset_trace(net). The gradient is the buffer, overwritten
-    by the next row; traces and predictions are new arrays.
+    by the next row; traces, predictions and row vectors are new arrays.
     """
 
     def __init__(self, net: LruNetwork):
@@ -88,54 +91,56 @@ class _StreamPlan:
             imm = np.zeros((n, 3 + m), np.complex128)
             self.imm.append((imm, imm[:, :H], imm[:, H], imm[:, B_RE].real))
             az = np.empty((n, 3 + m), np.complex128)   # a * Z
+            gw = np.empty(2 * n + m)                   # g @ [C2 | D]
             # the head gradient [nu, theta_phase, gamma_log] as (n, 3)
             self.work.append((az, az[:, :B_RE.start].real, az[:, B_RE],
-                              out.head.reshape(3, n).T))
+                              out.head.reshape(3, n).T, gw,
+                              gw[:2 * n].view(np.complex128), gw[2 * n:]))
         self.top = len(net.layers) - 1
 
     def predict(self, traces: list[np.ndarray], u: np.ndarray
                 ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
         """One float64 row u through the stack at the current theta: per
         layer the layer constants, the trace update (which steps the
-        state) and the readout y = conj(h) pairs @ C2^T + D x (conj(h)
-        left in k.h_conj), the next layer's input x. Returns (new traces,
-        prediction, each layer's input) for gradient()."""
-        new_traces, inputs, x = [], [], u
+        state) and the readout y = w @ v, one matvec of the readout
+        [C2 | D] on the new row vector v = [conj(h) pairs | x], x the
+        layer's input; y is the next layer's input. Returns (new traces,
+        prediction, each layer's v) for gradient()."""
+        new_traces, vs, x = [], [], u
         for k, z, work in zip(self.kernels, traces, self.imm):
             layer_constants(k)
-            inputs.append(x)
             z = _trace_step(k, x, z, work)
             new_traces.append(z)
             np.conjugate(z[:, H], out=k.h_conj)
-            y = k.h_pairs @ k.c2_t
-            y += x @ k.d_t
-            x = y
-        return new_traces, x, inputs
+            v = np.concatenate((k.h_pairs, x))
+            vs.append(v)
+            x = k.w.dot(v)
+        return new_traces, x, vs
 
-    def gradient(self, traces: list[np.ndarray],
-                 layer_inputs: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    def gradient(self, traces: list[np.ndarray], vs: list[np.ndarray],
+                 g: np.ndarray) -> np.ndarray:
         """The flat parameter gradient (laid out like net.theta) of one
         step's float64 output gradient g, from the post-step traces and
-        each layer's float64 input, right after predict() ran
-        self.kernels to them (it left conj(h) in them). Credit flows
+        each layer's row vector v that predict() returned, at the layer
+        constants that predict() left in self.kernels. Credit flows
         spatially through upper layers' instantaneous maps and temporally
         through each layer's own traces: exact for depth 1; deeper stacks
         drop the cross-layer temporal terms (the standard efficient
         diagonal-RTRL approximation)."""
         for k in range(self.top, -1, -1):
             kern, out = self.kernels[k], self.outs[k]
-            az, az_head, az_b, head = self.work[k]
-            a = (g @ kern.c2).view(np.complex128)  # complex adjoint of h
+            az, az_head, az_b, head, gw, a, g_d = self.work[k]
+            np.dot(g, kern.w, out=gw)   # [the adjoint a of h | g @ D]
             np.multiply(a[:, None], traces[k], out=az)
             head[...] = az_head
             # conj(a * Z) holds Re[a * Z] and -Im[a * Z] = Re[a * 1j * Z]
             # side by side: the b_re and b_im gradients as b's pairs
             np.conjugate(az_b, out=out.b_complex)
-            np.multiply(g[:, None], kern.h_pairs, out=out.c2)
-            np.multiply(g[:, None], layer_inputs[k], out=out.d)
+            # [C2 | D]'s gradient: the outer product of g and v
+            np.multiply(g[:, None], vs[k], out=out.w)
             if k > 0:
                 # this layer's instantaneous dL/du: the layer below's dL/dy
-                g = ((kern.gamma * a) @ kern.b).real + g @ kern.d
+                g = (kern.gamma * a).dot(kern.b).real + g_d
         return self.grads
 
 
@@ -156,8 +161,8 @@ def window_gradient(net: LruNetwork, inputs: np.ndarray,
     total_loss = 0.0
     grads = np.zeros_like(net.theta)
     for u_t, y_t in zip(inputs, targets):
-        traces, y_hat, layer_inputs = plan.predict(traces, u_t)
+        traces, y_hat, vs = plan.predict(traces, u_t)
         loss, g = _huber_loss_grad(np.subtract(y_hat, y_t, out=plan.g))
-        grads += plan.gradient(traces, layer_inputs, g)
+        grads += plan.gradient(traces, vs, g)
         total_loss += loss
     return total_loss / T, grads * (1.0 / T)

@@ -74,17 +74,28 @@ def paired_order(m, widths, p):
     """The fixed index map from the flat layout of the references in
     tests/data (each layer's blocks nu, theta_phase, gamma_log, b_re, b_im,
     c_re, c_im, d one after another, each row-major) to LruNetwork.theta's
-    (b and c stored as (re, im) pairs): theta = old[paired_order(...)] for
-    the network of input width m, layer widths `widths` and output width
-    p, and old[..., paired_order(...)] for rows of flat vectors."""
+    (head, b as (re, im) pairs, then the readout w whose row i is output
+    i's (c_re, c_im) pairs and row i of d): theta = old[paired_order(...)]
+    for the network of input width m, layer widths `widths` and output
+    width p, and old[..., paired_order(...)] for rows of flat vectors."""
     idx, start = [], 0
     for k, n in enumerate(widths):
         p_k = p if k == len(widths) - 1 else n
         sizes = (3 * n, 2 * n * m, 2 * p_k * n, p_k * m)
         head, b, c, d = np.split(np.arange(start, start + sum(sizes)),
                                  np.cumsum(sizes)[:-1])
-        idx += [head, b.reshape(2, -1).T.ravel(), c.reshape(2, -1).T.ravel(),
-                d]
+        c_pairs = np.stack(c.reshape(2, p_k, n), axis=-1).reshape(p_k, -1)
+        idx += [head, b.reshape(2, -1).T.ravel(),
+                np.concatenate((c_pairs, d.reshape(p_k, m)), axis=1).ravel()]
         start += sum(sizes)
         m = p_k
     return np.concatenate(idx)
+
+
+def in_theta_order(net, draw):
+    """A flat draw read in the reference layout of tests/data, reordered
+    into net.theta's (paired_order): a perturbation theta += in_theta_order
+    (net, draw) gives every named parameter the same value whatever
+    theta's layout is."""
+    widths = tuple(layer.n for layer in net.layers)
+    return draw[paired_order(net.input_dim, widths, net.output_dim)]

@@ -11,10 +11,10 @@ The model. Per layer,
     y_t    = c_re Re(h_t) - c_im Im(h_t) + d u_t
 
 and layer k's y_t is layer k+1's u_t. A flat parameter vector holds the
-layers one after another, each layer's blocks in BLOCKS order and each
-block row-major (nu, theta_phase and gamma_log (n,), d (p, m)), except
-that b_re and b_im (n, m) are stored as one (n, m, 2) block of (re, im)
-pairs and c_re and c_im (p, n) as one (p, n, 2) block.
+layers one after another, each layer row-major as nu, theta_phase and
+gamma_log (n,), then b_re and b_im (n, m) as one (n, m, 2) block of
+(re, im) pairs, then one (p, 2n + m) readout block whose row i holds
+output i's (c_re, c_im) pairs (n, 2) followed by row i of d (p, m).
 
 The adaptive loop (`adapt`), one row at a time:
 
@@ -111,13 +111,14 @@ def unflatten(theta, dims):
     per layer."""
     layers, start = [], 0
     for n, m, p in dims:
-        sizes = (n, n, n, 2 * n * m, 2 * p * n, p * m)
-        nu, phase, gamma_log, b, c, d = np.split(
+        sizes = (n, n, n, 2 * n * m, p * (2 * n + m))
+        nu, phase, gamma_log, b, w = np.split(
             theta[start:start + sum(sizes)], np.cumsum(sizes)[:-1])
-        b, c = b.reshape(n, m, 2), c.reshape(p, n, 2)
+        b, w = b.reshape(n, m, 2), w.reshape(p, 2 * n + m)
+        c = w[:, :2 * n].reshape(p, n, 2)
         layers.append(dict(zip(BLOCKS, (nu, phase, gamma_log, b[..., 0],
                                         b[..., 1], c[..., 0], c[..., 1],
-                                        d.reshape(p, m)))))
+                                        w[:, 2 * n:]))))
         start += sum(sizes)
     return layers
 

@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -439,10 +440,10 @@ class TestFinetune:
         for sid in dict.fromkeys(data.session_ids.tolist()):
             traces = reset_trace(net)
             for t in np.flatnonzero(data.session_ids == sid):
-                traces, y_hat, inputs = plan.predict(traces, data.features[t])
+                traces, y_hat, vs = plan.predict(traces, data.features[t])
                 if t != bad:
                     g = huber_grad(y_hat - data.targets[t])
-                    descend(plan.gradient(traces, inputs, g))
+                    descend(plan.gradient(traces, vs, g))
                 preds.append(y_hat)
         assert np.array_equal(metrics.predictions, np.asarray(preds))
 
@@ -914,11 +915,11 @@ class TestAblate:
             direct.total_loss_frozen)
 
 
-    @pytest.mark.parametrize("best", [0.0, 0.01])
-    def test_freeze_grid_runs_once_per_distinct_lambda(self, monkeypatch,
-                                                        best):
-        """With the best lambda 0 the two freeze grids are the same runs:
-        they run once and their rows appear twice."""
+    @staticmethod
+    def fake_runs(monkeypatch, best):
+        """cmd_finetune replaced by a fake whose total loss is least at
+        lambda `best` and grows with freeze_after; returns its calls as
+        (lambda_reg, freeze_after)."""
         calls = []
 
         class Fake:
@@ -934,7 +935,16 @@ class TestAblate:
             return Fake(cfg)
 
         monkeypatch.setattr(harness, "cmd_finetune", fake_finetune)
-        rows = cmd_ablate(None, None, FinetuneConfig(lr=1e-2))
+        return calls
+
+    @pytest.mark.parametrize("best", [0.0, 0.01])
+    def test_freeze_grid_runs_once_per_distinct_lambda(self, monkeypatch,
+                                                        best):
+        """With the best lambda 0 the two freeze grids are the same runs:
+        they run once and their rows appear twice."""
+        calls = self.fake_runs(monkeypatch, best)
+        stream = SimpleNamespace(n_rows=max(harness.FREEZE_GRID) + 1)
+        rows = cmd_ablate(None, stream, FinetuneConfig(lr=1e-2))
         grid = harness.FREEZE_GRID
         lambdas = [(lam, None) for lam in harness.LAMBDA_GRID]
         if best == 0.0:
@@ -950,12 +960,34 @@ class TestAblate:
         assert freeze[0] is not freeze[3]
         assert len(rows) == 4 + 2 * 3 + 1
 
+    @pytest.mark.parametrize("best", [0.0, 0.01])
+    def test_freeze_at_stream_length_is_the_full_horizon(self, monkeypatch,
+                                                         best):
+        """A freeze_after of at least the stream's length (2000 rows:
+        freezes 2000 and 3000) is the full-horizon run of its lambda, so
+        only freeze 1000 runs again."""
+        calls = self.fake_runs(monkeypatch, best)
+        rows = cmd_ablate(None, SimpleNamespace(n_rows=2000),
+                          FinetuneConfig(lr=1e-2))
+        lambdas = [(lam, None) for lam in harness.LAMBDA_GRID]
+        again = [(lam, 1000) for lam in dict.fromkeys((best, 0.0))]
+        assert calls == lambdas + again
+        freeze = [r for r in rows if r["kind"] == "freeze"]
+        assert [r["total_loss"] for r in freeze] == \
+            [abs(lam - best) + (1000 if f == 1000 else 0)
+             for lam in (best, 0.0) for f in harness.FREEZE_GRID]
+        assert [r["freeze_after"] for r in freeze] == \
+            list(harness.FREEZE_GRID) * 2
+
     @pytest.mark.parametrize("lr, best", [(1e-3, 0.0), (1e-1, 0.01)])
-    def test_rows_are_direct_finetune_runs(self, lr, best):
+    def test_rows_are_direct_finetune_runs(self, monkeypatch, lr, best):
         """On the committed depth-1 checkpoint and its stream, every row is
         bitwise its cell's direct cmd_finetune run. The best lambda is the
         first minimum of the lambda rows' totals in grid order, and the
-        baseline row holds the frozen totals of the last lambda run."""
+        baseline row holds the frozen totals of the last lambda run. The
+        stream's 122 rows are fewer than every freeze of FREEZE_GRID, so
+        each freeze cell is its lambda's full-horizon run: cmd_ablate runs
+        cmd_finetune once per lambda."""
         ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
         ref = np.load(DATA / "checkpoint_depth1_eval.npz")
         data = SequenceData(features=ref["features"], targets=ref["targets"],
@@ -983,7 +1015,16 @@ class TestAblate:
                        "total_loss": last.total_loss_frozen,
                        "mean_loss": last.mean_loss_frozen,
                        "final_anchor_distance": 0.0})
+        calls, finetune = [], harness.cmd_finetune
+
+        def counted(ckpt, stream, cfg):
+            calls.append((cfg.lambda_reg, cfg.freeze_after))
+            return finetune(ckpt, stream, cfg)
+
+        monkeypatch.setattr(harness, "cmd_finetune", counted)
         assert cmd_ablate(ckpt, data, base) == expect
+        assert data.n_rows == 122 < min(harness.FREEZE_GRID)
+        assert calls == [(lam, None) for lam in harness.LAMBDA_GRID]
 
 
 class TestEvaluate:

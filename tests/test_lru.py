@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from conftest import constants, forward_row, random_batch
+from conftest import constants, forward_row, in_theta_order, random_batch
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.harness import FinetuneConfig, OnlineLearner
@@ -459,7 +459,8 @@ class TestNetworkForward:
         is bitwise the chunked reference, also when one step holds
         STEP_LOOP_MIN or more entries."""
         net = init_network(9, widths, 5, seed=4)
-        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
+        net.theta += 0.1 * in_theta_order(
+            net, rng.standard_normal(net.theta.size))   # D != 0
         u = rng.standard_normal((T, 9))
         _, h_seq, preds = network_scan(net, u)
         ref_h, ref_preds = chunked_scan(net, u)
@@ -491,7 +492,8 @@ class TestNetworkForward:
         """network_scan continues from given states, as stepping row by
         row does, and leaves them as they were."""
         net = init_network(3, (5, 4), 2, seed=6)
-        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
+        net.theta += 0.1 * in_theta_order(
+            net, rng.standard_normal(net.theta.size))   # D != 0
         u = rng.standard_normal((16, 3))
         start = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
                  for n in (5, 4)]
@@ -563,10 +565,11 @@ class TestNetworkShapeCheck:
                            **{block: np.zeros(shape)})
 
     @pytest.mark.parametrize("block, shape", [
-        ("head", (11,)), ("b", (4, 2, 2)), ("c", (2, 5, 2)), ("d", (2,))])
+        ("head", (11,)), ("b", (4, 2, 2)), ("b", (5, 3, 2)), ("w", (2,))])
     def test_misshapen_pair_block_rejected(self, block, shape):
         """The network checks every paired block against n = len(head)
-        // 3 and (p, m) = d.shape and names the layer and the block."""
+        // 3 and (p, 2n + m) = w.shape and names the layer and the block:
+        a b of the wrong input width or node count, a 1-D readout."""
         bad = replace(init_layer(3, 4, 2, seed=1), **{block: np.zeros(shape)})
         with pytest.raises(ContractViolationError,
                            match=f"layer 1 .*'{block}'"):
@@ -599,25 +602,28 @@ class TestPairedLayout:
     def assert_alias_at_offsets(net, vec, layers):
         """Each layer's named blocks are views of vec: nu, theta_phase
         and gamma_log from the layer's offset, then b_re and b_im at the
-        even and odd entries of one (n, m, 2) block, c_re and c_im
-        likewise in one (p, n, 2) block, then d; nu_phase is the
-        [nu, theta_phase] columns."""
+        even and odd entries of one (n, m, 2) block, then the readout w
+        (p, 2n + m), whose row i is c_re and c_im of output i at its even
+        and odd entries, then row i of d; c2, the c pairs and d are views
+        of w, and nu_phase is the [nu, theta_phase] columns."""
         vec[:] = np.arange(vec.size)
         start = 0
         for (n, m_k, p_k), layer in zip(net.dims, layers):
             offsets = {}
             for name, size in (("nu", n), ("theta_phase", n),
                                ("gamma_log", n), ("b", 2 * n * m_k),
-                               ("c", 2 * p_k * n), ("d", p_k * m_k)):
+                               ("w", p_k * (2 * n + m_k))):
                 offsets[name] = start + np.arange(size)
                 start += size
-            b, c = offsets.pop("b"), offsets.pop("c")
+            b, w = offsets.pop("b"), offsets["w"].reshape(p_k, -1)
             offsets.update(b_re=b[0::2].reshape(n, m_k),
                            b_im=b[1::2].reshape(n, m_k),
-                           c_re=c[0::2].reshape(p_k, n),
-                           c_im=c[1::2].reshape(p_k, n),
-                           d=offsets["d"].reshape(p_k, m_k))
-            for name, view in layer.blocks().items():
+                           w=w, c2=w[:, :2 * n],
+                           c=w[:, :2 * n].reshape(p_k, n, 2),
+                           c_re=w[:, :2 * n:2], c_im=w[:, 1:2 * n:2],
+                           d=w[:, 2 * n:])
+            views = dict(layer.blocks(), w=layer.w, c2=layer.c2, c=layer.c)
+            for name, view in views.items():
                 assert np.shares_memory(view, vec), name
                 assert np.array_equal(view, offsets[name]), name
             assert np.shares_memory(layer.nu_phase, vec)
@@ -648,10 +654,10 @@ class TestPairedLayout:
 class TestLayerConstants:
     @pytest.mark.parametrize("shape", TestPairedLayout.SHAPES)
     def test_complex_blocks_bitwise_the_sum(self, rng, shape):
-        """The complex B and the real C2 map that the per-row kernel uses
-        next to layer_constants are views of theta, equal to
-        b_re + 1j * b_im and to c_re + 1j * c_im (as (re, im) pairs) byte
-        for byte, on initialised and on Adam-stepped parameters."""
+        """The complex B and the readout [C2 | D] that the per-row kernel
+        uses next to layer_constants are views of theta, equal to
+        b_re + 1j * b_im, to c_re + 1j * c_im (as (re, im) pairs) and to d
+        byte for byte, on initialised and on Adam-stepped parameters."""
         m, widths, p = shape
         net = init_network(m, widths, p, seed=int(rng.integers(1000)))
         kernels = [_LayerKernel(layer) for layer in net.layers]
@@ -659,11 +665,13 @@ class TestLayerConstants:
         for _ in range(20):
             for layer, k in zip(net.layers, kernels):
                 assert np.shares_memory(k.b, net.theta)
-                assert np.shares_memory(k.c2, net.theta)
+                assert np.shares_memory(k.w, net.theta)
                 assert (k.b.tobytes()
                         == (layer.b_re + 1j * layer.b_im).tobytes())
-                assert (k.c2.view(np.complex128).tobytes()
+                c2, d = np.split(k.w, [2 * layer.n], axis=1)
+                assert (c2.view(np.complex128).tobytes()
                         == (layer.c_re + 1j * layer.c_im).tobytes())
+                assert d.tobytes() == layer.d.tobytes()
             grads = rng.standard_normal(net.theta.size)
             grads[rng.random(grads.size) < 0.2] = 0.0
             _Descent(net.theta, adam, None)(grads)

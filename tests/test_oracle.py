@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import in_theta_order
 from test_harness import (FINETUNE_CONFIGS, finetune_reference_runs,
                           pretrain_bptt_reference_runs,
                           pretrain_rtrl_reference_runs)
@@ -130,7 +131,8 @@ def long_stream(widths):
     """(checkpoint, stream) of test_long_stream_within_bound."""
     rng = np.random.default_rng(len(widths))
     net = init_network(9, widths, 5, seed=3)
-    net.theta += 0.05 * rng.standard_normal(net.theta.size)
+    net.theta += 0.05 * in_theta_order(net, rng.standard_normal(
+        net.theta.size))
     rows = 3601
     return Checkpoint(net=net), SequenceData(
         features=rng.standard_normal((rows, 9)),
@@ -164,8 +166,8 @@ WIDTHS = {"depth1": (6,), "depth4x3": (4, 3)}
 def cut_net(widths):
     """A 5-input, 2-output net with a nonzero D."""
     net = init_network(5, widths, 2, seed=len(widths))
-    net.theta += 0.1 * np.random.default_rng(1).standard_normal(
-        net.theta.size)
+    net.theta += 0.1 * in_theta_order(
+        net, np.random.default_rng(1).standard_normal(net.theta.size))
     return net
 
 
@@ -332,8 +334,8 @@ def test_adaptive_rows_within_bound(monkeypatch, report, generator_stream,
         rng = np.random.default_rng(5)
         theta = learner.net.theta.copy()
         for _ in range(3):
-            _Descent(theta.copy(), learner.adam, None)(
-                0.1 * rng.standard_normal(theta.size))
+            _Descent(theta.copy(), learner.adam, None)(0.1 * in_theta_order(
+                learner.net, rng.standard_normal(theta.size)))
     worst = shadow(monkeypatch, learner, stream, freeze or stream.n_rows)
     for name, error in worst.items():
         report(name, error, oracle.STEP_BOUNDS[name.split("_")[0]])

@@ -5,8 +5,8 @@ import pytest
 
 import oracle
 from conftest import (constants, finite_difference_grads, forward_row,
-                      max_rel_error, paired_order, random_batch,
-                      small_random_net)
+                      in_theta_order, max_rel_error, paired_order,
+                      random_batch, small_random_net)
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.harness import FinetuneConfig, OnlineLearner
@@ -176,25 +176,35 @@ class TestOnlineGradient:
     def test_blocks_land_at_their_offsets(self, rng):
         """_StreamPlan.gradient's writes through the paired views are
         bitwise the per-block formulas written through the named blocks
-        of net.paired, with the adjoint a from g and a fresh (p, 2n) copy
-        of the (c_re, c_im) pairs (a real product over p, as the kernel
-        takes it)."""
+        of net.paired, with the adjoint a and g @ D from one real product
+        over p of g and a fresh (p, 2n + m) copy of the (c_re, c_im) pairs
+        and D, as the kernel takes them. Each layer's row vector from
+        predict is its conj(h) pairs followed by its input, the row itself
+        at the bottom."""
         net = init_network(4, (6, 5, 3), 2, seed=9)
-        net.theta += 0.1 * rng.standard_normal(net.theta.size)  # D != 0
+        net.theta += 0.1 * in_theta_order(
+            net, rng.standard_normal(net.theta.size))   # D != 0
         plan = _StreamPlan(net)
         traces = reset_trace(net)
         for _ in range(6):
-            traces, _, li = plan.predict(traces, rng.standard_normal(4))
+            u = rng.standard_normal(4)
+            traces, _, vs = plan.predict(traces, u)
+            assert np.array_equal(vs[0][2 * 6:], u)
             dL_dy = rng.standard_normal(2)
-            got = plan.gradient(traces, li, dL_dy)
+            got = plan.gradient(traces, vs, dL_dy)
             ref = np.full_like(net.theta, np.nan)
             blocks = [v.blocks() for v in net.paired(ref)]
             g = dL_dy
             for k in range(net.depth - 1, -1, -1):
                 layer, z = net.layers[k], traces[k]
                 h = z[:, H]
+                x = vs[k][2 * layer.n:]
+                assert np.array_equal(vs[k][:2 * layer.n],
+                                      np.conj(h).view(np.float64))
                 c2 = np.stack((layer.c_re, layer.c_im), axis=-1)
-                a = (g @ c2.reshape(layer.p, -1)).view(np.complex128)
+                gw = g @ np.concatenate((c2.reshape(layer.p, -1), layer.d),
+                                        axis=1)
+                a = gw[:2 * layer.n].view(np.complex128)
                 at = a[:, None] * z
                 out = blocks[k]
                 out["nu"][...] = at[:, NU].real
@@ -204,17 +214,17 @@ class TestOnlineGradient:
                 out["b_im"][...] = -at[:, B_RE].imag
                 out["c_re"][...] = g[:, None] * h.real
                 out["c_im"][...] = g[:, None] * -h.imag
-                out["d"][...] = g[:, None] * li[k]
+                out["d"][...] = g[:, None] * x
                 g = (np.real((constants(layer)[1] * a)
                              @ (layer.b_re + 1j * layer.b_im))
-                     + g @ layer.d)
+                     + gw[2 * layer.n:])
             assert np.array_equal(got, ref)
 
     def test_zero_output_gradient(self, rng):
         net = init_network(3, (5,), 2, seed=2)
         plan = _StreamPlan(net)
-        traces, _, li = plan.predict(reset_trace(net), rng.standard_normal(3))
-        g = plan.gradient(traces, li, np.zeros(2))
+        traces, _, vs = plan.predict(reset_trace(net), rng.standard_normal(3))
+        g = plan.gradient(traces, vs, np.zeros(2))
         assert g.shape == net.theta.shape and np.all(g == 0)
 
     def test_sum_equals_bptt_depth1(self, rng):
@@ -415,21 +425,20 @@ class TestOnlineStep:
 
     @pytest.mark.parametrize("widths", [(5,), (4, 3)])
     def test_step_outputs_outlive_the_next_step(self, rng, widths):
-        """The traces (the states with them) and prediction that
-        _StreamPlan.predict returns for a row are its own arrays: the next
-        row, which writes into the plan's buffers, leaves them byte for
-        byte as they were."""
+        """The traces (the states with them), prediction and row vectors
+        that _StreamPlan.predict returns for a row are its own arrays: the
+        next row, which writes into the plan's buffers, leaves them byte
+        for byte as they were."""
         net = init_network(3, widths, 2, seed=8)
         plan = _StreamPlan(net)
         traces = reset_trace(net)
         kept = None
         for _ in range(5):
-            traces, y_hat, inputs = plan.predict(traces,
-                                                 rng.standard_normal(3))
-            plan.gradient(traces, inputs, rng.standard_normal(2))
+            traces, y_hat, vs = plan.predict(traces, rng.standard_normal(3))
+            plan.gradient(traces, vs, rng.standard_normal(2))
             if kept is not None:
                 assert [a.tobytes() for a in held] == kept
-            held = [*traces, y_hat]
+            held = [*traces, y_hat, *vs]
             kept = [a.tobytes() for a in held]
 
 
