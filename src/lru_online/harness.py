@@ -308,6 +308,15 @@ def _adapt(learner: OnlineLearner, stream: SequenceData, freeze: int,
             dist[t] = learner.distance
 
 
+def _freeze_row(cfg: FinetuneConfig, n_rows: int) -> int:
+    """The row at which cfg stops updating on a stream of n_rows rows: 0
+    at lr 0, else freeze_after capped at n_rows (n_rows when None)."""
+    freeze = 0 if cfg.lr == 0 else n_rows
+    if cfg.freeze_after is not None:
+        freeze = min(freeze, cfg.freeze_after)
+    return freeze
+
+
 def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                  cfg: FinetuneConfig) -> RunMetrics:
     """Online fine-tuning against a ground-truth stream.
@@ -336,9 +345,7 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     _check_widths(frozen, stream, "stream")
     if stream.n_rows == 0:
         raise ContractViolationError("cannot fine-tune on a stream with no rows")
-    freeze = 0 if cfg.lr == 0 else stream.n_rows
-    if cfg.freeze_after is not None:
-        freeze = min(freeze, cfg.freeze_after)
+    freeze = _freeze_row(cfg, stream.n_rows)
     preds_frozen = _scan_sessions(frozen, stream)
     loss_frozen = huber_values(preds_frozen - stream.targets).mean(axis=1)
     preds, loss = preds_frozen.copy(), loss_frozen.copy()
@@ -368,18 +375,23 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
     """Regularization-strength grid over the full horizon, the freeze-after
     grid with the best lambda (the first least total loss in LAMBDA_GRID)
     and with lambda 0, and the frozen baseline of the last lambda run:
-    4 + 2*3 + 1 rows. Each distinct (lambda, freeze) cell runs
-    cmd_finetune once, in row order; a freeze_after of at least the
-    stream's length is the full horizon, the cell of freeze None."""
+    4 + 2*3 + 1 rows. Each distinct cell runs cmd_finetune once, in row
+    order. A cell is its lambda and its freeze row (_freeze_row): a
+    freeze_after of at least the stream's length is the full horizon, the
+    cell of freeze None, and every cell that never updates (lr 0 or
+    freeze_after 0) is the one frozen run, whatever its lambda."""
     runs = {}
 
-    def row(kind: str, lam: float, freeze: int | None) -> dict:
-        full = freeze is None or freeze >= stream.n_rows
-        cell = lam, None if full else freeze
+    def run(lam: float, freeze: int | None) -> RunMetrics:
+        cfg = replace(base, lambda_reg=lam, freeze_after=freeze)
+        stop = _freeze_row(cfg, stream.n_rows)
+        cell = (lam, stop) if stop else None
         if cell not in runs:
-            runs[cell] = cmd_finetune(ckpt, stream, replace(
-                base, lambda_reg=lam, freeze_after=freeze))
-        metrics = runs[cell]
+            runs[cell] = cmd_finetune(ckpt, stream, cfg)
+        return runs[cell]
+
+    def row(kind: str, lam: float, freeze: int | None) -> dict:
+        metrics = run(lam, freeze)
         return {"kind": kind, "lambda_reg": lam,
                 "freeze_after": "" if freeze is None else freeze,
                 "total_loss": metrics.total_loss,
@@ -387,10 +399,10 @@ def cmd_ablate(ckpt: Checkpoint, stream: SequenceData,
                 "final_anchor_distance": float(metrics.anchor_distance[-1])}
 
     rows = [row("lambda", lam, None) for lam in LAMBDA_GRID]
-    best = min(LAMBDA_GRID, key=lambda lam: runs[lam, None].total_loss)
+    best = min(LAMBDA_GRID, key=lambda lam: run(lam, None).total_loss)
     rows += [row("freeze", lam, freeze)
              for lam in (best, 0.0) for freeze in FREEZE_GRID]
-    last = runs[LAMBDA_GRID[-1], None]
+    last = run(LAMBDA_GRID[-1], None)
     rows.append({"kind": "baseline", "lambda_reg": "", "freeze_after": "",
                  "total_loss": last.total_loss_frozen,
                  "mean_loss": last.mean_loss_frozen,

@@ -284,9 +284,12 @@ def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
 # the fewest entries per time step at which a batched recurrence runs as a
 # plain step loop: below it the chunked form's fewer, larger calls win, at
 # and above it the loop's contiguous (batch, n) steps do. At n = 16 on a
-# 2-vCPU Xeon, against the step-major chunked form, the loop took
-# 0.83-0.87 of the chunked time at 256 entries, 0.96-1.02 at 192 and
-# 1.20-1.50 at 128, for T = 128-3601
+# 2-vCPU Xeon, against the step-major chunked form, the loop (flat lam
+# products) took 0.56-0.62 of the chunked time at 256 entries, 0.67-0.76
+# at 192 and 0.82-1.01 at 128, for T = 128-3601 (with broadcast lam it
+# took 0.83-0.87, 0.96-1.02 and 1.20-1.50). The crossover is now nearer
+# 128, but the two forms round differently and the constant picks which
+# one a batch runs, so lowering it would change trained outputs
 STEP_LOOP_MIN = 256
 
 
@@ -298,27 +301,33 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
     backwards in time.
 
     A batched x (3 or more axes) whose time step x[t] holds at least
-    STEP_LOOP_MIN entries runs the plain step loop x[t] += lam * x[t-1]
-    over contiguous slices x[t]. Every other x, a 2-D (T, n) session
-    included, runs the two-level chunked form first (the blocked
-    algorithm of state space duality, Dao & Gu 2024, for a diagonal
-    transition): T is cut into C chunks of L = isqrt(T) steps plus a tail
-    of T - C*L < L steps. The chunks are copied once in step-major order,
-    (L, C, ..., n), so that step i of every chunk is one contiguous slice.
-    An L-step loop runs the recurrence inside every chunk at once from a
-    zero start, and a C-step loop carries the true state from chunk to
-    chunk (carry_j = lam^L * carry_{j-1} + last local state of chunk
-    j-1), both with out= into one (C, ..., n) buffer. The fix-up is two
-    calls with no temporary: lam^(i+1) * carry_j is written into x's own
-    chunk memory, free once copied, and the local states are added to it.
-    The step loop then runs the tail: about 2*sqrt(T) vectorized steps
-    instead of T. The copy is about x.nbytes of transient memory. Each
-    entry gets the products and sums, in the same operand order, of the
-    form that loops over chunks[:, i] in x's own layout, so the result is
-    bitwise that form's; the one exception is a step of one entry
-    (n = 1) at T = 4 or 5, where that form's one-element fix-up products
-    took numpy's scalar complex multiply, which rounds without the fused
-    multiply-add of its vector loop.
+    STEP_LOOP_MIN entries runs the plain step loop over contiguous slices
+    x[t]: lam is copied once to the step's shape, and each step writes the
+    flat product lam * x[t-1] into one reused buffer and adds it to x[t].
+    A flat multiply costs about half of one that broadcasts lam (n,) over
+    the step, and rounds the same (lam stays the first operand). Every
+    other x, a 2-D (T, n) session included, runs the two-level chunked
+    form first (the blocked algorithm of state space duality, Dao & Gu
+    2024, for a diagonal transition): T is cut into C chunks of L =
+    isqrt(T) steps plus a tail of T - C*L < L steps. The chunks are copied
+    once in step-major order, (L, C, ..., n), so that step i of every
+    chunk is one contiguous slice. An L-step loop runs the recurrence
+    inside every chunk at once from a zero start, and a C-step loop
+    carries the true state from chunk to chunk (carry_j = lam^L *
+    carry_{j-1} + last local state of chunk j-1), both with out= into one
+    (C, ..., n) buffer; the inner loop multiplies by lam copied to that
+    shape. The fix-up is two calls with no temporary: lam^(i+1) * carry_j
+    is written into x's own chunk memory, free once copied, and the local
+    states are added to it. The step loop then runs the tail: about
+    2*sqrt(T) vectorized steps instead of T. The copy is about x.nbytes of
+    transient memory. Each entry gets the products and sums, in the same
+    operand order, of the form that loops over chunks[:, i] in x's own
+    layout, so the result is bitwise that form's. The exceptions are steps
+    of one entry (n = 1): at T = 4 or 5 that form's one-element fix-up
+    products, and in a batch of one window its tail products lam * x[t-1]
+    with lam broadcast, take numpy's scalar complex multiply, which rounds
+    without the fused multiply-add of its vector loop; the flat products
+    here take the vector loop, as a (T, 1) session's tail does.
     """
     T = len(x)
     if h_0 is not None:
@@ -333,14 +342,16 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
         chunks = x[:done].reshape((C, L) + x.shape[1:])
         local = chunks.swapaxes(0, 1).copy()    # local[i]: step i of each chunk
         buf = np.empty_like(local[0])
+        lam_c = np.broadcast_to(lam, buf.shape).copy()
         for i in range(1, L):
-            np.add(local[i], np.multiply(lam, local[i - 1], out=buf),
+            np.add(local[i], np.multiply(lam_c, local[i - 1], out=buf),
                    out=local[i])
         pows = np.cumprod(np.broadcast_to(lam, (L, len(lam))), axis=0)
+        lam_l = pows[-1]
         carry = buf    # carry[j]: the state entering chunk j
         carry[0] = 0
         for j in range(1, C):
-            np.add(np.multiply(pows[-1], carry[j - 1], out=carry[j]),
+            np.add(np.multiply(lam_l, carry[j - 1], out=carry[j]),
                    local[-1, j - 1], out=carry[j])
         # chunks[j, i] = local step i + lam^(i+1) * carry_j, the product
         # written into x's chunk memory (copied to local above) first
@@ -348,9 +359,11 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
         np.multiply(pows.reshape((L,) + (1,) * (x.ndim - 2) + (-1,)),
                     carry[1:, None], out=chunks[1:])
         np.add(local.swapaxes(0, 1)[1:], chunks[1:], out=chunks[1:])
+    lam_s = np.broadcast_to(lam, x.shape[1:]).copy()
+    step = np.empty_like(lam_s)
     prev = x[done - 1]
     for cur in x[done:]:
-        cur += lam * prev
+        cur += np.multiply(lam_s, prev, out=step)
         prev = cur
     return x
 

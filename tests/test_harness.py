@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -70,6 +71,45 @@ def no_data_read(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("data read")
     monkeypatch.setattr(cli, "prepare_tables", fail)
+
+
+class TestPrepareTables:
+    def test_strict_vocab_fits_categories_on_train_only(self, data_dir,
+                                                         tmp_path, caplog):
+        """Weather hours that only the validation session joins carry a
+        conditions value, 'hail', that no training hour has. With
+        strict_vocab the vocabulary lacks it, the validation rows that
+        carry it one-hot to all zeros and a warning names it; without
+        the flag the vocabulary includes it."""
+        lines = (data_dir / "weather.csv").read_text().splitlines()
+        hours = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        _, train, val = prepare_tables(data_dir / "emission.csv",
+                                       data_dir / "weather.csv")
+
+        def joined(ts):
+            return set(np.searchsorted(hours, ts, side="right") - 1)
+
+        val_only = joined(val.timestamps) - joined(train.timestamps)
+        assert val_only
+        for i in val_only:
+            lines[i + 1] = lines[i + 1].rsplit(",", 1)[0] + ",hail"
+        weather = tmp_path / "weather.csv"
+        weather.write_text("\n".join(lines) + "\n")
+        args = data_dir / "emission.csv", weather
+        loose, _, loose_val = prepare_tables(*args)
+        assert "hail" in loose.vocabularies["conditions"]
+        with caplog.at_level(logging.WARNING):
+            strict, _, strict_val = prepare_tables(*args, strict_vocab=True)
+        assert "hail" not in strict.vocabularies["conditions"]
+        assert ("column 'conditions': categories ['hail'] not in vocabulary"
+                in caplog.text)
+        hail = loose_val.features[
+            :, loose.feature_names.index("conditions=hail")] == 1.0
+        assert hail.any()
+        cond = [j for j, name in enumerate(strict.feature_names)
+                if name.startswith("conditions=")]
+        assert np.all(strict_val.features[hail][:, cond] == 0.0)
+        assert np.all(strict_val.features[~hail][:, cond].sum(axis=1) == 1.0)
 
 
 class TestCheckpoint:
@@ -1025,6 +1065,45 @@ class TestAblate:
         assert cmd_ablate(ckpt, data, base) == expect
         assert data.n_rows == 122 < min(harness.FREEZE_GRID)
         assert calls == [(lam, None) for lam in harness.LAMBDA_GRID]
+
+    @pytest.mark.parametrize("lr, grid, expect_calls", [
+        (0.0, harness.FREEZE_GRID, [(0.0, None)]),
+        (1e-1, (0, 1000),
+         [(lam, None) for lam in harness.LAMBDA_GRID] + [(0.01, 0)])],
+        ids=["lr0", "freeze0"])
+    def test_frozen_cells_run_once(self, monkeypatch, lr, grid,
+                                   expect_calls):
+        """A cell that never updates (lr 0, or freeze_after 0) is the one
+        frozen run whatever its lambda. On the committed depth-1 checkpoint
+        and its 122-row stream, cmd_ablate at lr 0 runs cmd_finetune once;
+        at lr 0.1 (best lambda 0.01) with a freeze grid of (0, 1000), the
+        cells (0.01, 0) and (0, 0) share one run. Every row is still
+        bitwise its cell's direct run."""
+        ckpt = load_checkpoint(DATA / "checkpoint_depth1.json")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=ref["features"], targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        base = FinetuneConfig(lr=lr)
+        monkeypatch.setattr(harness, "FREEZE_GRID", grid)
+        calls, finetune = [], harness.cmd_finetune
+
+        def counted(ckpt, stream, cfg):
+            calls.append((cfg.lambda_reg, cfg.freeze_after))
+            return finetune(ckpt, stream, cfg)
+
+        monkeypatch.setattr(harness, "cmd_finetune", counted)
+        rows = cmd_ablate(ckpt, data, base)
+        assert calls == expect_calls
+        assert len(rows) == 4 + 2 * len(grid) + 1
+        for row in rows[:-1]:
+            freeze = row["freeze_after"]
+            m = finetune(ckpt, data, replace(
+                base, lambda_reg=row["lambda_reg"],
+                freeze_after=None if freeze == "" else freeze))
+            assert (row["total_loss"], row["mean_loss"],
+                    row["final_anchor_distance"]) == (
+                m.total_loss, m.mean_loss, float(m.anchor_distance[-1]))
 
 
 class TestEvaluate:

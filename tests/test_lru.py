@@ -381,6 +381,29 @@ class TestLinearRecurrence:
                                    None if h_0 is None else h_0[b])
                 assert np.array_equal(got[:, b], col)
 
+    @pytest.mark.parametrize("T", [128, 256])
+    @pytest.mark.parametrize("batch", [32, 256])
+    @pytest.mark.parametrize("start", ["h_0", "zero"])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reverse"])
+    def test_step_loop_bitwise_at_trained_shapes(self, reverse, start, batch,
+                                                 T, rng):
+        """At the shapes BPTT trains (n = 16, windows of 128 or 256 steps,
+        batches of 32 or 256) the step loop multiplies each step by lam
+        made flat at the step's shape. Each product rounds as the
+        reference's lam * h with lam broadcast, so the result is bitwise
+        sequential_recurrence, forwards and on the time-reversed view,
+        from a given and from a zero start."""
+        lam, x, h_0 = self._case(rng, (batch,), T, 0.9999, n=16)
+        assert x[0].size >= STEP_LOOP_MIN
+        flip = (lambda a: a[::-1]) if reverse else (lambda a: a)
+        ref = flip(sequential_recurrence(
+            lam, flip(x), np.zeros((batch, 16), complex) if start == "zero"
+            else h_0))
+        got = x.copy()
+        _linear_recurrence(lam, flip(got), None if start == "zero" else h_0)
+        assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("T", [1, 2, 3, 15, 16, 17, 63, 64, 65, 3601])
     @pytest.mark.parametrize("start", ["h_0", "zero"])
     @pytest.mark.parametrize("reverse", [False, True],
