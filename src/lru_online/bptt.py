@@ -131,20 +131,19 @@ def bptt_gradient(net: LruNetwork, inputs: np.ndarray,
     with each layer's (lambda, gamma, dlambda) derived again from theta, so
     bitwise the constants its scan used. Time first, every step of both
     recurrences is a contiguous (batch, n) slice; sampled windows are
-    C-contiguous float64 already and are not copied. A batch of at least
-    lru.STEP_LOOP_MIN entries per step runs both recurrences as plain step
-    loops, a smaller one chunked. The residual is taken in place in the top
-    prediction, and the loss and its gradient come from its clipped value
-    psi = min(max(r, -1), 1) (optim._huber_loss_grad: the loss
-    mean(psi (r - psi/2)), the gradient psi / count over the residual's
-    memory). A non-finite loss is a TrainingError naming the batch entries
-    whose residual is not finite, found by running the forward pass again,
-    or saying that the loss overflowed when every residual is finite. The
-    contractions over (time, batch) are real matmuls on float64 views of
-    the complex arrays; sum_t down_t h_t and sum_t s_t u_t run as
-    (B.T @ A).T, the order that was faster in the step on its tall arrays
-    and, with OpenBLAS 0.3.31, bitwise A.T @ B. Inputs and targets that do
-    not fit the network raise in _check_call."""
+    C-contiguous float64 already and are not copied. Both recurrences of a
+    batch, of any width, run as plain step loops. The residual is taken in
+    place in the top prediction, and the loss and its gradient come from
+    its clipped value psi = min(max(r, -1), 1) (optim._huber_loss_grad: the
+    loss mean(psi (r - psi/2)), the gradient psi / count over the
+    residual's memory). A non-finite loss is a TrainingError naming the
+    batch entries whose residual is not finite, found by running the
+    forward pass again, or saying that the loss overflowed when every
+    residual is finite. The contractions over (time, batch) are real
+    matmuls on float64 views of the complex arrays; sum_t down_t h_t and
+    sum_t s_t u_t run as (B.T @ A).T, the order that was faster in the step
+    on its tall arrays and, with OpenBLAS 0.3.31, bitwise A.T @ B. Inputs
+    and targets that do not fit the network raise in _check_call."""
     inputs = np.ascontiguousarray(inputs, dtype=np.float64)
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     _check_call(net, inputs, targets, ndim=3)

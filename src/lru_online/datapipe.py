@@ -168,6 +168,19 @@ def _csv_body(path, header: list[str]):
         raise SchemaError(f"{path}: cannot read: {e}") from None
 
 
+def _records(fh, path, header: list[str]):
+    """The body's (row, cells) records, row counting blank lines, which
+    are skipped; a record not len(header) cells wide is a SchemaError
+    naming its row."""
+    for i, rec in enumerate(csv.reader(fh), start=1):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
+                              f"expected {len(header)}")
+        yield i, rec
+
+
 def _emission_body(path):
     return _csv_body(path, EMISSION_HEADER)
 
@@ -190,17 +203,12 @@ def _body_by_loadtxt(fh) -> np.ndarray | None:
 
 
 def _body_by_cells(fh, path) -> np.ndarray:
-    """The body record by record, one _parse_cell per cell: an empty cell
-    is NaN, and a ragged row, an unparseable cell, no rows or a missing
-    timestamp is a SchemaError naming its record (blank lines counted)."""
+    """The body record by record (_records), one _parse_cell per cell: an
+    empty cell is NaN, and a ragged row, an unparseable cell, no rows or a
+    missing timestamp is a SchemaError naming its record."""
     rows = []
     no_timestamp = None
-    for i, rec in enumerate(csv.reader(fh), start=1):
-        if not rec:
-            continue
-        if len(rec) != len(EMISSION_HEADER):
-            raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
-                              f"expected {len(EMISSION_HEADER)}")
+    for i, rec in _records(fh, path, EMISSION_HEADER):
         rows.append([_parse_cell(c, i, EMISSION_HEADER[j])
                      for j, c in enumerate(rec)])
         if no_timestamp is None and math.isnan(rows[-1][0]):
@@ -248,12 +256,7 @@ def load_weather_csv(path) -> WeatherTable:
     repeated hour is a SchemaError naming its row."""
     with _csv_body(path, WEATHER_HEADER) as fh:
         lines, ts, temp, precip, cond = [], [], [], [], []
-        for i, rec in enumerate(csv.reader(fh), start=1):
-            if not rec:
-                continue
-            if len(rec) != len(WEATHER_HEADER):
-                raise SchemaError(f"{path}: row {i} has {len(rec)} cells, "
-                                  f"expected {len(WEATHER_HEADER)}")
+        for i, rec in _records(fh, path, WEATHER_HEADER):
             hour = _parse_cell(rec[0], i, "timestamp_hour")
             if np.isnan(hour):
                 raise SchemaError(f"{path}: row {i} has no timestamp_hour")

@@ -32,10 +32,10 @@ pass is a network_scan. Every model call is time first: network_scan
 takes a (T, m) session or a (T, batch, m) batch of windows, whose
 recurrence steps are contiguous (batch, n) slices; bptt.bptt_gradient
 takes (T, batch, ·) windows, rtrl.window_gradient one (T, ·) window and
-the online step one row of a session. A batch of at least STEP_LOOP_MIN
-entries per step runs the recurrence as a plain step loop; a smaller
-batch and every 2-D session run it chunked, on a step-major copy of the
-chunks whose steps are contiguous too.
+the online step one row of a session. The recurrence's form follows the
+call: a batch of windows runs it as a plain step loop, and every 2-D
+session runs it chunked, on a step-major copy of the chunks whose steps
+are contiguous too.
 """
 
 from __future__ import annotations
@@ -281,16 +281,18 @@ def layer_constants(k: _LayerKernel) -> tuple[np.ndarray, ...]:
     return k.lam, k.gamma, k.dlam
 
 
-# the fewest entries per time step at which a batched recurrence runs as a
-# plain step loop: below it the chunked form's fewer, larger calls win, at
-# and above it the loop's contiguous (batch, n) steps do. At n = 16 on a
-# 2-vCPU Xeon, against the step-major chunked form, the loop (flat lam
-# products) took 0.56-0.62 of the chunked time at 256 entries, 0.67-0.76
-# at 192 and 0.82-1.01 at 128, for T = 128-3601 (with broadcast lam it
-# took 0.83-0.87, 0.96-1.02 and 1.20-1.50). The crossover is now nearer
-# 128, but the two forms round differently and the constant picks which
-# one a batch runs, so lowering it would change trained outputs
-STEP_LOOP_MIN = 256
+def _steps(lam: np.ndarray, x: np.ndarray, start: int = 1) -> None:
+    """x[t] += lam * x[t-1] for t >= start along axis 0 of x, in place:
+    lam is copied once to the step's shape x[t], and each step writes the
+    flat product lam * x[t-1] into one reused buffer (lam the first
+    operand) and adds it to x[t]. A flat multiply costs about half of one
+    that broadcasts lam (n,) over the step, and rounds the same."""
+    lam_s = np.broadcast_to(lam, x.shape[1:]).copy()
+    step = np.empty_like(lam_s)
+    prev = x[start - 1]
+    for cur in x[start:]:
+        cur += np.multiply(lam_s, prev, out=step)
+        prev = cur
 
 
 def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
@@ -298,73 +300,54 @@ def _linear_recurrence(lam: np.ndarray, x: np.ndarray,
     """h_t = lam * h_{t-1} + x_t along axis 0 of x (T, ..., n), in place:
     x holds h_0..h_{T-1} on return. lam (n,); h_0 (..., n), None for zero.
     x may be a view; on a time-reversed view x[::-1] the recurrence runs
-    backwards in time.
+    backwards in time. Every step runs through _steps.
 
-    A batched x (3 or more axes) whose time step x[t] holds at least
-    STEP_LOOP_MIN entries runs the plain step loop over contiguous slices
-    x[t]: lam is copied once to the step's shape, and each step writes the
-    flat product lam * x[t-1] into one reused buffer and adds it to x[t].
-    A flat multiply costs about half of one that broadcasts lam (n,) over
-    the step, and rounds the same (lam stays the first operand). Every
-    other x, a 2-D (T, n) session included, runs the two-level chunked
-    form first (the blocked algorithm of state space duality, Dao & Gu
-    2024, for a diagonal transition): T is cut into C chunks of L =
-    isqrt(T) steps plus a tail of T - C*L < L steps. The chunks are copied
-    once in step-major order, (L, C, ..., n), so that step i of every
+    A batch of windows (x with 3 or more axes) runs the plain step loop
+    over its contiguous (..., n) steps x[t]; its result is bitwise the
+    one-step-at-a-time lam * h_{t-1} + x_t with lam broadcast, except in
+    steps of one entry, where numpy's broadcast product takes its scalar
+    complex multiply (no fused multiply-add). A 2-D (T, n) session runs the
+    two-level chunked form (the blocked algorithm of state space duality,
+    Dao & Gu 2024, for a diagonal transition): T is cut into C chunks of
+    L = isqrt(T) steps plus a tail of T - C*L < L steps. The chunks are
+    copied once in step-major order, (L, C, n), so that step i of every
     chunk is one contiguous slice. An L-step loop runs the recurrence
-    inside every chunk at once from a zero start, and a C-step loop
-    carries the true state from chunk to chunk (carry_j = lam^L *
-    carry_{j-1} + last local state of chunk j-1), both with out= into one
-    (C, ..., n) buffer; the inner loop multiplies by lam copied to that
-    shape. The fix-up is two calls with no temporary: lam^(i+1) * carry_j
-    is written into x's own chunk memory, free once copied, and the local
-    states are added to it. The step loop then runs the tail: about
-    2*sqrt(T) vectorized steps instead of T. The copy is about x.nbytes of
-    transient memory. Each entry gets the products and sums, in the same
-    operand order, of the form that loops over chunks[:, i] in x's own
-    layout, so the result is bitwise that form's. The exceptions are steps
-    of one entry (n = 1): at T = 4 or 5 that form's one-element fix-up
-    products, and in a batch of one window its tail products lam * x[t-1]
-    with lam broadcast, take numpy's scalar complex multiply, which rounds
-    without the fused multiply-add of its vector loop; the flat products
-    here take the vector loop, as a (T, 1) session's tail does.
+    inside every chunk at once from a zero start, and a C-step loop carries
+    the true state from chunk to chunk (carry_j = lam^L * carry_{j-1} +
+    last local state of chunk j-1). The fix-up is two calls with no
+    temporary: lam^(i+1) * carry_j is written into x's own chunk memory,
+    free once copied, and the local states are added to it. The step loop
+    then runs the tail: about 2*sqrt(T) vectorized steps instead of T. The
+    copy is about x.nbytes of transient memory. Each entry gets the
+    products and sums, in the same operand order, of the form that loops
+    over chunks[:, i] in x's own layout, so the result is bitwise that
+    form's. The exception is a session of one-entry steps (n = 1) at T = 4
+    or 5: there that form's one-element fix-up products take numpy's scalar
+    complex multiply, which rounds without the fused multiply-add of its
+    vector loop.
     """
     T = len(x)
     if h_0 is not None:
         x[0] += lam * h_0
-    if x.ndim > 2 and x[0].size >= STEP_LOOP_MIN:
-        done = 1
-    else:
-        L = max(1, math.isqrt(T))
-        C = T // L
-        done = C * L
-        # splitting one axis never copies, so writes to chunks land in x
-        chunks = x[:done].reshape((C, L) + x.shape[1:])
-        local = chunks.swapaxes(0, 1).copy()    # local[i]: step i of each chunk
-        buf = np.empty_like(local[0])
-        lam_c = np.broadcast_to(lam, buf.shape).copy()
-        for i in range(1, L):
-            np.add(local[i], np.multiply(lam_c, local[i - 1], out=buf),
-                   out=local[i])
-        pows = np.cumprod(np.broadcast_to(lam, (L, len(lam))), axis=0)
-        lam_l = pows[-1]
-        carry = buf    # carry[j]: the state entering chunk j
-        carry[0] = 0
-        for j in range(1, C):
-            np.add(np.multiply(lam_l, carry[j - 1], out=carry[j]),
-                   local[-1, j - 1], out=carry[j])
-        # chunks[j, i] = local step i + lam^(i+1) * carry_j, the product
-        # written into x's chunk memory (copied to local above) first
-        chunks[0] = local[:, 0]
-        np.multiply(pows.reshape((L,) + (1,) * (x.ndim - 2) + (-1,)),
-                    carry[1:, None], out=chunks[1:])
-        np.add(local.swapaxes(0, 1)[1:], chunks[1:], out=chunks[1:])
-    lam_s = np.broadcast_to(lam, x.shape[1:]).copy()
-    step = np.empty_like(lam_s)
-    prev = x[done - 1]
-    for cur in x[done:]:
-        cur += np.multiply(lam_s, prev, out=step)
-        prev = cur
+    if x.ndim > 2:
+        _steps(lam, x)
+        return x
+    L = max(1, math.isqrt(T))
+    C = T // L
+    # splitting one axis never copies, so writes to chunks land in x
+    chunks = x[:C * L].reshape(C, L, -1)
+    local = chunks.swapaxes(0, 1).copy()    # local[i]: step i of each chunk
+    _steps(lam, local)
+    pows = np.cumprod(np.broadcast_to(lam, (L, len(lam))), axis=0)
+    carry = np.zeros_like(local[0])    # carry[j]: the state entering chunk j
+    carry[1:] = local[-1, :-1]
+    _steps(pows[-1], carry)
+    # chunks[j, i] = local step i + lam^(i+1) * carry_j, the product
+    # written into x's chunk memory (copied to local above) first
+    chunks[0] = local[:, 0]
+    np.multiply(pows, carry[1:, None], out=chunks[1:])
+    np.add(local.swapaxes(0, 1)[1:], chunks[1:], out=chunks[1:])
+    _steps(lam, x, C * L)
     return x
 
 
@@ -377,7 +360,7 @@ def scan_forward(params: LruLayerParams, h_0: np.ndarray,
     (h_seq, y_seq) with shapes (T, ..., n) and (T, ..., p): T rows of
     the online step's state update and readout from h_0, up to rounding
     (the input and output products are matmuls over every row, and the
-    recurrence is chunked or, for a wide enough batch, a plain step loop).
+    recurrence of a session is chunked, that of a batch a plain step loop).
     An input row that is not m wide, or an h_0 that is not one (n,) state
     per row of u_seq[0], is a ContractViolationError.
     """

@@ -11,7 +11,7 @@ from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError, TrainingError)
 from lru_online import lru
 from lru_online.harness import PretrainConfig, cmd_evaluate
-from lru_online.lru import STEP_LOOP_MIN, init_network
+from lru_online.lru import init_network
 from lru_online.optim import huber
 from lru_online.rtrl import window_gradient
 
@@ -339,19 +339,19 @@ class TestBpttGradient:
                                                         batch=4))
 
     def test_step_loop_batch_matches_mean_of_singles(self, rng):
-        """A batch of STEP_LOOP_MIN / n windows runs both recurrences of
-        both layers as plain step loops; each single window runs them
-        chunked. The two branches meet in the mean."""
+        """A batch of 32 windows at n = 8 runs both recurrences of both
+        layers as plain step loops over 256 entries per step, and each
+        single window as a step loop over 8. The batch and its windows
+        meet in the mean."""
         net = small_random_net(rng, m=3, n=8, p=2, depth=2)
         self._assert_mean_of_singles(net, *random_batch(
-            rng, net, T=40, batch=STEP_LOOP_MIN // 8))
+            rng, net, T=40, batch=32))
 
     def test_finite_differences_step_loop(self, rng):
-        """The finite-difference check on a depth-2 batch whose forward
-        scans and adjoints run as plain step loops."""
+        """The finite-difference check on a depth-2 batch of 32 windows,
+        whose forward scans and adjoints run as plain step loops."""
         net = small_random_net(rng, m=2, n=8, p=2, depth=2)
-        inputs, targets = random_batch(rng, net, T=20,
-                                       batch=STEP_LOOP_MIN // 8)
+        inputs, targets = random_batch(rng, net, T=20, batch=32)
         _, grads = bptt_gradient(net, inputs, targets)
         fd = finite_difference_grads(net, inputs, targets)
         assert max_rel_error(grads, fd, floor=1e-6) < 1e-4

@@ -14,7 +14,7 @@ from conftest import constants, forward_row, in_theta_order, random_batch
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ConfigurationError, ContractViolationError
 from lru_online.harness import FinetuneConfig, OnlineLearner
-from lru_online.lru import (STEP_LOOP_MIN, LruLayerParams, LruNetwork,
+from lru_online.lru import (LruLayerParams, LruNetwork,
                             _LayerKernel, _linear_recurrence,
                             init_layer, init_network, network_scan,
                             scan_forward)
@@ -352,16 +352,13 @@ class TestLinearRecurrence:
     @pytest.mark.parametrize("start", ["h_0", "zero"])
     @pytest.mark.parametrize("reverse", [False, True],
                              ids=["forward", "reverse"])
-    @pytest.mark.parametrize("width", [STEP_LOOP_MIN // 8 - 1,
-                                       STEP_LOOP_MIN // 8],
-                             ids=["below", "at"])
+    @pytest.mark.parametrize("width", [31, 32], ids=["below", "at"])
     def test_both_branches(self, width, reverse, start, T, rng):
-        """A (T, width, 8) batch holds 8 * width entries per step. Just
-        below STEP_LOOP_MIN it runs chunked, so each window is bitwise its
-        own (T, 8) session scan; at STEP_LOOP_MIN it runs the plain step
-        loop, bitwise the reference. Both stay within 1e-12 of the
-        reference, forwards and on the time-reversed view the adjoint
-        takes, from a given and from a zero start."""
+        """A (T, width, 8) batch holds 8 * width entries per step: 248 just
+        below 256 and 256 at it, the width at which a batch once switched
+        from the chunked form to the step loop. Both now run the one step
+        loop, bitwise the reference, forwards and on the time-reversed view
+        the adjoint takes, from a given and from a zero start."""
         lam, x, h_0 = self._case(rng, (width,), T, 0.9999, n=8)
         if start == "zero":
             h_0 = None
@@ -371,31 +368,22 @@ class TestLinearRecurrence:
             else h_0))
         got = x.copy()
         _linear_recurrence(lam, flip(got), h_0)
-        assert self._rel_err(got, ref) < 1e-12
-        if 8 * width >= STEP_LOOP_MIN:
-            assert np.array_equal(got, ref)
-        else:
-            for b in range(width):
-                col = x[:, b].copy()
-                _linear_recurrence(lam, flip(col),
-                                   None if h_0 is None else h_0[b])
-                assert np.array_equal(got[:, b], col)
+        assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("T", [128, 256])
-    @pytest.mark.parametrize("batch", [32, 256])
+    @pytest.mark.parametrize("T", [1, 2, 17, 128, 256])
+    @pytest.mark.parametrize("batch", [1, 4, 15, 32, 256])
     @pytest.mark.parametrize("start", ["h_0", "zero"])
     @pytest.mark.parametrize("reverse", [False, True],
                              ids=["forward", "reverse"])
     def test_step_loop_bitwise_at_trained_shapes(self, reverse, start, batch,
                                                  T, rng):
-        """At the shapes BPTT trains (n = 16, windows of 128 or 256 steps,
-        batches of 32 or 256) the step loop multiplies each step by lam
-        made flat at the step's shape. Each product rounds as the
-        reference's lam * h with lam broadcast, so the result is bitwise
-        sequential_recurrence, forwards and on the time-reversed view,
-        from a given and from a zero start."""
+        """At n = 16, a batch of any width (one window up to the 256 BPTT
+        trains with) and windows of 1 to 256 steps, the step loop
+        multiplies each step by lam made flat at the step's shape. Each
+        product rounds as the reference's lam * h with lam broadcast, so
+        the result is bitwise sequential_recurrence, forwards and on the
+        time-reversed view, from a given and from a zero start."""
         lam, x, h_0 = self._case(rng, (batch,), T, 0.9999, n=16)
-        assert x[0].size >= STEP_LOOP_MIN
         flip = (lambda a: a[::-1]) if reverse else (lambda a: a)
         ref = flip(sequential_recurrence(
             lam, flip(x), np.zeros((batch, 16), complex) if start == "zero"
@@ -476,11 +464,11 @@ def chunked_scan(net, u):
 
 class TestNetworkForward:
     @pytest.mark.parametrize("widths, T", [((16,), 3601), ((8, 8), 200),
-                                           ((STEP_LOOP_MIN,), 300)])
+                                           ((256,), 300)])
     def test_session_scan_is_chunked_bitwise(self, widths, T, rng):
         """A 2-D (T, m) network_scan, the scan of every evaluated session,
-        is bitwise the chunked reference, also when one step holds
-        STEP_LOOP_MIN or more entries."""
+        is bitwise the chunked reference, also when one step holds 256
+        or more entries."""
         net = init_network(9, widths, 5, seed=4)
         net.theta += 0.1 * in_theta_order(
             net, rng.standard_normal(net.theta.size))   # D != 0
