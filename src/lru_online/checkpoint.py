@@ -50,7 +50,7 @@ def _network_from_jsonable(path, obj) -> LruNetwork:
         try:
             layers.append(LruLayerParams.from_blocks(
                 **{name: blocks[name] for name in PARAM_BLOCKS}))
-        except (ValueError, ContractViolationError) as e:
+        except (ValueError, TypeError, ContractViolationError) as e:
             raise CheckpointError(f"{path}: params layer {k}: {e}") from None
     try:
         return LruNetwork(layers)

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .datapipe import SequenceData, apply_pipeline, split_sessions
+from .datapipe import (IMPUTE_WINDOW, SequenceData, apply_pipeline,
+                       split_sessions)
 from .errors import CompatibilityError, ConfigurationError, LruOnlineError
 from .harness import (TRAINERS, FinetuneConfig, PretrainConfig, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
@@ -40,10 +41,11 @@ def _provenance() -> dict:
 
 @contextmanager
 def _recording(args, command: str, config: dict, results: dict):
-    """The one writer of run directories: yields the directory for the
-    command's files, then writes summary.json, so a write that raises
-    leaves none. Enter it once the run's work is done. The name's hash
-    leaves out func, which prints with a per-process address."""
+    """The one writer of run directories: deletes a reused directory's
+    summary.json, yields the directory for the command's files, then
+    writes summary.json, so a write that raises leaves none. Enter it once
+    the run's work is done. The name's hash leaves out func, which prints
+    with a per-process address."""
     if args.run_dir:
         run_dir = Path(args.run_dir)
     else:
@@ -53,6 +55,7 @@ def _recording(args, command: str, config: dict, results: dict):
         stamp = time.strftime("%Y%m%d-%H%M%S")
         run_dir = Path(args.out) / f"{command}-{stamp}-{h.hexdigest()[:8]}"
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "summary.json").unlink(missing_ok=True)
     yield run_dir
     with open(run_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump({"command": command, "config": config, "results": results,
@@ -90,12 +93,10 @@ def _gen_cfg(args) -> GeneratorConfig:
         seed=args.seed)
 
 
-def _prepared(args, window: int = 5):
+def _prepared(args):
     data_dir = Path(args.data)
     return prepare_tables(data_dir / "emission.csv", data_dir / "weather.csv",
-                          window=window,
-                          strict_vocab=getattr(args, "strict_vocab", False),
-                          train_fraction=args.train_fraction)
+                          strict_vocab=getattr(args, "strict_vocab", False))
 
 
 def _finetune_stream(args) -> tuple[Checkpoint, SequenceData]:
@@ -109,9 +110,9 @@ def _finetune_stream(args) -> tuple[Checkpoint, SequenceData]:
     table = load_grid(data_dir / "emission.csv", data_dir / "weather.csv",
                       ckpt.pipeline.window)
     if args.split == "val":
-        _, table = split_sessions(table, args.train_fraction)
+        _, table = split_sessions(table)
     elif args.split == "train":
-        table, _ = split_sessions(table, args.train_fraction)
+        table, _ = split_sessions(table)
     return ckpt, apply_pipeline(ckpt.pipeline, table)
 
 
@@ -127,9 +128,8 @@ def _do_gen_data(args) -> int:
 
 
 def _do_preprocess(args) -> int:
-    config = {"data": args.data, "train_fraction": args.train_fraction,
-              "window": args.window, "strict_vocab": args.strict_vocab}
-    pipe, train, val = _prepared(args, window=args.window)
+    config = {"data": args.data, "strict_vocab": args.strict_vocab}
+    pipe, train, val = _prepared(args)
     with _recording(args, "preprocess", config, {
             "train_rows": train.n_rows, "val_rows": val.n_rows,
             "n_features": len(pipe.feature_names),
@@ -158,15 +158,18 @@ def _parse_layers(spec: str) -> tuple[int, ...]:
                              int))
 
 
+def _parse_clip(x: str) -> float | None:
+    """A clip threshold; "none" (or empty) is no clipping."""
+    return None if x in ("none", "") else float(x)
+
+
 def _do_pretrain(args) -> int:
-    clip = None if args.no_clip else args.clip
     pcfg = PretrainConfig(trainer=args.trainer,
                           layers=_parse_layers(args.layers),
                           steps=args.steps, batch=args.batch, lr=args.lr,
-                          clip=clip, window=args.window, seed=args.seed,
-                          eval_every=args.eval_every,
-                          r_min=args.r_min, r_max=args.r_max)
-    pipe, train, val = _prepared(args, window=args.pipeline_window)
+                          clip=args.clip, window=args.window, seed=args.seed,
+                          eval_every=args.eval_every)
+    pipe, train, val = _prepared(args)
     ckpt, result = cmd_pretrain(train, val, pipe, pcfg,
                                 provenance=_provenance())
     with _recording(args, "pretrain", ckpt.config, {
@@ -184,8 +187,7 @@ def _do_sweep(args) -> int:
     scfg = SweepConfig(
         layers=[_parse_layers(s) for s in args.layers.split(";")],
         lrs=_parse_list("--lrs", args.lrs.split(","), float),
-        clips=_parse_list("--clips", args.clips.split(","),
-                          lambda x: None if x in ("none", "") else float(x)),
+        clips=_parse_list("--clips", args.clips.split(","), _parse_clip),
         trainers=args.trainers.split(","),
         repeats=args.repeats, steps=args.steps, batch=args.batch,
         window=args.window, eval_every=args.eval_every, seed=args.seed)
@@ -204,7 +206,7 @@ def _finetune_cfg(args) -> FinetuneConfig:
     return FinetuneConfig(
         lambda_reg=args.lambda_reg,
         freeze_after=args.freeze_after,
-        lr=args.lr, clip=None if args.no_clip else args.clip)
+        lr=args.lr, clip=args.clip)
 
 
 def _do_finetune(args) -> int:
@@ -286,7 +288,6 @@ def _add_gen_flags(p):
 def _add_data_flags(p):
     p.add_argument("--data", required=True,
                    help="directory with emission.csv and weather.csv")
-    p.add_argument("--train-fraction", type=float, default=0.8)
 
 
 def _add_checkpoint_flags(p):
@@ -299,8 +300,8 @@ def _add_finetune_flags(p):
     p.add_argument("--lambda-reg", type=float, default=f.lambda_reg)
     p.add_argument("--freeze-after", type=int, default=f.freeze_after)
     p.add_argument("--lr", type=float, default=f.lr)
-    p.add_argument("--clip", type=float, default=f.clip)
-    p.add_argument("--no-clip", action="store_true")
+    p.add_argument("--clip", type=_parse_clip, default=f.clip,
+                   help="gradient-norm bound, or none")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="materialize the pipeline outputs")
     _add_common(p)
     _add_data_flags(p)
-    p.add_argument("--window", type=int, default=5)
     p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_preprocess)
 
@@ -329,13 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=c.steps)
     p.add_argument("--batch", type=int, default=c.batch)
     p.add_argument("--lr", type=float, default=c.lr)
-    p.add_argument("--clip", type=float, default=c.clip)
-    p.add_argument("--no-clip", action="store_true")
+    p.add_argument("--clip", type=_parse_clip, default=c.clip,
+                   help="gradient-norm bound, or none")
     p.add_argument("--window", type=int, default=c.window)
     p.add_argument("--eval-every", type=int, default=c.eval_every)
-    p.add_argument("--r-min", type=float, default=c.r_min)
-    p.add_argument("--r-max", type=float, default=c.r_max)
-    p.add_argument("--pipeline-window", type=int, default=5)
     p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_pretrain)
 
@@ -376,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_gen_flags(p)
     p.add_argument("--mask-rate", type=float, default=0.2)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=int, default=IMPUTE_WINDOW)
     p.add_argument("--k", type=int, default=20)
     p.set_defaults(func=_do_impute_bench)
 

@@ -30,6 +30,7 @@ EMISSION_FEATURES = ["engine_rpm", "fuel_lph", "coolant_c", "speed_kmh",
                      "fuel_econ_kmpl"]
 WEATHER_HEADER = ["timestamp_hour", "temp_c", "precip_mm", "conditions"]
 SESSION_GAP_S = 60.0   # a longer gap between consecutive rows starts a session
+IMPUTE_WINDOW = 5      # rolling-median width, recorded in each FittedPipeline
 
 
 # -------------------------------------------------------------------- tables
@@ -397,7 +398,8 @@ def _impute_session(block: np.ndarray, missing: np.ndarray, w: int) -> None:
     block[col, at] = block[src // n, src % n]
 
 
-def impute_rolling_median(table: SeriesTable, w: int = 5) -> SeriesTable:
+def impute_rolling_median(table: SeriesTable,
+                          w: int = IMPUTE_WINDOW) -> SeriesTable:
     """Four-step recipe per numeric column, per session:
     centered width-w median over observed values, substitute at missing
     cells, then backward fill and forward fill for the boundary runs.
@@ -508,7 +510,7 @@ class FittedPipeline:
 
 
 def fit_pipeline(train_table: SeriesTable, vocab_table: SeriesTable | None = None,
-                 window: int = 5) -> FittedPipeline:
+                 window: int = IMPUTE_WINDOW) -> FittedPipeline:
     """Fit standardization on the training sessions. One-hot vocabularies are
     fit on vocab_table when given (pass the union of train and validation to
     keep feature dimensions aligned across the two; omit for a strict

@@ -15,12 +15,12 @@ import numpy as np
 from .bptt import (TrainConfig, TrainResult, _check_widths, _finite_score,
                    _scan_sessions, bptt_gradient, train)
 from .checkpoint import Checkpoint
-from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
-                       apply_pipeline, fit_pipeline, impute_knn,
+from .datapipe import (IMPUTE_WINDOW, FittedPipeline, SequenceData,
+                       SeriesTable, apply_pipeline, fit_pipeline, impute_knn,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
-from .lru import LruNetwork, _check_layers, _check_ring, init_network
+from .lru import LruNetwork, _check_layers, init_network
 from .optim import (AdamState, AnchorConfig, _Descent, _huber_grad,
                     huber_values)
 from .rtrl import H, _StreamPlan, reset_trace, window_gradient
@@ -29,7 +29,8 @@ from .synth import GeneratorConfig, generate_dataset
 
 # ------------------------------------------------------------ data plumbing
 
-def load_grid(emission_path, weather_path, window: int = 5) -> SeriesTable:
+def load_grid(emission_path, weather_path,
+              window: int = IMPUTE_WINDOW) -> SeriesTable:
     """Load the CSVs, join the hourly weather, resample every session to the
     1 s grid and impute it with the rolling median."""
     table = load_emission_csv(emission_path)
@@ -37,14 +38,13 @@ def load_grid(emission_path, weather_path, window: int = 5) -> SeriesTable:
     return impute_rolling_median(resample_to_grid(table), window)
 
 
-def prepare_tables(emission_path, weather_path, window: int = 5,
-                   strict_vocab: bool = False, train_fraction: float = 0.8
+def prepare_tables(emission_path, weather_path, strict_vocab: bool = False
                    ) -> tuple[FittedPipeline, SequenceData, SequenceData]:
-    """Full preprocessing: load_grid, session split, pipeline fit
-    (vocabularies over train+val unless strict_vocab) and apply."""
-    table = load_grid(emission_path, weather_path, window)
-    train_t, val_t = split_sessions(table, train_fraction)
-    pipe = fit_pipeline(train_t, None if strict_vocab else table, window)
+    """Full preprocessing: load_grid, split_sessions at its default, pipeline
+    fit (vocabularies over train+val unless strict_vocab) and apply."""
+    table = load_grid(emission_path, weather_path)
+    train_t, val_t = split_sessions(table)
+    pipe = fit_pipeline(train_t, None if strict_vocab else table)
     return pipe, apply_pipeline(pipe, train_t), apply_pipeline(pipe, val_t)
 
 
@@ -55,20 +55,18 @@ TRAINERS = ("bptt", "rtrl")
 
 @dataclass
 class PretrainConfig(TrainConfig):
-    """TrainConfig plus the model shape, its eigenvalue ring and the
-    trainer, all checked here. The RTRL trainer updates once per window,
-    one window per training step, so `batch` applies to BPTT only."""
+    """TrainConfig plus the model shape and the trainer, both checked here.
+    The network starts from init_network's default eigenvalue ring. The
+    RTRL trainer updates once per window, one window per training step,
+    so `batch` applies to BPTT only."""
     trainer: str = "bptt"                 # one of TRAINERS
     layers: tuple[int, ...] = (16,)
-    r_min: float = 0.9
-    r_max: float = 0.999
 
     def __post_init__(self):
         super().__post_init__()
         if self.trainer not in TRAINERS:
             raise ConfigurationError(f"unknown trainer {self.trainer!r}")
         _check_layers(self.layers)
-        _check_ring(self.r_min, self.r_max)
 
 
 def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
@@ -76,8 +74,7 @@ def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
                  provenance: dict | None = None
                  ) -> tuple[Checkpoint, TrainResult]:
     net = init_network(train_data.features.shape[1], tuple(cfg.layers),
-                       train_data.targets.shape[1],
-                       r_min=cfg.r_min, r_max=cfg.r_max, seed=cfg.seed)
+                       train_data.targets.shape[1], seed=cfg.seed)
     if cfg.trainer == "rtrl":   # one window per RTRL step
         result = train(net, train_data, val_data, replace(cfg, batch=1),
                        lambda net, inputs, targets: window_gradient(
@@ -445,7 +442,8 @@ def cmd_evaluate(ckpt: Checkpoint, data: SequenceData) -> dict:
 # --------------------------------------------------------- imputer benchmark
 
 def impute_benchmark(gen_cfg: GeneratorConfig, mask_rate: float = 0.2,
-                     window: int = 5, k: int = 20, seed: int = 0) -> dict:
+                     window: int = IMPUTE_WINDOW, k: int = 20,
+                     seed: int = 0) -> dict:
     """Mask cells of a fully observed synthetic validation table and compare
     the two imputers by MSE on the masked cells (standardized scale). A
     mask_rate outside (0, 1], or a draw that masks no row, is a

@@ -73,6 +73,24 @@ def no_data_read(monkeypatch):
     monkeypatch.setattr(cli, "prepare_tables", fail)
 
 
+def built_configs(monkeypatch, argv, builder: str, kind: type) -> list:
+    """The `kind` arguments that main(argv) passes to cli.`builder`, with
+    the data and checkpoint readers stubbed out."""
+    class Built(Exception):
+        pass
+    built = []
+
+    def capture(*args, **kwargs):
+        built.extend(a for a in args if isinstance(a, kind))
+        raise Built
+    monkeypatch.setattr(cli, builder, capture)
+    monkeypatch.setattr(cli, "prepare_tables", lambda *a, **k: (None,) * 3)
+    monkeypatch.setattr(cli, "_finetune_stream", lambda args: (None, None))
+    with pytest.raises(Built):
+        main(argv)
+    return built
+
+
 class TestPrepareTables:
     def test_strict_vocab_fits_categories_on_train_only(self, data_dir,
                                                          tmp_path, caplog):
@@ -168,7 +186,10 @@ class TestCheckpoint:
         (lambda p: p[0].pop("d"), r"missing blocks \['d'\]"),
         (lambda p: p.append(dict(p[0])), "layer 0 output width"),
         (lambda p: p.__setitem__(0, 1), "layer 0 is not an object"),
-    ], ids=["wrong_shape", "missing_block", "layer_chaining", "not_object"])
+        (lambda p: p[0].update(nu={"x": 1}), "params layer 0: float"),
+        (lambda p: p[0].update(d=[{"x": 1}]), "params layer 0: float"),
+    ], ids=["wrong_shape", "missing_block", "layer_chaining", "not_object",
+            "block_is_object", "block_holds_object"])
     def test_malformed_params_rejected(self, pretrained, tmp_path, edit,
                                        match):
         ckpt, _ = pretrained
@@ -1383,6 +1404,7 @@ class TestCli:
         with open(run / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2 * 2       # trainers x layers x clips
+        assert {r["clip"] for r in rows} == {"0.5", ""}     # none: empty
         assert all(r["error"] == "" for r in rows)
         assert all(np.isfinite(float(r["best_val_loss"])) for r in rows)
         summary = json.loads((run / "summary.json").read_text())
@@ -1519,7 +1541,7 @@ class TestCli:
         main(["gen-data", "--out", str(data), "--sessions", "2",
               "--session-seconds", "100", "--seed", "1"])
         code = main(["pretrain", "--data", str(data), "--run-dir",
-                     str(tmp_path / "r"), "--r-min", "0.9", "--r-max", "0.5",
+                     str(tmp_path / "r"), "--layers", "0",
                      "--steps", "1", "--batch", "1", "--window", "8"])
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
@@ -1667,18 +1689,6 @@ class TestCli:
         assert err["error"] == category and str(named) in err["message"]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("fraction", ["7", "nan", "-1"])
-    def test_bad_train_fraction_exits_2(self, data_dir, tmp_path, capsys,
-                                        fraction):
-        out = tmp_path / "runs"
-        out.mkdir()
-        code = main(["preprocess", "--data", str(data_dir), "--out", str(out),
-                     "--train-fraction", fraction])
-        assert code == EXIT_CODES["configuration"]
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "train_fraction" in err["message"]
-        assert list(out.iterdir()) == []
-
     def test_checkpoint_error_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data"
         main(["gen-data", "--out", str(data), "--sessions", "2",
@@ -1725,6 +1735,44 @@ class TestCli:
         assert code == EXIT_CODES["checkpoint"]
         assert not (run / "summary.json").exists()
 
+    def test_failed_rerun_deletes_earlier_summary(self, data_dir, tmp_path,
+                                                  capsys, monkeypatch):
+        """A run into a reused --run-dir that fails after the directory is
+        entered deletes the earlier run's summary.json, so the directory
+        does not claim the earlier run whole beside the new run's files."""
+        run = tmp_path / "pre"
+        argv = ["pretrain", "--data", str(data_dir), "--run-dir", str(run),
+                "--layers", "4", "--steps", "2", "--batch", "2",
+                "--window", "16"]
+        assert main(argv + ["--eval-every", "1"]) == 0
+        assert (run / "summary.json").exists()
+
+        def fail(ckpt, path):
+            raise CheckpointError(f"{path}: write failed")
+        monkeypatch.setattr(cli, "save_checkpoint", fail)
+        code = main(argv + ["--eval-every", "2"])
+        assert code == EXIT_CODES["checkpoint"]
+        assert not (run / "summary.json").exists()
+
+    def test_malformed_params_block_exits_7(self, data_dir, pretrained,
+                                            tmp_path, capsys):
+        """A param block that holds a JSON object is a checkpoint error
+        naming the layer, not a traceback, and no run directory is left."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        doc["params"][0]["nu"] = {"x": 1}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out)])
+        assert code == EXIT_CODES["checkpoint"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "params layer 0" in err["message"]
+        assert list(out.iterdir()) == []
+
     def test_predictions_csv_holds_evaluate_arrays(
             self, data_dir, pretrained, stream, tmp_path, capsys):
         """predictions.csv is step, timestamp, pred_<name>..., true_<name>...
@@ -1749,21 +1797,6 @@ class TestCli:
                                       result["predictions"])
         np.testing.assert_array_equal(values[:, 2 + p:], result["targets"])
 
-    @pytest.mark.parametrize("r_min, r_max", [("0.9", "0.5"), ("0", "0.5"),
-                                              ("0.5", "1")])
-    def test_bad_ring_exits_2_before_data(self, no_data_read, tmp_path,
-                                          capsys, r_min, r_max):
-        """An eigenvalue ring outside 0 < r_min <= r_max < 1 exits 2 before
-        any data is read, even when --data does not exist."""
-        out = tmp_path / "runs"
-        out.mkdir()
-        code = main(["pretrain", "--data", str(tmp_path / "nowhere"),
-                     "--out", str(out), "--r-min", r_min, "--r-max", r_max])
-        assert code == EXIT_CODES["configuration"]
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "eigenvalue ring" in err["message"]
-        assert list(out.iterdir()) == []
-
     @pytest.mark.parametrize("argv, builder, default", [
         (["gen-data", "--out", "o"], "generate_dataset", GeneratorConfig()),
         (["impute-bench"], "impute_benchmark", GeneratorConfig()),
@@ -1778,16 +1811,37 @@ class TestCli:
                                                builder, default):
         """With no optional flag, each command builds the config that its
         dataclass defaults make."""
-        class Built(Exception):
-            pass
-        built = []
+        assert built_configs(monkeypatch, argv, builder,
+                             type(default)) == [default]
 
-        def capture(*args, **kwargs):
-            built.extend(a for a in args if isinstance(a, type(default)))
-            raise Built
-        monkeypatch.setattr(cli, builder, capture)
-        monkeypatch.setattr(cli, "prepare_tables", lambda *a, **k: (None,) * 3)
-        monkeypatch.setattr(cli, "_finetune_stream", lambda args: (None, None))
-        with pytest.raises(Built):
-            main(argv)
-        assert built == [default]
+    @pytest.mark.parametrize("argv, builder, config", [
+        (["pretrain", "--data", "d"], "cmd_pretrain", PretrainConfig),
+        (["finetune", "--data", "d", "--checkpoint", "c"], "cmd_finetune",
+         FinetuneConfig),
+        (["ablate", "--data", "d", "--checkpoint", "c"], "cmd_ablate",
+         FinetuneConfig),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_clip_none_builds_unclipped_config(self, monkeypatch, argv,
+                                               builder, config):
+        """--clip none builds the default config with clip None."""
+        assert built_configs(monkeypatch, argv + ["--clip", "none"], builder,
+                             config) == [config(clip=None)]
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
+    def test_nan_clip_exits_2_before_data(self, no_data_read, tmp_path,
+                                          capsys, command):
+        """A --clip of NaN exits 2 naming clip before any data or
+        checkpoint is read, and no run directory is left (a clip of 0:
+        test_non_positive_train_size_exits_2 and
+        test_invalid_finetune_config_exits_2)."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        checkpoint = ([] if command == "pretrain"
+                      else ["--checkpoint", str(tmp_path / "absent.json")])
+        code = main([command, "--data", str(tmp_path / "nowhere"), "--out",
+                     str(out), "--clip", "nan"] + checkpoint)
+        assert code == EXIT_CODES["configuration"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "clip" in err["message"]
+        assert list(out.iterdir()) == []
+

@@ -408,8 +408,7 @@ def test_pretrain_reference_runs_within_bound(check, key):
     train, val, cfg = PRETRAIN_RUNS[key]
     ckpt, result = cmd_pretrain(train, val, None, cfg)
     start = init_network(train.features.shape[1], cfg.layers,
-                         train.targets.shape[1], cfg.r_min, cfg.r_max,
-                         cfg.seed)
+                         train.targets.shape[1], seed=cfg.seed)
     theta, curve, best_val, diverged = oracle.train(
         start.theta, dims(start), data_tuple(train), data_tuple(val),
         cfg.steps, cfg.batch, cfg.window, cfg.lr, cfg.clip, cfg.seed,

@@ -1,7 +1,11 @@
-"""The package's public names: one reviewed list, so that adding or
-removing a name is a visible change here."""
+"""The package's public names and the CLI's options: one reviewed list
+each, so that adding or removing a name or a flag is a visible change
+here."""
+
+import argparse
 
 import lru_online
+from lru_online.cli import build_parser
 
 PUBLIC = [
     "AdamState", "AnchorConfig", "Checkpoint", "FinetuneConfig",
@@ -25,3 +29,38 @@ def test_public_names_are_the_reviewed_list():
     assert sorted(lru_online.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(lru_online, name), name
+
+
+# Each subcommand's options in the order the parser declares them, --help
+# left out.
+CLI_OPTIONS = {
+    "gen-data": ["--out", "--seed", "--sessions", "--session-seconds",
+                 "--missing-rate", "--shift-sessions", "--emission-gain",
+                 "--ambient-offset"],
+    "preprocess": ["--out", "--run-dir", "--data", "--strict-vocab"],
+    "pretrain": ["--out", "--run-dir", "--data", "--seed", "--trainer",
+                 "--layers", "--steps", "--batch", "--lr", "--clip",
+                 "--window", "--eval-every", "--strict-vocab"],
+    "sweep": ["--out", "--run-dir", "--data", "--seed", "--layers", "--lrs",
+              "--clips", "--trainers", "--repeats", "--steps", "--batch",
+              "--window", "--eval-every"],
+    "finetune": ["--out", "--run-dir", "--data", "--checkpoint", "--split",
+                 "--lambda-reg", "--freeze-after", "--lr", "--clip"],
+    "ablate": ["--out", "--run-dir", "--data", "--checkpoint", "--split",
+               "--lambda-reg", "--freeze-after", "--lr", "--clip"],
+    "evaluate": ["--out", "--run-dir", "--data", "--checkpoint", "--split"],
+    "impute-bench": ["--out", "--run-dir", "--seed", "--sessions",
+                     "--session-seconds", "--missing-rate", "--shift-sessions",
+                     "--emission-gain", "--ambient-offset", "--mask-rate",
+                     "--window", "--k"],
+}
+
+
+def test_cli_options_are_the_reviewed_dict():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS
+    assert sum(map(len, CLI_OPTIONS.values())) == 73
