@@ -4,8 +4,7 @@ from .lru import (LruLayerParams, LruNetwork, init_layer, init_network,
                   network_scan, scan_forward)
 from .rtrl import reset_trace, window_gradient
 from .bptt import TrainConfig, bptt_gradient, sample_windows, train
-from .optim import (AdamState, AnchorConfig, anchor_distance, anchor_gradient,
-                    clip_global_norm, huber, huber_grad)
+from .optim import AdamState, huber
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datapipe import (FittedPipeline, SequenceData, SeriesTable,
                        apply_pipeline, fit_pipeline, impute_knn,

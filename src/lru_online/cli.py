@@ -145,11 +145,11 @@ def _do_preprocess(args) -> int:
 
 
 def _parse_list(flag: str, items, parse) -> list:
-    """parse() of each item; a ValueError is a ConfigurationError naming
-    the flag."""
+    """parse() of each item; a ValueError or an ArgumentTypeError is a
+    ConfigurationError naming the flag."""
     try:
         return [parse(x) for x in items]
-    except ValueError as e:
+    except (ValueError, argparse.ArgumentTypeError) as e:
         raise ConfigurationError(f"{flag}: {e}") from None
 
 
@@ -160,7 +160,11 @@ def _parse_layers(spec: str) -> tuple[int, ...]:
 
 def _parse_clip(x: str) -> float | None:
     """A clip threshold; "none" (or empty) is no clipping."""
-    return None if x in ("none", "") else float(x)
+    try:
+        return None if x in ("none", "") else float(x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or none, got {x!r}") from None
 
 
 def _do_pretrain(args) -> int:

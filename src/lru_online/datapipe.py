@@ -509,12 +509,12 @@ class FittedPipeline:
         return cls(**d)
 
 
-def fit_pipeline(train_table: SeriesTable, vocab_table: SeriesTable | None = None,
-                 window: int = IMPUTE_WINDOW) -> FittedPipeline:
+def fit_pipeline(train_table: SeriesTable,
+                 vocab_table: SeriesTable | None = None) -> FittedPipeline:
     """Fit standardization on the training sessions. One-hot vocabularies are
     fit on vocab_table when given (pass the union of train and validation to
     keep feature dimensions aligned across the two; omit for a strict
-    train-only fit)."""
+    train-only fit). It records load_grid's window, IMPUTE_WINDOW."""
     numeric = [c for c in train_table.numeric_columns()
                if c not in TARGET_COLUMNS]
     cats = train_table.categorical_columns()
@@ -548,7 +548,7 @@ def fit_pipeline(train_table: SeriesTable, vocab_table: SeriesTable | None = Non
         target_columns=list(TARGET_COLUMNS),
         target_mean={c: mean[c] for c in TARGET_COLUMNS},
         target_scale={c: scale[c] for c in TARGET_COLUMNS},
-        window=window,
+        window=IMPUTE_WINDOW,
         feature_names=feature_names,
     )
 

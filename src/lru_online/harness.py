@@ -21,8 +21,7 @@ from .datapipe import (IMPUTE_WINDOW, FittedPipeline, SequenceData,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import LruNetwork, _check_layers, init_network
-from .optim import (AdamState, AnchorConfig, _Descent, _huber_grad,
-                    huber_values)
+from .optim import AdamState, _Descent, _huber_grad, huber_values
 from .rtrl import H, _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
 
@@ -82,7 +81,7 @@ def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
     else:
         result = train(net, train_data, val_data, cfg, bptt_gradient)
     cfg_dict = asdict(cfg)
-    cfg_dict["layers"] = list(cfg.layers)
+    cfg_dict["layers"] = [int(n) for n in cfg.layers]   # JSON ints
     ckpt = Checkpoint(net=result.net, pipeline=pipeline, config=cfg_dict,
                       seed=cfg.seed, provenance=provenance or {})
     return ckpt, result
@@ -232,10 +231,9 @@ class OnlineLearner:
     def __init__(self, net: LruNetwork, cfg: FinetuneConfig):
         self.net = net.copy()
         self.adam = AdamState.init(self.net.theta, lr=cfg.lr)
-        anchor = AnchorConfig(theta_pre=net.theta.copy(),
-                              lambda_reg=cfg.lambda_reg)
         self._plan = _StreamPlan(self.net)
-        self._descend = _Descent(self.net.theta, self.adam, cfg.clip, anchor)
+        self._descend = _Descent(self.net.theta, self.adam, cfg.clip,
+                                 net.theta.copy(), cfg.lambda_reg)
         self._u_shape, self._y_shape = (net.input_dim,), (net.output_dim,)
         self._pending = None   # predict's outputs, until observe reads them
         self.skipped = 0       # updates whose gradient was not finite

@@ -186,9 +186,6 @@ class LruNetwork:
         """An independent network with its own copy of theta."""
         return LruNetwork(self.layers)
 
-    def zero_states(self) -> list[np.ndarray]:
-        return [np.zeros(layer.n, dtype=np.complex128) for layer in self.layers]
-
 
 def init_layer(m: int, n: int, p: int, r_min: float = 0.9, r_max: float = 0.999,
                seed: int = 0) -> LruLayerParams:
@@ -222,10 +219,12 @@ def _check_ring(r_min: float, r_max: float) -> None:
 
 
 def _check_layers(layer_widths) -> None:
-    """One or more widths >= 1, else a ConfigurationError."""
-    if len(layer_widths) == 0 or min(layer_widths) < 1:
-        raise ConfigurationError(
-            f"layers must be one or more widths >= 1: {tuple(layer_widths)}")
+    """One or more integer widths >= 1, no bool, else a ConfigurationError."""
+    if len(layer_widths) == 0 or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= 1 for n in layer_widths):
+        raise ConfigurationError("layers must be one or more integer widths "
+                                 f">= 1: {tuple(layer_widths)}")
 
 
 def init_network(input_dim: int, layer_widths: tuple[int, ...], output_dim: int,

@@ -7,7 +7,7 @@ out like LruNetwork.theta; updates write into the parameter vector in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,11 @@ def huber(residual: np.ndarray) -> float:
     return float(np.mean(huber_values(residual)))
 
 
-def huber_grad(residual: np.ndarray) -> np.ndarray:
-    """d mean-Huber / d residual (elementwise psi / count, delta 1)."""
-    return _huber_grad(np.array(residual, dtype=np.float64))
-
-
 _LO, _HI = np.array(-1.0), np.array(1.0)   # 0-d: no float cast per call
 
 
 def _huber_grad(r: np.ndarray) -> np.ndarray:
-    """huber_grad in place in the float64 array r, which it returns."""
+    """d huber / d r = min(max(r, -1), 1) / r.size, in place in float64 r."""
     # minimum/maximum, not np.clip: the same values (NaN included) without
     # np.clip's Python-level wrapper
     np.minimum(np.maximum(r, _LO, out=r), _HI, out=r)
@@ -51,7 +46,7 @@ def _huber_grad(r: np.ndarray) -> np.ndarray:
 
 
 def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
-    """(huber(r), huber_grad(r)) from the clipped residual psi =
+    """(huber(r), _huber_grad(r)) from the clipped residual psi =
     min(max(r, -1), 1), built once: the loss is mean(psi (r - psi/2)),
     elementwise huber_values' c (|r| - c/2) up to the sign of a zero or
     NaN, which the abs of the (otherwise >= 0) mean clears as |r| does
@@ -69,15 +64,6 @@ def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
 
 # ----------------------------------------------------------------- clipping
 
-def clip_global_norm(grads: np.ndarray, max_norm: float | None) -> np.ndarray:
-    """Scale the gradient by max_norm/g when its L2 norm g exceeds max_norm;
-    None disables clipping. An unclipped gradient is returned as is."""
-    if max_norm is None:
-        return grads
-    _check_clip(max_norm)
-    return _clip(grads, grads @ grads, max_norm)
-
-
 def _check_clip(max_norm: float | None) -> None:
     if max_norm is not None and not max_norm > 0:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
@@ -85,10 +71,11 @@ def _check_clip(max_norm: float | None) -> None:
 
 def _clip(grads: np.ndarray, sq: float, max_norm: float,
           out: np.ndarray | None = None) -> np.ndarray:
-    """clip_global_norm without its checks, from sq = grads @ grads, into
-    out (a new array when None). A finite gradient whose squares overflow
-    (sq inf) takes its norm as max|grads| times that of grads / max|grads|
-    and is clipped into a new array."""
+    """grads scaled by max_norm / g when its L2 norm g exceeds max_norm
+    (else grads itself), from sq = grads @ grads, into out (a new array
+    when None); max_norm is not checked. A finite gradient whose squares
+    overflow (sq inf) takes its norm as max|grads| times that of
+    grads / max|grads| and is clipped into a new array."""
     if not math.isfinite(sq):
         top = float(np.abs(grads).max())
         if math.isfinite(top):
@@ -142,48 +129,24 @@ def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
 
 # ------------------------------------------------------------------- anchor
 
-@dataclass
-class AnchorConfig:
-    """Pull toward a pretrained parameter snapshot: R = lambda_reg *
-    ||theta_pre - theta||_2, unsquared (a constant-magnitude pull), with
-    subgradient zero at theta == theta_pre."""
-    theta_pre: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lambda_reg: float = 0.0
+# The anchor penalty R = lambda_reg ||theta - theta_pre||_2 is unsquared:
+# a constant-magnitude pull toward the pretrained parameters theta_pre.
 
-    def __post_init__(self):
-        if not 0 <= self.lambda_reg < math.inf:
-            raise ConfigurationError(
-                f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
-
-
-def anchor_distance(theta: np.ndarray, anchor: AnchorConfig) -> float:
-    """||theta - theta_pre||_2."""
-    return _distance(theta, anchor, np.empty_like(theta))
-
-
-def _distance(theta: np.ndarray, anchor: AnchorConfig,
+def _distance(theta: np.ndarray, theta_pre: np.ndarray,
               diff: np.ndarray) -> float:
-    """anchor_distance, leaving theta - theta_pre in `diff`."""
-    np.subtract(theta, anchor.theta_pre, out=diff)
+    """||theta - theta_pre||_2, leaving theta - theta_pre in `diff`."""
+    np.subtract(theta, theta_pre, out=diff)
     return math.sqrt(diff.dot(diff))
 
 
-def anchor_gradient(theta: np.ndarray, anchor: AnchorConfig) -> np.ndarray:
-    """Gradient of the anchor penalty w.r.t. theta."""
-    if anchor.lambda_reg == 0.0:
-        return np.zeros_like(theta)
-    diff = theta - anchor.theta_pre
-    return _pull(diff, anchor, math.sqrt(diff @ diff), diff)
-
-
-def _pull(diff: np.ndarray, anchor: AnchorConfig, distance: float,
+def _pull(diff: np.ndarray, lambda_reg: float, distance: float,
           out: np.ndarray) -> np.ndarray:
-    """anchor_gradient from diff = theta - theta_pre and its norm
-    `distance`, written into out (which may be diff)."""
+    """dR / d theta from diff = theta - theta_pre and its norm `distance`,
+    written into out (which may be diff)."""
     if distance == 0.0:
         out.fill(0.0)   # the subgradient at theta_pre
         return out
-    return np.multiply(diff, anchor.lambda_reg / distance, out=out)
+    return np.multiply(diff, lambda_reg / distance, out=out)
 
 
 # ------------------------------------------------------------------- update
@@ -192,7 +155,8 @@ class _Descent:
     """The parameter update of every trainer and of online fine-tuning,
     and the only code that composes it: construct it once per stream of
     updates on the parameters, the Adam state, the clip (checked here) and
-    optionally the anchor, then call it with each gradient.
+    optionally the anchor (theta_pre and lambda_reg, checked by the
+    caller), then call it with each gradient.
 
     It owns the work vectors of Adam and the clip and keeps theta -
     theta_pre from one update to the next, so that difference is taken
@@ -201,16 +165,16 @@ class _Descent:
     single call, _Descent(theta, adam, None)(grads), is a plain Adam step."""
 
     def __init__(self, theta: np.ndarray, adam: AdamState,
-                 clip: float | None, anchor: AnchorConfig | None = None):
+                 clip: float | None, theta_pre: np.ndarray | None = None,
+                 lambda_reg: float = 0.0):
         _check_clip(clip)
-        self.theta, self.adam = theta, adam
-        self.clip, self.anchor = clip, anchor
-        self.pulls = anchor is not None and anchor.lambda_reg != 0.0
+        self.theta, self.adam, self.clip = theta, adam, clip
+        self.theta_pre, self.lambda_reg = theta_pre, lambda_reg
+        self.pulls = theta_pre is not None and lambda_reg != 0.0
         self.step, self.denom, self.clipped = np.empty((3, theta.size))
-        if anchor is not None:
-            self.diff = np.empty_like(theta)
-            self.pull = np.empty_like(theta)
-            self.distance = _distance(theta, anchor, self.diff)
+        if theta_pre is not None:
+            self.diff, self.pull = np.empty((2, theta.size))
+            self.distance = _distance(theta, theta_pre, self.diff)
 
     def __call__(self, grads: np.ndarray) -> None:
         """Add the anchor pull, clip, Adam-step. The clip's squared norm is
@@ -218,7 +182,8 @@ class _Descent:
         finite squares that overflow) pays for a full scan, and only a NaN
         or inf entry raises TrainingError, which changes nothing."""
         if self.pulls:
-            pull = _pull(self.diff, self.anchor, self.distance, self.pull)
+            pull = _pull(self.diff, self.lambda_reg, self.distance,
+                         self.pull)
             pull += grads
             grads = pull
         sq = grads.dot(grads)
@@ -227,5 +192,5 @@ class _Descent:
         if self.clip is not None:
             grads = _clip(grads, sq, self.clip, self.clipped)
         _adam(self.theta, grads, self.adam, self.step, self.denom)
-        if self.anchor is not None:
-            self.distance = _distance(self.theta, self.anchor, self.diff)
+        if self.theta_pre is not None:
+            self.distance = _distance(self.theta, self.theta_pre, self.diff)

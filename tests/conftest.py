@@ -70,6 +70,11 @@ def forward_row(net, states, u):
     return new_states, x, layer_inputs
 
 
+def zero_states(net):
+    """forward_row's start of a session: one zero state (n,) per layer."""
+    return [np.zeros(layer.n, dtype=np.complex128) for layer in net.layers]
+
+
 def paired_order(m, widths, p):
     """The fixed index map from the flat layout of the references in
     tests/data (each layer's blocks nu, theta_phase, gamma_log, b_re, b_im,

@@ -20,8 +20,7 @@ from lru_online.harness import (FinetuneConfig, OnlineLearner,
                                 impute_benchmark, prepare_tables)
 from lru_online.lru import (LruLayerParams, LruNetwork, init_layer,
                             init_network, network_scan, scan_forward)
-from lru_online.optim import (AdamState, AnchorConfig, _Descent,
-                              anchor_gradient)
+from lru_online.optim import AdamState, _Descent
 from lru_online.rtrl import window_gradient
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -181,15 +180,30 @@ def test_criterion_08_anchor_distance_monotone(lambda_runs, capfd):
             for lam in LAMBDA_GRID]
     monotone = all(dist[i + 1] <= dist[i] + 1e-12
                    for i in range(len(dist) - 1))
-    # at lambda = 0 the anchor contributes exactly nothing
+    # at lambda = 0 the anchor contributes exactly nothing: from a theta
+    # displaced off theta_pre, an anchored update leaves theta and Adam's
+    # m, v and t bitwise those of an unanchored one, clipped or not
     rng = np.random.default_rng(808)
-    theta = init_network(3, (6,), 2, seed=0).theta
-    moved = theta + rng.standard_normal(theta.shape)
-    g = anchor_gradient(moved, AnchorConfig(theta_pre=theta, lambda_reg=0.0))
-    zero = bool(np.all(g == 0.0))
+    theta_pre = init_network(3, (6,), 2, seed=0).theta
+    moved = theta_pre + rng.standard_normal(theta_pre.shape)
+    zero = True
+    for clip in (0.5, None):
+        runs = []
+        for anchor in ((theta_pre, 0.0), ()):
+            theta = moved.copy()
+            state = AdamState.init(theta, lr=1e-2)
+            runs.append((theta, state, _Descent(theta, state, clip, *anchor)))
+        for _ in range(20):
+            g = rng.standard_normal(theta_pre.shape)
+            for _, _, descend in runs:
+                descend(g)
+        (ta, sa, _), (tb, sb, _) = runs
+        zero &= (ta.tobytes() == tb.tobytes() and sa.m.tobytes()
+                 == sb.m.tobytes() and sa.v.tobytes() == sb.v.tobytes()
+                 and sa.t == sb.t == 20)
     report(capfd, 8, "anchor pull strengthens with lambda", monotone and zero,
            "distances " + ", ".join(f"{d:.3f}" for d in dist)
-           + "; zero gradient at lambda=0: " + str(zero))
+           + "; lambda=0 update bitwise the unanchored one: " + str(zero))
 
 
 def test_criterion_09_determinism_and_persistence(scenario, tmp_path, capfd):

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import forward_row, paired_order
+from conftest import forward_row, paired_order, zero_states
 from test_rtrl import snapshot
 from lru_online.bptt import evaluate as offline_evaluate, sample_windows
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -27,8 +28,7 @@ from lru_online.harness import (FinetuneConfig, OnlineLearner,
                                 cmd_finetune, cmd_pretrain, impute_benchmark,
                                 prepare_tables)
 from lru_online.lru import init_network, network_scan
-from lru_online.optim import (AdamState, AnchorConfig, _Descent,
-                              anchor_distance, huber, huber_grad,
+from lru_online.optim import (AdamState, _Descent, _huber_grad, huber,
                               huber_values)
 from lru_online.rtrl import _StreamPlan, reset_trace
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
@@ -173,6 +173,19 @@ class TestCheckpoint:
         path.write_text('{"hello": 1}')
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
+
+    def test_numpy_integer_widths_save(self, prepared, tmp_path):
+        """Widths given as numpy integers are recorded as JSON ints, so
+        the checkpoint saves and loads back with the same layers."""
+        pipe, train, val = prepared
+        cfg = replace(SMALL_PRETRAIN, layers=(np.int64(4), np.int32(3)),
+                      steps=2)
+        ckpt, _ = cmd_pretrain(train, val, pipe, cfg)
+        path = tmp_path / "i.json"
+        save_checkpoint(ckpt, path)
+        again = load_checkpoint(path)
+        assert again.config["layers"] == [4, 3]
+        assert [layer.n for layer in again.net.layers] == [4, 3]
 
     def test_pipeline_survives_roundtrip(self, pretrained, tmp_path):
         ckpt, _ = pretrained
@@ -495,15 +508,14 @@ class TestFinetune:
         net = ckpt.net.copy()
         plan = _StreamPlan(net)
         descend = _Descent(net.theta, AdamState.init(net.theta, lr=cfg.lr),
-                           cfg.clip, AnchorConfig(theta_pre=ckpt.net.theta,
-                                                  lambda_reg=cfg.lambda_reg))
+                           cfg.clip, ckpt.net.theta, cfg.lambda_reg)
         preds = []
         for sid in dict.fromkeys(data.session_ids.tolist()):
             traces = reset_trace(net)
             for t in np.flatnonzero(data.session_ids == sid):
                 traces, y_hat, vs = plan.predict(traces, data.features[t])
                 if t != bad:
-                    g = huber_grad(y_hat - data.targets[t])
+                    g = _huber_grad(y_hat - data.targets[t])
                     descend(plan.gradient(traces, vs, g))
                 preds.append(y_hat)
         assert np.array_equal(metrics.predictions, np.asarray(preds))
@@ -540,13 +552,11 @@ class TestFinetune:
         freeze = 0 if lr == 0 else freeze_after
 
         learner, frozen = OnlineLearner(ckpt.net, cfg), ckpt.net
-        anchor = AnchorConfig(theta_pre=frozen.theta,
-                              lambda_reg=cfg.lambda_reg)
         preds, preds_frozen, dist = [], [], []
         for t in range(data.n_rows):
             if t == 0 or ids[t] != ids[t - 1]:
                 learner.end_session()
-                states, frozen_states = learner.states, frozen.zero_states()
+                states, frozen_states = learner.states, zero_states(frozen)
             x = features[t]
             new_frozen, y_frozen, _ = forward_row(frozen, frozen_states, x)
             if t < freeze:
@@ -559,7 +569,8 @@ class TestFinetune:
                 states, frozen_states = new_states, new_frozen
             preds.append(y_hat)
             preds_frozen.append(y_frozen)
-            dist.append(anchor_distance(learner.net.theta, anchor))
+            d = learner.net.theta - frozen.theta
+            dist.append(math.sqrt(d.dot(d)))
         preds, preds_frozen = np.asarray(preds), np.asarray(preds_frozen)
         for got, want, fixed in (
                 (metrics.predictions, preds, freeze),
@@ -588,7 +599,8 @@ class TestFinetune:
     @pytest.mark.parametrize("field, value", [
         ("lr", -1e-3), ("lr", float("nan")), ("freeze_after", -1),
         ("clip", 0.0), ("clip", -0.5), ("lambda_reg", -0.1),
-        ("lr", float("inf")), ("lambda_reg", float("inf"))])
+        ("lr", float("inf")), ("lambda_reg", float("inf")),
+        ("lambda_reg", float("nan"))])
     def test_invalid_config_rejected(self, field, value):
         """Rejected up front, also where the run would never update."""
         for base in ({}, {"lr": 0.0}, {"freeze_after": 0}):
@@ -686,13 +698,12 @@ def test_finetune_matches_reference():
                                      ref[key][fixed:]) <= oracle.BOUND, key
 
 
-def public_adapt(learner, stream, freeze):
+def public_adapt(learner, stream, freeze, theta_pre):
     """cmd_finetune's adaptive pass as a caller writes it over the public
     OnlineLearner: end_session at each session start from
     stream.session_bounds(), then predict and observe per row, with the
-    anchor distance taken afresh by anchor_distance. Returns (predictions,
+    anchor distance to theta_pre taken afresh. Returns (predictions,
     distances)."""
-    anchor = learner._descend.anchor
     starts = set(stream.session_bounds()[0].tolist())
     preds = np.full_like(stream.targets, -1.0)
     dist = np.full(stream.n_rows, -1.0)
@@ -701,7 +712,8 @@ def public_adapt(learner, stream, freeze):
             learner.end_session()
         preds[t] = learner.predict(stream.features[t])
         learner.observe(stream.targets[t])
-        dist[t] = anchor_distance(learner.net.theta, anchor)
+        d = learner.net.theta - theta_pre
+        dist[t] = math.sqrt(d.dot(d))
     return preds, dist
 
 
@@ -780,7 +792,7 @@ def test_kernel_loop_equals_checked_public_path(case):
                    else OnlineLearner(net, cfg))
         t_start = learner.adam.t
         if run is None:
-            preds, dist = public_adapt(learner, stream, freeze)
+            preds, dist = public_adapt(learner, stream, freeze, net.theta)
         else:
             preds = np.full_like(stream.targets, -1.0)
             dist = np.full(stream.n_rows, -1.0)
@@ -1479,6 +1491,21 @@ class TestCli:
         assert err["error"] == "configuration"
         assert err["message"].startswith(flag)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--data", "d"],
+        ["finetune", "--data", "d", "--checkpoint", "c"],
+        ["ablate", "--data", "d", "--checkpoint", "c"],
+    ], ids=lambda v: v[0])
+    def test_non_numeric_clip_exits_2_naming_the_flag(self, argv, capsys):
+        """--clip abc is argparse's usage error (exit 2), naming --clip and
+        the form it takes, not the private function that parses it."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--clip", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --clip: expected a number or none, got 'abc'" in err
+        assert "_parse_clip" not in err
 
     @pytest.mark.parametrize("rate", ["0", "-0.5", "nan"])
     def test_impute_bench_bad_mask_rate_exits_2(self, tmp_path, capsys,

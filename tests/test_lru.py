@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from conftest import constants, forward_row, in_theta_order, random_batch
+from conftest import (constants, forward_row, in_theta_order, random_batch,
+                      zero_states)
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ConfigurationError, ContractViolationError
-from lru_online.harness import FinetuneConfig, OnlineLearner
+from lru_online.harness import FinetuneConfig, OnlineLearner, PretrainConfig
 from lru_online.lru import (LruLayerParams, LruNetwork,
                             _LayerKernel, _linear_recurrence,
                             init_layer, init_network, network_scan,
@@ -168,12 +169,18 @@ class TestInitLayer:
     def test_d_zero(self):
         assert np.all(init_layer(3, 4, 2, seed=1).d == 0.0)
 
-    @pytest.mark.parametrize("widths", [(), (0,), (-1,), (4, 0)])
+    @pytest.mark.parametrize("widths", [(), (0,), (-1,), (4, 0), (8.0,),
+                                        (2.5,), (True,), (4, np.True_),
+                                        ("8",)])
     def test_network_rejects_bad_widths(self, widths):
-        """No layer, or a layer of width below 1, is a ConfigurationError
-        naming layers, not a numpy error or a network of 0 nodes."""
+        """No layer, a layer of width below 1 or a width that is not an
+        integer (a bool included) is a ConfigurationError naming layers,
+        not a numpy error or a network of 0 nodes, from init_network and
+        from PretrainConfig alike."""
         with pytest.raises(ConfigurationError, match="layers"):
             init_network(3, widths, 2)
+        with pytest.raises(ConfigurationError, match="layers"):
+            PretrainConfig(layers=widths)
 
 
 class TestLayerStep:
@@ -484,14 +491,14 @@ class TestNetworkForward:
         second = diagonal_layer(4, lam=0.0)
         net = LruNetwork([first, second])
         u = rng.standard_normal(3)
-        _, y, _ = forward_row(net, net.zero_states(), u)
+        _, y, _ = forward_row(net, zero_states(net), u)
         _, y_first = step_one_layer(first, np.zeros(4, complex), u)
         assert np.allclose(y, y_first)
 
     def test_depth2_matches_unrolled(self, rng):
         net = init_network(3, (5, 4), 2, seed=6)
         u = rng.standard_normal((16, 3))
-        states = net.zero_states()
+        states = zero_states(net)
         stepped = []
         for t in range(16):
             states, y, _ = forward_row(net, states, u[t])
@@ -523,7 +530,7 @@ class TestNetworkForward:
     @pytest.mark.parametrize("case", ["count", "width", "batch"])
     def test_scan_state_shape_mismatch(self, case):
         net = init_network(3, (5, 4), 2, seed=6)
-        states, u = net.zero_states(), np.zeros((7, 3))
+        states, u = zero_states(net), np.zeros((7, 3))
         if case == "count":
             states = states[:1]
         elif case == "width":

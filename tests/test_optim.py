@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import oracle
 
 from lru_online.errors import ConfigurationError, TrainingError
-from lru_online.optim import (BETA1, BETA2, EPS, AdamState, AnchorConfig,
-                              _Descent, _huber_loss_grad, anchor_distance,
-                              anchor_gradient, clip_global_norm, huber,
-                              huber_grad, huber_values)
+from lru_online.optim import (BETA1, BETA2, EPS, AdamState, _clip, _Descent,
+                              _distance, _huber_grad, _huber_loss_grad, _pull,
+                              huber, huber_values)
 
 # signed zeros, the kink and its neighbours, subnormals, residuals whose
 # square overflows, infinities and NaNs of either sign
@@ -37,6 +36,12 @@ def clip_huber_grad(r):
 
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def pull(theta, pre, lambda_reg):
+    """The anchor gradient as _Descent takes it: _distance, then _pull."""
+    diff = np.empty_like(theta)
+    return _pull(diff, lambda_reg, _distance(theta, pre, diff), diff)
 
 
 class TestHuber:
@@ -65,7 +70,7 @@ class TestHuber:
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
         r = rng.standard_normal(20) * 2
-        g = huber_grad(r)
+        g = _huber_grad(r.copy())
         eps = 1e-7
         for i in range(20):
             rp = r.copy(); rp[i] += eps
@@ -75,7 +80,7 @@ class TestHuber:
 
     def test_grad_propagates_nan(self):
         r = np.array([np.nan, 0.5, -3.0, np.inf, -np.inf])
-        g = huber_grad(r)
+        g = _huber_grad(r.copy())
         assert np.isnan(g[0])
         assert np.array_equal(g[1:], np.array([0.5, -1.0, 1.0, -1.0]) / 5)
 
@@ -86,7 +91,7 @@ class TestHuber:
         r = np.concatenate([rng.standard_normal(200) * 3,
                             [0.0, -0.0, np.nan, np.inf, -np.inf]])
         ref = np.clip(r, -1.0, 1.0) / r.size
-        assert np.array_equal(huber_grad(r).view(np.int64),
+        assert np.array_equal(_huber_grad(r.copy()).view(np.int64),
                               ref.view(np.int64))
 
     @pytest.mark.parametrize("case", ["edges", "finite edges", "random"])
@@ -103,7 +108,7 @@ class TestHuber:
         grad = clip_huber_grad(r)
         loss = float(np.mean(values))
         assert np.array_equal(bits(huber_values(r)), bits(values))
-        assert np.array_equal(bits(huber_grad(r)), bits(grad))
+        assert np.array_equal(bits(_huber_grad(r.copy())), bits(grad))
         assert bits(huber(r)) == bits(loss)
         work = r.copy()
         got_loss, got_grad = _huber_loss_grad(work)
@@ -118,7 +123,7 @@ class TestHuber:
         "-nan", "random (p,)", "random (T, B, p)"])
     def test_loss_grad_is_huber_and_huber_grad(self, case):
         """The one-pass (loss, gradient) from the clipped residual is
-        bitwise huber(r) and huber_grad(r) for each edge value alone (a
+        bitwise huber(r) and _huber_grad(r) for each edge value alone (a
         NaN of either sign included: huber's loss NaN is positive) and
         for random residuals of a step and of a batch of windows.
         huber_values' +0.0 at r = -0.0 stays pinned by the two-branch
@@ -129,7 +134,7 @@ class TestHuber:
              }.get(case)
         if r is None:
             r = np.array([float(case)])
-        want_loss, want_grad = huber(r), huber_grad(r)
+        want_loss, want_grad = huber(r), _huber_grad(r.copy())
         loss, grad = _huber_loss_grad(r.copy())
         assert bits(loss) == bits(want_loss)
         assert np.array_equal(bits(grad), bits(want_grad))
@@ -141,7 +146,7 @@ class TestHuber:
         gives |r| - 0.5 with no overflow warning (an error here)."""
         big = np.array([1e300, -1e300, -np.finfo(np.float64).max])
         assert np.array_equal(huber_values(big), np.abs(big) - 0.5)
-        assert np.array_equal(huber_grad(big), np.sign(big) / big.size)
+        assert np.array_equal(_huber_grad(big.copy()), np.sign(big) / big.size)
         r = np.array([1e300, -1e300, np.inf, -np.inf])
         assert huber(r[:2]) == 1e300 - 0.5
         assert huber(r) == np.inf
@@ -153,19 +158,19 @@ class TestHuber:
 class TestClip:
     def test_under_threshold_unchanged(self):
         g = np.array([0.1, 0.2])
-        out = clip_global_norm(g, 1.0)
+        out = _clip(g, g @ g, 1.0)
         assert out is g
 
     def test_known_scaling(self):
         g = np.array([3.0, 4.0])
-        out = clip_global_norm(g, 0.5)
+        out = _clip(g, g @ g, 0.5)
         assert np.allclose(out, [0.3, 0.4])
 
     def test_post_clip_norm(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = rng.standard_normal(11)
-            out = clip_global_norm(g, 0.7)
+            out = _clip(g, g @ g, 0.7)
             assert (np.linalg.norm(out)
                     <= min(np.linalg.norm(g), 0.7) + 1e-12)
 
@@ -174,13 +179,9 @@ class TestClip:
     def test_idempotent(self, scale):
         rng = np.random.default_rng(7)
         g = rng.standard_normal(6) * scale
-        once = clip_global_norm(g, 0.5)
-        twice = clip_global_norm(once, 0.5)
+        once = _clip(g, g @ g, 0.5)
+        twice = _clip(once, once @ once, 0.5)
         assert np.allclose(once, twice, rtol=1e-15)
-
-    def test_none_disables(self):
-        g = np.array([100.0])
-        assert clip_global_norm(g, None) is g
 
 
 def _random_vectors():
@@ -199,17 +200,16 @@ class TestNormsBitwise:
             norm = float(np.linalg.norm(g))
             for max_norm in (0.5 * norm, 2.0 * norm):
                 ref = g if norm <= max_norm else g * (max_norm / norm)
-                assert np.array_equal(clip_global_norm(g, max_norm), ref)
+                assert np.array_equal(_clip(g, g @ g, max_norm), ref)
 
     def test_anchor_distance_and_gradient(self):
         rng = np.random.default_rng(12)
         for theta in _random_vectors():
             pre = theta + rng.standard_normal(theta.size) * 0.1
-            anchor = AnchorConfig(theta_pre=pre, lambda_reg=0.03)
             norm = float(np.linalg.norm(theta - pre))
-            assert anchor_distance(theta, anchor) == norm
-            ref = (theta - pre) * (anchor.lambda_reg / norm)
-            assert np.array_equal(anchor_gradient(theta, anchor), ref)
+            assert _distance(theta, pre, np.empty_like(theta)) == norm
+            ref = (theta - pre) * (0.03 / norm)
+            assert np.array_equal(pull(theta, pre, 0.03), ref)
 
 
 class TestAdam:
@@ -295,48 +295,30 @@ class TestAdam:
 
 class TestAnchor:
     def test_at_anchor_zero(self):
-        cfg = AnchorConfig(theta_pre=np.array([2.0]), lambda_reg=0.5)
-        g = anchor_gradient(np.array([2.0]), cfg)
-        assert np.all(g == 0.0)
-
-    def test_lambda_zero(self):
-        cfg = AnchorConfig(theta_pre=np.array([0.0]), lambda_reg=0.0)
-        g = anchor_gradient(np.array([5.0]), cfg)
+        g = pull(np.array([2.0]), np.array([2.0]), 0.5)
         assert np.all(g == 0.0)
 
     def test_unit_vector_scaling(self):
-        cfg = AnchorConfig(theta_pre=np.zeros(2), lambda_reg=0.1)
-        g = anchor_gradient(np.array([3.0, 4.0]), cfg)
+        g = pull(np.array([3.0, 4.0]), np.zeros(2), 0.1)
         assert np.allclose(g, [0.06, 0.08])
 
     def test_norm_equals_lambda(self):
         rng = np.random.default_rng(2)
         pre = rng.standard_normal(8)
         for lam in (0.001, 0.01, 0.1):
-            cfg = AnchorConfig(theta_pre=pre, lambda_reg=lam)
             theta = pre + rng.standard_normal(8)
-            assert np.linalg.norm(anchor_gradient(theta, cfg)) \
+            assert np.linalg.norm(pull(theta, pre, lam)) \
                 == pytest.approx(lam)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnchorConfig(theta_pre=np.array([0.0]), lambda_reg=-1.0)
-
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
-    def test_non_finite_lambda_rejected(self, lam):
-        with pytest.raises(ConfigurationError, match="lambda_reg"):
-            AnchorConfig(theta_pre=np.array([0.0]), lambda_reg=lam)
 
     def test_fd_agreement(self):
         rng = np.random.default_rng(3)
         pre = rng.standard_normal(5)
         theta = rng.standard_normal(5)
-        cfg = AnchorConfig(theta_pre=pre, lambda_reg=0.03)
-        g = anchor_gradient(theta, cfg)
+        g = pull(theta, pre, 0.03)
         eps = 1e-7
 
         def penalty(th):
-            return cfg.lambda_reg * anchor_distance(th, cfg)
+            return 0.03 * _distance(th, pre, np.empty_like(th))
 
         for i in range(5):
             tp = theta.copy(); tp[i] += eps
@@ -351,13 +333,13 @@ class TestApplyUpdate:
         pre = rng.standard_normal(6)
         grads = rng.standard_normal(6)
         before = grads.copy()
-        anchor = AnchorConfig(theta_pre=pre, lambda_reg=0.3)
         theta = pre + rng.standard_normal(6)
         ref = theta.copy()
         state, ref_state = AdamState.init(theta), AdamState.init(theta)
-        expect = clip_global_norm(grads + anchor_gradient(ref, anchor), 0.5)
+        pulled = grads + pull(ref, pre, 0.3)
+        expect = _clip(pulled, pulled @ pulled, 0.5)
         _Descent(ref, ref_state, None)(expect)
-        _Descent(theta, state, 0.5, anchor)(grads)
+        _Descent(theta, state, 0.5, pre, 0.3)(grads)
         assert np.array_equal(theta, ref)
         assert np.array_equal(state.m, ref_state.m)
         assert np.array_equal(grads, before)
@@ -368,12 +350,11 @@ class TestApplyUpdate:
         rng = np.random.default_rng(6)
         pre = rng.standard_normal(6)
         theta = pre + rng.standard_normal(6)
-        anchor = AnchorConfig(theta_pre=pre, lambda_reg=lambda_reg)
         state = AdamState.init(theta)
         for _ in range(3):
             grads = rng.standard_normal(6)
             before = grads.copy()
-            _Descent(theta, state, clip, anchor)(grads)
+            _Descent(theta, state, clip, pre, lambda_reg)(grads)
             assert np.array_equal(grads, before)
 
     def test_given_distance_is_bitwise_the_computed_one(self):
@@ -387,20 +368,20 @@ class TestApplyUpdate:
             rng = np.random.default_rng(10)
             pre = rng.standard_normal(20)
             a, b = pre.copy(), pre.copy()
-            anchor = None if lambda_reg is None else AnchorConfig(
-                theta_pre=pre, lambda_reg=lambda_reg)
+            anchor = () if lambda_reg is None else (pre, lambda_reg)
             sa, sb = AdamState.init(a, lr=0.02), AdamState.init(b, lr=0.02)
-            descend = _Descent(b, sb, clip, anchor)
+            descend = _Descent(b, sb, clip, *anchor)
             for _ in range(25):
                 grads = rng.standard_normal(20)
-                _Descent(a, sa, clip, anchor)(grads)
+                _Descent(a, sa, clip, *anchor)(grads)
                 descend(grads)
                 assert a.tobytes() == b.tobytes()
                 assert sa.m.tobytes() == sb.m.tobytes()
                 assert sa.v.tobytes() == sb.v.tobytes()
                 assert sa.t == sb.t
-                if anchor is not None:
-                    assert descend.distance == anchor_distance(a, anchor)
+                if anchor:
+                    assert descend.distance == _distance(
+                        a, pre, np.empty_like(a))
 
     @pytest.mark.parametrize("clip", [None, 0.5])
     def test_finite_gradient_with_overflowing_norm_steps(self, clip):
@@ -416,7 +397,8 @@ class TestApplyUpdate:
         with np.errstate(over="ignore"):
             assert not math.isfinite(grads @ grads)
             _Descent(theta, state, clip)(grads)
-            _Descent(ref, ref_state, None)(clip_global_norm(grads, clip))
+            _Descent(ref, ref_state, None)(
+                grads if clip is None else _clip(grads, grads @ grads, clip))
         assert state.t == 1
         assert theta.tobytes() == ref.tobytes()
         assert state.m.tobytes() == ref_state.m.tobytes()
@@ -425,14 +407,14 @@ class TestApplyUpdate:
     def test_overflowing_norm_clips_to_max_norm(self):
         """A finite gradient whose squared norm overflows is clipped to
         max_norm (its norm taken on the gradient scaled by its largest
-        entry), not scaled by max_norm / inf to zero: by clip_global_norm,
-        and by _Descent, whose first Adam moment is (1 - beta1) times the
+        entry), not scaled by max_norm / inf to zero: by _clip, and by
+        _Descent, whose first Adam moment is (1 - beta1) times the
         gradient it stepped on."""
         grads = np.array([3e154, 4e154, 1.0])
         want = [0.3, 0.4, 1e-155]
         with np.errstate(over="ignore"):
             assert not math.isfinite(grads @ grads)
-            got = clip_global_norm(grads, 0.5)
+            got = _clip(grads, grads @ grads, 0.5)
             theta = np.zeros(3)
             state = AdamState.init(theta)
             _Descent(theta, state, 0.5)(grads)
@@ -448,15 +430,15 @@ class TestApplyUpdate:
         rng = np.random.default_rng(14)
         pre = rng.standard_normal(9)
         theta = pre + rng.standard_normal(9)
-        anchor = AnchorConfig(theta_pre=pre, lambda_reg=lambda_reg)
         state = AdamState.init(theta, lr=0.05)
         for _ in range(3):
-            _Descent(theta, state, clip, anchor)(rng.standard_normal(9))
+            _Descent(theta, state, clip, pre, lambda_reg)(
+                rng.standard_normal(9))
         before = (theta.copy(), state.m.copy(), state.v.copy(), state.t)
         grads = rng.standard_normal(9)
         grads[5] = bad
         with pytest.raises(TrainingError):
-            _Descent(theta, state, clip, anchor)(grads)
+            _Descent(theta, state, clip, pre, lambda_reg)(grads)
         assert theta.tobytes() == before[0].tobytes()
         assert state.m.tobytes() == before[1].tobytes()
         assert state.v.tobytes() == before[2].tobytes()
@@ -464,10 +446,8 @@ class TestApplyUpdate:
 
     def test_nan_clip_rejected(self):
         """A NaN max_norm would turn the clipped gradient, and theta with
-        it, into NaN: both entry points reject it and theta is untouched."""
+        it, into NaN: _Descent rejects it and theta is untouched."""
         theta = np.zeros(3)
-        with pytest.raises(ConfigurationError, match="max_norm"):
-            clip_global_norm(np.ones(3), float("nan"))
         with pytest.raises(ConfigurationError, match="max_norm"):
             _Descent(theta, AdamState.init(theta), float("nan"))(np.ones(3))
         assert np.array_equal(theta, np.zeros(3))

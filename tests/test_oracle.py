@@ -261,8 +261,8 @@ def shadow(monkeypatch, learner, stream, freeze):
     known. Returns the worst error of each array over the rows; the
     applied updates and step counts are equal row by row."""
     predict, observe = OnlineLearner.predict, OnlineLearner.observe
-    net, a, anchor = learner.net, learner.adam, learner._descend.anchor
-    theta_pre = np.asarray(anchor.theta_pre, np.longdouble)
+    net, a, descend = learner.net, learner.adam, learner._descend
+    theta_pre = np.asarray(descend.theta_pre, np.longdouble)
     worst = defaultdict(float)
     row = {}
 
@@ -280,8 +280,8 @@ def shadow(monkeypatch, learner, stream, freeze):
         observe(self, y)
         theta, states, traces, u = row["before"]
         ref = oracle.replay_row(theta, dims(net), adam_before, a.lr,
-                                self._descend.clip, theta_pre,
-                                anchor.lambda_reg, states, traces, u, y)
+                                descend.clip, theta_pre,
+                                descend.lambda_reg, states, traces, u, y)
         assert ref["applied"] == (self.skipped == skipped)
         assert ref["t"] == a.t
         new_states, new_traces, y_hat = row["after"]

@@ -8,17 +8,16 @@ import lru_online
 from lru_online.cli import build_parser
 
 PUBLIC = [
-    "AdamState", "AnchorConfig", "Checkpoint", "FinetuneConfig",
-    "FittedPipeline", "GeneratorConfig", "LruLayerParams", "LruNetwork",
-    "OnlineLearner", "PretrainConfig", "RunMetrics", "SequenceData",
-    "SeriesTable", "ShiftSpec", "SweepConfig", "TrainConfig",
-    "anchor_distance", "anchor_gradient", "apply_pipeline", "bptt",
-    "bptt_gradient", "checkpoint", "clip_global_norm", "cmd_ablate",
-    "cmd_evaluate", "cmd_finetune", "cmd_pretrain", "cmd_sweep", "datapipe",
-    "errors", "fit_pipeline", "generate_dataset", "harness", "huber",
-    "huber_grad", "impute_benchmark", "impute_knn", "impute_rolling_median",
-    "init_layer", "init_network", "load_checkpoint", "lru", "network_scan",
-    "optim", "prepare_tables", "reset_trace", "rtrl", "sample_windows",
+    "AdamState", "Checkpoint", "FinetuneConfig", "FittedPipeline",
+    "GeneratorConfig", "LruLayerParams", "LruNetwork", "OnlineLearner",
+    "PretrainConfig", "RunMetrics", "SequenceData", "SeriesTable",
+    "ShiftSpec", "SweepConfig", "TrainConfig", "apply_pipeline", "bptt",
+    "bptt_gradient", "checkpoint", "cmd_ablate", "cmd_evaluate",
+    "cmd_finetune", "cmd_pretrain", "cmd_sweep", "datapipe", "errors",
+    "fit_pipeline", "generate_dataset", "harness", "huber",
+    "impute_benchmark", "impute_knn", "impute_rolling_median", "init_layer",
+    "init_network", "load_checkpoint", "lru", "network_scan", "optim",
+    "prepare_tables", "reset_trace", "rtrl", "sample_windows",
     "save_checkpoint", "scan_forward", "split_sessions", "synth", "train",
     "window_gradient", "write_dataset",
 ]

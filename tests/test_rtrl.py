@@ -6,7 +6,7 @@ import pytest
 import oracle
 from conftest import (constants, finite_difference_grads, forward_row,
                       in_theta_order, max_rel_error, paired_order,
-                      random_batch, small_random_net)
+                      random_batch, small_random_net, zero_states)
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.harness import FinetuneConfig, OnlineLearner
@@ -87,7 +87,7 @@ class TestTraceStep:
 
         def final_state(params_layer):
             one = LruNetwork([params_layer])
-            states = one.zero_states()
+            states = zero_states(one)
             for t in range(T):
                 states, _, _ = forward_row(one, states, u[t])
             return states[0]
@@ -339,7 +339,7 @@ class TestOnlineStep:
         learner.end_session()
         assert snapshot(learner)[:4] == kept and learner.adam.t == 4
         net = learner.net
-        for got, zero in ((learner.states, net.zero_states()),
+        for got, zero in ((learner.states, zero_states(net)),
                           (learner.traces, reset_trace(net))):
             assert [(a.shape, a.dtype) for a in got] == [
                 (a.shape, a.dtype) for a in zero]

@@ -20,8 +20,10 @@ from lru_online import lru  # noqa: E402
 # stale targets the benchmark still lists; emptying this list is open work
 ABSENT = ["harness.train_rtrl", "lru.LruNetwork.from_parameters",
           "lru.network_forward", "lru.network_step", "optim.adam_step",
-          "optim.tree_add", "optim.tree_copy", "optim.tree_norm",
-          "optim.tree_sub", "rtrl.online_gradient", "rtrl.step_traces"]
+          "optim.anchor_gradient", "optim.clip_global_norm",
+          "optim.huber_grad", "optim.tree_add", "optim.tree_copy",
+          "optim.tree_norm", "optim.tree_sub", "rtrl.online_gradient",
+          "rtrl.step_traces"]
 
 
 # kernels of the online row and of pretraining that the benchmark's
@@ -29,7 +31,9 @@ ABSENT = ["harness.train_rtrl", "lru.LruNetwork.from_parameters",
 NEXT_TARGETS = ["rtrl._StreamPlan.predict", "rtrl._StreamPlan.gradient",
                 "rtrl._trace_step", "rtrl.layer_constants",
                 "optim._Descent.__call__", "optim._clip",
-                "optim._huber_loss_grad", "bptt._WindowSampler.__call__"]
+                "optim._huber_grad", "optim._pull", "optim._distance",
+                "optim._huber_loss_grad", "lru._linear_recurrence",
+                "bptt._WindowSampler.__call__"]
 
 
 @pytest.mark.parametrize("name", NEXT_TARGETS)
