@@ -12,8 +12,8 @@ import numpy as np
 from .datapipe import SequenceData
 from .errors import (CompatibilityError, ConfigurationError,
                      ContractViolationError, TrainingError)
-from .lru import (LruNetwork, _check_call, _LayerKernel, _linear_recurrence,
-                  layer_constants, network_scan)
+from .lru import (LruNetwork, _check_call, _is_int, _LayerKernel,
+                  _linear_recurrence, layer_constants, network_scan)
 from .optim import AdamState, _Descent, _huber_loss_grad, huber
 
 _CONJ = np.array([1.0, -1.0])   # (re, im) pairs times this: their conjugate
@@ -30,15 +30,16 @@ class TrainConfig:
     eval_every: int = 250
 
     def __post_init__(self):
-        for name in ("steps", "batch", "window", "eval_every"):
-            if getattr(self, name) < 1:
+        for name, low in (("steps", 1), ("batch", 1), ("window", 1),
+                          ("eval_every", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
                 raise ConfigurationError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+                    f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, int(value))   # a checkpoint records JSON ints
         if not 0 <= self.lr < float("inf"):
             raise ConfigurationError(
                 f"lr must be finite and >= 0, got {self.lr}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.clip is not None and not self.clip > 0:
             raise ConfigurationError(
                 f"clip must be > 0 or None, got {self.clip}")

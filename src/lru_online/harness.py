@@ -20,7 +20,7 @@ from .datapipe import (IMPUTE_WINDOW, FittedPipeline, SequenceData,
                        impute_rolling_median, join_weather, load_emission_csv,
                        load_weather_csv, resample_to_grid, split_sessions)
 from .errors import ConfigurationError, ContractViolationError, TrainingError
-from .lru import LruNetwork, _check_layers, init_network
+from .lru import LruNetwork, _check_layers, _is_int, init_network
 from .optim import AdamState, _Descent, _huber_grad, huber_values
 from .rtrl import H, _StreamPlan, reset_trace, window_gradient
 from .synth import GeneratorConfig, generate_dataset
@@ -151,9 +151,10 @@ class FinetuneConfig:
             if not 0 <= getattr(self, name) < float("inf"):
                 raise ConfigurationError(f"{name} must be finite and >= 0, "
                                          f"got {getattr(self, name)}")
-        if self.freeze_after is not None and self.freeze_after < 0:
-            raise ConfigurationError(
-                f"freeze_after must be >= 0 or None, got {self.freeze_after}")
+        if self.freeze_after is not None and not (
+                _is_int(self.freeze_after) and self.freeze_after >= 0):
+            raise ConfigurationError(f"freeze_after must be an integer >= 0 "
+                                     f"or None, got {self.freeze_after!r}")
         if self.clip is not None and not self.clip > 0:
             raise ConfigurationError(
                 f"clip must be > 0 or None, got {self.clip}")

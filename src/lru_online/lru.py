@@ -218,11 +218,17 @@ def _check_ring(r_min: float, r_max: float) -> None:
             f"invalid eigenvalue ring [{r_min}, {r_max}]; need 0 < r_min <= r_max < 1")
 
 
+def _is_int(value) -> bool:
+    """The integer rule of every count and seed in a config: an int or a
+    numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_layers(layer_widths) -> None:
-    """One or more integer widths >= 1, no bool, else a ConfigurationError."""
+    """One or more integer widths >= 1 (_is_int), else a
+    ConfigurationError."""
     if len(layer_widths) == 0 or not all(
-            isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-            and n >= 1 for n in layer_widths):
+            _is_int(n) and n >= 1 for n in layer_widths):
         raise ConfigurationError("layers must be one or more integer widths "
                                  f">= 1: {tuple(layer_widths)}")
 

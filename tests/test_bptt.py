@@ -398,6 +398,19 @@ class TestTrain:
             with pytest.raises(ConfigurationError, match=field):
                 cls(**{field: value})
 
+    @pytest.mark.parametrize("field", ["steps", "batch", "window",
+                                       "eval_every", "seed"])
+    def test_non_integer_counts_rejected(self, field):
+        """A count or seed that is a float (integral or not), a bool or a
+        string is a ConfigurationError naming the field when the config
+        is built, by the integer rule of layer widths; a numpy integer
+        is valid."""
+        for cls in (TrainConfig, PretrainConfig):
+            for value in (2.5, 8.0, True, np.True_, "3"):
+                with pytest.raises(ConfigurationError, match=field):
+                    cls(**{field: value})
+            assert getattr(cls(**{field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("layers", [(), (0,), (-1,), (4, 0)])
     def test_bad_layer_widths_rejected(self, layers):
         """No width, or a width below 1, is a ConfigurationError naming

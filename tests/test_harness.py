@@ -175,16 +175,18 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_numpy_integer_widths_save(self, prepared, tmp_path):
-        """Widths given as numpy integers are recorded as JSON ints, so
-        the checkpoint saves and loads back with the same layers."""
+        """Widths, counts and the seed given as numpy integers are
+        recorded as JSON ints, so the checkpoint saves and loads back
+        with the same layers and config."""
         pipe, train, val = prepared
         cfg = replace(SMALL_PRETRAIN, layers=(np.int64(4), np.int32(3)),
-                      steps=2)
+                      steps=np.int64(2), seed=np.int32(1))
         ckpt, _ = cmd_pretrain(train, val, pipe, cfg)
         path = tmp_path / "i.json"
         save_checkpoint(ckpt, path)
         again = load_checkpoint(path)
         assert again.config["layers"] == [4, 3]
+        assert (again.config["steps"], again.seed) == (2, 1)
         assert [layer.n for layer in again.net.layers] == [4, 3]
 
     def test_pipeline_survives_roundtrip(self, pretrained, tmp_path):
@@ -607,7 +609,16 @@ class TestFinetune:
             with pytest.raises(ConfigurationError, match=field):
                 FinetuneConfig(**{**base, field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3"])
+    def test_non_integer_freeze_after_rejected(self, value):
+        """freeze_after that is not an integer (the integer rule of layer
+        widths: a bool is not one) is rejected when the config is built,
+        before cmd_finetune runs its frozen pass."""
+        with pytest.raises(ConfigurationError, match="freeze_after"):
+            FinetuneConfig(freeze_after=value)
+
     def test_boundary_configs_accepted(self):
+        assert FinetuneConfig(freeze_after=np.int64(3)).freeze_after == 3
         for cfg in (FinetuneConfig(lr=0.0), FinetuneConfig(freeze_after=0),
                     FinetuneConfig(clip=None), FinetuneConfig(lambda_reg=0.0)):
             assert isinstance(cfg, FinetuneConfig)

@@ -41,7 +41,13 @@ def bits(x):
 def pull(theta, pre, lambda_reg):
     """The anchor gradient as _Descent takes it: _distance, then _pull."""
     diff = np.empty_like(theta)
-    return _pull(diff, lambda_reg, _distance(theta, pre, diff), diff)
+    return _pull(diff, lambda_reg, _distance(theta, pre, diff), diff,
+                 np.empty(()))
+
+
+def clipped(g, max_norm):
+    """_clip of g at max_norm into a new array, its squared norm g @ g."""
+    return _clip(g, g @ g, max_norm, None, np.empty(()))
 
 
 class TestHuber:
@@ -158,19 +164,19 @@ class TestHuber:
 class TestClip:
     def test_under_threshold_unchanged(self):
         g = np.array([0.1, 0.2])
-        out = _clip(g, g @ g, 1.0)
+        out = clipped(g, 1.0)
         assert out is g
 
     def test_known_scaling(self):
         g = np.array([3.0, 4.0])
-        out = _clip(g, g @ g, 0.5)
+        out = clipped(g, 0.5)
         assert np.allclose(out, [0.3, 0.4])
 
     def test_post_clip_norm(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = rng.standard_normal(11)
-            out = _clip(g, g @ g, 0.7)
+            out = clipped(g, 0.7)
             assert (np.linalg.norm(out)
                     <= min(np.linalg.norm(g), 0.7) + 1e-12)
 
@@ -179,8 +185,8 @@ class TestClip:
     def test_idempotent(self, scale):
         rng = np.random.default_rng(7)
         g = rng.standard_normal(6) * scale
-        once = _clip(g, g @ g, 0.5)
-        twice = _clip(once, once @ once, 0.5)
+        once = clipped(g, 0.5)
+        twice = clipped(once, 0.5)
         assert np.allclose(once, twice, rtol=1e-15)
 
 
@@ -200,7 +206,7 @@ class TestNormsBitwise:
             norm = float(np.linalg.norm(g))
             for max_norm in (0.5 * norm, 2.0 * norm):
                 ref = g if norm <= max_norm else g * (max_norm / norm)
-                assert np.array_equal(_clip(g, g @ g, max_norm), ref)
+                assert np.array_equal(clipped(g, max_norm), ref)
 
     def test_anchor_distance_and_gradient(self):
         rng = np.random.default_rng(12)
@@ -337,7 +343,7 @@ class TestApplyUpdate:
         ref = theta.copy()
         state, ref_state = AdamState.init(theta), AdamState.init(theta)
         pulled = grads + pull(ref, pre, 0.3)
-        expect = _clip(pulled, pulled @ pulled, 0.5)
+        expect = clipped(pulled, 0.5)
         _Descent(ref, ref_state, None)(expect)
         _Descent(theta, state, 0.5, pre, 0.3)(grads)
         assert np.array_equal(theta, ref)
@@ -384,6 +390,64 @@ class TestApplyUpdate:
                         a, pre, np.empty_like(a))
 
     @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_bitwise_the_python_float_form(self, clip):
+        """The update with its 0-d scalar operands is bitwise the same
+        formulas written with Python-float scalars: the pull diff *
+        (lambda / distance), the clip g * (max_norm / |g|), the textbook m
+        and v and theta -= m / (sqrt(v) + eps sqrt(c2)) * (lr sqrt(c2) /
+        c1), over 30 updates of theta, m and v."""
+        rng = np.random.default_rng(16)
+        pre = rng.standard_normal(40)
+        theta, ref = pre + 0.1, pre + 0.1
+        state = AdamState.init(theta, lr=0.02)
+        m, v = np.zeros(40), np.zeros(40)
+        descend = _Descent(theta, state, clip, pre, 0.3)
+        for t in range(1, 31):
+            grads = rng.standard_normal(40)
+            diff = ref - pre
+            g = diff * (0.3 / math.sqrt(diff @ diff)) + grads
+            norm = math.sqrt(g @ g)
+            if clip is not None and norm > clip:
+                g = g * (clip / norm)
+            m = m * BETA1 + g * (1 - BETA1)
+            v = v * BETA2 + g * (1 - BETA2) * g
+            root_c2 = math.sqrt(1 - BETA2 ** t)
+            ref -= m / (np.sqrt(v) + EPS * root_c2) * (
+                0.02 * root_c2 / (1 - BETA1 ** t))
+            descend(grads)
+            assert theta.tobytes() == ref.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+
+    def test_interleaved_updates_share_no_scratch(self):
+        """Two _Descents with different clips and anchors, each on its own
+        parameters and gradients, called in turn give byte for byte
+        theta, Adam's m and v and the anchor distance of each run alone:
+        every per-update factor lives in its own _Descent."""
+        rng = np.random.default_rng(15)
+        setups = [(0.5, 0.05), (None, 0.3)]   # (clip, lambda_reg)
+        pres = [rng.standard_normal(20) for _ in setups]
+        grads = [rng.standard_normal((25, 20)) for _ in setups]
+
+        def run(which):
+            runs = {}
+            for k in which:
+                theta = pres[k] + 0.1
+                state = AdamState.init(theta, lr=0.02)
+                clip, lambda_reg = setups[k]
+                runs[k] = (theta, state, _Descent(theta, state, clip,
+                                                  pres[k], lambda_reg))
+            logs = {k: [] for k in which}
+            for t in range(25):
+                for k, (theta, state, descend) in runs.items():
+                    descend(grads[k][t])
+                    logs[k] += [theta.tobytes(), state.m.tobytes(),
+                                state.v.tobytes(), descend.distance]
+            return logs
+
+        assert run([0, 1]) == {**run([0]), **run([1])}
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
     def test_finite_gradient_with_overflowing_norm_steps(self, clip):
         """A finite gradient whose squared norm overflows is not rejected:
         the step counts (t += 1) and equals a plain Adam step on the clipped
@@ -398,7 +462,7 @@ class TestApplyUpdate:
             assert not math.isfinite(grads @ grads)
             _Descent(theta, state, clip)(grads)
             _Descent(ref, ref_state, None)(
-                grads if clip is None else _clip(grads, grads @ grads, clip))
+                grads if clip is None else clipped(grads, clip))
         assert state.t == 1
         assert theta.tobytes() == ref.tobytes()
         assert state.m.tobytes() == ref_state.m.tobytes()
@@ -414,7 +478,7 @@ class TestApplyUpdate:
         want = [0.3, 0.4, 1e-155]
         with np.errstate(over="ignore"):
             assert not math.isfinite(grads @ grads)
-            got = _clip(grads, grads @ grads, 0.5)
+            got = clipped(grads, 0.5)
             theta = np.zeros(3)
             state = AdamState.init(theta)
             _Descent(theta, state, 0.5)(grads)

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import oracle
 from conftest import (constants, finite_difference_grads, forward_row,
                       in_theta_order, max_rel_error, paired_order,
                       random_batch, small_random_net, zero_states)
+from lru_online import harness, optim, rtrl
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
 from lru_online.harness import FinetuneConfig, OnlineLearner
@@ -440,6 +442,71 @@ class TestOnlineStep:
                 assert [a.tobytes() for a in held] == kept
             held = [*traces, y_hat, *vs]
             kept = [a.tobytes() for a in held]
+
+
+# the kernels of one adaptive row, each wrapped where its caller looks it
+# up: rtrl and harness import layer_constants and _huber_grad by name
+ROW_KERNELS = [(rtrl._StreamPlan, "predict"), (rtrl._StreamPlan, "gradient"),
+               (rtrl, "layer_constants"), (rtrl, "_trace_step"),
+               (optim._Descent, "__call__"), (harness, "_huber_grad"),
+               (optim, "_distance"), (optim, "_clip"), (optim, "_pull")]
+
+
+@pytest.mark.parametrize("widths", [(16,), (4, 3)])
+@pytest.mark.parametrize("lambda_reg", [0.0, 0.01])
+@pytest.mark.parametrize("clip", [None, 0.5])
+def test_row_kernels_stay_on_the_row(monkeypatch, rng, widths, lambda_reg,
+                                     clip):
+    """One adaptive row (predict, observe) calls each row kernel by its
+    module-level name, which a benchmark can trace: the plan's two halves
+    once each, the layer constants and the trace update once per layer,
+    the update, the Huber gradient and the anchor distance once, the clip
+    once when one is set and the pull once when lambda_reg > 0."""
+    learner = OnlineLearner(init_network(3, widths, 2, seed=8),
+                            FinetuneConfig(lambda_reg=lambda_reg, clip=clip,
+                                           lr=1e-2))
+    counts = Counter()
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    for owner, name in ROW_KERNELS:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    learner.predict(rng.standard_normal(3))
+    learner.observe(rng.standard_normal(2))
+    depth = len(widths)
+    assert {name: counts[name] for _, name in ROW_KERNELS} == {
+        "predict": 1, "gradient": 1, "layer_constants": depth,
+        "_trace_step": depth, "__call__": 1, "_huber_grad": 1,
+        "_distance": 1, "_clip": int(clip is not None),
+        "_pull": int(lambda_reg > 0)}
+
+
+def test_interleaved_learners_share_no_scratch(rng):
+    """Two learners with different lambda_reg and clip, each on its own
+    stream, stepped in turn row by row give byte for byte the
+    predictions and anchor distances of each run alone."""
+    net = init_network(3, (5, 4), 2, seed=8)
+    cfgs = [FinetuneConfig(lambda_reg=0.01, clip=0.5, lr=1e-2),
+            FinetuneConfig(lambda_reg=0.1, clip=None, lr=1e-2)]
+    streams = [(rng.standard_normal((30, 3)), rng.standard_normal((30, 2)))
+               for _ in cfgs]
+
+    def run(which):
+        learners = {k: OnlineLearner(net, cfgs[k]) for k in which}
+        logs = {k: [] for k in which}
+        for t in range(30):
+            for k, learner in learners.items():
+                inputs, targets = streams[k]
+                logs[k].append(learner.predict(inputs[t]).tobytes())
+                learner.observe(targets[t])
+                logs[k].append(np.float64(learner.distance).tobytes())
+        return logs
+
+    assert run([0, 1]) == {**run([0]), **run([1])}
 
 
 ONLINE_REF = Path(__file__).parent / "data" / "online_step_depth2.npz"

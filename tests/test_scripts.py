@@ -1,8 +1,10 @@
-"""Smoke tests of the experiment scripts in scripts/: each runs end to end
-through the CLI at a few steps and writes its table."""
+"""Smoke tests of the scripts in scripts/: each experiment runs end to end
+through the CLI at a few steps and writes its table, and the output
+digest repeats."""
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ def run_script(name, *args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def read_rows(path):
@@ -41,3 +44,10 @@ def test_run_sweep(tmp_path):
     rows = read_rows(tmp_path / "grid" / "sweep.csv")
     assert len(rows) == 90
     assert all(row["error"] == "" for row in rows)
+
+
+def test_output_digest_repeats():
+    """Two runs print the same single sha256 hex digest."""
+    first, second = (run_script("output_digest.py") for _ in range(2))
+    assert re.fullmatch(r"[0-9a-f]{64}\n", first)
+    assert second == first
