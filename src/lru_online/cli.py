@@ -225,7 +225,11 @@ def _do_finetune(args) -> int:
                       {"loss": m.loss, "loss_frozen": m.loss_frozen,
                        "cum_loss": np.cumsum(m.loss),
                        "cum_loss_frozen": np.cumsum(m.loss_frozen),
-                       "anchor_distance": m.anchor_distance})
+                       "anchor_distance": m.anchor_distance,
+                       "grad_norm": m.grad_norm,
+                       # 1 where the clip scaled the update down
+                       "clipped": (m.grad_norm > (fcfg.clip or np.inf)
+                                   ).astype(np.int64)})
     print(run_dir)
     return 0
 

@@ -170,6 +170,10 @@ class RunMetrics:
     loss: np.ndarray               # (N,) per-step mean Huber
     loss_frozen: np.ndarray
     anchor_distance: np.ndarray    # ||theta_t - theta_pre||_2 after step t
+    # (N,) ||gradient + anchor pull|| before the clip at step t; NaN where
+    # no update was made (frozen rows, non-finite gradients), inf where a
+    # finite gradient's squares overflow
+    grad_norm: np.ndarray
     skipped_updates: int = 0       # steps whose gradient was not finite
 
     @property
@@ -227,7 +231,9 @@ class OnlineLearner:
     changes nothing. observe before predict, predict twice, and a row or
     label of the wrong width are ContractViolationErrors that change
     nothing. observe reads the returned prediction again: copy it before
-    writing to it."""
+    writing to it. predict and observe check their call and then run
+    _predict and _observe, the one implementation of the step, which
+    cmd_finetune calls directly on rows it has checked once."""
 
     def __init__(self, net: LruNetwork, cfg: FinetuneConfig):
         self.net = net.copy()
@@ -264,11 +270,7 @@ class OnlineLearner:
         if u.shape != self._u_shape:
             raise ContractViolationError(
                 f"row shape {u.shape} for input shape {self._u_shape}")
-        traces, y_hat, _ = self._pending = self._plan.predict(self.traces, u)
-        # a finite u.dot(u) (half u @ u's time) skips the full scan
-        if math.isfinite(u.dot(u)) or np.isfinite(u).all():
-            self.traces = traces
-        return y_hat
+        return self._predict(u)
 
     def observe(self, y: np.ndarray) -> None:
         """Update theta and the Adam state on the label y (p,) of the row
@@ -279,6 +281,20 @@ class OnlineLearner:
         if y.shape != self._y_shape:
             raise ContractViolationError(
                 f"label shape {y.shape} for output shape {self._y_shape}")
+        self._observe(y)
+
+    def _predict(self, u: np.ndarray) -> np.ndarray:
+        """predict's step, unchecked: u is a float64 row of the input
+        width and no prediction is pending."""
+        traces, y_hat, _ = self._pending = self._plan.predict(self.traces, u)
+        # a finite u.dot(u) (half u @ u's time) skips the full scan
+        if math.isfinite(u.dot(u)) or np.isfinite(u).all():
+            self.traces = traces
+        return y_hat
+
+    def _observe(self, y: np.ndarray) -> None:
+        """observe's step, unchecked: y is a float64 label of the output
+        width and a prediction is pending."""
         traces, y_hat, vs = self._pending
         self._pending = None
         plan = self._plan
@@ -290,18 +306,30 @@ class OnlineLearner:
 
 
 def _adapt(learner: OnlineLearner, stream: SequenceData, freeze: int,
-           preds: np.ndarray, dist: np.ndarray) -> None:
-    """cmd_finetune's adaptive pass: rows [0, freeze) through the learner,
-    each row's prediction into preds and the distance after it into dist."""
-    features, targets = stream.features, stream.targets
+           preds: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """cmd_finetune's adaptive pass: rows [0, freeze) through the
+    learner's unchecked steps, each row's prediction into preds and the
+    distance after it into dist. The stream's widths are checked already:
+    its rows are converted to float64 once (no copy when they are), so
+    every row passes the learner's checks. Returns each row's gradient
+    norm before the clip (_Descent.sq), NaN where no update was made."""
+    features = np.asarray(stream.features, dtype=np.float64)
+    targets = np.asarray(stream.targets, dtype=np.float64)
+    norms = np.full(stream.n_rows, np.nan)
+    predict, observe = learner._predict, learner._observe
+    descend = learner._descend
     for first, stop in zip(*stream.session_bounds()):
         if first >= freeze:
             break
         learner.end_session()
-        for t in range(first, min(stop, freeze)):
-            preds[t] = learner.predict(features[t])
-            learner.observe(targets[t])
-            dist[t] = learner.distance
+        stop = min(stop, freeze)
+        for t, u, y in zip(range(first, stop), features[first:stop],
+                           targets[first:stop]):
+            preds[t] = predict(u)
+            observe(y)
+            dist[t] = descend.distance
+            norms[t] = descend.sq
+    return np.sqrt(norms, out=norms)
 
 
 def _freeze_row(cfg: FinetuneConfig, n_rows: int) -> int:
@@ -324,12 +352,16 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     that is the only pass: the fine-tuned predictions and losses are
     copies of the frozen ones and the anchor distance is 0. Otherwise an
     OnlineLearner runs rows [0, freeze), the first freeze_after rows (all
-    when None): each prediction is logged before its label updates θ (no
-    label leakage), and a step whose gradient is not finite (a NaN feature
-    or target) counts in RunMetrics.skipped_updates. _scan_sessions then
-    runs the learner's net from the freeze row on, continuing its states
-    inside the freeze row's session. At fixed theta too a non-finite
-    feature row is predicted and leaves the states as they were.
+    when None), through its unchecked steps (the stream's widths are
+    checked here, once): each prediction is logged before its label
+    updates θ (no label leakage), the gradient norm before the clip goes
+    into RunMetrics.grad_norm, and a step whose gradient is not finite (a
+    NaN feature or target) counts in RunMetrics.skipped_updates, its
+    grad_norm NaN like that of every row from the freeze on.
+    _scan_sessions then runs the learner's net from the freeze row on,
+    continuing its states inside the freeze row's session. At fixed theta
+    too a non-finite feature row is predicted and leaves the states as
+    they were.
 
     The losses come from the logged predictions. Sessions come from
     stream.session_bounds(), so a session id that comes back is a
@@ -346,9 +378,10 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
     loss_frozen = huber_values(preds_frozen - stream.targets).mean(axis=1)
     preds, loss = preds_frozen.copy(), loss_frozen.copy()
     dist, skipped = np.zeros(stream.n_rows), 0
+    grad_norm = np.full(stream.n_rows, np.nan)
     if freeze:
         learner = OnlineLearner(frozen, cfg)
-        _adapt(learner, stream, freeze, preds, dist)
+        grad_norm = _adapt(learner, stream, freeze, preds, dist)
         dist[freeze:], skipped = learner.distance, learner.skipped
         preds[freeze:] = _scan_sessions(learner.net, stream, freeze,
                                         learner.states)
@@ -357,7 +390,8 @@ def cmd_finetune(ckpt: Checkpoint, stream: SequenceData,
                       targets=stream.targets.copy(),
                       predictions=preds, predictions_frozen=preds_frozen,
                       loss=loss, loss_frozen=loss_frozen,
-                      anchor_distance=dist, skipped_updates=skipped)
+                      anchor_distance=dist, grad_norm=grad_norm,
+                      skipped_updates=skipped)
 
 
 # ----------------------------------------------------------------- ablation

@@ -3,15 +3,17 @@
 Parameters, gradients and optimizer moments are flat float64 vectors laid
 out like LruNetwork.theta; updates write into the parameter vector in place.
 
-Operand rule of the per-row kernels (_adam, _clip, _pull): every scalar
-operand of a numpy call is a 0-d float64 array, never a Python float. A
-ufunc converts a Python float operand to an array on every call; a 0-d
+Operand rule of the per-row kernels (the Huber gradient, _clip, _pull
+and the Adam step of _Descent.__call__): every scalar operand of a numpy
+call is a 0-d float64 array, never a Python float or int. A ufunc
+converts a Python scalar operand to an array on every call; a 0-d
 operand is used as it is, with bitwise the same result (a 541-entry
 multiply: about 0.6 against 0.8 us on a 2-vCPU Xeon). The constant
-factors are read-only module arrays. Each factor that changes per update
-(eps sqrt(c2), the step size, the clip's and the pull's scale) is computed
-as a Python float and written into a 0-d buffer of the _Descent that uses
-it, so two updaters never share one.
+factors are read-only module arrays, the Huber gradient's residual count
+among them (one per size, made on first use). Each factor that changes
+per update (eps sqrt(c2), the step size, the clip's and the pull's
+scale) is computed as a Python float and written into a 0-d buffer of
+the _Descent that uses it, so two updaters never share one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,26 @@ def huber(residual: np.ndarray) -> float:
     return float(np.mean(huber_values(residual)))
 
 
-_LO, _HI = np.array(-1.0), np.array(1.0)   # 0-d: no float cast per call
+def _constant(x: float) -> np.ndarray:
+    """x as a read-only 0-d float64 array."""
+    a = np.array(x, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_LO, _HI = _constant(-1.0), _constant(1.0)
+
+
+class _Counts(dict):
+    """size -> _constant(size), made on the first lookup of a size: the
+    Huber gradient's divisor, so no call converts the int r.size."""
+
+    def __missing__(self, size: int) -> np.ndarray:
+        count = self[size] = _constant(size)
+        return count
+
+
+_COUNTS = _Counts()
 
 
 def _huber_grad(r: np.ndarray) -> np.ndarray:
@@ -51,7 +72,7 @@ def _huber_grad(r: np.ndarray) -> np.ndarray:
     # minimum/maximum, not np.clip: the same values (NaN included) without
     # np.clip's Python-level wrapper
     np.minimum(np.maximum(r, _LO, out=r), _HI, out=r)
-    r /= r.size
+    r /= _COUNTS[r.size]
     return r
 
 
@@ -68,7 +89,7 @@ def _huber_loss_grad(r: np.ndarray) -> tuple[float, np.ndarray]:
     np.subtract(r, values, out=values)
     values *= psi
     loss = abs(float(np.mean(values)))
-    np.divide(psi, r.size, out=r)
+    np.divide(psi, _COUNTS[r.size], out=r)
     return loss, r
 
 
@@ -105,13 +126,6 @@ def _clip(grads: np.ndarray, sq: float, max_norm: float,
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's (2015) defaults
 
 
-def _constant(x: float) -> np.ndarray:
-    """x as a read-only 0-d float64 array."""
-    a = np.array(x)
-    a.flags.writeable = False
-    return a
-
-
 _BETA1, _BETA2 = _constant(BETA1), _constant(BETA2)
 _ONE_MINUS_BETA1, _ONE_MINUS_BETA2 = _constant(1 - BETA1), _constant(1 - BETA2)
 
@@ -126,32 +140,6 @@ class AdamState:
     @classmethod
     def init(cls, theta: np.ndarray, lr: float = 1e-3) -> "AdamState":
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), t=0, lr=lr)
-
-
-def _adam(theta: np.ndarray, grads: np.ndarray, state: AdamState,
-          work: tuple) -> None:
-    """Unchecked Adam step in place: textbook m and v, then Kingma & Ba's
-    efficient form theta -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2)),
-    c1 = 1 - beta1^t, c2 = 1 - beta2^t. work: the vectors step and denom
-    and the 0-d buffers of eps sqrt(c2) and of the step size."""
-    step, denom, eps, rate = work
-    m, v = state.m, state.v
-    t = state.t = state.t + 1
-    m *= _BETA1
-    np.multiply(grads, _ONE_MINUS_BETA1, out=step)
-    m += step
-    v *= _BETA2
-    np.multiply(grads, _ONE_MINUS_BETA2, out=step)
-    step *= grads
-    v += step
-    root_c2 = math.sqrt(1 - BETA2 ** t)
-    eps[()] = EPS * root_c2
-    rate[()] = state.lr * root_c2 / (1 - BETA1 ** t)
-    np.sqrt(v, out=denom)
-    denom += eps
-    np.divide(m, denom, out=step)
-    step *= rate
-    theta -= step
 
 
 # ------------------------------------------------------------------- anchor
@@ -205,6 +193,7 @@ class _Descent:
         # 0-d: eps sqrt(c2), the Adam step size, the pull's or clip's scale
         eps, rate, self.scale = (np.empty(()) for _ in range(3))
         self.adam_work = (step, denom, eps, rate)
+        self.sq = math.nan   # the last call's pre-clip squared norm
         if theta_pre is not None:
             self.diff, self.pull = np.empty((2, theta.size))
             self.distance = _distance(theta, theta_pre, self.diff)
@@ -213,17 +202,42 @@ class _Descent:
         """Add the anchor pull, clip, Adam-step. The clip's squared norm is
         the finiteness check: only a non-finite sum (a NaN or inf entry, or
         finite squares that overflow) pays for a full scan, and only a NaN
-        or inf entry raises TrainingError, which changes nothing."""
+        or inf entry raises TrainingError, which changes nothing. The
+        squared norm of the gradient plus the pull, before the clip, stays
+        in `sq` (NaN after a TrainingError).
+
+        The Adam step: textbook m and v, then Kingma & Ba's efficient form
+        theta -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2)), c1 = 1 -
+        beta1^t, c2 = 1 - beta2^t."""
         if self.pulls:
             pull = _pull(self.diff, self.lambda_reg, self.distance,
                          self.pull, self.scale)
             pull += grads
             grads = pull
-        sq = grads.dot(grads)
+        sq = self.sq = grads.dot(grads)
         if not math.isfinite(sq) and not np.isfinite(grads).all():
+            self.sq = math.nan
             raise TrainingError("non-finite gradient passed to the update")
         if self.clip is not None:
             grads = _clip(grads, sq, self.clip, self.clipped, self.scale)
-        _adam(self.theta, grads, self.adam, self.adam_work)
+        step, denom, eps, rate = self.adam_work
+        adam = self.adam
+        m, v = adam.m, adam.v
+        t = adam.t = adam.t + 1
+        m *= _BETA1
+        np.multiply(grads, _ONE_MINUS_BETA1, out=step)
+        m += step
+        v *= _BETA2
+        np.multiply(grads, _ONE_MINUS_BETA2, out=step)
+        step *= grads
+        v += step
+        root_c2 = math.sqrt(1 - BETA2 ** t)
+        eps[()] = EPS * root_c2
+        rate[()] = adam.lr * root_c2 / (1 - BETA1 ** t)
+        np.sqrt(v, out=denom)
+        denom += eps
+        np.divide(m, denom, out=step)
+        step *= rate
+        self.theta -= step
         if self.theta_pre is not None:
             self.distance = _distance(self.theta, self.theta_pre, self.diff)

@@ -25,17 +25,20 @@ through y = Re[C h] + D u).
 The per-stream kernel _StreamPlan checks nothing and has two halves:
 predict (one row's trace update, the state included, and readout) and
 gradient (that row's parameter gradient). Its callers check the widths:
-harness.OnlineLearner of each row, window_gradient (RTRL pretraining's
-gradient) of its window (lru._check_call). The kernel copies no block per
-row: B and the readout w = [C2 | D] are views of theta
-(lru.LruLayerParams), and the gradient is written through the same views
-of one buffer (net.paired). A layer reads out y = w @ v, v = [conj(h)
-pairs | its input], and w's gradient is the outer product of dL/dy and v.
-Its matrix products are ndarray.dot calls: bitwise @ at half the call cost.
+harness.OnlineLearner of each row (cmd_finetune of its stream, once),
+window_gradient (RTRL pretraining's gradient) of its window
+(lru._check_call). The kernel copies no block per row: B and the readout
+w = [C2 | D] are views of theta (lru.LruLayerParams), and the gradient is
+written through the same views of one buffer (net.paired). A layer reads
+out y = w @ v, v = [conj(h) pairs | its input], and w's gradient is the
+outer product of dL/dy and v. Its matrix products are ndarray.dot
+calls: bitwise @ at half the call cost, and bitwise np.dot without
+np.dot's Python-level dispatcher (100-160 ns a call), the ones with out=
+included.
 
 Operand rule of the per-row calls: each takes its operands in the
 cheapest form that rounds the same. A rank-1 outer product x (x) y is
-np.dot of the (k, 1) and (1, q) views into a C-contiguous output: w's
+the dot of the (k, 1) and (1, q) views into a C-contiguous output: w's
 gradient g (x) v straight into its block, gamma (x) u into a per-layer
 (n, m) buffer that is then copied into the B_RE columns (1.0 and 1.3 us
 against 1.6 and 1.7 us for the broadcast multiplies at n = 16, m = 9,
@@ -75,7 +78,7 @@ def _trace_step(k: _LayerKernel, u: np.ndarray, z_prev: np.ndarray,
     imm, imm_lam, imm_h, imm_b, gu = work
     np.multiply(k.gamma, k.b.dot(u), out=imm_h)
     np.multiply(k.dlam, z_prev[:, H:H + 1], out=imm_lam)
-    np.dot(k.gamma_col, u[None], out=gu)
+    k.gamma_col.dot(u[None], out=gu)
     imm_b[...] = gu   # B_RE's imaginary part stays 0
     # out of place: numpy's in-place complex multiply rounds differently
     z = k.lam_col * z_prev
@@ -145,14 +148,14 @@ class _StreamPlan:
         for k in range(self.top, -1, -1):
             kern, out = self.kernels[k], self.outs[k]
             az, az_head, az_b, head, gw, a, a_col, g_d = self.work[k]
-            np.dot(g, kern.w, out=gw)   # [the adjoint a of h | g @ D]
+            g.dot(kern.w, out=gw)   # [the adjoint a of h | g @ D]
             np.multiply(a_col, traces[k], out=az)
             head[...] = az_head
             # conj(a * Z) holds Re[a * Z] and -Im[a * Z] = Re[a * 1j * Z]
             # side by side: the b_re and b_im gradients as b's pairs
             np.conjugate(az_b, out=out.b_complex)
             # [C2 | D]'s gradient: the outer product of g and v
-            np.dot(g[:, None], vs[k][None], out=out.w)
+            g[:, None].dot(vs[k][None], out=out.w)
             if k > 0:
                 # this layer's instantaneous dL/du: the layer below's dL/dy
                 g = (kern.gamma * a).dot(kern.b).real + g_d

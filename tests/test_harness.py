@@ -19,7 +19,7 @@ from test_rtrl import snapshot
 from lru_online.bptt import evaluate as offline_evaluate, sample_windows
 from lru_online.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from lru_online.datapipe import SequenceData, impute_rolling_median
-from lru_online import cli, harness
+from lru_online import cli, harness, optim
 from lru_online.cli import EXIT_CODES, build_parser, main
 from lru_online.errors import (CheckpointError, CompatibilityError,
                                ConfigurationError, ContractViolationError)
@@ -684,7 +684,9 @@ def test_finetune_matches_reference():
     predictions and losses from the freeze row on (BOUND)."""
     ref = np.load(FINETUNE_REF)
     got = run_finetune_reference()
-    assert sorted(got) == sorted(ref.files)
+    # grad_norm is newer than the reference: test_grad_norm_is_the_update_norm
+    assert sorted(k for k in got if not k.endswith(".grad_norm")) == sorted(
+        ref.files)
     for key in ref.files:
         _, config, field = key.split(".")
         cfg = FINETUNE_CONFIGS[config]
@@ -821,6 +823,126 @@ def test_kernel_loop_equals_checked_public_path(case):
     assert ([h.tobytes() for h in la.states]
             == [h.tobytes() for h in lb.states])
     assert not np.array_equal(la.net.theta, net.theta)
+
+
+def three_session_stream(rng, m, p, layout="float64"):
+    """A 3-session stream (rows 0-19, 20-44, 45-59) with a NaN feature row
+    in the first session, a NaN target in the second and a NaN feature row
+    in the third; its features in the given layout: C-ordered float64,
+    float32, or Fortran-ordered float64."""
+    features = rng.standard_normal((60, m))
+    targets = rng.standard_normal((60, p))
+    features[[8, 50], 0] = np.nan
+    targets[27, p - 1] = np.nan
+    features = {"float64": features, "float32": features.astype(np.float32),
+                "fortran": np.asfortranarray(features)}[layout]
+    return SequenceData(features=features, targets=targets,
+                        session_ids=np.repeat([3, 1, 2], [20, 25, 15]),
+                        timestamps=np.arange(60.0))
+
+
+@pytest.mark.parametrize("layout", ["float64", "float32", "fortran"])
+@pytest.mark.parametrize("widths", [(16,), (4, 3)])
+def test_cmd_finetune_is_the_public_loop(widths, layout):
+    """cmd_finetune, whose adaptive rows run the learner's unchecked steps
+    on the stream converted to float64 once, gives every RunMetrics field
+    byte for byte as a loop over the public OnlineLearner.predict and
+    observe (end_session at each session start, each row passed as it is
+    stored) followed by cmd_finetune's fixed-theta scan from the freeze
+    row, which falls inside the second session. The public calls have no
+    view of the update's norm, so the loop reads grad_norm from the
+    learner's _Descent (test_grad_norm_is_the_update_norm checks it)."""
+    rng = np.random.default_rng(41)
+    stream = three_session_stream(rng, 5, 3, layout)
+    ckpt = Checkpoint(net=init_network(5, widths, 3, seed=3))
+    cfg = FinetuneConfig(lambda_reg=0.01, lr=1e-2, freeze_after=35)
+    got = cmd_finetune(ckpt, stream, cfg)
+
+    frozen = harness._scan_sessions(ckpt.net, stream)
+    preds, dist = frozen.copy(), np.zeros(stream.n_rows)
+    norms = np.full(stream.n_rows, np.nan)
+    learner = OnlineLearner(ckpt.net, cfg)
+    starts = set(stream.session_bounds()[0].tolist())
+    for t in range(35):
+        if t in starts:
+            learner.end_session()
+        preds[t] = learner.predict(stream.features[t])
+        learner.observe(stream.targets[t])
+        dist[t] = learner.distance
+        norms[t] = math.sqrt(learner._descend.sq)
+    dist[35:] = learner.distance
+    preds[35:] = harness._scan_sessions(learner.net, stream, 35,
+                                        learner.states)
+    want = harness.RunMetrics(
+        timestamps=stream.timestamps, targets=stream.targets,
+        predictions=preds, predictions_frozen=frozen,
+        loss=huber_values(preds - stream.targets).mean(axis=1),
+        loss_frozen=huber_values(frozen - stream.targets).mean(axis=1),
+        anchor_distance=dist, grad_norm=norms,
+        skipped_updates=learner.skipped)
+    assert got.skipped_updates == 2
+    assert np.isnan(got.predictions[[8, 50]]).all()
+    for field, value in vars(want).items():
+        have = np.asarray(getattr(got, field))
+        assert have.dtype == np.asarray(value).dtype, field
+        assert have.tobytes() == np.asarray(value).tobytes(), field
+
+
+@pytest.mark.parametrize("widths, lambda_reg, clip", [
+    ((16,), 0.01, 2.0), ((4, 3), 0.1, 1.0), ((4, 3), 0.0, None)])
+def test_grad_norm_is_the_update_norm(monkeypatch, widths, lambda_reg, clip):
+    """RunMetrics.grad_norm is the L2 norm of each adaptive row's RTRL
+    gradient plus the anchor pull (theta - theta_pre) lambda_reg /
+    ||theta - theta_pre|| before the clip, bitwise a plain loop's
+    np.linalg.norm of that sum; NaN on the skipped rows (a NaN feature
+    row and a NaN target) and on every row from the freeze on. The clip
+    scales a row's gradient exactly where grad_norm > clip (the CLI's
+    `clipped` column)."""
+    rng = np.random.default_rng(9)
+    stream = three_session_stream(rng, 5, 3)
+    ckpt = Checkpoint(net=init_network(5, widths, 3, seed=4))
+    cfg = FinetuneConfig(lambda_reg=lambda_reg, lr=1e-2, clip=clip,
+                         freeze_after=35)
+    acted, clip_kernel = [], optim._clip
+
+    def recording_clip(grads, *args):
+        out = clip_kernel(grads, *args)
+        acted.append(out is not grads)
+        return out
+
+    monkeypatch.setattr(optim, "_clip", recording_clip)
+    got = cmd_finetune(ckpt, stream, cfg).grad_norm
+    monkeypatch.undo()
+
+    net = ckpt.net.copy()
+    plan = _StreamPlan(net)
+    descend = _Descent(net.theta, AdamState.init(net.theta, lr=cfg.lr), clip)
+    want = np.full(stream.n_rows, np.nan)
+    starts = set(stream.session_bounds()[0].tolist())
+    for t in range(35):
+        if t in starts:
+            traces = reset_trace(net)
+        new_traces, y_hat, vs = plan.predict(traces, stream.features[t])
+        if np.isfinite(stream.features[t]).all():
+            traces = new_traces
+        grad = plan.gradient(new_traces, vs,
+                             _huber_grad(y_hat - stream.targets[t])).copy()
+        if not np.isfinite(grad).all():
+            continue
+        diff = net.theta - ckpt.net.theta
+        d = np.linalg.norm(diff)
+        grad += diff * (lambda_reg / d) if d else 0.0
+        want[t] = np.linalg.norm(grad)
+        descend(grad)
+    updated = np.isfinite(want)
+    assert np.flatnonzero(~updated[:35]).tolist() == [8, 27]
+    assert np.array_equal(np.isnan(got), ~updated)
+    assert got[updated].tobytes() == want[updated].tobytes()
+    if clip is None:
+        assert acted == []
+    else:
+        assert acted == (got[updated] > clip).tolist()
+        assert any(acted) and not all(acted)
 
 
 PRETRAIN_RTRL_REF = DATA / "pretrain_rtrl_reference.npz"
@@ -1339,9 +1461,16 @@ class TestCli:
                      "0.01"]) == 0
         header = (ft / "metrics.csv").read_text().splitlines()[0].split(",")
         for col in ("step", "timestamp", "loss", "loss_frozen", "cum_loss",
-                    "anchor_distance"):
+                    "anchor_distance", "grad_norm", "clipped"):
             assert col in header
         assert any(c.startswith("pred_frozen_") for c in header)
+        with open(ft / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        norms = np.array([float(r["grad_norm"]) for r in rows])
+        assert np.isfinite(norms).any()
+        # the default clip, 0.5; a NaN norm (no update) is not clipped
+        assert [r["clipped"] for r in rows] == [
+            str(int(g > 0.5)) for g in norms]
 
         ev = tmp_path / "ev"
         assert main(["evaluate", "--data", str(data), "--checkpoint",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 
+from lru_online import optim
 from lru_online.errors import ConfigurationError, TrainingError
 from lru_online.optim import (BETA1, BETA2, EPS, AdamState, _clip, _Descent,
                               _distance, _huber_grad, _huber_loss_grad, _pull,
@@ -99,6 +100,27 @@ class TestHuber:
         ref = np.clip(r, -1.0, 1.0) / r.size
         assert np.array_equal(_huber_grad(r.copy()).view(np.int64),
                               ref.view(np.int64))
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_count_divisor_is_bitwise_the_int_size(self, size):
+        """Both kernels divide psi = min(max(r, -1), 1) by a read-only 0-d
+        float64 count made once per size: bitwise psi / r.size, the Python
+        int, for random residuals and for each with a NaN, +inf or -inf
+        entry (the loss of a NaN row left aside)."""
+        rng = np.random.default_rng(size)
+        for bad in (None, np.nan, np.inf, -np.inf):
+            r = rng.standard_normal(size) * 3
+            if bad is not None:
+                r[rng.integers(size)] = bad
+            want = np.minimum(np.maximum(r, -1.0), 1.0) / r.size
+            assert np.array_equal(bits(_huber_grad(r.copy())), bits(want))
+            _, grad = _huber_loss_grad(r.copy())
+            assert np.array_equal(bits(grad), bits(want))
+        count = optim._COUNTS[size]
+        assert count is optim._COUNTS[size]
+        assert (count.shape, count.dtype, count.flags.writeable) == (
+            (), np.float64, False)
+        assert count == size
 
     @pytest.mark.parametrize("case", ["edges", "finite edges", "random"])
     def test_bitwise_equals_two_branch_formula(self, case):
@@ -362,6 +384,25 @@ class TestApplyUpdate:
             before = grads.copy()
             _Descent(theta, state, clip, pre, lambda_reg)(grads)
             assert np.array_equal(grads, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sq_is_the_pre_clip_squared_norm(self, bad):
+        """sq is g @ g of the gradient plus the pull, taken before the
+        clip scales it; after a TrainingError it is NaN, also when the
+        bad entry is an inf (whose squares sum to inf, not NaN)."""
+        rng = np.random.default_rng(8)
+        pre = rng.standard_normal(6)
+        theta = pre + rng.standard_normal(6)
+        descend = _Descent(theta, AdamState.init(theta), 1e-3, pre, 0.3)
+        assert math.isnan(descend.sq)
+        grads = rng.standard_normal(6)
+        total = grads + pull(theta, pre, 0.3)
+        descend(grads)
+        assert descend.sq == total @ total > 1e-3 ** 2
+        grads[2] = bad
+        with pytest.raises(TrainingError):
+            descend(grads)
+        assert math.isnan(descend.sq)
 
     def test_given_distance_is_bitwise_the_computed_one(self):
         """A sequence of calls on one _Descent, which carries the anchor

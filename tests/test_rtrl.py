@@ -11,7 +11,9 @@ from conftest import (constants, finite_difference_grads, forward_row,
 from lru_online import harness, optim, rtrl
 from lru_online.bptt import bptt_gradient
 from lru_online.errors import ContractViolationError
-from lru_online.harness import FinetuneConfig, OnlineLearner
+from lru_online.checkpoint import Checkpoint
+from lru_online.datapipe import SequenceData
+from lru_online.harness import FinetuneConfig, OnlineLearner, cmd_finetune
 from lru_online.lru import LruNetwork, init_network, layer_constants
 from lru_online.optim import huber
 from lru_online.rtrl import (B_RE, H, NU, PHASE, _StreamPlan, _trace_step,
@@ -483,6 +485,44 @@ def test_row_kernels_stay_on_the_row(monkeypatch, rng, widths, lambda_reg,
         "_trace_step": depth, "__call__": 1, "_huber_grad": 1,
         "_distance": 1, "_clip": int(clip is not None),
         "_pull": int(lambda_reg > 0)}
+
+
+@pytest.mark.parametrize("widths", [(16,), (4, 3)])
+@pytest.mark.parametrize("lambda_reg", [0.0, 0.01])
+@pytest.mark.parametrize("clip", [None, 0.5])
+def test_row_kernels_stay_on_the_finetune_row(monkeypatch, rng, widths,
+                                              lambda_reg, clip):
+    """cmd_finetune's adaptive rows, which skip the learner's checks, call
+    the same row kernels by the same names as test_row_kernels_stay_on_the_row:
+    N rows over two sessions call each N times (times the depth for the
+    layer constants and the trace update) and the clip and the pull N
+    times when they are on. The anchor distance is taken once more, when
+    the learner is built."""
+    rows = 7
+    ckpt = Checkpoint(net=init_network(3, widths, 2, seed=8))
+    stream = SequenceData(features=rng.standard_normal((rows, 3)),
+                          targets=rng.standard_normal((rows, 2)),
+                          session_ids=np.repeat([0, 1], [4, 3]),
+                          timestamps=np.arange(float(rows)))
+    counts = Counter()
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    for owner, name in ROW_KERNELS:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    metrics = cmd_finetune(ckpt, stream, FinetuneConfig(
+        lambda_reg=lambda_reg, clip=clip, lr=1e-2))
+    assert metrics.skipped_updates == 0
+    depth = len(widths)
+    assert {name: counts[name] for _, name in ROW_KERNELS} == {
+        "predict": rows, "gradient": rows, "layer_constants": depth * rows,
+        "_trace_step": depth * rows, "__call__": rows, "_huber_grad": rows,
+        "_distance": rows + 1, "_clip": rows * (clip is not None),
+        "_pull": rows * (lambda_reg > 0)}
 
 
 def test_interleaved_learners_share_no_scratch(rng):
