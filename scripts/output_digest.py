@@ -4,11 +4,11 @@ small fixed synthetic scenario, for checking that a change leaves every
 output bit as it was: run it at both commits and compare the two lines.
 
 Hashed, in this order:
-- for each depth in (8,) and (4, 3) and each trainer (bptt, rtrl), the
-  pretrained theta and the loss curve of cmd_pretrain;
+- for each depth in (8,) and (4, 3), the pretrained theta and the loss
+  curve of cmd_pretrain (BPTT);
 - for each depth, lambda_reg in {0, 0.01, 0.1} and clip in {0.5, None},
   cmd_finetune's predictions, loss, anchor_distance and skipped_updates on
-  the validation stream, from that depth's BPTT checkpoint.
+  the validation stream, from that depth's checkpoint.
 
 Every array is hashed as its float64 (int64 for counts) bytes, so the
 digest also tells a +0.0 from a -0.0.
@@ -46,15 +46,12 @@ def digest() -> str:
             h.update(np.ascontiguousarray(a).tobytes())
 
     for layers in DEPTHS:
-        ckpts = {}
-        for trainer in ("bptt", "rtrl"):
-            cfg = PretrainConfig(trainer=trainer, layers=layers, steps=20,
-                                 batch=4, window=32, eval_every=10, lr=1e-2)
-            ckpts[trainer], result = cmd_pretrain(train, val, pipe, cfg)
-            add(result.net.theta,
-                np.array(result.loss_curve, dtype=np.float64))
+        cfg = PretrainConfig(layers=layers, steps=20, batch=4, window=32,
+                             eval_every=10, lr=1e-2)
+        ckpt, result = cmd_pretrain(train, val, pipe, cfg)
+        add(result.net.theta, np.array(result.loss_curve, dtype=np.float64))
         for lam, clip in product(LAMBDAS, CLIPS):
-            metrics = cmd_finetune(ckpts["bptt"], val, FinetuneConfig(
+            metrics = cmd_finetune(ckpt, val, FinetuneConfig(
                 lambda_reg=lam, clip=clip, lr=1e-2))
             add(metrics.predictions, metrics.loss, metrics.anchor_distance,
                 np.int64(metrics.skipped_updates))

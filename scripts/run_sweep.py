@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Hyperparameter sweep over architecture, learning rate, clipping and
-trainer (BPTT vs RTRL) on a synthetic dataset. Writes sweep.csv with one
-row per (config, repeat)."""
+"""Hyperparameter sweep of BPTT pretraining over architecture, learning
+rate and clipping on a synthetic dataset. Writes sweep.csv with one row
+per (config, repeat)."""
 
 import argparse
 import sys

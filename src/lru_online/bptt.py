@@ -1,11 +1,9 @@
 """Offline training: windowed batching, exact reverse-mode gradients
-through the unrolled linear recurrence, and the training loop shared by
-every trainer."""
+through the unrolled linear recurrence, and the pretraining loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -202,11 +200,11 @@ def bptt_gradient(net: LruNetwork, inputs: np.ndarray,
 
 def _scan_sessions(net: LruNetwork, data: SequenceData, start: int = 0,
                    states: list[np.ndarray] | None = None) -> np.ndarray:
-    """The fixed-theta predictor: predictions (N - start, p) for rows
-    [start, N) of the data. When row `start` is inside a session, that
-    session continues from `states` (one (n_k,) state per layer; zero when
-    None); every session that begins at or after `start` begins from zero
-    states. Each run of finite feature rows is one network_scan. A
+    """The fixed-theta predictor: float64 predictions (N - start, p) for
+    rows [start, N) of the data, whatever the targets' dtype. When row
+    `start` is inside a session, that session continues from `states`
+    (one (n_k,) state per layer; zero when None); every session that
+    begins at or after `start` begins from zero states. Each run of finite feature rows is one network_scan. A
     non-finite feature row is predicted from the states before it by a
     one-row scan whose states are dropped, so it leaves them as they
     were. Empty data is a ContractViolationError; a feature or target
@@ -215,7 +213,7 @@ def _scan_sessions(net: LruNetwork, data: SequenceData, start: int = 0,
     if data.n_rows == 0:
         raise ContractViolationError("cannot evaluate on data with no rows")
     features = data.features
-    preds = np.empty_like(data.targets[start:])
+    preds = np.empty((data.n_rows - start, data.targets.shape[1]))
     # one whole-array check; flags per row only for data that fails it
     bad = (None if np.isfinite(features[start:]).all()
            else ~np.isfinite(features).all(axis=1))
@@ -259,22 +257,19 @@ def evaluate(net: LruNetwork, data: SequenceData) -> float:
 
 
 def train(net: LruNetwork, train_data: SequenceData,
-          val_data: SequenceData | None, cfg: TrainConfig,
-          gradient: Callable[[LruNetwork, np.ndarray, np.ndarray],
-                             tuple[float, np.ndarray]] = bptt_gradient
-          ) -> TrainResult:
-    """The training loop of every trainer. Each of cfg.steps iterations
-    samples cfg.batch windows (the draws of successive sample_windows
-    calls on one generator seeded with cfg.seed, through one sampler built
-    for the run), takes (train loss, flat gradient) =
-    gradient(net, inputs, targets) on the time-first windows and applies
-    the run's one update, optim._Descent (fresh Adam at cfg.lr, cfg.clip).
-    It tracks the train loss every step and the validation loss (evaluate,
-    cmd_evaluate's huber_mean) at the eval cadence, and returns the
-    best-validation parameters; with no finite validation loss, the last
-    ones and best_val_loss NaN. A non-finite loss or gradient
-    (TrainingError) stops training with `diverged` set. A data set whose widths are not the network's is a
-    CompatibilityError, validation data with no rows a
+          val_data: SequenceData | None, cfg: TrainConfig) -> TrainResult:
+    """The pretraining loop. Each of cfg.steps iterations samples
+    cfg.batch windows (the draws of successive sample_windows calls on
+    one generator seeded with cfg.seed, through one sampler built for the
+    run), takes (train loss, flat gradient) = bptt_gradient(net, inputs,
+    targets) on the time-first windows and applies the run's one update,
+    optim._Descent (fresh Adam at cfg.lr, cfg.clip). It tracks the train
+    loss every step and the validation loss (evaluate, cmd_evaluate's
+    huber_mean) at the eval cadence, and returns the best-validation
+    parameters; with no finite validation loss, the last ones and
+    best_val_loss NaN. A non-finite loss or gradient (TrainingError)
+    stops training with `diverged` set. A data set whose widths are not
+    the network's is a CompatibilityError, validation data with no rows a
     ContractViolationError, and training data that sample_windows rejects
     raises as there, all before any step. The input network is not
     modified."""
@@ -296,7 +291,7 @@ def train(net: LruNetwork, train_data: SequenceData,
     for i in range(1, cfg.steps + 1):
         inputs, targets = sample(cfg.batch, rng)
         try:
-            loss, grads = gradient(net, inputs, targets)
+            loss, grads = bptt_gradient(net, inputs, targets)
             descend(grads)
         except TrainingError:
             diverged = True

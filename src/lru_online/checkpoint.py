@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .datapipe import FittedPipeline
 from .errors import CheckpointError, ContractViolationError
-from .lru import PARAM_BLOCKS, LruLayerParams, LruNetwork
+from .lru import PARAM_BLOCKS, LruLayerParams, LruNetwork, _is_int
 
 FORMAT_VERSION = 1
 
@@ -59,13 +59,20 @@ def _network_from_jsonable(path, obj) -> LruNetwork:
 
 
 def _pipeline_from_jsonable(path, obj) -> FittedPipeline | None:
+    """The stored pipeline, or None; its imputer window must be an odd
+    integer >= 3 (lru._is_int), the rolling median's rule."""
     if obj is None:
         return None
     try:
-        return FittedPipeline.from_dict(obj)
+        pipe = FittedPipeline.from_dict(obj)
     except TypeError as e:
         raise CheckpointError(f"{path}: pipeline block does not match "
                               f"FittedPipeline: {e}") from None
+    w = pipe.window
+    if not (_is_int(w) and w >= 3 and w % 2 == 1):
+        raise CheckpointError(f"{path}: pipeline window must be an odd "
+                              f"integer >= 3, got {w!r}")
+    return pipe
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -26,7 +26,7 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datapipe import (IMPUTE_WINDOW, SequenceData, apply_pipeline,
                        split_sessions)
 from .errors import CompatibilityError, ConfigurationError, LruOnlineError
-from .harness import (TRAINERS, FinetuneConfig, PretrainConfig, SweepConfig,
+from .harness import (FinetuneConfig, PretrainConfig, SweepConfig,
                       cmd_ablate, cmd_evaluate, cmd_finetune, cmd_pretrain,
                       cmd_sweep, impute_benchmark, load_grid, prepare_tables)
 from .synth import GeneratorConfig, ShiftSpec, generate_dataset, write_dataset
@@ -168,8 +168,7 @@ def _parse_clip(x: str) -> float | None:
 
 
 def _do_pretrain(args) -> int:
-    pcfg = PretrainConfig(trainer=args.trainer,
-                          layers=_parse_layers(args.layers),
+    pcfg = PretrainConfig(layers=_parse_layers(args.layers),
                           steps=args.steps, batch=args.batch, lr=args.lr,
                           clip=args.clip, window=args.window, seed=args.seed,
                           eval_every=args.eval_every)
@@ -192,7 +191,6 @@ def _do_sweep(args) -> int:
         layers=[_parse_layers(s) for s in args.layers.split(";")],
         lrs=_parse_list("--lrs", args.lrs.split(","), float),
         clips=_parse_list("--clips", args.clips.split(","), _parse_clip),
-        trainers=args.trainers.split(","),
         repeats=args.repeats, steps=args.steps, batch=args.batch,
         window=args.window, eval_every=args.eval_every, seed=args.seed)
     _, train, val = _prepared(args)
@@ -200,8 +198,8 @@ def _do_sweep(args) -> int:
     with _recording(args, "sweep", asdict(scfg),
                     {"runs": len(rows)}) as run_dir:
         _write_csv(run_dir / "sweep.csv",
-                   ["trainer", "layers", "lr", "clip", "repeat",
-                    "best_val_loss", "wall_seconds", "error"], rows)
+                   ["layers", "lr", "clip", "repeat", "best_val_loss",
+                    "wall_seconds", "error"], rows)
     print(run_dir)
     return 0
 
@@ -327,12 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_preprocess)
 
-    p = sub.add_parser("pretrain", help="offline training (BPTT or RTRL)")
+    p = sub.add_parser("pretrain", help="offline training by BPTT")
     _add_common(p)
     _add_data_flags(p)
     c = PretrainConfig()
     p.add_argument("--seed", type=int, default=c.seed)
-    p.add_argument("--trainer", choices=TRAINERS, default=c.trainer)
     p.add_argument("--layers", default="16", help="comma list, e.g. 16 or 16,16")
     p.add_argument("--steps", type=int, default=c.steps)
     p.add_argument("--batch", type=int, default=c.batch)
@@ -353,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated layer tuples")
     p.add_argument("--lrs", default="1e-2,1e-3,1e-4")
     p.add_argument("--clips", default="0.5,1.0,none")
-    p.add_argument("--trainers", default=",".join(TRAINERS))
     p.add_argument("--repeats", type=int, default=c.repeats)
     p.add_argument("--steps", type=int, default=c.steps)
     p.add_argument("--batch", type=int, default=c.batch)

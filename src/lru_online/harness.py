@@ -1,5 +1,5 @@
-"""Experiment orchestration: pretraining (BPTT or RTRL), online fine-tuning
-with the anchor regularizer, ablation grids, evaluation and the imputer
+"""Experiment orchestration: BPTT pretraining, online RTRL fine-tuning with
+the anchor regularizer, ablation grids, evaluation and the imputer
 benchmark. The CLI in cli.py is a thin wrapper over these functions.
 """
 
@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .bptt import (TrainConfig, TrainResult, _check_widths, _finite_score,
-                   _scan_sessions, bptt_gradient, train)
+                   _scan_sessions, train)
 from .checkpoint import Checkpoint
 from .datapipe import (IMPUTE_WINDOW, FittedPipeline, SequenceData,
                        SeriesTable, apply_pipeline, fit_pipeline, impute_knn,
@@ -22,7 +22,7 @@ from .datapipe import (IMPUTE_WINDOW, FittedPipeline, SequenceData,
 from .errors import ConfigurationError, ContractViolationError, TrainingError
 from .lru import LruNetwork, _check_layers, _is_int, init_network
 from .optim import AdamState, _Descent, _huber_grad, huber_values
-from .rtrl import H, _StreamPlan, reset_trace, window_gradient
+from .rtrl import H, _StreamPlan, reset_trace
 from .synth import GeneratorConfig, generate_dataset
 
 
@@ -49,22 +49,14 @@ def prepare_tables(emission_path, weather_path, strict_vocab: bool = False
 
 # -------------------------------------------------------------- pretraining
 
-TRAINERS = ("bptt", "rtrl")
-
-
 @dataclass
 class PretrainConfig(TrainConfig):
-    """TrainConfig plus the model shape and the trainer, both checked here.
-    The network starts from init_network's default eigenvalue ring. The
-    RTRL trainer updates once per window, one window per training step,
-    so `batch` applies to BPTT only."""
-    trainer: str = "bptt"                 # one of TRAINERS
+    """TrainConfig plus the model shape, checked here. The network starts
+    from init_network's default eigenvalue ring."""
     layers: tuple[int, ...] = (16,)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.trainer not in TRAINERS:
-            raise ConfigurationError(f"unknown trainer {self.trainer!r}")
         _check_layers(self.layers)
 
 
@@ -74,12 +66,7 @@ def cmd_pretrain(train_data: SequenceData, val_data: SequenceData | None,
                  ) -> tuple[Checkpoint, TrainResult]:
     net = init_network(train_data.features.shape[1], tuple(cfg.layers),
                        train_data.targets.shape[1], seed=cfg.seed)
-    if cfg.trainer == "rtrl":   # one window per RTRL step
-        result = train(net, train_data, val_data, replace(cfg, batch=1),
-                       lambda net, inputs, targets: window_gradient(
-                           net, inputs[:, 0], targets[:, 0]))
-    else:
-        result = train(net, train_data, val_data, cfg, bptt_gradient)
+    result = train(net, train_data, val_data, cfg)
     cfg_dict = asdict(cfg)
     cfg_dict["layers"] = [int(n) for n in cfg.layers]   # JSON ints
     ckpt = Checkpoint(net=result.net, pipeline=pipeline, config=cfg_dict,
@@ -95,7 +82,6 @@ class SweepConfig:
                                                   (16, 16), (8, 8, 8)])
     lrs: list = field(default_factory=lambda: [1e-2, 1e-3, 1e-4])
     clips: list = field(default_factory=lambda: [0.5, 1.0, None])
-    trainers: list = field(default_factory=lambda: list(TRAINERS))
     repeats: int = 5
     steps: int = 500
     batch: int = 32
@@ -116,14 +102,14 @@ def cmd_sweep(train_data: SequenceData, val_data: SequenceData,
     """One row per run (config x repeat), sorted deterministically. Failures
     are recorded in their row and the sweep continues."""
     rows = []
-    for trainer, layers, lr, clip, rep in product(
-            cfg.trainers, cfg.layers, cfg.lrs, cfg.clips, range(cfg.repeats)):
-        row = {"trainer": trainer, "layers": "x".join(map(str, layers)),
-               "lr": lr, "clip": "" if clip is None else clip, "repeat": rep}
+    for layers, lr, clip, rep in product(
+            cfg.layers, cfg.lrs, cfg.clips, range(cfg.repeats)):
+        row = {"layers": "x".join(map(str, layers)), "lr": lr,
+               "clip": "" if clip is None else clip, "repeat": rep}
         t0 = time.perf_counter()
         try:
             pcfg = PretrainConfig(
-                trainer=trainer, layers=tuple(layers), lr=lr, clip=clip,
+                layers=tuple(layers), lr=lr, clip=clip,
                 steps=cfg.steps, batch=cfg.batch, window=cfg.window,
                 eval_every=cfg.eval_every, seed=cfg.seed + rep)
             _, result = cmd_pretrain(train_data, val_data, None, pcfg)

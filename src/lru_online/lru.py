@@ -31,11 +31,11 @@ fixed-theta prediction of an evaluated session and every BPTT forward
 pass is a network_scan. Every model call is time first: network_scan
 takes a (T, m) session or a (T, batch, m) batch of windows, whose
 recurrence steps are contiguous (batch, n) slices; bptt.bptt_gradient
-takes (T, batch, ·) windows, rtrl.window_gradient one (T, ·) window and
-the online step one row of a session. The recurrence's form follows the
-call: a batch of windows runs it as a plain step loop, and every 2-D
-session runs it chunked, on a step-major copy of the chunks whose steps
-are contiguous too.
+takes (T, batch, ·) windows, rtrl.window_gradient (RTRL over one window,
+to compare with BPTT) one (T, ·) window and the online step one row of a
+session. The recurrence's form follows the call: a batch of windows runs
+it as a plain step loop, and every 2-D session runs it chunked, on a
+step-major copy of the chunks whose steps are contiguous too.
 """
 
 from __future__ import annotations

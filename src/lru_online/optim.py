@@ -169,7 +169,7 @@ def _pull(diff: np.ndarray, lambda_reg: float, distance: float,
 # ------------------------------------------------------------------- update
 
 class _Descent:
-    """The parameter update of every trainer and of online fine-tuning,
+    """The parameter update of pretraining and of online fine-tuning,
     and the only code that composes it: construct it once per stream of
     updates on the parameters, the Adam state, the clip (checked here) and
     optionally the anchor (theta_pre and lambda_reg, checked by the

@@ -26,10 +26,11 @@ The per-stream kernel _StreamPlan checks nothing and has two halves:
 predict (one row's trace update, the state included, and readout) and
 gradient (that row's parameter gradient). Its callers check the widths:
 harness.OnlineLearner of each row (cmd_finetune of its stream, once),
-window_gradient (RTRL pretraining's gradient) of its window
-(lru._check_call). The kernel copies no block per row: B and the readout
-w = [C2 | D] are views of theta (lru.LruLayerParams), and the gradient is
-written through the same views of one buffer (net.paired). A layer reads
+window_gradient (one window's RTRL gradient, to compare with
+bptt_gradient's) of its window (lru._check_call). The kernel copies no
+block per row: B and the readout w = [C2 | D] are views of theta
+(lru.LruLayerParams), and the gradient is written through the same views
+of one buffer (net.paired). A layer reads
 out y = w @ v, v = [conj(h) pairs | its input], and w's gradient is the
 outer product of dL/dy and v. Its matrix products are ndarray.dot
 calls: bitwise @ at half the call cost, and bitwise np.dot without

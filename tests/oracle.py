@@ -42,12 +42,11 @@ The adaptive loop (`adapt`), one row at a time:
 the float64 run had (parameters, Adam state, states, traces), so its error
 is one row's rounding however long or chaotic the run before it was.
 
-Pretraining (`train`): the float64 trainer's window draws from the same
+Pretraining (`train`): the float64 loop's window draws from the same
 generator, the mean Huber loss of each batch of windows and its exact
-gradient by reverse mode row by row (BPTT), or the mean of the per-row
-adaptive gradients over one window from zero states (RTRL), clip and Adam,
-and the best-validation parameters (validation leaves out rows whose loss
-is not finite).
+gradient by reverse mode row by row (BPTT), clip and Adam, and the
+best-validation parameters (validation leaves out rows whose loss is not
+finite).
 
 Tolerances. Each is relative to max(1, max |oracle|) of its array (to
 max |oracle| for Adam's moments m and v) and applies to every stream and
@@ -61,7 +60,7 @@ depth of its kind:
 - STREAM_BOUNDS, free-running adaptive runs: the finetune_reference and
   online_step_depth2 streams, the 37-row cut streams, a 3601-row random
   stream at depth (16,) and TestAdam's 29 Adam steps;
-- PRETRAIN_BOUNDS, the BPTT and RTRL pretraining reference runs.
+- PRETRAIN_BOUNDS, the BPTT pretraining reference runs.
 
 Each of these three was fixed at ten times the worst float64 error that
 tests/test_oracle.py measured for its array before the code they gate
@@ -440,19 +439,6 @@ def bptt_gradient(theta, dims, inputs, targets):
     return loss, grad
 
 
-def rtrl_gradient(theta, dims, inputs, targets):
-    """(mean Huber loss, mean per-row adaptive gradient) over one window
-    from zero states and traces at fixed theta."""
-    stack = _stack(theta, dims)
-    states, traces = _zero(dims)
-    loss, grad = np.longdouble(0), np.zeros(theta.size, np.longdouble)
-    for u, y in zip(inputs, targets):
-        states, traces, pred, g = _rtrl_row(stack, states, traces, u, y)
-        loss += huber_rows(pred[None], np.asarray(y)[None])[0]
-        grad += g
-    return loss / len(inputs), grad / len(inputs)
-
-
 def evaluate(theta, dims, features, targets, session_ids):
     """Mean per-row Huber loss of every session predicted from zero states,
     over the rows whose loss is finite (NaN when none is)."""
@@ -463,12 +449,11 @@ def evaluate(theta, dims, features, targets, session_ids):
 
 
 def train(theta, dims, train_data, val_data, steps, batch, window, lr, clip,
-          seed, eval_every, trainer="bptt"):
+          seed, eval_every):
     """Pretraining from theta. train_data and val_data (or None) are
-    (features, targets, session_ids). Each step draws `batch` windows
-    (trainer "bptt") or one (trainer "rtrl"), takes the loss and its
-    gradient, stops with `diverged` on a non-finite loss or gradient,
-    clips and Adam-steps; every eval_every steps and at the last it
+    (features, targets, session_ids). Each step draws `batch` windows,
+    takes the loss and its BPTT gradient, stops with `diverged` on a
+    non-finite loss or gradient, clips and Adam-steps; every eval_every steps and at the last it
     validates and keeps the best parameters. Returns (parameters: the
     best-validation ones, else the last; loss curve rows (step, train
     loss, validation loss or NaN); best validation loss or NaN;
@@ -479,13 +464,8 @@ def train(theta, dims, train_data, val_data, steps, batch, window, lr, clip,
     adam = Adam(np.zeros(theta.size), np.zeros(theta.size))
     best, best_val, curve, diverged = None, np.inf, [], False
     for i in range(1, steps + 1):
-        rows = window_rows(rng, ids, window, 1 if trainer == "rtrl" else batch)
-        if trainer == "rtrl":
-            loss, grad = rtrl_gradient(theta, dims, features[rows[0]],
-                                       targets[rows[0]])
-        else:
-            loss, grad = bptt_gradient(theta, dims, features[rows],
-                                       targets[rows])
+        rows = window_rows(rng, ids, window, batch)
+        loss, grad = bptt_gradient(theta, dims, features[rows], targets[rows])
         if not np.isfinite(loss) or not descend(theta, grad, adam, lr, clip):
             diverged = True
             break

@@ -25,8 +25,8 @@ from lru_online.rtrl import window_gradient
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
 GEN = GeneratorConfig(seed=0)  # 5 sessions x 3600 s, shift on the last
-PRETRAIN = PretrainConfig(trainer="bptt", layers=(16,), steps=1000, batch=32,
-                          window=128, eval_every=100, seed=0)
+PRETRAIN = PretrainConfig(layers=(16,), steps=1000, batch=32, window=128,
+                          eval_every=100, seed=0)
 LAMBDA_GRID = (0.0, 0.001, 0.01, 0.1)
 
 

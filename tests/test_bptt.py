@@ -9,7 +9,7 @@ from lru_online.checkpoint import Checkpoint
 from lru_online.datapipe import SequenceData
 from lru_online.errors import (CompatibilityError, ConfigurationError,
                                ContractViolationError, TrainingError)
-from lru_online import lru
+from lru_online import bptt, lru
 from lru_online.harness import PretrainConfig, cmd_evaluate
 from lru_online.lru import init_network
 from lru_online.optim import huber
@@ -108,7 +108,7 @@ class TestSampleWindows:
             bptt_gradient(net, inputs, targets)
             assert scanned[0] is inputs
 
-    def test_train_draws_successive_sample_windows(self):
+    def test_train_draws_successive_sample_windows(self, monkeypatch):
         """train() samples through one sampler built per run; the windows
         its gradient gets are those of successive sample_windows calls on
         one generator seeded with cfg.seed, and no two steps' are equal."""
@@ -120,8 +120,9 @@ class TestSampleWindows:
             seen.append((inputs, targets))
             return 0.0, np.zeros_like(net.theta)
 
+        monkeypatch.setattr(bptt, "bptt_gradient", gradient)
         cfg = TrainConfig(steps=6, batch=16, window=7, seed=11)
-        train(net, data, None, cfg, gradient=gradient)
+        train(net, data, None, cfg)
         rng = np.random.default_rng(cfg.seed)
         assert len(seen) == cfg.steps
         for got in seen:
@@ -131,7 +132,8 @@ class TestSampleWindows:
         for i in range(1, cfg.steps):
             assert not np.array_equal(seen[i][0], seen[i - 1][0])
 
-    def test_train_rejects_too_long_window_before_any_step(self):
+    def test_train_rejects_too_long_window_before_any_step(self,
+                                                           monkeypatch):
         net = init_network(3, (4,), 2, seed=0)
         steps = []
 
@@ -139,9 +141,10 @@ class TestSampleWindows:
             steps.append(args)
             return 0.0, np.zeros_like(net.theta)
 
+        monkeypatch.setattr(bptt, "bptt_gradient", gradient)
         with pytest.raises(ConfigurationError, match="session 1"):
             train(net, make_data([100, 30]), None,
-                  TrainConfig(steps=3, batch=2, window=50), gradient=gradient)
+                  TrainConfig(steps=3, batch=2, window=50))
         assert steps == []
 
     def test_single_possible_window(self):
@@ -418,10 +421,6 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match="layers"):
             PretrainConfig(layers=layers)
 
-    def test_unknown_trainer_rejected(self):
-        with pytest.raises(ConfigurationError, match="trainer 'sgd'"):
-            PretrainConfig(trainer="sgd")
-
     def test_stop_before_first_validation_reports_nan(self):
         """Training that stops before its first validation (all-NaN
         features diverge on step 1, validation every 3 steps) reports
@@ -543,7 +542,7 @@ class TestWidths:
             evaluate(net, make_data([20], m=m, p=p))
 
     @pytest.mark.parametrize("which", ["training", "validation"])
-    def test_train_rejects_before_any_step(self, which):
+    def test_train_rejects_before_any_step(self, monkeypatch, which):
         net = init_network(3, (4,), 1, seed=0)
         good, bad = make_data([40], p=1), make_data([40], p=3)
         data = (bad, good) if which == "training" else (good, bad)
@@ -553,12 +552,14 @@ class TestWidths:
             steps.append(args)
             return 0.0, np.zeros_like(net.theta)
 
+        monkeypatch.setattr(bptt, "bptt_gradient", gradient)
         cfg = TrainConfig(steps=3, batch=2, window=10, eval_every=1)
         with pytest.raises(CompatibilityError, match=f"{which} data"):
-            train(net, *data, cfg, gradient=gradient)
+            train(net, *data, cfg)
         assert steps == []
 
-    def test_train_rejects_empty_validation_before_any_step(self):
+    def test_train_rejects_empty_validation_before_any_step(self,
+                                                            monkeypatch):
         """Validation data with no rows is rejected with the width checks,
         as empty training data is, not by evaluate after eval_every
         steps."""
@@ -569,7 +570,8 @@ class TestWidths:
             steps.append(args)
             return 0.0, np.zeros_like(net.theta)
 
+        monkeypatch.setattr(bptt, "bptt_gradient", gradient)
         cfg = TrainConfig(steps=30, batch=2, window=10, eval_every=25)
         with pytest.raises(ContractViolationError, match="no rows"):
-            train(net, make_data([40]), empty_data(), cfg, gradient=gradient)
+            train(net, make_data([40]), empty_data(), cfg)
         assert steps == []

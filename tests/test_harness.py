@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,9 +36,8 @@ from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 SMALL_GEN = GeneratorConfig(sessions=3, session_seconds=150,
                             missing_rate=0.1, shift_sessions=1, seed=0)
 DATA = Path(__file__).parent / "data"
-SMALL_PRETRAIN = PretrainConfig(trainer="bptt", layers=(6,), steps=30,
-                                batch=4, lr=1e-2, window=32, eval_every=10,
-                                seed=0)
+SMALL_PRETRAIN = PretrainConfig(layers=(6,), steps=30, batch=4, lr=1e-2,
+                                window=32, eval_every=10, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +278,54 @@ class TestCheckpoint:
         preds = cmd_evaluate(ckpt, data)["predictions"]
         scale = max(1.0, np.abs(ref["predictions"]).max())
         assert np.abs(preds - ref["predictions"]).max() <= 1e-10 * scale
+
+
+    @pytest.mark.parametrize("window", ["5", None, 4, True, 5.0],
+                             ids=["string", "null", "even", "bool", "float"])
+    def test_malformed_window_rejected(self, tmp_path, window):
+        """A pipeline window that is not an odd integer >= 3 (lru._is_int,
+        so a bool or a float is not one) is a CheckpointError naming the
+        file and the window, raised when the file is loaded."""
+        doc = json.loads((DATA / "checkpoint_depth1.json").read_text())
+        doc["pipeline"]["window"] = window
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="window") as raised:
+            load_checkpoint(path)
+        assert str(path) in str(raised.value)
+
+    def test_reads_config_naming_the_rtrl_trainer(self, tmp_path):
+        """A checkpoint whose config names the RTRL trainer that
+        pretraining once offered loads, and fine-tunes byte for byte as
+        the committed one: the config is a record, not an input."""
+        doc = json.loads((DATA / "checkpoint_depth1.json").read_text())
+        assert doc["config"]["trainer"] == "bptt"
+        doc["config"]["trainer"] = "rtrl"
+        path = tmp_path / "rtrl.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        ref = np.load(DATA / "checkpoint_depth1_eval.npz")
+        data = SequenceData(features=ref["features"], targets=ref["targets"],
+                            session_ids=ref["session_ids"],
+                            timestamps=ref["timestamps"])
+        cfg = FinetuneConfig(lambda_reg=0.01, lr=1e-2)
+        want = cmd_finetune(load_checkpoint(DATA / "checkpoint_depth1.json"),
+                            data, cfg)
+        old = load_checkpoint(path)
+        assert old.config["trainer"] == "rtrl"
+        got = cmd_finetune(old, data, cfg)
+        for field, value in vars(want).items():
+            assert (np.asarray(getattr(got, field)).tobytes()
+                    == np.asarray(value).tobytes()), field
+
+    def test_pretrain_config_has_no_trainer(self, pretrained, tmp_path):
+        """A checkpoint that cmd_pretrain writes records PretrainConfig's
+        fields, and no trainer among them."""
+        ckpt, _ = pretrained
+        path = tmp_path / "c.json"
+        save_checkpoint(ckpt, path)
+        config = json.loads(path.read_text())["config"]
+        assert "trainer" not in config
+        assert config == {**asdict(SMALL_PRETRAIN), "layers": [6]}
 
 
 def assert_distinct_arrays(a, b):
@@ -888,6 +935,32 @@ def test_cmd_finetune_is_the_public_loop(widths, layout):
         assert have.tobytes() == np.asarray(value).tobytes(), field
 
 
+def test_predictions_are_float64_for_float32_targets():
+    """A stream with float32 targets gets float64 predictions,
+    predictions_frozen and cmd_evaluate predictions, byte for byte those
+    of the same stream with its targets cast to float64 (the freeze row
+    falls inside the second session, so the scan from it runs too)."""
+    rng = np.random.default_rng(43)
+    single = SequenceData(
+        features=rng.standard_normal((30, 5)),
+        targets=rng.standard_normal((30, 3)).astype(np.float32),
+        session_ids=np.repeat([0, 1], [12, 18]),
+        timestamps=np.arange(30.0))
+    double = replace(single, targets=single.targets.astype(np.float64))
+    ckpt = Checkpoint(net=init_network(5, (4,), 3, seed=2))
+    cfg = FinetuneConfig(lr=1e-2, freeze_after=20)
+    got, want = (cmd_finetune(ckpt, s, cfg) for s in (single, double))
+    got_eval, want_eval = (cmd_evaluate(ckpt, s)["predictions"]
+                           for s in (single, double))
+    for name, a, b in (
+            ("predictions", got.predictions, want.predictions),
+            ("predictions_frozen", got.predictions_frozen,
+             want.predictions_frozen),
+            ("evaluate", got_eval, want_eval)):
+        assert a.dtype == b.dtype == np.float64, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("widths, lambda_reg, clip", [
     ((16,), 0.01, 2.0), ((4, 3), 0.1, 1.0), ((4, 3), 0.0, None)])
 def test_grad_norm_is_the_update_norm(monkeypatch, widths, lambda_reg, clip):
@@ -945,42 +1018,6 @@ def test_grad_norm_is_the_update_norm(monkeypatch, widths, lambda_reg, clip):
         assert any(acted) and not all(acted)
 
 
-PRETRAIN_RTRL_REF = DATA / "pretrain_rtrl_reference.npz"
-
-
-def pretrain_rtrl_reference_runs():
-    """{key prefix: (training data, validation data, config)}: RTRL
-    pretraining (one update per window) of a depth-1 and a depth-(4, 3)
-    net on a seeded two-session stream without validation data, so the
-    returned parameters are the last ones. lr is high enough that the 0.5
-    clip acts on some updates."""
-    rng = np.random.default_rng(21)
-    rows = 70
-    data = SequenceData(features=rng.standard_normal((rows, 3)),
-                        targets=rng.standard_normal((rows, 2)),
-                        session_ids=np.repeat([0, 1], [40, 30]),
-                        timestamps=np.arange(float(rows)))
-    return {"x".join(map(str, layers)) + ".window": (
-                data, None,
-                PretrainConfig(trainer="rtrl", layers=layers, steps=12,
-                               batch=4, window=16, eval_every=4, lr=5e-2,
-                               seed=3))
-            for layers in ((5,), (4, 3))}
-
-
-def run_pretrain_rtrl_reference():
-    """cmd_pretrain on each of pretrain_rtrl_reference_runs(). Returns the
-    parameters, the loss curve and the divergence flag of each run keyed
-    '<layers>.window.<field>'."""
-    out = {}
-    for key, (data, _, cfg) in pretrain_rtrl_reference_runs().items():
-        ckpt, result = cmd_pretrain(data, None, None, cfg)
-        out[key + ".theta"] = ckpt.net.theta
-        out[key + ".loss_curve"] = np.asarray(result.loss_curve)
-        out[key + ".diverged"] = np.asarray(result.diverged)
-    return out
-
-
 def assert_matches_pretrain_reference(got, ref, keys, runs):
     """The divergence flags bitwise, the parameters, loss curves and best
     validation losses within tests/oracle.py's PRETRAIN_BOUNDS, NaN
@@ -1000,23 +1037,6 @@ def assert_matches_pretrain_reference(got, ref, keys, runs):
                                      data.targets.shape[1])]
         assert oracle.relative_error(got[key], want) <= (
             oracle.PRETRAIN_BOUNDS[field]), key
-
-
-def test_pretrain_rtrl_matches_reference():
-    """RTRL pretraining (depths 1 and 2) is what it was when every row
-    went through the checked online_step and apply_update, lambda was
-    exp(-exp(nu)) (cos + i sin)(exp(theta_phase)), Adam divided by its
-    bias corrections and theta stored b and c as separate re and im
-    blocks (reference written by run_pretrain_rtrl_reference with that
-    code), within assert_matches_pretrain_reference's bounds.
-    The reference file also holds the runs of a per-row update cadence
-    that no longer exists (its '.step.' keys); only the '.window.' keys
-    are compared."""
-    ref = np.load(PRETRAIN_RTRL_REF)
-    assert_matches_pretrain_reference(
-        run_pretrain_rtrl_reference(), ref,
-        [key for key in ref.files if ".window." in key],
-        pretrain_rtrl_reference_runs())
 
 
 PRETRAIN_BPTT_REF = DATA / "pretrain_bptt_reference.npz"
@@ -1039,9 +1059,8 @@ def pretrain_bptt_reference_runs():
     train_data, val_data = stream(70, [40, 30]), stream(50, [20, 30])
     return {"x".join(map(str, layers)) + f".clip{clip}": (
                 train_data, val_data,
-                PretrainConfig(trainer="bptt", layers=layers, clip=clip,
-                               steps=12, batch=4, window=16, eval_every=3,
-                               lr=5e-2, seed=3))
+                PretrainConfig(layers=layers, clip=clip, steps=12, batch=4,
+                               window=16, eval_every=3, lr=5e-2, seed=3))
             for layers in ((5,), (4, 3)) for clip in (0.5, None)}
 
 
@@ -1075,10 +1094,10 @@ def test_pretrain_bptt_matches_reference():
 
 
 class TestPretrain:
-    # each trainer updates once per sampled batch of windows
-    @pytest.mark.parametrize("trainer", ["bptt", "rtrl"],
-                             ids=["bptt-window", "rtrl-window"])
-    def test_nan_features_set_diverged(self, trainer):
+    # the case's id names the update cadence: BPTT, once per sampled
+    # batch of windows
+    @pytest.mark.parametrize("batch", [4], ids=["bptt-window"])
+    def test_nan_features_set_diverged(self, batch):
         rng = np.random.default_rng(0)
         n = 60
         clean = SequenceData(features=rng.standard_normal((n, 3)),
@@ -1087,9 +1106,8 @@ class TestPretrain:
                              timestamps=np.arange(n, dtype=np.float64))
         bad = replace(clean, features=clean.features.copy())
         bad.features[-1] = np.nan          # in 1 of the 45 windows
-        cfg = PretrainConfig(trainer=trainer, layers=(4,),
-                             steps=200, batch=4, window=16, eval_every=1,
-                             lr=1e-2, seed=1)
+        cfg = PretrainConfig(layers=(4,), steps=200, batch=batch,
+                             window=16, eval_every=1, lr=1e-2, seed=1)
         ckpt, result = cmd_pretrain(bad, clean, None, cfg)
         assert result.diverged
         assert 0 < len(result.loss_curve) < cfg.steps
@@ -1549,13 +1567,12 @@ class TestCli:
         run = tmp_path / "sw"
         assert main(["sweep", "--data", str(data_dir), "--run-dir", str(run),
                      "--layers", "4;3,3", "--lrs", "1e-2",
-                     "--clips", "0.5,none", "--trainers", "bptt,rtrl",
-                     "--repeats", "1", "--steps", "2", "--batch", "2",
-                     "--window", "16", "--eval-every", "2",
-                     "--seed", "3"]) == 0
+                     "--clips", "0.5,none", "--repeats", "1",
+                     "--steps", "2", "--batch", "2", "--window", "16",
+                     "--eval-every", "2", "--seed", "3"]) == 0
         with open(run / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 2 * 2       # trainers x layers x clips
+        assert len(rows) == 2 * 2       # layers x clips
         assert {r["clip"] for r in rows} == {"0.5", ""}     # none: empty
         assert all(r["error"] == "" for r in rows)
         assert all(np.isfinite(float(r["best_val_loss"])) for r in rows)
@@ -1571,9 +1588,9 @@ class TestCli:
         run = tmp_path / "sw"
         assert main(["sweep", "--data", str(data_dir), "--run-dir", str(run),
                      "--layers", "4", "--lrs=-1e-2,1e-2",
-                     "--clips", "0,0.5", "--trainers", "bptt",
-                     "--repeats", "1", "--steps", "2", "--batch", "2",
-                     "--window", "16", "--eval-every", "2"]) == 0
+                     "--clips", "0,0.5", "--repeats", "1", "--steps", "2",
+                     "--batch", "2", "--window", "16",
+                     "--eval-every", "2"]) == 0
         with open(run / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         errors = {(r["lr"], r["clip"]): r["error"] for r in rows}
@@ -1589,9 +1606,9 @@ class TestCli:
         run = tmp_path / "sw"
         assert main(["sweep", "--data", str(data_dir), "--run-dir", str(run),
                      "--layers", "0;4,-1;4", "--lrs", "1e-2",
-                     "--clips", "0.5", "--trainers", "bptt",
-                     "--repeats", "1", "--steps", "2", "--batch", "2",
-                     "--window", "16", "--eval-every", "2"]) == 0
+                     "--clips", "0.5", "--repeats", "1", "--steps", "2",
+                     "--batch", "2", "--window", "16",
+                     "--eval-every", "2"]) == 0
         with open(run / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         errors = {r["layers"]: r["error"] for r in rows}
@@ -1714,21 +1731,21 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "configuration"
 
-    @pytest.mark.parametrize("trainer", ["bptt", "rtrl"])
+    # each case's id ends in the name of the pretraining gradient, BPTT
     @pytest.mark.parametrize("flag", ["--batch", "--window", "--eval-every",
-                                      "--steps", "--lr", "--clip", "--seed"])
+                                      "--steps", "--lr", "--clip", "--seed"],
+                             ids=lambda flag: f"{flag}-bptt")
     def test_non_positive_train_size_exits_2(self, data_dir, tmp_path, capsys,
-                                             trainer, flag):
+                                             flag):
         """steps, batch, window and eval_every below 1, a negative lr, a
-        clip of 0 and a negative seed are configuration errors for both
-        trainers, and no run directory is left behind."""
+        clip of 0 and a negative seed are configuration errors, and no run
+        directory is left behind."""
         out = tmp_path / "runs"
         out.mkdir()
         value = {"--lr": "-0.001", "--seed": "-1"}.get(flag, "0")
         code = main(["pretrain", "--data", str(data_dir), "--out", str(out),
-                     "--trainer", trainer, "--layers", "4", "--steps", "2",
-                     "--batch", "2", "--window", "8", "--eval-every", "1",
-                     flag, value])
+                     "--layers", "4", "--steps", "2", "--batch", "2",
+                     "--window", "8", "--eval-every", "1", flag, value])
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert flag[2:].replace("-", "_") in err["message"]
@@ -1740,8 +1757,8 @@ class TestCli:
         ["impute-bench", "--out", "{out}", "--sessions", "2",
          "--session-seconds", "100"],
         ["sweep", "--data", "{data}", "--out", "{out}", "--layers", "4",
-         "--lrs", "1e-2", "--clips", "0.5", "--trainers", "bptt",
-         "--steps", "2", "--batch", "2", "--window", "16"]],
+         "--lrs", "1e-2", "--clips", "0.5", "--steps", "2", "--batch", "2",
+         "--window", "16"]],
         ids=lambda argv: argv[0])
     def test_negative_seed_exits_2(self, data_dir, tmp_path, capsys, argv):
         """A negative seed is a configuration error, raised before any
@@ -1766,8 +1783,8 @@ class TestCli:
         out.mkdir()
         code = main(["sweep", "--data", str(data_dir), "--out", str(out),
                      "--layers", "4", "--lrs", "1e-2", "--clips", "0.5",
-                     "--trainers", "bptt", "--steps", "2", "--batch", "2",
-                     "--window", "16", "--repeats", "1", flag, "0"])
+                     "--steps", "2", "--batch", "2", "--window", "16",
+                     "--repeats", "1", flag, "0"])
         assert code == EXIT_CODES["configuration"]
         err = json.loads(capsys.readouterr().err.strip())
         assert flag[2:].replace("-", "_") in err["message"]
@@ -1809,6 +1826,30 @@ class TestCli:
         assert code == EXIT_CODES["checkpoint"]
         err = json.loads(capsys.readouterr().err.strip())
         assert "optimizer" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    @pytest.mark.parametrize("window", ["5", None, 4],
+                             ids=["string", "null", "even"])
+    def test_malformed_window_exits_7(self, data_dir, pretrained, tmp_path,
+                                      capsys, command, window):
+        """A checkpoint whose pipeline window is not an odd integer >= 3
+        is a checkpoint error naming the file and the window, not a
+        traceback or a configuration error, and no run directory is left
+        behind."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        doc["pipeline"]["window"] = window
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main([command, "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out)])
+        assert code == EXIT_CODES["checkpoint"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert str(path) in err["message"] and "window" in err["message"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["finetune", "ablate", "evaluate"])

@@ -15,8 +15,7 @@ import pytest
 import oracle
 from conftest import in_theta_order
 from test_harness import (FINETUNE_CONFIGS, finetune_reference_runs,
-                          pretrain_bptt_reference_runs,
-                          pretrain_rtrl_reference_runs)
+                          pretrain_bptt_reference_runs)
 from test_rtrl import reference_stream, run_reference_stream
 from lru_online.bptt import _scan_sessions
 from lru_online.checkpoint import Checkpoint
@@ -389,8 +388,7 @@ def test_adam_steps_within_bound(report):
 
 # --------------------------------------------------------------- pretraining
 
-PRETRAIN_RUNS = {**pretrain_bptt_reference_runs(),
-                 **pretrain_rtrl_reference_runs()}
+PRETRAIN_RUNS = pretrain_bptt_reference_runs()
 
 
 def data_tuple(data):
@@ -401,10 +399,9 @@ def data_tuple(data):
 @pytest.mark.parametrize("key", list(PRETRAIN_RUNS))
 def test_pretrain_reference_runs_within_bound(check, key):
     """The runs of pretrain_bptt_reference.npz (depths 1 and (4, 3), clip
-    0.5 and none, validated) and of pretrain_rtrl_reference.npz (depths 1
-    and (4, 3), no validation data) against the oracle's pretraining from
-    the same initial parameters: parameters, loss curve and best
-    validation loss."""
+    0.5 and none, validated) against the oracle's pretraining from the
+    same initial parameters: parameters, loss curve and best validation
+    loss."""
     train, val, cfg = PRETRAIN_RUNS[key]
     ckpt, result = cmd_pretrain(train, val, None, cfg)
     start = init_network(train.features.shape[1], cfg.layers,
@@ -412,7 +409,7 @@ def test_pretrain_reference_runs_within_bound(check, key):
     theta, curve, best_val, diverged = oracle.train(
         start.theta, dims(start), data_tuple(train), data_tuple(val),
         cfg.steps, cfg.batch, cfg.window, cfg.lr, cfg.clip, cfg.seed,
-        cfg.eval_every, cfg.trainer)
+        cfg.eval_every)
     assert result.diverged == diverged
     for name, got, want in (
             ("theta", ckpt.net.theta, theta),

@@ -37,12 +37,12 @@ CLI_OPTIONS = {
                  "--missing-rate", "--shift-sessions", "--emission-gain",
                  "--ambient-offset"],
     "preprocess": ["--out", "--run-dir", "--data", "--strict-vocab"],
-    "pretrain": ["--out", "--run-dir", "--data", "--seed", "--trainer",
-                 "--layers", "--steps", "--batch", "--lr", "--clip",
-                 "--window", "--eval-every", "--strict-vocab"],
+    "pretrain": ["--out", "--run-dir", "--data", "--seed", "--layers",
+                 "--steps", "--batch", "--lr", "--clip", "--window",
+                 "--eval-every", "--strict-vocab"],
     "sweep": ["--out", "--run-dir", "--data", "--seed", "--layers", "--lrs",
-              "--clips", "--trainers", "--repeats", "--steps", "--batch",
-              "--window", "--eval-every"],
+              "--clips", "--repeats", "--steps", "--batch", "--window",
+              "--eval-every"],
     "finetune": ["--out", "--run-dir", "--data", "--checkpoint", "--split",
                  "--lambda-reg", "--freeze-after", "--lr", "--clip"],
     "ablate": ["--out", "--run-dir", "--data", "--checkpoint", "--split",
@@ -62,4 +62,4 @@ def test_cli_options_are_the_reviewed_dict():
                       if s not in ("-h", "--help")]
                for name, p in sub.choices.items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, CLI_OPTIONS.values())) == 73
+    assert sum(map(len, CLI_OPTIONS.values())) == 71

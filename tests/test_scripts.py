@@ -37,12 +37,12 @@ def test_reproduce_finetune(tmp_path):
 
 
 def test_run_sweep(tmp_path):
-    """The default grid at one step and one repeat: 90 configurations,
+    """The default grid at one step and one repeat: 45 configurations,
     none failed."""
     run_script("run_sweep.py", "--out", str(tmp_path), "--steps", "1",
                "--repeats", "1")
     rows = read_rows(tmp_path / "grid" / "sweep.csv")
-    assert len(rows) == 90
+    assert len(rows) == 45
     assert all(row["error"] == "" for row in rows)
 
 
