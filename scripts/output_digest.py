@@ -37,7 +37,7 @@ def digest() -> str:
     table = impute_rolling_median(resample_to_grid(
         join_weather(ds.emission, ds.weather)))
     train_t, val_t = split_sessions(table)
-    pipe = fit_pipeline(train_t, table)
+    pipe = fit_pipeline(train_t)
     train, val = apply_pipeline(pipe, train_t), apply_pipeline(pipe, val_t)
     h = hashlib.sha256()
 

@@ -14,10 +14,11 @@ byte-identical and reloaded networks predict bitwise-identically.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .datapipe import FittedPipeline
+from .datapipe import FittedPipeline, _feature_names
 from .errors import CheckpointError, ContractViolationError
 from .lru import PARAM_BLOCKS, LruLayerParams, LruNetwork, _is_int
 
@@ -58,9 +59,26 @@ def _network_from_jsonable(path, obj) -> LruNetwork:
         raise CheckpointError(f"{path}: params: {e}") from None
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_number(value) -> bool:
+    """A JSON number within float64's finite range; a bool is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_scale(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 def _pipeline_from_jsonable(path, obj) -> FittedPipeline | None:
-    """The stored pipeline, or None; its imputer window must be an odd
-    integer >= 3 (lru._is_int), the rolling median's rule."""
+    """The stored pipeline, or None. Its imputer window must be an odd
+    integer >= 3 (lru._is_int), the rolling median's rule. Its means and
+    scales (> 0) must be finite numbers and its vocabularies lists of
+    strings, each keyed by exactly its columns, and its feature_names must
+    be the ones fit_pipeline derives from them."""
     if obj is None:
         return None
     try:
@@ -72,6 +90,28 @@ def _pipeline_from_jsonable(path, obj) -> FittedPipeline | None:
     if not (_is_int(w) and w >= 3 and w % 2 == 1):
         raise CheckpointError(f"{path}: pipeline window must be an odd "
                               f"integer >= 3, got {w!r}")
+    num, tgt = pipe.numeric_columns, pipe.target_columns
+    for key, columns, valid, what in (
+            ("numeric_mean", num, _is_number, "a finite number"),
+            ("numeric_scale", num, _is_scale, "a finite number > 0"),
+            ("target_mean", tgt, _is_number, "a finite number"),
+            ("target_scale", tgt, _is_scale, "a finite number > 0"),
+            ("vocabularies", pipe.categorical_columns, _is_names,
+             "a list of strings")):
+        block = getattr(pipe, key)
+        if not (_is_names(columns) and isinstance(block, dict)
+                and sorted(block) == sorted(columns)):
+            raise CheckpointError(f"{path}: pipeline {key} must be keyed by "
+                                  f"exactly the columns {columns!r}")
+        for column, value in block.items():
+            if not valid(value):
+                raise CheckpointError(f"{path}: pipeline {key}[{column!r}] "
+                                      f"must be {what}, got {value!r}")
+    if pipe.feature_names != _feature_names(
+            pipe.numeric_columns, pipe.categorical_columns, pipe.vocabularies):
+        raise CheckpointError(
+            f"{path}: pipeline feature_names must be the numeric columns, "
+            f"then column=value for each vocabulary entry")
     return pipe
 
 

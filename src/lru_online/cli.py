@@ -95,8 +95,7 @@ def _gen_cfg(args) -> GeneratorConfig:
 
 def _prepared(args):
     data_dir = Path(args.data)
-    return prepare_tables(data_dir / "emission.csv", data_dir / "weather.csv",
-                          strict_vocab=getattr(args, "strict_vocab", False))
+    return prepare_tables(data_dir / "emission.csv", data_dir / "weather.csv")
 
 
 def _finetune_stream(args) -> tuple[Checkpoint, SequenceData]:
@@ -128,7 +127,7 @@ def _do_gen_data(args) -> int:
 
 
 def _do_preprocess(args) -> int:
-    config = {"data": args.data, "strict_vocab": args.strict_vocab}
+    config = {"data": args.data}
     pipe, train, val = _prepared(args)
     with _recording(args, "preprocess", config, {
             "train_rows": train.n_rows, "val_rows": val.n_rows,
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="materialize the pipeline outputs")
     _add_common(p)
     _add_data_flags(p)
-    p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_preprocess)
 
     p = sub.add_parser("pretrain", help="offline training by BPTT")
@@ -338,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gradient-norm bound, or none")
     p.add_argument("--window", type=int, default=c.window)
     p.add_argument("--eval-every", type=int, default=c.eval_every)
-    p.add_argument("--strict-vocab", action="store_true")
     p.set_defaults(func=_do_pretrain)
 
     p = sub.add_parser("sweep", help="hyperparameter grid")

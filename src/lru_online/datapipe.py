@@ -509,12 +509,10 @@ class FittedPipeline:
         return cls(**d)
 
 
-def fit_pipeline(train_table: SeriesTable,
-                 vocab_table: SeriesTable | None = None) -> FittedPipeline:
-    """Fit standardization on the training sessions. One-hot vocabularies are
-    fit on vocab_table when given (pass the union of train and validation to
-    keep feature dimensions aligned across the two; omit for a strict
-    train-only fit). It records load_grid's window, IMPUTE_WINDOW."""
+def fit_pipeline(train_table: SeriesTable) -> FittedPipeline:
+    """Fit standardization and the one-hot vocabularies on the training
+    sessions alone, so a category they never show encodes as all-zeros in
+    apply_pipeline. It records load_grid's window, IMPUTE_WINDOW."""
     numeric = [c for c in train_table.numeric_columns()
                if c not in TARGET_COLUMNS]
     cats = train_table.categorical_columns()
@@ -531,14 +529,10 @@ def fit_pipeline(train_table: SeriesTable,
                 f"column {name!r} is constant in the training set; "
                 "cannot standardize")
         mean[name], scale[name] = mu, sd
-    vocab_src = vocab_table if vocab_table is not None else train_table
     vocabularies = {}
     for name in cats:
-        vals = vocab_src.columns[name]
+        vals = train_table.columns[name]
         vocabularies[name] = sorted({v for v in vals if v is not None})
-    feature_names = list(numeric)
-    for name in cats:
-        feature_names += [f"{name}={v}" for v in vocabularies[name]]
     return FittedPipeline(
         numeric_columns=numeric,
         numeric_mean={c: mean[c] for c in numeric},
@@ -549,8 +543,15 @@ def fit_pipeline(train_table: SeriesTable,
         target_mean={c: mean[c] for c in TARGET_COLUMNS},
         target_scale={c: scale[c] for c in TARGET_COLUMNS},
         window=IMPUTE_WINDOW,
-        feature_names=feature_names,
+        feature_names=_feature_names(numeric, cats, vocabularies),
     )
+
+
+def _feature_names(numeric, categorical, vocabularies) -> list[str]:
+    """apply_pipeline's feature order: the numeric columns, then
+    column=value for each vocabulary entry of each categorical column."""
+    return [*numeric,
+            *(f"{c}={v}" for c in categorical for v in vocabularies[c])]
 
 
 def apply_pipeline(pipe: FittedPipeline, table: SeriesTable) -> SequenceData:

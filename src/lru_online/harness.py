@@ -37,13 +37,13 @@ def load_grid(emission_path, weather_path,
     return impute_rolling_median(resample_to_grid(table), window)
 
 
-def prepare_tables(emission_path, weather_path, strict_vocab: bool = False
+def prepare_tables(emission_path, weather_path
                    ) -> tuple[FittedPipeline, SequenceData, SequenceData]:
-    """Full preprocessing: load_grid, split_sessions at its default, pipeline
-    fit (vocabularies over train+val unless strict_vocab) and apply."""
+    """Full preprocessing: load_grid, split_sessions at its default, the
+    pipeline fit on the training sessions alone, and its apply to both."""
     table = load_grid(emission_path, weather_path)
     train_t, val_t = split_sessions(table)
-    pipe = fit_pipeline(train_t, None if strict_vocab else table)
+    pipe = fit_pipeline(train_t)
     return pipe, apply_pipeline(pipe, train_t), apply_pipeline(pipe, val_t)
 
 

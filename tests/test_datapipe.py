@@ -727,15 +727,6 @@ class TestPipeline:
         assert len(pipe.feature_names) == expect
         assert apply_pipeline(pipe, full_table()).features.shape[1] == expect
 
-    def test_vocab_table_extends_vocabulary(self):
-        table = full_table()
-        extra = full_table(seed=1)
-        extra.columns["conditions"][:] = "snow"
-        union = full_table(n=80)
-        union.columns["conditions"][40:] = "snow"
-        pipe = fit_pipeline(table, vocab_table=union)
-        assert "snow" in pipe.vocabularies["conditions"]
-
 
 def test_column_roles_follow_from_dtypes():
     """A table built from its columns alone: the float columns are numeric

@@ -90,43 +90,71 @@ def built_configs(monkeypatch, argv, builder: str, kind: type) -> list:
     return built
 
 
+def validation_only_hours(data_dir, train, val):
+    """The lines of data_dir's weather.csv, its hours as floats, and the
+    indices of the hours that only the validation session joins."""
+    lines = (data_dir / "weather.csv").read_text().splitlines()
+    hours = np.array([float(line.split(",")[0]) for line in lines[1:]])
+
+    def joined(ts):
+        return set(np.searchsorted(hours, ts, side="right") - 1)
+
+    val_only = joined(val.timestamps) - joined(train.timestamps)
+    assert val_only
+    return lines, hours, val_only
+
+
 class TestPrepareTables:
-    def test_strict_vocab_fits_categories_on_train_only(self, data_dir,
-                                                         tmp_path, caplog):
+    def test_fits_categories_on_train_only(self, data_dir, prepared,
+                                           tmp_path, caplog):
         """Weather hours that only the validation session joins carry a
-        conditions value, 'hail', that no training hour has. With
-        strict_vocab the vocabulary lacks it, the validation rows that
-        carry it one-hot to all zeros and a warning names it; without
-        the flag the vocabulary includes it."""
-        lines = (data_dir / "weather.csv").read_text().splitlines()
-        hours = np.array([float(line.split(",")[0]) for line in lines[1:]])
-        _, train, val = prepare_tables(data_dir / "emission.csv",
-                                       data_dir / "weather.csv")
-
-        def joined(ts):
-            return set(np.searchsorted(hours, ts, side="right") - 1)
-
-        val_only = joined(val.timestamps) - joined(train.timestamps)
-        assert val_only
+        conditions value, 'hail', that no training hour has. The
+        vocabulary lacks it, the validation rows that carry it one-hot to
+        all zeros and a warning names it."""
+        _, train, val = prepared
+        lines, hours, val_only = validation_only_hours(data_dir, train, val)
         for i in val_only:
             lines[i + 1] = lines[i + 1].rsplit(",", 1)[0] + ",hail"
         weather = tmp_path / "weather.csv"
         weather.write_text("\n".join(lines) + "\n")
-        args = data_dir / "emission.csv", weather
-        loose, _, loose_val = prepare_tables(*args)
-        assert "hail" in loose.vocabularies["conditions"]
         with caplog.at_level(logging.WARNING):
-            strict, _, strict_val = prepare_tables(*args, strict_vocab=True)
-        assert "hail" not in strict.vocabularies["conditions"]
+            pipe, _, val = prepare_tables(data_dir / "emission.csv", weather)
+        assert "hail" not in pipe.vocabularies["conditions"]
         assert ("column 'conditions': categories ['hail'] not in vocabulary"
                 in caplog.text)
-        hail = loose_val.features[
-            :, loose.feature_names.index("conditions=hail")] == 1.0
+        hour = np.searchsorted(hours, val.timestamps, side="right") - 1
+        hail = np.isin(hour, list(val_only))
         assert hail.any()
-        cond = [j for j, name in enumerate(strict.feature_names)
+        cond = [j for j, name in enumerate(pipe.feature_names)
                 if name.startswith("conditions=")]
-        assert np.all(strict_val.features[hail][:, cond] == 0.0)
-        assert np.all(strict_val.features[~hail][:, cond].sum(axis=1) == 1.0)
+        assert np.all(val.features[hail][:, cond] == 0.0)
+        assert np.all(val.features[~hail][:, cond].sum(axis=1) == 1.0)
+
+    def test_reads_nothing_of_the_validation_session(self, data_dir, prepared,
+                                                     tmp_path):
+        """Every numeric cell of the validation session's emission rows and
+        of the weather hours only it joins, times 1e6, and those hours'
+        conditions set to 'hail', leave the fitted pipeline as it was."""
+        pipe, train, val = prepared
+        lines, _, val_only = validation_only_hours(data_dir, train, val)
+
+        def scaled(cells):
+            return [repr(float(c) * 1e6) if c else c for c in cells]
+
+        for i in val_only:
+            hour, *numbers, _ = lines[i + 1].split(",")
+            lines[i + 1] = ",".join([hour, *scaled(numbers), "hail"])
+        (tmp_path / "weather.csv").write_text("\n".join(lines) + "\n")
+        emission = (data_dir / "emission.csv").read_text().splitlines()
+        for k, line in enumerate(emission[1:], 1):
+            t, *cells = line.split(",")
+            if float(t) >= val.timestamps[0]:
+                emission[k] = ",".join([t, *scaled(cells)])
+        (tmp_path / "emission.csv").write_text("\n".join(emission) + "\n")
+        poisoned, _, poisoned_val = prepare_tables(tmp_path / "emission.csv",
+                                                   tmp_path / "weather.csv")
+        assert np.abs(poisoned_val.targets).min() > 1e3
+        assert poisoned.to_dict() == pipe.to_dict()
 
 
 class TestCheckpoint:
@@ -293,6 +321,51 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="window") as raised:
             load_checkpoint(path)
         assert str(path) in str(raised.value)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("numeric_scale['speed_kmh']",
+         lambda p: p["numeric_scale"].update(speed_kmh="2")),
+        ("numeric_mean['temp_c']",
+         lambda p: p["numeric_mean"].update(temp_c=None)),
+        ("target_scale['co_ppm']",
+         lambda p: p["target_scale"].update(co_ppm=True)),
+        ("target_mean['no_ppm']",
+         lambda p: p["target_mean"].update(no_ppm=math.nan)),
+        ("target_mean['co2_pct']",
+         lambda p: p["target_mean"].update(co2_pct=10 ** 400)),
+        ("numeric_scale['fuel_lph']",
+         lambda p: p["numeric_scale"].update(fuel_lph=0.0)),
+        ("target_scale['nox_ppm']",
+         lambda p: p["target_scale"].update(nox_ppm=-1)),
+        ("numeric_mean", lambda p: p["numeric_mean"].pop("precip_mm")),
+        ("target_scale", lambda p: p["target_scale"].update(extra=1.0)),
+        ("numeric_mean", lambda p: p["numeric_columns"].append(3)),
+        ("vocabularies", lambda p: p["vocabularies"].update(
+            weather=p["vocabularies"].pop("conditions"))),
+        ("vocabularies['conditions']",
+         lambda p: p["vocabularies"].update(conditions="rain")),
+        ("feature_names", lambda p: p["feature_names"].pop()),
+        ("feature_names", lambda p: p["feature_names"].reverse()),
+    ], ids=["scale_string", "mean_null", "scale_bool", "mean_nan",
+            "mean_beyond_float64", "scale_zero", "scale_negative",
+            "missing_key", "extra_key", "column_not_string",
+            "vocabulary_keys", "vocabulary_not_list", "feature_dropped",
+            "feature_order"])
+    def test_malformed_pipeline_statistics_rejected(self, tmp_path, key,
+                                                    edit):
+        """Means and scales that are not finite numbers keyed by exactly
+        the pipeline's columns (scales > 0), vocabularies not keyed by its
+        categorical columns, and feature names other than the ones its
+        columns and vocabularies give are a CheckpointError naming the
+        file and the key, raised when the file is loaded."""
+        doc = json.loads((DATA / "checkpoint_depth1.json").read_text())
+        edit(doc["pipeline"])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as raised:
+            load_checkpoint(path)
+        assert str(path) in str(raised.value)
+        assert f"pipeline {key}" in str(raised.value)
 
     def test_reads_config_naming_the_rtrl_trainer(self, tmp_path):
         """A checkpoint whose config names the RTRL trainer that
@@ -1850,6 +1923,32 @@ class TestCli:
         assert code == EXIT_CODES["checkpoint"]
         err = json.loads(capsys.readouterr().err.strip())
         assert str(path) in err["message"] and "window" in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, edit", [
+        ("numeric_scale", lambda p: p["numeric_scale"].update(
+            {p["numeric_columns"][0]: "2"})),
+        ("feature_names", lambda p: p["feature_names"].pop()),
+    ], ids=["scale_string", "feature_dropped"])
+    def test_malformed_pipeline_statistics_exits_7(
+            self, data_dir, pretrained, tmp_path, capsys, key, edit):
+        """A pretrain checkpoint with a scale that is a string, or with a
+        feature name dropped, makes evaluate a checkpoint error naming the
+        file and the key, not a traceback or a run on a wrong pipeline,
+        and no run directory is left behind."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        edit(doc["pipeline"])
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out)])
+        assert code == EXIT_CODES["checkpoint"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert str(path) in err["message"] and key in err["message"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["finetune", "ablate", "evaluate"])

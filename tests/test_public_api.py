@@ -36,10 +36,10 @@ CLI_OPTIONS = {
     "gen-data": ["--out", "--seed", "--sessions", "--session-seconds",
                  "--missing-rate", "--shift-sessions", "--emission-gain",
                  "--ambient-offset"],
-    "preprocess": ["--out", "--run-dir", "--data", "--strict-vocab"],
+    "preprocess": ["--out", "--run-dir", "--data"],
     "pretrain": ["--out", "--run-dir", "--data", "--seed", "--layers",
                  "--steps", "--batch", "--lr", "--clip", "--window",
-                 "--eval-every", "--strict-vocab"],
+                 "--eval-every"],
     "sweep": ["--out", "--run-dir", "--data", "--seed", "--layers", "--lrs",
               "--clips", "--repeats", "--steps", "--batch", "--window",
               "--eval-every"],
@@ -62,4 +62,4 @@ def test_cli_options_are_the_reviewed_dict():
                       if s not in ("-h", "--help")]
                for name, p in sub.choices.items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, CLI_OPTIONS.values())) == 71
+    assert sum(map(len, CLI_OPTIONS.values())) == 69
