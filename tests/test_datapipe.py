@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from lru_online.datapipe import (EMISSION_HEADER, TARGET_COLUMNS,
                                  impute_rolling_median, join_weather,
                                  load_emission_csv, load_weather_csv,
                                  resample_to_grid, split_sessions)
-from lru_online.errors import (ConfigurationError, ContractViolationError,
-                               ImputationError, SchemaError, UsageError)
+from lru_online.errors import (CompatibilityError, ConfigurationError,
+                               ContractViolationError, ImputationError,
+                               SchemaError, UsageError)
 from lru_online.harness import load_grid
 from lru_online.synth import GeneratorConfig, generate_dataset, write_dataset
 
@@ -418,17 +420,26 @@ class TestRollingMedian:
         assert list(table.columns["cond"]) == list(cats)
 
     def test_matches_reference_implementation(self):
+        """Bit for bit, on normal draws and on columns drawn from signed
+        zeros, subnormals, values near the float64 limits (whose sums
+        overflow), infinities (whose sums can be NaN) and ties: a median
+        of -0.0 values is +0.0, as np.median's mean makes it."""
         rng = np.random.default_rng(0)
+        corpus = np.array([0.0, -0.0, 5e-324, -5e-324, 3e-308, -3e-308,
+                           1e308, -1e308, np.inf, -np.inf, 1.0, -1.0, 2.5])
         for w in (3, 5, 7):
-            x = rng.standard_normal(200)
-            mask = rng.random(200) < 0.2
-            mask[0] = mask[-1] = True  # exercise the boundary fills
-            x[mask] = np.nan
-            x[50] = 1.0  # guarantee at least one observed value
-            table = numeric_table({"x": x})
-            out = impute_rolling_median(table, w=w)
-            assert np.array_equal(out.columns["x"],
-                                  reference_rolling_median(x, w))
+            for draw in (rng.standard_normal(200), rng.choice(corpus, 200),
+                         rng.choice(corpus[:4], 200)):
+                x = draw.copy()
+                mask = rng.random(200) < 0.3
+                mask[0] = mask[-1] = True  # exercise the boundary fills
+                x[mask] = np.nan
+                x[50] = 1.0  # guarantee at least one observed value
+                table = numeric_table({"x": x})
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = impute_rolling_median(table, w=w)
+                    expect = reference_rolling_median(x, w)
+                assert out.columns["x"].tobytes() == expect.tobytes()
 
     def test_observed_values_untouched(self):
         rng = np.random.default_rng(1)
@@ -714,6 +725,20 @@ class TestPipeline:
         table.columns["speed"][3] = np.nan
         with pytest.raises(UsageError):
             fit_pipeline(table)
+
+    @pytest.mark.parametrize("drop", [["speed"], ["conditions"], ["co_ppm"],
+                                      ["temp_c", "conditions", "no_ppm"]])
+    def test_absent_column_is_compatibility_error(self, drop):
+        """A table without a column the pipeline names, numeric,
+        categorical or target, is a CompatibilityError naming each such
+        column in the pipeline's order."""
+        table = full_table()
+        pipe = fit_pipeline(table)
+        for name in drop:
+            del table.columns[name]
+        with pytest.raises(CompatibilityError,
+                           match=re.escape(f"columns {drop} ")):
+            apply_pipeline(pipe, table)
 
     def test_dict_roundtrip(self):
         pipe = fit_pipeline(full_table())

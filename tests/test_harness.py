@@ -1951,6 +1951,33 @@ class TestCli:
         assert str(path) in err["message"] and key in err["message"]
         assert list(out.iterdir()) == []
 
+    def test_pipeline_column_absent_from_data_exits_8(
+            self, data_dir, pretrained, tmp_path, capsys):
+        """A checkpoint whose pipeline names a column the data lacks
+        (speed_kmh renamed speed in every key, which the loader accepts)
+        makes evaluate a compatibility error naming the column, not a
+        KeyError traceback, and no run directory is left behind."""
+        ckpt, _ = pretrained
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        pipe = doc["pipeline"]
+        pipe["numeric_columns"] = ["speed" if c == "speed_kmh" else c
+                                   for c in pipe["numeric_columns"]]
+        pipe["feature_names"] = ["speed" if c == "speed_kmh" else c
+                                 for c in pipe["feature_names"]]
+        for key in ("numeric_mean", "numeric_scale"):
+            pipe[key]["speed"] = pipe[key].pop("speed_kmh")
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "runs"
+        out.mkdir()
+        code = main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                     str(path), "--out", str(out)])
+        assert code == EXIT_CODES["compatibility"]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "['speed']" in err["message"]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["finetune", "ablate", "evaluate"])
     def test_checkpoint_without_pipeline_exits_8(self, data_dir, pretrained,
                                                  tmp_path, capsys, command):

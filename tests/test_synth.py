@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,30 @@ class TestValidation:
             generate_dataset(GeneratorConfig(seed=-1))
 
 
+# sha256 of the files write_dataset makes of the default scenario, per
+# seed: a change to the generator or the writer that moves one byte of them
+# shows here
+WRITTEN_SHA256 = {
+    0: {"emission.csv": "ddf9136ef720ea948e52a0a06c9f9783279cab24e07269453539f89abab08ac8",
+        "weather.csv": "ffa1c192a3cc3d474c8df3e0a3478da6bbb0b12dfdd69b3a16d21350a6ab42dd",
+        "sessions.json": "d079bf42914f10a3424f1bb102b167b9a0a0b61dd18f7b5feee9c47c292d8018"},
+    1: {"emission.csv": "89b1904f64e14619c579faab4925f76d0204b476ffc34efc2cca4cda4c840b94",
+        "weather.csv": "e7ac65c2c19a53252b27f56d9feedb6ebca527fe82722ce7253aedc181a75d1f",
+        "sessions.json": "d1483062779975fe4325207fb6e9523a827081c50b95d6a873d00d1efe99b159"},
+    2: {"emission.csv": "efddfce93ad8be274d19399f214fe329f1e8686419120aac5d2a5f695e598bbf",
+        "weather.csv": "eefce617f9e0f9a1005d8f660a7e1d836e3e431c4716a8f2978a8688d6383864",
+        "sessions.json": "b3ab1f75705c7f12ba71fec7cdb4a3e0bcd55b6545282e12cbaeaeca93f638bc"},
+}
+
+
 class TestWriteDataset:
+    @pytest.mark.parametrize("seed", sorted(WRITTEN_SHA256))
+    def test_written_bytes_pinned(self, tmp_path, seed):
+        write_dataset(generate_dataset(GeneratorConfig(seed=seed)), tmp_path)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in WRITTEN_SHA256[seed]}
+        assert got == WRITTEN_SHA256[seed]
+
     def test_csv_roundtrip_is_exact(self, tmp_path):
         cfg = GeneratorConfig(sessions=2, session_seconds=400, seed=5)
         ds = generate_dataset(cfg)
